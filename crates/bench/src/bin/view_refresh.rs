@@ -27,7 +27,7 @@
 //! Usage: `cargo run --release -p mera-bench --bin view_refresh
 //! [output.json]` — default output `BENCH_pr7.json`. Pass `--smoke` for a
 //! seconds-long CI variant that churns a small database through real
-//! [`TransactionManager`] commits and exits nonzero unless the maintained
+//! [`MvccManager`] commits and exits nonzero unless the maintained
 //! view equals a reference recomputation after every commit.
 
 use std::fmt::Write as _;
@@ -39,7 +39,9 @@ use mera_core::counting_alloc::{allocations_during, CountingAlloc};
 use mera_core::prelude::*;
 use mera_eval::Engine;
 use mera_expr::{Aggregate, RelExpr, ScalarExpr};
-use mera_txn::{DeltaMap, ExecConfig, Program, Statement, TransactionManager, TupleDelta, ViewSet};
+use mera_txn::{
+    DeltaMap, ExecConfig, MvccManager, Outcome, Program, Statement, TupleDelta, ViewSet,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -308,7 +310,7 @@ fn render_json(
 fn smoke() -> Result<(), String> {
     let (db, mut live) = load(2_000, 200, 42);
     let expr = view_expr();
-    let mgr = TransactionManager::with_config(db.schema().clone(), ExecConfig::default());
+    let mgr = MvccManager::with_config(db.schema().clone(), ExecConfig::default());
     let orders_schema = Arc::clone(db.relation("orders").expect("declared").schema());
     let load_program = Program::new()
         .then(Statement::insert(
@@ -319,8 +321,11 @@ fn smoke() -> Result<(), String> {
             "orders",
             RelExpr::values(db.relation("orders").expect("declared").clone()),
         ));
-    mgr.execute(&load_program)
-        .map_err(|e| format!("load: {e}"))?;
+    let commit = |what: String, program: &Program| match mgr.execute(program).0 {
+        Outcome::Committed(_) => Ok(()),
+        Outcome::Aborted(reason) => Err(format!("{what}: {reason}")),
+    };
+    commit("load".to_owned(), &load_program)?;
     mgr.create_view("region_totals", expr.clone())
         .map_err(|e| format!("view rejected: {e}"))?;
     let mut r = rng(43);
@@ -335,13 +340,16 @@ fn smoke() -> Result<(), String> {
                 "orders",
                 RelExpr::values(relation_of(&orders_schema, &inserted)),
             ));
-        mgr.execute(&p).map_err(|e| format!("commit {i}: {e}"))?;
-        let fresh =
-            mera_eval::eval(&expr, &mgr.snapshot()).map_err(|e| format!("recompute {i}: {e}"))?;
-        let view = mgr
-            .view("region_totals")
-            .map_err(|e| format!("view read {i}: {e}"))?;
-        if view != fresh {
+        commit(format!("commit {i}"), &p)?;
+        let version = mgr.pin();
+        let fresh = mera_eval::eval(&expr, version.database())
+            .map_err(|e| format!("recompute {i}: {e}"))?;
+        let view = version
+            .views()
+            .get("region_totals")
+            .ok_or_else(|| format!("view read {i}: no such view"))?
+            .data();
+        if view.as_ref() != &fresh {
             return Err(format!("commit {i}: refresh diverged from recompute"));
         }
         println!("smoke: commit {i} ok ({} groups)", view.len());

@@ -1,17 +1,19 @@
 //! An interactive session: parse → lower → run as transactions.
 //!
-//! [`Session`] is the glue a REPL or script runner needs: it owns a
-//! database state, accepts XRA source, lowers each transaction and runs it
-//! with atomic commit/abort semantics, returning rendered query outputs.
+//! [`Session`] is the glue a REPL or script runner needs: a thin XRA
+//! front over one [`MvccManager`] — it accepts XRA source, lowers each
+//! transaction against the newest version's catalog and runs it with
+//! atomic commit/abort semantics, returning the query outputs. The state
+//! itself (database, views, statistics, indexes, keys) is the manager's.
 
 use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_expr::RelExpr;
 use mera_txn::exec::ExecConfig;
-use mera_txn::transaction::{run_transaction_cataloged, CommitCatalog, Outcome};
-use mera_txn::views::{CreateViewError, ViewSet};
-use mera_txn::{CatalogStats, ConstraintSet, IndexSet, KeySet, Program};
+use mera_txn::mvcc::{MvccManager, Version};
+use mera_txn::transaction::Outcome;
+use mera_txn::Program;
 
 use crate::error::{LangError, LangResult};
 use crate::lower::lower_script;
@@ -28,12 +30,7 @@ pub enum RunResult {
 
 /// A stateful XRA session.
 pub struct Session {
-    db: Database,
-    config: ExecConfig,
-    views: ViewSet,
-    stats: Arc<CatalogStats>,
-    indexes: Arc<IndexSet>,
-    keys: Arc<KeySet>,
+    mvcc: MvccManager,
 }
 
 impl Session {
@@ -44,72 +41,46 @@ impl Session {
 
     /// A session over an existing database state.
     pub fn with_database(db: Database) -> Self {
-        let stats = CatalogStats::from_database(&db).expect("catalog relations resolve");
+        let version = Version::new(db).expect("catalog relations resolve");
         Session {
-            db,
-            config: ExecConfig::default(),
-            views: ViewSet::new(),
-            stats: Arc::new(stats),
-            indexes: Arc::new(IndexSet::new()),
-            keys: Arc::new(KeySet::new()),
+            mvcc: MvccManager::from_version(version, ExecConfig::default()),
         }
     }
 
     /// Overrides the execution configuration.
     pub fn set_config(&mut self, config: ExecConfig) {
-        self.config = config;
+        self.mvcc.set_config(config);
     }
 
     /// Selects the evaluator used by subsequent transactions and queries,
     /// keeping the other configuration knobs.
     pub fn set_engine(&mut self, engine: mera_txn::EngineKind) {
-        self.config.engine = engine;
+        self.set_config(ExecConfig {
+            engine,
+            ..self.mvcc.config()
+        });
     }
 
     /// Overrides the engine tuning options (batch size, partitions),
     /// keeping the other configuration knobs.
     pub fn set_exec_options(&mut self, options: mera_txn::ExecOptions) {
-        self.config.options = options;
+        self.set_config(ExecConfig {
+            options,
+            ..self.mvcc.config()
+        });
     }
 
-    /// The current database state.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// The session's materialized views.
-    pub fn views(&self) -> &ViewSet {
-        &self.views
+    /// The session's current state: database, materialized views,
+    /// statistics, indexes and keys as of the newest commit.
+    pub fn pin(&self) -> Arc<Version> {
+        self.mvcc.pin()
     }
 
     /// Creates a materialized view over the current state; it is kept
     /// incrementally up to date by every subsequent commit.
     pub fn create_view(&mut self, name: &str, expr: RelExpr) -> LangResult<()> {
-        self.views
-            .create(name, expr, &self.db, self.config)
-            .map(|_| ())
-            .map_err(|e| match e {
-                CreateViewError::Error(c) => LangError::Semantic(c),
-                CreateViewError::Rejected(diags) => {
-                    LangError::Semantic(CoreError::TypeError(format!(
-                        "view definition rejected:\n{}",
-                        mera_analyze::render(&diags)
-                    )))
-                }
-            })
-    }
-
-    /// The database schema extended with every view's schema — what the
-    /// lowerer resolves names against.
-    fn catalog(&self) -> DatabaseSchema {
-        let mut schema = self.db.schema().clone();
-        for v in self.views.iter() {
-            let _ = schema.add(RelationSchema::new(
-                v.name().to_owned(),
-                v.schema().as_ref().clone(),
-            ));
-        }
-        schema
+        self.mvcc.create_view(name, expr)?;
+        Ok(())
     }
 
     /// Runs a whole script: declarations extend the schema immediately;
@@ -125,9 +96,9 @@ impl Session {
         // declarations must be visible to lowering: lower against the
         // session's schema (views included) extended with the script's
         // declarations
-        let lowered = lower_script(&script, &self.catalog())?;
+        let lowered = lower_script(&script, &self.pin().catalog_schema())?;
         for decl in lowered.declarations {
-            self.db.add_relation(decl)?;
+            self.mvcc.add_relation(decl)?;
         }
         // views are created before the script's transactions run: their
         // initial contents come from the current state, and every commit
@@ -163,7 +134,7 @@ impl Session {
     /// `values`) feed the emptiness pass.
     pub fn check_script(&self, src: &str) -> LangResult<Vec<Vec<mera_analyze::Diagnostic>>> {
         let script = parse_script(src)?;
-        let catalog = self.catalog();
+        let catalog = self.pin().catalog_schema();
         let lowered = lower_script(&script, &catalog)?;
         let mut schema = catalog;
         for decl in lowered.declarations {
@@ -194,25 +165,7 @@ impl Session {
     /// every materialized view, the table statistics and every secondary
     /// index incrementally.
     pub fn run_program(&mut self, program: &Program) -> RunResult {
-        let (next, outcome) = run_transaction_cataloged(
-            &self.db,
-            CommitCatalog {
-                views: Some(&mut self.views),
-                stats: Some(&mut self.stats),
-                indexes: Some(&mut self.indexes),
-                keys: Some(&mut self.keys),
-            },
-            program,
-            self.config,
-            None,
-            &ConstraintSet::new(),
-        );
-        if !outcome.is_committed() {
-            // contents unchanged by the abort, only logical time moved
-            Arc::make_mut(&mut self.stats).set_as_of(next.time());
-        }
-        self.db = next;
-        match outcome {
+        match self.mvcc.execute(program).0 {
             Outcome::Committed(outputs) => RunResult::Committed(outputs.queries),
             Outcome::Aborted(reason) => RunResult::Aborted(reason.to_string()),
         }
@@ -222,19 +175,9 @@ impl Session {
     /// is kept incrementally up to date by every subsequent commit and
     /// used as an access path by queries.
     pub fn create_index(&mut self, relation: &str, keys: &[usize]) -> LangResult<()> {
-        Arc::make_mut(&mut self.indexes)
-            .create(&self.db, relation, keys)
+        self.mvcc
+            .create_index(relation, keys)
             .map_err(LangError::Semantic)
-    }
-
-    /// The session's maintained table statistics.
-    pub fn stats(&self) -> &CatalogStats {
-        &self.stats
-    }
-
-    /// The session's maintained secondary indexes.
-    pub fn indexes(&self) -> &IndexSet {
-        &self.indexes
     }
 
     /// Declares the 1-based `attrs` as a candidate key of `relation`.
@@ -244,47 +187,7 @@ impl Session {
     /// against its net deltas and aborts violators; queries plan with the
     /// key as a property source (δ-elimination, keyed-γ simplification).
     pub fn declare_key(&mut self, relation: &str, attrs: &[usize]) -> LangResult<()> {
-        if self.views.get(relation).is_some() {
-            return Err(LangError::Semantic(CoreError::TypeError(format!(
-                "error[E0402]: cannot declare a key on materialized view `{relation}`"
-            ))));
-        }
-        if self.keys.is_declared(relation, attrs) {
-            return Err(LangError::Semantic(CoreError::TypeError(format!(
-                "error[E0403]: key {relation}({}) is already declared",
-                attrs
-                    .iter()
-                    .map(|a| format!("%{a}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            ))));
-        }
-        match Arc::make_mut(&mut self.keys)
-            .declare(&self.db, relation, attrs)
-            .map_err(LangError::Semantic)?
-        {
-            Ok(()) => Ok(()),
-            Err(v) => Err(LangError::Semantic(CoreError::TypeError(format!(
-                "error[E0401]: {v}"
-            )))),
-        }
-    }
-
-    /// The session's declared key constraints.
-    pub fn keys(&self) -> &KeySet {
-        &self.keys
-    }
-
-    /// The working state a read-only evaluation (or EXPLAIN) runs
-    /// against: current database, view snapshots, statistics and indexes.
-    fn read_state(&self) -> mera_txn::WorkingState {
-        mera_txn::WorkingState::with_catalog(
-            self.db.clone(),
-            &self.views,
-            Some(Arc::clone(&self.stats)),
-            Some(Arc::clone(&self.indexes)),
-            Some(Arc::clone(&self.keys)),
-        )
+        Ok(self.mvcc.declare_key(relation, attrs)?)
     }
 
     /// Evaluates a single relational expression (as `?E`) without touching
@@ -293,8 +196,10 @@ impl Session {
     /// cost-based against the session's statistics, with index access
     /// paths.
     pub fn query(&self, src: &str) -> LangResult<Relation> {
-        let expr = self.lower_rel(src)?;
-        mera_txn::exec::eval_expr(&self.read_state(), &expr, self.config)
+        let version = self.pin();
+        let expr = lower_rel(&version, src)?;
+        version
+            .query(&expr, self.mvcc.config())
             .map_err(LangError::Semantic)
     }
 
@@ -303,16 +208,18 @@ impl Session {
     /// database (the REPL's `explain` mode). See [`mera_txn::explain_expr`]
     /// for the format.
     pub fn explain(&self, src: &str) -> LangResult<String> {
-        let expr = self.lower_rel(src)?;
-        mera_txn::explain_expr(&self.read_state(), &expr, self.config).map_err(LangError::Semantic)
+        let version = self.pin();
+        let expr = lower_rel(&version, src)?;
+        version
+            .explain(&expr, self.mvcc.config())
+            .map_err(LangError::Semantic)
     }
+}
 
-    fn lower_rel(&self, src: &str) -> LangResult<RelExpr> {
-        let rel = crate::parser::parse_rel(src)?;
-        let catalog = self.catalog();
-        let lowerer = crate::lower::Lowerer::new(&catalog);
-        lowerer.lower_rel(&rel)
-    }
+fn lower_rel(version: &Version, src: &str) -> LangResult<RelExpr> {
+    let rel = crate::parser::parse_rel(src)?;
+    let catalog = version.catalog_schema();
+    crate::lower::Lowerer::new(&catalog).lower_rel(&rel)
 }
 
 impl Default for Session {
@@ -397,7 +304,7 @@ mod tests {
         session
             .run_script("relation r (a: int, b: str);")
             .expect("declares");
-        let before = session.database().clone();
+        let before = session.pin().database().clone();
         // E0102: AVG over a provably-empty input
         let diags = session
             .check_script("?groupby[(), AVG, %1](select[false](r));")
@@ -422,7 +329,7 @@ mod tests {
             .check_script("relation s (x: int); ?s;")
             .expect("checks");
         assert!(diags.iter().all(|d| d.is_empty()));
-        assert_eq!(session.database(), &before);
+        assert_eq!(session.pin().database(), &before);
     }
 
     #[test]
@@ -450,10 +357,10 @@ mod tests {
         session
             .run_script("relation r (a: int); insert(r, values (int) {(1),(1)});")
             .expect("setup");
-        let before = session.database().clone();
+        let before = session.pin().database().clone();
         let out = session.query("unique(r)").expect("queries");
         assert_eq!(out.len(), 1);
-        assert_eq!(session.database(), &before);
+        assert_eq!(session.pin().database(), &before);
     }
 
     #[test]
@@ -465,7 +372,7 @@ mod tests {
                  view totals = groupby[(region), SUM, amount](sales);",
             )
             .expect("declares view");
-        assert!(session.views().contains("totals"));
+        assert!(session.pin().views().contains("totals"));
         session
             .run_script(
                 "insert(sales, values (str, int) {('north', 10), ('north', 5), ('south', 7)});",
@@ -535,7 +442,7 @@ mod tests {
             .expect_err("partial view rejected");
         let msg = err.to_string();
         assert!(msg.contains("E0303"), "{msg}");
-        assert!(!session.views().contains("avg"));
+        assert!(!session.pin().views().contains("avg"));
     }
 
     #[test]
@@ -565,7 +472,7 @@ mod tests {
                  insert(member, values (str, str) {('dick', 'enschede')});",
             )
             .expect("declares and inserts");
-        assert!(session.keys().is_declared("member", &[1]));
+        assert!(session.pin().keys().is_declared("member", &[1]));
         // a second tuple at the same key point aborts with E0401 and
         // leaves the database unchanged
         let results = session
@@ -618,10 +525,10 @@ mod tests {
             .expect("setup");
         let err = session.run_script("key r (a);").expect_err("rejected");
         assert!(err.to_string().contains("E0401"), "{err}");
-        assert!(!session.keys().is_declared("r", &[1]));
+        assert!(!session.pin().keys().is_declared("r", &[1]));
         // the two-attribute key holds, so it installs
         session.run_script("key r (a, b);").expect("declares");
-        assert!(session.keys().is_declared("r", &[1, 2]));
+        assert!(session.pin().keys().is_declared("r", &[1, 2]));
     }
 
     #[test]
@@ -648,8 +555,8 @@ mod tests {
     fn parse_errors_do_not_mutate() {
         let mut session = Session::new();
         session.run_script("relation r (a: int);").expect("setup");
-        let before = session.database().clone();
+        let before = session.pin().database().clone();
         assert!(session.run_script("insert(r values);").is_err());
-        assert_eq!(session.database(), &before);
+        assert_eq!(session.pin().database(), &before);
     }
 }

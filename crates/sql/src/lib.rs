@@ -14,7 +14,7 @@
 //! ```
 //! use mera_core::prelude::*;
 //! use mera_sql::run_sql;
-//! use mera_txn::{Program, TransactionManager};
+//! use mera_txn::MvccManager;
 //!
 //! let schema = DatabaseSchema::new()
 //!     .with("beer", Schema::named(&[
@@ -22,7 +22,7 @@
 //!         ("brewery", DataType::Str),
 //!         ("alcperc", DataType::Real),
 //!     ]))?;
-//! let mgr = TransactionManager::new(schema);
+//! let mgr = MvccManager::new(schema);
 //! run_sql(&mgr, "INSERT INTO beer VALUES ('Grolsch', 'Grolsche', 5.0)")?;
 //! let out = run_sql(&mgr, "SELECT name FROM beer WHERE alcperc >= 5.0")?;
 //! assert_eq!(out.expect("query output").len(), 1);
@@ -42,38 +42,7 @@ pub use translate::{translate, Translated};
 
 use mera_core::prelude::*;
 use mera_lang::error::{LangError, LangResult};
-use mera_txn::views::CreateViewError;
-use mera_txn::{DeclareKeyError, Outcome, Program, TransactionManager};
-
-/// The manager's schema extended with every materialized view's schema —
-/// what SQL names resolve against.
-fn catalog(mgr: &TransactionManager) -> DatabaseSchema {
-    let mut schema = mgr.snapshot().schema().clone();
-    for (name, rel) in mgr.view_snapshots() {
-        let _ = schema.add(RelationSchema::new(name, rel.schema().as_ref().clone()));
-    }
-    schema
-}
-
-fn key_error(e: DeclareKeyError) -> LangError {
-    match e {
-        DeclareKeyError::Error(c) => LangError::Semantic(c),
-        DeclareKeyError::Rejected(diag) => LangError::Semantic(CoreError::TypeError(format!(
-            "key declaration rejected:\n{}",
-            mera_analyze::render(&[diag])
-        ))),
-    }
-}
-
-fn view_error(e: CreateViewError) -> LangError {
-    match e {
-        CreateViewError::Error(c) => LangError::Semantic(c),
-        CreateViewError::Rejected(diags) => LangError::Semantic(CoreError::TypeError(format!(
-            "view definition rejected:\n{}",
-            mera_analyze::render(&diags)
-        ))),
-    }
-}
+use mera_txn::{MvccManager, Outcome, Program};
 
 /// Parses and translates one SQL statement, then runs the `mera-analyze`
 /// passes against the manager's current state *without executing it*.
@@ -84,9 +53,10 @@ fn view_error(e: CreateViewError) -> LangError {
 /// reported as a hard `E0102`, not a `W0101` possibility. A
 /// `CREATE MATERIALIZED VIEW` statement is checked with the view
 /// validator instead (`E0301`/`E0303` and the usual schema errors).
-pub fn check_sql(mgr: &TransactionManager, sql: &str) -> LangResult<Vec<mera_analyze::Diagnostic>> {
+pub fn check_sql(mgr: &MvccManager, sql: &str) -> LangResult<Vec<mera_analyze::Diagnostic>> {
     let stmt = parse_sql(sql)?;
-    let schema = catalog(mgr);
+    let version = mgr.pin();
+    let schema = version.catalog_schema();
     match translate(&stmt, &schema)? {
         Translated::CreateView { name, expr } => {
             Ok(mera_analyze::analyze_view_def(&name, &expr, &schema).diagnostics)
@@ -96,7 +66,7 @@ pub fn check_sql(mgr: &TransactionManager, sql: &str) -> LangResult<Vec<mera_ana
         Translated::CreateTable { .. } => Ok(Vec::new()),
         translated => {
             let program = Program::single(translated.into_statement());
-            Ok(mgr.check_program(&program))
+            Ok(version.check_program(&program))
         }
     }
 }
@@ -106,10 +76,13 @@ pub fn check_sql(mgr: &TransactionManager, sql: &str) -> LangResult<Vec<mera_ana
 /// estimated-vs-actual cardinalities (see [`mera_txn::explain_expr`] for
 /// the format). Only queries can be explained; DML and DDL statements are
 /// rejected.
-pub fn explain_sql(mgr: &TransactionManager, sql: &str) -> LangResult<String> {
+pub fn explain_sql(mgr: &MvccManager, sql: &str) -> LangResult<String> {
     let stmt = parse_sql(sql)?;
-    match translate(&stmt, &catalog(mgr))? {
-        Translated::Query(expr) => mgr.explain(&expr).map_err(LangError::Semantic),
+    let version = mgr.pin();
+    match translate(&stmt, &version.catalog_schema())? {
+        Translated::Query(expr) => version
+            .explain(&expr, mgr.config())
+            .map_err(LangError::Semantic),
         _ => Err(LangError::Semantic(CoreError::TypeError(
             "EXPLAIN takes a query, not a DML or DDL statement".to_string(),
         ))),
@@ -121,25 +94,24 @@ pub fn explain_sql(mgr: &TransactionManager, sql: &str) -> LangResult<String> {
 /// `CREATE MATERIALIZED VIEW`. Materialized views are readable in `FROM`
 /// clauses like tables, served from their incrementally-maintained
 /// contents.
-pub fn run_sql(mgr: &TransactionManager, sql: &str) -> LangResult<Option<Relation>> {
+pub fn run_sql(mgr: &MvccManager, sql: &str) -> LangResult<Option<Relation>> {
     let stmt = parse_sql(sql)?;
-    let translated = translate(&stmt, &catalog(mgr))?;
+    let translated = translate(&stmt, &mgr.pin().catalog_schema())?;
     let is_query = matches!(translated, Translated::Query(_));
     if let Translated::CreateView { name, expr } = translated {
-        mgr.create_view(&name, expr).map_err(view_error)?;
+        mgr.create_view(&name, expr)?;
         return Ok(None);
     }
     if let Translated::CreateTable { schema, keys } = translated {
         let name = schema.name.clone();
-        mgr.add_relation(schema).map_err(LangError::Semantic)?;
+        mgr.add_relation(schema)?;
         for attrs in keys {
-            mgr.declare_key(&name, &attrs).map_err(key_error)?;
+            mgr.declare_key(&name, &attrs)?;
         }
         return Ok(None);
     }
     let program = Program::single(translated.into_statement());
-    let (outcome, _) = mgr.execute(&program).map_err(LangError::Semantic)?;
-    match outcome {
+    match mgr.execute(&program).0 {
         Outcome::Committed(mut outputs) => {
             if is_query {
                 Ok(Some(outputs.queries.remove(0)))
@@ -181,8 +153,8 @@ mod tests {
             .expect("fresh")
     }
 
-    fn loaded_manager() -> TransactionManager {
-        let mgr = TransactionManager::new(beer_schema());
+    fn loaded_manager() -> MvccManager {
+        let mgr = MvccManager::new(beer_schema());
         run_sql(
             &mgr,
             "INSERT INTO beer VALUES \
@@ -335,7 +307,7 @@ mod tests {
 
     #[test]
     fn check_sql_reports_partiality_against_live_state() {
-        let mgr = TransactionManager::new(beer_schema());
+        let mgr = MvccManager::new(beer_schema());
         // beer is empty right now: AVG is provably undefined — E0102
         let diags = check_sql(&mgr, "SELECT AVG(alcperc) FROM beer").expect("checks");
         assert_eq!(diags.len(), 1);
@@ -377,9 +349,9 @@ mod tests {
             .expect("output");
         assert_eq!(out.multiplicity(&tuple!["NL", 5.1_f64]), 1);
         assert_eq!(out.multiplicity(&tuple!["IE", 4.2_f64]), 1);
-        let stats = mgr.view_stats();
-        assert_eq!(stats[0].0, "strength");
-        assert_eq!(stats[0].2, 0, "no recompute fallbacks: {stats:?}");
+        let version = mgr.pin();
+        let view = version.views().get("strength").expect("view exists");
+        assert_eq!(view.refresh_stats().1, 0, "no recompute fallbacks");
     }
 
     #[test]
@@ -425,7 +397,7 @@ mod tests {
 
     #[test]
     fn create_table_with_primary_key_enforces_at_commit() {
-        let mgr = TransactionManager::new(DatabaseSchema::new());
+        let mgr = MvccManager::new(DatabaseSchema::new());
         run_sql(
             &mgr,
             "CREATE TABLE member (name TEXT, town TEXT, PRIMARY KEY (name))",
@@ -477,7 +449,7 @@ mod tests {
 
     #[test]
     fn create_table_unique_constraints_enforce_and_license_rewrites() {
-        let mgr = TransactionManager::new(DatabaseSchema::new());
+        let mgr = MvccManager::new(DatabaseSchema::new());
         run_sql(
             &mgr,
             "CREATE TABLE member (id INT PRIMARY KEY, email TEXT UNIQUE, \

@@ -1,19 +1,19 @@
 //! [`ConcurrentDb`]: the MVCC transaction engine wired to a shared WAL
 //! with cross-client group commit.
 //!
-//! Where [`DurableDb`](crate::DurableDb) is `&mut self` throughout — one
-//! writer, log-then-publish — this front is `&self` everywhere: any
+//! This is the durable front door, and it is `&self` everywhere: any
 //! number of threads (one per client connection, in `mera-server`)
 //! execute transactions concurrently against the [`MvccManager`]'s
-//! version chain, and the WAL becomes a shared resource coordinated by a
-//! small group-commit protocol:
+//! version chain — a single client is simply the one-thread case — and
+//! the protocol is log-then-publish: the WAL is a shared resource
+//! coordinated by a small group-commit protocol:
 //!
 //! * **Commit order = log order.** Each committed transaction's redo
 //!   frame is produced inside the MVCC commit section (the `durability`
 //!   hook of [`MvccManager::try_commit`] runs under the commit lock,
 //!   after validation, before publication), so frames are generated in
-//!   strictly increasing logical-time order and the serial recovery code
-//!   replays interleaved histories unchanged.
+//!   strictly increasing logical-time order and single-threaded recovery
+//!   ([`crate::durable`]) replays interleaved histories as they happened.
 //! * **[`FsyncPolicy::Always`]** appends and fsyncs the frame right in
 //!   the hook — one fsync per commit, fully serialized. This is the
 //!   latency-honest baseline.
@@ -27,24 +27,22 @@
 //!   arrive while a flush is in flight pile up behind it and ride the
 //!   next batch, so group size adapts to concurrency — a lone committer
 //!   pays exactly one fsync (no worse than `Always`), while under load
-//!   one fsync amortizes across many commits. The `n` is a WAL-batching
-//!   hint honored by the serial front; here every ack is durable and
-//!   `n` does not gate the flush. Unlike the serial `EveryN` (which
-//!   acked before syncing), no transaction is acknowledged until its
-//!   frame is durable.
+//!   one fsync amortizes across many commits. The `n` is a batching
+//!   hint: every ack is durable and `n` does not gate the flush — no
+//!   transaction is acknowledged until its frame is durable.
 //! * **[`FsyncPolicy::Never`]** appends in the hook without syncing —
-//!   the OS flushes when it pleases, exactly like the serial front.
+//!   the OS flushes when it pleases.
 //!
 //! A storage failure while flushing staged frames is fail-stop: versions
 //! for those frames are already published to readers, so the front
 //! *poisons* — every later commit and flush fails with the original
 //! error — rather than let the in-memory history silently diverge from
 //! the durable one. (A failure on the `Always` path aborts just that
-//! commit before publication, like the serial front.)
+//! commit before publication: nothing was published, nothing diverged.)
 
 use std::sync::Arc;
 
-use crate::durable::{DurableDb, DurableParts, FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
+use crate::durable::{recover, FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
 use crate::error::{StoreError, StoreResult};
 use crate::snapshot;
 use crate::storage::Storage;
@@ -53,7 +51,7 @@ use mera_core::prelude::*;
 use mera_expr::RelExpr;
 use mera_lang::{lower_script, parse_script, program_to_xra, rel_to_xra, RunResult};
 use mera_txn::mvcc::{MvccManager, Version};
-use mera_txn::{AbortReason, ConstraintSet, DeclareKeyError, Outcome, Outputs, Program};
+use mera_txn::{AbortReason, DeclareKeyError, Outcome, Outputs, Program};
 use parking_lot::{Condvar, Mutex};
 
 /// Group-commit bookkeeping: frames staged but not yet written, and the
@@ -97,44 +95,18 @@ impl<S: Storage> std::fmt::Debug for ConcurrentDb<S> {
 impl<S: Storage> ConcurrentDb<S> {
     /// Opens (or recovers) a concurrent durable database.
     ///
-    /// Recovery is exactly the serial path — [`DurableDb::open`] replays
-    /// the WAL single-threaded (interleaved histories were logged in
-    /// commit order, so nothing about replay changes) — and the result
-    /// seeds version 0 of the MVCC chain.
+    /// Recovery ([`crate::durable`]) replays the WAL single-threaded into
+    /// one owned [`Version`] (interleaved histories were logged in commit
+    /// order, so replay is just their serial re-execution), and the
+    /// result seeds version 0 of the MVCC chain.
     pub fn open(
         storage: S,
         initial_schema: DatabaseSchema,
         options: StoreOptions,
     ) -> StoreResult<Self> {
-        Ok(Self::from_durable(DurableDb::open(
-            storage,
-            initial_schema,
-            options,
-        )?))
-    }
-
-    /// Wraps an already-opened serial database.
-    pub fn from_durable(db: DurableDb<S>) -> Self {
-        let DurableParts {
-            storage,
-            db,
-            views,
-            stats,
-            indexes,
-            keys,
-            options,
-        } = db.into_parts();
-        let mvcc = MvccManager::from_parts(
-            db,
-            views,
-            stats,
-            indexes,
-            keys,
-            options.exec,
-            ConstraintSet::new(),
-        );
-        ConcurrentDb {
-            mvcc,
+        let (storage, version) = recover(storage, initial_schema, options.exec)?;
+        Ok(ConcurrentDb {
+            mvcc: MvccManager::from_version(version, options.exec),
             storage: Mutex::new(storage),
             group: Mutex::new(Group {
                 staged: Vec::new(),
@@ -145,7 +117,7 @@ impl<S: Storage> ConcurrentDb<S> {
             }),
             group_cv: Condvar::new(),
             options,
-        }
+        })
     }
 
     /// The MVCC manager — for direct `prepare`/`try_commit` use and for
@@ -382,7 +354,7 @@ impl<S: Storage> ConcurrentDb<S> {
         };
         self.mvcc
             .create_view_with(name, expr, || self.drain_and_append(Some(&record)))?
-            .map_err(|e| StoreError::Core(CoreError::TypeError(e.to_string())))
+            .map_err(StoreError::from)
     }
 
     /// Creates a secondary index, durably.
@@ -442,10 +414,13 @@ impl<S: Storage> ConcurrentDb<S> {
         })
     }
 
-    /// Runs a whole XRA script durably (declarations, views, keys, then
-    /// each transaction in order). The concurrent analogue of
-    /// [`crate::DurableSession::run_script`]; aborts are reported in the
-    /// results, storage failures abort the script.
+    /// Runs a whole XRA script durably: declarations, views and keys are
+    /// logged and applied in order, then each transaction commits through
+    /// the WAL. The durable analogue of [`mera_lang::Session::run_script`]:
+    /// aborts are reported in the results, not as errors — a failing
+    /// transaction aborts itself, not the script. Storage failures *do*
+    /// abort the script: whatever committed before the failure is
+    /// durable, the rest never ran.
     pub fn run_script(&self, src: &str) -> StoreResult<Vec<RunResult>> {
         let script = parse_script(src).map_err(StoreError::from)?;
         let lowered =
@@ -470,8 +445,9 @@ impl<S: Storage> ConcurrentDb<S> {
     }
 
     /// Parses, translates and durably runs one SQL statement — the
-    /// concurrent analogue of [`crate::run_sql`]. Returns the result
-    /// relation for queries, `None` otherwise.
+    /// durable analogue of [`mera_sql::run_sql`]: a committed DML
+    /// statement (or view definition) is in the WAL before this returns.
+    /// Returns the result relation for queries, `None` otherwise.
     pub fn run_sql(&self, sql: &str) -> StoreResult<Option<Relation>> {
         let stmt = mera_sql::parse_sql(sql).map_err(StoreError::from)?;
         let catalog = self.pin().catalog_schema();
@@ -550,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn commits_recover_through_the_serial_path() {
+    fn commits_recover_after_reopen() {
         let storage = MemStorage::new();
         let db = open(storage.clone(), FsyncPolicy::Always);
         db.execute(&insert_program(&db, "ann", 10))
@@ -704,6 +680,9 @@ mod tests {
             v.indexes().definitions(),
             vec![("accounts".to_string(), vec![1])]
         );
+        // re-seeded from its definition, then maintained by the replayed
+        // post-checkpoint commit
+        assert_eq!(v.indexes().find("accounts", &[1]).expect("index").len(), 2);
         // the recovered key still enforces
         let err = recovered
             .execute(&insert_program(&recovered, "ann", 99))

@@ -85,6 +85,12 @@ impl From<mera_lang::LangError> for StoreError {
     }
 }
 
+impl From<mera_txn::CreateViewError> for StoreError {
+    fn from(e: mera_txn::CreateViewError) -> Self {
+        StoreError::Core(CoreError::TypeError(e.to_string()))
+    }
+}
+
 /// Result alias for the durable store.
 pub type StoreResult<T> = Result<T, StoreError>;
 

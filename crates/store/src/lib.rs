@@ -2,9 +2,10 @@
 //!
 //! The paper's transaction model (§4.3) treats a database as a sequence
 //! of states `D_0 → D_1 → …` where each committed transaction is a
-//! transition. `mera-txn` realizes the transitions and keeps a *logical*
-//! redo log of committed programs; this crate makes that log — and
-//! therefore the whole state sequence — survive process death:
+//! transition. `mera-txn` realizes the transitions (`Version`,
+//! `MvccManager`); this crate hangs a *logical* redo log of committed
+//! programs on the manager's durability hook, so that the whole state
+//! sequence survives process death:
 //!
 //! * [`wal`] — a write-ahead log of length-prefixed, CRC-32-checked,
 //!   versioned records: one `Commit` per committed transaction (logical
@@ -14,11 +15,16 @@
 //! * [`snapshot`] — checkpoint images of a full [`Database`] at one
 //!   logical time, swapped in atomically so a crash never exposes a
 //!   half-written snapshot.
-//! * [`DurableDb`] — the engine wrapper enforcing log-then-publish: a
-//!   commit is appended (and fsynced, per [`FsyncPolicy`]) before the new
-//!   state is visible; aborts write nothing.
-//! * [`DurableSession`] / [`run_sql`] — the XRA-script and SQL front-ends
-//!   over a durable database.
+//! * [`ConcurrentDb`] — the durable front door over one `MvccManager`,
+//!   enforcing log-then-publish: a commit is appended (and fsynced, per
+//!   [`FsyncPolicy`], with cross-client group commit) before the new
+//!   version is visible; aborts write nothing. Its
+//!   [`run_script`](ConcurrentDb::run_script) and
+//!   [`run_sql`](ConcurrentDb::run_sql) are the durable XRA and SQL
+//!   doors.
+//! * [`durable`] — the store options, and recovery: snapshot restore,
+//!   torn-tail truncation, replay into the version the chain restarts
+//!   from.
 //! * [`Storage`] — the five-operation backend trait, with [`DirStorage`]
 //!   (real files) and [`MemStorage`] (deterministic fault injection:
 //!   crash after N write units, inspect the surviving bytes, reboot).
@@ -30,18 +36,18 @@
 //!
 //! ```
 //! use mera_core::prelude::*;
-//! use mera_store::{DurableDb, MemStorage, StoreOptions};
+//! use mera_store::{ConcurrentDb, MemStorage, StoreOptions};
 //!
 //! let schema = DatabaseSchema::new()
 //!     .with("beer", Schema::named(&[("name", DataType::Str)]))?;
 //! let disk = MemStorage::new();
-//! let mut db = DurableDb::open(disk.clone(), schema, StoreOptions::default())?;
-//! mera_store::run_sql(&mut db, "INSERT INTO beer VALUES ('Grolsch')")?;
+//! let db = ConcurrentDb::open(disk.clone(), schema, StoreOptions::default())?;
+//! db.run_sql("INSERT INTO beer VALUES ('Grolsch')")?;
 //! drop(db); // "power loss"
 //!
 //! let rebooted = MemStorage::from_image(disk.image());
-//! let db = DurableDb::open(rebooted, DatabaseSchema::new(), StoreOptions::default())?;
-//! assert_eq!(db.database().relation("beer")?.len(), 1);
+//! let db = ConcurrentDb::open(rebooted, DatabaseSchema::new(), StoreOptions::default())?;
+//! assert_eq!(db.pin().database().relation("beer")?.len(), 1);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -53,15 +59,13 @@ pub mod concurrent;
 pub mod crc;
 pub mod durable;
 pub mod error;
-pub mod session;
 pub mod snapshot;
 pub mod storage;
 pub mod wal;
 
 pub use concurrent::{is_conflict, ConcurrentDb};
-pub use durable::{DurableDb, DurableParts, FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
+pub use durable::{FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
 pub use error::{StoreError, StoreResult};
-pub use session::{run_sql, DurableSession};
 pub use storage::{DirStorage, MemStorage, Storage};
 pub use wal::{ScanResult, WalRecord};
 

@@ -11,8 +11,8 @@
 //!
 //! The oracle is independent of the recovery path: the surviving WAL
 //! bytes are scanned with [`mera_store::wal::scan`] and the intact
-//! `Commit` records are replayed through the *volatile* engine
-//! ([`run_transaction_checked`]) in log order. Because the group-commit
+//! `Commit` records are replayed through the *volatile* engine (an
+//! [`MvccManager`]: no `Storage`, no WAL) in log order. Because the group-commit
 //! frontier appends frames inside the MVCC commit section, log order is
 //! commit order, and the volatile replay of any intact prefix is the
 //! unique legal recovered state.
@@ -27,7 +27,7 @@ use mera_store::{
     is_conflict, snapshot, wal, ConcurrentDb, FsyncPolicy, MemStorage, StoreOptions, WalRecord,
     SNAPSHOT_FILE, WAL_FILE,
 };
-use mera_txn::{run_transaction_checked, ConstraintSet, Outcome, Program};
+use mera_txn::{MvccManager, Outcome, Program, Version};
 
 const WRITERS: usize = 3;
 const PER_WRITER: usize = 5;
@@ -102,42 +102,39 @@ fn insert_program(writer: i64, n: i64) -> Program {
 
 /// Replays one intact WAL prefix through the volatile engine.
 fn shadow_of(records: &[WalRecord], base: Database) -> Database {
-    let mut shadow = base;
+    let config = mera_txn::ExecConfig {
+        analyze: false,
+        ..Default::default()
+    };
+    let shadow = MvccManager::from_version(Version::new(base).expect("analyzes"), config);
     for record in records {
         match record {
             // declares are idempotent vs a snapshot that already has it
-            WalRecord::Declare { name, schema } if shadow.relation(name).is_err() => {
+            WalRecord::Declare { name, schema }
+                if shadow.pin().database().relation(name).is_err() =>
+            {
                 shadow
                     .add_relation(RelationSchema::new(name.clone(), schema.clone()))
                     .expect("shadow declare");
             }
             WalRecord::Commit { time, text } => {
                 let parsed = mera_lang::parse_program(text).expect("committed text parses");
-                let mut lowerer = Lowerer::new(shadow.schema());
-                let program = lowerer
+                let program = Lowerer::new(shadow.pin().database().schema())
                     .lower_program(&parsed)
                     .expect("committed text lowers");
-                shadow
-                    .advance_time_to(time.saturating_sub(1))
-                    .expect("commit times increase in log order");
-                let config = mera_txn::ExecConfig {
-                    analyze: false,
-                    ..Default::default()
-                };
-                let (next, outcome) =
-                    run_transaction_checked(&shadow, &program, config, None, &ConstraintSet::new());
+                let (outcome, next) = shadow.execute(&program);
                 assert!(
                     matches!(outcome, Outcome::Committed(_)),
                     "volatile replay of a logged commit must commit"
                 );
                 assert_eq!(next.time(), *time, "log order must be commit order");
-                shadow = next;
             }
             // catalog records don't change base state
             _ => {}
         }
     }
-    shadow
+    let state = shadow.pin();
+    state.database().clone()
 }
 
 /// Recovers a truncated image and checks every recovered structure

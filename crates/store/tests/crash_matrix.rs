@@ -9,17 +9,17 @@
 //! always-in-memory engine produces from the durable prefix of committed
 //! history.
 //!
-//! The oracle is independent of the recovery code: a shadow database is
-//! advanced with [`run_transaction_checked`] (the volatile engine) as the
-//! fault-free run commits, snapshotting the expected state at every
-//! durable event boundary. Aborted transactions tick the live clock but
-//! are, by design, absent from durable history; the shadow (like
-//! recovery) re-derives those ticks from the commit times themselves.
+//! The oracle shares no storage code with the subject: a shadow
+//! [`MvccManager`] (the volatile engine — no `Storage`, no WAL) is fed
+//! each program as the fault-free run commits it, snapshotting the
+//! expected state at every durable event boundary. Aborted transactions
+//! are neither transitions nor durable history, so the shadow never sees
+//! them.
 
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{run_transaction_checked, ConstraintSet, Outcome, Program};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
+use mera_txn::{MvccManager, Outcome, Program};
 
 /// One step of the workload.
 enum Op {
@@ -71,24 +71,16 @@ fn parse(db: &Database, text: &str) -> Program {
         .expect("workload text lowers")
 }
 
-/// Applies a committed program to the shadow (volatile-engine) state at
-/// the exact logical time the durable run committed it.
-fn shadow_commit(shadow: &mut Database, program: &Program, committed_at: u64) {
-    shadow
-        .advance_time_to(committed_at.saturating_sub(1))
-        .expect("commit times increase");
-    let config = mera_txn::ExecConfig {
-        analyze: false,
-        ..Default::default()
-    };
-    let (next, outcome) =
-        run_transaction_checked(shadow, program, config, None, &ConstraintSet::new());
+/// Applies a committed program to the shadow (volatile-engine) state,
+/// which must land at the exact logical time the durable run committed
+/// it.
+fn shadow_commit(shadow: &MvccManager, program: &Program, committed_at: u64) {
+    let (outcome, next) = shadow.execute(program);
     assert!(
         matches!(outcome, Outcome::Committed(_)),
         "shadow replay of a committed program must commit"
     );
     assert_eq!(next.time(), committed_at);
-    *shadow = next;
 }
 
 /// Runs the workload against `storage`, stopping at the first storage
@@ -96,9 +88,16 @@ fn shadow_commit(shadow: &mut Database, program: &Program, committed_at: u64) {
 /// every durable event that completed, seeded with the pre-open state.
 fn drive(storage: MemStorage) -> Vec<(u64, Database)> {
     let mut states = vec![(0, Database::new(DatabaseSchema::new()))];
-    let mut shadow = Database::new(DatabaseSchema::new());
+    let shadow = MvccManager::with_config(
+        DatabaseSchema::new(),
+        mera_txn::ExecConfig {
+            analyze: false,
+            ..Default::default()
+        },
+    );
+    let state = |shadow: &MvccManager| shadow.pin().database().clone();
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -106,7 +105,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database)> {
         Ok(d) => d,
         Err(_) => return states, // crashed during creation
     };
-    states.push((storage.units_written(), shadow.clone()));
+    states.push((storage.units_written(), state(&shadow)));
 
     for op in workload() {
         let result: Result<(), StoreError> = match op {
@@ -118,13 +117,13 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database)> {
                         .expect("shadow declare");
                 }),
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 durable.execute(&program).map(|_| {
-                    shadow_commit(&mut shadow, &program, durable.database().time());
+                    shadow_commit(&shadow, &program, durable.pin().time());
                 })
             }
             Op::Abort(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(_)) => Ok(()), // not a durable event
                     Err(other) => Err(other),
@@ -136,7 +135,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database)> {
         match result {
             Ok(()) => {
                 if !matches!(op_kind(&op), OpKind::Abort) {
-                    states.push((storage.units_written(), shadow.clone()));
+                    states.push((storage.units_written(), state(&shadow)));
                 }
             }
             Err(_) => break, // crashed: everything after this fails too
@@ -170,13 +169,16 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
     );
 
     // Fault-free reboot sanity check: full image recovers the final state.
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("clean recovery");
-    assert_eq!(recovered.database(), &oracle.last().expect("events ran").1);
+    assert_eq!(
+        recovered.pin().database(),
+        &oracle.last().expect("events ran").1
+    );
 
     // The matrix: crash after every single write unit.
     for budget in 0..=total {
@@ -184,7 +186,7 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
         let _ = drive(storage.clone());
         let image = storage.image();
 
-        let recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(image),
             DatabaseSchema::new(),
             StoreOptions::default(),
@@ -198,7 +200,7 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
             .expect("oracle is seeded with the zero-mark state")
             .1;
         assert_eq!(
-            recovered.database(),
+            recovered.pin().database(),
             expected,
             "crash at write unit {budget}/{total}: recovered state is not \
              the committed prefix durable at that point"
@@ -209,11 +211,10 @@ fn recovery_equals_committed_prefix_at_every_crash_point() {
 #[test]
 fn oracle_and_live_engine_agree_on_the_full_run() {
     // With no faults, the durable engine's final state must match the
-    // shadow except for clock ticks of aborted attempts *after* the last
-    // commit (there are none in this workload — the last op commits).
+    // shadow, clock included (an abort ticks neither).
     let storage = MemStorage::new();
     let oracle = drive(storage.clone());
-    let durable = DurableDb::open(
+    let durable = ConcurrentDb::open(
         MemStorage::from_image(storage.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -222,27 +223,23 @@ fn oracle_and_live_engine_agree_on_the_full_run() {
 
     // Independently re-run the whole history on the volatile engine,
     // aborts included, and compare relation contents.
-    let mut live = Database::new(DatabaseSchema::new());
+    let live = MvccManager::new(DatabaseSchema::new());
     for op in workload() {
         match op {
             Op::Declare(name, schema) => live
                 .add_relation(RelationSchema::new(name, schema()))
                 .expect("declare"),
             Op::Commit(text) | Op::Abort(text) => {
-                let program = parse(&live, text);
-                let (next, _) = mera_txn::run_transaction(
-                    &live,
-                    &program,
-                    mera_txn::ExecConfig::default(),
-                    None,
-                );
-                live = next;
+                let program = parse(live.pin().database(), text);
+                live.execute(&program);
             }
             Op::Checkpoint => {}
         }
     }
-    let recovered = durable.database();
+    let (recovered, live) = (durable.pin(), live.pin());
+    let (recovered, live) = (recovered.database(), live.database());
     assert_eq!(recovered, &oracle.last().expect("ran").1);
+    assert_eq!(recovered.time(), live.time());
     for name in live.relation_names() {
         assert_eq!(
             recovered.relation(name).expect("same catalog"),

@@ -8,7 +8,8 @@
 //! fault-injecting [`MemStorage`] at **every** write budget from 0 to the
 //! fault-free total. After each simulated crash the surviving bytes are
 //! rebooted and the recovered state must agree with a shadow volatile run
-//! at the matching durable prefix:
+//! (an [`MvccManager`]: no `Storage`, no WAL) at the matching durable
+//! prefix:
 //!
 //! * the database contents equal the shadow's exactly,
 //! * the recovered key definitions equal the shadow's exactly, and
@@ -20,10 +21,8 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{
-    run_transaction_cataloged, CatalogStats, CommitCatalog, ConstraintSet, KeySet, Outcome, Program,
-};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
+use mera_txn::{MvccManager, Outcome, Program, Version};
 
 /// One step of the workload.
 enum Op {
@@ -84,62 +83,35 @@ fn parse(db: &Database, text: &str) -> Program {
 }
 
 /// The shadow volatile engine: database + keys maintained incrementally.
-struct Shadow {
-    db: Database,
-    stats: Arc<CatalogStats>,
-    keys: Arc<KeySet>,
-}
-
-impl Shadow {
-    fn new() -> Shadow {
-        let db = Database::new(DatabaseSchema::new());
-        let stats = CatalogStats::from_database(&db).expect("empty analyze");
-        Shadow {
-            db,
-            stats: Arc::new(stats),
-            keys: Arc::new(KeySet::new()),
-        }
-    }
-
-    /// Applies a committed program at the exact logical time the durable
-    /// run committed it, maintaining the key counts incrementally.
-    fn commit(&mut self, program: &Program, committed_at: u64) {
-        self.db
-            .advance_time_to(committed_at.saturating_sub(1))
-            .expect("commit times increase");
-        let config = mera_txn::ExecConfig {
+fn new_shadow() -> MvccManager {
+    MvccManager::with_config(
+        DatabaseSchema::new(),
+        mera_txn::ExecConfig {
             analyze: false,
             ..Default::default()
-        };
-        let (next, outcome) = run_transaction_cataloged(
-            &self.db,
-            CommitCatalog {
-                views: None,
-                stats: Some(&mut self.stats),
-                indexes: None,
-                keys: Some(&mut self.keys),
-            },
-            program,
-            config,
-            None,
-            &ConstraintSet::new(),
-        );
-        assert!(
-            matches!(outcome, Outcome::Committed(_)),
-            "shadow replay of a committed program must commit"
-        );
-        self.db = next;
-    }
+        },
+    )
+}
+
+/// Applies a committed program to the shadow, which must land at the
+/// exact logical time the durable run committed it.
+fn shadow_commit(shadow: &MvccManager, program: &Program, committed_at: u64) {
+    let (outcome, next) = shadow.execute(program);
+    assert!(
+        matches!(outcome, Outcome::Committed(_)),
+        "shadow replay of a committed program must commit"
+    );
+    assert_eq!(next.time(), committed_at);
 }
 
 /// Runs the workload against `storage`, stopping at the first storage
 /// failure. Returns the oracle: `(units-at-event, shadow)` for every
 /// durable event that completed.
-fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
-    let mut states = vec![(0, Shadow::new())];
-    let mut shadow = Shadow::new();
+fn drive(storage: MemStorage) -> Vec<(u64, Arc<Version>)> {
+    let shadow = new_shadow();
+    let mut states = vec![(0, shadow.pin())];
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -147,7 +119,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
         Ok(d) => d,
         Err(_) => return states, // crashed during creation
     };
-    states.push((storage.units_written(), snapshot_of(&shadow)));
+    states.push((storage.units_written(), shadow.pin()));
 
     for op in workload() {
         let is_violation = matches!(op, Op::ViolatingCommit(_));
@@ -156,24 +128,22 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
                 .add_relation(RelationSchema::new(name, schema()))
                 .map(|()| {
                     shadow
-                        .db
                         .add_relation(RelationSchema::new(name, schema()))
                         .expect("shadow declare");
                 }),
             Op::DeclareKey(relation, attrs) => durable.declare_key(relation, attrs).map(|()| {
-                Arc::make_mut(&mut shadow.keys)
-                    .declare(&shadow.db, relation, attrs)
-                    .expect("shadow key declaration")
+                shadow
+                    .declare_key(relation, attrs)
                     .expect("workload keys hold on declaration");
             }),
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 durable.execute(&program).map(|_| {
-                    shadow.commit(&program, durable.database().time());
+                    shadow_commit(&shadow, &program, durable.pin().time());
                 })
             }
             Op::ViolatingCommit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(reason)) => {
                         assert!(
@@ -191,7 +161,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
         match result {
             Ok(()) => {
                 if !is_violation {
-                    states.push((storage.units_written(), snapshot_of(&shadow)));
+                    states.push((storage.units_written(), shadow.pin()));
                 }
             }
             Err(_) => break, // crashed: everything after this fails too
@@ -200,21 +170,18 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
     states
 }
 
-fn snapshot_of(shadow: &Shadow) -> Shadow {
-    Shadow {
-        db: shadow.db.clone(),
-        stats: Arc::clone(&shadow.stats),
-        keys: Arc::clone(&shadow.keys),
-    }
-}
-
 /// Asserts the recovered keys agree with the shadow at one durable prefix
 /// — definitionally and behaviourally.
-fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, label: &str) {
-    assert_eq!(recovered.database(), &expected.db, "{label}: base state");
+fn assert_keys_match(recovered: &ConcurrentDb<MemStorage>, expected: &Version, label: &str) {
+    let before = recovered.pin();
     assert_eq!(
-        recovered.key_definitions(),
-        expected.keys.definitions(),
+        before.database(),
+        expected.database(),
+        "{label}: base state"
+    );
+    assert_eq!(
+        before.keys().definitions(),
+        expected.keys().definitions(),
         "{label}: key definitions"
     );
 
@@ -222,8 +189,8 @@ fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, l
     // declared key with data, re-inserting an existing tuple must abort
     // (its key point is occupied), and the abort must leave the state
     // unchanged.
-    for (relation, _) in recovered.key_definitions() {
-        let rel = expected.db.relation(&relation).expect("keyed relation");
+    for (relation, _) in before.keys().definitions() {
+        let rel = before.database().relation(&relation).expect("keyed");
         let Some(t) = rel.support().next() else {
             continue;
         };
@@ -244,8 +211,7 @@ fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, l
             .collect::<Vec<_>>()
             .join(", ");
         let text = format!("insert({relation}, values ({types}) {{({values})}})");
-        let program = parse(recovered.database(), &text);
-        let before = recovered.database().clone();
+        let program = parse(before.database(), &text);
         match recovered.execute(&program) {
             Err(StoreError::TransactionAborted(reason)) => {
                 assert!(
@@ -257,21 +223,12 @@ fn assert_keys_match(recovered: &mut DurableDb<MemStorage>, expected: &Shadow, l
                 panic!("{label}: duplicate insert into '{relation}' must abort, got {other:?}")
             }
         }
-        // restore logical time parity for the equality checks above by
-        // reopening from the same image is overkill; the abort only ticks
-        // time, contents are unchanged
+        // an abort is not a transition: nothing at all was published
         assert_eq!(
-            recovered.database().schema(),
-            before.schema(),
-            "{label}: abort must not change the schema"
+            recovered.pin().seq(),
+            before.seq(),
+            "{label}: abort must not change the state"
         );
-        for name in before.relation_names() {
-            assert_eq!(
-                recovered.database().relation(name).expect("relation"),
-                before.relation(name).expect("relation"),
-                "{label}: abort must not change '{name}'"
-            );
-        }
     }
 }
 
@@ -287,24 +244,24 @@ fn recovered_keys_enforce_at_every_crash_point() {
         "fault-free run must complete every durable event"
     );
     let (_, final_shadow) = oracle.last().expect("events ran");
-    let member = final_shadow.db.relation("member").expect("member");
+    let member = final_shadow.database().relation("member").expect("member");
     assert_eq!(member.len(), 2); // dick@losser, maurice@enschede
 
     // Fault-free reboot recovers definitions and enforcement.
-    let mut recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("clean recovery");
-    assert_keys_match(&mut recovered, final_shadow, "fault-free reboot");
+    assert_keys_match(&recovered, final_shadow, "fault-free reboot");
 
     // The matrix: crash after every single write unit.
     for budget in 0..=total {
         let storage = MemStorage::with_budget(budget);
         let _ = drive(storage.clone());
 
-        let mut recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(storage.image()),
             DatabaseSchema::new(),
             StoreOptions::default(),
@@ -317,7 +274,7 @@ fn recovered_keys_enforce_at_every_crash_point() {
             .find(|(mark, _)| *mark <= budget)
             .expect("oracle is seeded with the zero-mark state");
         assert_keys_match(
-            &mut recovered,
+            &recovered,
             expected,
             &format!("crash at write unit {budget}/{total}"),
         );

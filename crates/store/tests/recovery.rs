@@ -5,8 +5,8 @@
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
 use mera_store::{
-    DirStorage, DurableDb, FsyncPolicy, MemStorage, Storage, StoreError, StoreOptions, WalRecord,
-    SNAPSHOT_FILE, WAL_FILE,
+    ConcurrentDb, DirStorage, FsyncPolicy, MemStorage, Storage, StoreError, StoreOptions,
+    WalRecord, SNAPSHOT_FILE, WAL_FILE,
 };
 use mera_txn::Program;
 
@@ -52,30 +52,30 @@ fn real_files_survive_process_restart() {
     let dir = TempDir::new("restart");
     let expected = {
         let storage = DirStorage::open(&dir.0).expect("open dir");
-        let mut db = DurableDb::open(storage, schema(), StoreOptions::default()).expect("open");
+        let db = ConcurrentDb::open(storage, schema(), StoreOptions::default()).expect("open");
         for (owner, amount) in [("ann", 10_i64), ("bob", 20), ("cho", 30)] {
-            let p = parse(db.database(), &insert(owner, amount));
+            let p = parse(db.pin().database(), &insert(owner, amount));
             db.execute(&p).expect("commits");
         }
-        db.database().clone()
-    }; // DurableDb dropped: "process exit"
+        db.pin().database().clone()
+    }; // database dropped: "process exit"
 
     let storage = DirStorage::open(&dir.0).expect("reopen dir");
-    let recovered =
-        DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default()).expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+        .expect("recovers");
+    assert_eq!(recovered.pin().database(), &expected);
 
     // ... and keeps working: append more history, restart again.
-    let mut db = recovered;
-    let p = parse(db.database(), &insert("dee", 40));
+    let db = recovered;
+    let p = parse(db.pin().database(), &insert("dee", 40));
     db.execute(&p).expect("commits after recovery");
-    let expected = db.database().clone();
+    let expected = db.pin().database().clone();
     drop(db);
 
     let storage = DirStorage::open(&dir.0).expect("reopen dir");
-    let recovered =
-        DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default()).expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+        .expect("recovers");
+    assert_eq!(recovered.pin().database(), &expected);
 }
 
 #[test]
@@ -83,10 +83,10 @@ fn torn_tail_on_disk_is_truncated_and_the_log_reusable() {
     let dir = TempDir::new("torn");
     let expected = {
         let storage = DirStorage::open(&dir.0).expect("open dir");
-        let mut db = DurableDb::open(storage, schema(), StoreOptions::default()).expect("open");
-        let p = parse(db.database(), &insert("ann", 10));
+        let db = ConcurrentDb::open(storage, schema(), StoreOptions::default()).expect("open");
+        let p = parse(db.pin().database(), &insert("ann", 10));
         db.execute(&p).expect("commits");
-        db.database().clone()
+        db.pin().database().clone()
     };
 
     // Simulate a crash mid-append: half a frame of a would-be commit.
@@ -97,26 +97,26 @@ fn torn_tail_on_disk_is_truncated_and_the_log_reusable() {
     drop(storage);
 
     let storage = DirStorage::open(&dir.0).expect("reopen");
-    let mut recovered = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+    let recovered = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
         .expect("torn tail is recoverable");
-    assert_eq!(recovered.database(), &expected);
+    assert_eq!(recovered.pin().database(), &expected);
 
     // The tail was truncated, so new commits append at a frame boundary.
-    let p = parse(recovered.database(), &insert("bob", 20));
+    let p = parse(recovered.pin().database(), &insert("bob", 20));
     recovered.execute(&p).expect("commits after truncation");
-    let expected = recovered.database().clone();
+    let expected = recovered.pin().database().clone();
     drop(recovered);
 
     let storage = DirStorage::open(&dir.0).expect("reopen");
-    let recovered =
-        DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default()).expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    let recovered = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+        .expect("recovers");
+    assert_eq!(recovered.pin().database(), &expected);
 }
 
 #[test]
 fn crc_valid_garbage_fails_recovery_loudly() {
     let mut storage = MemStorage::new();
-    drop(DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open"));
+    drop(ConcurrentDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open"));
 
     // An honest frame around a payload from "the future" (bad version).
     let payload = [42u8, 1, 2, 3];
@@ -125,7 +125,7 @@ fn crc_valid_garbage_fails_recovery_loudly() {
     frame.extend_from_slice(&payload);
     storage.append(WAL_FILE, &frame).expect("raw append");
 
-    let err = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+    let err = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
         .expect_err("intact-but-unreadable records must not be dropped");
     assert!(matches!(err, StoreError::CorruptWal(_)), "got {err:?}");
 }
@@ -134,9 +134,9 @@ fn crc_valid_garbage_fails_recovery_loudly() {
 fn checkpoint_compacts_the_log_on_disk() {
     let dir = TempDir::new("compact");
     let storage = DirStorage::open(&dir.0).expect("open dir");
-    let mut db = DurableDb::open(storage, schema(), StoreOptions::default()).expect("open");
+    let db = ConcurrentDb::open(storage, schema(), StoreOptions::default()).expect("open");
     for i in 0..20_i64 {
-        let p = parse(db.database(), &insert("acct", i));
+        let p = parse(db.pin().database(), &insert("acct", i));
         db.execute(&p).expect("commits");
     }
     let wal_path = dir.0.join(WAL_FILE);
@@ -147,19 +147,23 @@ fn checkpoint_compacts_the_log_on_disk() {
     assert_eq!(after, 8, "checkpoint resets the WAL to its header");
     assert!(dir.0.join(SNAPSHOT_FILE).exists());
 
-    let expected = db.database().clone();
+    let expected = db.pin().database().clone();
     drop(db);
     let storage = DirStorage::open(&dir.0).expect("reopen");
-    let recovered = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+    let recovered = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
         .expect("snapshot restore");
-    assert_eq!(recovered.database(), &expected);
+    assert_eq!(recovered.pin().database(), &expected);
 }
 
 #[test]
 fn fsync_policies_flush_at_the_promised_cadence() {
+    // `EveryN` is group commit with ack-after-durability: a lone
+    // committer finds no flush in flight and leads its own, so from one
+    // thread it syncs as often as `Always` (batching needs concurrency —
+    // see `group_commit_batches_fsyncs_across_threads`).
     let cases: [(FsyncPolicy, u64); 3] = [
         (FsyncPolicy::Always, 4),
-        (FsyncPolicy::EveryN(2), 2),
+        (FsyncPolicy::EveryN(2), 4),
         (FsyncPolicy::Never, 0),
     ];
     for (policy, expected_syncs) in cases {
@@ -168,10 +172,10 @@ fn fsync_policies_flush_at_the_promised_cadence() {
             fsync: policy,
             ..StoreOptions::default()
         };
-        let mut db = DurableDb::open(storage.clone(), schema(), options).expect("open");
+        let db = ConcurrentDb::open(storage.clone(), schema(), options).expect("open");
         let base = storage.sync_count();
         for i in 0..4_i64 {
-            let p = parse(db.database(), &insert("ann", i));
+            let p = parse(db.pin().database(), &insert("ann", i));
             db.execute(&p).expect("commits");
         }
         assert_eq!(
@@ -180,64 +184,84 @@ fn fsync_policies_flush_at_the_promised_cadence() {
             "policy {policy:?}"
         );
         // Whatever the policy, the bytes are on (simulated) disk.
-        let recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(storage.image()),
             DatabaseSchema::new(),
             StoreOptions::default(),
         )
         .expect("recovers");
-        assert_eq!(recovered.database(), db.database());
+        assert_eq!(recovered.pin().database(), db.pin().database());
     }
 }
 
 #[test]
 fn empty_program_commits_and_replays() {
-    let storage = MemStorage::new();
-    let mut db = DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
+    // live: an empty program writes nothing, so it commits as a read —
+    // no version, no tick, no WAL record
+    let mut storage = MemStorage::new();
+    let db = ConcurrentDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
+    let units = storage.units_written();
     db.execute(&Program::new()).expect("empty program commits");
     db.execute(&Program::new()).expect("twice");
-    let expected = db.database().clone();
-    assert_eq!(expected.time(), 2);
+    assert_eq!(db.pin().time(), 0);
+    assert_eq!(storage.units_written(), units);
     drop(db);
 
-    let recovered = DurableDb::open(
+    // replay: a log written when every commit was a transition holds
+    // empty-text commit records, and they still recover to their times
+    for time in [1, 2] {
+        let record = WalRecord::Commit {
+            time,
+            text: String::new(),
+        };
+        storage
+            .append(WAL_FILE, &record.encode_frame())
+            .expect("raw append");
+    }
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(storage.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("recovers");
-    assert_eq!(recovered.database(), &expected);
+    assert_eq!(recovered.pin().time(), 2);
+    assert!(recovered
+        .pin()
+        .database()
+        .relation("accounts")
+        .expect("declared")
+        .is_empty());
 }
 
 #[test]
 fn snapshot_without_wal_restores_and_restarts_the_log() {
     let storage = MemStorage::new();
-    let mut db = DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
-    let p = parse(db.database(), &insert("ann", 10));
+    let db = ConcurrentDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
+    let p = parse(db.pin().database(), &insert("ann", 10));
     db.execute(&p).expect("commits");
     db.checkpoint().expect("checkpoint");
-    let expected = db.database().clone();
+    let expected = db.pin().database().clone();
     drop(db);
 
     let mut image = storage.image();
     image.remove(WAL_FILE).expect("wal existed");
-    let mut recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(image),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("snapshot alone suffices");
-    assert_eq!(recovered.database(), &expected);
+    assert_eq!(recovered.pin().database(), &expected);
 
     // The log restarts cleanly.
-    let p = parse(recovered.database(), &insert("bob", 20));
+    let p = parse(recovered.pin().database(), &insert("bob", 20));
     recovered.execute(&p).expect("commits");
 }
 
 #[test]
 fn conflicting_redeclaration_in_the_log_is_corruption() {
     let mut storage = MemStorage::new();
-    drop(DurableDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open"));
+    drop(ConcurrentDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open"));
 
     // Forge a declare for an existing relation with a different schema.
     let record = WalRecord::Declare {
@@ -248,7 +272,7 @@ fn conflicting_redeclaration_in_the_log_is_corruption() {
         .append(WAL_FILE, &record.encode_frame())
         .expect("raw append");
 
-    let err = DurableDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+    let err = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
         .expect_err("schema conflict must fail recovery");
     assert!(matches!(err, StoreError::CorruptWal(_)), "got {err:?}");
 }

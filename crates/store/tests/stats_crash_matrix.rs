@@ -7,9 +7,9 @@
 //! once, and checkpoints, runs against the fault-injecting [`MemStorage`]
 //! at **every** write budget from 0 to the fault-free total. After each
 //! simulated crash the surviving bytes are rebooted and the recovered
-//! catalog must agree with a shadow *volatile* run (database + stats +
-//! indexes maintained incrementally through `run_transaction_cataloged`)
-//! at the matching durable prefix:
+//! catalog must agree with a shadow *volatile* run (an [`MvccManager`]:
+//! no `Storage`, no WAL, stats and indexes maintained incrementally) at
+//! the matching durable prefix:
 //!
 //! * exact counters (`rows`, `distinct_rows`) equal the shadow's exactly,
 //! * per-column distinct estimates and min/max bounds *cover* the actual
@@ -25,11 +25,8 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{
-    run_transaction_cataloged, CatalogStats, CommitCatalog, ConstraintSet, HashIndex, IndexSet,
-    Outcome, Program,
-};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
+use mera_txn::{HashIndex, MvccManager, Outcome, Program, Version};
 
 /// One step of the workload.
 enum Op {
@@ -83,64 +80,37 @@ fn parse(db: &Database, text: &str) -> Program {
         .expect("workload text lowers")
 }
 
-/// The shadow volatile engine: the same catalog triple the durable store
+/// The shadow volatile engine: the same catalog the durable store
 /// maintains, minus the storage.
-struct Shadow {
-    db: Database,
-    stats: Arc<CatalogStats>,
-    indexes: Arc<IndexSet>,
-}
-
-impl Shadow {
-    fn new() -> Shadow {
-        let db = Database::new(DatabaseSchema::new());
-        let stats = CatalogStats::from_database(&db).expect("empty analyze");
-        Shadow {
-            db,
-            stats: Arc::new(stats),
-            indexes: Arc::new(IndexSet::new()),
-        }
-    }
-
-    /// Applies a committed program at the exact logical time the durable
-    /// run committed it, maintaining stats and indexes incrementally.
-    fn commit(&mut self, program: &Program, committed_at: u64) {
-        self.db
-            .advance_time_to(committed_at.saturating_sub(1))
-            .expect("commit times increase");
-        let config = mera_txn::ExecConfig {
+fn new_shadow() -> MvccManager {
+    MvccManager::with_config(
+        DatabaseSchema::new(),
+        mera_txn::ExecConfig {
             analyze: false,
             ..Default::default()
-        };
-        let (next, outcome) = run_transaction_cataloged(
-            &self.db,
-            CommitCatalog {
-                views: None,
-                stats: Some(&mut self.stats),
-                indexes: Some(&mut self.indexes),
-                keys: None,
-            },
-            program,
-            config,
-            None,
-            &ConstraintSet::new(),
-        );
-        assert!(
-            matches!(outcome, Outcome::Committed(_)),
-            "shadow replay of a committed program must commit"
-        );
-        self.db = next;
-    }
+        },
+    )
+}
+
+/// Applies a committed program to the shadow, which must land at the
+/// exact logical time the durable run committed it.
+fn shadow_commit(shadow: &MvccManager, program: &Program, committed_at: u64) {
+    let (outcome, next) = shadow.execute(program);
+    assert!(
+        matches!(outcome, Outcome::Committed(_)),
+        "shadow replay of a committed program must commit"
+    );
+    assert_eq!(next.time(), committed_at);
 }
 
 /// Runs the workload against `storage`, stopping at the first storage
 /// failure. Returns the oracle: `(units-at-event, shadow-catalog)` for
 /// every durable event that completed.
-fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
-    let mut states = vec![(0, Shadow::new())];
-    let mut shadow = Shadow::new();
+fn drive(storage: MemStorage) -> Vec<(u64, Arc<Version>)> {
+    let shadow = new_shadow();
+    let mut states = vec![(0, shadow.pin())];
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -148,7 +118,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
         Ok(d) => d,
         Err(_) => return states, // crashed during creation
     };
-    states.push((storage.units_written(), snapshot_of(&shadow)));
+    states.push((storage.units_written(), shadow.pin()));
 
     for op in workload() {
         let is_abort = matches!(op, Op::Abort(_));
@@ -157,23 +127,22 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
                 .add_relation(RelationSchema::new(name, schema()))
                 .map(|()| {
                     shadow
-                        .db
                         .add_relation(RelationSchema::new(name, schema()))
                         .expect("shadow declare");
                 }),
             Op::CreateIndex(relation, keys) => durable.create_index(relation, keys).map(|()| {
-                Arc::make_mut(&mut shadow.indexes)
-                    .create(&shadow.db, relation, keys)
+                shadow
+                    .create_index(relation, keys)
                     .expect("shadow index creation");
             }),
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 durable.execute(&program).map(|_| {
-                    shadow.commit(&program, durable.database().time());
+                    shadow_commit(&shadow, &program, durable.pin().time());
                 })
             }
             Op::Abort(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(_)) => Ok(()), // not a durable event
                     Err(other) => Err(other),
@@ -185,7 +154,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
         match result {
             Ok(()) => {
                 if !is_abort {
-                    states.push((storage.units_written(), snapshot_of(&shadow)));
+                    states.push((storage.units_written(), shadow.pin()));
                 }
             }
             Err(_) => break, // crashed: everything after this fails too
@@ -194,18 +163,14 @@ fn drive(storage: MemStorage) -> Vec<(u64, Shadow)> {
     states
 }
 
-fn snapshot_of(shadow: &Shadow) -> Shadow {
-    Shadow {
-        db: shadow.db.clone(),
-        stats: Arc::clone(&shadow.stats),
-        indexes: Arc::clone(&shadow.indexes),
-    }
-}
-
 /// Asserts the recovered catalog agrees with the shadow at one durable
 /// prefix (see the module docs for the exact/conservative split).
-fn assert_catalog_matches(recovered: &DurableDb<MemStorage>, expected: &Shadow, label: &str) {
-    assert_eq!(recovered.database(), &expected.db, "{label}: base state");
+fn assert_catalog_matches(recovered: &Version, expected: &Version, label: &str) {
+    assert_eq!(
+        recovered.database(),
+        expected.database(),
+        "{label}: base state"
+    );
 
     // Statistics: exact counters match the shadow exactly; sketch-backed
     // estimates and bounds must cover the actual column contents.
@@ -214,7 +179,7 @@ fn assert_catalog_matches(recovered: &DurableDb<MemStorage>, expected: &Shadow, 
         stats.is_current(recovered.database()),
         "{label}: recovered stats must be stamped for the recovered state"
     );
-    for (name, shadow_t) in expected.stats.tables() {
+    for (name, shadow_t) in expected.stats().tables() {
         let rec_t = stats
             .get(name)
             .unwrap_or_else(|| panic!("{label}: no recovered stats for '{name}'"));
@@ -255,12 +220,12 @@ fn assert_catalog_matches(recovered: &DurableDb<MemStorage>, expected: &Shadow, 
     // Indexes: same definitions as the shadow, and every recovered index
     // holds exactly what a fresh build over the recovered relation holds.
     assert_eq!(
-        recovered.index_definitions(),
-        expected.indexes.definitions(),
+        recovered.indexes().definitions(),
+        expected.indexes().definitions(),
         "{label}: index definitions"
     );
     let indexes = recovered.indexes();
-    for (relation, keys) in recovered.index_definitions() {
+    for (relation, keys) in indexes.definitions() {
         let index = indexes.find(&relation, &keys).expect("defined index");
         let rel = recovered.database().relation(&relation).expect("relation");
         let fresh = HashIndex::build(rel, &keys).expect("fresh build");
@@ -298,26 +263,26 @@ fn recovered_catalog_equals_shadow_catalog_at_every_crash_point() {
     );
     let (_, final_shadow) = oracle.last().expect("events ran");
     // sanity: churn landed where the workload says it should
-    let orders = final_shadow.db.relation("orders").expect("orders");
+    let orders = final_shadow.database().relation("orders").expect("orders");
     assert_eq!(orders.len(), 3); // (1,10)→(1,11) deleted with cust 1's rest; (2,7),(2,9),(2,20)
-    let t = final_shadow.stats.get("orders").expect("stats entry");
+    let t = final_shadow.stats().get("orders").expect("stats entry");
     assert_eq!(t.rows, 3);
 
     // Fault-free reboot recovers the full catalog.
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("clean recovery");
-    assert_catalog_matches(&recovered, final_shadow, "fault-free reboot");
+    assert_catalog_matches(&recovered.pin(), final_shadow, "fault-free reboot");
 
     // The matrix: crash after every single write unit.
     for budget in 0..=total {
         let storage = MemStorage::with_budget(budget);
         let _ = drive(storage.clone());
 
-        let recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(storage.image()),
             DatabaseSchema::new(),
             StoreOptions::default(),
@@ -330,7 +295,7 @@ fn recovered_catalog_equals_shadow_catalog_at_every_crash_point() {
             .find(|(mark, _)| *mark <= budget)
             .expect("oracle is seeded with the zero-mark state");
         assert_catalog_matches(
-            &recovered,
+            &recovered.pin(),
             expected,
             &format!("crash at write unit {budget}/{total}"),
         );

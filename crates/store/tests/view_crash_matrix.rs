@@ -7,8 +7,9 @@
 //! fault-injecting [`MemStorage`] at **every** write budget from 0 to the
 //! fault-free total. After each simulated crash the surviving bytes are
 //! rebooted, and the recovered views must equal — tuple for tuple — the
-//! views a shadow *volatile* engine (database + in-memory `ViewSet`,
-//! incrementally maintained) holds at the matching durable prefix.
+//! views a shadow *volatile* engine (an [`MvccManager`]: no `Storage`, no
+//! WAL, views incrementally maintained) holds at the matching durable
+//! prefix.
 //!
 //! This pins down two properties at once: the WAL's `DeclareView` records
 //! survive torn tails and checkpoints, and recovery's replay-with-views
@@ -19,8 +20,8 @@ use std::collections::BTreeMap;
 use mera_core::prelude::*;
 use mera_expr::RelExpr;
 use mera_lang::Lowerer;
-use mera_store::{DurableDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{run_transaction_with_views, ConstraintSet, Outcome, Program, ViewSet};
+use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
+use mera_txn::{MvccManager, Outcome, Program, ViewSet};
 
 /// One step of the workload.
 enum Op {
@@ -93,34 +94,21 @@ fn view_image(views: &ViewSet) -> ViewImage {
 }
 
 /// Applies a committed program to the shadow volatile engine — database
-/// *and* incrementally maintained views — at the exact logical time the
-/// durable run committed it.
-fn shadow_commit(
-    shadow: &mut Database,
-    shadow_views: &mut ViewSet,
-    program: &Program,
-    committed_at: u64,
-) {
-    shadow
-        .advance_time_to(committed_at.saturating_sub(1))
-        .expect("commit times increase");
-    let config = mera_txn::ExecConfig {
-        analyze: false,
-        ..Default::default()
-    };
-    let (next, outcome) = run_transaction_with_views(
-        shadow,
-        Some(shadow_views),
-        program,
-        config,
-        None,
-        &ConstraintSet::new(),
-    );
+/// *and* incrementally maintained views — which must land at the exact
+/// logical time the durable run committed it.
+fn shadow_commit(shadow: &MvccManager, program: &Program, committed_at: u64) {
+    let (outcome, next) = shadow.execute(program);
     assert!(
         matches!(outcome, Outcome::Committed(_)),
         "shadow replay of a committed program must commit"
     );
-    *shadow = next;
+    assert_eq!(next.time(), committed_at);
+}
+
+/// The shadow's current `(database, views)`.
+fn shadow_state(shadow: &MvccManager) -> (Database, ViewImage) {
+    let version = shadow.pin();
+    (version.database().clone(), view_image(version.views()))
 }
 
 /// Runs the workload against `storage`, stopping at the first storage
@@ -128,10 +116,19 @@ fn shadow_commit(
 /// durable event that completed.
 fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
     let mut states = vec![(0, Database::new(DatabaseSchema::new()), ViewImage::new())];
-    let mut shadow = Database::new(DatabaseSchema::new());
-    let mut shadow_views = ViewSet::new();
+    let shadow = MvccManager::with_config(
+        DatabaseSchema::new(),
+        mera_txn::ExecConfig {
+            analyze: false,
+            ..Default::default()
+        },
+    );
+    let mark = |storage: &MemStorage, shadow: &MvccManager| {
+        let (db, views) = shadow_state(shadow);
+        (storage.units_written(), db, views)
+    };
 
-    let mut durable = match DurableDb::open(
+    let durable = match ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
@@ -139,11 +136,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
         Ok(d) => d,
         Err(_) => return states, // crashed during creation
     };
-    states.push((
-        storage.units_written(),
-        shadow.clone(),
-        view_image(&shadow_views),
-    ));
+    states.push(mark(&storage, &shadow));
 
     for op in workload() {
         let is_abort = matches!(op, Op::Abort(_));
@@ -156,30 +149,21 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
                         .expect("shadow declare");
                 }),
             Op::CreateView(name, text) => {
-                let expr = parse_rel(durable.database(), text);
+                let expr = parse_rel(durable.pin().database(), text);
                 durable.create_view(name, expr.clone()).map(|_| {
-                    let config = mera_txn::ExecConfig {
-                        analyze: false,
-                        ..Default::default()
-                    };
-                    shadow_views
-                        .create(name, expr, &shadow, config)
+                    shadow
+                        .create_view(name, expr)
                         .expect("shadow view creation");
                 })
             }
             Op::Commit(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 durable.execute(&program).map(|_| {
-                    shadow_commit(
-                        &mut shadow,
-                        &mut shadow_views,
-                        &program,
-                        durable.database().time(),
-                    );
+                    shadow_commit(&shadow, &program, durable.pin().time());
                 })
             }
             Op::Abort(text) => {
-                let program = parse(durable.database(), text);
+                let program = parse(durable.pin().database(), text);
                 match durable.execute(&program) {
                     Err(StoreError::TransactionAborted(_)) => Ok(()), // not a durable event
                     Err(other) => Err(other),
@@ -191,11 +175,7 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
         match result {
             Ok(()) => {
                 if !is_abort {
-                    states.push((
-                        storage.units_written(),
-                        shadow.clone(),
-                        view_image(&shadow_views),
-                    ));
+                    states.push(mark(&storage, &shadow));
                 }
             }
             Err(_) => break, // crashed: everything after this fails too
@@ -224,12 +204,13 @@ fn recovered_views_equal_shadow_views_at_every_crash_point() {
     assert_eq!(totals.len(), 1);
 
     // Fault-free reboot: full image recovers state and views exactly.
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(clean.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("clean recovery");
+    let recovered = recovered.pin();
     assert_eq!(recovered.database(), final_db);
     assert_eq!(view_image(recovered.views()), *final_views);
 
@@ -238,12 +219,13 @@ fn recovered_views_equal_shadow_views_at_every_crash_point() {
         let storage = MemStorage::with_budget(budget);
         let _ = drive(storage.clone());
 
-        let recovered = DurableDb::open(
+        let recovered = ConcurrentDb::open(
             MemStorage::from_image(storage.image()),
             DatabaseSchema::new(),
             StoreOptions::default(),
         )
-        .unwrap_or_else(|e| panic!("recovery after crash at unit {budget} failed: {e}"));
+        .unwrap_or_else(|e| panic!("recovery after crash at unit {budget} failed: {e}"))
+        .pin();
 
         let (_, expected_db, expected_views) = oracle
             .iter()

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_eval::provider::RelationProvider;
-use mera_eval::{Engine, EngineKind, ExecOptions, IndexJoinHints, IndexSet, KeySet};
+use mera_eval::{Engine, EngineKind, ExecOptions, IndexSet, KeySet};
 use mera_expr::rel::RelExpr;
 use mera_opt::{choose_access_paths, CatalogStats, Optimizer};
 
@@ -25,9 +25,9 @@ pub struct ExecConfig {
     /// Run the rule-based optimizer before evaluation.
     pub optimize: bool,
     /// Run the static analyzer over the whole program before the first
-    /// statement executes ([`run_transaction_checked`] only): programs
-    /// with error-severity diagnostics abort up front, before any
-    /// intermediate state is built.
+    /// statement executes ([`Version::run`](crate::Version::run)):
+    /// programs with error-severity diagnostics abort up front, before
+    /// any intermediate state is built.
     pub analyze: bool,
     /// Which evaluator runs the statements' expressions (the batched
     /// physical engine by default; [`EngineKind::Reference`] is the slow
@@ -59,8 +59,9 @@ impl ExecConfig {
 }
 
 /// An intermediate state `D_t.i`: the database plus temporaries, plus
-/// (when materialized views exist) read-only view snapshots and the
-/// signed deltas the transaction has accumulated so far.
+/// read-only snapshots of the version's derived catalog and the signed
+/// deltas the transaction has accumulated so far. Built from a
+/// [`Version`](crate::Version), which is the only thing that owns one.
 #[derive(Debug, Clone)]
 pub struct WorkingState {
     /// The (mutable copy of the) database state.
@@ -74,62 +75,20 @@ pub struct WorkingState {
     /// far — the single input that drives view maintenance, statistics
     /// maintenance and index maintenance at commit time.
     pub deltas: DeltaMap,
-    /// Pre-transaction table statistics, when the caller maintains them:
-    /// every statement plans cost-based (join reordering, cost-gated δ
-    /// placement, access-path selection) against these.
-    pub stats: Option<Arc<CatalogStats>>,
-    /// Pre-transaction secondary indexes, when the caller maintains them:
-    /// point selections and hinted equi-joins execute through them.
-    pub indexes: Option<Arc<IndexSet>>,
-    /// Pre-transaction key constraints, when the caller maintains them:
-    /// the optimizer grounds its property inference (duplicate-freeness,
-    /// candidate keys, FDs) in keys of relations the transaction has not
-    /// yet dirtied.
-    pub keys: Option<Arc<KeySet>>,
+    /// Pre-transaction table statistics: every statement plans cost-based
+    /// (join reordering, cost-gated δ placement, access-path selection)
+    /// against these.
+    pub stats: Arc<CatalogStats>,
+    /// Pre-transaction secondary indexes: point selections and hinted
+    /// equi-joins execute through them.
+    pub indexes: Arc<IndexSet>,
+    /// Pre-transaction key constraints: the optimizer grounds its
+    /// property inference (duplicate-freeness, candidate keys, FDs) in
+    /// keys of relations the transaction has not yet dirtied.
+    pub keys: Arc<KeySet>,
 }
 
 impl WorkingState {
-    /// Starts from a snapshot of a database state (`D_t.0 = D_t`), with
-    /// no views, statistics or indexes.
-    pub fn new(db: Database) -> Self {
-        WorkingState {
-            db,
-            temps: BTreeMap::new(),
-            views: BTreeMap::new(),
-            deltas: DeltaMap::new(),
-            stats: None,
-            indexes: None,
-            keys: None,
-        }
-    }
-
-    /// Starts from a database snapshot plus the current materialized
-    /// views: view contents become readable during the transaction.
-    pub fn with_views(db: Database, views: &ViewSet) -> Self {
-        WorkingState {
-            views: views.snapshots(),
-            ..WorkingState::new(db)
-        }
-    }
-
-    /// [`WorkingState::with_views`] plus the maintained statistics and
-    /// secondary indexes — the transaction manager's entry point: every
-    /// statement of the transaction plans cost-based and index-aware.
-    pub fn with_catalog(
-        db: Database,
-        views: &ViewSet,
-        stats: Option<Arc<CatalogStats>>,
-        indexes: Option<Arc<IndexSet>>,
-        keys: Option<Arc<KeySet>>,
-    ) -> Self {
-        WorkingState {
-            stats,
-            indexes,
-            keys,
-            ..WorkingState::with_views(db, views)
-        }
-    }
-
     /// The declared keys as an analyzer [`mera_analyze::KeyEnv`],
     /// restricted to relations this transaction has not dirtied: a key
     /// describes the committed state `D_t`, and mid-transaction writes may
@@ -137,11 +96,9 @@ impl WorkingState {
     /// so dirtied relations contribute no facts.
     pub(crate) fn key_env(&self) -> mera_analyze::KeyEnv {
         let mut env = mera_analyze::KeyEnv::new();
-        if let Some(ks) = &self.keys {
-            for (relation, attrs) in ks.definitions() {
-                if !self.dirtied(&relation) {
-                    env.declare(relation, attrs);
-                }
+        for (relation, attrs) in self.keys.definitions() {
+            if !self.dirtied(&relation) {
+                env.declare(relation, attrs);
             }
         }
         env
@@ -368,21 +325,18 @@ pub fn execute_program(
 /// Evaluates one algebra expression against the working state, honouring
 /// the execution configuration.
 ///
-/// With statistics attached to the state the optimizer runs cost-based
-/// (join reordering, cost-gated δ placement); with indexes attached the
-/// engine takes index access paths — point lookups always, equi-joins
-/// when [`choose_access_paths`] ranks the probe cheaper than a hash
-/// build. An index describes the *pre-transaction* state, so once the
-/// transaction has written an indexed relation the engine falls back to
-/// scan-based plans for the rest of the program: slower, never wrong.
+/// The optimizer runs cost-based against the state's statistics (join
+/// reordering, cost-gated δ placement), and the engine takes index access
+/// paths — point lookups always, equi-joins when [`choose_access_paths`]
+/// ranks the probe cheaper than a hash build. An index describes the
+/// *pre-transaction* state, so once the transaction has written an
+/// indexed relation the engine falls back to scan-based plans for the
+/// rest of the program: slower, never wrong.
 pub fn eval_expr(state: &WorkingState, expr: &RelExpr, config: ExecConfig) -> CoreResult<Relation> {
     let provider = WorkingSchemas(state);
     let expr_storage;
     let expr = if config.optimize {
-        let mut optimizer = Optimizer::standard();
-        if let Some(stats) = &state.stats {
-            optimizer = optimizer.with_stats(Arc::clone(stats));
-        }
+        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(&state.stats));
         let keys = state.key_env();
         if !keys.is_empty() {
             optimizer = optimizer.with_keys(keys);
@@ -393,17 +347,12 @@ pub fn eval_expr(state: &WorkingState, expr: &RelExpr, config: ExecConfig) -> Co
         expr
     };
     let mut engine = Engine::new(config.engine).with_options(config.options);
-    if let Some(indexes) = &state.indexes {
-        let defs = indexes.definitions();
-        if !defs.is_empty() && !defs.iter().any(|(r, _)| state.dirtied(r)) {
-            let hints = match &state.stats {
-                Some(stats) => choose_access_paths(expr, stats, &defs, &provider)?,
-                None => IndexJoinHints::default(),
-            };
-            engine = engine
-                .with_shared_indexes(Arc::clone(indexes))
-                .with_index_hints(hints);
-        }
+    let defs = state.indexes.definitions();
+    if !defs.is_empty() && !defs.iter().any(|(r, _)| state.dirtied(r)) {
+        let hints = choose_access_paths(expr, &state.stats, &defs, &provider)?;
+        engine = engine
+            .with_shared_indexes(Arc::clone(&state.indexes))
+            .with_index_hints(hints);
     }
     engine.run(expr, state)
 }
@@ -452,8 +401,12 @@ mod tests {
         db
     }
 
+    fn state_of(db: Database) -> WorkingState {
+        crate::Version::new(db).expect("analyzes").working_state()
+    }
+
     fn run(db: Database, program: Program) -> (WorkingState, Outputs) {
-        let mut state = WorkingState::new(db);
+        let mut state = state_of(db);
         let out =
             execute_program(&mut state, &program, ExecConfig::default()).expect("program executes");
         (state, out)
@@ -533,7 +486,7 @@ mod tests {
             RelExpr::scan("beer"),
             vec![ScalarExpr::attr(1)], // drops two attributes
         ));
-        let mut state = WorkingState::new(db);
+        let mut state = state_of(db);
         let err = execute_program(&mut state, &p, ExecConfig::default()).unwrap_err();
         assert!(matches!(err, CoreError::SchemaMismatch { .. }));
     }
@@ -560,7 +513,7 @@ mod tests {
     fn assignment_cannot_shadow_database_relation() {
         let db = beer_db();
         let p = Program::single(Statement::assign("beer", RelExpr::scan("beer")));
-        let mut state = WorkingState::new(db);
+        let mut state = state_of(db);
         let err = execute_program(&mut state, &p, ExecConfig::default()).unwrap_err();
         assert_eq!(err, CoreError::DuplicateRelation("beer".into()));
     }
@@ -609,7 +562,7 @@ mod tests {
         let results: Vec<(Database, Outputs)> = configs
             .iter()
             .map(|&c| {
-                let mut state = WorkingState::new(beer_db());
+                let mut state = state_of(beer_db());
                 let out = execute_program(&mut state, &program, c).expect("executes");
                 (state.db, out)
             })

@@ -42,10 +42,7 @@ pub fn explain_expr(
     let provider = WorkingSchemas(state);
     let expr_storage;
     let expr = if config.optimize {
-        let mut optimizer = Optimizer::standard();
-        if let Some(stats) = &state.stats {
-            optimizer = optimizer.with_stats(Arc::clone(stats));
-        }
+        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(&state.stats));
         // the same dirtied-gated key environment `eval_expr` plans under,
         // so EXPLAIN shows the plan the live engine would actually run
         let keys = state.key_env();
@@ -58,36 +55,23 @@ pub fn explain_expr(
         expr
     };
 
-    // estimate against the attached statistics; an empty catalog gives the
-    // estimator's schema-only defaults, which is exactly what the rule-only
-    // planner reasons from
-    let empty_stats = CatalogStats::new();
-    let stats = state.stats.as_deref().unwrap_or(&empty_stats);
+    let stats: &CatalogStats = &state.stats;
 
     // the same access-path policy as `eval_expr`: indexes describe the
     // pre-transaction state, so they are off once an indexed relation is
-    // dirty; join hints need the cost model, so they need statistics
+    // dirty
     let mut hints = IndexJoinHints::default();
-    let mut use_indexes = false;
-    if let Some(indexes) = &state.indexes {
-        let defs = indexes.definitions();
-        if !defs.is_empty() && !defs.iter().any(|(r, _)| state.dirtied(r)) {
-            use_indexes = true;
-            if state.stats.is_some() {
-                hints = choose_access_paths(expr, stats, &defs, &provider)?;
-            }
-        }
+    let defs = state.indexes.definitions();
+    let use_indexes = !defs.is_empty() && !defs.iter().any(|(r, _)| state.dirtied(r));
+    if use_indexes {
+        hints = choose_access_paths(expr, stats, &defs, &provider)?;
     }
 
     let mut out = String::new();
-    match state.stats.as_deref().and_then(|s| s.as_of()) {
-        Some(t) => {
-            let _ = writeln!(out, "plan (cost-based, statistics as of t={t}):");
-        }
-        None => {
-            let _ = writeln!(out, "plan (rule-based, no statistics):");
-        }
-    }
+    let _ = match stats.as_of() {
+        Some(t) => writeln!(out, "plan (cost-based, statistics as of t={t}):"),
+        None => writeln!(out, "plan (cost-based, unstamped statistics):"),
+    };
     // annotate each node with its inferred structural properties (keys,
     // duplicate-freeness, constants) under the same dirtied-gated key
     // environment the optimizer saw — a `[key: …, set]` tag explains *why*
@@ -96,14 +80,10 @@ pub fn explain_expr(
     render_node(&mut out, expr, stats, &provider, &key_env, 1);
 
     let mut exec_stats = ExecStats::new();
-    let access = state
-        .indexes
-        .as_deref()
-        .filter(|_| use_indexes)
-        .map(|indexes| IndexAccess {
-            indexes,
-            hints: &hints,
-        });
+    let access = use_indexes.then_some(IndexAccess {
+        indexes: &state.indexes,
+        hints: &hints,
+    });
     let plan =
         plan_instrumented_indexed_with(expr, state, config.options, access, &mut exec_stats)?;
     let result = collect(plan)?;

@@ -7,17 +7,19 @@
 //!   `delete`, `update`, assignment, `?E`) and programs (Definition 4.2),
 //! * [`exec`] — execution over intermediate states `D_t.i` with temporary
 //!   relations,
-//! * [`transaction`] — transaction brackets with atomic commit/abort
-//!   (Definition 4.3), logical-time transitions, and a serial
-//!   [`TransactionManager`],
-//! * [`log`] — a redo log of committed programs (durability for a
-//!   main-memory DBMS, as in PRISMA/DB),
+//! * [`version`] — [`Version`], the one owner of a database state and its
+//!   derived catalog (views, statistics, indexes, keys), and the only
+//!   copy of each step that moves it: run a program, fold a commit
+//!   (Definition 4.3: `D_t → D_{t+1}`), admit DDL,
+//! * [`transaction`] — what a transaction reports: [`Outcome`] and the
+//!   typed [`AbortReason`],
 //! * [`views`] — materialized views maintained incrementally at commit
 //!   time from signed deltas (ℤ-multiplicity bags) instead of
 //!   re-evaluated from scratch,
-//! * [`mvcc`] — multi-version concurrency: immutable published versions
-//!   along the paper's logical-time axis, lock-free snapshot readers,
-//!   optimistic writers validated first-committer-wins,
+//! * [`mvcc`] — [`MvccManager`], the one state owner: immutable published
+//!   versions along the paper's logical-time axis, lock-free snapshot
+//!   readers, optimistic writers validated first-committer-wins, and a
+//!   durability hook the store layer hangs its WAL on,
 //! * [`explain`] — EXPLAIN-style rendering of the chosen plan: join
 //!   order, access paths, estimated-vs-actual cardinalities.
 
@@ -26,10 +28,10 @@
 pub mod constraints;
 pub mod exec;
 pub mod explain;
-pub mod log;
 pub mod mvcc;
 pub mod statement;
 pub mod transaction;
+pub mod version;
 pub mod views;
 
 pub use constraints::{Constraint, ConstraintSet, Violation};
@@ -38,14 +40,9 @@ pub use exec::{
     WorkingState,
 };
 pub use explain::explain_expr;
-pub use log::{LogRecord, RedoLog};
 pub use mera_eval::{EngineKind, ExecOptions, HashIndex, IndexSet, KeySet, KeyViolation};
 pub use mera_opt::{CatalogStats, TableStats};
 pub use mvcc::{MvccManager, MvccOptions, PreparedTxn, Version};
 pub use statement::{Program, Statement};
-pub use transaction::{
-    run_transaction, run_transaction_cataloged, run_transaction_checked,
-    run_transaction_with_views, AbortReason, CommitCatalog, DeclareKeyError, Outcome,
-    TransactionManager,
-};
+pub use transaction::{AbortReason, DeclareKeyError, Outcome};
 pub use views::{CreateViewError, DeltaMap, TupleDelta, View, ViewSet};

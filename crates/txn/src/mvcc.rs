@@ -8,6 +8,12 @@
 //! reader needs), and any number of readers evaluate against a pinned
 //! version without taking any lock beyond the `Arc` clone that pins it.
 //!
+//! The manager owns *when* the state moves — the chain, the commit lock,
+//! first-committer-wins validation, the durability hook, publication.
+//! *How* it moves (running statements, folding a commit into the
+//! catalog, admitting DDL) is [`Version`]'s, and the manager calls those
+//! steps on a clone of the newest version.
+//!
 //! Writers run **optimistically** (OCC, snapshot isolation):
 //!
 //! 1. [`MvccManager::prepare`] executes the program against a pinned
@@ -40,106 +46,17 @@ use std::convert::Infallible;
 use std::sync::Arc;
 
 use mera_core::prelude::*;
-use mera_eval::{IndexSet, KeySet};
+use mera_eval::KeySet;
 use mera_expr::rel::RelExpr;
-use mera_opt::CatalogStats;
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashSet;
 
 use crate::constraints::ConstraintSet;
-use crate::exec::{
-    analyze_program_with_views, execute_statement, ExecConfig, Outputs, WorkingState,
-};
+use crate::exec::{ExecConfig, Outputs};
 use crate::statement::Program;
-use crate::transaction::{key_violation_diagnostic, AbortReason, DeclareKeyError, Outcome};
-use crate::views::{CreateViewError, DeltaMap, TupleDelta, ViewSet};
-
-/// One immutable committed state: the paper's `D_t` plus the derived
-/// catalog objects that describe it. Readers pin a version with an `Arc`
-/// clone and evaluate against it for as long as they like — published
-/// versions are never mutated.
-pub struct Version {
-    /// Monotone publication counter. Distinct from logical time because
-    /// DDL (new relations, views, indexes, keys) publishes a new version
-    /// without ticking the transaction clock.
-    seq: u64,
-    db: Database,
-    views: ViewSet,
-    stats: Arc<CatalogStats>,
-    indexes: Arc<IndexSet>,
-    keys: Arc<KeySet>,
-}
-
-impl Version {
-    /// The logical time of this committed state.
-    pub fn time(&self) -> LogicalTime {
-        self.db.time()
-    }
-
-    /// The publication sequence number (DDL publishes without ticking
-    /// logical time, so this is the strictly-increasing version key).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The base relations.
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// The materialized views as of this version.
-    pub fn views(&self) -> &ViewSet {
-        &self.views
-    }
-
-    /// The table statistics as of this version.
-    pub fn stats(&self) -> &Arc<CatalogStats> {
-        &self.stats
-    }
-
-    /// The secondary indexes as of this version.
-    pub fn indexes(&self) -> &Arc<IndexSet> {
-        &self.indexes
-    }
-
-    /// The key constraints as of this version.
-    pub fn keys(&self) -> &Arc<KeySet> {
-        &self.keys
-    }
-
-    /// The database schema extended with every view's schema — what user
-    /// text (SQL, XRA) resolves names against at this version.
-    pub fn catalog_schema(&self) -> DatabaseSchema {
-        let mut schema = self.db.schema().clone();
-        for v in self.views.iter() {
-            let _ = schema.add(RelationSchema::new(
-                v.name().to_owned(),
-                v.schema().as_ref().clone(),
-            ));
-        }
-        schema
-    }
-
-    fn working_state(&self) -> WorkingState {
-        WorkingState::with_catalog(
-            self.db.clone(),
-            &self.views,
-            Some(Arc::clone(&self.stats)),
-            Some(Arc::clone(&self.indexes)),
-            Some(Arc::clone(&self.keys)),
-        )
-    }
-}
-
-impl std::fmt::Debug for Version {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Version")
-            .field("seq", &self.seq)
-            .field("time", &self.db.time())
-            .field("relations", &self.db.schema().len())
-            .finish_non_exhaustive()
-    }
-}
+use crate::transaction::{AbortReason, DeclareKeyError, Outcome};
+pub use crate::version::Version;
+use crate::views::{CreateViewError, DeltaMap, TupleDelta};
 
 /// What one commit wrote, at the granularity conflict detection uses:
 /// whole relations for unkeyed targets, per-key-point sets (the key
@@ -346,50 +263,32 @@ impl MvccManager {
 
     /// A manager with an explicit execution configuration.
     pub fn with_config(schema: DatabaseSchema, config: ExecConfig) -> Self {
-        let db = Database::new(schema);
-        let stats = CatalogStats::from_database(&db).expect("catalog relations resolve");
-        Self::from_parts(
-            db,
-            ViewSet::new(),
-            Arc::new(stats),
-            Arc::new(IndexSet::new()),
-            Arc::new(KeySet::new()),
-            config,
-            ConstraintSet::new(),
-        )
+        let version = Version::new(Database::new(schema)).expect("catalog relations resolve");
+        Self::from_version(version, config)
     }
 
-    /// A manager seeded from recovered state — the store layer's entry
-    /// point after WAL replay.
-    pub fn from_parts(
-        db: Database,
-        views: ViewSet,
-        stats: Arc<CatalogStats>,
-        indexes: Arc<IndexSet>,
-        keys: Arc<KeySet>,
-        config: ExecConfig,
-        constraints: ConstraintSet,
-    ) -> Self {
-        let version = Arc::new(Version {
-            seq: 0,
-            db,
-            views,
-            stats,
-            indexes,
-            keys,
-        });
+    /// A manager whose chain starts at `version` — a loaded database, or
+    /// the state WAL recovery rebuilt (the store layer's entry point).
+    pub fn from_version(mut version: Version, config: ExecConfig) -> Self {
+        version.seq = 0;
         MvccManager {
             chain: RwLock::new(Chain {
-                latest: version,
+                latest: Arc::new(version),
                 history: VecDeque::new(),
                 summaries: VecDeque::new(),
                 next_seq: 1,
             }),
             commit: Mutex::new(()),
             config,
-            constraints,
+            constraints: ConstraintSet::new(),
             options: MvccOptions::default(),
         }
+    }
+
+    /// Enforces an integrity constraint set at every commit point.
+    pub fn with_constraints(mut self, constraints: ConstraintSet) -> Self {
+        self.constraints = constraints;
+        self
     }
 
     /// Overrides the retention options.
@@ -401,6 +300,17 @@ impl MvccManager {
     /// The execution configuration transactions run with.
     pub fn config(&self) -> ExecConfig {
         self.config
+    }
+
+    /// Replaces the execution configuration (exclusive access: no
+    /// transaction is in flight).
+    pub fn set_config(&mut self, config: ExecConfig) {
+        self.config = config;
+    }
+
+    /// The constraint set enforced at commit time.
+    pub fn constraints(&self) -> &ConstraintSet {
+        &self.constraints
     }
 
     /// Pins the newest published version. O(1); the returned version is
@@ -429,46 +339,16 @@ impl MvccManager {
         self.chain.read().latest.time()
     }
 
-    /// Executes a program against a pinned snapshot without committing:
-    /// static analysis, statement execution, constraint check and an
-    /// early key check all run against the snapshot. No locks are taken
-    /// and no shared state is touched.
+    /// Executes a program against a pinned snapshot without committing
+    /// ([`Version::run`]): static analysis, statement execution,
+    /// constraint check and an early key check all run against the
+    /// snapshot. No locks are taken and no shared state is touched.
     pub fn prepare(
         &self,
         start: Arc<Version>,
         program: &Program,
     ) -> Result<PreparedTxn, AbortReason> {
-        if self.config.analyze {
-            let diags = analyze_program_with_views(&start.db, &start.views, program);
-            if mera_analyze::has_errors(&diags) {
-                return Err(AbortReason::StaticallyRejected(diags));
-            }
-        }
-        let mut state = start.working_state();
-        let mut outputs = Outputs::default();
-        for stmt in &program.statements {
-            if let Err(e) = execute_statement(&mut state, stmt, self.config, &mut outputs) {
-                return Err(AbortReason::Error(e));
-            }
-        }
-        match self.constraints.validate(&state.db) {
-            Ok(Ok(())) => {}
-            Ok(Err(violation)) => {
-                return Err(AbortReason::ConstraintViolation(violation.to_string()));
-            }
-            Err(e) => return Err(AbortReason::Error(e)),
-        }
-        // fail fast against the snapshot's keys; the commit section
-        // re-checks against the newest version's counts
-        for (name, delta) in &state.deltas {
-            if delta.is_empty() {
-                continue;
-            }
-            if let Err(v) = start.keys.check(name, delta) {
-                return Err(AbortReason::KeyViolation(key_violation_diagnostic(&v)));
-            }
-        }
-        let WorkingState { db, deltas, .. } = state;
+        let (db, deltas, outputs) = start.run(program, self.config, &self.constraints)?;
         Ok(PreparedTxn {
             start,
             db,
@@ -497,144 +377,62 @@ impl MvccManager {
     ///
     /// Returns the outcome together with the version the caller should
     /// consider newest (the published one on commit, the pre-existing
-    /// newest on abort).
+    /// newest on abort — an abort publishes nothing and ticks nothing).
     pub fn try_commit<E>(
         &self,
         prepared: PreparedTxn,
         durability: impl FnOnce(LogicalTime) -> Result<(), E>,
     ) -> Result<(Outcome, Arc<Version>), E> {
+        if prepared.is_read_only() {
+            // reads are complete at prepare time: no version, no time tick
+            return Ok((Outcome::Committed(prepared.outputs), self.pin()));
+        }
         let PreparedTxn {
             start,
             db: candidate,
             deltas,
             outputs,
         } = prepared;
-        if deltas.values().all(TupleDelta::is_empty) {
-            // reads are complete at prepare time: no version, no time tick
-            let latest = self.pin();
-            return Ok((Outcome::Committed(outputs), latest));
-        }
-        let guard = self.commit.lock();
-        let (latest, next_seq) = {
-            let chain = self.chain.read();
-            (Arc::clone(&chain.latest), chain.next_seq)
-        };
-        let writes = WriteSet::of(&deltas, &latest.keys);
-        if latest.seq != start.seq {
-            if let Some(conflict) = self.validate(&start, &latest, &writes) {
-                drop(guard);
-                return Ok((Outcome::Aborted(conflict), latest));
-            }
-        }
-        // key re-check against the *newest* counts (other commits may
-        // have taken key points since the snapshot)
-        for (name, delta) in &deltas {
-            if delta.is_empty() {
-                continue;
-            }
-            if let Err(v) = latest.keys.check(name, delta) {
-                drop(guard);
-                return Ok((
-                    Outcome::Aborted(AbortReason::KeyViolation(key_violation_diagnostic(&v))),
-                    latest,
-                ));
-            }
-        }
-        // fold the deltas into the newest state. When nothing intervened
-        // the candidate state *is* the next state; otherwise the deltas
-        // commute with the disjoint intervening ones and re-apply.
-        let mut next_db = if latest.seq == start.seq {
+        let _guard = self.commit.lock();
+        let latest = self.pin();
+        let writes = WriteSet::of(&deltas, latest.keys());
+        // When nothing intervened the candidate state *is* the next
+        // state; otherwise validate, and re-apply the deltas to the
+        // newest state — they commute with the disjoint intervening ones.
+        let next_db = if latest.seq == start.seq {
             candidate
         } else {
-            let mut db = latest.db.clone();
+            if let Some(conflict) = self.validate(&start, &latest, &writes) {
+                return Ok((Outcome::Aborted(conflict), latest));
+            }
+            let mut db = latest.database().clone();
             let mut failed = Vec::new();
             for (name, delta) in &deltas {
-                if delta.is_empty() {
-                    continue;
-                }
-                if apply_delta(&mut db, name, delta).is_err() {
+                if !delta.is_empty() && apply_delta(&mut db, name, delta).is_err() {
                     failed.push(name.clone());
                 }
             }
             if !failed.is_empty() {
                 // a retraction outran the merged base — only possible if
                 // granularity was degraded; surface as a conflict
-                drop(guard);
-                return Ok((
-                    Outcome::Aborted(AbortReason::Conflict {
-                        relations: failed,
-                        committed_at: latest.time(),
-                    }),
-                    latest,
-                ));
+                let conflict = AbortReason::Conflict {
+                    relations: failed,
+                    committed_at: latest.time(),
+                };
+                return Ok((Outcome::Aborted(conflict), latest));
             }
             db
         };
-        next_db.tick();
-        let time = next_db.time();
-        // catalog maintenance: the same O(|Δ|) folds as the serial path,
-        // but into *clones* — published versions are never mutated
-        let mut stats = Arc::clone(&latest.stats);
-        {
-            let s = Arc::make_mut(&mut stats);
-            for (name, delta) in &deltas {
-                if delta.is_empty() {
-                    continue;
-                }
-                if let Ok(post) = next_db.relation(name) {
-                    s.apply_commit(name, delta, post);
-                }
-            }
-            s.set_as_of(time);
+        // the fold runs on a clone — published versions are never
+        // mutated, so a refused fold (a key point another commit took
+        // since the snapshot, a view whose full recompute failed) is
+        // just dropped
+        let mut next = Version::clone(&latest);
+        if let Err(reason) = next.commit(next_db, deltas, self.config) {
+            return Ok((Outcome::Aborted(reason), latest));
         }
-        let mut indexes = Arc::clone(&latest.indexes);
-        {
-            let ix = Arc::make_mut(&mut indexes);
-            for (name, delta) in &deltas {
-                if delta.is_empty() {
-                    continue;
-                }
-                if ix.apply_commit(name, delta).is_err() {
-                    let _ = ix.rebuild(&next_db);
-                    break;
-                }
-            }
-        }
-        let mut keys = Arc::clone(&latest.keys);
-        {
-            let ks = Arc::make_mut(&mut keys);
-            for (name, delta) in &deltas {
-                if !delta.is_empty() {
-                    ks.apply_commit(name, delta);
-                }
-            }
-        }
-        let mut views = latest.views.clone();
-        if let Err(e) = views.refresh_after_commit(deltas, &next_db, self.config) {
-            // even the full-recompute fallback failed; nothing shared was
-            // mutated, so aborting is just dropping the clones
-            drop(guard);
-            return Ok((Outcome::Aborted(AbortReason::Error(e)), latest));
-        }
-        durability(time)?;
-        let version = Arc::new(Version {
-            seq: next_seq,
-            db: next_db,
-            views,
-            stats,
-            indexes,
-            keys,
-        });
-        self.publish(
-            Arc::clone(&version),
-            CommitSummary {
-                seq: next_seq,
-                time,
-                writes,
-                ddl: false,
-            },
-        );
-        drop(guard);
+        durability(next.time())?;
+        let version = self.publish(next, writes, false);
         Ok((Outcome::Committed(outputs), version))
     }
 
@@ -686,19 +484,29 @@ impl MvccManager {
         }
     }
 
-    /// Installs a new latest version (commit lock must be held).
-    fn publish(&self, version: Arc<Version>, summary: CommitSummary) {
+    /// Installs `version` as the newest (commit lock must be held),
+    /// stamping it with the next sequence number and remembering its
+    /// write footprint for the validation of in-flight snapshots.
+    fn publish(&self, mut version: Version, writes: WriteSet, ddl: bool) -> Arc<Version> {
         let mut chain = self.chain.write();
-        let old = std::mem::replace(&mut chain.latest, version);
+        version.seq = chain.next_seq;
+        chain.next_seq += 1;
+        chain.summaries.push_back(CommitSummary {
+            seq: version.seq,
+            time: version.time(),
+            writes,
+            ddl,
+        });
+        while chain.summaries.len() > self.options.retained_summaries {
+            chain.summaries.pop_front();
+        }
+        let version = Arc::new(version);
+        let old = std::mem::replace(&mut chain.latest, Arc::clone(&version));
         chain.history.push_back(old);
         while chain.history.len() > self.options.retained_versions {
             chain.history.pop_front();
         }
-        chain.summaries.push_back(summary);
-        while chain.summaries.len() > self.options.retained_summaries {
-            chain.summaries.pop_front();
-        }
-        chain.next_seq += 1;
+        version
     }
 
     /// Pin-prepare-commit in one call (no durability hook): the volatile
@@ -708,10 +516,7 @@ impl MvccManager {
         let start = self.pin();
         match self.prepare(start, program) {
             Err(reason) => (Outcome::Aborted(reason), self.pin()),
-            Ok(prepared) => match self.try_commit::<Infallible>(prepared, |_| Ok(())) {
-                Ok(result) => result,
-                Err(e) => match e {},
-            },
+            Ok(prepared) => infallible(self.try_commit(prepared, |_| Ok(()))),
         }
     }
 
@@ -720,16 +525,33 @@ impl MvccManager {
     /// publish (or append to the WAL) while the closure runs.
     pub fn quiesce<R>(&self, f: impl FnOnce(&Version) -> R) -> R {
         let _guard = self.commit.lock();
-        let latest = Arc::clone(&self.chain.read().latest);
+        let latest = self.pin();
         f(&latest)
+    }
+
+    /// One DDL step: under the commit lock, `admit` the change on a clone
+    /// of the newest version, run the durability hook, publish. A refused
+    /// admission or a failed hook publishes nothing. DDL versions conflict
+    /// with every in-flight writer — coarse, and rare.
+    fn ddl<T, R, E>(
+        &self,
+        admit: impl FnOnce(&mut Version) -> Result<T, R>,
+        durability: impl FnOnce() -> Result<(), E>,
+    ) -> Result<Result<T, R>, E> {
+        let _guard = self.commit.lock();
+        let mut next = Version::clone(&self.pin());
+        let admitted = match admit(&mut next) {
+            Ok(t) => t,
+            Err(refused) => return Ok(Err(refused)),
+        };
+        durability()?;
+        self.publish(next, WriteSet::default(), true);
+        Ok(Ok(admitted))
     }
 
     /// Adds a fresh empty relation, publishing a DDL version.
     pub fn add_relation(&self, rs: RelationSchema) -> CoreResult<()> {
-        match self.add_relation_with::<Infallible>(rs, || Ok(())) {
-            Ok(r) => r,
-            Err(e) => match e {},
-        }
+        infallible(self.add_relation_with(rs, || Ok(())))
     }
 
     /// [`MvccManager::add_relation`] with a durability hook that runs
@@ -739,50 +561,12 @@ impl MvccManager {
         rs: RelationSchema,
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<CoreResult<()>, E> {
-        let _guard = self.commit.lock();
-        let (latest, next_seq) = {
-            let chain = self.chain.read();
-            (Arc::clone(&chain.latest), chain.next_seq)
-        };
-        let mut db = latest.db.clone();
-        if let Err(e) = db.add_relation(rs) {
-            return Ok(Err(e));
-        }
-        // re-anchor statistics so they describe the new (empty) relation
-        let stats = match CatalogStats::from_database(&db) {
-            Ok(mut fresh) => {
-                fresh.set_as_of(db.time());
-                Arc::new(fresh)
-            }
-            Err(_) => Arc::clone(&latest.stats),
-        };
-        durability()?;
-        let time = db.time();
-        self.publish(
-            Arc::new(Version {
-                seq: next_seq,
-                db,
-                views: latest.views.clone(),
-                stats,
-                indexes: Arc::clone(&latest.indexes),
-                keys: Arc::clone(&latest.keys),
-            }),
-            CommitSummary {
-                seq: next_seq,
-                time,
-                writes: WriteSet::default(),
-                ddl: true,
-            },
-        );
-        Ok(Ok(()))
+        self.ddl(|v| v.add_relation(rs), durability)
     }
 
     /// Creates a materialized view, publishing a DDL version.
     pub fn create_view(&self, name: &str, expr: RelExpr) -> Result<SchemaRef, CreateViewError> {
-        match self.create_view_with::<Infallible>(name, expr, || Ok(())) {
-            Ok(r) => r,
-            Err(e) => match e {},
-        }
+        infallible(self.create_view_with(name, expr, || Ok(())))
     }
 
     /// [`MvccManager::create_view`] with a durability hook.
@@ -792,43 +576,12 @@ impl MvccManager {
         expr: RelExpr,
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<Result<SchemaRef, CreateViewError>, E> {
-        let _guard = self.commit.lock();
-        let (latest, next_seq) = {
-            let chain = self.chain.read();
-            (Arc::clone(&chain.latest), chain.next_seq)
-        };
-        let mut views = latest.views.clone();
-        let schema = match views.create(name, expr, &latest.db, self.config) {
-            Ok(s) => s,
-            Err(e) => return Ok(Err(e)),
-        };
-        durability()?;
-        let time = latest.time();
-        self.publish(
-            Arc::new(Version {
-                seq: next_seq,
-                db: latest.db.clone(),
-                views,
-                stats: Arc::clone(&latest.stats),
-                indexes: Arc::clone(&latest.indexes),
-                keys: Arc::clone(&latest.keys),
-            }),
-            CommitSummary {
-                seq: next_seq,
-                time,
-                writes: WriteSet::default(),
-                ddl: true,
-            },
-        );
-        Ok(Ok(schema))
+        self.ddl(|v| v.create_view(name, expr, self.config), durability)
     }
 
     /// Creates a secondary index, publishing a DDL version.
     pub fn create_index(&self, relation: &str, keys: &[usize]) -> CoreResult<()> {
-        match self.create_index_with::<Infallible>(relation, keys, || Ok(())) {
-            Ok(r) => r,
-            Err(e) => match e {},
-        }
+        infallible(self.create_index_with(relation, keys, || Ok(())))
     }
 
     /// [`MvccManager::create_index`] with a durability hook.
@@ -838,43 +591,13 @@ impl MvccManager {
         keys: &[usize],
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<CoreResult<()>, E> {
-        let _guard = self.commit.lock();
-        let (latest, next_seq) = {
-            let chain = self.chain.read();
-            (Arc::clone(&chain.latest), chain.next_seq)
-        };
-        let mut indexes = Arc::clone(&latest.indexes);
-        if let Err(e) = Arc::make_mut(&mut indexes).create(&latest.db, relation, keys) {
-            return Ok(Err(e));
-        }
-        durability()?;
-        let time = latest.time();
-        self.publish(
-            Arc::new(Version {
-                seq: next_seq,
-                db: latest.db.clone(),
-                views: latest.views.clone(),
-                stats: Arc::clone(&latest.stats),
-                indexes,
-                keys: Arc::clone(&latest.keys),
-            }),
-            CommitSummary {
-                seq: next_seq,
-                time,
-                writes: WriteSet::default(),
-                ddl: true,
-            },
-        );
-        Ok(Ok(()))
+        self.ddl(|v| v.create_index(relation, keys), durability)
     }
 
     /// Declares a key constraint, publishing a DDL version. Rejections
-    /// mirror [`crate::TransactionManager::declare_key`] (`E0401`–`E0403`).
+    /// are [`Version::declare_key`]'s (`E0401`–`E0403`).
     pub fn declare_key(&self, relation: &str, attrs: &[usize]) -> Result<(), DeclareKeyError> {
-        match self.declare_key_with::<Infallible>(relation, attrs, || Ok(())) {
-            Ok(r) => r,
-            Err(e) => match e {},
-        }
+        infallible(self.declare_key_with(relation, attrs, || Ok(())))
     }
 
     /// [`MvccManager::declare_key`] with a durability hook.
@@ -884,65 +607,15 @@ impl MvccManager {
         attrs: &[usize],
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<Result<(), DeclareKeyError>, E> {
-        let _guard = self.commit.lock();
-        let (latest, next_seq) = {
-            let chain = self.chain.read();
-            (Arc::clone(&chain.latest), chain.next_seq)
-        };
-        if latest.views.get(relation).is_some() {
-            return Ok(Err(DeclareKeyError::Rejected(
-                mera_analyze::Diagnostic::new(
-                    mera_analyze::Code::KeyOnView,
-                    mera_analyze::Span::root("key"),
-                    format!("cannot declare a key on materialized view `{relation}`"),
-                )
-                .with_note(
-                    "a view's multiplicities are determined by its definition; \
-                     declare the key on the base relations instead",
-                ),
-            )));
-        }
-        if latest.keys.is_declared(relation, attrs) {
-            return Ok(Err(DeclareKeyError::Rejected(
-                mera_analyze::Diagnostic::new(
-                    mera_analyze::Code::DuplicateKeyDeclaration,
-                    mera_analyze::Span::root("key"),
-                    format!(
-                        "key {relation}({}) is already declared",
-                        attrs
-                            .iter()
-                            .map(|a| format!("%{a}"))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                    ),
-                ),
-            )));
-        }
-        let mut keys = Arc::clone(&latest.keys);
-        match Arc::make_mut(&mut keys).declare(&latest.db, relation, attrs) {
-            Ok(Ok(())) => {}
-            Ok(Err(v)) => return Ok(Err(DeclareKeyError::Rejected(key_violation_diagnostic(&v)))),
-            Err(e) => return Ok(Err(DeclareKeyError::Error(e))),
-        }
-        durability()?;
-        let time = latest.time();
-        self.publish(
-            Arc::new(Version {
-                seq: next_seq,
-                db: latest.db.clone(),
-                views: latest.views.clone(),
-                stats: Arc::clone(&latest.stats),
-                indexes: Arc::clone(&latest.indexes),
-                keys,
-            }),
-            CommitSummary {
-                seq: next_seq,
-                time,
-                writes: WriteSet::default(),
-                ddl: true,
-            },
-        );
-        Ok(Ok(()))
+        self.ddl(|v| v.declare_key(relation, attrs), durability)
+    }
+}
+
+/// Unwraps the result of a step whose durability hook cannot fail.
+fn infallible<T>(result: Result<T, Infallible>) -> T {
+    match result {
+        Ok(t) => t,
+        Err(e) => match e {},
     }
 }
 
@@ -1183,6 +856,240 @@ mod tests {
                 .expect("rel")
                 .multiplicity(&tuple!["ann", 20_i64]),
             1
+        );
+    }
+
+    fn deposit_stmt(owner: &str, amount: i64) -> Statement {
+        deposit(owner, amount).statements.remove(0)
+    }
+
+    /// AVG over a provably empty input: undefined (Definition 3.4).
+    fn avg_over_nothing() -> Statement {
+        Statement::query(
+            RelExpr::scan("acct")
+                .select(ScalarExpr::bool(false))
+                .group_by(&[], mera_expr::Aggregate::Avg, 2),
+        )
+    }
+
+    fn unanalyzed() -> ExecConfig {
+        ExecConfig {
+            analyze: false,
+            ..ExecConfig::default()
+        }
+    }
+
+    #[test]
+    fn statement_error_aborts_whole_transaction() {
+        // analysis off: the failure surfaces at runtime, mid-program
+        let mgr = MvccManager::with_config(schema(), unanalyzed());
+        mgr.execute(&deposit("a", 100));
+        let before = mgr.pin();
+        let failing = Program::new()
+            .then(deposit_stmt("b", 50))
+            .then(avg_over_nothing());
+        let (outcome, after) = mgr.execute(&failing);
+        assert!(matches!(
+            outcome,
+            Outcome::Aborted(AbortReason::Error(CoreError::AggregateOnEmpty("AVG")))
+        ));
+        // atomicity: the deposit of 50 is rolled back — and an abort is
+        // not a published transition: same version, same logical time
+        assert_eq!(after.seq(), before.seq());
+        assert_eq!(after.database().relation("acct").expect("rel").len(), 1);
+        assert_eq!(mgr.time(), 1);
+    }
+
+    #[test]
+    fn statically_rejected_program_aborts_before_execution() {
+        // the same doomed program, with analysis on (the default): the
+        // E0102 partiality error is caught before the deposit ever runs
+        let mgr = MvccManager::new(schema());
+        let failing = Program::new()
+            .then(deposit_stmt("b", 50))
+            .then(avg_over_nothing());
+        let (outcome, after) = mgr.execute(&failing);
+        let Outcome::Aborted(reason @ AbortReason::StaticallyRejected(diags)) = &outcome else {
+            panic!("expected a static rejection, got {outcome:?}");
+        };
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].code, mera_analyze::Code::PartialAggregateOnEmpty);
+        assert_eq!(diags[0].span.stmt, Some(1));
+        // the rendered reason names the offending aggregate
+        assert!(reason.to_string().contains("AVG"), "{reason}");
+        assert!(after.database().relation("acct").expect("rel").is_empty());
+        assert_eq!(mgr.time(), 0);
+    }
+
+    #[test]
+    fn temporaries_never_leak_into_committed_state() {
+        let mgr = MvccManager::new(schema());
+        let program = Program::new()
+            .then(Statement::assign("scratch", RelExpr::scan("acct")))
+            .then(deposit_stmt("a", 10))
+            .then(Statement::query(RelExpr::scan("scratch")));
+        let (outcome, v) = mgr.execute(&program);
+        assert!(outcome.is_committed());
+        // the post-transaction state has no relation called "scratch"
+        assert!(v.database().relation("scratch").is_err());
+        // and a later transaction cannot see it either: the analyzer
+        // rejects the scan of `scratch` as an unknown relation (E0002)
+        let later = Program::single(Statement::query(RelExpr::scan("scratch")));
+        match mgr.execute(&later).0 {
+            Outcome::Aborted(AbortReason::StaticallyRejected(diags)) => {
+                assert_eq!(diags[0].code, mera_analyze::Code::UnknownRelation);
+            }
+            other => panic!("expected static rejection, got {other:?}"),
+        }
+        // with analysis off, the runtime agrees
+        let unchecked = MvccManager::with_config(schema(), unanalyzed());
+        assert!(matches!(
+            unchecked.execute(&later).0,
+            Outcome::Aborted(AbortReason::Error(CoreError::UnknownRelation(_)))
+        ));
+    }
+
+    #[test]
+    fn committed_outputs_are_delivered() {
+        let mgr = MvccManager::new(schema());
+        let program = Program::new()
+            .then(deposit_stmt("a", 100))
+            .then(deposit_stmt("a", 100))
+            .then(Statement::query(RelExpr::scan("acct").group_by(
+                &[1],
+                mera_expr::Aggregate::Sum,
+                2,
+            )));
+        let (outcome, _) = mgr.execute(&program);
+        let outputs = outcome.outputs().expect("committed");
+        assert_eq!(outputs.queries.len(), 1);
+        assert_eq!(outputs.queries[0].multiplicity(&tuple!["a", 200_i64]), 1);
+    }
+
+    #[test]
+    fn commits_maintain_stats_incrementally() {
+        let mgr = MvccManager::new(schema());
+        let initial_scans = mgr.pin().stats().full_scans();
+        for i in 0..5 {
+            assert!(mgr.execute(&deposit("a", i)).0.is_committed());
+        }
+        let v = mgr.pin();
+        let acct = v.stats().get("acct").expect("analyzed");
+        assert_eq!(acct.rows, 5);
+        assert_eq!(acct.column_distinct(2), 5, "amounts all distinct");
+        assert_eq!(v.stats().as_of(), Some(mgr.time()), "stamped current");
+        assert_eq!(
+            v.stats().full_scans(),
+            initial_scans,
+            "five commits folded deltas without a single rescan"
+        );
+        assert_eq!(v.stats().touched_rows(), 5, "O(delta) work witness");
+    }
+
+    #[test]
+    fn aborts_leave_stats_and_indexes_untouched() {
+        let mgr = MvccManager::new(schema());
+        mgr.execute(&deposit("a", 100));
+        mgr.create_index("acct", &[1]).expect("indexes");
+        let bad = Program::new()
+            .then(deposit_stmt("b", 1))
+            .then(Statement::query(RelExpr::scan("nosuch")));
+        assert!(!mgr.execute(&bad).0.is_committed());
+        let v = mgr.pin();
+        assert_eq!(v.stats().get("acct").expect("present").rows, 1);
+        assert!(v.stats().is_current(v.database()), "still a cache hit");
+        let idx = v.indexes().find("acct", &[1]).expect("registered");
+        assert_eq!(idx.len(), 1, "aborted insert never reached the index");
+    }
+
+    #[test]
+    fn commits_maintain_indexes_as_catalog_objects() {
+        let mgr = MvccManager::new(schema());
+        mgr.execute(&deposit("a", 100));
+        mgr.create_index("acct", &[1]).expect("indexes");
+        // commits after creation keep the index consistent
+        mgr.execute(&deposit("a", 50));
+        mgr.execute(&deposit("b", 7));
+        let v = mgr.pin();
+        assert_eq!(
+            v.indexes().definitions(),
+            vec![("acct".to_owned(), vec![1])]
+        );
+        let idx = v.indexes().find("acct", &[1]).expect("registered");
+        assert_eq!(idx.len(), 3);
+        assert_eq!(idx.lookup(&tuple!["a"]).expect("lookup").len(), 2);
+        // and point queries through the manager agree with the base state
+        let q = Program::single(Statement::query(
+            RelExpr::scan("acct").select(ScalarExpr::attr(1).eq(ScalarExpr::str("a"))),
+        ));
+        let outputs = mgr.read(&v, &q).expect("queries");
+        assert_eq!(outputs.queries[0].len(), 2);
+    }
+
+    #[test]
+    fn same_transaction_write_then_read_sees_own_writes() {
+        // the index describes D_t; once the transaction writes the indexed
+        // relation, reads must come from the live state, not the index
+        let mgr = MvccManager::new(schema());
+        mgr.execute(&deposit("a", 100));
+        mgr.create_index("acct", &[1]).expect("indexes");
+        let program = Program::new()
+            .then(deposit_stmt("a", 50))
+            .then(Statement::query(
+                RelExpr::scan("acct").select(ScalarExpr::attr(1).eq(ScalarExpr::str("a"))),
+            ));
+        let (outcome, _) = mgr.execute(&program);
+        let out = &outcome.outputs().expect("committed").queries[0];
+        assert_eq!(out.len(), 2, "query must see the uncommitted deposit");
+    }
+
+    #[test]
+    fn constraints_are_checked_at_the_commit_point() {
+        let positive = crate::constraints::Constraint::Check {
+            relation: "acct".to_owned(),
+            predicate: ScalarExpr::attr(2).cmp(mera_expr::CmpOp::Gt, ScalarExpr::int(0)),
+        };
+        let constraints = ConstraintSet::new()
+            .with("positive_amount", positive, &schema())
+            .expect("well-formed");
+        let mgr = MvccManager::new(schema()).with_constraints(constraints);
+        assert_eq!(mgr.constraints().len(), 1);
+        assert!(mgr.execute(&deposit("a", 1)).0.is_committed());
+        let (outcome, _) = mgr.execute(&deposit("b", -2));
+        assert!(
+            matches!(
+                outcome,
+                Outcome::Aborted(AbortReason::ConstraintViolation(_))
+            ),
+            "{outcome:?}"
+        );
+        assert_eq!(mgr.time(), 1);
+    }
+
+    #[test]
+    fn writers_from_many_threads_serialize_by_retry() {
+        let mgr = Arc::new(MvccManager::new(schema()));
+        let threads: Vec<_> = (0..8)
+            .map(|i| {
+                let mgr = Arc::clone(&mgr);
+                std::thread::spawn(move || {
+                    for _ in 0..10 {
+                        // every writer touches the same unkeyed relation:
+                        // first committer wins, the rest retry
+                        while !mgr.execute(&deposit("x", i)).0.is_committed() {}
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("no panics");
+        }
+        let v = mgr.pin();
+        assert_eq!(v.database().relation("acct").expect("present").len(), 80);
+        assert_eq!(
+            v.time(),
+            80,
+            "one tick per committed writer, none per abort"
         );
     }
 }

@@ -858,9 +858,9 @@ fn equi_keys(predicate: &ScalarExpr, left_arity: usize) -> (Vec<usize>, Vec<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mvcc::MvccManager;
     use crate::statement::Program;
     use crate::statement::Statement;
-    use crate::transaction::TransactionManager;
     use mera_core::tuple;
 
     fn schema() -> DatabaseSchema {
@@ -895,47 +895,50 @@ mod tests {
 
     /// The maintained contents must equal a fresh evaluation of the
     /// definition at every commit point.
-    fn assert_consistent(mgr: &TransactionManager, name: &str) {
-        let db = mgr.snapshot();
-        let view = mgr.view(name).expect("view exists");
-        let expr = {
-            // recompute through the manager-independent engine
-            let snaps = mgr.view_snapshots();
-            let v = snaps.get(name).expect("view exists");
-            assert_eq!(&view, v.as_ref());
-            drop(snaps);
-            mgr_view_expr(mgr, name)
-        };
+    fn assert_consistent(mgr: &MvccManager, name: &str) {
+        let version = mgr.pin();
+        let view = version.views().get(name).expect("view exists");
         let fresh = Engine::new(EngineKind::Physical)
-            .run(&expr, &db)
+            .run(view.expr(), version.database())
             .expect("definition evaluates");
-        assert_eq!(view, fresh, "view `{name}` diverged from its definition");
+        assert_eq!(
+            view.data().as_ref(),
+            &fresh,
+            "view `{name}` diverged from its definition"
+        );
     }
 
-    fn mgr_view_expr(mgr: &TransactionManager, name: &str) -> RelExpr {
-        // round-trip through the snapshot API is not enough: fetch the
-        // definition by re-creating it is impossible, so expose via stats
-        // — instead we just re-derive from the known test definitions
-        let _ = mgr;
-        TEST_DEFS.with(|m| m.borrow().get(name).expect("registered").clone())
-    }
-
-    thread_local! {
-        static TEST_DEFS: std::cell::RefCell<BTreeMap<String, RelExpr>> =
-            const { RefCell::new(BTreeMap::new()) };
-    }
-    use std::cell::RefCell;
-
-    fn create(mgr: &TransactionManager, name: &str, expr: RelExpr) {
-        TEST_DEFS.with(|m| m.borrow_mut().insert(name.to_owned(), expr.clone()));
+    fn create(mgr: &MvccManager, name: &str, expr: RelExpr) {
         mgr.create_view(name, expr).expect("view accepted");
+    }
+
+    fn commit(mgr: &MvccManager, program: Program) {
+        let (outcome, _) = mgr.execute(&program);
+        assert!(outcome.is_committed(), "{outcome:?}");
+    }
+
+    /// A copy of one view's current contents.
+    fn view(mgr: &MvccManager, name: &str) -> Relation {
+        let version = mgr.pin();
+        let view = version.views().get(name).expect("exists");
+        view.data().as_ref().clone()
+    }
+
+    /// `(name, refreshes, full-recompute fallbacks)` per view.
+    fn view_stats(mgr: &MvccManager) -> Vec<(String, u64, u64)> {
+        let version = mgr.pin();
+        let stats = version.views().iter().map(|v| {
+            let (refreshes, fallbacks) = v.refresh_stats();
+            (v.name().to_owned(), refreshes, fallbacks)
+        });
+        stats.collect()
     }
 
     use mera_eval::EngineKind;
 
     #[test]
     fn select_project_view_is_maintained() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(
             &mgr,
             "v",
@@ -950,17 +953,17 @@ mod tests {
             delete("r", 2, 20),
             insert("r", 3, 11),
         ] {
-            mgr.execute(&Program::single(stmt)).expect("commits");
+            commit(&mgr, Program::single(stmt));
             assert_consistent(&mgr, "v");
         }
-        let (_, refreshes, fallbacks) = mgr.view_stats().remove(0);
+        let (_, refreshes, fallbacks) = view_stats(&mgr).remove(0);
         assert!(refreshes >= 4);
         assert_eq!(fallbacks, 0, "linear ops must never fall back");
     }
 
     #[test]
     fn join_view_is_maintained_incrementally() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(
             &mgr,
             "j",
@@ -979,16 +982,16 @@ mod tests {
             delete("r", 1, 10),
         ];
         for stmt in steps {
-            mgr.execute(&Program::single(stmt)).expect("commits");
+            commit(&mgr, Program::single(stmt));
             assert_consistent(&mgr, "j");
         }
-        let (_, _, fallbacks) = mgr.view_stats().remove(0);
+        let (_, _, fallbacks) = view_stats(&mgr).remove(0);
         assert_eq!(fallbacks, 0, "equi-joins must never fall back");
     }
 
     #[test]
     fn keyed_group_by_view_tracks_group_births_and_deaths() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(
             &mgr,
             "totals",
@@ -1002,7 +1005,7 @@ mod tests {
             delete("r", 2, 7), // group 2 dies
             insert("r", 2, 9), // and is reborn
         ] {
-            mgr.execute(&Program::single(stmt)).expect("commits");
+            commit(&mgr, Program::single(stmt));
             assert_consistent(&mgr, "totals");
         }
         // MIN/MAX are maintainable too (full value bags are kept)
@@ -1011,17 +1014,16 @@ mod tests {
             "maxes",
             RelExpr::scan("r").group_by(&[1], Aggregate::Max, 2),
         );
-        mgr.execute(&Program::single(delete("r", 1, 5)))
-            .expect("commits");
+        commit(&mgr, Program::single(delete("r", 1, 5)));
         assert_consistent(&mgr, "maxes");
-        for (_, _, fallbacks) in mgr.view_stats() {
+        for (_, _, fallbacks) in view_stats(&mgr) {
             assert_eq!(fallbacks, 0);
         }
     }
 
     #[test]
     fn distinct_union_difference_intersection_views() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(&mgr, "d", RelExpr::scan("r").distinct());
         create(&mgr, "u", RelExpr::scan("r").union(RelExpr::scan("s")));
         create(&mgr, "m", RelExpr::scan("r").difference(RelExpr::scan("s")));
@@ -1036,19 +1038,19 @@ mod tests {
             insert("r", 2, 2),
             delete("s", 1, 1),
         ] {
-            mgr.execute(&Program::single(stmt)).expect("commits");
+            commit(&mgr, Program::single(stmt));
             for name in ["d", "u", "m", "i"] {
                 assert_consistent(&mgr, name);
             }
         }
-        for (_, _, fallbacks) in mgr.view_stats() {
+        for (_, _, fallbacks) in view_stats(&mgr) {
             assert_eq!(fallbacks, 0);
         }
     }
 
     #[test]
     fn whole_relation_aggregate_uses_recompute_fallback_node() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         // γ with empty keys has no incremental rule: Recompute node
         create(
             &mgr,
@@ -1056,14 +1058,14 @@ mod tests {
             RelExpr::scan("r").group_by(&[], Aggregate::Cnt, 1),
         );
         for stmt in [insert("r", 1, 1), insert("r", 2, 2), delete("r", 1, 1)] {
-            mgr.execute(&Program::single(stmt)).expect("commits");
+            commit(&mgr, Program::single(stmt));
             assert_consistent(&mgr, "cnt");
         }
     }
 
     #[test]
     fn views_layer_on_views() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(
             &mgr,
             "big",
@@ -1076,32 +1078,25 @@ mod tests {
             "big_total",
             RelExpr::scan("big").group_by(&[1], Aggregate::Sum, 2),
         );
-        mgr.execute(&Program::single(insert("r", 1, 3)))
-            .expect("commits");
-        let v = mgr.view("big_total").expect("exists");
+        commit(&mgr, Program::single(insert("r", 1, 3)));
+        let v = view(&mgr, "big_total");
         assert_eq!(v.multiplicity(&tuple![1_i64, 3_i64]), 1);
-        mgr.execute(&Program::single(insert("r", 1, 4)))
-            .expect("commits");
-        let v = mgr.view("big_total").expect("exists");
+        commit(&mgr, Program::single(insert("r", 1, 4)));
+        let v = view(&mgr, "big_total");
         assert_eq!(v.multiplicity(&tuple![1_i64, 7_i64]), 1);
     }
 
     #[test]
     fn views_are_readable_but_not_writable() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(&mgr, "v", RelExpr::scan("r").project(&[1]));
-        mgr.execute(&Program::single(insert("r", 7, 1)))
-            .expect("commits");
+        commit(&mgr, Program::single(insert("r", 7, 1)));
         // readable in queries
-        let (outcome, _) = mgr
-            .execute(&Program::single(Statement::query(RelExpr::scan("v"))))
-            .expect("runs");
+        let (outcome, _) = mgr.execute(&Program::single(Statement::query(RelExpr::scan("v"))));
         let out = outcome.outputs().expect("committed");
         assert_eq!(out.queries[0].multiplicity(&tuple![7_i64]), 1);
         // not writable: E0302 at analysis time
-        let (outcome, _) = mgr
-            .execute(&Program::single(insert("v", 9, 9)))
-            .expect("runs");
+        let (outcome, _) = mgr.execute(&Program::single(insert("v", 9, 9)));
         let crate::transaction::Outcome::Aborted(
             crate::transaction::AbortReason::StaticallyRejected(diags),
         ) = outcome
@@ -1112,15 +1107,14 @@ mod tests {
             .iter()
             .any(|d| d.code == mera_analyze::Code::DmlOnView));
         // and a temporary may not shadow a view either
-        let (outcome, _) = mgr
-            .execute(&Program::single(Statement::assign("v", RelExpr::scan("r"))))
-            .expect("runs");
+        let (outcome, _) =
+            mgr.execute(&Program::single(Statement::assign("v", RelExpr::scan("r"))));
         assert!(!outcome.is_committed());
     }
 
     #[test]
     fn rejected_definitions_do_not_create_views() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         // duplicate of a base relation name
         assert!(matches!(
             mgr.create_view("r", RelExpr::scan("s")),
@@ -1136,28 +1130,27 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.code == mera_analyze::Code::PartialView));
-        assert!(mgr.view("avg").is_err());
+        assert!(!mgr.pin().views().contains("avg"));
     }
 
     #[test]
     fn aborted_transactions_leave_views_untouched() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(&mgr, "v", RelExpr::scan("r").project(&[1]));
-        mgr.execute(&Program::single(insert("r", 1, 1)))
-            .expect("commits");
-        let before = mgr.view("v").expect("exists");
+        commit(&mgr, Program::single(insert("r", 1, 1)));
+        let before = view(&mgr, "v");
         // a failing transaction: insert then scan of unknown relation
         let bad = Program::new()
             .then(insert("r", 2, 2))
             .then(Statement::query(RelExpr::scan("nosuch")));
-        let (outcome, _) = mgr.execute(&bad).expect("runs");
+        let (outcome, _) = mgr.execute(&bad);
         assert!(!outcome.is_committed());
-        assert_eq!(mgr.view("v").expect("exists"), before);
+        assert_eq!(view(&mgr, "v"), before);
     }
 
     #[test]
     fn multi_statement_transactions_coalesce_deltas() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(
             &mgr,
             "totals",
@@ -1170,9 +1163,9 @@ mod tests {
             .then(delete("r", 1, 10))
             .then(insert("r", 1, 20))
             .then(insert("r", 2, 1));
-        mgr.execute(&p).expect("commits");
+        commit(&mgr, p);
         assert_consistent(&mgr, "totals");
-        let v = mgr.view("totals").expect("exists");
+        let v = view(&mgr, "totals");
         assert_eq!(v.multiplicity(&tuple![1_i64, 20_i64]), 1);
         assert_eq!(v.multiplicity(&tuple![2_i64, 1_i64]), 1);
     }
@@ -1183,7 +1176,7 @@ mod tests {
     /// exactly once.
     #[test]
     fn self_intersection_and_difference_are_not_double_counted() {
-        let mgr = TransactionManager::new(schema());
+        let mgr = MvccManager::new(schema());
         create(
             &mgr,
             "self_cap",
@@ -1198,15 +1191,14 @@ mod tests {
             .then(insert("r", 2, 2))
             .then(insert("r", 2, 2))
             .then(insert("r", 0, 4));
-        mgr.execute(&p).expect("commits");
+        commit(&mgr, p);
         assert_consistent(&mgr, "self_cap");
         assert_consistent(&mgr, "self_minus");
-        let cap = mgr.view("self_cap").expect("exists");
+        let cap = view(&mgr, "self_cap");
         assert_eq!(cap.multiplicity(&tuple![2_i64, 2_i64]), 2);
-        assert!(mgr.view("self_minus").expect("exists").is_empty());
+        assert!(view(&mgr, "self_minus").is_empty());
 
-        mgr.execute(&Program::single(delete("r", 2, 2)))
-            .expect("commits");
+        commit(&mgr, Program::single(delete("r", 2, 2)));
         assert_consistent(&mgr, "self_cap");
         assert_consistent(&mgr, "self_minus");
     }

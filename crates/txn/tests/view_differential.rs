@@ -16,9 +16,7 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
-use mera_txn::{
-    EngineKind, ExecConfig, ExecOptions, Outcome, Program, Statement, TransactionManager,
-};
+use mera_txn::{EngineKind, ExecConfig, ExecOptions, MvccManager, Outcome, Program, Statement};
 use proptest::prelude::*;
 
 fn base_schema() -> DatabaseSchema {
@@ -108,12 +106,13 @@ fn wop() -> impl Strategy<Value = WOp> {
     ]
 }
 
-fn apply(mgr: &TransactionManager, op: &WOp) {
+fn apply(mgr: &MvccManager, op: &WOp) {
     let (name, stmt) = match op {
         WOp::Insert(into_r, rows) => {
             let name = if *into_r { "r" } else { "s" };
             let schema = mgr
-                .snapshot()
+                .pin()
+                .database()
                 .relation(name)
                 .expect("base relation")
                 .schema()
@@ -135,9 +134,7 @@ fn apply(mgr: &TransactionManager, op: &WOp) {
             (name, Statement::delete(name, RelExpr::scan(name).select(p)))
         }
     };
-    let (outcome, _) = mgr
-        .execute(&Program::single(stmt))
-        .expect("base DML executes");
+    let (outcome, _) = mgr.execute(&Program::single(stmt));
     assert!(
         matches!(outcome, Outcome::Committed(_)),
         "workload DML on {name} must commit"
@@ -161,16 +158,17 @@ proptest! {
                     options: ExecOptions::with_partitions(partitions),
                     ..Default::default()
                 };
-                let mgr = TransactionManager::with_config(base_schema(), config);
+                let mgr = MvccManager::with_config(base_schema(), config);
                 mgr.create_view("v", expr.clone())
                     .unwrap_or_else(|e| panic!("generated views are total: {e}\nplan: {expr}"));
                 for op in &ops {
                     apply(&mgr, op);
-                    let refreshed = mgr.view("v").expect("view exists");
-                    let recomputed = mera_eval::eval(&expr, &mgr.snapshot())
+                    let version = mgr.pin();
+                    let refreshed = version.views().get("v").expect("view exists").data();
+                    let recomputed = mera_eval::eval(&expr, version.database())
                         .expect("total definitions recompute");
                     prop_assert_eq!(
-                        &refreshed, &recomputed,
+                        refreshed.as_ref(), &recomputed,
                         "{:?}/p{} diverged after {:?} (workload {:?}) on view: {}",
                         engine, partitions, op, ops, expr
                     );

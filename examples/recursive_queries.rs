@@ -13,7 +13,7 @@ use std::sync::Arc;
 use mera::core::prelude::*;
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
 use mera::lang::Session;
-use mera::txn::{Constraint, ConstraintSet, ExecConfig, Program, Statement, TransactionManager};
+use mera::txn::{Constraint, ConstraintSet, MvccManager, Program, Statement};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── recursive queries via closure(E) ───────────────────────────────
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             &schema,
         )?;
-    let mgr = TransactionManager::with_constraints(schema, ExecConfig::default(), constraints);
+    let mgr = MvccManager::new(schema).with_constraints(constraints);
 
     let part_rows = |names: &[&str]| -> Relation {
         Relation::from_tuples(
@@ -111,23 +111,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "supplies",
                 RelExpr::values(edge("bike", "wheel")),
             )),
-    )?;
+    );
     println!("\nvalid load: committed = {}", outcome.is_committed());
 
     // a dangling component aborts atomically at commit time
-    let (outcome, transition) = mgr.execute(&Program::single(Statement::insert(
+    let before = mgr.pin();
+    let (outcome, after) = mgr.execute(&Program::single(Statement::insert(
         "supplies",
         RelExpr::values(edge("wheel", "warpdrive")),
-    )))?;
+    )));
     println!("dangling component: {outcome:?}");
     assert!(!outcome.is_committed());
-    assert!(transition.is_identity());
+    assert_eq!(after.seq(), before.seq(), "an abort publishes nothing");
 
     // a self-supply violates the check constraint
     let (outcome, _) = mgr.execute(&Program::single(Statement::insert(
         "supplies",
         RelExpr::values(edge("wheel", "wheel")),
-    )))?;
+    )));
     println!("self-supply: {outcome:?}");
     assert!(!outcome.is_committed());
 
@@ -136,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &RelExpr::scan("supplies")
             .closure()
             .group_by(&[1], Aggregate::Cnt, 2),
-        &mgr.snapshot(),
+        mgr.pin().database(),
     )?;
     println!("\ntransitive fan-out in the constrained database:\n{reachable}");
     Ok(())

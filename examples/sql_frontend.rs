@@ -5,12 +5,12 @@
 
 use mera::core::prelude::*;
 use mera::sql::run_sql;
-use mera::txn::{EngineKind, ExecConfig, TransactionManager};
+use mera::txn::{EngineKind, ExecConfig, MvccManager};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every statement runs through the unified batched engine; swap in
     // `EngineKind::Parallel` to fan the same plans out across partitions
-    let mgr = TransactionManager::with_config(
+    let mgr = MvccManager::with_config(
         mera::beer_schema(),
         ExecConfig::with_engine(EngineKind::Physical),
     );

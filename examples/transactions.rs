@@ -1,13 +1,18 @@
 //! Programs and transactions (paper §4): Example 4.1's update, temporary
-//! relations, atomic abort, and redo-log recovery.
+//! relations, atomic abort, and recovery from the write-ahead log.
 //!
 //! Run with `cargo run --example transactions`.
 
+use mera::core::prelude::DatabaseSchema;
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
-use mera::txn::{Program, Statement, TransactionManager};
+use mera::store::{wal, ConcurrentDb, MemStorage, StoreOptions, WalRecord, WAL_FILE};
+use mera::txn::{Program, Statement};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mgr = TransactionManager::new(mera::beer_schema());
+    // the durable front door over an in-memory "disk": every commit is in
+    // the write-ahead log before it is visible
+    let disk = MemStorage::new();
+    let db = ConcurrentDb::open(disk.clone(), mera::beer_schema(), StoreOptions::default())?;
 
     // ── load the fixture through insert statements ─────────────────────
     let fixture = mera::beer_database();
@@ -20,14 +25,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "brewery",
             RelExpr::values(fixture.relation("brewery")?.clone()),
         ));
-    let (outcome, transition) = mgr.execute(&load)?;
-    assert!(outcome.is_committed());
+    let before = db.pin();
+    assert!(db.try_execute(&load)?.is_committed());
+    let loaded = db.pin();
     println!(
         "t={}: loaded {} beers, {} breweries (single-step transition: {})",
-        mgr.time(),
-        mgr.snapshot().relation("beer")?.len(),
-        mgr.snapshot().relation("brewery")?.len(),
-        transition.is_single_step(),
+        loaded.time(),
+        loaded.database().relation("beer")?.len(),
+        loaded.database().relation("brewery")?.len(),
+        loaded.time() == before.time() + 1,
     );
 
     // ── Example 4.1: Guineken raises alcohol percentages by 10% ───────
@@ -41,10 +47,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ScalarExpr::attr(3).mul(ScalarExpr::real(1.1)),
         ],
     ));
-    mgr.execute(&guineken_update)?;
+    db.execute(&guineken_update)?;
     println!(
         "\nafter the Example 4.1 update:\n{}",
-        mgr.snapshot().relation("beer")?
+        db.pin().database().relation("beer")?
     );
 
     // ── a multi-statement transaction with a temporary relation ───────
@@ -61,46 +67,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 )
                 .group_by(&[4], Aggregate::Max, 3),
         ));
-    let (outcome, _) = mgr.execute(&report)?;
-    let outputs = outcome.outputs().expect("committed");
+    let outputs = db.execute(&report)?;
     println!(
         "\nstrongest beer per Dutch brewery (via a temporary):\n{}",
         outputs.queries[0]
     );
     // temporaries never survive the transaction
-    assert!(mgr.snapshot().relation("dutch").is_err());
+    assert!(db.pin().database().relation("dutch").is_err());
 
     // ── atomicity: an error mid-transaction rolls everything back ─────
-    let before = mgr.snapshot();
+    let before = db.pin();
     let doomed = Program::new()
         .then(Statement::delete("beer", RelExpr::scan("beer"))) // wipe...
         .then(Statement::query(
             // ...then fail: AVG over the now-empty relation
             RelExpr::scan("beer").group_by(&[], Aggregate::Avg, 3),
         ));
-    let (outcome, transition) = mgr.execute(&doomed)?;
+    let outcome = db.try_execute(&doomed)?;
     println!("\ndoomed transaction: {:?}", outcome);
     assert!(!outcome.is_committed());
-    assert!(transition.is_identity());
+    let after = db.pin();
+    assert_eq!(after.seq(), before.seq(), "an abort publishes nothing");
     assert_eq!(
-        mgr.snapshot().relation("beer")?,
-        before.relation("beer")?,
+        after.database().relation("beer")?,
+        before.database().relation("beer")?,
         "the delete was rolled back"
     );
     println!("database unchanged after abort ✓ (T(D) = D, the atomicity property)");
 
-    // ── durability: replay the redo log from scratch ──────────────────
-    let log = mgr.log();
+    // ── durability: the write-ahead log is the redo log ───────────────
+    let image = disk.image();
+    let commits: Vec<String> = wal::scan(&image[WAL_FILE])?
+        .records
+        .into_iter()
+        .filter_map(|record| match record {
+            WalRecord::Commit { time, text } => Some(format!("{time}\t{text}")),
+            _ => None,
+        })
+        .collect();
     println!(
-        "\nredo log has {} committed transaction(s):\n{}",
-        log.len(),
-        log.to_text()
+        "\nthe log holds {} committed transaction(s) — reads and aborts leave no record:",
+        commits.len()
     );
-    let recovered = TransactionManager::recover(mera::beer_schema(), &log)?;
-    assert_eq!(
-        recovered.snapshot().relation("beer")?,
-        mgr.snapshot().relation("beer")?
-    );
+    for line in &commits {
+        let shown: String = line.chars().take(100).collect();
+        println!("{shown}{}", if shown.len() < line.len() { "…" } else { "" });
+    }
+    // "power loss": reopen from the bytes that reached the disk
+    let rebooted = MemStorage::from_image(image);
+    let recovered = ConcurrentDb::open(rebooted, DatabaseSchema::new(), StoreOptions::default())?;
+    let (recovered, live) = (recovered.pin(), db.pin());
+    assert_eq!(recovered.database(), live.database());
     println!("recovered state matches the live state ✓");
     Ok(())
 }

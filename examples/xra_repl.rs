@@ -70,7 +70,7 @@ fn run(session: &mut Session, src: &str) {
                         for q in queries {
                             println!("{q}");
                         }
-                        println!("ok (t={})", session.database().time());
+                        println!("ok (t={})", session.pin().time());
                     }
                     RunResult::Aborted(reason) => println!("aborted: {reason}"),
                 }

@@ -1,13 +1,15 @@
-//! Experiment E9 — the §4.3 atomicity property under systematic fault
-//! injection: for a program of n statements and every fault point
-//! `0..=n`, the resulting state is either the full effect (`T(D) =
+//! Experiment E9 — the §4.3 atomicity property under systematic
+//! mid-program failure: for a program of n statements and every fault
+//! point `0..=n` (a statement that fails at runtime, spliced in before
+//! statement `i`), the resulting state is either the full effect (`T(D) =
 //! D_{t.n}`) or the original (`T(D) = D`) — never anything in between.
 
 use std::sync::Arc;
 
 use mera::core::prelude::*;
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
-use mera::txn::{Outcome, Program, Statement, TransactionManager};
+use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+use mera::txn::{ExecConfig, MvccManager, Outcome, Program, Statement};
 use proptest::prelude::*;
 
 fn schema() -> DatabaseSchema {
@@ -59,6 +61,41 @@ fn build_program(ops: &[(u8, i64)]) -> Program {
     p
 }
 
+/// A statement that always fails when it *runs*: a division by zero over
+/// a one-row `values`.
+fn fault() -> Statement {
+    let one = Relation::from_tuples(
+        Arc::new(Schema::named(&[("n", DataType::Int)])),
+        vec![tuple![1_i64]],
+    )
+    .expect("typed");
+    Statement::query(
+        RelExpr::values(one).ext_project(vec![ScalarExpr::attr(1).div(ScalarExpr::int(0))]),
+    )
+}
+
+/// `program` with [`fault`] spliced in before statement `at`.
+fn with_fault(program: &Program, at: usize) -> Program {
+    let mut statements = program.statements.clone();
+    statements.insert(at, fault());
+    statements.into_iter().collect()
+}
+
+/// A manager that skips static analysis, so the fault fires where it
+/// stands — after the statements before it have executed — rather than
+/// being rejected before the first one.
+fn manager(seed: &Program) -> MvccManager {
+    let config = ExecConfig {
+        analyze: false,
+        ..ExecConfig::default()
+    };
+    let mgr = MvccManager::with_config(schema(), config);
+    if !seed.is_empty() {
+        assert!(mgr.execute(seed).0.is_committed(), "seed commits");
+    }
+    mgr
+}
+
 proptest! {
     /// All-or-nothing: for every fault point, the database equals either
     /// the pre-state or the full post-state.
@@ -69,58 +106,50 @@ proptest! {
     ) {
         let program = build_program(&ops);
         // seed some initial data through a committed transaction
-        let mgr = TransactionManager::new(schema());
         let mut seed_p = Program::new();
         for &(who, amount) in &seed {
             seed_p = seed_p.then(deposit(if who == 0 { "a" } else { "b" }, amount));
         }
-        if !seed_p.is_empty() {
-            let (o, _) = mgr.execute(&seed_p).expect("seed commits");
-            prop_assert!(o.is_committed());
-        }
-        let pre = mgr.snapshot();
+        let pre = manager(&seed_p).pin();
 
         // the full effect, computed on an independent manager
-        let oracle = TransactionManager::new(schema());
-        if !seed_p.is_empty() {
-            oracle.execute(&seed_p).expect("seed commits");
-        }
-        let (oracle_outcome, _) = oracle.execute(&program).expect("runs");
-        let full = oracle.snapshot();
+        let oracle = manager(&seed_p);
+        let (oracle_outcome, full) = oracle.execute(&program);
 
         for fault_at in 0..=program.len() {
             // a fresh manager in the pre-state each time
-            let m = TransactionManager::new(schema());
-            if !seed_p.is_empty() {
-                m.execute(&seed_p).expect("seed commits");
-            }
-            let (outcome, transition) = if fault_at < program.len() {
-                m.execute_with_fault(&program, fault_at).expect("runs")
+            let m = manager(&seed_p);
+            let before = m.pin();
+            let (outcome, after) = if fault_at < program.len() {
+                m.execute(&with_fault(&program, fault_at))
             } else {
-                m.execute(&program).expect("runs")
+                m.execute(&program)
             };
-            let acct = m.snapshot().relation("acct").expect("present").clone();
+            let acct = after.database().relation("acct").expect("present");
             match outcome {
                 Outcome::Aborted(_) => {
                     prop_assert_eq!(
-                        &acct,
-                        pre.relation("acct").expect("present"),
+                        acct,
+                        pre.database().relation("acct").expect("present"),
                         "aborted at {} but state is neither pre nor post",
                         fault_at
                     );
-                    prop_assert!(transition.is_identity());
+                    // an abort is not a transition: nothing was published
+                    prop_assert_eq!(after.seq(), before.seq());
+                    prop_assert_eq!(after.time(), before.time());
                 }
                 Outcome::Committed(_) => {
                     prop_assert!(oracle_outcome.is_committed());
-                    prop_assert_eq!(&acct, full.relation("acct").expect("present"));
+                    prop_assert_eq!(acct, full.database().relation("acct").expect("present"));
                     prop_assert_eq!(fault_at, program.len(), "fault must abort");
                 }
             }
         }
     }
 
-    /// Durability: replaying the redo log always reconstructs the exact
-    /// relation contents, whatever mix of commits and aborts happened.
+    /// Durability: reopening from the crash image (replaying the WAL)
+    /// always reconstructs the exact relation contents and logical time,
+    /// whatever mix of commits and aborts happened.
     #[test]
     fn recovery_reconstructs_state(
         txns in proptest::collection::vec(
@@ -128,38 +157,44 @@ proptest! {
             0..6
         ),
     ) {
-        let mgr = TransactionManager::new(schema());
+        let storage = MemStorage::new();
+        let db = ConcurrentDb::open(storage.clone(), schema(), StoreOptions::default())
+            .expect("opens");
         for (ops, inject_fault) in &txns {
             let program = build_program(ops);
-            if *inject_fault && !program.is_empty() {
-                let _ = mgr.execute_with_fault(&program, 0).expect("runs");
+            let outcome = if *inject_fault {
+                db.try_execute(&with_fault(&program, 0))
             } else {
-                let _ = mgr.execute(&program).expect("runs");
-            }
+                db.try_execute(&program)
+            };
+            outcome.expect("storage healthy");
         }
-        let recovered = TransactionManager::recover(schema(), &mgr.log()).expect("recovers");
-        let replayed = recovered.snapshot();
-        let live = mgr.snapshot();
+        let recovered = ConcurrentDb::open(
+            MemStorage::from_image(storage.image()),
+            DatabaseSchema::new(),
+            StoreOptions::default(),
+        )
+        .expect("recovers");
+        let (replayed, live) = (recovered.pin(), db.pin());
+        prop_assert_eq!(replayed.time(), live.time());
         prop_assert_eq!(
-            replayed.relation("acct").expect("present"),
-            live.relation("acct").expect("present")
+            replayed.database().relation("acct").expect("present"),
+            live.database().relation("acct").expect("present")
         );
     }
 }
 
-/// Isolation by serial execution: concurrent transfer transactions keep
-/// the invariant Σ amounts constant.
+/// Isolation by snapshots and first-committer-wins: concurrent transfer
+/// transactions keep the invariant Σ amounts constant.
 #[test]
-fn serial_isolation_preserves_invariants() {
-    let mgr = Arc::new(TransactionManager::new(schema()));
+fn snapshot_isolation_preserves_invariants() {
+    let mgr = Arc::new(MvccManager::new(schema()));
     // seed: two accounts with 1000 each
-    let (o, _) = mgr
-        .execute(
-            &Program::new()
-                .then(deposit("a", 1000))
-                .then(deposit("b", 1000)),
-        )
-        .expect("seed");
+    let (o, _) = mgr.execute(
+        &Program::new()
+            .then(deposit("a", 1000))
+            .then(deposit("b", 1000)),
+    );
     assert!(o.is_committed());
 
     let transfer = |from: &str, to: &str, amount: i64| -> Program {
@@ -198,7 +233,10 @@ fn serial_isolation_preserves_invariants() {
                     } else {
                         transfer("b", "a", 5)
                     };
-                    mgr.execute(&p).expect("commits");
+                    // every transfer writes the same unkeyed relation:
+                    // the losers of a race abort with a conflict and
+                    // retry against a newer snapshot
+                    while !mgr.execute(&p).0.is_committed() {}
                 }
             })
         })
@@ -208,8 +246,8 @@ fn serial_isolation_preserves_invariants() {
     }
 
     // Σ amounts is invariant under transfers
-    let snapshot = mgr.snapshot();
-    let acct = snapshot.relation("acct").expect("present");
+    let snapshot = mgr.pin();
+    let acct = snapshot.database().relation("acct").expect("present");
     let total: i64 = acct
         .iter()
         .map(|(t, m)| t.attr(2).expect("amount").as_int().expect("int") * m as i64)

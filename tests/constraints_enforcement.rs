@@ -7,10 +7,7 @@ use std::sync::Arc;
 
 use mera::core::prelude::*;
 use mera::expr::{CmpOp, RelExpr, ScalarExpr};
-use mera::txn::{
-    AbortReason, Constraint, ConstraintSet, ExecConfig, Outcome, Program, Statement,
-    TransactionManager,
-};
+use mera::txn::{AbortReason, Constraint, ConstraintSet, MvccManager, Outcome, Program, Statement};
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::new()
@@ -30,7 +27,7 @@ fn schema() -> DatabaseSchema {
         .expect("fresh")
 }
 
-fn constrained_manager() -> TransactionManager {
+fn constrained_manager() -> MvccManager {
     let s = schema();
     let constraints = ConstraintSet::new()
         .with(
@@ -64,7 +61,7 @@ fn constrained_manager() -> TransactionManager {
             &s,
         )
         .expect("check declares");
-    TransactionManager::with_constraints(s, ExecConfig::default(), constraints)
+    MvccManager::new(s).with_constraints(constraints)
 }
 
 fn insert(rel: &str, rows: Vec<Tuple>, types: &[DataType]) -> Statement {
@@ -81,7 +78,7 @@ fn valid_transactions_commit() {
     let p = Program::new()
         .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
         .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T));
-    let (outcome, _) = mgr.execute(&p).expect("runs");
+    let (outcome, _) = mgr.execute(&p);
     assert!(outcome.is_committed(), "{outcome:?}");
     assert_eq!(mgr.constraints().len(), 3);
 }
@@ -93,34 +90,30 @@ fn duplicate_insert_aborts_on_pk() {
         &Program::new()
             .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
             .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T)),
-    )
-    .expect("setup commits");
+    );
     // bag insert would happily create multiplicity 2 — the PK forbids it
-    let (outcome, transition) = mgr
-        .execute(&Program::single(insert(
-            "beer",
-            vec![tuple!["A", "X", 5.0_f64]],
-            &BEER_T,
-        )))
-        .expect("runs");
+    let before = mgr.pin();
+    let (outcome, after) = mgr.execute(&Program::single(insert(
+        "beer",
+        vec![tuple!["A", "X", 5.0_f64]],
+        &BEER_T,
+    )));
     let Outcome::Aborted(AbortReason::ConstraintViolation(v)) = outcome else {
         panic!("expected constraint abort, got {outcome:?}");
     };
     assert!(v.contains("beer_pk"), "{v}");
-    assert!(transition.is_identity());
-    assert_eq!(mgr.snapshot().relation("beer").expect("present").len(), 1);
+    assert_eq!(after.seq(), before.seq(), "an abort publishes nothing");
+    assert_eq!(after.database().relation("beer").expect("present").len(), 1);
 }
 
 #[test]
 fn dangling_foreign_key_aborts() {
     let mgr = constrained_manager();
-    let (outcome, _) = mgr
-        .execute(&Program::single(insert(
-            "beer",
-            vec![tuple!["A", "Ghost", 5.0_f64]],
-            &BEER_T,
-        )))
-        .expect("runs");
+    let (outcome, _) = mgr.execute(&Program::single(insert(
+        "beer",
+        vec![tuple!["A", "Ghost", 5.0_f64]],
+        &BEER_T,
+    )));
     assert!(matches!(
         outcome,
         Outcome::Aborted(AbortReason::ConstraintViolation(ref v)) if v.contains("fk")
@@ -134,8 +127,7 @@ fn check_constraint_guards_updates() {
         &Program::new()
             .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
             .then(insert("beer", vec![tuple!["A", "X", 60.0_f64]], &BEER_T)),
-    )
-    .expect("setup");
+    );
     // the Guineken update at ×2 would push alcperc past 100
     let update = Program::single(Statement::update(
         "beer",
@@ -146,14 +138,15 @@ fn check_constraint_guards_updates() {
             ScalarExpr::attr(3).mul(ScalarExpr::real(2.0)),
         ],
     ));
-    let (outcome, _) = mgr.execute(&update).expect("runs");
+    let (outcome, _) = mgr.execute(&update);
     assert!(matches!(
         outcome,
         Outcome::Aborted(AbortReason::ConstraintViolation(ref v)) if v.contains("alcperc_range")
     ));
     // the original value survived
-    let beer = mgr.snapshot();
+    let beer = mgr.pin();
     assert!(beer
+        .database()
         .relation("beer")
         .expect("present")
         .contains(&tuple!["A", "X", 60.0_f64]));
@@ -167,7 +160,7 @@ fn checking_is_deferred_to_commit() {
     let p = Program::new()
         .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T))
         .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T));
-    let (outcome, _) = mgr.execute(&p).expect("runs");
+    let (outcome, _) = mgr.execute(&p);
     assert!(outcome.is_committed(), "{outcome:?}");
 }
 
@@ -178,49 +171,21 @@ fn delete_can_break_fk_and_aborts() {
         &Program::new()
             .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
             .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T)),
-    )
-    .expect("setup");
+    );
     // deleting the brewery leaves a dangling beer reference
-    let (outcome, _) = mgr
-        .execute(&Program::single(Statement::delete(
-            "brewery",
-            RelExpr::scan("brewery"),
-        )))
-        .expect("runs");
+    let (outcome, _) = mgr.execute(&Program::single(Statement::delete(
+        "brewery",
+        RelExpr::scan("brewery"),
+    )));
     assert!(matches!(
         outcome,
         Outcome::Aborted(AbortReason::ConstraintViolation(_))
     ));
     // cascading manually within one transaction works
-    let (outcome, _) = mgr
-        .execute(
-            &Program::new()
-                .then(Statement::delete("beer", RelExpr::scan("beer")))
-                .then(Statement::delete("brewery", RelExpr::scan("brewery"))),
-        )
-        .expect("runs");
-    assert!(outcome.is_committed());
-}
-
-#[test]
-fn recovery_respects_constraints() {
-    let mgr = constrained_manager();
-    mgr.execute(
+    let (outcome, _) = mgr.execute(
         &Program::new()
-            .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
-            .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T)),
-    )
-    .expect("setup");
-    // aborted (violating) transactions never reach the log, so replay
-    // under the same constraints succeeds
-    let _ = mgr.execute(&Program::single(insert(
-        "beer",
-        vec![tuple!["A", "X", 5.0_f64]],
-        &BEER_T,
-    )));
-    let recovered = TransactionManager::recover(schema(), &mgr.log()).expect("recovers");
-    assert_eq!(
-        recovered.snapshot().relation("beer").expect("present"),
-        mgr.snapshot().relation("beer").expect("present")
+            .then(Statement::delete("beer", RelExpr::scan("beer")))
+            .then(Statement::delete("brewery", RelExpr::scan("brewery"))),
     );
+    assert!(outcome.is_committed());
 }

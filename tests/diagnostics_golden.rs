@@ -51,8 +51,8 @@ fn check_rendered(name: &str, golden: &str, actual: &str) {
 }
 
 /// A manager over the beer schema with `key beer(name)` declared.
-fn keyed_beer_manager() -> mera::txn::TransactionManager {
-    let mgr = mera::txn::TransactionManager::new(mera::beer_schema());
+fn keyed_beer_manager() -> mera::txn::MvccManager {
+    let mgr = mera::txn::MvccManager::new(mera::beer_schema());
     let p = Program::single(Statement::insert(
         "beer",
         RelExpr::values(
@@ -67,7 +67,7 @@ fn keyed_beer_manager() -> mera::txn::TransactionManager {
             .expect("typed literal"),
         ),
     ));
-    let (outcome, _) = mgr.execute(&p).expect("seed insert");
+    let (outcome, _) = mgr.execute(&p);
     assert!(outcome.is_committed());
     mgr.declare_key("beer", &[1]).expect("key declares");
     mgr
@@ -92,7 +92,7 @@ fn key_violation_at_commit() {
             .expect("typed literal"),
         ),
     ));
-    let (outcome, _) = mgr.execute(&p).expect("transaction runs");
+    let (outcome, _) = mgr.execute(&p);
     let mera::txn::Outcome::Aborted(mera::txn::AbortReason::KeyViolation(diag)) = outcome else {
         panic!("violating insert must abort on the key, got {outcome:?}");
     };

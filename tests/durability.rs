@@ -1,11 +1,12 @@
-//! Repo-level differential test: the durable engine against the volatile
-//! [`TransactionManager`] — same programs, same outcomes, same final
-//! state, and the durable one still has it after a "reboot".
+//! Repo-level differential test: the durable front door
+//! ([`ConcurrentDb`]) against the volatile one (a bare [`MvccManager`]) —
+//! same programs, same outcomes, same final state, and the durable one
+//! still has it after a "reboot".
 
 use mera::core::prelude::*;
 use mera::lang::Lowerer;
-use mera::store::{DurableDb, DurableSession, MemStorage, StoreOptions};
-use mera::txn::{Program, TransactionManager};
+use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+use mera::txn::{MvccManager, Program};
 
 fn parse(db: &Database, text: &str) -> Program {
     let parsed = mera::lang::parse_program(text).expect("parses");
@@ -14,7 +15,7 @@ fn parse(db: &Database, text: &str) -> Program {
 }
 
 #[test]
-fn durable_engine_matches_transaction_manager() {
+fn durable_engine_matches_volatile_engine() {
     let schema = mera::beer_schema();
     let programs = [
         "insert(beer, values (str, str, real) {('Grolsch', 'Grolsche', 5.0)})",
@@ -24,60 +25,59 @@ fn durable_engine_matches_transaction_manager() {
         "?project[%1](beer)",
     ];
 
-    let mgr = TransactionManager::new(schema.clone());
+    let mgr = MvccManager::new(schema.clone());
     let storage = MemStorage::new();
-    let mut durable =
-        DurableDb::open(storage.clone(), schema, StoreOptions::default()).expect("open");
+    let durable =
+        ConcurrentDb::open(storage.clone(), schema, StoreOptions::default()).expect("open");
 
     for text in programs {
-        let program = parse(durable.database(), text);
-        let (outcome, _) = mgr.execute(&program).expect("volatile path");
+        let program = parse(durable.pin().database(), text);
+        let (outcome, _) = mgr.execute(&program);
         let durable_outputs = durable.execute(&program).expect("durable path");
         let volatile_outputs = outcome.outputs().expect("workload commits");
         assert_eq!(&durable_outputs, volatile_outputs, "outputs for {text}");
     }
-    assert_eq!(durable.database(), &mgr.snapshot());
+    let expected = mgr.pin();
+    assert_eq!(durable.pin().database(), expected.database());
 
-    // Reboot: only the durable engine survives, and it equals both.
-    let expected = durable.database().clone();
+    // Reboot: only the durable engine survives, and it still equals the
+    // volatile one — clock included.
     drop(durable);
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(storage.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("recovers");
-    assert_eq!(recovered.database(), &expected);
-    assert_eq!(recovered.database(), &mgr.snapshot());
+    assert_eq!(recovered.pin().database(), expected.database());
 }
 
 #[test]
-fn durable_session_runs_the_readme_script() {
+fn durable_door_runs_the_readme_script() {
     let storage = MemStorage::new();
-    let db = DurableDb::open(
+    let db = ConcurrentDb::open(
         storage.clone(),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
     .expect("open");
-    let mut session = DurableSession::new(db);
-    session
-        .run_script(
-            "relation beer (name: str, brewery: str, alcperc: real);\n\
+    db.run_script(
+        "relation beer (name: str, brewery: str, alcperc: real);\n\
              begin insert(beer, values (str, str, real) {\n\
                ('Grolsch','Grolsche',5.0), ('Bock','Grolsche',6.5), ('Bock','Heineken',6.3)\n\
              }); end",
-        )
-        .expect("script commits");
-    let expected = session.database().clone();
-    drop(session);
+    )
+    .expect("script commits");
+    let expected = db.pin().database().clone();
+    drop(db);
 
-    let recovered = DurableDb::open(
+    let recovered = ConcurrentDb::open(
         MemStorage::from_image(storage.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
-    .expect("recovers");
+    .expect("recovers")
+    .pin();
     assert_eq!(recovered.database(), &expected);
     assert_eq!(
         recovered

@@ -9,7 +9,7 @@ use mera::lang::{Lowerer, Session};
 use mera::opt::{reorder_joins, CatalogStats, Optimizer};
 use mera::setalg::eval_set;
 use mera::sql::{parse_sql, run_sql, translate, Translated};
-use mera::txn::TransactionManager;
+use mera::txn::MvccManager;
 
 /// Example 3.1 through five different paths.
 #[test]
@@ -131,7 +131,7 @@ fn xra_session_full_lifecycle() {
     assert!(session.query("joined").is_err());
 
     // aborted transaction leaves everything intact
-    let before = session.database().clone();
+    let before = session.pin().database().clone();
     let results = session
         .run_script(
             "begin\n\
@@ -142,7 +142,7 @@ fn xra_session_full_lifecycle() {
         .expect("script lowers");
     assert!(matches!(results[0], mera::lang::RunResult::Aborted(_)));
     assert_eq!(
-        session.database().relation("beer").expect("present"),
+        session.pin().database().relation("beer").expect("present"),
         before.relation("beer").expect("present")
     );
 }
@@ -150,7 +150,7 @@ fn xra_session_full_lifecycle() {
 /// The SQL manager path end-to-end, including DML.
 #[test]
 fn sql_manager_lifecycle() {
-    let mgr = TransactionManager::new(mera::beer_schema());
+    let mgr = MvccManager::new(mera::beer_schema());
     run_sql(
         &mgr,
         "INSERT INTO beer VALUES ('A','X',4.0), ('B','X',5.0), ('B','X',5.0)",

@@ -13,7 +13,7 @@
 
 use mera::lang::{RunResult, Session};
 use mera::sql::{explain_sql, run_sql};
-use mera::txn::TransactionManager;
+use mera::txn::MvccManager;
 
 fn check(name: &str, golden: &str, actual: &str) {
     if std::env::var_os("MERA_BLESS").is_some() {
@@ -113,7 +113,7 @@ fn small_probe_side_takes_index_nested_loop() {
 
 #[test]
 fn sql_front_door_explains_joins() {
-    let mgr = TransactionManager::new(mera::beer_schema());
+    let mgr = MvccManager::new(mera::beer_schema());
     run_sql(
         &mgr,
         "INSERT INTO beer VALUES \
@@ -174,7 +174,7 @@ fn sql_primary_key_annotates_plan_and_absorbs_distinct() {
     // the SQL front door's PRIMARY KEY feeds the same property pass: the
     // DISTINCT in the query is provably redundant and the rendered plan
     // carries the key annotation instead of a unique operator
-    let mgr = TransactionManager::new(mera::core::prelude::DatabaseSchema::new());
+    let mgr = MvccManager::new(mera::core::prelude::DatabaseSchema::new());
     run_sql(
         &mgr,
         "CREATE TABLE member (name STR, town STR, PRIMARY KEY (name))",
