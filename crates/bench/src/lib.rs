@@ -17,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod scaling;
 
 use std::sync::Arc;
 

@@ -1,11 +1,12 @@
 //! The single execution entry point shared by every evaluation path.
 //!
-//! An [`Engine`] bundles *which* evaluator runs ([`EngineKind`]), *how* it
-//! runs ([`ExecOptions`]: batch size and partition count), and optionally a
-//! set of hash indexes applied as a rewrite pre-pass. The transaction
-//! layer, the language session, the SQL examples, and the benchmarks all
-//! construct an `Engine` and call [`Engine::run`] — there is one pipeline
-//! behind the physical, parallel, and indexed paths, not three.
+//! An [`Engine`] bundles *which* evaluator runs ([`EngineKind`]: the
+//! reference oracle or the batched physical engine), *how* it runs
+//! ([`ExecOptions`]: batch size and worker count), and optionally a set of
+//! hash indexes. The transaction layer, the language session, the SQL
+//! examples, and the benchmarks all construct an `Engine` and call
+//! [`Engine::run`] — the one place that picks the serial plan or the
+//! morsel-driven pipelines.
 
 use std::sync::Arc;
 
@@ -29,26 +30,30 @@ pub struct ExecOptions {
     /// values of 0 are treated as 1). Operators may overshoot when a
     /// single input row expands to several output rows.
     pub batch_size: usize,
-    /// Number of hash partitions (and worker threads) the parallel kernels
-    /// use. Ignored by the serial paths.
+    /// Worker count of the physical engine: 1 runs the serial batched
+    /// plan, more run the morsel-driven pipelines (radix-partitioned
+    /// builds and aggregates). Ignored by the reference evaluator.
     pub partitions: usize,
 }
 
 impl Default for ExecOptions {
     fn default() -> Self {
-        ExecOptions {
-            batch_size: DEFAULT_BATCH_SIZE,
-            partitions: crate::parallel::default_partitions(),
-        }
+        Self::DEFAULT
     }
 }
 
 impl ExecOptions {
+    /// The default options: full batches, one worker (the serial plan).
+    pub const DEFAULT: ExecOptions = ExecOptions {
+        batch_size: DEFAULT_BATCH_SIZE,
+        partitions: 1,
+    };
+
     /// Options with an explicit batch size (partitions stay default).
     pub fn with_batch_size(batch_size: usize) -> Self {
         ExecOptions {
             batch_size,
-            ..Self::default()
+            ..Self::DEFAULT
         }
     }
 
@@ -56,7 +61,7 @@ impl ExecOptions {
     pub fn with_partitions(partitions: usize) -> Self {
         ExecOptions {
             partitions,
-            ..Self::default()
+            ..Self::DEFAULT
         }
     }
 
@@ -77,15 +82,12 @@ pub enum EngineKind {
     /// The executable form of the paper's definitions — slow, obvious, the
     /// oracle everything else is checked against.
     Reference,
-    /// The batched Volcano-style operator pipeline.
+    /// The batched engine: the serial Volcano-style operator pipeline at
+    /// one worker, morsel-driven whole-pipeline parallelism (work-stealing
+    /// morsels, shared radix-partitioned builds, two-phase aggregation) at
+    /// more.
     #[default]
     Physical,
-    /// Hash-partitioned parallel kernels over the same batched operators.
-    Parallel,
-    /// Morsel-driven whole-pipeline parallelism on the reusable worker
-    /// pool: work-stealing morsel scheduling, shared build-side hash
-    /// joins, two-phase parallel aggregation.
-    Morsel,
 }
 
 /// The unified execution engine: kind + options + optional indexes (plus
@@ -103,7 +105,7 @@ impl Engine {
     pub fn new(kind: EngineKind) -> Self {
         Engine {
             kind,
-            opts: ExecOptions::default(),
+            opts: ExecOptions::DEFAULT,
             indexes: None,
             hints: IndexJoinHints::default(),
         }
@@ -117,16 +119,6 @@ impl Engine {
     /// The batched physical engine (the default).
     pub fn physical() -> Self {
         Self::new(EngineKind::Physical)
-    }
-
-    /// The partition-parallel engine.
-    pub fn parallel() -> Self {
-        Self::new(EngineKind::Parallel)
-    }
-
-    /// The morsel-driven parallel engine.
-    pub fn morsel() -> Self {
-        Self::new(EngineKind::Morsel)
     }
 
     /// The physical engine with an index rewrite pre-pass.
@@ -146,7 +138,7 @@ impl Engine {
         self
     }
 
-    /// Sets the partition count used by the parallel kernels.
+    /// Sets the physical engine's worker count (1 = serial plan).
     pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.opts.partitions = partitions;
         self
@@ -204,18 +196,19 @@ impl Engine {
 
     /// Evaluates `expr` against `provider`.
     ///
-    /// The expression is schema-checked once up front. The physical engine
-    /// takes attached indexes as native access paths (lookup operators and
-    /// hinted index-nested-loop joins); the other evaluators fall back to
-    /// the point-selection rewrite pre-pass, which preserves semantics on
-    /// any engine.
+    /// The expression is schema-checked once up front. The serial physical
+    /// plan takes attached indexes as native access paths (lookup operators
+    /// and hinted index-nested-loop joins); the reference evaluator and the
+    /// morsel pipelines fall back to the point-selection rewrite pre-pass,
+    /// which preserves semantics on any path.
     pub fn run(
         &self,
         expr: &RelExpr,
         provider: &(impl RelationProvider + ?Sized),
     ) -> CoreResult<Relation> {
         expr.schema(&Schemas(provider))?;
-        if self.kind == EngineKind::Physical {
+        let serial = self.opts.effective_partitions() == 1;
+        if self.kind == EngineKind::Physical && serial {
             let plan = crate::physical::planner::plan_indexed_with(
                 expr,
                 provider,
@@ -234,9 +227,7 @@ impl Engine {
         };
         match self.kind {
             EngineKind::Reference => crate::reference::eval_unchecked(expr, provider),
-            EngineKind::Physical => unreachable!("handled above"),
-            EngineKind::Parallel => crate::parallel::eval_parallel(expr, provider, &self.opts),
-            EngineKind::Morsel => crate::morsel::eval_morsel(expr, provider, &self.opts),
+            EngineKind::Physical => crate::morsel::eval_morsel(expr, provider, &self.opts),
         }
     }
 }
@@ -275,11 +266,9 @@ mod tests {
         let reference = Engine::reference().run(&e, &db).unwrap();
         for engine in [
             Engine::physical(),
-            Engine::parallel(),
-            Engine::morsel(),
             Engine::physical().with_batch_size(3),
-            Engine::parallel().with_partitions(3),
-            Engine::morsel().with_partitions(3).with_batch_size(5),
+            Engine::physical().with_partitions(3),
+            Engine::physical().with_partitions(3).with_batch_size(5),
         ] {
             assert_eq!(engine.run(&e, &db).unwrap(), reference);
         }
@@ -340,6 +329,19 @@ mod tests {
     fn engine_rejects_invalid_expressions() {
         let db = db();
         assert!(Engine::physical().run(&RelExpr::scan("zzz"), &db).is_err());
+    }
+
+    #[test]
+    fn default_options_are_constant_and_serial() {
+        // the default must not consult the environment (the retired
+        // worker-count variable once did, on every statement)
+        std::env::set_var(concat!("MERA_", "PARTITIONS"), "7");
+        assert_eq!(ExecOptions::default().partitions, 1);
+        assert_eq!(ExecOptions::default(), ExecOptions::DEFAULT);
+        assert_eq!(
+            Engine::new(EngineKind::Physical).options(),
+            &ExecOptions::DEFAULT
+        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! bag model: a [`HashIndex`] maps a key projection to the counted tuples
 //! carrying that key (multiplicities preserved — an index over a bag is
 //! itself a bag structure), an [`IndexSet`] manages indexes per relation,
-//! and [`execute_indexed`] rewrites point-selections over base relations
-//! (`σ_{%i = const ∧ …}(R)`) into index lookups before planning.
+//! and an [`Engine`](crate::Engine) carrying an `IndexSet` answers
+//! point-selections over base relations (`σ_{%i = const ∧ …}(R)`) with
+//! index lookups.
 
 use std::sync::Arc;
 
@@ -14,8 +15,6 @@ use mera_core::prelude::*;
 use mera_expr::rel::RelExpr;
 use mera_expr::scalar::{CmpOp, ScalarExpr};
 use rustc_hash::FxHashMap;
-
-use crate::provider::{RelationProvider, Schemas};
 
 /// A hash index over one key projection of a relation.
 ///
@@ -239,39 +238,14 @@ pub(crate) fn split_point_conjuncts(
     (points, rest)
 }
 
-/// Rewrites point-selections over base relations into index lookups, then
-/// executes the plan with the physical engine.
+/// Rewrites point-selections over base relations into index lookups.
 ///
 /// `σ_{%i=c ∧ rest}(R)` becomes `σ_{rest}(Values(index.lookup(c)))` when an
 /// index on exactly the point-equality attributes of `R` exists; all other
 /// shapes pass through untouched. The rewrite is semantics-preserving
 /// because the lookup returns precisely the counted tuples the selection
-/// would keep.
-pub fn execute_indexed(
-    expr: &RelExpr,
-    provider: &(impl RelationProvider + ?Sized),
-    indexes: &IndexSet,
-) -> CoreResult<Relation> {
-    execute_indexed_with(
-        expr,
-        provider,
-        indexes,
-        &crate::engine::ExecOptions::default(),
-    )
-}
-
-/// [`execute_indexed`] with explicit execution options.
-pub fn execute_indexed_with(
-    expr: &RelExpr,
-    provider: &(impl RelationProvider + ?Sized),
-    indexes: &IndexSet,
-    opts: &crate::engine::ExecOptions,
-) -> CoreResult<Relation> {
-    expr.schema(&Schemas(provider))?;
-    let rewritten = rewrite_with_indexes(expr, indexes)?;
-    crate::physical::execute_with(&rewritten, provider, opts)
-}
-
+/// would keep. [`Engine::run`](crate::Engine::run) applies it wherever the
+/// serial plan's native index access paths are not in play.
 pub(crate) fn rewrite_with_indexes(expr: &RelExpr, indexes: &IndexSet) -> CoreResult<RelExpr> {
     // rewrite children first
     let children: CoreResult<Vec<RelExpr>> = expr
@@ -350,6 +324,11 @@ mod tests {
         db
     }
 
+    fn execute_rewritten(q: &RelExpr, db: &Database, indexes: &IndexSet) -> Relation {
+        let rewritten = rewrite_with_indexes(q, indexes).expect("rewrites");
+        execute(&rewritten, db).expect("indexed")
+    }
+
     #[test]
     fn index_lookup_preserves_multiplicities() {
         let db = db();
@@ -394,7 +373,7 @@ mod tests {
         ];
         for q in queries {
             let plain = execute(&q, &db).expect("plain");
-            let indexed = execute_indexed(&q, &db, &indexes).expect("indexed");
+            let indexed = execute_rewritten(&q, &db, &indexes);
             assert_eq!(indexed, plain, "index rewrite changed semantics for {q}");
         }
     }
@@ -410,7 +389,7 @@ mod tests {
                 .and(ScalarExpr::attr(1).eq(ScalarExpr::str("Bock"))),
         );
         let plain = execute(&q, &db).expect("plain");
-        let indexed = execute_indexed(&q, &db, &indexes).expect("indexed");
+        let indexed = execute_rewritten(&q, &db, &indexes);
         assert_eq!(indexed, plain);
         assert_eq!(
             indexed.multiplicity(&tuple!["Bock", "Grolsche", 6.5_f64]),

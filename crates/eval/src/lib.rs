@@ -1,26 +1,23 @@
 //! # mera-eval — evaluators for the multi-set extended relational algebra
 //!
-//! One batched execution core behind several evaluation paths:
+//! Two evaluators, one entry point:
 //!
 //! * [`mod@reference`] — the executable form of Definitions 3.1–3.4, computed
 //!   directly from the multiplicity laws on counted bags. Slow, obvious,
 //!   and the oracle everything else is checked against.
-//! * [`physical`] — a pipelined engine streaming batches of `(tuple,
-//!   multiplicity)` pairs, with hash joins, hash aggregation and
-//!   instrumented plans,
-//! * [`parallel`] — hash-partitioned parallel kernels for equi-joins and
-//!   keyed group-bys (the PRISMA/DB direction from section 5); each
-//!   partition runs the same batched physical operators,
-//! * [`morsel`] — morsel-driven whole-pipeline parallelism on a reusable
-//!   worker pool: plans are split at pipeline breakers, workers steal
-//!   row-chunk morsels and run entire operator chains over them, joins
-//!   share one build table and aggregation runs in two phases,
-//! * [`index`] — hash indexes and a rewrite pre-pass turning
-//!   point-selections into lookups, feeding the physical engine.
+//! * the batched physical engine, whose worker count picks the schedule:
+//!   at one worker [`physical`] streams batches of `(tuple, multiplicity)`
+//!   pairs through a Volcano-style plan (hash joins, hash aggregation,
+//!   index access paths, instrumented plans); at more, [`morsel`] splits
+//!   the plan at pipeline breakers, workers steal row-chunk morsels and
+//!   run entire operator chains over them, joins share one
+//!   radix-partitioned build table and aggregation runs in two phases —
+//!   the hash-partitioned decomposition PRISMA/DB used (section 5).
 //!
+//! [`index`] holds the hash indexes both schedules use as access paths.
 //! The [`engine::Engine`] entry point unifies them: pick an
 //! [`engine::EngineKind`], tune [`engine::ExecOptions`] (batch size,
-//! partitions), optionally attach an [`IndexSet`], and call
+//! workers), optionally attach an [`IndexSet`], and call
 //! [`engine::Engine::run`]. Equivalence of all paths on arbitrary inputs
 //! is enforced by property tests (`tests/engine_equivalence.rs`).
 
@@ -30,17 +27,14 @@ pub mod engine;
 pub mod index;
 pub mod keys;
 pub mod morsel;
-pub mod parallel;
 pub mod physical;
 mod pool;
 pub mod provider;
 pub mod reference;
 
 pub use engine::{Engine, EngineKind, ExecOptions, DEFAULT_BATCH_SIZE};
-pub use index::{execute_indexed, execute_indexed_with, HashIndex, IndexJoinHints, IndexSet};
+pub use index::{HashIndex, IndexJoinHints, IndexSet};
 pub use keys::{KeySet, KeyViolation};
-pub use morsel::{execute_morsel, execute_morsel_with};
-pub use parallel::{default_partitions, execute_parallel, execute_parallel_with};
 pub use physical::{collect, execute, execute_with};
 pub use provider::{NoRelations, RelationProvider, Schemas};
 pub use reference::eval;

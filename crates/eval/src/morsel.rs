@@ -1,20 +1,19 @@
-//! Morsel-driven whole-pipeline parallel execution.
+//! Morsel-driven whole-pipeline parallel execution — the physical engine
+//! at more than one worker.
 //!
-//! The operator-at-a-time kernels in [`crate::parallel`] parallelize one
-//! plan node at a time: every node materialises a full [`Relation`], both
-//! join inputs are cloned into hash partitions, and a fresh thread scope is
-//! spawned per operator. This module replaces that with the morsel-driven
-//! scheme (Leis et al., and the direction §5 of the paper points to for
-//! PRISMA/DB): a plan is decomposed at its **pipeline breakers** into
-//! *pipelines* of streaming operators, and each pipeline runs in parallel
-//! end to end — workers pull *morsels* (row chunks of `batch_size`) from a
-//! shared work list with work stealing and push every morsel through the
-//! whole operator chain, so a `σ → ⋈ → π` stretch of the plan produces
-//! **zero** intermediate relations. Morsels travel as columnar
-//! [`CountedBatch`]es end to end; a pure-column `π` directly above a
-//! residual-free equi-join even fuses *into* the probe: join output
-//! columns are gathered already projected, the concatenated row never
-//! exists.
+//! Instead of parallelizing one plan node at a time (materialising every
+//! node, cloning join inputs into hash partitions), this module runs the
+//! morsel-driven scheme (Leis et al., and the direction §5 of the paper
+//! points to for PRISMA/DB): a plan is decomposed at its **pipeline
+//! breakers** into *pipelines* of streaming operators, and each pipeline
+//! runs in parallel end to end — workers pull *morsels* (row chunks of
+//! `batch_size`) from a shared work list with work stealing and push every
+//! morsel through the whole operator chain, so a `σ → ⋈ → π` stretch of
+//! the plan produces **zero** intermediate relations. Morsels travel as
+//! columnar [`CountedBatch`]es end to end; a pure-column `π` directly
+//! above a residual-free equi-join even fuses *into* the probe: join
+//! output columns are gathered already projected, the concatenated row
+//! never exists.
 //!
 //! The multiplicity laws make this exact:
 //!
@@ -42,13 +41,16 @@
 //! All workers come from the process-wide reusable [`crate::pool`] — no
 //! per-operator thread spawns — and the calling thread is always one of
 //! the workers, so execution completes even when the pool is saturated.
-//! Worker panics surface as [`CoreError::WorkerPanicked`]. Agreement with
-//! the reference evaluator across partition counts and morsel sizes is
-//! property-tested in `tests/engine_equivalence.rs`.
+//! Worker panics surface as [`CoreError::WorkerPanicked`]. [`Engine::run`]
+//! dispatches here when `partitions > 1`; agreement with the reference
+//! evaluator across worker counts and morsel sizes is property-tested in
+//! `tests/engine_equivalence.rs`.
+//!
+//! [`Engine::run`]: crate::engine::Engine::run
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use mera_core::multiset::Bag;
 use mera_core::prelude::*;
@@ -66,45 +68,16 @@ use crate::physical::ops::{filter_batch, project_batch};
 use crate::physical::planner::ext_project_schema;
 use crate::physical::{Counted, CountedBatch};
 use crate::pool;
-use crate::provider::{RelationProvider, Schemas};
+use crate::provider::RelationProvider;
 
-/// Evaluates an expression with the morsel-driven parallel engine using
-/// `partitions` workers (and default batch/morsel size).
-pub fn execute_morsel(
-    expr: &RelExpr,
-    provider: &(impl RelationProvider + ?Sized),
-    partitions: usize,
-) -> CoreResult<Relation> {
-    let opts = ExecOptions {
-        partitions,
-        ..ExecOptions::default()
-    };
-    execute_morsel_with(expr, provider, &opts)
-}
-
-/// [`execute_morsel`] with full execution options. The batch size doubles
-/// as the morsel size: the unit of work a worker claims from the shared
-/// queue.
-pub fn execute_morsel_with(
-    expr: &RelExpr,
-    provider: &(impl RelationProvider + ?Sized),
-    opts: &ExecOptions,
-) -> CoreResult<Relation> {
-    expr.schema(&Schemas(provider))?;
-    eval_morsel(expr, provider, opts)
-}
-
-/// Engine entry point (input already schema-checked).
+/// Engine entry point (input already schema-checked). The batch size
+/// doubles as the morsel size: the unit of work a worker claims from the
+/// shared queue.
 pub(crate) fn eval_morsel(
     expr: &RelExpr,
     provider: &(impl RelationProvider + ?Sized),
     opts: &ExecOptions,
 ) -> CoreResult<Relation> {
-    if opts.effective_partitions() == 1 {
-        // one worker: the serial batched plan *is* the single-partition
-        // morsel schedule — skip snapshotting and scheduling entirely
-        return crate::physical::execute_with(expr, provider, opts);
-    }
     let mut plan = compile(expr, provider, opts)?;
     let mut out = Relation::empty(Arc::clone(&plan.schema));
     if is_passthrough(&plan) {
@@ -750,11 +723,15 @@ fn run_distinct(p: Pipeline<'_>, opts: &ExecOptions) -> CoreResult<Vec<Counted>>
 // The morsel scheduler
 // ----------------------------------------------------------------------
 
-/// Number of hardware threads — the cap on useful pipeline workers.
-pub(crate) fn hardware_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+/// Number of hardware threads — the cap on useful pipeline workers. Asked
+/// of the OS once per process (on Linux the answer reads cgroup files).
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
 }
 
 /// Workers per pipeline (also the radix partition count, so phase-two
@@ -973,7 +950,7 @@ fn apply_op(op: &MorselOp, batch: CountedBatch) -> CoreResult<Option<CountedBatc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference;
+    use crate::{reference, Engine};
     use mera_core::tuple;
     use mera_expr::{CmpOp, ScalarExpr};
 
@@ -1009,6 +986,10 @@ mod tests {
         db
     }
 
+    fn morsel(partitions: usize) -> Engine {
+        Engine::physical().with_partitions(partitions)
+    }
+
     /// Plans covering every operator class, including the ones hash
     /// partitioning cannot parallelize: δ, empty-key γ, − and ∩.
     fn plans() -> Vec<RelExpr> {
@@ -1021,7 +1002,14 @@ mod tests {
                 .join(s.clone(), ScalarExpr::attr(1).eq(ScalarExpr::attr(3)))
                 .project(&[4, 2])
                 .group_by(&[1], Aggregate::Sum, 2),
-            // equi-join with residual
+            r.clone()
+                .select(ScalarExpr::attr(2).cmp(CmpOp::Lt, ScalarExpr::int(150)))
+                .join(s.clone(), ScalarExpr::attr(1).eq(ScalarExpr::attr(3)))
+                .project(&[4, 2])
+                .group_by(&[1], Aggregate::Cnt, 2),
+            // plain equi-join, and one with a residual
+            r.clone()
+                .join(s.clone(), ScalarExpr::attr(1).eq(ScalarExpr::attr(3))),
             r.clone().join(
                 s.clone(),
                 ScalarExpr::attr(1)
@@ -1034,9 +1022,12 @@ mod tests {
                 ScalarExpr::attr(1).cmp(CmpOp::Lt, ScalarExpr::attr(3)),
             ),
             s.clone().product(s.clone()),
+            // keyed AVG: radix-partitioned, finished per partition
+            r.clone().group_by(&[1], Aggregate::Avg, 2),
             // empty-key γ — unparallelizable by hash partitioning
             r.clone().group_by(&[], Aggregate::Avg, 2),
             r.clone().group_by(&[], Aggregate::Cnt, 1),
+            r.clone().group_by(&[], Aggregate::Sum, 2),
             // δ over a collapsing projection
             r.clone().project(&[1]).distinct(),
             // difference / intersection pipeline breakers
@@ -1067,11 +1058,10 @@ mod tests {
             let want = reference::eval(&e, &db).expect("reference evaluates");
             for partitions in [1, 2, 8] {
                 for batch_size in [1, 7, 1024] {
-                    let opts = ExecOptions {
-                        batch_size,
-                        partitions,
-                    };
-                    let got = execute_morsel_with(&e, &db, &opts).expect("morsel evaluates");
+                    let got = morsel(partitions)
+                        .with_batch_size(batch_size)
+                        .run(&e, &db)
+                        .expect("morsel evaluates");
                     assert_eq!(
                         got, want,
                         "partitions={partitions} batch={batch_size} plan={e}"
@@ -1089,12 +1079,12 @@ mod tests {
         // merge phase must surface the same error as the reference
         let e = empty.clone().group_by(&[], Aggregate::Min, 2);
         let want = reference::eval(&e, &db).expect_err("partial function");
-        let got = execute_morsel(&e, &db, 4).expect_err("partial function");
+        let got = morsel(4).run(&e, &db).expect_err("partial function");
         assert_eq!(got, want);
         // CNT over empty input yields a single 0 row
         let e = empty.group_by(&[], Aggregate::Cnt, 1);
         let want = reference::eval(&e, &db).expect("total");
-        assert_eq!(execute_morsel(&e, &db, 4).expect("total"), want);
+        assert_eq!(morsel(4).run(&e, &db).expect("total"), want);
     }
 
     #[test]
@@ -1106,7 +1096,18 @@ mod tests {
                 .div(ScalarExpr::attr(1).sub(ScalarExpr::attr(1)))
                 .eq(ScalarExpr::int(1)),
         );
-        let got = execute_morsel(&e, &db, 4).expect_err("divides by zero");
+        let got = morsel(4).run(&e, &db).expect_err("divides by zero");
+        assert_eq!(got, CoreError::DivisionByZero);
+        // ... and inside an equi-join's residual, hit during the probe
+        let e = RelExpr::scan("r").join(
+            RelExpr::scan("s"),
+            ScalarExpr::attr(1).eq(ScalarExpr::attr(3)).and(
+                ScalarExpr::int(1)
+                    .div(ScalarExpr::attr(2).sub(ScalarExpr::attr(2)))
+                    .eq(ScalarExpr::int(1)),
+            ),
+        );
+        let got = morsel(4).run(&e, &db).expect_err("divides by zero");
         assert_eq!(got, CoreError::DivisionByZero);
     }
 
@@ -1115,13 +1116,13 @@ mod tests {
         let db = db();
         let e = RelExpr::scan("s").group_by(&[2], Aggregate::Cnt, 1);
         let want = reference::eval(&e, &db).expect("reference");
-        let got = execute_morsel(&e, &db, 64).expect("morsel");
+        let got = morsel(64).run(&e, &db).expect("morsel");
         assert_eq!(got, want);
     }
 
     #[test]
     fn invalid_expressions_are_rejected_up_front() {
         let db = db();
-        assert!(execute_morsel(&RelExpr::scan("zzz"), &db, 4).is_err());
+        assert!(morsel(4).run(&RelExpr::scan("zzz"), &db).is_err());
     }
 }

@@ -246,18 +246,6 @@ pub fn collect(mut op: BoxedOp<'_>) -> CoreResult<Relation> {
     Ok(out)
 }
 
-/// Drains an operator into a plain row vector *without* merging
-/// multiplicities — the same tuple may occur in several rows. Used by the
-/// partition-parallel kernels so worker results can be moved (not cloned)
-/// into the single final merge.
-pub fn collect_rows(mut op: BoxedOp<'_>) -> CoreResult<Vec<Counted>> {
-    let mut out = Vec::new();
-    while let Some(batch) = op.next_batch()? {
-        out.extend(batch);
-    }
-    Ok(out)
-}
-
 /// Plans and executes an expression with default options — the physical
 /// counterpart of [`reference::eval`](crate::reference::eval).
 pub fn execute(

@@ -47,8 +47,7 @@ impl Operator for ScanOp<'_> {
 }
 
 /// Scan over an *owned* row vector, chunking it into batches. Used by the
-/// blocking operators to stream their materialised results, and by the
-/// parallel kernels to scan partition buckets.
+/// blocking operators to stream their materialised results.
 pub struct VecScanOp {
     schema: SchemaRef,
     rows: std::vec::IntoIter<Counted>,

@@ -1,12 +1,12 @@
-//! Engine equivalence: the physical Volcano engine, the hash-partitioned
-//! parallel kernels, the morsel-driven parallel engine, and the reference
+//! Engine equivalence: the physical engine — the serial Volcano plan at
+//! one worker, the morsel-driven pipelines at more — and the reference
 //! evaluator implement the *same* algebra.
 //!
 //! Random databases (with heavy duplication, the regime bag semantics is
-//! about) and random well-typed expression trees are generated; all
-//! engines must produce pointwise-equal relations — or fail with the same
-//! error (for the parallel engines, whose workers race to report first,
-//! with *an* error).
+//! about) and random well-typed expression trees are generated; every
+//! worker count must produce pointwise-equal relations — or fail with the
+//! same error (at several workers, which race to report first, with *an*
+//! error).
 
 use std::sync::Arc;
 
@@ -277,63 +277,57 @@ proptest! {
     /// Mixed-type differential test: bool/real/money columns (the boxed
     /// `Val` column representation), zero-multiplicity results from
     /// differences, and `1 << 40` multiplicities whose products overflow —
-    /// all four engines agree with the reference, or all fail.
+    /// every worker count agrees with the reference, or all fail.
     #[test]
     fn mixed_type_engines_agree(db in db_strategy(), e in expr_m()) {
         let expected = eval(&e, &db);
         for partitions in [1usize, 2, 8] {
-            for engine in [Engine::physical(), Engine::parallel(), Engine::morsel()] {
-                let kind = engine.kind();
-                let got = engine.with_partitions(partitions).run(&e, &db);
-                match (&expected, got) {
-                    (Ok(want), Ok(got)) => prop_assert_eq!(
-                        &got, want,
-                        "{:?} differs (partitions={}) on plan: {}",
-                        kind, partitions, e
-                    ),
-                    (Err(_), Err(_)) => {}
-                    (want, got) => prop_assert!(
-                        false,
-                        "{:?} disagrees about failure (partitions={}) on plan {}: reference={:?} engine={:?}",
-                        kind, partitions, e, want, got
-                    ),
-                }
+            let got = Engine::physical().with_partitions(partitions).run(&e, &db);
+            match (&expected, got) {
+                (Ok(want), Ok(got)) => prop_assert_eq!(
+                    &got, want,
+                    "physical differs (partitions={}) on plan: {}",
+                    partitions, e
+                ),
+                (Err(_), Err(_)) => {}
+                (want, got) => prop_assert!(
+                    false,
+                    "physical disagrees about failure (partitions={}) on plan {}: reference={:?} engine={:?}",
+                    partitions, e, want, got
+                ),
             }
         }
     }
 
-    /// Four-engine differential test: physical, hash-partitioned parallel,
-    /// and morsel-driven engines all agree with the reference across
-    /// partition counts and batch/morsel sizes — including the plans hash
-    /// partitioning cannot decompose (δ, empty-key γ, −, ∩, θ-joins).
+    /// Worker-count differential test: the serial plan and the morsel
+    /// pipelines agree with the reference across worker counts and
+    /// batch/morsel sizes — including the plans hash partitioning cannot
+    /// decompose (δ, empty-key γ, −, ∩, θ-joins).
     ///
     /// On plans whose evaluation errors (partial aggregates, arithmetic),
-    /// every engine must fail too; the parallel engines' workers race, so
-    /// only *that* they error is required, not which error wins.
+    /// every schedule must fail too; parallel workers race, so only *that*
+    /// they error is required, not which error wins.
     #[test]
     fn all_engines_agree_across_partitions(db in db_strategy(), e in full_expr()) {
         let expected = eval(&e, &db);
         for partitions in [1usize, 2, 8] {
             for batch_size in [1usize, 7, 1024] {
-                for engine in [Engine::physical(), Engine::parallel(), Engine::morsel()] {
-                    let kind = engine.kind();
-                    let got = engine
-                        .with_partitions(partitions)
-                        .with_batch_size(batch_size)
-                        .run(&e, &db);
-                    match (&expected, got) {
-                        (Ok(want), Ok(got)) => prop_assert_eq!(
-                            &got, want,
-                            "{:?} differs (partitions={}, batch={}) on plan: {}",
-                            kind, partitions, batch_size, e
-                        ),
-                        (Err(_), Err(_)) => {}
-                        (want, got) => prop_assert!(
-                            false,
-                            "{:?} disagrees about failure (partitions={}, batch={}) on plan {}: reference={:?} engine={:?}",
-                            kind, partitions, batch_size, e, want, got
-                        ),
-                    }
+                let got = Engine::physical()
+                    .with_partitions(partitions)
+                    .with_batch_size(batch_size)
+                    .run(&e, &db);
+                match (&expected, got) {
+                    (Ok(want), Ok(got)) => prop_assert_eq!(
+                        &got, want,
+                        "physical differs (partitions={}, batch={}) on plan: {}",
+                        partitions, batch_size, e
+                    ),
+                    (Err(_), Err(_)) => {}
+                    (want, got) => prop_assert!(
+                        false,
+                        "physical disagrees about failure (partitions={}, batch={}) on plan {}: reference={:?} engine={:?}",
+                        partitions, batch_size, e, want, got
+                    ),
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Join-reorder differential: the cost-based plan must produce the same
 //! multi-set as the canonical (unoptimized, reference-evaluated)
-//! expression on every execution engine — serial, partition-parallel and
-//! morsel-driven at partition counts {1, 3} — and on the physical engine
-//! with index access paths and cost-model join hints attached.
+//! expression on every execution engine — the physical engine serial and
+//! morsel-driven (worker counts {1, 3}), with and without index access
+//! paths and cost-model join hints attached.
 //!
 //! This is the end-to-end guarantee behind Theorem 3.3's reorder licence:
 //! whatever order the statistics steer the planner into, and whatever
@@ -142,6 +142,20 @@ proptest! {
         let engines: Vec<(&str, Engine)> = vec![
             ("reference", Engine::reference()),
             ("physical", Engine::physical().with_batch_size(3)),
+            ("physical batch=4", Engine::physical().with_batch_size(4)),
+            ("physical batch=1024", Engine::physical()),
+            ("physical p=3", Engine::physical().with_partitions(3)),
+            (
+                "physical p=3 batch=3",
+                Engine::physical().with_partitions(3).with_batch_size(3),
+            ),
+            (
+                "physical+indexes p=3",
+                Engine::physical()
+                    .with_partitions(3)
+                    .with_indexes(indexes.clone())
+                    .with_index_hints(hints.clone()),
+            ),
             (
                 "physical+indexes",
                 Engine::physical()
@@ -149,13 +163,6 @@ proptest! {
                     .with_indexes(indexes)
                     .with_index_hints(hints),
             ),
-            ("parallel p=1", Engine::parallel().with_partitions(1)),
-            ("parallel p=3", Engine::parallel().with_partitions(3)),
-            (
-                "morsel p=1",
-                Engine::morsel().with_partitions(1).with_batch_size(4),
-            ),
-            ("morsel p=3", Engine::morsel().with_partitions(3)),
         ];
         for (label, engine) in engines {
             let got = engine.run(&optimized, &db).expect("optimized evaluation");

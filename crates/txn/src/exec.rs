@@ -33,7 +33,7 @@ pub struct ExecConfig {
     /// physical engine by default; [`EngineKind::Reference`] is the slow
     /// oracle used for differential testing).
     pub engine: EngineKind,
-    /// Tuning knobs (batch size, partitions) passed to the engine.
+    /// Tuning knobs (batch size, worker count) passed to the engine.
     pub options: ExecOptions,
 }
 
@@ -552,11 +552,18 @@ mod tests {
                 optimize: false,
                 ..ExecConfig::with_engine(EngineKind::Reference)
             },
-            ExecConfig::with_engine(EngineKind::Parallel),
-            ExecConfig::with_engine(EngineKind::Morsel),
+            ExecConfig {
+                options: ExecOptions::with_partitions(2),
+                ..ExecConfig::with_engine(EngineKind::Physical)
+            },
+            ExecConfig {
+                options: ExecOptions::with_partitions(3),
+                ..ExecConfig::with_engine(EngineKind::Physical)
+            },
             ExecConfig {
                 optimize: false,
-                ..ExecConfig::with_engine(EngineKind::Morsel)
+                options: ExecOptions::with_partitions(3),
+                ..ExecConfig::with_engine(EngineKind::Physical)
             },
         ];
         let results: Vec<(Database, Outputs)> = configs

@@ -14,7 +14,7 @@
 //!
 //! EXPLAIN always executes on the single-threaded instrumented physical
 //! engine regardless of [`ExecConfig::engine`], so its output is
-//! deterministic (golden-file testable) — the four engines are
+//! deterministic (golden-file testable) — the engines and schedules are
 //! equivalence-tested elsewhere, so the counts generalize.
 
 use std::fmt::Write as _;

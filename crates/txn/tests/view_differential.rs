@@ -151,7 +151,7 @@ proptest! {
         expr in view_expr(3),
         ops in proptest::collection::vec(wop(), 1..7),
     ) {
-        for engine in [EngineKind::Physical, EngineKind::Reference, EngineKind::Morsel] {
+        for engine in [EngineKind::Physical, EngineKind::Reference] {
             for partitions in [1usize, 3] {
                 let config = ExecConfig {
                     engine,

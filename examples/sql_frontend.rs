@@ -8,8 +8,9 @@ use mera::sql::run_sql;
 use mera::txn::{EngineKind, ExecConfig, MvccManager};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // every statement runs through the unified batched engine; swap in
-    // `EngineKind::Parallel` to fan the same plans out across partitions
+    // every statement runs through the unified batched engine; set
+    // `options.partitions` above 1 to run the same plans as morsel-driven
+    // pipelines on that many workers
     let mgr = MvccManager::with_config(
         mera::beer_schema(),
         ExecConfig::with_engine(EngineKind::Physical),

@@ -1,7 +1,7 @@
 //! Soundness of the static analyzer's acceptance: a plan that
 //! `mera-analyze` accepts (no error-severity diagnostics) must never fail
 //! with a *static* error class — unknown relation/attribute, out-of-range
-//! index, schema or type mismatch — in **any** of the four engines.
+//! index, schema or type mismatch — in **any** engine configuration.
 //!
 //! Runtime-only partial behaviour (`AVG` over an empty group, division by
 //! zero, overflow) is allowed: the analyzer warns about what *may* fail
@@ -136,8 +136,9 @@ proptest! {
         let engines = [
             Engine::reference(),
             Engine::physical(),
-            Engine::parallel().with_partitions(3),
-            Engine::indexed(indexes),
+            Engine::physical().with_partitions(3),
+            Engine::indexed(indexes.clone()),
+            Engine::indexed(indexes).with_partitions(3),
         ];
         for engine in engines {
             if let Err(err) = engine.run(&e, &db) {

@@ -7,8 +7,8 @@
 //! random declared keys — instances are forced to *satisfy* the declared
 //! keys, exactly as the enforcement path guarantees for live data — and
 //! checks that the key-aware optimizer's output computes the same
-//! multi-set as the canonical plan on every engine {reference, physical,
-//! parallel} × partition count {1, 3}.
+//! multi-set as the canonical plan on the reference evaluator and on the
+//! physical engine at worker counts {1, 3}.
 //!
 //! Alongside the random sweep, a pinned regression holds the line on the
 //! paper's Theorem 3.3: δ does **not** distribute over ⊎ except for
@@ -130,9 +130,8 @@ proptest! {
         let canonical = Engine::reference().run(&e, &db).expect("canonical evaluates");
         for (engine_name, engine) in [
             ("reference", Engine::reference()),
-            ("physical", Engine::physical()),
-            ("parallel(1)", Engine::parallel().with_partitions(1)),
-            ("parallel(3)", Engine::parallel().with_partitions(3)),
+            ("physical(1)", Engine::physical()),
+            ("physical(3)", Engine::physical().with_partitions(3)),
         ] {
             let got = engine.run(&optimized, &db).expect("optimized evaluates");
             prop_assert_eq!(
