@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mera_bench::experiments::{e7_query, two_column_db};
-use mera_eval::execute;
+use mera_eval::Engine;
 use mera_setalg::eval_set;
 
 fn dedup_cost(c: &mut Criterion) {
@@ -22,7 +22,7 @@ fn dedup_cost(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("bag_engine", format!("{rows}x{dup}")),
                 &q,
-                |b, e| b.iter(|| execute(e, &db).expect("bag executes")),
+                |b, e| b.iter(|| Engine::physical().run(e, &db).expect("bag executes")),
             );
             group.bench_with_input(
                 BenchmarkId::new("set_engine", format!("{rows}x{dup}")),

@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mera_bench::experiments::{e1_plans, two_column_db};
-use mera_eval::execute;
+use mera_eval::Engine;
 use mera_expr::{CmpOp, RelExpr, ScalarExpr};
 
 fn thm31_desugar(c: &mut Criterion) {
@@ -23,7 +23,7 @@ fn thm31_desugar(c: &mut Criterion) {
                 continue;
             }
             group.bench_with_input(BenchmarkId::new(label, rows), &plan, |b, e| {
-                b.iter(|| execute(e, &db).expect("executes"));
+                b.iter(|| Engine::physical().run(e, &db).expect("executes"));
             });
         }
     }
@@ -45,11 +45,11 @@ fn thm32_distribution(c: &mut Criterion) {
             BenchmarkId::new("sigma_above_union", rows),
             &above,
             |b, e| {
-                b.iter(|| execute(e, &db).expect("executes"));
+                b.iter(|| Engine::physical().run(e, &db).expect("executes"));
             },
         );
         group.bench_with_input(BenchmarkId::new("sigma_pushed", rows), &pushed, |b, e| {
-            b.iter(|| execute(e, &db).expect("executes"));
+            b.iter(|| Engine::physical().run(e, &db).expect("executes"));
         });
         // where the rewrite pays: the union feeds a blocking distinct
         let above_blocking = RelExpr::scan("e1")
@@ -63,12 +63,12 @@ fn thm32_distribution(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sigma_above_union_distinct", rows),
             &above_blocking,
-            |b, e| b.iter(|| execute(e, &db).expect("executes")),
+            |b, e| b.iter(|| Engine::physical().run(e, &db).expect("executes")),
         );
         group.bench_with_input(
             BenchmarkId::new("sigma_pushed_then_distinct", rows),
             &pushed_blocking,
-            |b, e| b.iter(|| execute(e, &db).expect("executes")),
+            |b, e| b.iter(|| Engine::physical().run(e, &db).expect("executes")),
         );
     }
     group.finish();

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mera_bench::experiments::ex32_plans;
 use mera_bench::scaled_beer_db;
-use mera_eval::execute;
+use mera_eval::Engine;
 use mera_opt::Optimizer;
 
 fn pushdown(c: &mut Criterion) {
@@ -16,12 +16,12 @@ fn pushdown(c: &mut Criterion) {
         let (direct, reduced) = ex32_plans();
         group.throughput(Throughput::Elements(n_beers as u64));
         group.bench_with_input(BenchmarkId::new("direct", n_beers), &direct, |b, e| {
-            b.iter(|| execute(e, &db).expect("executes"));
+            b.iter(|| Engine::physical().run(e, &db).expect("executes"));
         });
         group.bench_with_input(
             BenchmarkId::new("projection_inserted", n_beers),
             &reduced,
-            |b, e| b.iter(|| execute(e, &db).expect("executes")),
+            |b, e| b.iter(|| Engine::physical().run(e, &db).expect("executes")),
         );
         // the optimizer produces `reduced` from `direct`; how fast?
         let opt = Optimizer::standard();

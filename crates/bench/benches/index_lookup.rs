@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mera_bench::int_relation;
 use mera_core::prelude::*;
-use mera_eval::{execute, Engine, IndexSet};
+use mera_eval::{Engine, IndexSet};
 use mera_expr::{RelExpr, ScalarExpr};
 
 fn db(rows: usize) -> Database {
@@ -31,7 +31,7 @@ fn point_lookup(c: &mut Criterion) {
         let q = RelExpr::scan("r").select(ScalarExpr::attr(1).eq(ScalarExpr::int(7)));
         group.throughput(Throughput::Elements(rows as u64));
         group.bench_with_input(BenchmarkId::new("scan_filter", rows), &q, |b, e| {
-            b.iter(|| execute(e, &database).expect("plain"));
+            b.iter(|| Engine::physical().run(e, &database).expect("plain"));
         });
         group.bench_with_input(BenchmarkId::new("hash_index", rows), &q, |b, e| {
             b.iter(|| indexed.run(e, &database).expect("indexed"));

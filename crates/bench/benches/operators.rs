@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use mera_bench::experiments::two_column_db;
 use mera_bench::int_relation;
 use mera_core::prelude::*;
-use mera_eval::{execute, Engine};
+use mera_eval::Engine;
 use mera_expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
 
 fn join_db(rows: usize) -> Database {
@@ -55,7 +55,7 @@ fn unary_and_set_ops(c: &mut Criterion) {
         ];
         for (name, expr) in cases {
             group.bench_with_input(BenchmarkId::new(name, rows), &expr, |b, e| {
-                b.iter(|| execute(e, &db).expect("executes"));
+                b.iter(|| Engine::physical().run(e, &db).expect("executes"));
             });
         }
     }
@@ -72,7 +72,7 @@ fn joins(c: &mut Criterion) {
             ScalarExpr::attr(1).eq(ScalarExpr::attr(3)),
         );
         group.bench_with_input(BenchmarkId::new("hash_join", rows), &equi, |b, e| {
-            b.iter(|| execute(e, &db).expect("executes"));
+            b.iter(|| Engine::physical().run(e, &db).expect("executes"));
         });
         // the same predicate in a non-hashable shape forces a nested loop
         // (engine recognises only top-level attr=attr conjuncts)
@@ -87,7 +87,7 @@ fn joins(c: &mut Criterion) {
                 BenchmarkId::new("nested_loop_join", rows),
                 &theta,
                 |b, e| {
-                    b.iter(|| execute(e, &db).expect("executes"));
+                    b.iter(|| Engine::physical().run(e, &db).expect("executes"));
                 },
             );
         }
@@ -108,7 +108,7 @@ fn aggregation(c: &mut Criterion) {
         ] {
             let expr = RelExpr::scan("r").group_by(&[1], agg, 2);
             group.bench_with_input(BenchmarkId::new(name, rows), &expr, |b, e| {
-                b.iter(|| execute(e, &db).expect("executes"))
+                b.iter(|| Engine::physical().run(e, &db).expect("executes"))
             });
         }
     }
@@ -116,7 +116,7 @@ fn aggregation(c: &mut Criterion) {
 }
 
 /// Batch-size sweep: the same select→join→group-by pipeline at batch
-/// sizes from row-at-a-time Volcano (1) to the 1024-row default — the
+/// sizes from row-at-a-time (1) to the 1024-row default — the
 /// experiment behind `DEFAULT_BATCH_SIZE`.
 fn batch_size_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("operators/batch_size");

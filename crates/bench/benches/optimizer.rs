@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mera_bench::experiments::e12_query;
 use mera_bench::{int_relation, scaled_beer_db};
 use mera_core::prelude::*;
-use mera_eval::execute;
+use mera_eval::Engine;
 use mera_expr::{RelExpr, ScalarExpr};
 use mera_opt::{reorder_joins, CatalogStats, Optimizer};
 
@@ -19,7 +19,7 @@ fn ablation(c: &mut Criterion) {
 
     let raw = q.clone();
     group.bench_function("no_optimizer", |b| {
-        b.iter(|| execute(&raw, &db).expect("executes"));
+        b.iter(|| Engine::physical().run(&raw, &db).expect("executes"));
     });
 
     let full_plan = Optimizer::standard()
@@ -27,7 +27,7 @@ fn ablation(c: &mut Criterion) {
         .expect("optimizes")
         .expr;
     group.bench_function("full_rules", |b| {
-        b.iter(|| execute(&full_plan, &db).expect("executes"));
+        b.iter(|| Engine::physical().run(&full_plan, &db).expect("executes"));
     });
 
     for rule in Optimizer::standard().rule_names() {
@@ -36,7 +36,7 @@ fn ablation(c: &mut Criterion) {
             .expect("optimizes")
             .expr;
         group.bench_with_input(BenchmarkId::new("dropped", rule), &plan, |b, e| {
-            b.iter(|| execute(e, &db).expect("executes"));
+            b.iter(|| Engine::physical().run(e, &db).expect("executes"));
         });
     }
     group.finish();
@@ -84,10 +84,10 @@ fn join_ordering(c: &mut Criterion) {
 
     group.sample_size(10);
     group.bench_function("textual_order", |b| {
-        b.iter(|| execute(&chain, &db).expect("executes"));
+        b.iter(|| Engine::physical().run(&chain, &db).expect("executes"));
     });
     group.bench_function("cost_based_order", |b| {
-        b.iter(|| execute(&reordered, &db).expect("executes"));
+        b.iter(|| Engine::physical().run(&reordered, &db).expect("executes"));
     });
     group.bench_function("reorder_latency", |b| {
         b.iter(|| reorder_joins(&chain, &stats, db.schema()).expect("reorders"));

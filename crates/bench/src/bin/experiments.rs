@@ -11,7 +11,7 @@
 use mera_bench::experiments::two_column_db;
 use mera_bench::experiments::*;
 use mera_bench::scaled_beer_db;
-use mera_eval::execute;
+use mera_eval::Engine;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -38,7 +38,7 @@ fn e1_report(scale: usize) {
     for rows in [2_000 * scale, 10_000 * scale] {
         let db = two_column_db(rows, rows / 10, 0xE1);
         for (label, plan) in e1_plans() {
-            let (out, t) = time_once(|| execute(&plan, &db).expect("executes"));
+            let (out, t) = time_once(|| Engine::physical().run(&plan, &db).expect("executes"));
             println!("| {rows} | {label} | {} | {t:.2?} |", out.len());
         }
     }
@@ -125,6 +125,6 @@ fn e12_report(scale: usize) {
     let db = scaled_beer_db(n, n / 20 + 2, 8, n / 4 + 2, 0xE12);
     let stats = mera_opt::CatalogStats::from_database(&db).expect("analyze");
     let raw = mera_opt::cost::estimate_cost(&e12_query(), &stats);
-    let (_, raw_time) = time_once(|| execute(&e12_query(), &db).expect("executes"));
+    let (_, raw_time) = time_once(|| Engine::physical().run(&e12_query(), &db).expect("executes"));
     println!("| (no optimizer at all) | {raw_time:.2?} | {raw:.0} |\n");
 }

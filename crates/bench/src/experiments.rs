@@ -9,9 +9,7 @@
 use std::time::{Duration, Instant};
 
 use mera_core::prelude::*;
-use mera_eval::physical::planner::plan_instrumented;
-use mera_eval::physical::stats::ExecStats;
-use mera_eval::{collect, execute};
+use mera_eval::{Engine, ExecStats};
 use mera_expr::{Aggregate, RelExpr, ScalarExpr};
 use mera_opt::{CatalogStats, Optimizer};
 use mera_setalg::{eval_set, eval_set_counting};
@@ -95,8 +93,7 @@ pub fn ex32_plans() -> (RelExpr, RelExpr) {
 /// Cells flowing into the group-by operator of a plan.
 pub fn gamma_input_cells(expr: &RelExpr, db: &Database) -> CoreResult<u64> {
     let mut stats = ExecStats::new();
-    let plan = plan_instrumented(expr, db, &mut stats)?;
-    let _ = collect(plan)?;
+    Engine::physical().run_instrumented(expr, db, &mut stats)?;
     let cells = stats.cells_out();
     let gamma = cells
         .iter()
@@ -109,13 +106,13 @@ pub fn gamma_input_cells(expr: &RelExpr, db: &Database) -> CoreResult<u64> {
 pub fn e5_run(n_beers: usize) -> CoreResult<PushdownRun> {
     let db = scaled_beer_db(n_beers, n_beers / 20 + 2, 8, n_beers / 4 + 2, 0xE5);
     let (direct, reduced) = ex32_plans();
-    let a = execute(&direct, &db)?;
-    let b = execute(&reduced, &db)?;
+    let a = Engine::physical().run(&direct, &db)?;
+    let b = Engine::physical().run(&reduced, &db)?;
     assert_eq!(a, b, "plans must agree under bag semantics");
     let direct_cells = gamma_input_cells(&direct, &db)?;
     let reduced_cells = gamma_input_cells(&reduced, &db)?;
-    let (_, direct_time) = time_once(|| execute(&direct, &db).expect("executes"));
-    let (_, reduced_time) = time_once(|| execute(&reduced, &db).expect("executes"));
+    let (_, direct_time) = time_once(|| Engine::physical().run(&direct, &db).expect("executes"));
+    let (_, reduced_time) = time_once(|| Engine::physical().run(&reduced, &db).expect("executes"));
     Ok(PushdownRun {
         n_beers,
         direct_cells,
@@ -146,7 +143,7 @@ pub struct CorrectnessRun {
 pub fn e6_run(n_beers: usize) -> CoreResult<CorrectnessRun> {
     let db = scaled_beer_db(n_beers, n_beers / 20 + 2, 8, n_beers / 10 + 2, 0xE6);
     let (direct, reduced) = ex32_plans();
-    let truth = execute(&direct, &db)?;
+    let truth = Engine::physical().run(&direct, &db)?;
     let set_reduced = eval_set(&reduced, &db)?;
     let mut diverging = 0;
     let mut max_err: f64 = 0.0;
@@ -207,7 +204,7 @@ pub fn e7_run(rows: usize, dup_factor: usize) -> CoreResult<DedupRun> {
     let distinct = (rows / dup_factor).max(1);
     let db = two_column_db(rows, distinct, 0xE7);
     let q = e7_query();
-    let (_, bag_time) = time_once(|| execute(&q, &db).expect("bag executes"));
+    let (_, bag_time) = time_once(|| Engine::physical().run(&q, &db).expect("bag executes"));
     let ((_, dedup_work), set_time) =
         time_once(|| eval_set_counting(&q, &db).expect("set executes"));
     Ok(DedupRun {
@@ -258,13 +255,14 @@ pub fn e12_run(n_beers: usize) -> CoreResult<Vec<AblationRun>> {
     for rule in full.rule_names() {
         configs.push((rule.to_owned(), Optimizer::standard_without(&[rule])));
     }
-    let reference = execute(&Optimizer::standard().optimize(&q, db.schema())?.expr, &db)?;
+    let reference =
+        Engine::physical().run(&Optimizer::standard().optimize(&q, db.schema())?.expr, &db)?;
     let mut out = Vec::with_capacity(configs.len());
     for (dropped, opt) in configs {
         let plan = opt.optimize(&q, db.schema())?.expr;
-        let result = execute(&plan, &db)?;
+        let result = Engine::physical().run(&plan, &db)?;
         assert_eq!(result, reference, "ablated optimizer changed semantics");
-        let (_, time) = time_once(|| execute(&plan, &db).expect("executes"));
+        let (_, time) = time_once(|| Engine::physical().run(&plan, &db).expect("executes"));
         out.push(AblationRun {
             dropped,
             time,
@@ -282,11 +280,19 @@ mod tests {
     fn e1_plans_pairwise_equal() {
         let db = two_column_db(300, 40, 1);
         let plans = e1_plans();
-        let a = execute(&plans[0].1, &db).expect("native intersect");
-        let b = execute(&plans[1].1, &db).expect("desugared intersect");
+        let a = Engine::physical()
+            .run(&plans[0].1, &db)
+            .expect("native intersect");
+        let b = Engine::physical()
+            .run(&plans[1].1, &db)
+            .expect("desugared intersect");
         assert_eq!(a, b);
-        let c = execute(&plans[2].1, &db).expect("native join");
-        let d = execute(&plans[3].1, &db).expect("desugared join");
+        let c = Engine::physical()
+            .run(&plans[2].1, &db)
+            .expect("native join");
+        let d = Engine::physical()
+            .run(&plans[3].1, &db)
+            .expect("desugared join");
         assert_eq!(c, d);
     }
 

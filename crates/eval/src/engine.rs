@@ -5,22 +5,25 @@
 //! ([`ExecOptions`]: batch size and worker count), and optionally a set of
 //! hash indexes. The transaction layer, the language session, the SQL
 //! examples, and the benchmarks all construct an `Engine` and call
-//! [`Engine::run`] — the one place that picks the serial plan or the
-//! morsel-driven pipelines.
+//! [`Engine::run`] (or [`Engine::run_instrumented`] for per-node row
+//! counters). The physical engine compiles every plan into the same
+//! morsel-driven pipelines at every worker count.
 
 use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_expr::rel::RelExpr;
 
-use crate::index::{rewrite_with_indexes, IndexJoinHints, IndexSet};
+use crate::index::{IndexJoinHints, IndexSet};
+use crate::physical::stats::ExecStats;
 use crate::provider::{RelationProvider, Schemas};
 
 /// Default target number of rows per [`CountedBatch`](crate::physical::CountedBatch).
 ///
-/// Batches amortise dynamic dispatch: one virtual call moves up to this
+/// Batches amortise per-step overhead: one pipeline step moves up to this
 /// many counted rows. 1024 keeps a batch of small tuples comfortably in
-/// cache while making the per-call overhead negligible.
+/// cache while making the per-step overhead negligible. It is also the
+/// morsel size: the unit of work a worker claims.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Tuning knobs shared by all execution paths.
@@ -30,9 +33,9 @@ pub struct ExecOptions {
     /// values of 0 are treated as 1). Operators may overshoot when a
     /// single input row expands to several output rows.
     pub batch_size: usize,
-    /// Worker count of the physical engine: 1 runs the serial batched
-    /// plan, more run the morsel-driven pipelines (radix-partitioned
-    /// builds and aggregates). Ignored by the reference evaluator.
+    /// Worker count of the physical engine's pipelines (capped at the
+    /// hardware threads; 1 runs them on the calling thread alone). Ignored
+    /// by the reference evaluator.
     pub partitions: usize,
 }
 
@@ -43,7 +46,7 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// The default options: full batches, one worker (the serial plan).
+    /// The default options: full batches, one worker.
     pub const DEFAULT: ExecOptions = ExecOptions {
         batch_size: DEFAULT_BATCH_SIZE,
         partitions: 1,
@@ -82,10 +85,9 @@ pub enum EngineKind {
     /// The executable form of the paper's definitions — slow, obvious, the
     /// oracle everything else is checked against.
     Reference,
-    /// The batched engine: the serial Volcano-style operator pipeline at
-    /// one worker, morsel-driven whole-pipeline parallelism (work-stealing
-    /// morsels, shared radix-partitioned builds, two-phase aggregation) at
-    /// more.
+    /// The batched engine: morsel-driven pipelines (work-stealing morsels,
+    /// shared radix-partitioned builds, two-phase aggregation, native index
+    /// lookups and index-nested-loop probes) at any worker count.
     #[default]
     Physical,
 }
@@ -121,7 +123,7 @@ impl Engine {
         Self::new(EngineKind::Physical)
     }
 
-    /// The physical engine with an index rewrite pre-pass.
+    /// The physical engine with index access paths.
     pub fn indexed(indexes: IndexSet) -> Self {
         Self::physical().with_indexes(indexes)
     }
@@ -138,7 +140,7 @@ impl Engine {
         self
     }
 
-    /// Sets the physical engine's worker count (1 = serial plan).
+    /// Sets the physical engine's worker count.
     pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.opts.partitions = partitions;
         self
@@ -158,7 +160,7 @@ impl Engine {
     }
 
     /// Attaches cost-model hints: joins (by `(relation, sorted key
-    /// attrs)`) the physical planner should run as index-nested-loop.
+    /// attrs)`) the physical engine should run as index-nested-loop.
     pub fn with_index_hints(mut self, hints: IndexJoinHints) -> Self {
         self.hints = hints;
         self
@@ -184,50 +186,45 @@ impl Engine {
         &self.hints
     }
 
-    /// The planner-facing view of the attached indexes and hints.
-    pub fn index_access(&self) -> Option<crate::physical::planner::IndexAccess<'_>> {
-        self.indexes
-            .as_deref()
-            .map(|indexes| crate::physical::planner::IndexAccess {
-                indexes,
-                hints: &self.hints,
-            })
-    }
-
     /// Evaluates `expr` against `provider`.
     ///
-    /// The expression is schema-checked once up front. The serial physical
-    /// plan takes attached indexes as native access paths (lookup operators
-    /// and hinted index-nested-loop joins); the reference evaluator and the
-    /// morsel pipelines fall back to the point-selection rewrite pre-pass,
-    /// which preserves semantics on any path.
+    /// The expression is schema-checked once up front. The physical engine
+    /// takes attached indexes as native access paths (lookups for covered
+    /// point selections over base relations, index-nested-loop probes for
+    /// hinted joins); the reference evaluator — the oracle — runs the
+    /// definitions on base relations and never consults them.
     pub fn run(
         &self,
         expr: &RelExpr,
         provider: &(impl RelationProvider + ?Sized),
     ) -> CoreResult<Relation> {
+        self.execute(expr, provider, None)
+    }
+
+    /// [`run`](Engine::run) with one row counter per plan node registered
+    /// in `stats` (post-order, labelled `scan(r)`, the operator name, or
+    /// the index access path taken: `index_lookup(r)`, `index_nl_join(r)`)
+    /// — the EXPLAIN and experiment-E5 entry point. The reference evaluator
+    /// registers no counters.
+    pub fn run_instrumented(
+        &self,
+        expr: &RelExpr,
+        provider: &(impl RelationProvider + ?Sized),
+        stats: &mut ExecStats,
+    ) -> CoreResult<Relation> {
+        self.execute(expr, provider, Some(stats))
+    }
+
+    fn execute(
+        &self,
+        expr: &RelExpr,
+        provider: &(impl RelationProvider + ?Sized),
+        stats: Option<&mut ExecStats>,
+    ) -> CoreResult<Relation> {
         expr.schema(&Schemas(provider))?;
-        let serial = self.opts.effective_partitions() == 1;
-        if self.kind == EngineKind::Physical && serial {
-            let plan = crate::physical::planner::plan_indexed_with(
-                expr,
-                provider,
-                self.opts,
-                self.index_access(),
-            )?;
-            return crate::physical::collect(plan);
-        }
-        let rewritten;
-        let expr = match self.indexes.as_deref() {
-            Some(indexes) => {
-                rewritten = rewrite_with_indexes(expr, indexes)?;
-                &rewritten
-            }
-            None => expr,
-        };
         match self.kind {
             EngineKind::Reference => crate::reference::eval_unchecked(expr, provider),
-            EngineKind::Physical => crate::morsel::eval_morsel(expr, provider, &self.opts),
+            EngineKind::Physical => crate::morsel::run(expr, provider, self, stats),
         }
     }
 }
@@ -281,8 +278,16 @@ mod tests {
         indexes.create(&db, "r", &[1]).unwrap();
         let e = RelExpr::scan("r").select(ScalarExpr::attr(1).eq(ScalarExpr::int(3)));
         let plain = Engine::physical().run(&e, &db).unwrap();
-        let indexed = Engine::indexed(indexes).run(&e, &db).unwrap();
-        assert_eq!(indexed, plain);
+        for partitions in [1, 3] {
+            let engine = Engine::indexed(indexes.clone()).with_partitions(partitions);
+            let mut stats = ExecStats::new();
+            assert_eq!(engine.run_instrumented(&e, &db, &mut stats).unwrap(), plain);
+            // the lookup replaces the scan: one counter, no `scan(r)`
+            assert_eq!(
+                stats.rows_out(),
+                vec![("index_lookup(r)".to_owned(), plain.len())]
+            );
+        }
     }
 
     #[test]
@@ -314,14 +319,17 @@ mod tests {
         ];
         for q in queries {
             let reference = Engine::reference().run(&q, &db).unwrap();
-            let engine = Engine::physical()
-                .with_indexes(indexes.clone())
-                .with_index_hints(hints.clone());
-            assert_eq!(
-                engine.run(&q, &db).unwrap(),
-                reference,
-                "index join path disagreed for {q}"
-            );
+            for partitions in [1, 3] {
+                let engine = Engine::physical()
+                    .with_partitions(partitions)
+                    .with_indexes(indexes.clone())
+                    .with_index_hints(hints.clone());
+                assert_eq!(
+                    engine.run(&q, &db).unwrap(),
+                    reference,
+                    "index join path disagreed at p={partitions} for {q}"
+                );
+            }
         }
     }
 

@@ -7,14 +7,16 @@
 //! itself a bag structure), an [`IndexSet`] manages indexes per relation,
 //! and an [`Engine`](crate::Engine) carrying an `IndexSet` answers
 //! point-selections over base relations (`σ_{%i = const ∧ …}(R)`) with
-//! index lookups.
+//! index lookups and hinted equi-joins with index-nested-loop probes.
 
 use std::sync::Arc;
 
 use mera_core::prelude::*;
-use mera_expr::rel::RelExpr;
 use mera_expr::scalar::{CmpOp, ScalarExpr};
 use rustc_hash::FxHashMap;
+
+use crate::physical::column::eval_filter_mask;
+use crate::physical::{Column, CountedBatch};
 
 /// A hash index over one key projection of a relation.
 ///
@@ -90,6 +92,77 @@ impl HashIndex {
     /// The schema of the indexed relation.
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
+    }
+
+    /// Index-nested-loop probe with a whole batch: for every probe row (in
+    /// order) looks up the key its `probe_keys` columns (0-based, in the
+    /// index's key-attribute order) carry and emits the concatenated
+    /// `probe ⊕ match` rows that pass `residual` (evaluated over the
+    /// concatenated schema), with multiplicity `m₁ · m₂` — checked, like
+    /// every other join. `None` when no pair survives.
+    pub(crate) fn probe_batch(
+        &self,
+        probe: &CountedBatch,
+        probe_keys: &[usize],
+        out_schema: &SchemaRef,
+        residual: Option<&ScalarExpr>,
+    ) -> CoreResult<Option<CountedBatch>> {
+        let mut lsel: Vec<u32> = Vec::new();
+        let mut matched: Vec<&(Tuple, u64)> = Vec::new();
+        for i in 0..probe.len() {
+            let key = Tuple::new(
+                probe_keys
+                    .iter()
+                    .map(|&o| probe.column(o).value(i))
+                    .collect(),
+            );
+            for m in self.matches(&key) {
+                lsel.push(i as u32);
+                matched.push(m);
+            }
+        }
+        if lsel.is_empty() {
+            return Ok(None);
+        }
+        let mut columns: Vec<Column> = probe.columns().iter().map(|c| c.gather(&lsel)).collect();
+        for (a, attr) in self.schema.attributes().iter().enumerate() {
+            let mut col = Column::with_capacity(attr.dtype, matched.len());
+            for (t, _) in &matched {
+                col.push_ref(&t.values()[a]);
+            }
+            columns.push(col);
+        }
+        let mut pairs =
+            CountedBatch::from_parts(Arc::clone(out_schema), columns, vec![1; lsel.len()]);
+        if let Some(p) = residual {
+            let mask = eval_filter_mask(p, &pairs)?;
+            if mask.contains(&false) {
+                let sel: Vec<u32> = mask
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, &b)| b.then_some(k as u32))
+                    .collect();
+                if sel.is_empty() {
+                    return Ok(None);
+                }
+                pairs = pairs.gather(&sel);
+                lsel = sel.iter().map(|&k| lsel[k as usize]).collect();
+                matched = sel.iter().map(|&k| matched[k as usize]).collect();
+            }
+        }
+        // multiplicity product after the residual, so only kept pairs can
+        // overflow
+        let counts = lsel
+            .iter()
+            .zip(&matched)
+            .map(|(&i, (_, rm))| {
+                probe.counts()[i as usize]
+                    .checked_mul(*rm)
+                    .ok_or(CoreError::Overflow("join multiplicity"))
+            })
+            .collect::<CoreResult<Vec<u64>>>()?;
+        let (schema, columns, _) = pairs.into_parts();
+        Ok(Some(CountedBatch::from_parts(schema, columns, counts)))
     }
 
     /// Folds one commit's signed delta into the index — O(|delta|), the
@@ -211,7 +284,7 @@ impl IndexSet {
 
 /// Cost-based planner hints: the `(relation, sorted key attrs)` pairs for
 /// which an index-nested-loop join was chosen over a hash join. The
-/// physical planner only takes the index path for hinted joins — the
+/// physical engine only takes the index path for hinted joins — the
 /// *choice* lives with the cost model, the *mechanism* lives here.
 pub type IndexJoinHints = rustc_hash::FxHashSet<(String, Vec<usize>)>;
 
@@ -238,61 +311,12 @@ pub(crate) fn split_point_conjuncts(
     (points, rest)
 }
 
-/// Rewrites point-selections over base relations into index lookups.
-///
-/// `σ_{%i=c ∧ rest}(R)` becomes `σ_{rest}(Values(index.lookup(c)))` when an
-/// index on exactly the point-equality attributes of `R` exists; all other
-/// shapes pass through untouched. The rewrite is semantics-preserving
-/// because the lookup returns precisely the counted tuples the selection
-/// would keep. [`Engine::run`](crate::Engine::run) applies it wherever the
-/// serial plan's native index access paths are not in play.
-pub(crate) fn rewrite_with_indexes(expr: &RelExpr, indexes: &IndexSet) -> CoreResult<RelExpr> {
-    // rewrite children first
-    let children: CoreResult<Vec<RelExpr>> = expr
-        .children()
-        .iter()
-        .map(|c| rewrite_with_indexes(c, indexes))
-        .collect();
-    let node = expr.with_children(children?);
-
-    let RelExpr::Select { input, predicate } = &node else {
-        return Ok(node);
-    };
-    let RelExpr::Scan(relation) = input.as_ref() else {
-        return Ok(node);
-    };
-    let (points, rest) = split_point_conjuncts(predicate);
-    if points.is_empty() {
-        return Ok(node);
-    }
-    let attrs: Vec<usize> = points.iter().map(|(i, _)| *i).collect();
-    let Some(index) = indexes.find(relation, &attrs) else {
-        return Ok(node);
-    };
-    // assemble the key tuple in the index's key order
-    let mut key_vals = Vec::with_capacity(attrs.len());
-    for &k in index.key_attrs() {
-        let v = points
-            .iter()
-            .find(|(i, _)| *i == k)
-            .map(|(_, v)| v.clone())
-            .expect("index keys match point attributes");
-        key_vals.push(v);
-    }
-    let looked_up = index.lookup(&Tuple::new(key_vals))?;
-    let base = RelExpr::values(looked_up);
-    Ok(if rest.is_empty() {
-        base
-    } else {
-        base.select(ScalarExpr::conjoin(rest))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::execute;
+    use crate::Engine;
     use mera_core::tuple;
+    use mera_expr::rel::RelExpr;
 
     fn db() -> Database {
         let schema = DatabaseSchema::new()
@@ -324,9 +348,14 @@ mod tests {
         db
     }
 
-    fn execute_rewritten(q: &RelExpr, db: &Database, indexes: &IndexSet) -> Relation {
-        let rewritten = rewrite_with_indexes(q, indexes).expect("rewrites");
-        execute(&rewritten, db).expect("indexed")
+    fn execute(q: &RelExpr, db: &Database) -> CoreResult<Relation> {
+        Engine::physical().run(q, db)
+    }
+
+    fn execute_indexed(q: &RelExpr, db: &Database, indexes: &IndexSet) -> Relation {
+        Engine::indexed(indexes.clone())
+            .run(q, db)
+            .expect("indexed")
     }
 
     #[test]
@@ -373,8 +402,8 @@ mod tests {
         ];
         for q in queries {
             let plain = execute(&q, &db).expect("plain");
-            let indexed = execute_rewritten(&q, &db, &indexes);
-            assert_eq!(indexed, plain, "index rewrite changed semantics for {q}");
+            let indexed = execute_indexed(&q, &db, &indexes);
+            assert_eq!(indexed, plain, "index lookup changed semantics for {q}");
         }
     }
 
@@ -389,7 +418,7 @@ mod tests {
                 .and(ScalarExpr::attr(1).eq(ScalarExpr::str("Bock"))),
         );
         let plain = execute(&q, &db).expect("plain");
-        let indexed = execute_rewritten(&q, &db, &indexes);
+        let indexed = execute_indexed(&q, &db, &indexes);
         assert_eq!(indexed, plain);
         assert_eq!(
             indexed.multiplicity(&tuple!["Bock", "Grolsche", 6.5_f64]),

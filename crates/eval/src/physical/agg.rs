@@ -1,4 +1,4 @@
-//! Blocking hash aggregation for the group-by construct (Definition 3.4).
+//! Hash aggregation state for the group-by construct (Definition 3.4).
 
 use std::sync::Arc;
 
@@ -6,8 +6,51 @@ use mera_core::prelude::*;
 use mera_expr::Aggregate;
 use rustc_hash::FxHashMap;
 
-use super::ops::VecScanOp;
-use super::{BoxedOp, Counted, CountedBatch, Operator};
+use super::{Counted, CountedBatch};
+
+/// A group-by `γ_{keys, agg, attr}` resolved against its input schema —
+/// built once at plan time, so the per-row path is index arithmetic only.
+pub(crate) struct GroupBySpec {
+    /// Output schema: the key attributes followed by the aggregate.
+    pub schema: SchemaRef,
+    /// Resolved key offsets; `None` for the empty key list (one global
+    /// group, exactly one output tuple).
+    pub keys: Option<ResolvedAttrs>,
+    /// 0-based offset of the aggregated attribute.
+    pub attr0: usize,
+    /// Type of the aggregated attribute in the input schema.
+    pub in_type: DataType,
+}
+
+impl GroupBySpec {
+    /// Validates the key list (unique, in range) and the aggregate's
+    /// domain against `input`.
+    pub fn new(input: &Schema, keys: &[usize], agg: Aggregate, attr: usize) -> CoreResult<Self> {
+        let in_type = input.dtype(attr)?;
+        let key_list = if keys.is_empty() {
+            None
+        } else {
+            let list = AttrList::new_unique(keys.to_vec())?;
+            list.check_arity(input.arity())?;
+            Some(list)
+        };
+        let key_schema = match &key_list {
+            Some(list) => input.project(list)?,
+            None => Schema::new(vec![]),
+        };
+        let schema = Arc::new(key_schema.with_attr(Attribute::anon(agg.result_type(in_type)?)));
+        let keys = match &key_list {
+            Some(list) => Some(ResolvedAttrs::from_attr_list(list, input.arity())?),
+            None => None,
+        };
+        Ok(GroupBySpec {
+            schema,
+            keys,
+            attr0: attr - 1,
+            in_type,
+        })
+    }
+}
 
 /// One group's accumulated state: its key tuple — materialised exactly
 /// once, when the group is first seen — and the distinct aggregated values
@@ -17,8 +60,7 @@ struct Group {
     vals: Vec<(Value, u64)>,
 }
 
-/// Accumulated per-group state for hash aggregation, factored out of the
-/// serial operator so the morsel engine can parallelise it. Keyed
+/// Accumulated per-group state for hash aggregation. Keyed
 /// aggregation parallelises by **radix partitioning**: batches are split
 /// on the columnar key hash so each worker owns a disjoint slice of the
 /// key space and builds a complete `AggState` for it — partition results
@@ -155,121 +197,10 @@ impl AggState {
     }
 }
 
-/// Hash-based group-by: drains its input batch by batch, partitions by the
-/// key projection, computes the aggregate per group with multiplicities,
-/// then streams the result rows in batches.
-pub struct HashAggregate<'a> {
-    schema: SchemaRef,
-    batch_size: usize,
-    state: State<'a>,
-}
-
-enum State<'a> {
-    Pending {
-        input: BoxedOp<'a>,
-        keys: Option<ResolvedAttrs>,
-        agg: Aggregate,
-        attr0: usize,
-        in_type: DataType,
-    },
-    Draining(VecScanOp),
-}
-
-impl<'a> HashAggregate<'a> {
-    /// Builds a group-by over `input`. `keys` may be empty (whole-relation
-    /// aggregation producing exactly one tuple). Key offsets are resolved
-    /// against the input schema once, here — the per-row path is
-    /// index arithmetic only.
-    pub fn build(
-        input: BoxedOp<'a>,
-        keys: &[usize],
-        agg: Aggregate,
-        attr: usize,
-        batch_size: usize,
-    ) -> CoreResult<Self> {
-        let in_schema = input.schema();
-        let key_list = if keys.is_empty() {
-            None
-        } else {
-            let list = AttrList::new_unique(keys.to_vec())?;
-            list.check_arity(in_schema.arity())?;
-            Some(list)
-        };
-        let key_schema = match &key_list {
-            Some(list) => in_schema.project(list)?,
-            None => Schema::new(vec![]),
-        };
-        let in_type = in_schema.dtype(attr)?;
-        let out_type = agg.result_type(in_type)?;
-        let schema = Arc::new(key_schema.with_attr(Attribute::anon(out_type)));
-        let resolved = match &key_list {
-            Some(list) => Some(ResolvedAttrs::from_attr_list(list, in_schema.arity())?),
-            None => None,
-        };
-        Ok(HashAggregate {
-            schema,
-            batch_size,
-            state: State::Pending {
-                input,
-                keys: resolved,
-                agg,
-                attr0: attr - 1,
-                in_type,
-            },
-        })
-    }
-
-    fn run(
-        input: &mut BoxedOp<'a>,
-        keys: &Option<ResolvedAttrs>,
-        agg: Aggregate,
-        attr0: usize,
-        in_type: DataType,
-    ) -> CoreResult<Vec<Counted>> {
-        let mut state = AggState::new(keys.clone(), attr0);
-        while let Some(batch) = input.next_batch()? {
-            state.update_batch(&batch)?;
-        }
-        state.finish(agg, in_type)
-    }
-}
-
-impl Operator for HashAggregate<'_> {
-    fn schema(&self) -> &SchemaRef {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> CoreResult<Option<CountedBatch>> {
-        loop {
-            match &mut self.state {
-                State::Pending {
-                    input,
-                    keys,
-                    agg,
-                    attr0,
-                    in_type,
-                } => {
-                    let rows = Self::run(input, keys, *agg, *attr0, *in_type)?;
-                    self.state = State::Draining(VecScanOp::new(
-                        Arc::clone(&self.schema),
-                        rows,
-                        self.batch_size,
-                    ));
-                }
-                State::Draining(scan) => return scan.next_batch(),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::collect;
-    use crate::physical::ops::{ScanOp, UnionOp};
     use mera_core::tuple;
-
-    const B: usize = 1024;
 
     fn sales() -> Relation {
         Relation::from_counted(
@@ -286,15 +217,29 @@ mod tests {
         .unwrap()
     }
 
-    fn scan(r: &Relation) -> BoxedOp<'_> {
-        Box::new(ScanOp::new(r, 2))
+    /// `γ` over `inputs`, each fed to one state in batches of two rows.
+    fn group_by(
+        inputs: &[&Relation],
+        keys: &[usize],
+        agg: Aggregate,
+        attr: usize,
+    ) -> CoreResult<Relation> {
+        let schema = inputs[0].schema();
+        let spec = GroupBySpec::new(schema, keys, agg, attr)?;
+        let mut state = AggState::new(spec.keys, spec.attr0);
+        for rel in inputs {
+            let rows: Vec<Counted> = rel.iter().map(|(t, m)| (t.clone(), m)).collect();
+            for chunk in rows.chunks(2) {
+                state.update_batch(&CountedBatch::from_rows(Arc::clone(schema), chunk.to_vec()))?;
+            }
+        }
+        Relation::from_counted(spec.schema, state.finish(agg, spec.in_type)?)
     }
 
     #[test]
     fn grouped_sum_weights_multiplicities() {
         let r = sales();
-        let op = HashAggregate::build(scan(&r), &[1], Aggregate::Sum, 2, B).unwrap();
-        let out = collect(Box::new(op)).unwrap();
+        let out = group_by(&[&r], &[1], Aggregate::Sum, 2).unwrap();
         assert_eq!(out.multiplicity(&tuple!["ams", 40_i64]), 1);
         assert_eq!(out.multiplicity(&tuple!["ens", 15_i64]), 1);
         assert_eq!(out.len(), 2);
@@ -303,8 +248,7 @@ mod tests {
     #[test]
     fn whole_relation_aggregate_single_tuple() {
         let r = sales();
-        let op = HashAggregate::build(scan(&r), &[], Aggregate::Cnt, 1, B).unwrap();
-        let out = collect(Box::new(op)).unwrap();
+        let out = group_by(&[&r], &[], Aggregate::Cnt, 1).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.multiplicity(&tuple![6_i64]), 1);
     }
@@ -314,59 +258,35 @@ mod tests {
         // the same tuple arriving in two rows must count once per total
         // multiplicity, e.g. for AVG denominator correctness
         let r = sales();
-        let chunked = Box::new(UnionOp::new(scan(&r), scan(&r)));
-        let op = HashAggregate::build(chunked, &[1], Aggregate::Avg, 2, B).unwrap();
-        let out = collect(Box::new(op)).unwrap();
+        let out = group_by(&[&r, &r], &[1], Aggregate::Avg, 2).unwrap();
         // doubling every multiplicity does not change the average
         let expected_ams = (10.0 * 2.0 + 20.0) / 3.0;
         assert_eq!(out.multiplicity(&tuple!["ams", expected_ams]), 1);
     }
 
     #[test]
-    fn result_streams_in_batches() {
-        let schema = Arc::new(Schema::anon(&[DataType::Int]));
-        let mut r = Relation::empty(schema);
-        for i in 0..10_i64 {
-            r.insert(tuple![i], 1).unwrap();
-        }
-        // 10 groups drained with batch size 3 → batches of 3,3,3,1
-        let mut op = HashAggregate::build(scan(&r), &[1], Aggregate::Cnt, 1, 3).unwrap();
-        let mut sizes = Vec::new();
-        while let Some(b) = op.next_batch().unwrap() {
-            sizes.push(b.len());
-        }
-        assert_eq!(sizes, vec![3, 3, 3, 1]);
-    }
-
-    #[test]
     fn empty_input_with_keys_yields_empty() {
-        let empty = Relation::empty(Arc::new(Schema::named(&[
-            ("city", DataType::Str),
-            ("amount", DataType::Int),
-        ])));
-        let op = HashAggregate::build(scan(&empty), &[1], Aggregate::Avg, 2, B).unwrap();
-        assert!(collect(Box::new(op)).unwrap().is_empty());
+        let empty = Relation::empty(Arc::clone(sales().schema()));
+        assert!(group_by(&[&empty], &[1], Aggregate::Avg, 2)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn empty_input_without_keys_partial_aggregate_errors() {
-        let empty = Relation::empty(Arc::new(Schema::named(&[
-            ("city", DataType::Str),
-            ("amount", DataType::Int),
-        ])));
-        let op = HashAggregate::build(scan(&empty), &[], Aggregate::Min, 2, B).unwrap();
+        let empty = Relation::empty(Arc::clone(sales().schema()));
         assert_eq!(
-            collect(Box::new(op)).unwrap_err(),
+            group_by(&[&empty], &[], Aggregate::Min, 2).unwrap_err(),
             CoreError::AggregateOnEmpty("MIN")
         );
     }
 
     #[test]
     fn build_validates_keys() {
-        let r = sales();
-        assert!(HashAggregate::build(scan(&r), &[1, 1], Aggregate::Cnt, 1, B).is_err());
-        assert!(HashAggregate::build(scan(&r), &[9], Aggregate::Cnt, 1, B).is_err());
+        let schema = sales().schema().clone();
+        assert!(GroupBySpec::new(&schema, &[1, 1], Aggregate::Cnt, 1).is_err());
+        assert!(GroupBySpec::new(&schema, &[9], Aggregate::Cnt, 1).is_err());
         // SUM over str
-        assert!(HashAggregate::build(scan(&r), &[1], Aggregate::Sum, 1, B).is_err());
+        assert!(GroupBySpec::new(&schema, &[1], Aggregate::Sum, 1).is_err());
     }
 }

@@ -1,11 +1,10 @@
-//! Join operators: nested-loop (general predicate, also serves as the
-//! product) and hash join (equi-predicates).
+//! Join kernels: the nested-loop probe (general predicate, also serves as
+//! the product) and the hash-join build/probe tables (equi-predicates).
 //!
 //! Both implement `E₁ ⋈_φ E₂ = σ_φ(E₁ × E₂)` (Definition 3.2) with the
 //! product's multiplicity law `m₁ · m₂` — without materialising the
-//! product. Both are pipelined on the left (probe/outer) side: they pull
-//! left batches on demand and accumulate output rows until the batch-size
-//! target is reached, saving their loop positions between calls.
+//! product. Both are probed a whole batch of the left (probe) side at a
+//! time against a right side built once.
 
 use std::sync::Arc;
 
@@ -14,107 +13,37 @@ use mera_expr::scalar::{CmpOp, ScalarExpr};
 use rustc_hash::FxHashMap;
 
 use super::column::{eval_filter_mask, radix_of};
-use super::{BoxedOp, Counted, CountedBatch, Operator};
+use super::{Counted, CountedBatch};
 
-/// Nested-loop join with an optional predicate over the concatenated
-/// schema (`None` ⇒ plain Cartesian product).
-///
-/// The right side is materialised once; the left side streams in batches.
-pub struct NestedLoopJoin<'a> {
-    left: BoxedOp<'a>,
-    right_rows: Vec<Counted>,
-    predicate: Option<ScalarExpr>,
-    schema: SchemaRef,
-    batch_size: usize,
-    /// The current left batch and the resume positions within it.
-    left_rows: Vec<Counted>,
-    left_pos: usize,
-    right_pos: usize,
-    done: bool,
-}
-
-impl<'a> NestedLoopJoin<'a> {
-    /// Builds `left ⋈_φ right` (or `left × right` when `predicate` is
-    /// `None`), draining the right input immediately.
-    pub fn build(
-        left: BoxedOp<'a>,
-        mut right: BoxedOp<'a>,
-        predicate: Option<ScalarExpr>,
-        batch_size: usize,
-    ) -> CoreResult<Self> {
-        let schema = Arc::new(left.schema().concat(right.schema()));
-        let mut right_rows = Vec::new();
-        while let Some(batch) = right.next_batch()? {
-            right_rows.extend(batch);
-        }
-        Ok(NestedLoopJoin {
-            left,
-            right_rows,
-            predicate,
-            schema,
-            batch_size: batch_size.max(1),
-            left_rows: Vec::new(),
-            left_pos: 0,
-            right_pos: 0,
-            done: false,
-        })
-    }
-}
-
-impl Operator for NestedLoopJoin<'_> {
-    fn schema(&self) -> &SchemaRef {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> CoreResult<Option<CountedBatch>> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut out: Vec<Counted> = Vec::with_capacity(self.batch_size);
-        'fill: loop {
-            if self.left_pos >= self.left_rows.len() {
-                match self.left.next_batch()? {
-                    None => {
-                        self.done = true;
-                        break 'fill;
-                    }
-                    Some(batch) => {
-                        self.left_rows = batch.into_rows();
-                        self.left_pos = 0;
-                        self.right_pos = 0;
-                    }
-                }
-            }
-            while self.left_pos < self.left_rows.len() {
-                let (lt, lm) = &self.left_rows[self.left_pos];
-                while self.right_pos < self.right_rows.len() {
-                    let (rt, rm) = &self.right_rows[self.right_pos];
-                    self.right_pos += 1;
-                    let joined = lt.concat(rt);
-                    let keep = match &self.predicate {
-                        None => true,
-                        Some(p) => p.eval_predicate(&joined)?,
-                    };
-                    if keep {
-                        let m = lm
-                            .checked_mul(*rm)
-                            .ok_or(CoreError::Overflow("join multiplicity"))?;
-                        out.push((joined, m));
-                        if out.len() >= self.batch_size {
-                            break 'fill;
-                        }
-                    }
-                }
-                self.right_pos = 0;
-                self.left_pos += 1;
+/// θ-join / product probe against a materialised inner side (`predicate`
+/// `None` ⇒ plain Cartesian product): every probe row pairs with every
+/// inner row, the predicate sees the concatenated tuple, and kept pairs
+/// multiply their multiplicities (checked). `None` when no pair survives.
+pub(crate) fn loop_probe_batch(
+    probe: &CountedBatch,
+    inner: &[Counted],
+    predicate: Option<&ScalarExpr>,
+    out_schema: &SchemaRef,
+) -> CoreResult<Option<CountedBatch>> {
+    let mut out = CountedBatch::new(Arc::clone(out_schema));
+    for i in 0..probe.len() {
+        let lt = probe.row(i);
+        let lm = probe.counts()[i];
+        for (rt, rm) in inner {
+            let joined = lt.concat(rt);
+            let keep = match predicate {
+                None => true,
+                Some(p) => p.eval_predicate(&joined)?,
+            };
+            if keep {
+                let m = lm
+                    .checked_mul(*rm)
+                    .ok_or(CoreError::Overflow("join multiplicity"))?;
+                out.push_row(&joined, m);
             }
         }
-        Ok(if out.is_empty() {
-            None
-        } else {
-            Some(CountedBatch::from_rows(Arc::clone(&self.schema), out))
-        })
     }
+    Ok((!out.is_empty()).then_some(out))
 }
 
 /// An equi-join condition extracted from a predicate: pairs of (left attr,
@@ -207,10 +136,9 @@ pub fn full_probe_cols(left_arity: usize, right_arity: usize) -> Vec<ProbeCol> {
 /// keys are handled exactly), then assembles the output batch with one
 /// gather per output column.
 ///
-/// The serial [`HashJoin`] owns one; the morsel-driven engine builds a
-/// [`RadixJoinTable`] — one disjoint `JoinTable` per radix partition of
-/// the key space, each filled by exactly one worker with no shared state
-/// and no merge step.
+/// The morsel-driven engine builds a [`RadixJoinTable`] — one disjoint
+/// `JoinTable` per radix partition of the key space, each filled by
+/// exactly one worker with no shared state and no merge step.
 #[derive(Debug)]
 pub struct JoinTable {
     /// Build-side key offsets, resolved once at plan time.
@@ -481,80 +409,25 @@ impl RadixJoinTable {
     }
 }
 
-/// Hash join on extracted equi-keys: the right side is built into a hash
-/// table keyed by its key projection; the left side streams and probes a
-/// whole batch at a time (output batch sizes track the probe side's —
-/// expanding joins may overshoot the target, as the trait allows).
-pub struct HashJoin<'a> {
-    left: BoxedOp<'a>,
-    table: JoinTable,
-    left_keys: ResolvedAttrs,
-    cols: Vec<ProbeCol>,
-    residual: Option<ScalarExpr>,
-    schema: SchemaRef,
-}
-
-impl<'a> HashJoin<'a> {
-    /// Builds the operator, draining the right input into the hash table.
-    pub fn build(
-        left: BoxedOp<'a>,
-        mut right: BoxedOp<'a>,
-        cond: EquiCondition,
-        _batch_size: usize,
-    ) -> CoreResult<Self> {
-        let schema = Arc::new(left.schema().concat(right.schema()));
-        let build_keys = ResolvedAttrs::new(&cond.right_keys, right.schema().arity())?;
-        let left_keys = ResolvedAttrs::new(&cond.left_keys, left.schema().arity())?;
-        let cols = full_probe_cols(left.schema().arity(), right.schema().arity());
-        let mut table = JoinTable::new(build_keys, Arc::clone(right.schema()));
-        while let Some(batch) = right.next_batch()? {
-            table.insert_batch(&batch);
-        }
-        Ok(HashJoin {
-            left,
-            table,
-            left_keys,
-            cols,
-            residual: cond.residual,
-            schema,
-        })
-    }
-}
-
-impl Operator for HashJoin<'_> {
-    fn schema(&self) -> &SchemaRef {
-        &self.schema
-    }
-
-    fn next_batch(&mut self) -> CoreResult<Option<CountedBatch>> {
-        while let Some(batch) = self.left.next_batch()? {
-            if let Some(out) = self.table.probe_batch(
-                &batch,
-                &self.left_keys,
-                &self.cols,
-                &self.schema,
-                self.residual.as_ref(),
-            )? {
-                return Ok(Some(out));
-            }
-        }
-        Ok(None)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::collect;
-    use crate::physical::ops::ScanOp;
     use mera_core::tuple;
 
     fn rel(rows: Vec<(Tuple, u64)>, types: &[DataType]) -> Relation {
         Relation::from_counted(Arc::new(Schema::anon(types)), rows).unwrap()
     }
 
-    fn scan(r: &Relation) -> BoxedOp<'_> {
-        Box::new(ScanOp::new(r, 2))
+    /// `r` chopped into batches of `size` rows.
+    fn batches(r: &Relation, size: usize) -> Vec<CountedBatch> {
+        let rows: Vec<Counted> = r.iter().map(|(t, m)| (t.clone(), m)).collect();
+        rows.chunks(size)
+            .map(|c| CountedBatch::from_rows(Arc::clone(r.schema()), c.to_vec()))
+            .collect()
+    }
+
+    fn collect(schema: &SchemaRef, out: impl IntoIterator<Item = CountedBatch>) -> Relation {
+        Relation::from_counted(Arc::clone(schema), out.into_iter().flatten()).unwrap()
     }
 
     fn left_rel() -> Relation {
@@ -575,12 +448,50 @@ mod tests {
         )
     }
 
+    fn joined_schema(l: &Relation, r: &Relation) -> SchemaRef {
+        Arc::new(l.schema().concat(r.schema()))
+    }
+
+    fn nested_loop(l: &Relation, r: &Relation, pred: Option<&ScalarExpr>) -> Relation {
+        let schema = joined_schema(l, r);
+        let inner: Vec<Counted> = r.iter().map(|(t, m)| (t.clone(), m)).collect();
+        let out = batches(l, 2)
+            .iter()
+            .filter_map(|b| loop_probe_batch(b, &inner, pred, &schema).unwrap())
+            .collect::<Vec<_>>();
+        collect(&schema, out)
+    }
+
+    /// `l ⋈ r` on `pred` through a `JoinTable` built from `r` in batches
+    /// of `size`, probed by `l` in batches of `size`.
+    fn hash_join(l: &Relation, r: &Relation, pred: &ScalarExpr, size: usize) -> Relation {
+        let cond = extract_equi_condition(pred, 2, 2).unwrap();
+        let schema = joined_schema(l, r);
+        let mut table = JoinTable::new(
+            ResolvedAttrs::new(&cond.right_keys, 2).unwrap(),
+            Arc::clone(r.schema()),
+        );
+        for b in batches(r, size) {
+            table.insert_batch(&b);
+        }
+        let keys = ResolvedAttrs::new(&cond.left_keys, 2).unwrap();
+        let cols = full_probe_cols(2, 2);
+        let out = batches(l, size)
+            .iter()
+            .filter_map(|b| {
+                table
+                    .probe_batch(b, &keys, &cols, &schema, cond.residual.as_ref())
+                    .unwrap()
+            })
+            .collect::<Vec<_>>();
+        collect(&schema, out)
+    }
+
     #[test]
     fn nested_loop_product() {
         let l = left_rel();
         let r = right_rel();
-        let op = NestedLoopJoin::build(scan(&l), scan(&r), None, 1024).unwrap();
-        let out = collect(Box::new(op)).unwrap();
+        let out = nested_loop(&l, &r, None);
         assert_eq!(out.len(), l.len() * r.len());
         assert_eq!(out.multiplicity(&tuple![1_i64, "a", 1_i64, 10_i64]), 6);
     }
@@ -590,26 +501,10 @@ mod tests {
         let l = left_rel();
         let r = right_rel();
         let pred = ScalarExpr::attr(1).eq(ScalarExpr::attr(3));
-        let op = NestedLoopJoin::build(scan(&l), scan(&r), Some(pred), 1024).unwrap();
-        let out = collect(Box::new(op)).unwrap();
+        let out = nested_loop(&l, &r, Some(&pred));
         assert_eq!(out.multiplicity(&tuple![1_i64, "a", 1_i64, 10_i64]), 6);
         assert_eq!(out.multiplicity(&tuple![2_i64, "b", 2_i64, 20_i64]), 1);
         assert_eq!(out.len(), 7);
-    }
-
-    #[test]
-    fn nested_loop_resumes_mid_row_across_batches() {
-        // batch size 1 forces a state save after every output row; the
-        // full product must still come out exactly once.
-        let l = left_rel();
-        let r = right_rel();
-        let mut op = NestedLoopJoin::build(scan(&l), scan(&r), None, 1).unwrap();
-        let mut total = 0_u64;
-        while let Some(b) = op.next_batch().unwrap() {
-            assert_eq!(b.len(), 1);
-            total += b.total_multiplicity();
-        }
-        assert_eq!(total, l.len() * r.len());
     }
 
     #[test]
@@ -648,12 +543,9 @@ mod tests {
         let l = left_rel();
         let r = right_rel();
         let pred = ScalarExpr::attr(1).eq(ScalarExpr::attr(3));
-        let cond = extract_equi_condition(&pred, 2, 2).unwrap();
-        let hj = HashJoin::build(scan(&l), scan(&r), cond, 1024).unwrap();
-        let nl = NestedLoopJoin::build(scan(&l), scan(&r), Some(pred), 1024).unwrap();
         assert_eq!(
-            collect(Box::new(hj)).unwrap(),
-            collect(Box::new(nl)).unwrap()
+            hash_join(&l, &r, &pred, 1024),
+            nested_loop(&l, &r, Some(&pred))
         );
     }
 
@@ -662,17 +554,13 @@ mod tests {
         let l = left_rel();
         let r = right_rel();
         let pred = ScalarExpr::attr(1).eq(ScalarExpr::attr(3));
-        let want = {
-            let cond = extract_equi_condition(&pred, 2, 2).unwrap();
-            collect(Box::new(
-                HashJoin::build(scan(&l), scan(&r), cond, 1024).unwrap(),
-            ))
-            .unwrap()
-        };
+        let want = hash_join(&l, &r, &pred, 1024);
         for batch_size in [1, 2, 7] {
-            let cond = extract_equi_condition(&pred, 2, 2).unwrap();
-            let hj = HashJoin::build(scan(&l), scan(&r), cond, batch_size).unwrap();
-            assert_eq!(collect(Box::new(hj)).unwrap(), want, "batch={batch_size}");
+            assert_eq!(
+                hash_join(&l, &r, &pred, batch_size),
+                want,
+                "batch={batch_size}"
+            );
         }
     }
 
@@ -680,13 +568,11 @@ mod tests {
     fn hash_join_applies_residual() {
         let l = left_rel();
         let r = right_rel();
-        // equi on %1=%3 plus residual %4 > %1... (int comparisons)
+        // equi on %1=%3 plus residual %4 > 15
         let pred = ScalarExpr::attr(1)
             .eq(ScalarExpr::attr(3))
             .and(ScalarExpr::attr(4).cmp(CmpOp::Gt, ScalarExpr::int(15)));
-        let cond = extract_equi_condition(&pred, 2, 2).unwrap();
-        let hj = HashJoin::build(scan(&l), scan(&r), cond, 1024).unwrap();
-        let out = collect(Box::new(hj)).unwrap();
+        let out = hash_join(&l, &r, &pred, 1024);
         assert_eq!(out.len(), 1);
         assert_eq!(out.multiplicity(&tuple![2_i64, "b", 2_i64, 20_i64]), 1);
     }
@@ -696,8 +582,6 @@ mod tests {
         let l = left_rel();
         let empty = rel(vec![], &[DataType::Int, DataType::Int]);
         let pred = ScalarExpr::attr(1).eq(ScalarExpr::attr(3));
-        let cond = extract_equi_condition(&pred, 2, 2).unwrap();
-        let hj = HashJoin::build(scan(&l), scan(&empty), cond, 1024).unwrap();
-        assert!(collect(Box::new(hj)).unwrap().is_empty());
+        assert!(hash_join(&l, &empty, &pred, 1024).is_empty());
     }
 }

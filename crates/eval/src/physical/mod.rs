@@ -1,9 +1,10 @@
-//! The physical engine: pipelined operators over *batched counted* tuple
-//! streams.
+//! The physical engine's data and kernels: *batched counted* tuple
+//! streams and the per-batch operator kernels the pipelines of
+//! [`morsel`](crate::morsel) are built from.
 //!
-//! Every operator yields [`CountedBatch`]es — schema-tagged **columnar**
-//! chunks: one typed [`Column`] per attribute plus a dedicated
-//! multiplicity column. Streaming counted rows rather than
+//! Data flows as [`CountedBatch`]es — schema-tagged **columnar** chunks:
+//! one typed [`Column`] per attribute plus a dedicated multiplicity
+//! column. Streaming counted rows rather than
 //! duplicate-expanded tuples keeps bag semantics exact (multiplicities are
 //! arithmetic, Definitions 3.1–3.2) and means a tuple with multiplicity
 //! one million costs one row, not a million; the columnar layout on top
@@ -19,16 +20,14 @@
 //! selection, projection, product and join act row-wise — their laws are
 //! linear in the multiplicity.
 //!
-//! The [`planner`] translates a [`RelExpr`](mera_expr::RelExpr) into an
-//! operator tree, picking hash joins for equi-predicates and falling back
-//! to nested loops, and [`collect`] drains any operator into a
-//! materialised [`Relation`]. Operators borrow their inputs (`BoxedOp<'a>`
-//! carries a lifetime), so scans stream straight out of the stored
-//! relation without an upfront snapshot.
+//! The kernels: [`ops`] (selection and projection over one batch),
+//! [`join`] (equi-join build/probe tables and the nested-loop probe),
+//! [`agg`] (group-by state), [`stats`] (per-node row counters for
+//! EXPLAIN and experiment E5), and [`planner`] (the extended-projection
+//! schema rule the pipeline compiler uses).
 
 pub mod agg;
 pub mod column;
-pub mod index_ops;
 pub mod join;
 pub mod ops;
 pub mod planner;
@@ -47,7 +46,7 @@ pub use column::Column;
 pub type Counted = (Tuple, u64);
 
 /// A schema-tagged columnar chunk of counted rows — the unit of data flow
-/// between physical operators. Cell `i` of every column together with
+/// through a pipeline. Cell `i` of every column together with
 /// `counts[i]` forms one counted row.
 ///
 /// Invariants maintained by the operators: batches are non-empty, every
@@ -214,53 +213,4 @@ impl IntoIterator for CountedBatch {
     fn into_iter(self) -> Self::IntoIter {
         self.into_rows().into_iter()
     }
-}
-
-/// A pipelined physical operator producing a batched counted stream.
-pub trait Operator {
-    /// The schema of the tuples this operator produces.
-    fn schema(&self) -> &SchemaRef;
-
-    /// Produces the next batch, `None` at end of stream.
-    ///
-    /// Batches are never empty and multiplicities are always ≥ 1. The
-    /// batch size is a *target*: operators whose output expands (joins)
-    /// may overshoot, and operators that filter may undershoot.
-    fn next_batch(&mut self) -> CoreResult<Option<CountedBatch>>;
-}
-
-/// A boxed operator, the unit of plan composition. The lifetime ties the
-/// plan to the relations (and expression literals) it scans.
-pub type BoxedOp<'a> = Box<dyn Operator + 'a>;
-
-/// Drains an operator into a materialised relation, merging multiplicities
-/// of tuples that arrive in separate rows or batches.
-pub fn collect(mut op: BoxedOp<'_>) -> CoreResult<Relation> {
-    let schema = std::sync::Arc::clone(op.schema());
-    let mut out = Relation::empty(schema);
-    while let Some(batch) = op.next_batch()? {
-        for (t, m) in batch {
-            out.insert(t, m)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Plans and executes an expression with default options — the physical
-/// counterpart of [`reference::eval`](crate::reference::eval).
-pub fn execute(
-    expr: &mera_expr::RelExpr,
-    provider: &(impl crate::provider::RelationProvider + ?Sized),
-) -> CoreResult<Relation> {
-    execute_with(expr, provider, &ExecOptions::default())
-}
-
-/// Plans and executes an expression with explicit options.
-pub fn execute_with(
-    expr: &mera_expr::RelExpr,
-    provider: &(impl crate::provider::RelationProvider + ?Sized),
-    opts: &ExecOptions,
-) -> CoreResult<Relation> {
-    let plan = planner::plan_with(expr, provider, *opts)?;
-    collect(plan)
 }

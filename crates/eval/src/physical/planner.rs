@@ -1,364 +1,17 @@
-//! Translation of algebra expressions into physical operator trees.
+//! Plan-time schema derivation shared by the physical planner.
 //!
-//! The planner is deliberately simple — operator *choice* is local:
-//!
-//! * joins with at least one cross-side equality conjunct become
-//!   [`HashJoin`]s (residual conjuncts are applied post-probe); all other
-//!   joins and every product become [`NestedLoopJoin`]s;
-//! * plain and extended projections share [`ProjectOp`];
-//! * difference/intersection materialise both sides (their multiplicity
-//!   laws need merged counts);
-//! * group-by becomes a [`HashAggregate`].
-//!
-//! Plan-*level* optimisation (pushdowns, join ordering) lives in
-//! `mera-opt`, which rewrites the algebra tree before it reaches this
-//! planner.
-//!
-//! Plans borrow the expression and the provider (`BoxedOp<'a>`): scans
-//! stream lazily out of the stored relations, so nothing is snapshotted at
-//! plan time.
+//! The planner itself is [`morsel`](crate::morsel)'s compiler, which turns
+//! every algebra expression into pipelines at any worker count; this module
+//! keeps the one schema rule it needs beyond [`Schema`]'s own methods, and
+//! the end-to-end tests of the physical engine against the reference
+//! evaluator.
 
 use std::sync::Arc;
 
 use mera_core::prelude::*;
-use mera_expr::rel::RelExpr;
 use mera_expr::ScalarExpr;
 
-use crate::engine::ExecOptions;
-use crate::index::{split_point_conjuncts, IndexJoinHints, IndexSet};
-use crate::provider::{RelationProvider, Schemas};
-
-use super::agg::HashAggregate;
-use super::index_ops::{IndexLookupOp, IndexNestedLoopJoin};
-use super::join::{extract_equi_condition, HashJoin, NestedLoopJoin};
-use super::ops::{DifferenceOp, DistinctOp, FilterOp, IntersectOp, ProjectOp, ScanOp, UnionOp};
-use super::stats::{ExecStats, Instrumented};
-use super::BoxedOp;
-
-/// Index access paths available to the planner: the catalog's indexes plus
-/// the cost-model hints naming the joins that should run index-nested-loop.
-///
-/// Point-selections over an indexed base relation always take the index
-/// (a lookup is never worse than scan-and-filter); joins only do when the
-/// cost model hinted them, because probing per left row loses to a hash
-/// build once the probe side grows — a statistics question the planner
-/// itself does not answer.
-#[derive(Clone, Copy)]
-pub struct IndexAccess<'a> {
-    /// The registered indexes (the catalog objects).
-    pub indexes: &'a IndexSet,
-    /// `(relation, sorted key attrs)` joins chosen for index-nested-loop.
-    pub hints: &'a IndexJoinHints,
-}
-
-/// Plans an expression into an operator tree with default options,
-/// validating schemas up front.
-pub fn plan<'a>(
-    expr: &'a RelExpr,
-    provider: &'a (impl RelationProvider + ?Sized),
-) -> CoreResult<BoxedOp<'a>> {
-    plan_with(expr, provider, ExecOptions::default())
-}
-
-/// Plans an expression into an operator tree with explicit options,
-/// validating schemas up front.
-pub fn plan_with<'a>(
-    expr: &'a RelExpr,
-    provider: &'a (impl RelationProvider + ?Sized),
-    opts: ExecOptions,
-) -> CoreResult<BoxedOp<'a>> {
-    plan_indexed_with(expr, provider, opts, None)
-}
-
-/// Plans with index access paths: point-selections over indexed base
-/// relations become [`IndexLookupOp`]s and hinted joins become
-/// [`IndexNestedLoopJoin`]s.
-pub fn plan_indexed_with<'a>(
-    expr: &'a RelExpr,
-    provider: &'a (impl RelationProvider + ?Sized),
-    opts: ExecOptions,
-    access: Option<IndexAccess<'a>>,
-) -> CoreResult<BoxedOp<'a>> {
-    expr.schema(&Schemas(provider))?;
-    plan_node(expr, provider, opts.effective_batch_size(), access, None)
-}
-
-/// Plans with per-operator instrumentation; every operator registers a
-/// counter in `stats` labelled with its display form.
-pub fn plan_instrumented<'a>(
-    expr: &'a RelExpr,
-    provider: &'a (impl RelationProvider + ?Sized),
-    stats: &mut ExecStats,
-) -> CoreResult<BoxedOp<'a>> {
-    plan_instrumented_with(expr, provider, ExecOptions::default(), stats)
-}
-
-/// Plans with instrumentation and explicit options.
-pub fn plan_instrumented_with<'a>(
-    expr: &'a RelExpr,
-    provider: &'a (impl RelationProvider + ?Sized),
-    opts: ExecOptions,
-    stats: &mut ExecStats,
-) -> CoreResult<BoxedOp<'a>> {
-    plan_instrumented_indexed_with(expr, provider, opts, None, stats)
-}
-
-/// Plans with both instrumentation and index access paths — the EXPLAIN
-/// entry point: counters are labelled with the chosen access path
-/// (`index_lookup(r)`, `index_nl_join(r)`) where an index was taken.
-pub fn plan_instrumented_indexed_with<'a>(
-    expr: &'a RelExpr,
-    provider: &'a (impl RelationProvider + ?Sized),
-    opts: ExecOptions,
-    access: Option<IndexAccess<'a>>,
-    stats: &mut ExecStats,
-) -> CoreResult<BoxedOp<'a>> {
-    expr.schema(&Schemas(provider))?;
-    plan_node(
-        expr,
-        provider,
-        opts.effective_batch_size(),
-        access,
-        Some(stats),
-    )
-}
-
-fn plan_node<'a>(
-    expr: &'a RelExpr,
-    provider: &'a (impl RelationProvider + ?Sized),
-    batch: usize,
-    access: Option<IndexAccess<'a>>,
-    mut stats: Option<&mut ExecStats>,
-) -> CoreResult<BoxedOp<'a>> {
-    let mut label: Option<String> = None;
-    let op: BoxedOp<'a> = match expr {
-        RelExpr::Scan(name) => Box::new(ScanOp::new(provider.relation(name)?, batch)),
-        RelExpr::Values(rel) => Box::new(ScanOp::new(rel, batch)),
-        RelExpr::Union(l, r) => {
-            let left = plan_node(l, provider, batch, access, stats.as_deref_mut())?;
-            let right = plan_node(r, provider, batch, access, stats.as_deref_mut())?;
-            Box::new(UnionOp::new(left, right))
-        }
-        RelExpr::Difference(l, r) => {
-            let left = plan_node(l, provider, batch, access, stats.as_deref_mut())?;
-            let right = plan_node(r, provider, batch, access, stats.as_deref_mut())?;
-            Box::new(DifferenceOp::new(left, right, batch))
-        }
-        RelExpr::Intersect(l, r) => {
-            let left = plan_node(l, provider, batch, access, stats.as_deref_mut())?;
-            let right = plan_node(r, provider, batch, access, stats.as_deref_mut())?;
-            Box::new(IntersectOp::new(left, right, batch))
-        }
-        RelExpr::Product(l, r) => {
-            let left = plan_node(l, provider, batch, access, stats.as_deref_mut())?;
-            let right = plan_node(r, provider, batch, access, stats.as_deref_mut())?;
-            Box::new(NestedLoopJoin::build(left, right, None, batch)?)
-        }
-        RelExpr::Select { input, predicate } => {
-            match try_index_select(input, predicate, access, batch)? {
-                Some((op, l)) => {
-                    label = Some(l);
-                    op
-                }
-                None => {
-                    let child = plan_node(input, provider, batch, access, stats.as_deref_mut())?;
-                    Box::new(FilterOp::new(child, predicate.clone()))
-                }
-            }
-        }
-        RelExpr::Project { input, attrs } => {
-            let child = plan_node(input, provider, batch, access, stats.as_deref_mut())?;
-            let out_schema = Arc::new(child.schema().project(attrs)?);
-            let exprs = attrs
-                .indexes()
-                .iter()
-                .map(|&i| ScalarExpr::Attr(i))
-                .collect();
-            Box::new(ProjectOp::new(child, exprs, out_schema))
-        }
-        RelExpr::ExtProject { input, exprs } => {
-            let child = plan_node(input, provider, batch, access, stats.as_deref_mut())?;
-            let out_schema = ext_project_schema(child.schema(), exprs)?;
-            Box::new(ProjectOp::new(child, exprs.clone(), out_schema))
-        }
-        RelExpr::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let l = plan_node(left, provider, batch, access, stats.as_deref_mut())?;
-            match try_index_join(l, right, predicate, access, provider, batch)? {
-                IndexJoinOutcome::Indexed(op, l) => {
-                    label = Some(l);
-                    op
-                }
-                IndexJoinOutcome::Fallback(l) => {
-                    let r = plan_node(right, provider, batch, access, stats.as_deref_mut())?;
-                    let la = l.schema().arity();
-                    let ra = r.schema().arity();
-                    match extract_equi_condition(predicate, la, ra) {
-                        Some(cond) => Box::new(HashJoin::build(l, r, cond, batch)?),
-                        None => {
-                            Box::new(NestedLoopJoin::build(l, r, Some(predicate.clone()), batch)?)
-                        }
-                    }
-                }
-            }
-        }
-        RelExpr::Distinct(input) => {
-            let child = plan_node(input, provider, batch, access, stats.as_deref_mut())?;
-            Box::new(DistinctOp::new(child))
-        }
-        RelExpr::GroupBy {
-            input,
-            keys,
-            agg,
-            attr,
-        } => {
-            let child = plan_node(input, provider, batch, access, stats.as_deref_mut())?;
-            Box::new(HashAggregate::build(child, keys, *agg, *attr, batch)?)
-        }
-        RelExpr::Closure(input) => {
-            let child = plan_node(input, provider, batch, access, stats.as_deref_mut())?;
-            Box::new(super::ops::ClosureOp::new(child, batch))
-        }
-    };
-    Ok(match stats {
-        Some(stats) => {
-            let counter = stats.register(label.unwrap_or_else(|| describe(expr)));
-            Box::new(Instrumented::new(op, counter))
-        }
-        None => op,
-    })
-}
-
-/// Plans `σ_{predicate}(input)` as an index lookup when `input` is a scan
-/// of an indexed base relation and the point-equality conjuncts exactly
-/// cover an index's key set. Returns the operator and its access-path
-/// label, or `None` to fall back to scan-and-filter.
-fn try_index_select<'a>(
-    input: &'a RelExpr,
-    predicate: &ScalarExpr,
-    access: Option<IndexAccess<'a>>,
-    batch: usize,
-) -> CoreResult<Option<(BoxedOp<'a>, String)>> {
-    let (Some(access), RelExpr::Scan(rel)) = (access, input) else {
-        return Ok(None);
-    };
-    let (points, rest) = split_point_conjuncts(predicate);
-    if points.is_empty() {
-        return Ok(None);
-    }
-    let attrs: Vec<usize> = points.iter().map(|(i, _)| *i).collect();
-    let Some(index) = access.indexes.find(rel, &attrs) else {
-        return Ok(None);
-    };
-    // assemble the key tuple in the index's key-attribute order
-    let mut key_vals = Vec::with_capacity(attrs.len());
-    for &k in index.key_attrs() {
-        let v = points
-            .iter()
-            .find(|(i, _)| *i == k)
-            .map(|(_, v)| v.clone())
-            .expect("index keys match point attributes");
-        key_vals.push(v);
-    }
-    let lookup: BoxedOp<'a> = Box::new(IndexLookupOp::new(index, Tuple::new(key_vals), batch));
-    let op = if rest.is_empty() {
-        lookup
-    } else {
-        Box::new(FilterOp::new(lookup, ScalarExpr::conjoin(rest)))
-    };
-    Ok(Some((op, format!("index_lookup({rel})"))))
-}
-
-/// What [`try_index_join`] decided: an index-nested-loop operator (with
-/// its label), or the untouched left plan for the hash/nested-loop
-/// fallback.
-enum IndexJoinOutcome<'a> {
-    Indexed(BoxedOp<'a>, String),
-    Fallback(BoxedOp<'a>),
-}
-
-/// Plans `l ⋈_{predicate} right` as an index-nested-loop join when `right`
-/// scans an indexed base relation and the cost model hinted an index whose
-/// key set is covered by the join's equi-keys. The hint may bind only a
-/// subset of the equi-keys (a partial-key probe): leftover equalities join
-/// the predicate's non-equality conjuncts as a residual filter over the
-/// concatenated schema.
-fn try_index_join<'a>(
-    l: BoxedOp<'a>,
-    right: &'a RelExpr,
-    predicate: &ScalarExpr,
-    access: Option<IndexAccess<'a>>,
-    provider: &'a (impl RelationProvider + ?Sized),
-    batch: usize,
-) -> CoreResult<IndexJoinOutcome<'a>> {
-    let (Some(access), RelExpr::Scan(rel)) = (access, right) else {
-        return Ok(IndexJoinOutcome::Fallback(l));
-    };
-    let la = l.schema().arity();
-    let ra = provider.relation(rel)?.schema().arity();
-    let Some(cond) = extract_equi_condition(predicate, la, ra) else {
-        return Ok(IndexJoinOutcome::Fallback(l));
-    };
-    let mut keys: Vec<usize> = cond.right_keys.clone();
-    keys.sort_unstable();
-    keys.dedup();
-    // best hinted index for this join: every hinted key must be an
-    // equi-key; prefer the longest (most selective) hinted key set
-    let mut hint_keys: Option<&Vec<usize>> = None;
-    for (r, k) in access.hints.iter() {
-        if r != rel || !k.iter().all(|a| keys.contains(a)) {
-            continue;
-        }
-        let better = match hint_keys {
-            None => true,
-            Some(b) => k.len() > b.len() || (k.len() == b.len() && k < b),
-        };
-        if better {
-            hint_keys = Some(k);
-        }
-    }
-    let Some(hint_keys) = hint_keys else {
-        return Ok(IndexJoinOutcome::Fallback(l));
-    };
-    let Some(index) = access.indexes.find(rel, hint_keys) else {
-        return Ok(IndexJoinOutcome::Fallback(l));
-    };
-    // split the equi pairs into probe keys — one per index key attribute —
-    // and leftover equalities; the condition carries 1-based attribute
-    // numbers, the operator takes 0-based offsets into each side's schema
-    let mut probe_left = Vec::with_capacity(hint_keys.len());
-    let mut probe_right = Vec::with_capacity(hint_keys.len());
-    let mut used = vec![false; cond.right_keys.len()];
-    for &ik in index.key_attrs() {
-        let Some(pos) = cond.right_keys.iter().position(|&rk| rk == ik) else {
-            return Ok(IndexJoinOutcome::Fallback(l));
-        };
-        used[pos] = true;
-        probe_left.push(cond.left_keys[pos] - 1);
-        probe_right.push(cond.right_keys[pos] - 1);
-    }
-    // unbound equi pairs are re-evaluated as residual equalities over the
-    // concatenated schema (right attributes shift by the left arity)
-    let mut residuals: Vec<ScalarExpr> = Vec::new();
-    for (i, &rk) in cond.right_keys.iter().enumerate() {
-        if !used[i] {
-            residuals.push(ScalarExpr::attr(cond.left_keys[i]).eq(ScalarExpr::attr(la + rk)));
-        }
-    }
-    residuals.extend(cond.residual);
-    let residual = (!residuals.is_empty()).then(|| ScalarExpr::conjoin(residuals));
-    let op = IndexNestedLoopJoin::build(l, index, &probe_left, &probe_right, residual, batch)?;
-    Ok(IndexJoinOutcome::Indexed(
-        Box::new(op),
-        format!("index_nl_join({rel})"),
-    ))
-}
-
-/// Output schema of an extended projection over a known input schema
-/// (shared with the morsel-driven pipeline compiler).
+/// Output schema of an extended projection over a known input schema.
 pub(crate) fn ext_project_schema(input: &SchemaRef, exprs: &[ScalarExpr]) -> CoreResult<SchemaRef> {
     let mut attrs = Vec::with_capacity(exprs.len());
     for e in exprs {
@@ -372,21 +25,14 @@ pub(crate) fn ext_project_schema(input: &SchemaRef, exprs: &[ScalarExpr]) -> Cor
     Ok(Arc::new(Schema::new(attrs)))
 }
 
-/// A short label for instrumentation (operator name plus scanned relation
-/// where applicable).
-fn describe(expr: &RelExpr) -> String {
-    match expr {
-        RelExpr::Scan(name) => format!("scan({name})"),
-        other => other.op_name().to_owned(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{collect, execute, execute_with};
+    use crate::engine::{Engine, ExecOptions};
+    use crate::physical::stats::ExecStats;
     use crate::reference;
     use mera_core::tuple;
+    use mera_expr::rel::RelExpr;
     use mera_expr::Aggregate;
 
     fn db() -> Database {
@@ -443,7 +89,7 @@ mod tests {
                 .ext_project(vec![ScalarExpr::attr(1).mul(ScalarExpr::int(10))]),
             r.clone()
                 .join(s.clone(), ScalarExpr::attr(1).eq(ScalarExpr::attr(3))),
-            // non-equi join → nested loop
+            // non-equi join → loop probe
             r.clone().join(
                 s.clone(),
                 ScalarExpr::attr(1).cmp(CmpOp::Lt, ScalarExpr::attr(3)),
@@ -474,7 +120,7 @@ mod tests {
         let db = db();
         for e in plans() {
             let expected = reference::eval(&e, &db).unwrap();
-            let actual = execute(&e, &db).unwrap();
+            let actual = Engine::physical().run(&e, &db).unwrap();
             assert_eq!(actual, expected, "plan disagreed for {e}");
         }
     }
@@ -489,76 +135,23 @@ mod tests {
                     batch_size,
                     partitions: 1,
                 };
-                let actual = execute_with(&e, &db, &opts).unwrap();
+                let actual = Engine::physical().with_options(opts).run(&e, &db).unwrap();
                 assert_eq!(actual, expected, "batch={batch_size} disagreed for {e}");
             }
         }
     }
 
     #[test]
-    fn instrumented_plan_counts_rows() {
-        let db = db();
-        let e = RelExpr::scan("r")
-            .select(ScalarExpr::attr(2).eq(ScalarExpr::str("a")))
-            .project(&[1]);
-        let mut stats = ExecStats::new();
-        let plan = plan_instrumented(&e, &db, &mut stats).unwrap();
-        let out = collect(plan).unwrap();
-        assert_eq!(out.len(), 5);
-        let rows = stats.rows_out();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0], ("scan(r)".to_owned(), 6));
-        assert_eq!(rows[1], ("select".to_owned(), 5));
-        assert_eq!(rows[2], ("project".to_owned(), 5));
-        assert_eq!(stats.total_intermediate(), 16);
-    }
-
-    #[test]
-    fn partial_key_hint_takes_the_index_path() {
-        let db = db();
-        let mut indexes = crate::index::IndexSet::new();
-        indexes.create(&db, "s", &[1]).unwrap();
-        let mut hints = crate::index::IndexJoinHints::default();
-        hints.insert(("s".to_owned(), vec![1]));
-        // two equi conjuncts, but only the first is indexed: the probe
-        // binds %1, the second equality is re-checked as a residual
-        let e = RelExpr::scan("s").join(
-            RelExpr::scan("s"),
-            ScalarExpr::attr(1)
-                .eq(ScalarExpr::attr(3))
-                .and(ScalarExpr::attr(2).eq(ScalarExpr::attr(4))),
-        );
-        let expected = reference::eval(&e, &db).unwrap();
-        let mut stats = ExecStats::new();
-        let plan = plan_instrumented_indexed_with(
-            &e,
-            &db,
-            ExecOptions::default(),
-            Some(IndexAccess {
-                indexes: &indexes,
-                hints: &hints,
-            }),
-            &mut stats,
-        )
-        .unwrap();
-        let out = collect(plan).unwrap();
-        assert_eq!(out, expected);
-        assert_eq!(out.len(), 5, "self-join multiplicities multiply");
-        assert!(
-            stats
-                .rows_out()
-                .iter()
-                .any(|(label, _)| label == "index_nl_join(s)"),
-            "partial-key hint should take the index path, got {:?}",
-            stats.rows_out()
-        );
-    }
-
-    #[test]
     fn plan_rejects_invalid_expressions() {
         let db = db();
         let bad = RelExpr::scan("r").union(RelExpr::scan("s"));
-        assert!(plan(&bad, &db).is_err());
-        assert!(plan(&RelExpr::scan("zzz"), &db).is_err());
+        assert!(Engine::physical().run(&bad, &db).is_err());
+        assert!(Engine::physical().run(&RelExpr::scan("zzz"), &db).is_err());
+        // the instrumented compile rejects them before registering a counter
+        let mut stats = ExecStats::new();
+        assert!(Engine::physical()
+            .run_instrumented(&bad, &db, &mut stats)
+            .is_err());
+        assert!(stats.rows_out().is_empty());
     }
 }

@@ -1,29 +1,38 @@
 //! Execution statistics: per-operator row counters.
 //!
 //! Example 3.2's point is that inserting a projection *reduces the size of
-//! intermediate results*. To measure that claim (experiment E5) the planner
-//! can wrap every operator in an [`Instrumented`] shell that counts the
-//! tuples (with multiplicity) flowing out of it; [`ExecStats`] aggregates
-//! the counters per operator for reporting.
+//! intermediate results*. To measure that claim (experiment E5) and to
+//! report actual cardinalities in EXPLAIN,
+//! [`Engine::run_instrumented`](crate::Engine::run_instrumented) registers
+//! one counter per plan node that tallies the tuples (with multiplicity)
+//! flowing out of it; [`ExecStats`] holds the counters in registration
+//! (post-)order. Counters are relaxed atomics, so workers of a parallel
+//! pipeline add into them concurrently and the totals do not depend on the
+//! worker count.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mera_core::prelude::*;
-
-use super::{BoxedOp, CountedBatch, Operator};
-
-/// One operator's counters.
-#[derive(Debug, Default)]
-pub struct OpCounter {
+/// One plan node's counters.
+#[derive(Debug)]
+pub(crate) struct OpCounter {
     /// Tuples produced, counted with multiplicity.
-    pub rows_out: AtomicU64,
+    rows_out: AtomicU64,
     /// Attribute values produced (`rows × arity`) — the paper's "size of
     /// intermediate results" is data volume, so narrowing projections
     /// shrink this even when the row count is unchanged.
-    pub cells_out: AtomicU64,
-    /// Stream batches produced (distinct `next_batch()` yields).
-    pub chunks_out: AtomicU64,
+    cells_out: AtomicU64,
+    /// Output arity of the node.
+    arity: u64,
+}
+
+impl OpCounter {
+    /// Records `rows` tuples (with multiplicity) leaving the node.
+    pub(crate) fn record(&self, rows: u64) {
+        self.rows_out.fetch_add(rows, Ordering::Relaxed);
+        self.cells_out
+            .fetch_add(rows * self.arity, Ordering::Relaxed);
+    }
 }
 
 /// Shared execution statistics for one plan.
@@ -38,15 +47,19 @@ impl ExecStats {
         Self::default()
     }
 
-    /// Registers a counter for an operator label, returning the handle the
-    /// instrumented operator updates.
-    pub fn register(&mut self, label: impl Into<String>) -> Arc<OpCounter> {
-        let c = Arc::new(OpCounter::default());
+    /// Registers a counter for a node with the given label and output
+    /// arity, returning the handle the pipeline updates.
+    pub(crate) fn register(&mut self, label: impl Into<String>, arity: usize) -> Arc<OpCounter> {
+        let c = Arc::new(OpCounter {
+            rows_out: AtomicU64::new(0),
+            cells_out: AtomicU64::new(0),
+            arity: arity as u64,
+        });
         self.counters.push((label.into(), Arc::clone(&c)));
         c
     }
 
-    /// `(label, rows_out)` per registered operator, in registration order
+    /// `(label, rows_out)` per registered node, in registration order
     /// (bottom-up plan order).
     pub fn rows_out(&self) -> Vec<(String, u64)> {
         self.counters
@@ -55,104 +68,35 @@ impl ExecStats {
             .collect()
     }
 
-    /// `(label, cells_out)` per registered operator, in registration order
-    /// (bottom-up plan order: an operator's input precedes it).
+    /// `(label, cells_out)` per registered node, in registration order
+    /// (bottom-up plan order: a node's inputs precede it).
     pub fn cells_out(&self) -> Vec<(String, u64)> {
         self.counters
             .iter()
             .map(|(l, c)| (l.clone(), c.cells_out.load(Ordering::Relaxed)))
             .collect()
     }
-
-    /// Total tuples that crossed operator boundaries.
-    pub fn total_intermediate(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|(_, c)| c.rows_out.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total attribute values that crossed operator boundaries — the
-    /// intermediate *data volume* of the plan (rows × arity summed over
-    /// operators).
-    pub fn total_cells(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|(_, c)| c.cells_out.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Renders a small per-operator report.
-    pub fn report(&self) -> String {
-        let mut s = String::new();
-        for (label, rows) in self.rows_out() {
-            s.push_str(&format!("{rows:>12}  {label}\n"));
-        }
-        s.push_str(&format!(
-            "{:>12}  total intermediate tuples\n",
-            self.total_intermediate()
-        ));
-        s
-    }
-}
-
-/// Wraps an operator, counting its output.
-pub struct Instrumented<'a> {
-    inner: BoxedOp<'a>,
-    counter: Arc<OpCounter>,
-}
-
-impl<'a> Instrumented<'a> {
-    /// Wraps `inner`, reporting into `counter`.
-    pub fn new(inner: BoxedOp<'a>, counter: Arc<OpCounter>) -> Self {
-        Instrumented { inner, counter }
-    }
-}
-
-impl Operator for Instrumented<'_> {
-    fn schema(&self) -> &SchemaRef {
-        self.inner.schema()
-    }
-
-    fn next_batch(&mut self) -> CoreResult<Option<CountedBatch>> {
-        let out = self.inner.next_batch()?;
-        if let Some(batch) = &out {
-            let arity = batch.schema().arity() as u64;
-            let rows = batch.total_multiplicity();
-            self.counter.rows_out.fetch_add(rows, Ordering::Relaxed);
-            self.counter
-                .cells_out
-                .fetch_add(rows * arity, Ordering::Relaxed);
-            self.counter.chunks_out.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::collect;
-    use crate::physical::ops::ScanOp;
-    use mera_core::tuple;
-    use std::sync::Arc as StdArc;
 
     #[test]
-    fn counters_track_rows_and_chunks() {
-        let rel = Relation::from_counted(
-            StdArc::new(Schema::anon(&[DataType::Int])),
-            vec![(tuple![1_i64], 5), (tuple![2_i64], 1)],
-        )
-        .unwrap();
+    fn counters_track_rows_and_cells() {
         let mut stats = ExecStats::new();
-        let c = stats.register("scan(r)");
-        let op = Instrumented::new(Box::new(ScanOp::new(&rel, 1024)), c);
-        let out = collect(Box::new(op)).unwrap();
-        assert_eq!(out.len(), 6);
-        let rows = stats.rows_out();
-        assert_eq!(rows, vec![("scan(r)".to_owned(), 6)]);
-        assert_eq!(stats.total_intermediate(), 6);
-        assert_eq!(stats.total_cells(), 6); // arity 1
-        assert!(stats.report().contains("scan(r)"));
+        let scan = stats.register("scan(r)", 3);
+        let select = stats.register("select", 3);
+        scan.record(5);
+        scan.record(1);
+        select.record(2);
+        assert_eq!(
+            stats.rows_out(),
+            vec![("scan(r)".to_owned(), 6), ("select".to_owned(), 2)]
+        );
+        assert_eq!(
+            stats.cells_out(),
+            vec![("scan(r)".to_owned(), 18), ("select".to_owned(), 6)]
+        );
     }
 }

@@ -6,6 +6,10 @@
 //! existing groups — allocation-free: the engine should allocate O(1) per
 //! *batch* (the batch vectors themselves), never O(rows).
 //!
+//! The plans run on the physical engine's pipelines at one worker (the
+//! schedule with no work-stealing bookkeeping, so every allocation left is
+//! the plan's own).
+//!
 //! The methodology makes that directly observable: run the same plan at
 //! two input sizes chosen so the **number of batches is identical** (rows
 //! and batch size scale together). If per-row work allocates, the larger
@@ -23,7 +27,7 @@ use std::sync::{Mutex, OnceLock};
 use mera_core::counting_alloc::{allocations_during, CountingAlloc};
 use mera_core::prelude::*;
 use mera_core::tuple;
-use mera_eval::{execute_with, ExecOptions};
+use mera_eval::{Engine, ExecOptions};
 use mera_expr::rel::RelExpr;
 use mera_expr::{Aggregate, ScalarExpr};
 use std::sync::Arc;
@@ -62,8 +66,9 @@ fn db_with_r(rows: i64) -> Database {
     db
 }
 
-/// Runs `expr` serially at two scales with the same batch *count* and
-/// asserts the allocation totals stay flat (per-batch, not per-row, cost).
+/// Runs `expr` on one worker at two scales with the same batch *count*
+/// and asserts the allocation totals stay flat (per-batch, not per-row,
+/// cost).
 fn assert_flat_allocations(expr: &RelExpr, what: &str) {
     let _guard = lock();
     const SMALL_ROWS: i64 = 2_048;
@@ -71,21 +76,21 @@ fn assert_flat_allocations(expr: &RelExpr, what: &str) {
     const BATCHES: usize = 8;
     let small_db = db_with_r(SMALL_ROWS);
     let big_db = db_with_r(BIG_ROWS);
-    let small_opts = ExecOptions {
-        batch_size: SMALL_ROWS as usize / BATCHES,
-        partitions: 1,
+    let engine = |rows: i64| {
+        Engine::physical().with_options(ExecOptions {
+            batch_size: rows as usize / BATCHES,
+            partitions: 1,
+        })
     };
-    let big_opts = ExecOptions {
-        batch_size: BIG_ROWS as usize / BATCHES,
-        partitions: 1,
-    };
-    // warm-up: populate lazy statics (empty tuple, interner shards) and
-    // fault in code paths so neither measured run pays one-time costs
-    execute_with(expr, &small_db, &small_opts).expect("evaluates");
-    execute_with(expr, &big_db, &big_opts).expect("evaluates");
+    let (small_engine, big_engine) = (engine(SMALL_ROWS), engine(BIG_ROWS));
+    // warm-up: populate lazy statics (empty tuple, interner shards, the
+    // worker pool) and fault in code paths so neither measured run pays
+    // one-time costs
+    small_engine.run(expr, &small_db).expect("evaluates");
+    big_engine.run(expr, &big_db).expect("evaluates");
 
-    let (small, _) = allocations_during(|| execute_with(expr, &small_db, &small_opts));
-    let (big, _) = allocations_during(|| execute_with(expr, &big_db, &big_opts));
+    let (small, _) = allocations_during(|| small_engine.run(expr, &small_db));
+    let (big, _) = allocations_during(|| big_engine.run(expr, &big_db));
     assert!(small > 0, "{what}: counting allocator not engaged");
     assert!(
         big < small * 2,

@@ -1,6 +1,6 @@
-//! Engine equivalence: the physical engine — the serial Volcano plan at
-//! one worker, the morsel-driven pipelines at more — and the reference
-//! evaluator implement the *same* algebra.
+//! Engine equivalence: the physical engine — the morsel-driven pipelines,
+//! at any worker count — and the reference evaluator implement the *same*
+//! algebra.
 //!
 //! Random databases (with heavy duplication, the regime bag semantics is
 //! about) and random well-typed expression trees are generated; every
@@ -11,9 +11,14 @@
 use std::sync::Arc;
 
 use mera_core::prelude::*;
-use mera_eval::{eval, execute, Engine};
+use mera_eval::{eval, Engine};
 use mera_expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
 use proptest::prelude::*;
+
+/// The physical engine with default options (one worker, full batches).
+fn execute(e: &RelExpr, db: &Database) -> CoreResult<Relation> {
+    Engine::physical().run(e, db)
+}
 
 /// r: (int, str) with multiplicities up to 4.
 fn rel_r() -> impl Strategy<Value = Relation> {
@@ -299,9 +304,8 @@ proptest! {
         }
     }
 
-    /// Worker-count differential test: the serial plan and the morsel
-    /// pipelines agree with the reference across worker counts and
-    /// batch/morsel sizes — including the plans hash partitioning cannot
+    /// Worker-count differential test: the pipelines agree with the
+    /// reference across worker counts and batch/morsel sizes — including the plans hash partitioning cannot
     /// decompose (δ, empty-key γ, −, ∩, θ-joins).
     ///
     /// On plans whose evaluation errors (partial aggregates, arithmetic),

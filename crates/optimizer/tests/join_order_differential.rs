@@ -1,8 +1,8 @@
 //! Join-reorder differential: the cost-based plan must produce the same
 //! multi-set as the canonical (unoptimized, reference-evaluated)
-//! expression on every execution engine — the physical engine serial and
-//! morsel-driven (worker counts {1, 3}), with and without index access
-//! paths and cost-model join hints attached.
+//! expression on every execution engine — the physical engine at worker
+//! counts {1, 3}, with and without index access paths and cost-model join
+//! hints attached.
 //!
 //! This is the end-to-end guarantee behind Theorem 3.3's reorder licence:
 //! whatever order the statistics steer the planner into, and whatever

@@ -346,15 +346,26 @@ pub fn eval_expr(state: &WorkingState, expr: &RelExpr, config: ExecConfig) -> Co
     } else {
         expr
     };
-    let mut engine = Engine::new(config.engine).with_options(config.options);
+    let engine = Engine::new(config.engine).with_options(config.options);
+    with_access_paths(engine, state, expr)?.run(expr, state)
+}
+
+/// Attaches the state's indexes and the cost model's index-join hints for
+/// `expr` to `engine` — unless the transaction has written an indexed
+/// relation: an index describes the *pre-transaction* state.
+pub(crate) fn with_access_paths(
+    engine: Engine,
+    state: &WorkingState,
+    expr: &RelExpr,
+) -> CoreResult<Engine> {
     let defs = state.indexes.definitions();
-    if !defs.is_empty() && !defs.iter().any(|(r, _)| state.dirtied(r)) {
-        let hints = choose_access_paths(expr, &state.stats, &defs, &provider)?;
-        engine = engine
-            .with_shared_indexes(Arc::clone(&state.indexes))
-            .with_index_hints(hints);
+    if defs.is_empty() || defs.iter().any(|(r, _)| state.dirtied(r)) {
+        return Ok(engine);
     }
-    engine.run(expr, state)
+    let hints = choose_access_paths(expr, &state.stats, &defs, &WorkingSchemas(state))?;
+    Ok(engine
+        .with_shared_indexes(Arc::clone(&state.indexes))
+        .with_index_hints(hints))
 }
 
 /// Schema-provider view of a working state (temporaries included).

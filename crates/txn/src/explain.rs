@@ -3,33 +3,31 @@
 //! The rendering has two sections. The **plan** section prints the
 //! optimized logical tree — the join order the cost model chose — with
 //! the estimator's row count at every node. The **execution** section
-//! runs the expression through the instrumented physical planner, under
-//! the same access-path policy as the live engine (index lookups for
-//! covered point selections, index-nested-loop joins where the cost model
-//! hinted them), and prints the rows that actually flowed out of every
-//! operator, bottom-up; operators that took an index carry
-//! `index_lookup(r)` / `index_nl_join(r)` labels. Reading the two
+//! runs the expression on the instrumented physical engine, under the
+//! configured options and the same access-path policy as the live engine
+//! (index lookups for covered point selections, index-nested-loop joins
+//! where the cost model hinted them), and prints the rows that actually
+//! flowed out of every operator, bottom-up; operators that took an index
+//! carry `index_lookup(r)` / `index_nl_join(r)` labels. Reading the two
 //! sections side by side answers the planner-debugging questions: which
 //! join order, which access paths, and how far off the estimates were.
 //!
-//! EXPLAIN always executes on the single-threaded instrumented physical
-//! engine regardless of [`ExecConfig::engine`], so its output is
-//! deterministic (golden-file testable) — the engines and schedules are
-//! equivalence-tested elsewhere, so the counts generalize.
+//! EXPLAIN executes on the physical engine regardless of
+//! [`ExecConfig::engine`] (the reference evaluator has no operators to
+//! count), at [`ExecConfig::options`]' worker count: the counters are
+//! totals over all workers, so the output is the same at every worker
+//! count and deterministic (golden-file testable).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use mera_analyze::{infer_props, KeyEnv};
 use mera_core::prelude::*;
-use mera_eval::physical::collect;
-use mera_eval::physical::planner::{plan_instrumented_indexed_with, IndexAccess};
-use mera_eval::physical::stats::ExecStats;
-use mera_eval::IndexJoinHints;
+use mera_eval::{Engine, ExecStats};
 use mera_expr::rel::RelExpr;
-use mera_opt::{choose_access_paths, estimate_rows, CatalogStats, Optimizer};
+use mera_opt::{estimate_rows, CatalogStats, Optimizer};
 
-use crate::exec::{ExecConfig, WorkingSchemas, WorkingState};
+use crate::exec::{with_access_paths, ExecConfig, WorkingSchemas, WorkingState};
 
 /// Renders the chosen plan for `expr` against a working state: join
 /// order, access paths, and estimated-vs-actual cardinality per operator
@@ -57,16 +55,6 @@ pub fn explain_expr(
 
     let stats: &CatalogStats = &state.stats;
 
-    // the same access-path policy as `eval_expr`: indexes describe the
-    // pre-transaction state, so they are off once an indexed relation is
-    // dirty
-    let mut hints = IndexJoinHints::default();
-    let defs = state.indexes.definitions();
-    let use_indexes = !defs.is_empty() && !defs.iter().any(|(r, _)| state.dirtied(r));
-    if use_indexes {
-        hints = choose_access_paths(expr, stats, &defs, &provider)?;
-    }
-
     let mut out = String::new();
     let _ = match stats.as_of() {
         Some(t) => writeln!(out, "plan (cost-based, statistics as of t={t}):"),
@@ -79,14 +67,10 @@ pub fn explain_expr(
     let key_env = state.key_env();
     render_node(&mut out, expr, stats, &provider, &key_env, 1);
 
+    // the same access-path policy as `eval_expr`
+    let engine = with_access_paths(Engine::physical().with_options(config.options), state, expr)?;
     let mut exec_stats = ExecStats::new();
-    let access = use_indexes.then_some(IndexAccess {
-        indexes: &state.indexes,
-        hints: &hints,
-    });
-    let plan =
-        plan_instrumented_indexed_with(expr, state, config.options, access, &mut exec_stats)?;
-    let result = collect(plan)?;
+    let result = engine.run_instrumented(expr, state, &mut exec_stats)?;
 
     let _ = writeln!(out, "execution (instrumented physical engine):");
     for (label, rows) in exec_stats.rows_out() {

@@ -12,9 +12,7 @@
 //! Run with `cargo run --example beer_analytics`.
 
 use mera::core::prelude::*;
-use mera::eval::physical::planner::plan_instrumented;
-use mera::eval::physical::stats::ExecStats;
-use mera::eval::{collect, eval};
+use mera::eval::{eval, Engine, ExecStats};
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
 use mera::opt::Optimizer;
 use mera::setalg::eval_set;
@@ -66,8 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gamma_input_cells =
         |expr: &RelExpr| -> Result<(u64, Relation), Box<dyn std::error::Error>> {
             let mut stats = ExecStats::new();
-            let plan = plan_instrumented(expr, &db, &mut stats)?;
-            let out = collect(plan)?;
+            let out = Engine::physical().run_instrumented(expr, &db, &mut stats)?;
             let cells = stats.cells_out();
             let gamma = cells
                 .iter()

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "rules applied: {:?} in {} pass(es)",
         optimized.applications, optimized.passes
     );
-    let physical = mera::eval::execute(&optimized.expr, &db)?;
+    let physical = mera::eval::Engine::physical().run(&optimized.expr, &db)?;
     assert_eq!(physical, result);
     println!("physical engine agrees with the reference evaluator ✓\n");
 

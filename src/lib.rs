@@ -16,7 +16,7 @@
 //! | [`analyze`] | `mera-analyze` | static analysis: schema inference, partiality lints, rewrite soundness |
 //! | [`core`] | `mera-core` | values, tuples, schemas, counted bags, databases (§2) |
 //! | [`expr`] | `mera-expr` | scalar/aggregate/relational expression trees (§3) |
-//! | [`eval`] | `mera-eval` | reference evaluator + Volcano engine |
+//! | [`eval`] | `mera-eval` | reference evaluator + morsel-driven physical engine |
 //! | [`opt`] | `mera-opt` | rewrite rules, cost model, join ordering (§3.3) |
 //! | [`lang`] | `mera-lang` | the XRA textual language |
 //! | [`txn`] | `mera-txn` | statements, programs, transactions (§4) |

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use mera::core::prelude::*;
-use mera::eval::{eval, execute};
+use mera::eval::{eval, Engine};
 use mera::expr::RelExpr;
 use mera::lang::Session;
 use proptest::prelude::*;
@@ -127,7 +127,7 @@ proptest! {
         let closed = eval(&e.clone().closure(), &db).expect("reference closure");
 
         // both engines agree
-        let physical = execute(&e.clone().closure(), &db).expect("physical closure");
+        let physical = Engine::physical().run(&e.clone().closure(), &db).expect("physical closure");
         prop_assert_eq!(&physical, &closed);
 
         // contains δE

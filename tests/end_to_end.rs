@@ -3,7 +3,7 @@
 //! front-end — must agree on the paper's worked examples.
 
 use mera::core::prelude::*;
-use mera::eval::{eval, execute};
+use mera::eval::{eval, Engine};
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
 use mera::lang::{Lowerer, Session};
 use mera::opt::{reorder_joins, CatalogStats, Optimizer};
@@ -27,14 +27,18 @@ fn example_3_1_five_ways_agree() {
     let reference = eval(&algebra, &db).expect("reference evaluates");
 
     // 2. physical engine
-    let physical = execute(&algebra, &db).expect("physical executes");
+    let physical = Engine::physical()
+        .run(&algebra, &db)
+        .expect("physical executes");
     assert_eq!(physical, reference);
 
     // 3. optimizer + physical engine
     let optimized = Optimizer::standard()
         .optimize(&algebra, db.schema())
         .expect("optimizes");
-    let via_optimizer = execute(&optimized.expr, &db).expect("optimized executes");
+    let via_optimizer = Engine::physical()
+        .run(&optimized.expr, &db)
+        .expect("optimized executes");
     assert_eq!(via_optimizer, reference);
 
     // 4. XRA language
@@ -231,10 +235,16 @@ fn engine_matrix_on_beer_database() {
     let opt = Optimizer::standard();
     for e in exprs {
         let want = eval(&e, &db).expect("reference evaluates");
-        assert_eq!(execute(&e, &db).expect("physical"), want, "physical: {e}");
+        assert_eq!(
+            Engine::physical().run(&e, &db).expect("physical"),
+            want,
+            "physical: {e}"
+        );
         let optimized = opt.optimize(&e, db.schema()).expect("optimizes");
         assert_eq!(
-            execute(&optimized.expr, &db).expect("optimized"),
+            Engine::physical()
+                .run(&optimized.expr, &db)
+                .expect("optimized"),
             want,
             "optimized {} -> {}",
             e,

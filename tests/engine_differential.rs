@@ -1,9 +1,8 @@
-//! Engine differential: the reference evaluator against the physical
-//! engine at every schedule it has — worker counts {1, 3} (the serial
-//! plan and the morsel pipelines) × batch sizes {1, 7, 1024} × {no
-//! indexes, indexes + the cost model's index-join hints} — on random
-//! databases and plans, and on the fixed join/group-by workloads over
-//! int and interned string keys.
+//! Engine differential: the reference evaluator (which never consults
+//! indexes) against the physical engine's pipelines at worker counts
+//! {1, 3} × batch sizes {1, 7, 1024} × {no indexes, indexes + the cost
+//! model's index-join hints} — on random databases and plans, and on the
+//! fixed join/group-by workloads over int and interned string keys.
 
 use std::sync::Arc;
 
@@ -13,10 +12,10 @@ use mera::expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
 use mera::opt::{choose_access_paths, CatalogStats};
 use proptest::prelude::*;
 
-/// Every engine configuration the differential checks, labelled. At one
-/// worker, attached indexes are native access paths steered by the hints;
-/// at three, the morsel pipelines take the point-selection rewrite and
-/// ignore the hints.
+/// Every engine configuration the differential checks, labelled. Attached
+/// indexes are native access paths steered by the hints at every worker
+/// count, so the `p=3 +indexes` rows run index lookups and
+/// index-nested-loop probes in parallel.
 fn engines(e: &RelExpr, db: &Database, indexed: &[&str]) -> Vec<(String, Engine)> {
     let mut indexes = IndexSet::new();
     for rel in indexed {

@@ -6,26 +6,45 @@
 //! `tests/golden/<name>.txt`. The rendering is part of the planner's
 //! observability contract: the join order, the access-path labels and the
 //! estimate column are what a user debugging a slow plan reads, so any
-//! change here must be deliberate.
+//! change here must be deliberate. Every case renders at one worker and at
+//! three, and both must match the golden byte for byte: the counters are
+//! totals over the workers.
 //!
 //! To regenerate a golden file after an intentional change, run with
 //! `MERA_BLESS=1` and commit the rewritten files.
 
 use mera::lang::{RunResult, Session};
 use mera::sql::{explain_sql, run_sql};
-use mera::txn::MvccManager;
+use mera::txn::{ExecConfig, ExecOptions, MvccManager};
 
-fn check(name: &str, golden: &str, actual: &str) {
-    if std::env::var_os("MERA_BLESS").is_some() {
-        let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
-        std::fs::write(&path, actual).expect("write golden");
-        return;
+/// Renders a case under one- and three-worker configurations and compares
+/// each rendering with the golden file.
+fn check(name: &str, golden: &str, mut render: impl FnMut(ExecConfig) -> String) {
+    let bless = std::env::var_os("MERA_BLESS").is_some();
+    let mut want = golden.to_owned();
+    for partitions in [1, 3] {
+        let actual = render(ExecConfig {
+            options: ExecOptions::with_partitions(partitions),
+            ..ExecConfig::default()
+        });
+        if bless && partitions == 1 {
+            let path = format!("{}/tests/golden/{name}.txt", env!("CARGO_MANIFEST_DIR"));
+            std::fs::write(&path, &actual).expect("write golden");
+            want = actual;
+            continue;
+        }
+        assert_eq!(
+            actual, want,
+            "\n-- plan for `{name}` rendered at {partitions} workers diverges from golden file --\n\
+             actual:\n{actual}\n"
+        );
     }
-    assert_eq!(
-        actual, golden,
-        "\n-- rendered plan for `{name}` diverges from golden file --\n\
-         actual:\n{actual}\n"
-    );
+}
+
+/// `session`'s EXPLAIN of `query` under `config`.
+fn explain(session: &mut Session, query: &str, config: ExecConfig) -> String {
+    session.set_config(config);
+    session.explain(query).expect("explains")
 }
 
 /// A session with a star-ish workload: a fact table (`orders`) and two
@@ -55,65 +74,59 @@ fn loaded_session() -> Session {
 
 #[test]
 fn point_select_takes_index_lookup() {
-    let session = loaded_session();
-    let actual = session
-        .explain("select[%1 = 2](customers)")
-        .expect("explains");
+    let mut session = loaded_session();
     check(
         "explain_point_select",
         include_str!("golden/explain_point_select.txt"),
-        &actual,
+        |config| explain(&mut session, "select[%1 = 2](customers)", config),
     );
 }
 
 #[test]
 fn unindexed_select_scans_and_filters() {
-    let session = loaded_session();
-    let actual = session.explain("select[%3 > 5](orders)").expect("explains");
+    let mut session = loaded_session();
     check(
         "explain_scan_filter",
         include_str!("golden/explain_scan_filter.txt"),
-        &actual,
+        |config| explain(&mut session, "select[%3 > 5](orders)", config),
     );
 }
 
 #[test]
 fn star_join_orders_and_access_paths() {
-    let session = loaded_session();
+    let mut session = loaded_session();
     // written dimension-first (a deliberately bad order); the cost model
     // reorders around the selective fact-side restriction and probes the
     // dimension indexes
-    let actual = session
-        .explain(
-            "join[(%1 = %6)](join[(%2 = %4)](\
-               select[%3 > 5](orders), items), customers)",
-        )
-        .expect("explains");
     check(
         "explain_star_join",
         include_str!("golden/explain_star_join.txt"),
-        &actual,
+        |config| {
+            explain(
+                &mut session,
+                "join[(%1 = %6)](join[(%2 = %4)](\
+                   select[%3 > 5](orders), items), customers)",
+                config,
+            )
+        },
     );
 }
 
 #[test]
 fn small_probe_side_takes_index_nested_loop() {
-    let session = loaded_session();
+    let mut session = loaded_session();
     // two customer rows probing the indexed eight-row fact table: the
     // cost model skips the hash build and hints the index path
-    let actual = session
-        .explain("join[(%1 = %3)](customers, orders)")
-        .expect("explains");
     check(
         "explain_index_nl_join",
         include_str!("golden/explain_index_nl_join.txt"),
-        &actual,
+        |config| explain(&mut session, "join[(%1 = %3)](customers, orders)", config),
     );
 }
 
 #[test]
 fn sql_front_door_explains_joins() {
-    let mgr = MvccManager::new(mera::beer_schema());
+    let mut mgr = MvccManager::new(mera::beer_schema());
     run_sql(
         &mgr,
         "INSERT INTO beer VALUES \
@@ -133,16 +146,18 @@ fn sql_front_door_explains_joins() {
     )
     .expect("inserts");
     mgr.create_index("brewery", &[1]).expect("index");
-    let actual = explain_sql(
-        &mgr,
-        "SELECT country, AVG(alcperc) FROM beer, brewery \
-         WHERE beer.brewery = brewery.name GROUP BY country",
-    )
-    .expect("explains");
     check(
         "explain_sql_join",
         include_str!("golden/explain_sql_join.txt"),
-        &actual,
+        |config| {
+            mgr.set_config(config);
+            explain_sql(
+                &mgr,
+                "SELECT country, AVG(alcperc) FROM beer, brewery \
+                 WHERE beer.brewery = brewery.name GROUP BY country",
+            )
+            .expect("explains")
+        },
     );
 }
 
@@ -155,17 +170,21 @@ fn declared_key_annotates_plan_and_licenses_distinct_elimination() {
     session
         .run_script("key customers (id);")
         .expect("key declaration");
-    let actual = session
-        .explain("unique(select[%2 = 'north'](customers))")
-        .expect("explains");
-    assert!(
-        !actual.contains("distinct"),
-        "keyed input must license δ-elimination:\n{actual}"
-    );
     check(
         "explain_keyed_distinct",
         include_str!("golden/explain_keyed_distinct.txt"),
-        &actual,
+        |config| {
+            let actual = explain(
+                &mut session,
+                "unique(select[%2 = 'north'](customers))",
+                config,
+            );
+            assert!(
+                !actual.contains("distinct"),
+                "keyed input must license δ-elimination:\n{actual}"
+            );
+            actual
+        },
     );
 }
 
@@ -174,7 +193,7 @@ fn sql_primary_key_annotates_plan_and_absorbs_distinct() {
     // the SQL front door's PRIMARY KEY feeds the same property pass: the
     // DISTINCT in the query is provably redundant and the rendered plan
     // carries the key annotation instead of a unique operator
-    let mgr = MvccManager::new(mera::core::prelude::DatabaseSchema::new());
+    let mut mgr = MvccManager::new(mera::core::prelude::DatabaseSchema::new());
     run_sql(
         &mgr,
         "CREATE TABLE member (name STR, town STR, PRIMARY KEY (name))",
@@ -186,15 +205,19 @@ fn sql_primary_key_annotates_plan_and_absorbs_distinct() {
          ('dick', 'enschede'), ('peter', 'hengelo'), ('maurice', 'enschede')",
     )
     .expect("inserts");
-    let actual = explain_sql(&mgr, "SELECT DISTINCT name, town FROM member").expect("explains");
-    assert!(
-        !actual.contains("distinct"),
-        "PRIMARY KEY must absorb DISTINCT:\n{actual}"
-    );
     check(
         "explain_sql_primary_key",
         include_str!("golden/explain_sql_primary_key.txt"),
-        &actual,
+        |config| {
+            mgr.set_config(config);
+            let actual =
+                explain_sql(&mgr, "SELECT DISTINCT name, town FROM member").expect("explains");
+            assert!(
+                !actual.contains("distinct"),
+                "PRIMARY KEY must absorb DISTINCT:\n{actual}"
+            );
+            actual
+        },
     );
 }
 

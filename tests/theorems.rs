@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use mera::core::prelude::*;
-use mera::eval::{eval, execute};
+use mera::eval::{eval, Engine};
 use mera::expr::{CmpOp, RelExpr, ScalarExpr};
 use proptest::prelude::*;
 
@@ -17,8 +17,8 @@ fn assert_equivalent(a: &RelExpr, b: &RelExpr, db: &Database) {
     let ra = eval(a, db).expect("lhs evaluates");
     let rb = eval(b, db).expect("rhs evaluates");
     assert_eq!(ra, rb, "reference engine: {a}  vs  {b}");
-    let pa = execute(a, db).expect("lhs executes");
-    let pb = execute(b, db).expect("rhs executes");
+    let pa = Engine::physical().run(a, db).expect("lhs executes");
+    let pb = Engine::physical().run(b, db).expect("rhs executes");
     assert_eq!(pa, pb, "physical engine: {a}  vs  {b}");
     assert_eq!(ra, pa, "engines disagree on {a}");
 }
