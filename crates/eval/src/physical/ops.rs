@@ -81,12 +81,11 @@ mod tests {
         let kept = scan.clone().select(ScalarExpr::bool(true));
         for partitions in [1, 3] {
             for batch_size in [1, 2, 1024] {
-                let engine = crate::engine::Engine::physical().with_options(
-                    crate::engine::ExecOptions {
+                let engine =
+                    crate::engine::Engine::physical().with_options(crate::engine::ExecOptions {
                         batch_size,
                         partitions,
-                    },
-                );
+                    });
                 assert_eq!(engine.run(&kept, &db).unwrap(), r);
                 assert_eq!(engine.run(&scan, &db).unwrap(), r);
             }

@@ -509,7 +509,7 @@ mod tests {
             .expect("fresh schema")
     }
 
-    fn open(storage: MemStorage, fsync: FsyncPolicy) -> ConcurrentDb<MemStorage> {
+    fn open<S: Storage>(storage: S, fsync: FsyncPolicy) -> ConcurrentDb<S> {
         let options = StoreOptions {
             fsync,
             ..StoreOptions::default()
@@ -517,7 +517,7 @@ mod tests {
         ConcurrentDb::open(storage, schema(), options).expect("open")
     }
 
-    fn insert_program(db: &ConcurrentDb<MemStorage>, owner: &str, balance: i64) -> Program {
+    fn insert_program<S: Storage>(db: &ConcurrentDb<S>, owner: &str, balance: i64) -> Program {
         let text = format!("insert(accounts, values (str, int) {{('{owner}', {balance})}})");
         let parsed = parse_program(&text).expect("parses");
         let catalog = db.pin().catalog_schema();
@@ -555,10 +555,33 @@ mod tests {
         assert_eq!(recovered.pin().database(), &expected);
     }
 
+    /// In-memory storage whose `sync` takes 20 ms: natural group commit
+    /// only batches when a flush is slower than the arrivals.
+    struct SlowSync(MemStorage);
+
+    impl Storage for SlowSync {
+        fn read(&self, name: &str) -> StoreResult<Option<Vec<u8>>> {
+            self.0.read(name)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> StoreResult<()> {
+            self.0.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> StoreResult<()> {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            self.0.sync(name)
+        }
+        fn replace_atomic(&mut self, name: &str, bytes: &[u8]) -> StoreResult<()> {
+            self.0.replace_atomic(name, bytes)
+        }
+        fn truncate(&mut self, name: &str, len: u64) -> StoreResult<()> {
+            self.0.truncate(name, len)
+        }
+    }
+
     #[test]
     fn group_commit_batches_fsyncs_across_threads() {
         let storage = MemStorage::new();
-        let db = Arc::new(open(storage.clone(), FsyncPolicy::EveryN(4)));
+        let db = Arc::new(open(SlowSync(storage.clone()), FsyncPolicy::EveryN(4)));
         let syncs_before = storage.sync_count();
         let threads: Vec<_> = (0..8)
             .map(|i| {
@@ -580,8 +603,13 @@ mod tests {
         for t in threads {
             t.join().expect("joins");
         }
+        // the laggards' commits stage while the first flush syncs and
+        // ride a shared flush; `Always` would take one sync per commit
         let syncs = storage.sync_count() - syncs_before;
-        assert!(syncs <= 8, "8 commits should not need more than 8 fsyncs");
+        assert!(
+            syncs < 8,
+            "8 commits took {syncs} fsyncs: group commit never batched"
+        );
         assert_eq!(db.pin().database().relation("accounts").unwrap().len(), 8);
         drop(db);
 
