@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use mera_core::prelude::*;
-use mera_expr::{arith_result_type, RelExpr, ScalarExpr, SchemaProvider};
+use mera_expr::{arith_result_type, ext_project_schema, RelExpr, ScalarExpr, SchemaProvider};
 
 use crate::diag::{Code, Diagnostic, Span};
 
@@ -264,21 +264,12 @@ fn walk<P: SchemaProvider>(
                 return (None, ic);
             }
             let schema = is.and_then(|s| {
-                let mut attrs = Vec::with_capacity(exprs.len());
+                // every expression is checked, so every error is reported
                 let mut ok = true;
                 for e in exprs {
-                    match check_scalar(e, &s, span, diags) {
-                        Some(t) => {
-                            let name = match e {
-                                ScalarExpr::Attr(i) => s.attr(*i).ok().and_then(|a| a.name.clone()),
-                                _ => None,
-                            };
-                            attrs.push(Attribute { name, dtype: t });
-                        }
-                        None => ok = false,
-                    }
+                    ok &= check_scalar(e, &s, span, diags).is_some();
                 }
-                ok.then(|| Arc::new(Schema::new(attrs)))
+                ok.then(|| ext_project_schema(&s, exprs).ok()).flatten()
             });
             (schema, ic)
         }

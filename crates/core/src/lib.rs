@@ -8,9 +8,10 @@
 //! * [`tuple`](mod@tuple) — tuples, attribute lists, projection `α` and
 //!   concatenation `⊕` (Definition 2.4),
 //! * [`schema`] — relation schemas (Definition 2.2),
-//! * [`multiset`] — the generic counted bag with the multiplicity laws of
-//!   Definitions 3.1–3.2,
-//! * [`relation`] — schema-checked relations and operator kernels,
+//! * [`multiset`] — the counted bag over a multiplicity semiring (ℕ, ℤ
+//!   for signed deltas, 𝔹 for set semantics) with the multiplicity laws
+//!   of Definitions 3.1–3.2,
+//! * [`relation`] — schema-checked K-relations and operator kernels,
 //! * [`database`] — database schemas, states and transitions
 //!   (Definitions 2.5–2.6).
 //!
@@ -34,7 +35,6 @@
 
 pub mod counting_alloc;
 pub mod database;
-pub mod delta;
 pub mod error;
 pub mod intern;
 pub mod multiset;
@@ -51,11 +51,10 @@ pub use tuple::IntoValue;
 /// One-stop imports for downstream crates and examples.
 pub mod prelude {
     pub use crate::database::{Database, DatabaseSchema, LogicalTime, Transition};
-    pub use crate::delta::SignedBag;
     pub use crate::error::{CoreError, CoreResult};
     pub use crate::intern::Sym;
-    pub use crate::multiset::Bag;
-    pub use crate::relation::{relation_of, Relation};
+    pub use crate::multiset::{Bag, KBag, NaturallyOrdered, Semiring, SignedBag};
+    pub use crate::relation::{relation_of, KRelation, Relation};
     pub use crate::schema::{Attribute, RelationSchema, Schema, SchemaRef};
     pub use crate::sketch::{stable_hash, KmvSketch};
     pub use crate::tuple;

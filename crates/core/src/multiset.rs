@@ -1,48 +1,227 @@
-//! A generic counted multi-set (bag).
+//! Counted multi-sets over a multiplicity semiring (K-bags).
 //!
-//! Definition 2.2 models a relation instance as a *function* `R : dom(R) → ℕ`
-//! mapping each element to its multiplicity. [`Bag`] is exactly that
-//! function, restricted to its finite support: elements with multiplicity 0
-//! are never stored, so `support().count()` is the number of *distinct*
-//! elements and [`Bag::len`] the total number of elements counted with
-//! multiplicity.
+//! Definition 2.2 models a relation instance as a *function*
+//! `R : dom(R) → ℕ` mapping each element to its multiplicity. "Codd's
+//! Theorem for Databases over Semirings" (Badia, Kolaitis & Noguera) reads
+//! ℕ as one instance of a commutative semiring K: a K-bag maps each element
+//! to a K-multiplicity, ⊎ is `+` and × is `·`. [`KBag<T, S>`] is that
+//! function restricted to its finite support — elements whose multiplicity
+//! is the semiring's zero are never stored, so `support().count()` is the
+//! number of *distinct* elements. The semiring is implemented directly on
+//! the count types:
 //!
-//! All multiplicity arithmetic of Definitions 3.1–3.2 lives here, element
-//! type-agnostic, so it can be property-tested in isolation and reused by
-//! both [`Relation`](crate::relation::Relation) and test harnesses:
+//! | `S` | semiring | used for |
+//! |---|---|---|
+//! | `u64` | ℕ, checked | the paper's bags: [`Bag`] and `Relation` |
+//! | `i64` | ℤ, checked | signed commit and view deltas: [`SignedBag`] |
+//! | `bool` | 𝔹 | set semantics, the baseline of Example 3.2 |
+//!
+//! ⊎, ×, σ (`filter`) and π (`map`) hold in every semiring. −, ∩, δ and ⊑
+//! need a [`NaturallyOrdered`] one (ℕ and 𝔹): − is monus and ∩ is min.
+//! Only ℤ negates, diffs two ℕ bags and applies itself to one.
 //!
 //! | paper | here | multiplicity law |
 //! |---|---|---|
-//! | `E₁ ⊎ E₂` | [`Bag::union`] | `m₁ + m₂` |
-//! | `E₁ − E₂` | [`Bag::difference`] | `max(0, m₁ − m₂)` |
-//! | `E₁ ∩ E₂` | [`Bag::intersection`] | `min(m₁, m₂)` |
-//! | `E₁ ⊑ E₂` | [`Bag::is_submultiset`] | `∀x: m₁(x) ≤ m₂(x)` |
-//! | `δE` | [`Bag::distinct`] | `min(1, m)` |
+//! | `E₁ ⊎ E₂` | [`KBag::union`] | `m₁ + m₂` |
+//! | `E₁ × E₂` | [`KBag::product`] | `m₁ · m₂` |
+//! | `E₁ − E₂` | [`KBag::difference`] | `m₁ ∸ m₂` (ℕ: `max(0, m₁ − m₂)`) |
+//! | `E₁ ∩ E₂` | [`KBag::intersection`] | `min(m₁, m₂)` |
+//! | `E₁ ⊑ E₂` | [`KBag::is_submultiset`] | `∀x: m₁(x) ≤ m₂(x)` |
+//! | `δE` | [`KBag::distinct`] | `min(1, m)` |
 
+use std::collections::hash_map::Entry;
+use std::fmt;
 use std::hash::Hash;
 
 use rustc_hash::FxHashMap;
 
 use crate::error::{CoreError, CoreResult};
 
-/// A finite multi-set over `T`, stored as `element → multiplicity`.
-#[derive(Debug, Clone)]
-pub struct Bag<T: Eq + Hash> {
-    counts: FxHashMap<T, u64>,
-    /// Cached total multiplicity (Σ multiplicities).
-    len: u64,
+/// A commutative semiring of multiplicities. Partial operations report
+/// overflow instead of wrapping.
+pub trait Semiring: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'static {
+    /// The additive identity: the multiplicity of an absent element.
+    const ZERO: Self;
+    /// The multiplicative identity: one occurrence.
+    const ONE: Self;
+
+    /// What a bag caches about its multiplicities: ℕ keeps `Σ m`, its
+    /// cardinality; ℤ and 𝔹 keep nothing, so no ℤ delta can fail on a
+    /// cached sum.
+    type Total: Copy + Default + Eq + fmt::Debug + Send + Sync;
+
+    /// `self + rhs`: the multiplicity law of ⊎.
+    fn plus(self, rhs: Self) -> CoreResult<Self>;
+
+    /// `self · rhs`: the multiplicity law of ×.
+    fn times(self, rhs: Self) -> CoreResult<Self>;
+
+    /// The image of an ℕ multiplicity under the homomorphism ℕ → S.
+    fn from_nat(m: u64) -> CoreResult<Self>;
+
+    /// The cached total after one element's multiplicity moved from
+    /// `old` to `new`.
+    fn retotal(total: Self::Total, old: Self, new: Self) -> CoreResult<Self::Total>;
+
+    /// Lifts an ℕ bag into S pointwise (`from_nat` of every multiplicity).
+    fn lift<T: Eq + Hash + Clone>(bag: &Bag<T>) -> CoreResult<KBag<T, Self>> {
+        let mut out = KBag::with_capacity(bag.distinct_len());
+        for (x, m) in bag.iter() {
+            out.insert(x.clone(), Self::from_nat(m)?)?;
+        }
+        Ok(out)
+    }
 }
 
-impl<T: Eq + Hash> Default for Bag<T> {
+/// A semiring whose natural order (`a ≤ b ⟺ ∃c: a + c = b`) is its
+/// [`Ord`]: the instances where − (monus), ∩ (min), δ and ⊑ are defined.
+pub trait NaturallyOrdered: Semiring + Ord {
+    /// Monus `self ∸ rhs`: the least `d` with `self ≤ rhs + d`.
+    fn monus(self, rhs: Self) -> Self;
+
+    /// The multiplicity as an ℕ count: the weight γ aggregates with.
+    fn weight(self) -> u64;
+
+    /// A bag's cardinality `Σ weight(m)` from its cached total and its
+    /// support size.
+    fn cardinality(total: Self::Total, distinct: usize) -> u64;
+}
+
+impl Semiring for u64 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    type Total = u64;
+
+    fn plus(self, rhs: Self) -> CoreResult<Self> {
+        self.checked_add(rhs)
+            .ok_or(CoreError::Overflow("element multiplicity"))
+    }
+
+    fn times(self, rhs: Self) -> CoreResult<Self> {
+        self.checked_mul(rhs)
+            .ok_or(CoreError::Overflow("product multiplicity"))
+    }
+
+    fn from_nat(m: u64) -> CoreResult<Self> {
+        Ok(m)
+    }
+
+    fn retotal(total: u64, old: u64, new: u64) -> CoreResult<u64> {
+        // `old` is part of `total`, so only the addition can overflow
+        (total - old)
+            .checked_add(new)
+            .ok_or(CoreError::Overflow("bag cardinality"))
+    }
+
+    fn lift<T: Eq + Hash + Clone>(bag: &Bag<T>) -> CoreResult<Bag<T>> {
+        Ok(bag.clone())
+    }
+}
+
+impl NaturallyOrdered for u64 {
+    fn monus(self, rhs: Self) -> Self {
+        self.saturating_sub(rhs)
+    }
+
+    fn weight(self) -> u64 {
+        self
+    }
+
+    fn cardinality(total: u64, _: usize) -> u64 {
+        total
+    }
+}
+
+/// ℤ multiplicities stay in `−i64::MAX ..= i64::MAX`, so every one of
+/// them can be negated.
+fn signed(m: Option<i64>) -> CoreResult<i64> {
+    m.filter(|&m| m != i64::MIN)
+        .ok_or(CoreError::Overflow("signed multiplicity"))
+}
+
+impl Semiring for i64 {
+    const ZERO: Self = 0;
+    const ONE: Self = 1;
+    type Total = ();
+
+    fn plus(self, rhs: Self) -> CoreResult<Self> {
+        signed(self.checked_add(rhs))
+    }
+
+    fn times(self, rhs: Self) -> CoreResult<Self> {
+        signed(self.checked_mul(rhs))
+    }
+
+    fn from_nat(m: u64) -> CoreResult<Self> {
+        signed(i64::try_from(m).ok())
+    }
+
+    fn retotal((): (), _: i64, _: i64) -> CoreResult<()> {
+        Ok(())
+    }
+}
+
+impl Semiring for bool {
+    const ZERO: Self = false;
+    const ONE: Self = true;
+    type Total = ();
+
+    fn plus(self, rhs: Self) -> CoreResult<Self> {
+        Ok(self || rhs)
+    }
+
+    fn times(self, rhs: Self) -> CoreResult<Self> {
+        Ok(self && rhs)
+    }
+
+    fn from_nat(m: u64) -> CoreResult<Self> {
+        Ok(m > 0)
+    }
+
+    fn retotal((): (), _: bool, _: bool) -> CoreResult<()> {
+        Ok(())
+    }
+}
+
+impl NaturallyOrdered for bool {
+    fn monus(self, rhs: Self) -> Self {
+        self && !rhs
+    }
+
+    fn weight(self) -> u64 {
+        u64::from(self)
+    }
+
+    fn cardinality((): (), distinct: usize) -> u64 {
+        distinct as u64
+    }
+}
+
+/// A finite multi-set over `T` with multiplicities in `S`, stored as
+/// `element → non-zero multiplicity`.
+#[derive(Debug, Clone)]
+pub struct KBag<T: Eq + Hash, S: Semiring> {
+    counts: FxHashMap<T, S>,
+    total: S::Total,
+}
+
+/// A bag in the paper's sense: ℕ multiplicities.
+pub type Bag<T> = KBag<T, u64>;
+
+/// A signed delta: ℤ multiplicities, positive for insertions and negative
+/// for retractions.
+pub type SignedBag<T> = KBag<T, i64>;
+
+impl<T: Eq + Hash, S: Semiring> Default for KBag<T, S> {
     fn default() -> Self {
-        Bag {
+        KBag {
             counts: FxHashMap::default(),
-            len: 0,
+            total: S::Total::default(),
         }
     }
 }
 
-impl<T: Eq + Hash + Clone> Bag<T> {
+impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
     /// The empty bag.
     pub fn new() -> Self {
         Self::default()
@@ -50,20 +229,15 @@ impl<T: Eq + Hash + Clone> Bag<T> {
 
     /// An empty bag pre-sized for `n` distinct elements.
     pub fn with_capacity(n: usize) -> Self {
-        Bag {
+        KBag {
             counts: FxHashMap::with_capacity_and_hasher(n, Default::default()),
-            len: 0,
+            total: S::Total::default(),
         }
     }
 
-    /// Total number of elements, counted with multiplicity (`Σ_x B(x)`).
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when the bag contains no elements.
+    /// True when every multiplicity is zero.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.counts.is_empty()
     }
 
     /// Number of *distinct* elements (the support size).
@@ -71,75 +245,58 @@ impl<T: Eq + Hash + Clone> Bag<T> {
         self.counts.len()
     }
 
-    /// The multiplicity `B(x)` of an element; 0 when absent.
-    pub fn multiplicity(&self, x: &T) -> u64 {
-        self.counts.get(x).copied().unwrap_or(0)
+    /// The multiplicity `B(x)` of an element; zero when absent.
+    pub fn multiplicity(&self, x: &T) -> S {
+        self.counts.get(x).copied().unwrap_or(S::ZERO)
     }
 
-    /// Element membership: `x ∈ B ⟺ B(x) > 0` (Definition 2.4).
+    /// Element membership: `x ∈ B ⟺ B(x) ≠ 0` (Definition 2.4).
     pub fn contains(&self, x: &T) -> bool {
         self.counts.contains_key(x)
     }
 
-    /// Adds `m` occurrences of `x`. Adding zero occurrences is a no-op
-    /// (multiplicity-0 pairs are never materialised).
-    pub fn insert(&mut self, x: T, m: u64) -> CoreResult<()> {
-        if m == 0 {
+    /// Adds `m` occurrences of `x`, dropping the entry if the sum is zero
+    /// (in ℤ a retraction can cancel an insertion). Adding zero is a no-op.
+    pub fn insert(&mut self, x: T, m: S) -> CoreResult<()> {
+        if m == S::ZERO {
             return Ok(());
         }
-        self.len = self
-            .len
-            .checked_add(m)
-            .ok_or(CoreError::Overflow("bag cardinality"))?;
-        let slot = self.counts.entry(x).or_insert(0);
-        *slot = slot
-            .checked_add(m)
-            .ok_or(CoreError::Overflow("element multiplicity"))?;
+        match self.counts.entry(x) {
+            Entry::Occupied(mut e) => {
+                let old = *e.get();
+                let next = old.plus(m)?;
+                self.total = S::retotal(self.total, old, next)?;
+                if next == S::ZERO {
+                    e.remove();
+                } else {
+                    *e.get_mut() = next;
+                }
+            }
+            Entry::Vacant(e) => {
+                self.total = S::retotal(self.total, S::ZERO, m)?;
+                e.insert(m);
+            }
+        }
         Ok(())
     }
 
-    /// Adds one occurrence of `x`.
-    pub fn insert_one(&mut self, x: T) -> CoreResult<()> {
-        self.insert(x, 1)
-    }
-
-    /// Removes up to `m` occurrences of `x`, returning how many were
-    /// actually removed (`min(m, B(x))` — the pointwise difference law).
-    pub fn remove(&mut self, x: &T, m: u64) -> u64 {
-        if m == 0 {
-            return 0;
-        }
-        match self.counts.get_mut(x) {
-            None => 0,
-            Some(cur) => {
-                let removed = m.min(*cur);
-                *cur -= removed;
-                if *cur == 0 {
-                    self.counts.remove(x);
-                }
-                self.len -= removed;
-                removed
-            }
-        }
+    /// Stores `m` for an element known to be absent, into a total known
+    /// to hold it — the fast path of operators whose output is bounded by
+    /// an input bag.
+    fn push_new(&mut self, x: T, m: S) {
+        self.total = S::retotal(self.total, S::ZERO, m).expect("bounded by an input bag");
+        self.counts.insert(x, m);
     }
 
     /// Iterates over `(element, multiplicity)` pairs — the paper's
     /// "set of pairs `(r, R(r))` without duplicates" notation.
-    pub fn iter(&self) -> impl Iterator<Item = (&T, u64)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&T, S)> {
         self.counts.iter().map(|(x, &m)| (x, m))
     }
 
     /// Iterates over the distinct elements (the support).
     pub fn support(&self) -> impl Iterator<Item = &T> {
         self.counts.keys()
-    }
-
-    /// Iterates over elements *with* duplicates — the paper's "collection of
-    /// individual tuples possibly containing duplicates" notation.
-    pub fn iter_expanded(&self) -> impl Iterator<Item = &T> + '_ {
-        self.counts
-            .iter()
-            .flat_map(|(x, &m)| std::iter::repeat_n(x, m as usize))
     }
 
     /// Multi-set union `B₁ ⊎ B₂`: multiplicities add.
@@ -151,26 +308,108 @@ impl<T: Eq + Hash + Clone> Bag<T> {
         Ok(out)
     }
 
-    /// In-place union absorbing `other` (multiplicities add) without
-    /// cloning its elements — the merge step of parallel two-phase
-    /// evaluation, where each worker's thread-local bag is moved into one
-    /// result.
-    pub fn absorb(&mut self, other: Bag<T>) -> CoreResult<()> {
+    /// In-place union absorbing `other` without cloning its elements —
+    /// merging per-worker bags, or folding one delta into another.
+    pub fn absorb(&mut self, other: Self) -> CoreResult<()> {
         for (x, m) in other {
             self.insert(x, m)?;
         }
         Ok(())
     }
 
-    /// Multi-set difference `B₁ − B₂`: `max(0, m₁ − m₂)` pointwise.
+    /// Maps every element through `f`, summing multiplicities of collapsing
+    /// images — the multiplicity law of projection (Definition 3.1):
+    /// `π(E)(y) = Σ_{f(x)=y} E(x)`.
+    pub fn map<U, F>(&self, mut f: F) -> CoreResult<KBag<U, S>>
+    where
+        U: Eq + Hash + Clone,
+        F: FnMut(&T) -> CoreResult<U>,
+    {
+        let mut out = KBag::with_capacity(self.distinct_len());
+        for (x, m) in self.iter() {
+            out.insert(f(x)?, m)?;
+        }
+        Ok(out)
+    }
+
+    /// Keeps elements satisfying `p`, multiplicities unchanged — the
+    /// multiplicity law of selection (Definition 3.1).
+    pub fn filter<F>(&self, mut p: F) -> CoreResult<Self>
+    where
+        F: FnMut(&T) -> CoreResult<bool>,
+    {
+        let mut out = Self::with_capacity(self.distinct_len());
+        for (x, m) in self.iter() {
+            if p(x)? {
+                out.push_new(x.clone(), m);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Cartesian product with combiner: multiplicities multiply
+    /// (`(E₁×E₂)(x⊕y) = E₁(x)·E₂(y)`, Definition 3.1).
+    pub fn product<U, V, F>(&self, other: &KBag<U, S>, mut f: F) -> CoreResult<KBag<V, S>>
+    where
+        U: Eq + Hash + Clone,
+        V: Eq + Hash + Clone,
+        F: FnMut(&T, &U) -> V,
+    {
+        let mut out = KBag::with_capacity(self.distinct_len() * other.distinct_len());
+        for (x, m1) in self.iter() {
+            for (y, m2) in other.iter() {
+                out.insert(f(x, y), m1.times(m2)?)?;
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Eq + Hash + Clone> Bag<T> {
+    /// The same bag with multiplicities in `S` (the homomorphism ℕ → S):
+    /// the support in 𝔹, the signed counts in ℤ, itself in ℕ.
+    pub fn lift<S: Semiring>(&self) -> CoreResult<KBag<T, S>> {
+        S::lift(self)
+    }
+}
+
+impl<T: Eq + Hash + Clone, S: NaturallyOrdered> KBag<T, S> {
+    /// Total number of elements, counted with multiplicity
+    /// (`Σ_x weight(B(x))`).
+    pub fn len(&self) -> u64 {
+        S::cardinality(self.total, self.counts.len())
+    }
+
+    /// Removes up to `m` occurrences of `x`, returning how many were
+    /// actually removed (`min(m, B(x))` — the pointwise difference law).
+    pub fn remove(&mut self, x: &T, m: S) -> S {
+        let Some(cur) = self.counts.get_mut(x) else {
+            return S::ZERO;
+        };
+        let (old, removed) = (*cur, m.min(*cur));
+        *cur = old.monus(removed);
+        self.total = S::retotal(self.total, old, *cur).expect("removal shrinks the total");
+        if *cur == S::ZERO {
+            self.counts.remove(x);
+        }
+        removed
+    }
+
+    /// Iterates over elements *with* duplicates — the paper's "collection
+    /// of individual tuples possibly containing duplicates" notation.
+    pub fn iter_expanded(&self) -> impl Iterator<Item = &T> + '_ {
+        self.counts
+            .iter()
+            .flat_map(|(x, &m)| std::iter::repeat_n(x, m.weight() as usize))
+    }
+
+    /// Multi-set difference `B₁ − B₂`: `m₁ ∸ m₂` pointwise.
     pub fn difference(&self, other: &Self) -> Self {
         let mut out = Self::with_capacity(self.distinct_len());
         for (x, m1) in self.iter() {
-            let m2 = other.multiplicity(x);
-            if m1 > m2 {
-                // cannot overflow: m1 - m2 ≤ m1 ≤ self.len
-                out.counts.insert(x.clone(), m1 - m2);
-                out.len += m1 - m2;
+            let m = m1.monus(other.multiplicity(x));
+            if m != S::ZERO {
+                out.push_new(x.clone(), m);
             }
         }
         out
@@ -187,122 +426,115 @@ impl<T: Eq + Hash + Clone> Bag<T> {
         let mut out = Self::with_capacity(small.distinct_len());
         for (x, m1) in small.iter() {
             let m = m1.min(big.multiplicity(x));
-            if m > 0 {
-                out.counts.insert(x.clone(), m);
-                out.len += m;
+            if m != S::ZERO {
+                out.push_new(x.clone(), m);
             }
         }
         out
     }
 
-    /// Duplicate elimination `δB`: every present element at multiplicity 1.
+    /// Duplicate elimination `δB`: every present element at multiplicity
+    /// one.
     pub fn distinct(&self) -> Self {
-        let mut counts =
-            FxHashMap::with_capacity_and_hasher(self.distinct_len(), Default::default());
+        let mut out = Self::with_capacity(self.distinct_len());
         for x in self.support() {
-            counts.insert(x.clone(), 1);
+            out.push_new(x.clone(), S::ONE);
         }
-        Bag {
-            len: counts.len() as u64,
-            counts,
-        }
+        out
     }
 
     /// Multi-subset test `B₁ ⊑ B₂` (Definition 2.3).
     pub fn is_submultiset(&self, other: &Self) -> bool {
-        self.len <= other.len && self.iter().all(|(x, m)| m <= other.multiplicity(x))
+        self.len() <= other.len() && self.iter().all(|(x, m)| m <= other.multiplicity(x))
     }
+}
 
-    /// Maps every element through `f`, summing multiplicities of collapsing
-    /// images — the multiplicity law of projection (Definition 3.1):
-    /// `π(E)(y) = Σ_{f(x)=y} E(x)`.
-    pub fn map<U, F>(&self, mut f: F) -> CoreResult<Bag<U>>
-    where
-        U: Eq + Hash + Clone,
-        F: FnMut(&T) -> CoreResult<U>,
-    {
-        let mut out = Bag::with_capacity(self.distinct_len());
-        for (x, m) in self.iter() {
-            out.insert(f(x)?, m)?;
+impl<T: Eq + Hash + Clone> SignedBag<T> {
+    /// Negates every multiplicity in place — turns an insertion delta into
+    /// the retraction that undoes it.
+    pub fn negate(&mut self) {
+        for m in self.counts.values_mut() {
+            // multiplicities are never i64::MIN, see `signed`
+            *m = -*m;
         }
-        Ok(out)
     }
 
-    /// Keeps elements satisfying `p`, multiplicities unchanged — the
-    /// multiplicity law of selection (Definition 3.1).
-    pub fn filter<F>(&self, mut p: F) -> CoreResult<Self>
-    where
-        F: FnMut(&T) -> CoreResult<bool>,
-    {
-        let mut out = Self::with_capacity(self.distinct_len());
+    /// The delta that transforms `old` into `new`:
+    /// `Δ(x) = new(x) − old(x)` pointwise.
+    pub fn from_diff(old: &Bag<T>, new: &Bag<T>) -> CoreResult<Self> {
+        let mut delta = new.lift::<i64>()?;
+        for (x, m) in old.iter() {
+            delta.insert(x.clone(), -i64::from_nat(m)?)?;
+        }
+        Ok(delta)
+    }
+
+    /// Splits into `(insertions, retractions)` as ℕ bags.
+    /// `insertions ⊎ (−retractions)` reconstructs the delta.
+    pub fn split(&self) -> (Bag<T>, Bag<T>) {
+        let (mut pos, mut neg) = (Bag::new(), Bag::new());
         for (x, m) in self.iter() {
-            if p(x)? {
-                out.counts.insert(x.clone(), m);
-                out.len += m;
+            let part = if m > 0 { &mut pos } else { &mut neg };
+            part.push_new(x.clone(), m.unsigned_abs());
+        }
+        (pos, neg)
+    }
+
+    /// Applies the delta to an ℕ bag in place, failing with
+    /// [`CoreError::NegativeMultiplicity`] if any element would end up
+    /// below zero — a retraction outrunning the base state, which a
+    /// correctly maintained delta never produces. On failure `base` is
+    /// partly updated; callers apply to a copy or rebuild.
+    pub fn apply_to(&self, base: &mut Bag<T>) -> CoreResult<()> {
+        for (x, m) in self.iter() {
+            let n = m.unsigned_abs();
+            if m > 0 {
+                base.insert(x.clone(), n)?;
+            } else if base.remove(x, n) != n {
+                return Err(CoreError::NegativeMultiplicity("delta application"));
             }
         }
-        Ok(out)
-    }
-
-    /// Cartesian product with combiner: multiplicities multiply
-    /// (`(E₁×E₂)(x⊕y) = E₁(x)·E₂(y)`, Definition 3.1).
-    pub fn product<U, V, F>(&self, other: &Bag<U>, mut f: F) -> CoreResult<Bag<V>>
-    where
-        U: Eq + Hash + Clone,
-        V: Eq + Hash + Clone,
-        F: FnMut(&T, &U) -> V,
-    {
-        let mut out = Bag::with_capacity(self.distinct_len() * other.distinct_len());
-        for (x, m1) in self.iter() {
-            for (y, m2) in other.iter() {
-                let m = m1
-                    .checked_mul(m2)
-                    .ok_or(CoreError::Overflow("product multiplicity"))?;
-                out.insert(f(x, y), m)?;
-            }
-        }
-        Ok(out)
+        Ok(())
     }
 }
 
 /// Bag equality is the pointwise multiplicity equality of Definition 2.3.
-impl<T: Eq + Hash> PartialEq for Bag<T> {
+impl<T: Eq + Hash, S: Semiring> PartialEq for KBag<T, S> {
     fn eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.counts == other.counts
+        self.total == other.total && self.counts == other.counts
     }
 }
 
-impl<T: Eq + Hash> Eq for Bag<T> {}
+impl<T: Eq + Hash, S: Semiring> Eq for KBag<T, S> {}
 
-impl<T: Eq + Hash + Clone> FromIterator<T> for Bag<T> {
+impl<T: Eq + Hash + Clone, S: Semiring> FromIterator<T> for KBag<T, S> {
     /// Collects duplicated elements into counted form. Panics only on
-    /// u64 overflow, which `FromIterator` cannot report.
+    /// overflow, which `FromIterator` cannot report.
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut bag = Bag::new();
-        for x in iter {
-            bag.insert_one(x).expect("bag cardinality overflow");
-        }
-        bag
+        iter.into_iter().map(|x| (x, S::ONE)).collect()
     }
 }
 
-impl<T: Eq + Hash> IntoIterator for Bag<T> {
-    type Item = (T, u64);
-    type IntoIter = std::collections::hash_map::IntoIter<T, u64>;
-
-    /// Consumes the bag, yielding owned `(element, multiplicity)` pairs.
-    fn into_iter(self) -> Self::IntoIter {
-        self.counts.into_iter()
-    }
-}
-
-impl<T: Eq + Hash + Clone> FromIterator<(T, u64)> for Bag<T> {
-    fn from_iter<I: IntoIterator<Item = (T, u64)>>(iter: I) -> Self {
-        let mut bag = Bag::new();
+impl<T: Eq + Hash + Clone, S: Semiring> FromIterator<(T, S)> for KBag<T, S> {
+    /// Collects `(element, multiplicity)` pairs, summing (and in ℤ
+    /// cancelling) as it goes. Panics only on overflow, which
+    /// `FromIterator` cannot report.
+    fn from_iter<I: IntoIterator<Item = (T, S)>>(iter: I) -> Self {
+        let mut bag = KBag::new();
         for (x, m) in iter {
             bag.insert(x, m).expect("bag cardinality overflow");
         }
         bag
+    }
+}
+
+impl<T: Eq + Hash, S: Semiring> IntoIterator for KBag<T, S> {
+    type Item = (T, S);
+    type IntoIter = std::collections::hash_map::IntoIter<T, S>;
+
+    /// Consumes the bag, yielding owned `(element, multiplicity)` pairs.
+    fn into_iter(self) -> Self::IntoIter {
+        self.counts.into_iter()
     }
 }
 
@@ -472,5 +704,112 @@ mod tests {
         let mut b = Bag::new();
         b.insert(1u8, u64::MAX).unwrap();
         assert!(matches!(b.insert(1u8, 1), Err(CoreError::Overflow(_))));
+    }
+
+    // ---- the ℤ instance: signed deltas ----
+
+    fn sbag(xs: &[(i32, i64)]) -> SignedBag<i32> {
+        xs.iter().copied().collect()
+    }
+
+    /// `delta` applied to a copy of `base`.
+    fn applied(delta: &SignedBag<i32>, base: &Bag<i32>) -> CoreResult<Bag<i32>> {
+        let mut out = base.clone();
+        delta.apply_to(&mut out)?;
+        Ok(out)
+    }
+
+    #[test]
+    fn zero_multiplicity_is_never_stored() {
+        let mut d = SignedBag::new();
+        d.insert(1, 0).unwrap();
+        assert!(d.is_empty());
+        d.insert(1, 3).unwrap();
+        d.insert(1, -3).unwrap(); // cancels back to zero
+        assert!(d.is_empty());
+        assert_eq!(d.distinct_len(), 0);
+        assert_eq!(d.multiplicity(&1), 0);
+    }
+
+    #[test]
+    fn canonical_form_makes_equality_pointwise() {
+        let a = sbag(&[(1, 2), (2, -1), (3, 5), (3, -5)]);
+        let b = sbag(&[(2, -1), (1, 2)]);
+        assert_eq!(a, b);
+        assert_ne!(a, sbag(&[(1, 2)]));
+    }
+
+    #[test]
+    fn merge_sums_and_cancels() {
+        let mut a = sbag(&[(1, 2), (2, -1)]);
+        a.absorb(sbag(&[(1, -2), (3, 4)])).unwrap();
+        assert_eq!(a, sbag(&[(2, -1), (3, 4)]));
+    }
+
+    #[test]
+    fn negate_flips_signs() {
+        let mut a = sbag(&[(1, 2), (2, -3)]);
+        a.negate();
+        assert_eq!(a, sbag(&[(1, -2), (2, 3)]));
+    }
+
+    #[test]
+    fn from_diff_round_trips_through_apply() {
+        let old = bag(&[(1, 3), (2, 1), (4, 2)]);
+        let new = bag(&[(1, 1), (3, 2), (4, 2)]);
+        let d = SignedBag::from_diff(&old, &new).unwrap();
+        // unchanged elements never appear in the delta
+        assert_eq!(d.multiplicity(&4), 0);
+        assert_eq!(applied(&d, &old).unwrap(), new);
+        let mut back = d;
+        back.negate();
+        assert_eq!(applied(&back, &new).unwrap(), old);
+    }
+
+    #[test]
+    fn apply_rejects_negative_result() {
+        let d = sbag(&[(1, -2)]);
+        let base = bag(&[(1, 1)]);
+        assert_eq!(
+            applied(&d, &base).unwrap_err(),
+            CoreError::NegativeMultiplicity("delta application")
+        );
+    }
+
+    #[test]
+    fn split_separates_signs() {
+        let d = sbag(&[(1, 2), (2, -3)]);
+        let (pos, neg) = d.split();
+        assert_eq!(pos, bag(&[(1, 2)]));
+        assert_eq!(neg, bag(&[(2, 3)]));
+    }
+
+    /// An ℕ result enters signed form as the diff against the empty bag,
+    /// with the sign picked by the argument order.
+    #[test]
+    fn insert_unsigned_bridges_engine_results() {
+        let mut d = SignedBag::from_diff(&Bag::new(), &bag(&[(1, 2)])).unwrap();
+        d.absorb(SignedBag::from_diff(&bag(&[(1, 5)]), &Bag::new()).unwrap())
+            .unwrap();
+        assert_eq!(d, sbag(&[(1, -3)]));
+    }
+
+    #[test]
+    fn overflow_is_detected() {
+        let mut d = SignedBag::new();
+        d.insert(1, i64::MAX).unwrap();
+        assert!(matches!(d.insert(1, 1), Err(CoreError::Overflow(_))));
+        let mut big = Bag::new();
+        big.insert(1, u64::MAX).unwrap();
+        assert!(matches!(
+            SignedBag::from_diff(&big, &Bag::new()),
+            Err(CoreError::Overflow(_))
+        ));
+        // ℤ caches no total, so no sum of entries can fail a delta
+        let mut wide = SignedBag::new();
+        wide.insert(1, i64::MAX).unwrap();
+        wide.insert(2, i64::MAX).unwrap();
+        wide.insert(3, -i64::MAX).unwrap();
+        assert_eq!(wide.distinct_len(), 3);
     }
 }

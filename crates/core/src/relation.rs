@@ -1,32 +1,39 @@
 //! Multi-set relations (Definitions 2.2–2.4) and the schema-checked
 //! operator kernels of Definitions 3.1–3.2.
 //!
-//! A [`Relation`] is a [`Bag`] of [`Tuple`]s paired with the schema the bag
-//! is defined on. Every operator validates schema compatibility before
-//! delegating the multiplicity arithmetic to the bag layer, so this module
-//! is the *semantics kernel* the reference evaluator is built from.
+//! A [`KRelation<S>`] is a [`KBag`] of [`Tuple`]s with multiplicities in
+//! the semiring `S`, paired with the schema the bag is defined on — a
+//! K-relation. [`Relation`] is the paper's ℕ instance. Every operator
+//! validates schema compatibility before delegating the multiplicity
+//! arithmetic to the bag layer, so this module is the *semantics kernel*
+//! the reference evaluator is built from, in every semiring.
 
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::CoreResult;
-use crate::multiset::Bag;
+use crate::multiset::{KBag, NaturallyOrdered, Semiring, SignedBag};
 use crate::schema::{Schema, SchemaRef};
 use crate::tuple::{AttrList, Tuple};
 
-/// A relation instance: a multi-set of tuples over a schema.
+/// A relation instance over a multiplicity semiring: a K-bag of tuples
+/// over a schema.
 #[derive(Debug, Clone)]
-pub struct Relation {
+pub struct KRelation<S: Semiring> {
     schema: SchemaRef,
-    tuples: Bag<Tuple>,
+    tuples: KBag<Tuple, S>,
 }
 
-impl Relation {
+/// A relation instance in the paper's sense: a multi-set of tuples (ℕ
+/// multiplicities) over a schema.
+pub type Relation = KRelation<u64>;
+
+impl<S: Semiring> KRelation<S> {
     /// The empty relation over `schema`.
     pub fn empty(schema: SchemaRef) -> Self {
-        Relation {
+        KRelation {
             schema,
-            tuples: Bag::new(),
+            tuples: KBag::new(),
         }
     }
 
@@ -36,9 +43,9 @@ impl Relation {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let mut rel = Relation::empty(schema);
+        let mut rel = Self::empty(schema);
         for t in tuples {
-            rel.insert(t, 1)?;
+            rel.insert(t, S::ONE)?;
         }
         Ok(rel)
     }
@@ -46,9 +53,9 @@ impl Relation {
     /// Builds a relation from `(tuple, multiplicity)` pairs.
     pub fn from_counted<I>(schema: SchemaRef, pairs: I) -> CoreResult<Self>
     where
-        I: IntoIterator<Item = (Tuple, u64)>,
+        I: IntoIterator<Item = (Tuple, S)>,
     {
-        let mut rel = Relation::empty(schema);
+        let mut rel = Self::empty(schema);
         for (t, m) in pairs {
             rel.insert(t, m)?;
         }
@@ -57,18 +64,13 @@ impl Relation {
 
     /// Rebuilds a relation from an already-validated bag (crate-internal
     /// fast path for operators that cannot produce ill-typed tuples).
-    pub(crate) fn from_bag(schema: SchemaRef, tuples: Bag<Tuple>) -> Self {
-        Relation { schema, tuples }
+    pub(crate) fn from_bag(schema: SchemaRef, tuples: KBag<Tuple, S>) -> Self {
+        KRelation { schema, tuples }
     }
 
     /// The schema this relation is defined on.
     pub fn schema(&self) -> &SchemaRef {
         &self.schema
-    }
-
-    /// Cardinality: number of tuples counted with multiplicity.
-    pub fn len(&self) -> u64 {
-        self.tuples.len()
     }
 
     /// True when the relation holds no tuples.
@@ -82,30 +84,24 @@ impl Relation {
     }
 
     /// The multiplicity `R(x)` of a tuple.
-    pub fn multiplicity(&self, t: &Tuple) -> u64 {
+    pub fn multiplicity(&self, t: &Tuple) -> S {
         self.tuples.multiplicity(t)
     }
 
-    /// Membership `r ∈ R ⟺ R(r) > 0` (Definition 2.4).
+    /// Membership `r ∈ R ⟺ R(r) ≠ 0` (Definition 2.4).
     pub fn contains(&self, t: &Tuple) -> bool {
         self.tuples.contains(t)
     }
 
     /// Adds `m` occurrences of a tuple after validating it against the
     /// schema.
-    pub fn insert(&mut self, t: Tuple, m: u64) -> CoreResult<()> {
+    pub fn insert(&mut self, t: Tuple, m: S) -> CoreResult<()> {
         self.schema.check_tuple(&t)?;
         self.tuples.insert(t, m)
     }
 
-    /// Removes up to `m` occurrences of a tuple, returning how many were
-    /// removed.
-    pub fn remove(&mut self, t: &Tuple, m: u64) -> u64 {
-        self.tuples.remove(t, m)
-    }
-
     /// Iterates `(tuple, multiplicity)` pairs in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, S)> {
         self.tuples.iter()
     }
 
@@ -114,37 +110,23 @@ impl Relation {
         self.tuples.support()
     }
 
-    /// Iterates tuples with duplicates expanded.
-    pub fn iter_expanded(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.tuples.iter_expanded()
-    }
-
     /// `(tuple, multiplicity)` pairs sorted by tuple — a deterministic view
     /// for golden tests and display.
-    pub fn sorted_pairs(&self) -> Vec<(Tuple, u64)> {
-        let mut v: Vec<(Tuple, u64)> = self.iter().map(|(t, m)| (t.clone(), m)).collect();
-        v.sort();
+    pub fn sorted_pairs(&self) -> Vec<(Tuple, S)> {
+        let mut v: Vec<(Tuple, S)> = self.iter().map(|(t, m)| (t.clone(), m)).collect();
+        // tuples are distinct, so the order is total
+        v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
 
     /// The underlying bag (read-only).
-    pub fn bag(&self) -> &Bag<Tuple> {
+    pub fn bag(&self) -> &KBag<Tuple, S> {
         &self.tuples
     }
 
     /// Consumes the relation, returning its bag.
-    pub fn into_bag(self) -> Bag<Tuple> {
+    pub fn into_bag(self) -> KBag<Tuple, S> {
         self.tuples
-    }
-
-    // ------------------------------------------------------------------
-    // Definition 2.3: comparison operators
-    // ------------------------------------------------------------------
-
-    /// Multi-subset `R₁ ⊑ R₂`; requires type-compatible schemas.
-    pub fn is_submultiset(&self, other: &Relation) -> CoreResult<bool> {
-        self.schema.check_same_types(&other.schema)?;
-        Ok(self.tuples.is_submultiset(&other.tuples))
     }
 
     // ------------------------------------------------------------------
@@ -153,47 +135,29 @@ impl Relation {
 
     /// Union `R₁ ⊎ R₂`: multiplicities add. Result keeps the left schema
     /// (the two must be type-compatible).
-    pub fn union(&self, other: &Relation) -> CoreResult<Relation> {
+    pub fn union(&self, other: &Self) -> CoreResult<Self> {
         self.schema.check_same_types(&other.schema)?;
-        Ok(Relation::from_bag(
+        Ok(Self::from_bag(
             Arc::clone(&self.schema),
             self.tuples.union(&other.tuples)?,
         ))
     }
 
-    /// Difference `R₁ − R₂`: `max(0, m₁ − m₂)` pointwise.
-    pub fn difference(&self, other: &Relation) -> CoreResult<Relation> {
-        self.schema.check_same_types(&other.schema)?;
-        Ok(Relation::from_bag(
-            Arc::clone(&self.schema),
-            self.tuples.difference(&other.tuples),
-        ))
-    }
-
-    /// Intersection `R₁ ∩ R₂`: `min(m₁, m₂)` pointwise.
-    pub fn intersection(&self, other: &Relation) -> CoreResult<Relation> {
-        self.schema.check_same_types(&other.schema)?;
-        Ok(Relation::from_bag(
-            Arc::clone(&self.schema),
-            self.tuples.intersection(&other.tuples),
-        ))
-    }
-
     /// Product `R₁ × R₂`: tuples concatenate, multiplicities multiply.
-    pub fn product(&self, other: &Relation) -> CoreResult<Relation> {
+    pub fn product(&self, other: &Self) -> CoreResult<Self> {
         let schema = Arc::new(self.schema.concat(&other.schema));
         let bag = self.tuples.product(&other.tuples, |x, y| x.concat(y))?;
-        Ok(Relation::from_bag(schema, bag))
+        Ok(Self::from_bag(schema, bag))
     }
 
     /// Selection `σ_φ(R)` for an arbitrary predicate closure; multiplicities
     /// are preserved. The closure is the paper's "function from dom(E) into
     /// the boolean domain".
-    pub fn select<F>(&self, predicate: F) -> CoreResult<Relation>
+    pub fn select<F>(&self, predicate: F) -> CoreResult<Self>
     where
         F: FnMut(&Tuple) -> CoreResult<bool>,
     {
-        Ok(Relation::from_bag(
+        Ok(Self::from_bag(
             Arc::clone(&self.schema),
             self.tuples.filter(predicate)?,
         ))
@@ -201,17 +165,17 @@ impl Relation {
 
     /// Projection `π_a(R)`: tuples project, multiplicities of collapsing
     /// tuples *sum* — the heart of bag semantics.
-    pub fn project(&self, a: &AttrList) -> CoreResult<Relation> {
+    pub fn project(&self, a: &AttrList) -> CoreResult<Self> {
         a.check_arity(self.schema.arity())?;
         let schema = Arc::new(self.schema.project(a)?);
         let bag = self.tuples.map(|t| t.project(a))?;
-        Ok(Relation::from_bag(schema, bag))
+        Ok(Self::from_bag(schema, bag))
     }
 
     /// Generalised projection through an arbitrary tuple function producing
     /// tuples of `out_schema` (used by the extended projection of
     /// Definition 3.4); multiplicities of collapsing images sum.
-    pub fn map_tuples<F>(&self, out_schema: SchemaRef, f: F) -> CoreResult<Relation>
+    pub fn map_tuples<F>(&self, out_schema: SchemaRef, f: F) -> CoreResult<Self>
     where
         F: FnMut(&Tuple) -> CoreResult<Tuple>,
     {
@@ -219,26 +183,92 @@ impl Relation {
         for t in bag.support() {
             out_schema.check_tuple(t)?;
         }
-        Ok(Relation::from_bag(out_schema, bag))
+        Ok(Self::from_bag(out_schema, bag))
+    }
+}
+
+impl<S: NaturallyOrdered> KRelation<S> {
+    /// Cardinality: number of tuples counted with multiplicity.
+    pub fn len(&self) -> u64 {
+        self.tuples.len()
+    }
+
+    /// Removes up to `m` occurrences of a tuple, returning how many were
+    /// removed.
+    pub fn remove(&mut self, t: &Tuple, m: S) -> S {
+        self.tuples.remove(t, m)
+    }
+
+    /// Iterates tuples with duplicates expanded.
+    pub fn iter_expanded(&self) -> impl Iterator<Item = &Tuple> + '_ {
+        self.tuples.iter_expanded()
+    }
+
+    /// Multi-subset `R₁ ⊑ R₂` (Definition 2.3); requires type-compatible
+    /// schemas.
+    pub fn is_submultiset(&self, other: &Self) -> CoreResult<bool> {
+        self.schema.check_same_types(&other.schema)?;
+        Ok(self.tuples.is_submultiset(&other.tuples))
+    }
+
+    /// Difference `R₁ − R₂`: monus pointwise (ℕ: `max(0, m₁ − m₂)`).
+    pub fn difference(&self, other: &Self) -> CoreResult<Self> {
+        self.schema.check_same_types(&other.schema)?;
+        Ok(Self::from_bag(
+            Arc::clone(&self.schema),
+            self.tuples.difference(&other.tuples),
+        ))
+    }
+
+    /// Intersection `R₁ ∩ R₂`: `min(m₁, m₂)` pointwise.
+    pub fn intersection(&self, other: &Self) -> CoreResult<Self> {
+        self.schema.check_same_types(&other.schema)?;
+        Ok(Self::from_bag(
+            Arc::clone(&self.schema),
+            self.tuples.intersection(&other.tuples),
+        ))
     }
 
     /// Duplicate elimination `δR` (Definition 3.4).
-    pub fn distinct(&self) -> Relation {
-        Relation::from_bag(Arc::clone(&self.schema), self.tuples.distinct())
+    pub fn distinct(&self) -> Self {
+        Self::from_bag(Arc::clone(&self.schema), self.tuples.distinct())
+    }
+}
+
+impl Relation {
+    /// The same relation with multiplicities in `S` (the homomorphism
+    /// ℕ → S; in 𝔹, its support).
+    pub fn lift<S: Semiring>(&self) -> CoreResult<KRelation<S>> {
+        Ok(KRelation::from_bag(
+            Arc::clone(&self.schema),
+            self.tuples.lift()?,
+        ))
+    }
+
+    /// Applies a signed delta in place ([`SignedBag::apply_to`]) after
+    /// validating its insertions against the schema. On error the relation
+    /// is partly updated; callers apply to a copy or rebuild.
+    pub fn apply(&mut self, delta: &SignedBag<Tuple>) -> CoreResult<()> {
+        for (t, m) in delta.iter() {
+            if m > 0 {
+                self.schema.check_tuple(t)?;
+            }
+        }
+        delta.apply_to(&mut self.tuples)
     }
 }
 
 /// Relation equality (Definition 2.3): type-compatible schemas and pointwise
 /// equal multiplicities.
-impl PartialEq for Relation {
+impl<S: Semiring> PartialEq for KRelation<S> {
     fn eq(&self, other: &Self) -> bool {
         self.schema.same_types(&other.schema) && self.tuples == other.tuples
     }
 }
 
-impl Eq for Relation {}
+impl<S: Semiring> Eq for KRelation<S> {}
 
-impl fmt::Display for Relation {
+impl<S: NaturallyOrdered> fmt::Display for KRelation<S> {
     /// Renders the relation as a fixed-width table with a multiplicity
     /// column, rows sorted for determinism.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

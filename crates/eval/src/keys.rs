@@ -7,8 +7,9 @@
 //! plan-property inference (`mera-analyze`'s `KeyEnv`); this module owns
 //! their runtime side: a [`KeySet`] keeps, per declared key, the count of
 //! tuples at each key point, so a commit is admitted or rejected by
-//! folding only its signed delta — O(|Δ|), never O(|r|) — against the
-//! same [`SignedBag`] machinery that maintains indexes and statistics.
+//! folding only its signed delta — O(|Δ|), never O(|r|): the counts are
+//! a [`Bag`] of key points and the delta's net is the [`SignedBag`]
+//! mapped through the key projection.
 //!
 //! Enforcement is two-phase: [`KeySet::check`] is pure and runs for every
 //! relation's delta *before* anything is applied, so a violating
@@ -48,12 +49,12 @@ impl std::fmt::Display for KeyViolation {
     }
 }
 
-/// The per-key count state: how many tuples (with multiplicity) sit at
-/// each point of the key projection. The key holds iff every count is 1.
+/// The per-key count state: the bag of key points, each counted with the
+/// summed multiplicity of its tuples. The key holds iff every count is 1.
 #[derive(Debug, Clone)]
 struct KeyCounts {
     resolved: ResolvedAttrs,
-    counts: FxHashMap<Tuple, u64>,
+    counts: Bag<Tuple>,
 }
 
 impl KeyCounts {
@@ -61,10 +62,7 @@ impl KeyCounts {
         let list = AttrList::new_unique(attrs.to_vec())?;
         list.check_arity(rel.schema().arity())?;
         let resolved = ResolvedAttrs::from_attr_list(&list, rel.schema().arity())?;
-        let mut counts: FxHashMap<Tuple, u64> = FxHashMap::default();
-        for (t, m) in rel.iter() {
-            *counts.entry(resolved.project(t)).or_insert(0) += m;
-        }
+        let counts = rel.bag().map(|t| Ok(resolved.project(t)))?;
         Ok(KeyCounts { resolved, counts })
     }
 
@@ -73,40 +71,41 @@ impl KeyCounts {
     fn worst(&self) -> Option<(&Tuple, u64)> {
         self.counts
             .iter()
-            .filter(|(_, &m)| m > 1)
-            .min_by_key(|(k, _)| *k)
-            .map(|(k, &m)| (k, m))
+            .filter(|&(_, m)| m > 1)
+            .min_by_key(|&(k, _)| k)
     }
 
-    /// The signed per-key-point net of a delta.
-    fn net(&self, delta: &SignedBag<Tuple>) -> FxHashMap<Tuple, i64> {
-        let mut net: FxHashMap<Tuple, i64> = FxHashMap::default();
-        for (t, m) in delta.iter() {
-            *net.entry(self.resolved.project(t)).or_insert(0) += m;
-        }
-        net
+    /// The signed per-key-point net of a delta: the delta mapped through
+    /// the key projection, with checked sums. `Err` is the key point
+    /// whose net overflowed ℤ.
+    fn net(&self, delta: &SignedBag<Tuple>) -> Result<SignedBag<Tuple>, Tuple> {
+        let mut last = None;
+        let net = delta.map(|t| {
+            let key = self.resolved.project(t);
+            last = Some(key.clone());
+            Ok(key)
+        });
+        net.map_err(|_| last.expect("an overflow has a key point"))
     }
 
     fn check(&self, delta: &SignedBag<Tuple>) -> Result<(), (Tuple, u64)> {
+        // a net beyond ℤ's range is beyond one: a violation, saturated
+        let net = self.net(delta).map_err(|key| (key, u64::MAX))?;
         let mut worst: Option<(Tuple, u64)> = None;
-        for (key, net) in self.net(delta) {
-            if net <= 0 {
+        for (key, n) in net.iter() {
+            if n <= 0 {
                 continue;
             }
-            let current = self.counts.get(&key).copied().unwrap_or(0) as i64;
-            let total = current + net;
-            if total > 1 {
-                let candidate = (key, total as u64);
-                // deterministic report: the smallest violating key point
-                if worst.as_ref().is_none_or(|w| candidate.0 < w.0) {
-                    worst = Some(candidate);
-                }
+            let total = self
+                .counts
+                .multiplicity(key)
+                .saturating_add(n.unsigned_abs());
+            // deterministic report: the smallest violating key point
+            if total > 1 && worst.as_ref().is_none_or(|w| *key < w.0) {
+                worst = Some((key.clone(), total));
             }
         }
-        match worst {
-            Some(w) => Err(w),
-            None => Ok(()),
-        }
+        worst.map_or(Ok(()), Err)
     }
 }
 
@@ -195,25 +194,19 @@ impl KeySet {
     }
 
     /// Folds one admitted commit delta for `relation` into the counts of
-    /// every key declared on it — O(|Δ|).
-    pub fn apply_commit(&mut self, relation: &str, delta: &SignedBag<Tuple>) {
-        if delta.is_empty() {
-            return;
-        }
+    /// every key declared on it — O(|Δ|). Fails only if a retraction
+    /// outruns the counts, which an admitted delta of the same relation
+    /// cannot do.
+    pub fn apply_commit(&mut self, relation: &str, delta: &SignedBag<Tuple>) -> CoreResult<()> {
         for ((r, _), counts) in self.keys.iter_mut() {
             if r == relation {
-                let net = counts.net(delta);
-                for (key, n) in net {
-                    let current = counts.counts.get(&key).copied().unwrap_or(0) as i64;
-                    let next = current + n;
-                    if next <= 0 {
-                        counts.counts.remove(&key);
-                    } else {
-                        counts.counts.insert(key, next as u64);
-                    }
-                }
+                let net = counts
+                    .net(delta)
+                    .map_err(|_| CoreError::Overflow("key point count"))?;
+                net.apply_to(&mut counts.counts)?;
             }
         }
+        Ok(())
     }
 
     /// Rebuilds every count table from `db`: definitions are kept, counts
@@ -321,7 +314,7 @@ mod tests {
 
         let d = delta(&[(3, "c", -1), (4, "d", 1)]);
         assert!(ks.check("r", &d).is_ok());
-        ks.apply_commit("r", &d);
+        ks.apply_commit("r", &d).expect("admitted");
         // id 3 is free again, id 4 is now taken
         assert!(ks.check("r", &delta(&[(3, "z", 1)])).is_ok());
         assert!(ks.check("r", &delta(&[(4, "z", 1)])).is_err());
@@ -333,10 +326,25 @@ mod tests {
         let db = db();
         ks.declare(&db, "r", &[1]).expect("ok").expect("valid");
         // drift the counts, then rebuild from the source of truth
-        ks.apply_commit("r", &delta(&[(1, "a", -1)]));
+        ks.apply_commit("r", &delta(&[(1, "a", -1)]))
+            .expect("within counts");
         assert!(ks.check("r", &delta(&[(1, "z", 1)])).is_ok());
         ks.rebuild(&db).expect("relations exist");
         assert!(ks.check("r", &delta(&[(1, "z", 1)])).is_err());
+    }
+
+    /// Two delta tuples at one key point, each at `i64::MAX`: the net
+    /// overflows ℤ, and the check reports a violation instead of wrapping
+    /// to an admissible count.
+    #[test]
+    fn overflowing_net_is_a_violation() {
+        let mut ks = KeySet::new();
+        let db = db();
+        ks.declare(&db, "r", &[1]).expect("ok").expect("valid");
+        let d = delta(&[(9, "x", i64::MAX), (9, "y", i64::MAX)]);
+        let v = ks.check("r", &d).expect_err("overflowing net");
+        assert_eq!(v.key, tuple![9_i64]);
+        assert_eq!(v.multiplicity, u64::MAX);
     }
 
     #[test]

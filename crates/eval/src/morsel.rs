@@ -64,7 +64,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use mera_core::multiset::Bag;
 use mera_core::prelude::*;
 use mera_expr::rel::RelExpr;
-use mera_expr::{Aggregate, ScalarExpr};
+use mera_expr::{ext_project_schema, Aggregate, ScalarExpr};
 use rustc_hash::FxHashSet;
 
 use crate::engine::{Engine, ExecOptions};
@@ -75,7 +75,6 @@ use crate::physical::join::{
     extract_equi_condition, full_probe_cols, loop_probe_batch, JoinTable, ProbeCol, RadixJoinTable,
 };
 use crate::physical::ops::{filter_batch, project_batch};
-use crate::physical::planner::ext_project_schema;
 use crate::physical::stats::{ExecStats, OpCounter};
 use crate::physical::{Counted, CountedBatch};
 use crate::pool;

@@ -23,8 +23,8 @@
 //! The kernels: [`ops`] (selection and projection over one batch),
 //! [`join`] (equi-join build/probe tables and the nested-loop probe),
 //! [`agg`] (group-by state), [`stats`] (per-node row counters for
-//! EXPLAIN and experiment E5), and [`planner`] (the extended-projection
-//! schema rule the pipeline compiler uses).
+//! EXPLAIN and experiment E5), and [`planner`] (the physical engine's
+//! end-to-end tests against the reference evaluator).
 
 pub mod agg;
 pub mod column;

@@ -1,33 +1,18 @@
-//! Plan-time schema derivation shared by the physical planner.
+//! End-to-end tests of the physical engine against the reference
+//! evaluator.
 //!
 //! The planner itself is [`morsel`](crate::morsel)'s compiler, which turns
-//! every algebra expression into pipelines at any worker count; this module
-//! keeps the one schema rule it needs beyond [`Schema`]'s own methods, and
-//! the end-to-end tests of the physical engine against the reference
-//! evaluator.
-
-use std::sync::Arc;
-
-use mera_core::prelude::*;
-use mera_expr::ScalarExpr;
-
-/// Output schema of an extended projection over a known input schema.
-pub(crate) fn ext_project_schema(input: &SchemaRef, exprs: &[ScalarExpr]) -> CoreResult<SchemaRef> {
-    let mut attrs = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let t = e.infer_type(input)?;
-        let name = match e {
-            ScalarExpr::Attr(i) => input.attr(*i)?.name.clone(),
-            _ => None,
-        };
-        attrs.push(Attribute { name, dtype: t });
-    }
-    Ok(Arc::new(Schema::new(attrs)))
-}
+//! every algebra expression into pipelines at any worker count; the one
+//! schema rule it needs beyond [`Schema`](mera_core::prelude::Schema)'s
+//! own methods is `mera_expr::ext_project_schema`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::sync::Arc;
+
+    use mera_core::prelude::*;
+    use mera_expr::ScalarExpr;
+
     use crate::engine::{Engine, ExecOptions};
     use crate::physical::stats::ExecStats;
     use crate::reference;

@@ -4,12 +4,18 @@
 //! counted-bag kernels in `mera-core`. No attempt is made to be fast; this
 //! evaluator is the *semantics oracle* the physical engine and every
 //! optimizer rewrite are checked against.
+//!
+//! The evaluator is generic over the multiplicity semiring
+//! ([`eval_in`]): stored ℕ relations are lifted into `S` at the leaves and
+//! every operator runs its law in `S`. [`eval`] is the paper's ℕ instance;
+//! `eval_in::<bool>` is classical *set* semantics — the baseline whose
+//! projection loses the duplicates Example 3.2's aggregate needs.
 
 use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_expr::rel::RelExpr;
-use mera_expr::Aggregate;
+use mera_expr::{ext_project_schema, Aggregate};
 
 use crate::provider::{RelationProvider, Schemas};
 
@@ -23,9 +29,7 @@ use rustc_hash::FxHashMap;
 /// operations: division by zero, overflow, and the partial aggregates
 /// AVG/MIN/MAX on an empty group (Definition 3.3).
 pub fn eval(expr: &RelExpr, provider: &(impl RelationProvider + ?Sized)) -> CoreResult<Relation> {
-    // static check first: ill-typed trees never reach the data
-    expr.schema(&Schemas(provider))?;
-    eval_unchecked(expr, provider)
+    eval_in(expr, provider)
 }
 
 /// Evaluates without the up-front schema check (callers that already
@@ -34,55 +38,59 @@ pub fn eval_unchecked(
     expr: &RelExpr,
     provider: &(impl RelationProvider + ?Sized),
 ) -> CoreResult<Relation> {
+    unchecked(expr, provider)
+}
+
+/// [`eval`] in the multiplicity semiring `S`: stored relations are lifted
+/// into `S` (in 𝔹, their support) and every operator applies its law in
+/// `S`. `eval_in::<u64>` is [`eval`]; `eval_in::<bool>` is set semantics.
+pub fn eval_in<S: NaturallyOrdered>(
+    expr: &RelExpr,
+    provider: &(impl RelationProvider + ?Sized),
+) -> CoreResult<KRelation<S>> {
+    // static check first: ill-typed trees never reach the data
+    expr.schema(&Schemas(provider))?;
+    unchecked(expr, provider)
+}
+
+fn unchecked<S: NaturallyOrdered>(
+    expr: &RelExpr,
+    provider: &(impl RelationProvider + ?Sized),
+) -> CoreResult<KRelation<S>> {
+    let go = |e: &RelExpr| unchecked::<S>(e, provider);
     match expr {
-        RelExpr::Scan(name) => Ok(provider.relation(name)?.clone()),
-        RelExpr::Values(rel) => Ok(rel.as_ref().clone()),
-        RelExpr::Union(l, r) => eval_unchecked(l, provider)?.union(&eval_unchecked(r, provider)?),
-        RelExpr::Difference(l, r) => {
-            eval_unchecked(l, provider)?.difference(&eval_unchecked(r, provider)?)
-        }
-        RelExpr::Intersect(l, r) => {
-            eval_unchecked(l, provider)?.intersection(&eval_unchecked(r, provider)?)
-        }
-        RelExpr::Product(l, r) => {
-            eval_unchecked(l, provider)?.product(&eval_unchecked(r, provider)?)
-        }
-        RelExpr::Select { input, predicate } => {
-            eval_unchecked(input, provider)?.select(|t| predicate.eval_predicate(t))
-        }
-        RelExpr::Project { input, attrs } => eval_unchecked(input, provider)?.project(attrs),
+        RelExpr::Scan(name) => provider.relation(name)?.lift(),
+        RelExpr::Values(rel) => rel.lift(),
+        RelExpr::Union(l, r) => go(l)?.union(&go(r)?),
+        RelExpr::Difference(l, r) => go(l)?.difference(&go(r)?),
+        RelExpr::Intersect(l, r) => go(l)?.intersection(&go(r)?),
+        RelExpr::Product(l, r) => go(l)?.product(&go(r)?),
+        RelExpr::Select { input, predicate } => go(input)?.select(|t| predicate.eval_predicate(t)),
+        RelExpr::Project { input, attrs } => go(input)?.project(attrs),
         RelExpr::Join {
             left,
             right,
             predicate,
         } => {
             // Definition 3.2: E₁ ⋈_φ E₂ = σ_φ(E₁ × E₂)
-            let prod =
-                eval_unchecked(left, provider)?.product(&eval_unchecked(right, provider)?)?;
+            let prod = go(left)?.product(&go(right)?)?;
             prod.select(|t| predicate.eval_predicate(t))
         }
         RelExpr::ExtProject { input, exprs } => {
-            let rel = eval_unchecked(input, provider)?;
-            let out_schema = expr_schema_for_ext_project(&rel, exprs)?;
-            rel.map_tuples(out_schema, |t| {
+            let rel = go(input)?;
+            rel.map_tuples(ext_project_schema(rel.schema(), exprs)?, |t| {
                 let vals: CoreResult<Vec<Value>> = exprs.iter().map(|e| e.eval(t)).collect();
                 Ok(Tuple::new(vals?))
             })
         }
-        RelExpr::Distinct(input) => Ok(eval_unchecked(input, provider)?.distinct()),
+        RelExpr::Distinct(input) => Ok(go(input)?.distinct()),
         RelExpr::GroupBy {
             input,
             keys,
             agg,
             attr,
-        } => {
-            let rel = eval_unchecked(input, provider)?;
-            group_by(&rel, keys, *agg, *attr)
-        }
-        RelExpr::Closure(input) => {
-            let rel = eval_unchecked(input, provider)?;
-            transitive_closure(&rel)
-        }
+        } => group_by(&go(input)?, keys, *agg, *attr),
+        RelExpr::Closure(input) => transitive_closure(&go(input)?),
     }
 }
 
@@ -92,8 +100,8 @@ pub fn eval_unchecked(
 ///
 /// Closure is inherently *set*-valued — a bag fixpoint diverges on cycles
 /// because every lap multiplies multiplicities — so the result carries
-/// multiplicity 1 throughout, like `δ`.
-pub fn transitive_closure(rel: &Relation) -> CoreResult<Relation> {
+/// multiplicity one throughout, like `δ`.
+pub fn transitive_closure<S: Semiring>(rel: &KRelation<S>) -> CoreResult<KRelation<S>> {
     use rustc_hash::FxHashSet;
     if rel.schema().arity() != 2 {
         return Err(CoreError::TypeError(format!(
@@ -129,46 +137,28 @@ pub fn transitive_closure(rel: &Relation) -> CoreResult<Relation> {
         }
         frontier = next;
     }
-    let mut out = Relation::empty(Arc::clone(rel.schema()));
+    let mut out = KRelation::empty(Arc::clone(rel.schema()));
     for (x, y) in reached {
-        out.insert(Tuple::new(vec![x, y]), 1)?;
+        out.insert(Tuple::new(vec![x, y]), S::ONE)?;
     }
     Ok(out)
-}
-
-/// Schema of an extended projection's output, re-derived from the input
-/// relation (used after the top-level check so sub-results stay typed).
-fn expr_schema_for_ext_project(
-    rel: &Relation,
-    exprs: &[mera_expr::ScalarExpr],
-) -> CoreResult<SchemaRef> {
-    use mera_expr::ScalarExpr;
-    let s = rel.schema();
-    let mut attrs = Vec::with_capacity(exprs.len());
-    for e in exprs {
-        let t = e.infer_type(s)?;
-        let name = match e {
-            ScalarExpr::Attr(i) => s.attr(*i)?.name.clone(),
-            _ => None,
-        };
-        attrs.push(Attribute { name, dtype: t });
-    }
-    Ok(Arc::new(Schema::new(attrs)))
 }
 
 /// Direct implementation of the group-by construct (Definition 3.4).
 ///
 /// Groups are classes of tuples equal on the key attributes; the aggregate
-/// runs over the bag of `x.attr` values *with multiplicities*. An empty key
-/// list produces exactly one tuple aggregating the whole input — in that
-/// case partial aggregates (AVG/MIN/MAX) over an empty input propagate the
-/// error the paper's partiality implies.
-pub fn group_by(
-    rel: &Relation,
+/// runs over the bag of `x.attr` values *with multiplicities* — each
+/// tuple weighs its multiplicity's [`NaturallyOrdered::weight`], so in 𝔹
+/// every distinct tuple counts once. An empty key list produces exactly
+/// one tuple aggregating the whole input — in that case partial aggregates
+/// (AVG/MIN/MAX) over an empty input propagate the error the paper's
+/// partiality implies.
+pub fn group_by<S: NaturallyOrdered>(
+    rel: &KRelation<S>,
     keys: &[usize],
     agg: Aggregate,
     attr: usize,
-) -> CoreResult<Relation> {
+) -> CoreResult<KRelation<S>> {
     let key_list = if keys.is_empty() {
         None
     } else {
@@ -184,7 +174,7 @@ pub fn group_by(
     };
     let out_schema = Arc::new(key_schema.with_attr(Attribute::anon(out_type)));
 
-    // partition: key tuple → bag of (aggregated value, multiplicity)
+    // partition: key tuple → bag of (aggregated value, weight)
     let mut groups: FxHashMap<Tuple, Vec<(Value, u64)>> = FxHashMap::default();
     for (t, m) in rel.iter() {
         let key = match &key_list {
@@ -192,23 +182,23 @@ pub fn group_by(
             None => Tuple::empty(),
         };
         let v = t.attr(attr)?.clone();
-        groups.entry(key).or_default().push((v, m));
+        groups.entry(key).or_default().push((v, m.weight()));
     }
 
-    let mut out = Relation::empty(out_schema);
+    let mut out = KRelation::empty(out_schema);
     if key_list.is_none() {
         // whole-relation aggregation always yields exactly one tuple
         let empty = Vec::new();
         let vals = groups.remove(&Tuple::empty()).unwrap_or(empty);
         let v = agg.compute(in_type, vals.iter().map(|(v, m)| (v, *m)))?;
-        out.insert(Tuple::new(vec![v]), 1)?;
+        out.insert(Tuple::new(vec![v]), S::ONE)?;
         return Ok(out);
     }
     for (key, vals) in groups {
         let v = agg.compute(in_type, vals.iter().map(|(v, m)| (v, *m)))?;
         let mut kv = key.into_values();
         kv.push(v);
-        out.insert(Tuple::new(kv), 1)?;
+        out.insert(Tuple::new(kv), S::ONE)?;
     }
     Ok(out)
 }
@@ -468,5 +458,95 @@ mod tests {
             eval(&bad, &db),
             Err(CoreError::UnknownRelation(_))
         ));
+    }
+
+    // ---- the 𝔹 instance: classical set semantics ----
+
+    #[test]
+    fn set_scan_discards_duplicates() {
+        let schema = DatabaseSchema::new()
+            .with("r", Schema::anon(&[DataType::Int]))
+            .unwrap();
+        let mut db = Database::new(schema);
+        db.update_with("r", |r| {
+            let mut r = r.clone();
+            r.insert(tuple![1_i64], 5)?;
+            Ok(r)
+        })
+        .unwrap();
+        let out = eval_in::<bool>(&RelExpr::scan("r"), &db).unwrap();
+        assert_eq!(out.len(), 1);
+    }
+
+    /// Example 3.2's incorrectness claim, reproduced exactly: under set
+    /// semantics the direct aggregation and the projection-reduced
+    /// aggregation disagree; under bag semantics they agree.
+    #[test]
+    fn example_3_2_set_semantics_is_wrong() {
+        let db = beer_db();
+        let join = RelExpr::scan("beer").join(
+            RelExpr::scan("brewery"),
+            ScalarExpr::attr(2).eq(ScalarExpr::attr(4)),
+        );
+        let direct = join.clone().group_by(&[6], Aggregate::Avg, 3);
+        let reduced = join.project(&[3, 6]).group_by(&[2], Aggregate::Avg, 1);
+
+        // bag semantics: identical
+        assert_eq!(eval(&direct, &db).unwrap(), eval(&reduced, &db).unwrap());
+
+        // set semantics: the projection collapses the two distinct 5.0%
+        // Dutch beers into one tuple, skewing the NL average
+        let set_direct = eval_in::<bool>(&direct, &db).unwrap();
+        let set_reduced = eval_in::<bool>(&reduced, &db).unwrap();
+        assert_ne!(set_direct, set_reduced);
+        let nl = |r: &KRelation<bool>| {
+            let row = r
+                .support()
+                .find(|t| t.attr(1).unwrap() == &Value::from("NL"));
+            row.unwrap().attr(2).unwrap().as_f64().unwrap()
+        };
+        let nl_direct = (5.0 + 5.0 + 5.1 + 6.5 + 6.3) / 5.0;
+        let nl_reduced = (5.0 + 5.1 + 6.5 + 6.3) / 4.0; // 5.0 counted once!
+        assert!((nl(&set_direct) - nl_direct).abs() < 1e-9);
+        assert!((nl(&set_reduced) - nl_reduced).abs() < 1e-9);
+    }
+
+    #[test]
+    fn set_and_bag_agree_on_duplicate_free_data() {
+        // when the data and query produce no duplicates, both semantics
+        // coincide — a sanity check on the baseline
+        let db = beer_db();
+        let e = RelExpr::scan("brewery").select(ScalarExpr::attr(3).eq(ScalarExpr::str("NL")));
+        let bag = eval(&e, &db).unwrap();
+        assert!(bag.iter().all(|(_, m)| m == 1));
+        assert_eq!(eval_in::<bool>(&e, &db).unwrap(), bag.lift().unwrap());
+    }
+
+    #[test]
+    fn set_projection_loses_cardinality() {
+        let db = beer_db();
+        let e = RelExpr::scan("beer").project(&[3]);
+        assert_eq!(eval(&e, &db).unwrap().len(), 6); // bag projection keeps all 6
+        assert_eq!(eval_in::<bool>(&e, &db).unwrap().len(), 5); // 5.0 appears once
+    }
+
+    /// A 𝔹 result is a set by construction; over positive operators it is
+    /// exactly the support of the bag result.
+    #[test]
+    fn results_always_duplicate_free() {
+        let db = beer_db();
+        let exprs = vec![
+            RelExpr::scan("beer").project(&[2]),
+            RelExpr::scan("beer").union(RelExpr::scan("beer")),
+            RelExpr::scan("beer")
+                .product(RelExpr::scan("brewery"))
+                .project(&[2]),
+            RelExpr::scan("beer").ext_project(vec![ScalarExpr::attr(2)]),
+        ];
+        for e in exprs {
+            let set = eval_in::<bool>(&e, &db).unwrap();
+            assert_eq!(set.len(), set.distinct_len() as u64, "{e}");
+            assert_eq!(set, eval(&e, &db).unwrap().lift().unwrap(), "{e}");
+        }
     }
 }

@@ -20,5 +20,5 @@ pub mod rel;
 pub mod scalar;
 
 pub use aggregate::Aggregate;
-pub use rel::{EmptyProvider, RelExpr, SchemaProvider};
+pub use rel::{ext_project_schema, EmptyProvider, RelExpr, SchemaProvider};
 pub use scalar::{arith_result_type, eval_arith, ArithOp, CmpOp, ScalarExpr};

@@ -134,6 +134,28 @@ pub enum RelExpr {
     Closure(Arc<RelExpr>),
 }
 
+/// Output schema of an extended projection `π_(e₁,…,eₙ)` over `input`:
+/// one attribute per expression, typed by inference; bare attribute
+/// references keep their name. The one rule every evaluator derives this
+/// schema by.
+pub fn ext_project_schema(input: &Schema, exprs: &[ScalarExpr]) -> CoreResult<SchemaRef> {
+    if exprs.is_empty() {
+        return Err(CoreError::TypeError(
+            "extended projection needs at least one expression".into(),
+        ));
+    }
+    let mut attrs = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        let dtype = e.infer_type(input)?;
+        let name = match e {
+            ScalarExpr::Attr(i) => input.attr(*i)?.name.clone(),
+            _ => None,
+        };
+        attrs.push(Attribute { name, dtype });
+    }
+    Ok(Arc::new(Schema::new(attrs)))
+}
+
 impl RelExpr {
     // ------------------------------------------------------------------
     // builder API
@@ -280,23 +302,8 @@ impl RelExpr {
                 Ok(Arc::new(joined))
             }
             RelExpr::ExtProject { input, exprs } => {
-                if exprs.is_empty() {
-                    return Err(CoreError::TypeError(
-                        "extended projection needs at least one expression".into(),
-                    ));
-                }
                 let s = input.schema(provider)?;
-                let mut attrs = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    let t = e.infer_type(&s)?;
-                    // bare attribute references keep their name
-                    let name = match e {
-                        ScalarExpr::Attr(i) => s.attr(*i)?.name.clone(),
-                        _ => None,
-                    };
-                    attrs.push(Attribute { name, dtype: t });
-                }
-                Ok(Arc::new(Schema::new(attrs)))
+                ext_project_schema(&s, exprs)
             }
             RelExpr::Distinct(input) => input.schema(provider),
             RelExpr::GroupBy {

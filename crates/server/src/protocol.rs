@@ -46,6 +46,9 @@ use std::io::{self, Read, Write};
 /// allocating gigabytes.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// The most [`read_frame`] allocates before a frame's bytes arrive.
+const READ_CHUNK: usize = 64 << 10;
+
 /// Rows per `RowBatch` frame when the server streams a result relation.
 pub const BATCH_ROWS: usize = 512;
 
@@ -140,8 +143,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     if len > MAX_FRAME {
         return Err(ProtocolError(format!("frame of {len} bytes exceeds cap")).into());
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // the length is the peer's claim: grow the buffer only as bytes arrive
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed mid-frame",
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -381,6 +391,33 @@ mod tests {
 
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
         assert!(read_frame(&mut &huge[..]).is_err());
+    }
+
+    /// A reader that serves `data` and records the largest buffer it was
+    /// asked to fill.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn frame_length_does_not_allocate_ahead_of_the_bytes() {
+        let mut bytes = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(b"abc");
+        let mut r = Recording {
+            data: &bytes,
+            largest: 0,
+        };
+        let err = read_frame(&mut r).expect_err("3 of 64 MiB arrived");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.largest <= READ_CHUNK, "asked to fill {} bytes", r.largest);
     }
 
     #[test]

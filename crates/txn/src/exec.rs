@@ -17,7 +17,7 @@ use mera_expr::rel::RelExpr;
 use mera_opt::{choose_access_paths, CatalogStats, Optimizer};
 
 use crate::statement::{Program, Statement};
-use crate::views::{DeltaMap, ViewSet};
+use crate::views::{DeltaMap, TupleDelta, ViewSet};
 
 /// How statements evaluate their expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,11 +126,20 @@ impl WorkingState {
     /// maintenance all consume the same signed deltas at commit, so the
     /// capture is unconditional (and O(|delta|), never O(|relation|)).
     fn capture(&mut self, relation: &str, rel: &Relation, positive: bool) -> CoreResult<()> {
-        let delta = self.deltas.entry(relation.to_owned()).or_default();
-        for (t, m) in rel.iter() {
-            delta.insert_unsigned(t.clone(), m, positive)?;
+        let none = Bag::new();
+        let (old, new) = if positive {
+            (&none, rel.bag())
+        } else {
+            (rel.bag(), &none)
+        };
+        let captured = TupleDelta::from_diff(old, new)?;
+        match self.deltas.get_mut(relation) {
+            Some(delta) => delta.absorb(captured),
+            None => {
+                self.deltas.insert(relation.to_owned(), captured);
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     /// True when this transaction has already changed `relation` — the

@@ -18,8 +18,8 @@
 //!
 //! 1. [`MvccManager::prepare`] executes the program against a pinned
 //!    snapshot, accumulating the same signed ℤ-multiplicity deltas
-//!    (PR 7's [`SignedBag`] machinery) that drive view/statistics/index
-//!    maintenance. No shared state is touched.
+//!    ([`SignedBag`]) that drive view/statistics/index maintenance. No
+//!    shared state is touched.
 //! 2. [`MvccManager::try_commit`] takes the (short) commit lock and
 //!    validates **first-committer-wins**: if any transaction committed
 //!    since the snapshot wrote an overlapping relation — or, on keyed
@@ -626,16 +626,7 @@ fn infallible<T>(result: Result<T, Infallible>) -> T {
 fn apply_delta(db: &mut Database, name: &str, delta: &TupleDelta) -> CoreResult<()> {
     db.update_with(name, |rel| {
         let mut next = rel.clone();
-        for (t, m) in delta.iter() {
-            if m > 0 {
-                next.insert(t.clone(), m as u64)?;
-            } else {
-                let want = m.unsigned_abs();
-                if next.remove(t, want) != want {
-                    return Err(CoreError::NegativeMultiplicity("mvcc delta merge"));
-                }
-            }
-        }
+        next.apply(delta)?;
         Ok(next)
     })
 }

@@ -237,7 +237,7 @@ impl Version {
             }
             // the check above passed, so folding the deltas in cannot
             // violate a key
-            keys.apply_commit(name, delta);
+            keys.apply_commit(name, delta).map_err(AbortReason::Error)?;
             indexes_current &= indexes.apply_commit(name, delta).is_ok();
         }
         stats.set_as_of(time);

@@ -35,7 +35,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mera_core::delta::SignedBag;
 use mera_core::prelude::*;
 use mera_eval::provider::{NoRelations, RelationProvider, Schemas};
 use mera_eval::Engine;
@@ -252,7 +251,7 @@ impl ViewSet {
             let provider = ViewCatalog { views: done, db };
             view.refreshes += 1;
             let delta = match view.plan.refresh(&deltas, &provider, config) {
-                Ok(delta) => match apply_delta(&mut view.data, &delta) {
+                Ok(delta) => match Arc::make_mut(&mut view.data).apply(&delta) {
                     Ok(()) => delta,
                     Err(_) => Self::recompute_view(view, &provider, config)?,
                 },
@@ -275,7 +274,7 @@ impl ViewSet {
     ) -> CoreResult<TupleDelta> {
         view.fallbacks += 1;
         let fresh = eval(&view.expr, provider, config)?;
-        let delta = SignedBag::from_diff(view.data.bag(), fresh.bag())?;
+        let delta = TupleDelta::from_diff(view.data.bag(), fresh.bag())?;
         view.plan = MaintNode::build(&view.expr, provider, config)?;
         view.data = Arc::new(fresh);
         Ok(delta)
@@ -295,24 +294,6 @@ impl ViewSet {
         }
         Ok(())
     }
-}
-
-/// Applies a signed view delta to the materialized contents in place.
-/// Fails (without corrupting the data beyond repair — the caller falls
-/// back to recompute) when a retraction exceeds the stored multiplicity.
-fn apply_delta(data: &mut Arc<Relation>, delta: &TupleDelta) -> CoreResult<()> {
-    let rel = Arc::make_mut(data);
-    for (t, m) in delta.iter() {
-        if m > 0 {
-            rel.insert(t.clone(), m as u64)?;
-        } else {
-            let want = m.unsigned_abs();
-            if rel.remove(t, want) != want {
-                return Err(CoreError::NegativeMultiplicity("view contents"));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Resolves already-refreshed views first, then the database — the
@@ -394,7 +375,8 @@ impl JoinSide {
             buckets: FxHashMap::default(),
         };
         for (t, m) in rel.iter() {
-            side.add(t.clone(), m)?;
+            let key = side.key_of(t);
+            side.buckets.entry(key).or_default().insert(t.clone(), m)?;
         }
         Ok(side)
     }
@@ -403,33 +385,21 @@ impl JoinSide {
         self.keys.iter().map(|&i| t.values()[i].clone()).collect()
     }
 
-    fn add(&mut self, t: Tuple, m: u64) -> CoreResult<()> {
-        self.buckets
-            .entry(self.key_of(&t))
-            .or_default()
-            .insert(t, m)
-    }
-
-    fn remove(&mut self, t: &Tuple, m: u64) -> CoreResult<()> {
-        let key = self.key_of(t);
-        let Some(bucket) = self.buckets.get_mut(&key) else {
-            return Err(CoreError::NegativeMultiplicity("join state"));
-        };
-        if bucket.remove(t, m) != m {
-            return Err(CoreError::NegativeMultiplicity("join state"));
-        }
-        if bucket.is_empty() {
-            self.buckets.remove(&key);
-        }
-        Ok(())
-    }
-
+    /// Applies a delta bucket by bucket: the delta split by join key, each
+    /// part applied to its bucket.
     fn apply(&mut self, delta: &TupleDelta) -> CoreResult<()> {
+        let mut parts: FxHashMap<Vec<Value>, TupleDelta> = FxHashMap::default();
         for (t, m) in delta.iter() {
-            if m > 0 {
-                self.add(t.clone(), m as u64)?;
-            } else {
-                self.remove(t, m.unsigned_abs())?;
+            parts
+                .entry(self.key_of(t))
+                .or_default()
+                .insert(t.clone(), m)?;
+        }
+        for (key, part) in parts {
+            let bucket = self.buckets.entry(key.clone()).or_default();
+            part.apply_to(bucket)?;
+            if bucket.is_empty() {
+                self.buckets.remove(&key);
             }
         }
         Ok(())
@@ -619,23 +589,20 @@ impl MaintNode {
                 if d.is_empty() {
                     return Ok(d);
                 }
+                // the operator maps each signed half on its own
+                let mapped = |half: Bag<Tuple>| -> CoreResult<Bag<Tuple>> {
+                    if half.is_empty() {
+                        return Ok(half);
+                    }
+                    let part = Relation::from_counted(Arc::clone(in_schema), half)?;
+                    Ok(eval_values(op.wrap(RelExpr::values(part)), config)?.into_bag())
+                };
                 let (pos, neg) = d.split();
-                let mut out = TupleDelta::new();
-                for (bag, positive) in [(pos, true), (neg, false)] {
-                    if bag.is_empty() {
-                        continue;
-                    }
-                    let part = Relation::from_counted(Arc::clone(in_schema), bag)?;
-                    let mapped = eval_values(op.wrap(RelExpr::values(part)), config)?;
-                    for (t, m) in mapped.iter() {
-                        out.insert_unsigned(t.clone(), m, positive)?;
-                    }
-                }
-                Ok(out)
+                TupleDelta::from_diff(&mapped(neg)?, &mapped(pos)?)
             }
             MaintNode::Union { left, right } => {
                 let mut d = left.refresh(deltas, provider, config)?;
-                d.merge(right.refresh(deltas, provider, config)?)?;
+                d.absorb(right.refresh(deltas, provider, config)?)?;
                 Ok(d)
             }
             MaintNode::Join {
@@ -656,7 +623,7 @@ impl MaintNode {
                         for (u, n) in bucket.iter() {
                             let joined = t.concat(u);
                             if predicate.eval_predicate(&joined)? {
-                                out.insert(joined, signed_product(m, n)?)?;
+                                out.insert(joined, m.times(i64::from_nat(n)?)?)?;
                             }
                         }
                     }
@@ -668,7 +635,7 @@ impl MaintNode {
                         for (u, n) in bucket.iter() {
                             let joined = u.concat(t);
                             if predicate.eval_predicate(&joined)? {
-                                out.insert(joined, signed_product(m, n)?)?;
+                                out.insert(joined, m.times(i64::from_nat(n)?)?)?;
                             }
                         }
                     }
@@ -678,19 +645,11 @@ impl MaintNode {
             }
             MaintNode::Distinct { child, seen } => {
                 let d = child.refresh(deltas, provider, config)?;
+                let was: Vec<bool> = d.support().map(|t| seen.contains(t)).collect();
+                d.apply_to(seen)?;
                 let mut out = TupleDelta::new();
-                for (t, m) in d.into_iter() {
-                    let old = seen.multiplicity(&t);
-                    if m > 0 {
-                        seen.insert(t.clone(), m as u64)?;
-                    } else {
-                        let want = m.unsigned_abs();
-                        if seen.remove(&t, want) != want {
-                            return Err(CoreError::NegativeMultiplicity("distinct state"));
-                        }
-                    }
-                    let new = seen.multiplicity(&t);
-                    out.insert(t, i64::from(new > 0) - i64::from(old > 0))?;
+                for (t, was) in d.support().zip(was) {
+                    out.insert(t.clone(), i64::from(seen.contains(t)) - i64::from(was))?;
                 }
                 Ok(out)
             }
@@ -704,30 +663,22 @@ impl MaintNode {
                 let dl = left.refresh(deltas, provider, config)?;
                 let dr = right.refresh(deltas, provider, config)?;
                 let minus = *minus;
-                let combine = |l: u64, r: u64| if minus { l.saturating_sub(r) } else { l.min(r) };
-                let mut out = TupleDelta::new();
-                // Dedup: a tuple changed on *both* sides (e.g. `r ∩ r`)
-                // must contribute its output diff exactly once.
-                let mut touched: Vec<Tuple> = Vec::new();
-                let mut seen: FxHashSet<&Tuple> = FxHashSet::default();
-                for (t, _) in dl.iter().chain(dr.iter()) {
-                    if seen.insert(t) {
-                        touched.push(t.clone());
+                // a tuple changed on *both* sides (e.g. `r ∩ r`) must
+                // contribute its output diff exactly once
+                let touched: FxHashSet<&Tuple> = dl.support().chain(dr.support()).collect();
+                // the output restricted to the touched tuples
+                let output = |l: &Bag<Tuple>, r: &Bag<Tuple>| -> CoreResult<Bag<Tuple>> {
+                    let mut out = Bag::with_capacity(touched.len());
+                    for &t in &touched {
+                        let (ml, mr) = (l.multiplicity(t), r.multiplicity(t));
+                        out.insert(t.clone(), if minus { ml.monus(mr) } else { ml.min(mr) })?;
                     }
-                }
-                drop(seen);
-                let olds: Vec<(u64, u64)> = touched
-                    .iter()
-                    .map(|t| (lstate.multiplicity(t), rstate.multiplicity(t)))
-                    .collect();
-                apply_signed(lstate, &dl, "difference/intersection state")?;
-                apply_signed(rstate, &dr, "difference/intersection state")?;
-                for (t, (ol, or)) in touched.into_iter().zip(olds) {
-                    let old_out = combine(ol, or);
-                    let new_out = combine(lstate.multiplicity(&t), rstate.multiplicity(&t));
-                    out.insert(t, signed_diff(new_out, old_out)?)?;
-                }
-                Ok(out)
+                    Ok(out)
+                };
+                let before = output(lstate, rstate)?;
+                dl.apply_to(lstate)?;
+                dr.apply_to(rstate)?;
+                TupleDelta::from_diff(&before, &output(lstate, rstate)?)
             }
             MaintNode::GroupBy {
                 child,
@@ -738,31 +689,22 @@ impl MaintNode {
                 groups,
             } => {
                 let d = child.refresh(deltas, provider, config)?;
-                // bucket the delta by group key
-                let mut by_key: FxHashMap<Vec<Value>, Vec<(Value, i64)>> = FxHashMap::default();
+                // the delta of each touched group's aggregated values
+                let mut by_key: FxHashMap<Vec<Value>, SignedBag<Value>> = FxHashMap::default();
                 for (t, m) in d.iter() {
                     by_key
                         .entry(group_key(t, keys)?)
                         .or_default()
-                        .push((t.attr(*attr)?.clone(), m));
+                        .insert(t.attr(*attr)?.clone(), m)?;
                 }
                 let mut out = TupleDelta::new();
-                for (key, entries) in by_key {
+                for (key, values) in by_key {
                     let bag = groups.entry(key.clone()).or_default();
                     if !bag.is_empty() {
                         let old = agg.compute(*in_type, bag.iter())?;
                         out.insert(agg_row(&key, old), -1)?;
                     }
-                    for (v, m) in entries {
-                        if m > 0 {
-                            bag.insert(v, m as u64)?;
-                        } else {
-                            let want = m.unsigned_abs();
-                            if bag.remove(&v, want) != want {
-                                return Err(CoreError::NegativeMultiplicity("group state"));
-                            }
-                        }
-                    }
+                    values.apply_to(bag)?;
                     if bag.is_empty() {
                         groups.remove(&key);
                     } else {
@@ -774,42 +716,12 @@ impl MaintNode {
             }
             MaintNode::Recompute { expr, last } => {
                 let fresh = eval(expr, provider, config)?;
-                let delta = SignedBag::from_diff(last.bag(), fresh.bag())?;
+                let delta = TupleDelta::from_diff(last.bag(), fresh.bag())?;
                 *last = fresh;
                 Ok(delta)
             }
         }
     }
-}
-
-/// `new − old` of two unsigned multiplicities as a checked i64.
-fn signed_diff(new: u64, old: u64) -> CoreResult<i64> {
-    let to = |m: u64| i64::try_from(m).map_err(|_| CoreError::Overflow("signed multiplicity"));
-    to(new)?
-        .checked_sub(to(old)?)
-        .ok_or(CoreError::Overflow("signed multiplicity"))
-}
-
-/// `m · n` of a signed and an unsigned multiplicity, checked.
-fn signed_product(m: i64, n: u64) -> CoreResult<i64> {
-    let n = i64::try_from(n).map_err(|_| CoreError::Overflow("join multiplicity"))?;
-    m.checked_mul(n)
-        .ok_or(CoreError::Overflow("join multiplicity"))
-}
-
-/// Applies a signed delta to an unsigned state bag, failing on underflow.
-fn apply_signed(state: &mut Bag<Tuple>, delta: &TupleDelta, what: &'static str) -> CoreResult<()> {
-    for (t, m) in delta.iter() {
-        if m > 0 {
-            state.insert(t.clone(), m as u64)?;
-        } else {
-            let want = m.unsigned_abs();
-            if state.remove(t, want) != want {
-                return Err(CoreError::NegativeMultiplicity(what));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Projects a tuple onto the grouping key (1-based indexes, in order).

@@ -12,10 +12,10 @@
 //! Run with `cargo run --example beer_analytics`.
 
 use mera::core::prelude::*;
+use mera::eval::reference::eval_in;
 use mera::eval::{eval, Engine, ExecStats};
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
 use mera::opt::Optimizer;
-use mera::setalg::eval_set;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = mera::beer_database();
@@ -38,8 +38,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("with and without the inserted projection: identical ✓\n");
 
     // ── set semantics: the projection corrupts the aggregate ──────────
-    let set_direct = eval_set(&direct, &db)?;
-    let set_reduced = eval_set(&reduced, &db)?;
+    let set_direct = eval_in::<bool>(&direct, &db)?;
+    let set_reduced = eval_in::<bool>(&reduced, &db)?;
     assert_ne!(set_direct, set_reduced);
     println!("the same two expressions under SET semantics:");
     println!("direct:\n{set_direct}\n");

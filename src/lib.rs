@@ -14,13 +14,12 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`analyze`] | `mera-analyze` | static analysis: schema inference, partiality lints, rewrite soundness |
-//! | [`core`] | `mera-core` | values, tuples, schemas, counted bags, databases (§2) |
+//! | [`core`] | `mera-core` | values, tuples, schemas, K-bags over ℕ/ℤ/𝔹, databases (§2) |
 //! | [`expr`] | `mera-expr` | scalar/aggregate/relational expression trees (§3) |
-//! | [`eval`] | `mera-eval` | reference evaluator + morsel-driven physical engine |
+//! | [`eval`] | `mera-eval` | reference evaluator (any semiring; `eval_in::<bool>` is set semantics) + morsel-driven physical engine |
 //! | [`opt`] | `mera-opt` | rewrite rules, cost model, join ordering (§3.3) |
 //! | [`lang`] | `mera-lang` | the XRA textual language |
 //! | [`txn`] | `mera-txn` | statements, programs, transactions (§4) |
-//! | [`setalg`] | `mera-setalg` | classical set-semantics baseline |
 //! | [`sql`] | `mera-sql` | SQL subset front-end |
 //! | [`store`] | `mera-store` | durability: write-ahead log, snapshots, crash recovery |
 //!
@@ -46,7 +45,6 @@ pub use mera_eval as eval;
 pub use mera_expr as expr;
 pub use mera_lang as lang;
 pub use mera_opt as opt;
-pub use mera_setalg as setalg;
 pub use mera_sql as sql;
 pub use mera_store as store;
 pub use mera_txn as txn;

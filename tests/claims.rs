@@ -5,8 +5,9 @@
 //! projection "to reduce the size of intermediate results", and the
 //! introduction calls duplicate removal costly. The engine counts both
 //! exactly — [`Engine::run_instrumented`] registers one row/cell counter
-//! per plan node, [`eval_set_counting`] counts the tuples the set engine
-//! scans to deduplicate — so each claim is asserted as a count, and the
+//! per plan node, and [`dedup_work`] counts the tuples a set engine scans
+//! to deduplicate, evaluating the plan in the 𝔹 instance of the reference
+//! evaluator (`eval_in::<bool>`) — so each claim is asserted as a count, and the
 //! count tables in `EXPERIMENTS.md` are the values asserted here. Counts
 //! do not drift with the machine, so every case is CI-safe.
 //!
@@ -23,11 +24,11 @@ use std::time::Duration;
 use mera::analyze::KeyEnv;
 use mera::core::prelude::DataType::{Int, Str};
 use mera::core::prelude::*;
+use mera::eval::reference::eval_in;
 use mera::eval::{eval, Engine, ExecStats, IndexSet};
 use mera::expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
 use mera::opt::cost::estimate_cost;
 use mera::opt::{choose_access_paths, estimate_rows, CatalogStats, Optimizer};
-use mera::setalg::{eval_set, eval_set_counting};
 use mera::store::{ConcurrentDb, FsyncPolicy, MemStorage, Storage, StoreOptions, StoreResult};
 use mera::txn::{ExecConfig, MvccManager, Program, Statement};
 use mera_server::{serve, Client, ServerOptions};
@@ -335,7 +336,7 @@ fn e6_divergence(n_beers: usize) -> (usize, usize, f64) {
     let db = scaled_beer_db(n_beers, n_beers / 20 + 2, 8, n_beers / 10 + 2, 0xE6);
     let (direct, reduced) = ex32_plans();
     let truth = Engine::physical().run(&direct, &db).expect("bag plan");
-    let set_reduced = eval_set(&reduced, &db).expect("set plan");
+    let set_reduced = eval_in::<bool>(&reduced, &db).expect("set plan");
     let mut diverging = 0;
     let mut max_err: f64 = 0.0;
     for (t, _) in truth.iter() {
@@ -374,6 +375,40 @@ fn e6_set_semantics_corrupts_every_country_average() {
 
 // ---- E7 — the cost of duplicate removal ----
 
+/// The tuples a set engine scans to deduplicate `e`: the ℕ size of the
+/// input of every step that folds duplicates — the stored relation read
+/// as a set, ⊎, π, extended π and δ — with every sub-plan evaluated under
+/// set semantics (`eval_in::<bool>`).
+fn dedup_work(e: &RelExpr, db: &Database) -> u64 {
+    let set_len = |e: &RelExpr| eval_in::<bool>(e, db).expect("set executes").len();
+    let own = match e {
+        RelExpr::Scan(name) => db.relation(name).expect("stored").len(),
+        RelExpr::Values(rel) => rel.len(),
+        RelExpr::Union(l, r) => set_len(l) + set_len(r),
+        RelExpr::Project { input, .. }
+        | RelExpr::ExtProject { input, .. }
+        | RelExpr::Distinct(input) => set_len(input),
+        _ => 0,
+    };
+    own + e
+        .children()
+        .into_iter()
+        .map(|c| dedup_work(c, db))
+        .sum::<u64>()
+}
+
+/// The dedup tally on the paper's beer database: the scan reads 6 tuples
+/// and the projection onto `alcperc` deduplicates 6 more, down to the 5
+/// distinct percentages.
+#[test]
+fn counting_evaluator_charges_dedup_work() {
+    let db = mera::beer_database();
+    let e = RelExpr::scan("beer").project(&[3]);
+    assert_eq!(eval_in::<bool>(&e, &db).expect("set executes").len(), 5);
+    assert_eq!(dedup_work(&e, &db), 12);
+    assert_eq!(dedup_work(&RelExpr::scan("brewery"), &db), 3);
+}
+
 /// E7: a union of two filtered relations projected to one column, every
 /// step duplicate-producing. The set engine scans exactly `dedup_work`
 /// tuples to deduplicate; the bag plan has no `distinct` node at all and
@@ -394,9 +429,9 @@ fn e7_set_engine_dedup_work_is_exact() {
             counters.iter().all(|(l, _)| l != "distinct"),
             "{counters:?}"
         );
-        let (set, dedup_work) = eval_set_counting(&q, &db).expect("set executes");
-        assert_eq!(set, bag.distinct());
-        work.push(dedup_work);
+        let set = eval_in::<bool>(&q, &db).expect("set executes");
+        assert_eq!(set, bag.lift::<bool>().expect("lifts"));
+        work.push(dedup_work(&q, &db));
     }
     assert_eq!(work, [41_207, 23_000, 20_300]);
 }
