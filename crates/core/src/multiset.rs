@@ -469,17 +469,6 @@ impl<T: Eq + Hash + Clone> SignedBag<T> {
         Ok(delta)
     }
 
-    /// Splits into `(insertions, retractions)` as ℕ bags.
-    /// `insertions ⊎ (−retractions)` reconstructs the delta.
-    pub fn split(&self) -> (Bag<T>, Bag<T>) {
-        let (mut pos, mut neg) = (Bag::new(), Bag::new());
-        for (x, m) in self.iter() {
-            let part = if m > 0 { &mut pos } else { &mut neg };
-            part.push_new(x.clone(), m.unsigned_abs());
-        }
-        (pos, neg)
-    }
-
     /// Applies the delta to an ℕ bag in place, failing with
     /// [`CoreError::NegativeMultiplicity`] if any element would end up
     /// below zero — a retraction outrunning the base state, which a
@@ -774,14 +763,6 @@ mod tests {
             applied(&d, &base).unwrap_err(),
             CoreError::NegativeMultiplicity("delta application")
         );
-    }
-
-    #[test]
-    fn split_separates_signs() {
-        let d = sbag(&[(1, 2), (2, -3)]);
-        let (pos, neg) = d.split();
-        assert_eq!(pos, bag(&[(1, 2)]));
-        assert_eq!(neg, bag(&[(2, 3)]));
     }
 
     /// An ℕ result enters signed form as the diff against the empty bag,

@@ -22,40 +22,52 @@ use crate::physical::{Column, CountedBatch};
 ///
 /// Multiplicities are preserved: looking up a key yields exactly the
 /// counted tuples a scan-and-filter would, so every algebra law continues
-/// to hold on the lookup result.
+/// to hold on the lookup result. An empty key list files every tuple under
+/// the empty key — one bucket, the state of a join with no equi key.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
-    keys: AttrList,
+    keys: Vec<usize>,
     schema: SchemaRef,
     map: FxHashMap<Tuple, Vec<(Tuple, u64)>>,
     entries: u64,
 }
 
 impl HashIndex {
-    /// Builds an index on the 1-based key attributes of a relation.
+    /// Builds an index on the 1-based key attributes of a relation (no
+    /// repeats; empty for the one-bucket index).
     pub fn build(rel: &Relation, keys: &[usize]) -> CoreResult<Self> {
-        let key_list = AttrList::new_unique(keys.to_vec())?;
-        key_list.check_arity(rel.schema().arity())?;
-        let resolved = ResolvedAttrs::from_attr_list(&key_list, rel.schema().arity())?;
-        let mut map: FxHashMap<Tuple, Vec<(Tuple, u64)>> = FxHashMap::default();
-        let mut entries = 0;
+        if !keys.is_empty() {
+            AttrList::new_unique(keys.to_vec())?.check_arity(rel.schema().arity())?;
+        }
+        let mut index = HashIndex {
+            keys: keys.to_vec(),
+            schema: Arc::clone(rel.schema()),
+            map: FxHashMap::default(),
+            entries: 0,
+        };
         for (t, m) in rel.iter() {
-            map.entry(resolved.project(t))
+            index
+                .map
+                .entry(index.key_of(t))
                 .or_default()
                 .push((t.clone(), m));
-            entries += m;
+            index.entries += m;
         }
-        Ok(HashIndex {
-            keys: key_list,
-            schema: Arc::clone(rel.schema()),
-            map,
-            entries,
-        })
+        Ok(index)
+    }
+
+    /// The key `t` is filed under: its values at the key attributes, in
+    /// key order.
+    pub fn key_of(&self, t: &Tuple) -> Tuple {
+        self.keys
+            .iter()
+            .map(|&k| t.values()[k - 1].clone())
+            .collect()
     }
 
     /// The indexed key attributes (1-based).
     pub fn key_attrs(&self) -> &[usize] {
-        self.keys.indexes()
+        &self.keys
     }
 
     /// Total indexed tuples (with multiplicity).
@@ -168,35 +180,41 @@ impl HashIndex {
     /// Folds one commit's signed delta into the index — O(|delta|), the
     /// same incremental-maintenance contract as materialized views: after
     /// the call the index equals a fresh [`HashIndex::build`] over the
-    /// post-commit relation.
+    /// post-commit relation. Like [`SignedBag::apply_to`], a retraction
+    /// the index cannot cover fails with
+    /// [`CoreError::NegativeMultiplicity`] and an insertion past `u64`
+    /// fails with an overflow; on failure the index is partly updated and
+    /// callers rebuild it.
     pub fn apply_delta(&mut self, delta: &SignedBag<Tuple>) -> CoreResult<()> {
-        let resolved = ResolvedAttrs::from_attr_list(&self.keys, self.schema.arity())?;
+        let underflow = || CoreError::NegativeMultiplicity("delta application");
         for (t, m) in delta.iter() {
-            let key = resolved.project(t);
+            let key = self.key_of(t);
+            let n = m.unsigned_abs();
             if m > 0 {
                 let bucket = self.map.entry(key).or_default();
                 match bucket.iter_mut().find(|(bt, _)| bt == t) {
-                    Some((_, bm)) => *bm += m as u64,
-                    None => bucket.push((t.clone(), m as u64)),
+                    Some((_, bm)) => *bm = bm.plus(n)?,
+                    None => bucket.push((t.clone(), n)),
                 }
-                self.entries += m as u64;
+                self.entries = self.entries.plus(n)?;
             } else {
-                let drop = m.unsigned_abs();
-                if let Some(bucket) = self.map.get_mut(&key) {
-                    if let Some(pos) = bucket.iter().position(|(bt, _)| bt == t) {
-                        let cur = bucket[pos].1;
-                        let removed = drop.min(cur);
-                        if cur > removed {
-                            bucket[pos].1 = cur - removed;
-                        } else {
-                            bucket.swap_remove(pos);
-                        }
-                        self.entries -= removed;
-                        if bucket.is_empty() {
-                            self.map.remove(&key);
-                        }
+                let bucket = self.map.get_mut(&key).ok_or_else(underflow)?;
+                let pos = bucket
+                    .iter()
+                    .position(|(bt, _)| bt == t)
+                    .ok_or_else(underflow)?;
+                let cur = bucket[pos].1;
+                if n > cur {
+                    return Err(underflow());
+                } else if n < cur {
+                    bucket[pos].1 = cur - n;
+                } else {
+                    bucket.swap_remove(pos);
+                    if bucket.is_empty() {
+                        self.map.remove(&key);
                     }
                 }
+                self.entries -= n;
             }
         }
         Ok(())
@@ -216,8 +234,10 @@ impl IndexSet {
         Self::default()
     }
 
-    /// Builds and registers an index on `relation(keys)`.
+    /// Builds and registers an index on `relation(keys)`; a declared index
+    /// needs at least one key attribute.
     pub fn create(&mut self, db: &Database, relation: &str, keys: &[usize]) -> CoreResult<()> {
+        AttrList::new(keys.to_vec())?;
         let rel = db.relation(relation)?;
         let index = HashIndex::build(rel, keys)?;
         let mut sorted = keys.to_vec();
@@ -242,11 +262,6 @@ impl IndexSet {
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
         self.indexes.get(&(relation.to_owned(), sorted))
-    }
-
-    /// Drops all indexes of a relation.
-    pub fn invalidate(&mut self, relation: &str) {
-        self.indexes.retain(|(r, _), _| r != relation);
     }
 
     /// Folds one commit's signed delta for `relation` into every index on
@@ -427,16 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_relation_indexes() {
-        let db = db();
-        let mut indexes = IndexSet::new();
-        indexes.create(&db, "beer", &[1]).expect("creates");
-        indexes.invalidate("beer");
-        assert!(indexes.is_empty());
-        assert!(indexes.find("beer", &[1]).is_none());
-    }
-
-    #[test]
     fn apply_delta_matches_fresh_build() {
         let db = db();
         let rel = db.relation("beer").expect("present");
@@ -474,6 +479,47 @@ mod tests {
                 "delta-maintained index diverged on key {key:?}"
             );
         }
+
+        // a retraction the index cannot cover raises instead of being
+        // ignored (absent key or tuple) or clamped (more than stored)
+        for (t, m) in [
+            (tuple!["Gone", "Nobody", 1.0_f64], -1),
+            (tuple!["Gone", "Heineken", 1.0_f64], -1),
+            (tuple!["Bock", "Heineken", 6.3_f64], -2),
+        ] {
+            let mut over = SignedBag::new();
+            over.insert(t, m).expect("inserts");
+            assert_eq!(
+                fresh.clone().apply_delta(&over),
+                Err(CoreError::NegativeMultiplicity("delta application"))
+            );
+        }
+        // and an insertion past u64 overflows instead of wrapping
+        let mut huge = SignedBag::new();
+        huge.insert(tuple!["Bock", "Heineken", 6.3_f64], i64::MAX)
+            .expect("inserts");
+        let mut idx = fresh;
+        idx.apply_delta(&huge).expect("fits");
+        assert!(matches!(
+            idx.apply_delta(&huge),
+            Err(CoreError::Overflow(_))
+        ));
+    }
+
+    #[test]
+    fn empty_key_index_is_one_bucket_but_never_declared() {
+        let db = db();
+        let rel = db.relation("beer").expect("present");
+        let idx = HashIndex::build(rel, &[]).expect("builds");
+        assert_eq!(idx.distinct_keys(), 1);
+        assert_eq!(
+            idx.key_of(&tuple!["Bock", "Grolsche", 6.5_f64]),
+            Tuple::empty()
+        );
+        assert_eq!(idx.lookup(&Tuple::empty()).expect("lookup"), *rel);
+        let mut indexes = IndexSet::new();
+        assert!(indexes.create(&db, "beer", &[]).is_err());
+        assert!(indexes.is_empty());
     }
 
     #[test]

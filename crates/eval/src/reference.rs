@@ -65,8 +65,9 @@ fn unchecked<S: NaturallyOrdered>(
         RelExpr::Difference(l, r) => go(l)?.difference(&go(r)?),
         RelExpr::Intersect(l, r) => go(l)?.intersection(&go(r)?),
         RelExpr::Product(l, r) => go(l)?.product(&go(r)?),
-        RelExpr::Select { input, predicate } => go(input)?.select(|t| predicate.eval_predicate(t)),
-        RelExpr::Project { input, attrs } => go(input)?.project(attrs),
+        RelExpr::Select { input, .. }
+        | RelExpr::Project { input, .. }
+        | RelExpr::ExtProject { input, .. } => linear(expr, &go(input)?),
         RelExpr::Join {
             left,
             right,
@@ -76,13 +77,6 @@ fn unchecked<S: NaturallyOrdered>(
             let prod = go(left)?.product(&go(right)?)?;
             prod.select(|t| predicate.eval_predicate(t))
         }
-        RelExpr::ExtProject { input, exprs } => {
-            let rel = go(input)?;
-            rel.map_tuples(ext_project_schema(rel.schema(), exprs)?, |t| {
-                let vals: CoreResult<Vec<Value>> = exprs.iter().map(|e| e.eval(t)).collect();
-                Ok(Tuple::new(vals?))
-            })
-        }
         RelExpr::Distinct(input) => Ok(go(input)?.distinct()),
         RelExpr::GroupBy {
             input,
@@ -91,6 +85,28 @@ fn unchecked<S: NaturallyOrdered>(
             attr,
         } => group_by(&go(input)?, keys, *agg, *attr),
         RelExpr::Closure(input) => transitive_closure(&go(input)?),
+    }
+}
+
+/// Applies the σ, π or π̄ node `expr` to `input`, the value of its child
+/// (which is not evaluated). These are the linear operators of
+/// Definitions 3.1 and 3.4: their multiplicity laws only keep or sum
+/// multiplicities, so they hold in every semiring, and in ℤ each operator
+/// is its own delta rule — view maintenance maps signed deltas through
+/// this same function.
+pub fn linear<S: Semiring>(expr: &RelExpr, input: &KRelation<S>) -> CoreResult<KRelation<S>> {
+    match expr {
+        RelExpr::Select { predicate, .. } => input.select(|t| predicate.eval_predicate(t)),
+        RelExpr::Project { attrs, .. } => input.project(attrs),
+        RelExpr::ExtProject { exprs, .. } => {
+            input.map_tuples(ext_project_schema(input.schema(), exprs)?, |t| {
+                let vals: CoreResult<Vec<Value>> = exprs.iter().map(|e| e.eval(t)).collect();
+                Ok(Tuple::new(vals?))
+            })
+        }
+        other => Err(CoreError::TypeError(format!(
+            "not a linear operator (σ, π or π̄): {other}"
+        ))),
     }
 }
 

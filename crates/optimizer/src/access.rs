@@ -15,8 +15,9 @@
 //! or missing statistic degrades the plan, never its correctness.
 
 use mera_core::prelude::*;
+use mera_eval::physical::join::extract_equi_condition;
 use mera_eval::IndexJoinHints;
-use mera_expr::{CmpOp, RelExpr, ScalarExpr, SchemaProvider};
+use mera_expr::{RelExpr, SchemaProvider};
 
 use crate::cost::{estimate_rows, INDEX_PROBE_FACTOR};
 use crate::stats::CatalogStats;
@@ -69,9 +70,15 @@ fn walk<P: SchemaProvider>(
     };
     let la = left.schema(provider)?.arity();
     let ra = right.schema(provider)?.arity();
-    let Some(keys) = equi_right_keys(predicate, la, ra) else {
+    // the right-side equi keys, sorted and deduped: an index need only
+    // match a subset of them, because the executor re-checks leftover
+    // equalities (and every other conjunct) as a residual filter
+    let Some(cond) = extract_equi_condition(predicate, la, ra) else {
         return Ok(());
     };
+    let mut keys = cond.right_keys;
+    keys.sort_unstable();
+    keys.dedup();
     // best usable index: every index key must be an equi key (the probe
     // must bind the full index key), ties broken toward the longest —
     // and then lexicographically smallest — key set
@@ -101,42 +108,11 @@ fn walk<P: SchemaProvider>(
     Ok(())
 }
 
-/// The right-side key set (1-based, sorted, deduped) of the predicate's
-/// cross-side equality conjuncts, or `None` when there are none. An index
-/// need only match a subset of these keys: the executor evaluates the
-/// leftover equalities (and any non-equality conjuncts) as a residual
-/// filter over the probe result.
-fn equi_right_keys(predicate: &ScalarExpr, la: usize, ra: usize) -> Option<Vec<usize>> {
-    let mut keys = Vec::new();
-    for conj in predicate.conjuncts() {
-        let ScalarExpr::Cmp(CmpOp::Eq, a, b) = conj else {
-            continue;
-        };
-        let (ScalarExpr::Attr(i), ScalarExpr::Attr(j)) = (a.as_ref(), b.as_ref()) else {
-            continue;
-        };
-        let (i, j) = (*i, *j);
-        let (_, r) = if i <= la && j > la && j <= la + ra {
-            (i, j - la)
-        } else if j <= la && i > la && i <= la + ra {
-            (j, i - la)
-        } else {
-            continue;
-        };
-        keys.push(r);
-    }
-    if keys.is_empty() {
-        return None;
-    }
-    keys.sort_unstable();
-    keys.dedup();
-    Some(keys)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats::TableStats;
+    use mera_expr::ScalarExpr;
 
     fn catalog() -> DatabaseSchema {
         DatabaseSchema::new()
