@@ -76,32 +76,6 @@ impl From<CoreError> for LangError {
     }
 }
 
-/// A refused DDL admission, rendered with its diagnostics.
-fn rejected(what: &str, diags: &[mera_analyze::Diagnostic]) -> LangError {
-    LangError::Semantic(CoreError::TypeError(format!(
-        "{what} rejected:\n{}",
-        mera_analyze::render(diags)
-    )))
-}
-
-impl From<mera_txn::CreateViewError> for LangError {
-    fn from(e: mera_txn::CreateViewError) -> Self {
-        match e {
-            mera_txn::CreateViewError::Error(c) => LangError::Semantic(c),
-            mera_txn::CreateViewError::Rejected(diags) => rejected("view definition", &diags),
-        }
-    }
-}
-
-impl From<mera_txn::DeclareKeyError> for LangError {
-    fn from(e: mera_txn::DeclareKeyError) -> Self {
-        match e {
-            mera_txn::DeclareKeyError::Error(c) => LangError::Semantic(c),
-            mera_txn::DeclareKeyError::Rejected(diag) => rejected("key declaration", &[diag]),
-        }
-    }
-}
-
 /// Result alias for language operations.
 pub type LangResult<T> = Result<T, LangError>;
 

@@ -8,20 +8,26 @@
 //! * [`ast`] / [`parser`] — the named surface syntax,
 //! * [`lower`] — name resolution and lowering to the typed algebra and
 //!   statements,
-//! * [`pretty`] — printing typed trees back to parseable source,
-//! * [`session`] — a stateful runner: scripts → atomic transactions.
+//! * [`pretty`] — printing typed trees back to parseable source.
+//!
+//! The crate runs nothing: scripts run as transactions through
+//! `mera_store::ConcurrentDb::run_script`, and a read is [`lower_rel`]
+//! against a pinned version's catalog, handed to that version.
 //!
 //! ```
-//! use mera_lang::Session;
+//! use mera_core::prelude::DatabaseSchema;
+//! use mera_store::{ConcurrentDb, MemStorage, StoreOptions};
+//! use mera_txn::ExecConfig;
 //!
-//! let mut session = Session::new();
-//! session.run_script(
+//! let db = ConcurrentDb::open(MemStorage::new(), DatabaseSchema::new(), StoreOptions::default())?;
+//! db.run_script(
 //!     "relation beer (name: str, brewery: str, alcperc: real); \
 //!      insert(beer, values (str, str, real) {('Grolsch','Grolsche',5.0)});",
 //! )?;
-//! let out = session.query("project[name](beer)")?;
-//! assert_eq!(out.len(), 1);
-//! # Ok::<(), mera_lang::LangError>(())
+//! let version = db.pin();
+//! let read = mera_lang::lower_rel(&version.catalog_schema(), "project[name](beer)")?;
+//! assert_eq!(version.query(&read, ExecConfig::default())?.len(), 1);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![deny(unsafe_code)]
@@ -32,11 +38,20 @@ pub mod error;
 pub mod lower;
 pub mod parser;
 pub mod pretty;
-pub mod session;
 pub mod token;
 
 pub use error::{LangError, LangResult, Pos};
-pub use lower::{lower_script, KeyDef, Lowerer};
+pub use lower::{check_script, lower_rel, lower_script, KeyDef, Lowerer};
 pub use parser::{parse_program, parse_rel, parse_script};
 pub use pretty::{program_to_xra, rel_to_xra, scalar_to_xra, stmt_to_xra};
-pub use session::{RunResult, Session};
+
+use mera_core::prelude::Relation;
+
+/// The result of running one transaction of a script.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunResult {
+    /// Committed; the relations are the `?E` outputs in statement order.
+    Committed(Vec<Relation>),
+    /// Aborted with a rendered reason; the database is unchanged.
+    Aborted(String),
+}

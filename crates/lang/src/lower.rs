@@ -10,12 +10,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use mera_analyze::Diagnostic;
 use mera_core::prelude::*;
 use mera_expr::{Aggregate, ArithOp, CmpOp, RelExpr, ScalarExpr, SchemaProvider};
 use mera_txn::{Program, Statement};
 
 use crate::ast::*;
 use crate::error::{LangError, LangResult};
+use crate::parser::{parse_rel, parse_script};
 
 /// Lowers syntax to typed algebra, tracking program temporaries so later
 /// statements can reference earlier assignments.
@@ -366,6 +368,50 @@ pub fn lower_script<P: SchemaProvider>(script: &SScript, base: &P) -> LangResult
     Ok(out)
 }
 
+/// Parses and lowers one relational expression against `catalog` (a
+/// pinned version's `catalog_schema()`, views included): the text of a
+/// read, for `Version::query` or `Version::explain`.
+pub fn lower_rel(catalog: &DatabaseSchema, src: &str) -> LangResult<RelExpr> {
+    Lowerer::new(catalog).lower_rel(&parse_rel(src)?)
+}
+
+/// Statically checks a script against `catalog` without executing
+/// anything: parses, lowers, and runs the `mera-analyze` passes over every
+/// view declaration and every transaction.
+///
+/// Returns one diagnostic list per view declaration (in source order),
+/// followed by one per transaction (in source order). Declarations in the
+/// script are only *visible* to the check, not installed.
+///
+/// Relation cardinalities are treated as unknown: a check is a claim
+/// about the script against *any* database state matching the schema, so
+/// only structurally provable facts (e.g. `select[false]`, literal
+/// `values`) feed the emptiness pass.
+pub fn check_script(catalog: &DatabaseSchema, src: &str) -> LangResult<Vec<Vec<Diagnostic>>> {
+    let lowered = lower_script(&parse_script(src)?, catalog)?;
+    let mut schema = catalog.clone();
+    for decl in lowered.declarations {
+        schema.add(decl)?;
+    }
+    let mut out = Vec::new();
+    for view in &lowered.views {
+        let va = mera_analyze::analyze_view_def(&view.name, &view.expr, &schema);
+        if let Some(s) = &va.schema {
+            schema.add(RelationSchema::new(view.name.clone(), s.as_ref().clone()))?;
+        }
+        out.push(va.diagnostics);
+    }
+    let cards = mera_analyze::CardEnv::new();
+    out.extend(lowered.transactions.iter().map(|program| {
+        mera_analyze::analyze_program(
+            program.statements.iter().map(|s| s.analyzer_view()),
+            &schema,
+            &cards,
+        )
+    }));
+    Ok(out)
+}
+
 struct Combined<'a, P: SchemaProvider> {
     declared: &'a DatabaseSchema,
     base: &'a P,
@@ -383,7 +429,7 @@ impl<P: SchemaProvider> SchemaProvider for Combined<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_program, parse_rel, parse_script};
+    use crate::parser::parse_program;
     use mera_expr::EmptyProvider;
 
     fn catalog() -> DatabaseSchema {

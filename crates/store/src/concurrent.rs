@@ -159,31 +159,23 @@ impl<S: Storage> ConcurrentDb<S> {
             return Ok(outcome);
         }
         let text = program_to_xra(program);
-        match self.options.fsync {
-            FsyncPolicy::Always => {
-                let (outcome, _) = self.mvcc.try_commit(prepared, |time| {
-                    self.append_direct(&commit_frame(time, &text), true)
-                })?;
-                Ok(outcome)
+        if let FsyncPolicy::EveryN(_) = self.options.fsync {
+            let mut ticket = None;
+            let (outcome, _) = self.mvcc.try_commit(prepared, |time| {
+                ticket = Some(self.stage(&commit_frame(time, &text))?);
+                Ok::<(), StoreError>(())
+            })?;
+            if let Some(ticket) = ticket {
+                self.await_durable(ticket)?;
             }
-            FsyncPolicy::Never => {
-                let (outcome, _) = self.mvcc.try_commit(prepared, |time| {
-                    self.append_direct(&commit_frame(time, &text), false)
-                })?;
-                Ok(outcome)
-            }
-            FsyncPolicy::EveryN(_) => {
-                let mut ticket = None;
-                let (outcome, _) = self.mvcc.try_commit(prepared, |time| {
-                    ticket = Some(self.stage(&commit_frame(time, &text))?);
-                    Ok::<(), StoreError>(())
-                })?;
-                if let Some(ticket) = ticket {
-                    self.await_durable(ticket)?;
-                }
-                Ok(outcome)
-            }
+            return Ok(outcome);
         }
+        // `Always` and `Never` append in the hook; they differ only in the fsync
+        let sync = self.options.fsync == FsyncPolicy::Always;
+        let (outcome, _) = self.mvcc.try_commit(prepared, |time| {
+            self.append_direct(&commit_frame(time, &text), sync)
+        })?;
+        Ok(outcome)
     }
 
     /// Runs one transaction with durable commit; aborts (including
@@ -416,10 +408,9 @@ impl<S: Storage> ConcurrentDb<S> {
 
     /// Runs a whole XRA script durably: declarations, views and keys are
     /// logged and applied in order, then each transaction commits through
-    /// the WAL. The durable analogue of [`mera_lang::Session::run_script`]:
-    /// aborts are reported in the results, not as errors — a failing
-    /// transaction aborts itself, not the script. Storage failures *do*
-    /// abort the script: whatever committed before the failure is
+    /// the WAL. Aborts are reported in the results, not as errors — a
+    /// failing transaction aborts itself, not the script. Storage failures
+    /// *do* abort the script: whatever committed before the failure is
     /// durable, the rest never ran.
     pub fn run_script(&self, src: &str) -> StoreResult<Vec<RunResult>> {
         let script = parse_script(src).map_err(StoreError::from)?;
@@ -444,9 +435,8 @@ impl<S: Storage> ConcurrentDb<S> {
         Ok(results)
     }
 
-    /// Parses, translates and durably runs one SQL statement — the
-    /// durable analogue of [`mera_sql::run_sql`]: a committed DML
-    /// statement (or view definition) is in the WAL before this returns.
+    /// Parses, translates and durably runs one SQL statement: a committed
+    /// DML statement (or view definition) is in the WAL before this returns.
     /// Returns the result relation for queries, `None` otherwise.
     pub fn run_sql(&self, sql: &str) -> StoreResult<Option<Relation>> {
         let stmt = mera_sql::parse_sql(sql).map_err(StoreError::from)?;

@@ -20,8 +20,8 @@
 //!   [`FsyncPolicy`], with cross-client group commit) before the new
 //!   version is visible; aborts write nothing. Its
 //!   [`run_script`](ConcurrentDb::run_script) and
-//!   [`run_sql`](ConcurrentDb::run_sql) are the durable XRA and SQL
-//!   doors.
+//!   [`run_sql`](ConcurrentDb::run_sql) are the only doors that run XRA
+//!   and SQL text; over [`MemStorage`] they are the volatile ones too.
 //! * [`durable`] — the store options, and recovery: snapshot restore,
 //!   torn-tail truncation, replay into the version the chain restarts
 //!   from.

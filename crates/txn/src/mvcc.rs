@@ -302,12 +302,6 @@ impl MvccManager {
         self.config
     }
 
-    /// Replaces the execution configuration (exclusive access: no
-    /// transaction is in flight).
-    pub fn set_config(&mut self, config: ExecConfig) {
-        self.config = config;
-    }
-
     /// The constraint set enforced at commit time.
     pub fn constraints(&self) -> &ConstraintSet {
         &self.constraints

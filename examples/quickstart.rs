@@ -8,8 +8,9 @@
 
 use mera::core::prelude::*;
 use mera::expr::{RelExpr, ScalarExpr};
-use mera::lang::Session;
 use mera::opt::Optimizer;
+use mera::store::{snapshot, ConcurrentDb, MemStorage, Storage, StoreOptions, SNAPSHOT_FILE};
+use mera::txn::ExecConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── the data ──────────────────────────────────────────────────────
@@ -46,14 +47,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("physical engine agrees with the reference evaluator ✓\n");
 
     // ── and through the XRA textual language ──────────────────────────
-    let session = Session::with_database(db);
-    let via_lang =
-        session.query("project[%1](select[country = 'NL'](join[%2 = %4](beer, brewery)))")?;
+    // the front door over a volatile "disk" seeded with a snapshot of the
+    // fixture; a read is text lowered against a pinned version
+    let mut disk = MemStorage::new();
+    disk.replace_atomic(SNAPSHOT_FILE, &snapshot::encode(&db))?;
+    let store = ConcurrentDb::open(disk, DatabaseSchema::new(), StoreOptions::default())?;
+    let version = store.pin();
+    let query = |src: &str| -> Result<Relation, Box<dyn std::error::Error>> {
+        let expr = mera::lang::lower_rel(&version.catalog_schema(), src)?;
+        Ok(version.query(&expr, ExecConfig::default())?)
+    };
+    let via_lang = query("project[%1](select[country = 'NL'](join[%2 = %4](beer, brewery)))")?;
     assert_eq!(via_lang, result);
     println!("XRA front-end agrees too ✓");
 
     // bag semantics in one line: projection never loses tuples
-    let percentages = session.query("project[alcperc](beer)")?;
+    let percentages = query("project[alcperc](beer)")?;
     println!(
         "\nπ(alcperc): {} tuples, {} distinct — bag projection keeps duplicates",
         percentages.len(),

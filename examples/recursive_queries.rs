@@ -12,13 +12,17 @@ use std::sync::Arc;
 
 use mera::core::prelude::*;
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
-use mera::lang::Session;
-use mera::txn::{Constraint, ConstraintSet, MvccManager, Program, Statement};
+use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+use mera::txn::{Constraint, ConstraintSet, ExecConfig, MvccManager, Program, Statement};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── recursive queries via closure(E) ───────────────────────────────
-    let mut session = Session::new();
-    session.run_script(
+    let db = ConcurrentDb::open(
+        MemStorage::new(),
+        DatabaseSchema::new(),
+        StoreOptions::default(),
+    )?;
+    db.run_script(
         "relation supplies (part: str, component: str);\n\
          insert(supplies, values (str, str) {\n\
            ('bike', 'frame'), ('bike', 'wheel'),\n\
@@ -27,11 +31,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          });",
     )?;
 
-    println!("direct bill of materials:\n{}", session.query("supplies")?);
+    let version = db.pin();
+    let query = |src: &str| -> Result<Relation, Box<dyn std::error::Error>> {
+        let expr = mera::lang::lower_rel(&version.catalog_schema(), src)?;
+        Ok(version.query(&expr, ExecConfig::default())?)
+    };
+    println!("direct bill of materials:\n{}", query("supplies")?);
 
     // all parts transitively contained in a bike — the classic recursive
     // query relational algebra cannot express without the α operator
-    let all = session.query("project[%2](select[%1 = 'bike'](closure(supplies)))")?;
+    let all = query("project[%2](select[%1 = 'bike'](closure(supplies)))")?;
     println!("\neverything inside a bike (closure):\n{all}");
     // frame, wheel, rim, spoke, tube — the two paths to 'tube' collapse
     // because closure is δ-based (one pair per reachable part)
@@ -39,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // closure composes with the rest of the algebra: how many distinct
     // parts sit at any depth under each top-level part?
-    let fanout = session.query("groupby[(%1), CNT, %2](closure(supplies))")?;
+    let fanout = query("groupby[(%1), CNT, %2](closure(supplies))")?;
     println!("transitive fan-out per part:\n{fanout}");
 
     // ── integrity constraints at commit time ──────────────────────────

@@ -15,15 +15,19 @@
 
 use std::io::{self, BufRead, Write};
 
-use mera::lang::{RunResult, Session};
+use mera::core::prelude::DatabaseSchema;
+use mera::lang::token::{lex, Spanned, Token};
+use mera::lang::RunResult;
+use mera::store::{snapshot, ConcurrentDb, MemStorage, Storage, StoreOptions, SNAPSHOT_FILE};
 
-fn main() -> io::Result<()> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     let preload = std::env::args().any(|a| a == "--beer");
-    let mut session = if preload {
-        Session::with_database(mera::beer_database())
-    } else {
-        Session::new()
-    };
+    // a volatile database; `--beer` seeds it from a snapshot of the fixture
+    let mut disk = MemStorage::new();
+    if preload {
+        disk.replace_atomic(SNAPSHOT_FILE, &snapshot::encode(&mera::beer_database()))?;
+    }
+    let db = ConcurrentDb::open(disk, DatabaseSchema::new(), StoreOptions::default())?;
     println!("mera XRA shell — multi-set extended relational algebra (ICDE '94)");
     if preload {
         println!("pre-loaded relations: beer (6 tuples), brewery (3 tuples)");
@@ -40,18 +44,28 @@ fn main() -> io::Result<()> {
         }
         buffer.push_str(&line);
         buffer.push('\n');
-        // execute once the buffer holds a complete item (ends with ';' or
-        // an 'end' of a transaction)
-        let trimmed = buffer.trim_end();
-        let complete =
-            trimmed.ends_with(';') && (!buffer.contains("begin") || trimmed.contains("end"));
-        if complete {
-            run(&mut session, &buffer);
+        if complete(&buffer) {
+            run(&db, &buffer);
             buffer.clear();
         }
         prompt(&buffer)?;
     }
     Ok(())
+}
+
+/// The buffer holds a complete item once its last token is `;` and every
+/// `begin` keyword has its `end`. Text that does not lex is complete too,
+/// so the run reports the error.
+fn complete(buffer: &str) -> bool {
+    let Ok(tokens) = lex(buffer) else {
+        return true;
+    };
+    let keywords = |kw: &str| {
+        let is_kw = |t: &&Spanned| matches!(&t.token, Token::Ident(s) if s == kw);
+        tokens.iter().filter(is_kw).count()
+    };
+    matches!(tokens.last(), Some(t) if t.token == Token::Semi)
+        && keywords("begin") <= keywords("end")
 }
 
 fn prompt(buffer: &str) -> io::Result<()> {
@@ -60,8 +74,8 @@ fn prompt(buffer: &str) -> io::Result<()> {
     io::stdout().flush()
 }
 
-fn run(session: &mut Session, src: &str) {
-    match session.run_script(src) {
+fn run(db: &ConcurrentDb<MemStorage>, src: &str) {
+    match db.run_script(src) {
         Err(e) => println!("error: {e}"),
         Ok(results) => {
             for result in results {
@@ -70,7 +84,7 @@ fn run(session: &mut Session, src: &str) {
                         for q in queries {
                             println!("{q}");
                         }
-                        println!("ok (t={})", session.pin().time());
+                        println!("ok (t={})", db.pin().time());
                     }
                     RunResult::Aborted(reason) => println!("aborted: {reason}"),
                 }

@@ -23,20 +23,28 @@
 //! | [`sql`] | `mera-sql` | SQL subset front-end |
 //! | [`store`] | `mera-store` | durability: write-ahead log, snapshots, crash recovery |
 //!
-//! ```
-//! use mera::lang::Session;
+//! Text runs through one front door, [`store::ConcurrentDb`] (here over
+//! volatile [`store::MemStorage`]); a read is text lowered against a
+//! pinned version and evaluated there.
 //!
-//! let mut session = Session::new();
-//! session.run_script(
+//! ```
+//! use mera::core::prelude::DatabaseSchema;
+//! use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+//! use mera::txn::ExecConfig;
+//!
+//! let db = ConcurrentDb::open(MemStorage::new(), DatabaseSchema::new(), StoreOptions::default())?;
+//! db.run_script(
 //!     "relation beer (name: str, brewery: str, alcperc: real);\
 //!      insert(beer, values (str, str, real) {\
 //!        ('Grolsch','Grolsche',5.0), ('Bock','Grolsche',6.5), ('Bock','Heineken',6.3)\
 //!      });",
 //! )?;
 //! // Example 3.1: duplicates are first-class
-//! let names = session.query("project[name](beer)")?;
+//! let version = db.pin();
+//! let read = mera::lang::lower_rel(&version.catalog_schema(), "project[name](beer)")?;
+//! let names = version.query(&read, ExecConfig::default())?;
 //! assert_eq!(names.multiplicity(&mera::core::tuple!["Bock"]), 2);
-//! # Ok::<(), mera::lang::LangError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub use mera_analyze as analyze;

@@ -7,7 +7,9 @@ use std::sync::Arc;
 use mera::core::prelude::*;
 use mera::eval::{eval, Engine};
 use mera::expr::RelExpr;
-use mera::lang::Session;
+use mera::lang::lower_rel;
+use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+use mera::txn::ExecConfig;
 use proptest::prelude::*;
 
 fn edge_db(edges: &[(i64, i64)]) -> Database {
@@ -97,23 +99,32 @@ fn closure_schema_requirements() {
 
 #[test]
 fn closure_through_the_language() {
-    let mut session = Session::new();
-    session
-        .run_script(
-            "relation parent (child: str, parent: str);\n\
-             insert(parent, values (str, str) {\n\
-               ('a','b'), ('b','c'), ('c','d')\n\
-             });",
-        )
-        .expect("setup");
+    let db = ConcurrentDb::open(
+        MemStorage::new(),
+        DatabaseSchema::new(),
+        StoreOptions::default(),
+    )
+    .expect("opens");
+    db.run_script(
+        "relation parent (child: str, parent: str);\n\
+         insert(parent, values (str, str) {\n\
+           ('a','b'), ('b','c'), ('c','d')\n\
+         });",
+    )
+    .expect("setup");
+    let version = db.pin();
+    let query = |src| {
+        let expr = lower_rel(&version.catalog_schema(), src).expect("lowers");
+        version
+            .query(&expr, ExecConfig::default())
+            .expect("queries")
+    };
     // ancestors: the classic recursive query the paper's §5 points to
-    let ancestors = session.query("closure(parent)").expect("queries");
+    let ancestors = query("closure(parent)");
     assert_eq!(ancestors.len(), 6);
     assert!(ancestors.contains(&tuple!["a", "d"]));
     // compose with the rest of the algebra
-    let of_a = session
-        .query("project[%2](select[%1 = 'a'](closure(parent)))")
-        .expect("queries");
+    let of_a = query("project[%2](select[%1 = 'a'](closure(parent)))");
     assert_eq!(of_a.len(), 3);
 }
 

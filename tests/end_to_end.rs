@@ -6,10 +6,14 @@ use mera::core::prelude::*;
 use mera::eval::reference::eval_in;
 use mera::eval::{eval, Engine};
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
-use mera::lang::{Lowerer, Session};
+use mera::lang::{lower_rel, Lowerer, RunResult};
 use mera::opt::{reorder_joins, CatalogStats, Optimizer};
-use mera::sql::{parse_sql, run_sql, translate, Translated};
-use mera::txn::MvccManager;
+use mera::sql::{parse_sql, translate, Translated};
+use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+
+fn open(schema: DatabaseSchema) -> ConcurrentDb<MemStorage> {
+    ConcurrentDb::open(MemStorage::new(), schema, StoreOptions::default()).expect("opens")
+}
 
 /// Example 3.1 through five different paths.
 #[test]
@@ -101,11 +105,11 @@ fn example_3_2_sql_algebra_and_baseline() {
     assert_ne!(set(&reduced), want);
 }
 
-/// A full session: schema DDL, loading, querying, transactions, abort.
+/// A full XRA session: schema DDL, loading, querying, transactions, abort.
 #[test]
 fn xra_session_full_lifecycle() {
-    let mut session = Session::new();
-    let results = session
+    let db = open(DatabaseSchema::new());
+    let results = db
         .run_script(
             "relation beer (name: str, brewery: str, alcperc: real);\n\
              relation brewery (name: str, city: str, country: str);\n\
@@ -128,18 +132,19 @@ fn xra_session_full_lifecycle() {
         )
         .expect("script runs");
     assert_eq!(results.len(), 2);
-    let mera::lang::RunResult::Committed(outs) = &results[1] else {
+    let RunResult::Committed(outs) = &results[1] else {
         panic!("report transaction committed");
     };
     let nl = (5.0 + 5.0 + 5.1 + 6.5 + 6.3) / 5.0;
     assert_eq!(outs[0].multiplicity(&tuple!["NL", nl]), 1);
 
     // the temporary did not leak
-    assert!(session.query("joined").is_err());
+    let version = db.pin();
+    assert!(lower_rel(&version.catalog_schema(), "joined").is_err());
 
     // aborted transaction leaves everything intact
-    let before = session.pin().database().clone();
-    let results = session
+    let before = version.database().clone();
+    let results = db
         .run_script(
             "begin\n\
                delete(beer, beer);\n\
@@ -147,38 +152,36 @@ fn xra_session_full_lifecycle() {
              end;",
         )
         .expect("script lowers");
-    assert!(matches!(results[0], mera::lang::RunResult::Aborted(_)));
+    assert!(matches!(results[0], RunResult::Aborted(_)));
     assert_eq!(
-        session.pin().database().relation("beer").expect("present"),
+        db.pin().database().relation("beer").expect("present"),
         before.relation("beer").expect("present")
     );
 }
 
-/// The SQL manager path end-to-end, including DML.
+/// The SQL path end-to-end, including DML.
 #[test]
 fn sql_manager_lifecycle() {
-    let mgr = MvccManager::new(mera::beer_schema());
-    run_sql(
-        &mgr,
-        "INSERT INTO beer VALUES ('A','X',4.0), ('B','X',5.0), ('B','X',5.0)",
-    )
-    .expect("insert");
+    let db = open(mera::beer_schema());
+    db.run_sql("INSERT INTO beer VALUES ('A','X',4.0), ('B','X',5.0), ('B','X',5.0)")
+        .expect("insert");
     // bag counting: B appears twice
-    let out = run_sql(&mgr, "SELECT COUNT(*) FROM beer")
+    let out = db
+        .run_sql("SELECT COUNT(*) FROM beer")
         .expect("runs")
         .expect("output");
     assert_eq!(out.multiplicity(&tuple![3_i64]), 1);
-    run_sql(
-        &mgr,
-        "UPDATE beer SET alcperc = alcperc + 1.0 WHERE name = 'B'",
-    )
-    .expect("update");
-    let out = run_sql(&mgr, "SELECT DISTINCT alcperc FROM beer")
+    db.run_sql("UPDATE beer SET alcperc = alcperc + 1.0 WHERE name = 'B'")
+        .expect("update");
+    let out = db
+        .run_sql("SELECT DISTINCT alcperc FROM beer")
         .expect("runs")
         .expect("output");
     assert!(out.contains(&tuple![6.0_f64]));
-    run_sql(&mgr, "DELETE FROM beer WHERE name = 'B'").expect("delete");
-    let out = run_sql(&mgr, "SELECT COUNT(*) FROM beer")
+    db.run_sql("DELETE FROM beer WHERE name = 'B'")
+        .expect("delete");
+    let out = db
+        .run_sql("SELECT COUNT(*) FROM beer")
         .expect("runs")
         .expect("output");
     assert_eq!(out.multiplicity(&tuple![1_i64]), 1);

@@ -1,8 +1,8 @@
 //! Golden-file tests for EXPLAIN plan rendering.
 //!
-//! Each case loads a small deterministic database through one of the
-//! front doors (XRA session, transaction manager, SQL), renders a plan
-//! with `explain`, and compares the *exact* output against
+//! Each case loads a small deterministic database through the front door
+//! (XRA script or SQL), renders a plan with `explain` at a pinned version,
+//! and compares the *exact* output against
 //! `tests/golden/<name>.txt`. The rendering is part of the planner's
 //! observability contract: the join order, the access-path labels and the
 //! estimate column are what a user debugging a slow plan reads, so any
@@ -13,9 +13,17 @@
 //! To regenerate a golden file after an intentional change, run with
 //! `MERA_BLESS=1` and commit the rewritten files.
 
-use mera::lang::{RunResult, Session};
-use mera::sql::{explain_sql, run_sql};
-use mera::txn::{ExecConfig, ExecOptions, MvccManager};
+use mera::core::prelude::DatabaseSchema;
+use mera::lang::{lower_rel, RunResult};
+use mera::sql::explain_sql;
+use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+use mera::txn::{ExecConfig, ExecOptions};
+
+type Db = ConcurrentDb<MemStorage>;
+
+fn open(schema: DatabaseSchema) -> Db {
+    ConcurrentDb::open(MemStorage::new(), schema, StoreOptions::default()).expect("opens")
+}
 
 /// Renders a case under one- and three-worker configurations and compares
 /// each rendering with the golden file.
@@ -41,18 +49,19 @@ fn check(name: &str, golden: &str, mut render: impl FnMut(ExecConfig) -> String)
     }
 }
 
-/// `session`'s EXPLAIN of `query` under `config`.
-fn explain(session: &mut Session, query: &str, config: ExecConfig) -> String {
-    session.set_config(config);
-    session.explain(query).expect("explains")
+/// The EXPLAIN of the XRA `query` at `db`'s newest version under `config`.
+fn explain(db: &Db, query: &str, config: ExecConfig) -> String {
+    let version = db.pin();
+    let expr = lower_rel(&version.catalog_schema(), query).expect("lowers");
+    version.explain(&expr, config).expect("explains")
 }
 
-/// A session with a star-ish workload: a fact table (`orders`) and two
+/// A database with a star-ish workload: a fact table (`orders`) and two
 /// small dimension tables, statistics maintained by the inserts, and
 /// indexes on the dimension keys.
-fn loaded_session() -> Session {
-    let mut session = Session::new();
-    let results = session
+fn loaded_db() -> Db {
+    let db = open(DatabaseSchema::new());
+    let results = db
         .run_script(
             "relation orders (cust: int, item: int, amount: int);\n\
              relation customers (id: int, region: str);\n\
@@ -66,35 +75,35 @@ fn loaded_session() -> Session {
         )
         .expect("script runs");
     assert!(results.iter().all(|r| matches!(r, RunResult::Committed(_))));
-    session.create_index("customers", &[1]).expect("index");
-    session.create_index("items", &[1]).expect("index");
-    session.create_index("orders", &[1]).expect("index");
-    session
+    db.create_index("customers", &[1]).expect("index");
+    db.create_index("items", &[1]).expect("index");
+    db.create_index("orders", &[1]).expect("index");
+    db
 }
 
 #[test]
 fn point_select_takes_index_lookup() {
-    let mut session = loaded_session();
+    let db = loaded_db();
     check(
         "explain_point_select",
         include_str!("golden/explain_point_select.txt"),
-        |config| explain(&mut session, "select[%1 = 2](customers)", config),
+        |config| explain(&db, "select[%1 = 2](customers)", config),
     );
 }
 
 #[test]
 fn unindexed_select_scans_and_filters() {
-    let mut session = loaded_session();
+    let db = loaded_db();
     check(
         "explain_scan_filter",
         include_str!("golden/explain_scan_filter.txt"),
-        |config| explain(&mut session, "select[%3 > 5](orders)", config),
+        |config| explain(&db, "select[%3 > 5](orders)", config),
     );
 }
 
 #[test]
 fn star_join_orders_and_access_paths() {
-    let mut session = loaded_session();
+    let db = loaded_db();
     // written dimension-first (a deliberately bad order); the cost model
     // reorders around the selective fact-side restriction and probes the
     // dimension indexes
@@ -103,7 +112,7 @@ fn star_join_orders_and_access_paths() {
         include_str!("golden/explain_star_join.txt"),
         |config| {
             explain(
-                &mut session,
+                &db,
                 "join[(%1 = %6)](join[(%2 = %4)](\
                    select[%3 > 5](orders), items), customers)",
                 config,
@@ -114,21 +123,20 @@ fn star_join_orders_and_access_paths() {
 
 #[test]
 fn small_probe_side_takes_index_nested_loop() {
-    let mut session = loaded_session();
+    let db = loaded_db();
     // two customer rows probing the indexed eight-row fact table: the
     // cost model skips the hash build and hints the index path
     check(
         "explain_index_nl_join",
         include_str!("golden/explain_index_nl_join.txt"),
-        |config| explain(&mut session, "join[(%1 = %3)](customers, orders)", config),
+        |config| explain(&db, "join[(%1 = %3)](customers, orders)", config),
     );
 }
 
 #[test]
 fn sql_front_door_explains_joins() {
-    let mut mgr = MvccManager::new(mera::beer_schema());
-    run_sql(
-        &mgr,
+    let db = open(mera::beer_schema());
+    db.run_sql(
         "INSERT INTO beer VALUES \
          ('Grolsch', 'Grolsche', 5.0), \
          ('Heineken', 'Heineken', 5.0), \
@@ -137,24 +145,23 @@ fn sql_front_door_explains_joins() {
          ('Guinness', 'StJames', 4.2)",
     )
     .expect("inserts");
-    run_sql(
-        &mgr,
+    db.run_sql(
         "INSERT INTO brewery VALUES \
          ('Grolsche', 'Enschede', 'NL'), \
          ('Heineken', 'Amsterdam', 'NL'), \
          ('StJames', 'Dublin', 'IE')",
     )
     .expect("inserts");
-    mgr.create_index("brewery", &[1]).expect("index");
+    db.create_index("brewery", &[1]).expect("index");
     check(
         "explain_sql_join",
         include_str!("golden/explain_sql_join.txt"),
         |config| {
-            mgr.set_config(config);
             explain_sql(
-                &mgr,
+                &db.pin(),
                 "SELECT country, AVG(alcperc) FROM beer, brewery \
                  WHERE beer.brewery = brewery.name GROUP BY country",
+                config,
             )
             .expect("explains")
         },
@@ -166,19 +173,14 @@ fn declared_key_annotates_plan_and_licenses_distinct_elimination() {
     // `key customers(id)` makes the scan provably duplicate-free; the
     // plan section shows the `[key: …, set]` tag at every node that
     // preserves it, and the δ written in the query is gone from the tree
-    let mut session = loaded_session();
-    session
-        .run_script("key customers (id);")
+    let db = loaded_db();
+    db.run_script("key customers (id);")
         .expect("key declaration");
     check(
         "explain_keyed_distinct",
         include_str!("golden/explain_keyed_distinct.txt"),
         |config| {
-            let actual = explain(
-                &mut session,
-                "unique(select[%2 = 'north'](customers))",
-                config,
-            );
+            let actual = explain(&db, "unique(select[%2 = 'north'](customers))", config);
             assert!(
                 !actual.contains("distinct"),
                 "keyed input must license δ-elimination:\n{actual}"
@@ -193,14 +195,10 @@ fn sql_primary_key_annotates_plan_and_absorbs_distinct() {
     // the SQL front door's PRIMARY KEY feeds the same property pass: the
     // DISTINCT in the query is provably redundant and the rendered plan
     // carries the key annotation instead of a unique operator
-    let mut mgr = MvccManager::new(mera::core::prelude::DatabaseSchema::new());
-    run_sql(
-        &mgr,
-        "CREATE TABLE member (name STR, town STR, PRIMARY KEY (name))",
-    )
-    .expect("create table");
-    run_sql(
-        &mgr,
+    let db = open(DatabaseSchema::new());
+    db.run_sql("CREATE TABLE member (name STR, town STR, PRIMARY KEY (name))")
+        .expect("create table");
+    db.run_sql(
         "INSERT INTO member VALUES \
          ('dick', 'enschede'), ('peter', 'hengelo'), ('maurice', 'enschede')",
     )
@@ -209,9 +207,8 @@ fn sql_primary_key_annotates_plan_and_absorbs_distinct() {
         "explain_sql_primary_key",
         include_str!("golden/explain_sql_primary_key.txt"),
         |config| {
-            mgr.set_config(config);
-            let actual =
-                explain_sql(&mgr, "SELECT DISTINCT name, town FROM member").expect("explains");
+            let actual = explain_sql(&db.pin(), "SELECT DISTINCT name, town FROM member", config)
+                .expect("explains");
             assert!(
                 !actual.contains("distinct"),
                 "PRIMARY KEY must absorb DISTINCT:\n{actual}"
@@ -226,10 +223,12 @@ fn estimates_stay_within_2x_of_actuals_on_the_star_schema() {
     // the acceptance bound from the statistics design: on this workload
     // (exact counters, unsaturated sketches) estimates land within 2× of
     // the actual cardinalities at every operator the tree reports
-    let session = loaded_session();
-    let out = session
-        .explain("join[(%1 = %4)](orders, customers)")
-        .expect("explains");
+    let db = loaded_db();
+    let out = explain(
+        &db,
+        "join[(%1 = %4)](orders, customers)",
+        ExecConfig::default(),
+    );
     let (mut est_out, mut actual_out) = (None, None);
     for line in out.lines() {
         if let Some(rest) = line.strip_prefix("output: ") {

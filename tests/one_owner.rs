@@ -1,18 +1,16 @@
-//! One state owner, seen from outside: every front door — the volatile
-//! API ([`MvccManager`]), the durable API ([`ConcurrentDb`]), XRA scripts
-//! and SQL over either — reaches the same admission checks and the same
-//! clock, because each of those decisions lives in exactly one place
-//! ([`mera::txn::Version`]).
+//! One state owner, seen from outside: every entry to the one front
+//! door — [`ConcurrentDb`]'s API, XRA scripts and SQL statements — reaches
+//! the same admission checks and the same clock, and a reopen recovers
+//! what they decided, because each of those decisions lives in exactly one
+//! place ([`mera::txn::Version`]).
 //!
-//! Both tests fail on a tree where the doors own their own copies: the
-//! serial durable door used to admit duplicate keys and keys on views,
-//! and the serial owners used to tick logical time on an abort.
+//! These fail on a tree where an entry owns its own copy: the serial
+//! durable door used to admit duplicate keys and keys on views, and the
+//! serial owners used to tick logical time on an abort.
 
-use mera::analyze::Code;
 use mera::core::prelude::*;
-use mera::lang::Session;
+use mera::lang::RunResult::{Aborted, Committed};
 use mera::store::{wal, ConcurrentDb, MemStorage, Storage, StoreOptions, WalRecord, WAL_FILE};
-use mera::txn::{DeclareKeyError, MvccManager};
 
 type Db = ConcurrentDb<MemStorage>;
 
@@ -31,11 +29,11 @@ fn reopen(storage: &MemStorage) -> Db {
 }
 
 // ----------------------------------------------------------------------
-// one admission, every door
+// one admission, every entry
 // ----------------------------------------------------------------------
 
 /// `r` keyed on `a`, a view `v` over it, and `dup` holding two rows at
-/// the same `a` — as SQL (for the doors that own a manager) …
+/// the same `a`.
 const SETUP_SQL: [&str; 4] = [
     "CREATE TABLE r (a INT PRIMARY KEY, b INT)",
     "CREATE TABLE dup (a INT, b INT)",
@@ -43,57 +41,29 @@ const SETUP_SQL: [&str; 4] = [
     "CREATE MATERIALIZED VIEW v AS SELECT DISTINCT a, b FROM r",
 ];
 
-/// … and as XRA (for the session, which owns its own).
-const SETUP_XRA: &str = "relation r (a: int, b: int);\n\
-                         relation dup (a: int, b: int);\n\
-                         view v = unique(r);\n\
-                         key r (a);\n\
-                         insert(dup, values (int, int) {(1, 10), (1, 20)});";
-
 /// The three refusals: what is declared, and the code that refuses it.
-const REFUSALS: [(&str, Code, &str); 3] = [
-    ("r", Code::DuplicateKeyDeclaration, "E0403"),
-    ("v", Code::KeyOnView, "E0402"),
-    ("dup", Code::KeyViolation, "E0401"),
-];
+const REFUSALS: [(&str, &str); 3] = [("r", "E0403"), ("v", "E0402"), ("dup", "E0401")];
 
 #[test]
 fn key_admission_is_the_same_through_every_door() {
-    // volatile: the manager's API and the session's XRA
-    let mgr = MvccManager::new(DatabaseSchema::new());
-    for sql in SETUP_SQL {
-        mera::sql::run_sql(&mgr, sql).expect("setup");
-    }
-    let mut session = Session::new();
-    session.run_script(SETUP_XRA).expect("setup");
-    // durable: API and XRA on one database (a refusal changes nothing,
-    // so the doors can take turns on the same state)
     let storage = MemStorage::new();
     let db = open(&storage);
     for sql in SETUP_SQL {
         db.run_sql(sql).expect("setup");
     }
 
-    for (relation, code, rendered) in REFUSALS {
-        let before = mgr.pin();
-        match mgr.declare_key(relation, &[1]) {
-            Err(DeclareKeyError::Rejected(diag)) => assert_eq!(diag.code, code),
-            other => panic!("MvccManager::declare_key({relation}): {other:?}"),
-        }
-        assert_eq!(mgr.pin().seq(), before.seq(), "a refusal publishes nothing");
-
-        let err = session
-            .run_script(&format!("key {relation} (%1);"))
-            .expect_err("session refuses");
-        assert!(err.to_string().contains(rendered), "session: {err}");
-
+    // a refusal changes nothing, so the API and XRA entries can take
+    // turns on the same state
+    for (relation, rendered) in REFUSALS {
+        let before = db.pin();
         let units = storage.units_written();
-        let err = db.declare_key(relation, &[1]).expect_err("store refuses");
-        assert!(err.to_string().contains(rendered), "store API: {err}");
+        let err = db.declare_key(relation, &[1]).expect_err("API refuses");
+        assert!(err.to_string().contains(rendered), "API: {err}");
         let err = db
             .run_script(&format!("key {relation} (%1);"))
-            .expect_err("store script refuses");
-        assert!(err.to_string().contains(rendered), "store XRA: {err}");
+            .expect_err("XRA refuses");
+        assert!(err.to_string().contains(rendered), "XRA: {err}");
+        assert_eq!(db.pin().seq(), before.seq(), "a refusal publishes nothing");
         assert_eq!(
             storage.units_written(),
             units,
@@ -105,15 +75,12 @@ fn key_admission_is_the_same_through_every_door() {
     // table, where E0401 and E0402 cannot arise. E0403 can: the same
     // column set spelled twice in different orders reaches admission twice.
     let twice = "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b), UNIQUE (b, a))";
-    let err = mera::sql::run_sql(&mgr, twice).expect_err("volatile SQL refuses");
-    assert!(err.to_string().contains("E0403"), "volatile SQL: {err}");
-    let err = db.run_sql(twice).expect_err("durable SQL refuses");
-    assert!(err.to_string().contains("E0403"), "durable SQL: {err}");
+    let err = db.run_sql(twice).expect_err("SQL refuses");
+    assert!(err.to_string().contains("E0403"), "SQL: {err}");
     let keys_of_t = |definitions: Vec<(String, Vec<usize>)>| {
         let on_t = definitions.into_iter().filter(|(r, _)| r == "t");
         on_t.map(|(_, attrs)| attrs).collect::<Vec<_>>()
     };
-    assert_eq!(keys_of_t(mgr.pin().keys().definitions()), [vec![1, 2]]);
     assert_eq!(keys_of_t(db.pin().keys().definitions()), [vec![1, 2]]);
     // the refused second declaration never reached the log either
     let logged = wal::scan(&storage.image()[WAL_FILE]).expect("scans");
@@ -121,14 +88,16 @@ fn key_admission_is_the_same_through_every_door() {
         |record| matches!(record, WalRecord::DeclareKey { relation, .. } if relation == "t"),
     );
     assert_eq!(declared_on_t.count(), 1);
+    let recovered = reopen(&storage).pin();
+    assert_eq!(keys_of_t(recovered.keys().definitions()), [vec![1, 2]]);
     assert_eq!(
-        keys_of_t(reopen(&storage).pin().keys().definitions()),
-        [vec![1, 2]]
+        recovered.keys().definitions(),
+        db.pin().keys().definitions()
     );
 }
 
 // ----------------------------------------------------------------------
-// one clock, every door
+// one clock, every entry
 // ----------------------------------------------------------------------
 
 /// Commit, abort by key violation, commit.
@@ -140,37 +109,35 @@ const CLOCK_XRA: &str = "relation acct (id: int, owner: str);\n\
 
 #[test]
 fn the_clock_ticks_once_per_committed_writer_through_every_door() {
-    use mera::lang::RunResult::{Aborted, Committed};
-
-    let mut session = Session::new();
-    let results = session.run_script(CLOCK_XRA).expect("runs");
+    let xra_storage = MemStorage::new();
+    let xra = open(&xra_storage);
+    let results = xra.run_script(CLOCK_XRA).expect("runs");
     assert!(matches!(
         results[..],
         [Committed(_), Aborted(_), Committed(_)]
     ));
-    assert_eq!(session.pin().time(), 2);
+    assert_eq!(xra.pin().time(), 2);
 
-    let mgr = MvccManager::new(DatabaseSchema::new());
-    mera::sql::run_sql(&mgr, "CREATE TABLE acct (id INT PRIMARY KEY, owner TEXT)").expect("ddl");
-    mera::sql::run_sql(&mgr, "INSERT INTO acct VALUES (1, 'ann')").expect("commits");
-    let err = mera::sql::run_sql(&mgr, "INSERT INTO acct VALUES (1, 'bob')").expect_err("aborts");
+    let sql_storage = MemStorage::new();
+    let sql = open(&sql_storage);
+    sql.run_sql("CREATE TABLE acct (id INT PRIMARY KEY, owner TEXT)")
+        .expect("ddl");
+    sql.run_sql("INSERT INTO acct VALUES (1, 'ann')")
+        .expect("commits");
+    let err = sql
+        .run_sql("INSERT INTO acct VALUES (1, 'bob')")
+        .expect_err("aborts");
     assert!(err.to_string().contains("E0401"), "{err}");
-    mera::sql::run_sql(&mgr, "INSERT INTO acct VALUES (2, 'cho')").expect("commits");
+    sql.run_sql("INSERT INTO acct VALUES (2, 'cho')")
+        .expect("commits");
     // reads are not transitions either
-    mera::sql::run_sql(&mgr, "SELECT * FROM acct").expect("reads");
-    assert_eq!(mgr.time(), 2);
+    sql.run_sql("SELECT * FROM acct").expect("reads");
+    assert_eq!(sql.pin().time(), 2);
+    assert_eq!(sql.pin().database(), xra.pin().database());
 
-    let storage = MemStorage::new();
-    let db = open(&storage);
-    let results = db.run_script(CLOCK_XRA).expect("runs");
-    assert!(matches!(
-        results[..],
-        [Committed(_), Aborted(_), Committed(_)]
-    ));
-    assert_eq!(db.pin().time(), 2);
-    assert_eq!(db.pin().database(), session.pin().database());
     // and the durable history says the same after a reboot
-    assert_eq!(reopen(&storage).pin().time(), 2);
+    assert_eq!(reopen(&xra_storage).pin().time(), 2);
+    assert_eq!(reopen(&sql_storage).pin().time(), 2);
 }
 
 #[test]
