@@ -11,8 +11,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{CoreError, CoreResult};
+use crate::multiset::SignedBag;
 use crate::relation::Relation;
 use crate::schema::{RelationSchema, Schema, SchemaRef};
+use crate::tuple::Tuple;
 
 /// Logical time of a database state (Definition 2.6 uses naturals).
 pub type LogicalTime = u64;
@@ -170,24 +172,19 @@ impl Database {
         self.replace(name, next)
     }
 
+    /// Applies a signed delta to a relation in place
+    /// ([`Relation::apply`]); on error the relation is partly updated.
+    pub fn apply(&mut self, name: &str, delta: &SignedBag<Tuple>) -> CoreResult<()> {
+        match self.relations.get_mut(name) {
+            Some(rel) => rel.apply(delta),
+            None => Err(CoreError::UnknownRelation(name.to_owned())),
+        }
+    }
+
     /// Advances logical time by one step, returning the new time.
     pub fn tick(&mut self) -> LogicalTime {
         self.time += 1;
         self.time
-    }
-
-    /// Advances logical time to `t` (recovery: aborted transactions tick
-    /// the clock but write no log record, so replay must skip the gaps).
-    /// Moving time backwards is rejected — states are totally ordered.
-    pub fn advance_time_to(&mut self, t: LogicalTime) -> CoreResult<()> {
-        if t < self.time {
-            return Err(CoreError::LogOutOfOrder {
-                last: self.time,
-                next: t,
-            });
-        }
-        self.time = t;
-        Ok(())
     }
 
     /// Adds a new (empty) relation to the database, extending its schema —
@@ -438,19 +435,6 @@ mod tests {
             0,
         );
         assert!(matches!(err, Err(CoreError::UnknownRelation(_))));
-    }
-
-    #[test]
-    fn advance_time_to_is_monotonic() {
-        let mut db = beer_db();
-        db.advance_time_to(5).unwrap();
-        assert_eq!(db.time(), 5);
-        db.advance_time_to(5).unwrap(); // no-op is fine
-        assert!(matches!(
-            db.advance_time_to(3),
-            Err(CoreError::LogOutOfOrder { last: 5, next: 3 })
-        ));
-        assert_eq!(db.time(), 5);
     }
 
     #[test]

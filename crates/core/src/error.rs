@@ -69,17 +69,6 @@ pub enum CoreError {
     /// so one failing partition degrades the query to an error instead of
     /// aborting the process.
     WorkerPanicked(String),
-    /// A redo-log append whose logical time does not strictly increase.
-    ///
-    /// Log order *is* recovery order: replaying an out-of-order log would
-    /// reconstruct a state that never existed, so the log rejects the
-    /// append outright instead of silently accepting it.
-    LogOutOfOrder {
-        /// Logical time of the last record already in the log.
-        last: u64,
-        /// Logical time of the rejected record.
-        next: u64,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -117,12 +106,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::WorkerPanicked(msg) => {
                 write!(f, "parallel worker panicked: {msg}")
-            }
-            CoreError::LogOutOfOrder { last, next } => {
-                write!(
-                    f,
-                    "redo log times must strictly increase: t={next} after t={last}"
-                )
             }
         }
     }

@@ -166,3 +166,111 @@ fn statement_roundtrip() {
         .unwrap_or_else(|e| panic!("unlowerable {src:?}: {e}"));
     assert_eq!(lowered, program, "round trip changed the program:\n{src}");
 }
+
+// ----------------------------------------------------------------------
+// hostile string literals: Program → XRA → Program
+// ----------------------------------------------------------------------
+
+/// The hostile alphabet: XRA string syntax characters, whitespace the
+/// lexer must carry through, and multi-byte UTF-8. View definitions are
+/// stored as XRA text, and the REPL reads it, so the printer must quote
+/// every one of them back to the same literal.
+const NASTY: &[char] = &[
+    'a', 'b', '\'', '\n', '\t', ' ', '"', '\\', 'é', 'µ', '—', 'β', '0', ',', '(', '%',
+];
+
+fn text_catalog() -> DatabaseSchema {
+    DatabaseSchema::new()
+        .with(
+            "t",
+            Schema::named(&[("name", DataType::Str), ("n", DataType::Int)]),
+        )
+        .expect("fresh")
+}
+
+fn string_of(picks: &[u8]) -> String {
+    picks
+        .iter()
+        .map(|&i| NASTY[i as usize % NASTY.len()])
+        .collect()
+}
+
+/// Builds one statement by shape selector; every shape embeds the
+/// generated strings somewhere the printer must quote them.
+fn hostile_statement(shape: u8, s1: String, s2: String, n: i64) -> mera_txn::Statement {
+    use mera_txn::Statement;
+    let values = |strings: Vec<String>| {
+        let sch = std::sync::Arc::new(Schema::anon(&[DataType::Str, DataType::Int]));
+        let tuples: Vec<Tuple> = strings
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| Tuple::new(vec![Value::str(s), Value::Int(n + i as i64)]))
+            .collect();
+        RelExpr::Values(std::sync::Arc::new(
+            Relation::from_tuples(sch, tuples).expect("well-typed"),
+        ))
+    };
+    match shape % 5 {
+        0 => Statement::insert("t", values(vec![s1, s2])),
+        1 => Statement::delete(
+            "t",
+            RelExpr::scan("t").select(ScalarExpr::attr(1).eq(ScalarExpr::str(s1))),
+        ),
+        2 => Statement::query(
+            RelExpr::scan("t")
+                .select(ScalarExpr::attr(1).eq(ScalarExpr::str(s1)))
+                .ext_project(vec![ScalarExpr::attr(1).concat_with(ScalarExpr::str(s2))]),
+        ),
+        3 => Statement::assign("tmp", values(vec![s1, s2])),
+        _ => Statement::insert("t", values(vec![s1])),
+    }
+}
+
+/// Deterministic regression case: a quote inside a `values` row literal.
+/// The printer once emitted it unescaped, producing text the parser could
+/// not read back.
+#[test]
+fn quoted_values_literal_survives() {
+    use mera_lang::{parse_program, program_to_xra};
+    let program = mera_txn::Program::single(hostile_statement(
+        0,
+        "it's\n'‚µ'".to_string(),
+        String::new(),
+        7,
+    ));
+    let text = program_to_xra(&program);
+    let parsed = parse_program(&text).unwrap_or_else(|e| panic!("unparseable {text:?}: {e}"));
+    let cat = text_catalog();
+    let mut lowerer = Lowerer::new(&cat);
+    assert_eq!(lowerer.lower_program(&parsed).expect("lowers"), program);
+}
+
+proptest! {
+    #[test]
+    fn hostile_program_text_roundtrips(
+        shapes in proptest::collection::vec(0u8..5, 1..4),
+        picks1 in proptest::collection::vec(0u8..16, 0..10),
+        picks2 in proptest::collection::vec(0u8..16, 0..10),
+        n in -3i64..100,
+    ) {
+        use mera_lang::{parse_program, program_to_xra};
+        let s1 = string_of(&picks1);
+        let s2 = string_of(&picks2);
+        let program = mera_txn::Program {
+            statements: shapes
+                .iter()
+                .map(|&sh| hostile_statement(sh, s1.clone(), s2.clone(), n))
+                .collect(),
+        };
+        let text = program_to_xra(&program);
+        let parsed = parse_program(&text).unwrap_or_else(|e| {
+            panic!("printer produced unparseable text {text:?}: {e}")
+        });
+        let cat = text_catalog();
+        let mut lowerer = Lowerer::new(&cat);
+        let lowered = lowerer.lower_program(&parsed).unwrap_or_else(|e| {
+            panic!("printed text fails to lower {text:?}: {e}")
+        });
+        prop_assert_eq!(lowered, program);
+    }
+}

@@ -4,7 +4,8 @@
 //! UTF-8 bytes; schemas are arity-prefixed attribute lists. Decoding never
 //! panics: every read is bounds-checked and surfaces a rendered reason,
 //! which the callers wrap into [`CorruptWal`](crate::StoreError::CorruptWal)
-//! or [`CorruptSnapshot`](crate::StoreError::CorruptSnapshot).
+//! or [`CorruptSnapshot`](crate::StoreError::CorruptSnapshot); no length
+//! read from disk sizes an allocation past the bytes left.
 
 use mera_core::prelude::*;
 
@@ -149,7 +150,7 @@ pub fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
 /// Decodes a schema written by [`put_schema`].
 pub fn read_schema(r: &mut Reader<'_>) -> DecodeResult<Schema> {
     let arity = r.u16()? as usize;
-    let mut attrs = Vec::with_capacity(arity);
+    let mut attrs = Vec::with_capacity(arity.min(r.remaining()));
     for _ in 0..arity {
         let name = match r.u8()? {
             0 => None,
@@ -163,6 +164,50 @@ pub fn read_schema(r: &mut Reader<'_>) -> DecodeResult<Schema> {
         });
     }
     Ok(Schema::new(attrs))
+}
+
+/// Encodes 1-based attribute positions: `u32` count, `u32` each.
+pub fn put_attrs(out: &mut Vec<u8>, attrs: &[usize]) {
+    out.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
+    for &a in attrs {
+        out.extend_from_slice(&(a as u32).to_le_bytes());
+    }
+}
+
+/// Decodes an attribute list written by [`put_attrs`].
+pub fn read_attrs(r: &mut Reader<'_>) -> DecodeResult<Vec<usize>> {
+    let n = r.u32()? as usize;
+    let mut attrs = Vec::with_capacity(n.min(r.remaining() / 4));
+    for _ in 0..n {
+        attrs.push(r.u32()? as usize);
+    }
+    Ok(attrs)
+}
+
+/// Encodes counted tuples, each as its multiplicity (`u64le`: an ℕ count,
+/// or the bits of a ℤ one) and its values; the caller writes the count.
+pub fn put_counted<'t>(out: &mut Vec<u8>, pairs: impl IntoIterator<Item = (&'t Tuple, u64)>) {
+    for (tuple, m) in pairs {
+        out.extend_from_slice(&m.to_le_bytes());
+        for v in tuple.values() {
+            put_value(out, v);
+        }
+    }
+}
+
+/// Decodes `n` tuples of the given domains written by [`put_counted`].
+pub fn read_counted(
+    r: &mut Reader<'_>,
+    n: usize,
+    dtypes: &[DataType],
+) -> DecodeResult<Vec<(Tuple, u64)>> {
+    let mut pairs = Vec::with_capacity(n.min(r.remaining() / 8));
+    for _ in 0..n {
+        let m = r.u64()?;
+        let values = dtypes.iter().map(|&t| read_value(r, t));
+        pairs.push((Tuple::new(values.collect::<DecodeResult<_>>()?), m));
+    }
+    Ok(pairs)
 }
 
 /// Encodes one value. The type is *not* written — the enclosing schema

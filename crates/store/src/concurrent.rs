@@ -8,12 +8,13 @@
 //! the protocol is log-then-publish: the WAL is a shared resource
 //! coordinated by a small group-commit protocol:
 //!
-//! * **Commit order = log order.** Each committed transaction's redo
-//!   frame is produced inside the MVCC commit section (the `durability`
-//!   hook of [`MvccManager::try_commit`] runs under the commit lock,
-//!   after validation, before publication), so frames are generated in
-//!   strictly increasing logical-time order and single-threaded recovery
-//!   ([`crate::durable`]) replays interleaved histories as they happened.
+//! * **Commit order = log order.** A commit's redo frame — the ℤ-delta
+//!   it publishes — is produced inside the MVCC commit section (the
+//!   `durability` hook of [`MvccManager::try_commit`] runs under the
+//!   commit lock, after validation, before publication), so frames are
+//!   generated in strictly increasing logical-time order and
+//!   single-threaded recovery ([`crate::durable`]) folds an interleaved
+//!   history into exactly the states that were acknowledged.
 //! * **[`FsyncPolicy::Always`]** appends and fsyncs the frame right in
 //!   the hook — one fsync per commit, fully serialized. This is the
 //!   latency-honest baseline.
@@ -49,8 +50,8 @@ use crate::storage::Storage;
 use crate::wal::{self, WalRecord};
 use mera_core::prelude::*;
 use mera_expr::RelExpr;
-use mera_lang::{lower_script, parse_script, program_to_xra, rel_to_xra, RunResult};
-use mera_txn::mvcc::{MvccManager, Version};
+use mera_lang::{lower_script, parse_script, rel_to_xra, RunResult};
+use mera_txn::mvcc::{MvccManager, PreparedTxn, Version};
 use mera_txn::{AbortReason, DeclareKeyError, Outcome, Outputs, Program};
 use parking_lot::{Condvar, Mutex};
 
@@ -95,10 +96,10 @@ impl<S: Storage> std::fmt::Debug for ConcurrentDb<S> {
 impl<S: Storage> ConcurrentDb<S> {
     /// Opens (or recovers) a concurrent durable database.
     ///
-    /// Recovery ([`crate::durable`]) replays the WAL single-threaded into
+    /// Recovery ([`crate::durable`]) folds the WAL single-threaded into
     /// one owned [`Version`] (interleaved histories were logged in commit
-    /// order, so replay is just their serial re-execution), and the
-    /// result seeds version 0 of the MVCC chain.
+    /// order, each commit as the delta it published), and the result
+    /// seeds version 0 of the MVCC chain.
     pub fn open(
         storage: S,
         initial_schema: DatabaseSchema,
@@ -120,8 +121,9 @@ impl<S: Storage> ConcurrentDb<S> {
         })
     }
 
-    /// The MVCC manager — for direct `prepare`/`try_commit` use and for
-    /// tests that need version-level access.
+    /// The MVCC manager — for version-level access (retained versions,
+    /// options). A commit through it bypasses the WAL; durable commits go
+    /// through [`ConcurrentDb::commit`].
     pub fn mvcc(&self) -> &MvccManager {
         &self.mvcc
     }
@@ -147,35 +149,44 @@ impl<S: Storage> ConcurrentDb<S> {
     /// Runs one transaction to its typed outcome: committed outputs, or
     /// an abort reason ([`AbortReason::Conflict`] tells a caller the
     /// retry is worthwhile). Storage failures are errors; an
-    /// acknowledged commit is durable per the fsync policy.
+    /// acknowledged commit is durable per the fsync policy. This is
+    /// [`ConcurrentDb::prepare`] on the newest version, then `commit`.
     pub fn try_execute(&self, program: &Program) -> StoreResult<Outcome> {
-        let start = self.mvcc.pin();
-        let prepared = match self.mvcc.prepare(start, program) {
-            Ok(p) => p,
-            Err(reason) => return Ok(Outcome::Aborted(reason)),
-        };
-        if prepared.is_read_only() {
-            let (outcome, _) = self.mvcc.try_commit::<StoreError>(prepared, |_| Ok(()))?;
-            return Ok(outcome);
+        match self.prepare(self.pin(), program) {
+            Ok(prepared) => Ok(self.commit(prepared)?.0),
+            Err(reason) => Ok(Outcome::Aborted(reason)),
         }
-        let text = program_to_xra(program);
-        if let FsyncPolicy::EveryN(_) = self.options.fsync {
-            let mut ticket = None;
-            let (outcome, _) = self.mvcc.try_commit(prepared, |time| {
-                ticket = Some(self.stage(&commit_frame(time, &text))?);
-                Ok::<(), StoreError>(())
-            })?;
-            if let Some(ticket) = ticket {
-                self.await_durable(ticket)?;
+    }
+
+    /// Runs a program on the pinned version `start` without committing
+    /// it: nothing is locked, logged or published.
+    pub fn prepare(
+        &self,
+        start: Arc<Version>,
+        program: &Program,
+    ) -> Result<PreparedTxn, AbortReason> {
+        self.mvcc.prepare(start, program)
+    }
+
+    /// Logs the delta a prepared transaction computed on its snapshot,
+    /// then publishes it; returns what [`MvccManager::try_commit`] does.
+    pub fn commit(&self, prepared: PreparedTxn) -> StoreResult<(Outcome, Arc<Version>)> {
+        let mut body = Vec::new();
+        wal::put_deltas(&mut body, prepared.deltas());
+        let mut ticket = None;
+        let committed = self.mvcc.try_commit(prepared, |time| {
+            let frame = wal::delta_frame(time, &body);
+            match self.options.fsync {
+                // group commit stages the frame; the committer waits below
+                FsyncPolicy::EveryN(_) => ticket = Some(self.stage(&frame)?),
+                policy => self.append_direct(&frame, policy == FsyncPolicy::Always)?,
             }
-            return Ok(outcome);
-        }
-        // `Always` and `Never` append in the hook; they differ only in the fsync
-        let sync = self.options.fsync == FsyncPolicy::Always;
-        let (outcome, _) = self.mvcc.try_commit(prepared, |time| {
-            self.append_direct(&commit_frame(time, &text), sync)
+            Ok::<(), StoreError>(())
         })?;
-        Ok(outcome)
+        if let Some(ticket) = ticket {
+            self.await_durable(ticket)?;
+        }
+        Ok(committed)
     }
 
     /// Runs one transaction with durable commit; aborts (including
@@ -469,15 +480,6 @@ impl<S: Storage> ConcurrentDb<S> {
     }
 }
 
-/// Encodes one commit frame (logical time + program text).
-fn commit_frame(time: LogicalTime, text: &str) -> Vec<u8> {
-    WalRecord::Commit {
-        time,
-        text: text.to_owned(),
-    }
-    .encode_frame()
-}
-
 /// Returns true when the abort reason is a write-write conflict worth
 /// retrying against a newer snapshot.
 pub fn is_conflict(outcome: &Outcome) -> bool {
@@ -623,30 +625,19 @@ mod tests {
             .expect("commits");
         // two prepared writers on the same (unkeyed) relation: first
         // committer wins, the second gets a typed conflict
-        let start = db.mvcc().pin();
+        let start = db.pin();
         let p1 = db
-            .mvcc()
             .prepare(Arc::clone(&start), &insert_program(&db, "bob", 20))
             .expect("prepares");
         let p2 = db
-            .mvcc()
             .prepare(start, &insert_program(&db, "cho", 30))
             .expect("prepares");
-        let (o1, _) = db
-            .mvcc()
-            .try_commit(p1, |time| {
-                db.append_direct(
-                    &commit_frame(time, "insert(accounts, values (str, int) {('bob', 20)})"),
-                    true,
-                )
-            })
-            .expect("io ok");
+        let (o1, published) = db.commit(p1).expect("io ok");
         assert!(o1.is_committed());
-        let (o2, _) = db
-            .mvcc()
-            .try_commit::<StoreError>(p2, |_| unreachable!("validation fails first"))
-            .expect("io ok");
+        assert_eq!(published.seq(), db.pin().seq());
+        let (o2, newest) = db.commit(p2).expect("io ok");
         assert!(is_conflict(&o2), "{o2:?}");
+        assert_eq!(newest.seq(), published.seq(), "an abort publishes nothing");
         let expected = db.pin().database().clone();
         drop(db);
 

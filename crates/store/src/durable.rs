@@ -3,15 +3,14 @@
 //!
 //! A [`Storage`] root holds the WAL (`mera.wal`) and the latest
 //! checkpoint snapshot (`mera.snapshot`). The protocol is classical
-//! write-ahead logging specialized to this engine's logical redo records
-//! (the live half — commit, DDL, checkpoint — is
-//! [`ConcurrentDb`](crate::ConcurrentDb)'s):
+//! write-ahead logging with logical redo records (the live half — commit,
+//! DDL, checkpoint — is [`ConcurrentDb`](crate::ConcurrentDb)'s):
 //!
-//! * **Commit** — one [`WalRecord::Commit`] frame (logical time + the
-//!   program as XRA text) is appended *before* the new version is
-//!   published. A crash between append and publish re-applies the record
-//!   at recovery; a crash before the append loses only an unacknowledged
-//!   transaction.
+//! * **Commit** — one [`WalRecord::Delta`] frame (logical time + the net
+//!   ℤ-delta the commit publishes) is appended *before* the new version
+//!   is published. A crash between append and publish re-applies the
+//!   record at recovery; a crash before the append loses only an
+//!   unacknowledged transaction.
 //! * **Abort** — nothing is written, nothing is published, the clock does
 //!   not move.
 //! * **Checkpoint** — atomically replace the snapshot with the full
@@ -19,20 +18,17 @@
 //!   between the two steps is safe: recovery skips WAL commits at or
 //!   before the snapshot time.
 //! * **Recovery** ([`recover`]) — load the snapshot (if any), scan the
-//!   WAL, truncate the torn tail, then replay declarations and commits in
-//!   order into a single owned [`Version`], through the same
-//!   [`Version::run`] / [`Version::commit`] / DDL steps the live path
-//!   calls on clones. Static analysis is off during replay — the log
-//!   records *committed* work, so re-checking it could only diverge.
+//!   WAL, truncate the torn tail, then fold declarations and deltas in
+//!   order into a single owned [`Version`], each delta through
+//!   [`Version::apply`] (the live rebase step): no program is re-run.
 
 use crate::error::{StoreError, StoreResult};
 use crate::snapshot;
 use crate::storage::Storage;
 use crate::wal::{self, WalRecord};
 use mera_core::prelude::*;
-use mera_lang::Lowerer;
 use mera_txn::mvcc::Version;
-use mera_txn::{ConstraintSet, DeclareKeyError, ExecConfig, Program};
+use mera_txn::{DeclareKeyError, ExecConfig};
 
 /// Name of the write-ahead log file inside a [`Storage`] root.
 pub const WAL_FILE: &str = "mera.wal";
@@ -67,8 +63,7 @@ pub enum FsyncPolicy {
 pub struct StoreOptions {
     /// WAL flush policy.
     pub fsync: FsyncPolicy,
-    /// Execution configuration for the live transaction path. Replay
-    /// always runs with `analyze` off regardless of this setting.
+    /// Execution configuration for transactions and view maintenance.
     pub exec: ExecConfig,
 }
 
@@ -129,7 +124,7 @@ pub fn recover<S: Storage>(
 
     // the snapshot carries relations only: statistics restart from a full
     // analyze of the restored state, views, indexes and keys from their
-    // logged declarations, then replay folds each commit's deltas exactly
+    // logged declarations, then replay folds each commit's delta exactly
     // like the live path did
     let mut version = Version::new(match snapshot_bytes {
         Some(bytes) => snapshot::decode(&bytes)?,
@@ -152,23 +147,12 @@ pub fn recover<S: Storage>(
                 storage.truncate(WAL_FILE, scanned.valid_len)?;
                 storage.sync(WAL_FILE)?;
             }
-            let mut config = exec;
-            config.analyze = false; // the log holds *committed* work
             for record in scanned.records {
-                replay(&mut version, record, snapshot_time, config)?;
+                replay(&mut version, record, snapshot_time, exec)?;
             }
         }
     }
     Ok((storage, version))
-}
-
-/// Parses and lowers a logged program text against the version's catalog.
-fn logged_program(version: &Version, text: &str) -> StoreResult<Program> {
-    if text.is_empty() {
-        return Ok(Program::new());
-    }
-    let parsed = mera_lang::parse_program(text)?;
-    Ok(Lowerer::new(&version.catalog_schema()).lower_program(&parsed)?)
 }
 
 /// Applies one recovered WAL record to the rebuilding version, in place.
@@ -194,8 +178,7 @@ fn replay(
             Ok(version.add_relation(RelationSchema::new(name, schema))?)
         }
         WalRecord::DeclareView { name, text } => {
-            let parsed = mera_lang::parse_rel(&text)?;
-            let expr = Lowerer::new(&version.catalog_schema()).lower_rel(&parsed)?;
+            let expr = mera_lang::lower_rel(&version.catalog_schema(), &text)?;
             version.create_view(&name, expr, config)?;
             Ok(())
         }
@@ -221,26 +204,21 @@ fn replay(
                 DeclareKeyError::Error(c) => StoreError::Core(c),
             })
         }
-        WalRecord::Commit { time, text } => {
-            if time <= snapshot_time {
-                // Already folded into the snapshot.
-                return Ok(());
-            }
-            let replay_err = |reason: String| StoreError::ReplayFailed { time, reason };
-            let program = logged_program(version, &text).map_err(|e| replay_err(e.to_string()))?;
-            // A log written before aborts stopped ticking the clock has
-            // gaps between consecutive commit times; bridge them so the
-            // replayed commit lands at exactly the time the record
-            // carries.
-            version.advance_time_to(time.saturating_sub(1))?;
-            let (db, deltas, _) = version
-                .run(&program, config, &ConstraintSet::new())
-                .map_err(|reason| replay_err(reason.to_string()))?;
-            version
-                .commit(db, deltas, config)
-                .map_err(|reason| replay_err(reason.to_string()))?;
-            debug_assert_eq!(version.time(), time);
+        // already folded into the snapshot
+        WalRecord::Commit { time, .. } | WalRecord::Delta { time, .. } if time <= snapshot_time => {
             Ok(())
+        }
+        WalRecord::Commit { time, .. } => Err(StoreError::TextCommitRecord { time }),
+        WalRecord::Delta { time, deltas } => {
+            if time != version.time() + 1 {
+                return Err(StoreError::CorruptWal(format!(
+                    "delta record at t={time} does not follow t={}",
+                    version.time()
+                )));
+            }
+            version.apply(deltas, config).map_err(|reason| {
+                StoreError::CorruptWal(format!("delta record at t={time} does not apply: {reason}"))
+            })
         }
     }
 }

@@ -10,8 +10,8 @@ use mera_core::prelude::CoreError;
 /// must keep apart: *environmental* failures (I/O errors, the injected
 /// [`Crashed`](StoreError::Crashed) fault), *data* failures (corrupt WAL or
 /// snapshot bytes that passed the length check but not the semantic one),
-/// and *logic* failures surfaced by the layers below (a replayed program
-/// aborting, an ill-typed snapshot relation).
+/// and *logic* failures surfaced by the layers below (an ill-typed
+/// snapshot relation).
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreError {
     /// An operating-system I/O failure (rendered, to stay comparable).
@@ -28,14 +28,11 @@ pub enum StoreError {
     /// The snapshot file is unreadable: bad magic, unknown version, CRC
     /// mismatch, or an undecodable body.
     CorruptSnapshot(String),
-    /// A logged transaction did not commit when replayed during recovery.
-    /// Committed programs replay deterministically, so this indicates the
-    /// log and the database schema have diverged.
-    ReplayFailed {
-        /// Logical time of the record that failed to replay.
+    /// The WAL holds a program-text commit past the snapshot, as earlier
+    /// builds logged them. Migrate by checkpointing with such a build.
+    TextCommitRecord {
+        /// Logical time of the first such record.
         time: u64,
-        /// Rendered reason.
-        reason: String,
     },
     /// A transaction submitted through the durable API aborted (the
     /// database is unchanged; nothing was written).
@@ -53,9 +50,11 @@ impl fmt::Display for StoreError {
             StoreError::Crashed => write!(f, "storage crashed (injected fault)"),
             StoreError::CorruptWal(msg) => write!(f, "corrupt write-ahead log: {msg}"),
             StoreError::CorruptSnapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
-            StoreError::ReplayFailed { time, reason } => {
-                write!(f, "recovery replay failed at t={time}: {reason}")
-            }
+            StoreError::TextCommitRecord { time } => write!(
+                f,
+                "the write-ahead log holds a program-text commit at t={time}, which this \
+                 build does not replay: checkpoint the store with the previous build first"
+            ),
             StoreError::TransactionAborted(reason) => {
                 write!(f, "transaction aborted: {reason}")
             }
@@ -101,11 +100,9 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert!(StoreError::Crashed.to_string().contains("injected fault"));
-        let e = StoreError::ReplayFailed {
-            time: 7,
-            reason: "x".into(),
-        };
+        let e = StoreError::TextCommitRecord { time: 7 };
         assert!(e.to_string().contains("t=7"));
+        assert!(e.to_string().contains("checkpoint"));
         let e: StoreError = CoreError::DivisionByZero.into();
         assert_eq!(e.to_string(), "division by zero");
     }

@@ -4,14 +4,14 @@
 //! of states `D_0 → D_1 → …` where each committed transaction is a
 //! transition. `mera-txn` realizes the transitions (`Version`,
 //! `MvccManager`); this crate hangs a *logical* redo log of committed
-//! programs on the manager's durability hook, so that the whole state
+//! deltas on the manager's durability hook, so that the whole state
 //! sequence survives process death:
 //!
 //! * [`wal`] — a write-ahead log of length-prefixed, CRC-32-checked,
-//!   versioned records: one `Commit` per committed transaction (logical
-//!   time + the program as XRA text) and one `Declare` per relation added
-//!   to the schema. Recovery truncates torn tails; CRC-valid garbage is a
-//!   hard error.
+//!   versioned records: one `Delta` per committed transaction (logical
+//!   time + the net ℤ-delta `D_{t+1} − D_t` it published) and one
+//!   `Declare` per relation added to the schema. Recovery truncates torn
+//!   tails; CRC-valid garbage is a hard error.
 //! * [`snapshot`] — checkpoint images of a full [`Database`] at one
 //!   logical time, swapped in atomically so a crash never exposes a
 //!   half-written snapshot.
@@ -23,8 +23,8 @@
 //!   [`run_sql`](ConcurrentDb::run_sql) are the only doors that run XRA
 //!   and SQL text; over [`MemStorage`] they are the volatile ones too.
 //! * [`durable`] — the store options, and recovery: snapshot restore,
-//!   torn-tail truncation, replay into the version the chain restarts
-//!   from.
+//!   torn-tail truncation, and a fold of the logged deltas into the
+//!   version the chain restarts from.
 //! * [`Storage`] — the five-operation backend trait, with [`DirStorage`]
 //!   (real files) and [`MemStorage`] (deterministic fault injection:
 //!   crash after N write units, inspect the surviving bytes, reboot).

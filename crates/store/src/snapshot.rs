@@ -53,12 +53,7 @@ pub fn encode(db: &Database) -> Vec<u8> {
         codec::put_schema(&mut body, rel.schema());
         let pairs = rel.sorted_pairs();
         body.extend_from_slice(&(pairs.len() as u64).to_le_bytes());
-        for (tuple, count) in pairs {
-            body.extend_from_slice(&count.to_le_bytes());
-            for v in tuple.values() {
-                codec::put_value(&mut body, v);
-            }
-        }
+        codec::put_counted(&mut body, pairs.iter().map(|(t, m)| (t, *m)));
     }
 
     let mut out = SNAPSHOT_MAGIC.to_vec();
@@ -104,7 +99,7 @@ pub fn decode(bytes: &[u8]) -> StoreResult<Database> {
     let rel_count = r.u32().map_err(bad)? as usize;
 
     let mut schema = DatabaseSchema::new();
-    let mut relations = Vec::with_capacity(rel_count);
+    let mut relations = Vec::with_capacity(rel_count.min(r.remaining()));
     for _ in 0..rel_count {
         let name = r.str().map_err(bad)?;
         let rel_schema = codec::read_schema(&mut r).map_err(bad)?;
@@ -113,15 +108,8 @@ pub fn decode(bytes: &[u8]) -> StoreResult<Database> {
         schema.add(rs)?;
 
         let distinct = r.u64().map_err(bad)? as usize;
-        let mut pairs = Vec::with_capacity(distinct);
-        for _ in 0..distinct {
-            let count = r.u64().map_err(bad)?;
-            let mut values = Vec::with_capacity(schema_ref.arity());
-            for attr in schema_ref.attributes() {
-                values.push(codec::read_value(&mut r, attr.dtype).map_err(bad)?);
-            }
-            pairs.push((Tuple::new(values), count));
-        }
+        let dtypes: Vec<DataType> = schema_ref.attributes().iter().map(|a| a.dtype).collect();
+        let pairs = codec::read_counted(&mut r, distinct, &dtypes).map_err(bad)?;
         relations.push((name, Relation::from_counted(schema_ref, pairs)?));
     }
     if !r.is_exhausted() {
@@ -198,6 +186,25 @@ mod tests {
                 "flip at byte {i} must not decode cleanly"
             );
         }
+    }
+
+    #[test]
+    fn a_claimed_count_past_the_body_is_corrupt_not_an_allocation() {
+        // a CRC-valid body whose one relation claims 2^62 distinct tuples
+        let mut body = vec![SNAPSHOT_VERSION];
+        body.extend_from_slice(&0u64.to_le_bytes());
+        body.extend_from_slice(&1u32.to_le_bytes());
+        codec::put_str(&mut body, "r");
+        codec::put_schema(&mut body, &Schema::anon(&[DataType::Int]));
+        body.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        assert!(matches!(
+            decode(&bytes),
+            Err(StoreError::CorruptSnapshot(_))
+        ));
     }
 
     #[test]

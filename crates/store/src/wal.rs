@@ -15,10 +15,10 @@
 //! Each payload starts with a one-byte format version (currently
 //! [`RECORD_VERSION`]) and a one-byte record kind:
 //!
-//! * kind 1 — **Commit**: `u64le` logical time, then the committed
-//!   program as XRA source text (`u32le` length + UTF-8 bytes). The text
-//!   form is the round-trip-tested interchange format of the language
-//!   layer, so the log is readable with a hex dump and one `parse` call.
+//! * kind 1 — **Commit**: `u64le` logical time, then the program as XRA
+//!   source text (`u32le` length + UTF-8 bytes), as earlier builds logged
+//!   commits. Still read, never written; recovery refuses one past the
+//!   snapshot ([`StoreError::TextCommitRecord`]).
 //! * kind 2 — **Declare**: a relation name and its schema. Written when a
 //!   relation is created (including the initial schema on first open), so
 //!   a WAL is self-contained: recovery needs no out-of-band catalog.
@@ -37,6 +37,10 @@
 //!   recovery rebuilds the per-key-point multiplicity counts from the
 //!   recovered relation. The replayed history was committed *under* the
 //!   key, so rebuilding cannot fail.
+//! * kind 6 — **Delta**: `u64le` time, then the net ℤ-delta `D_t − D_{t−1}`
+//!   per written relation in name order: name, `u16` arity and a domain
+//!   tag per attribute, `u32le` count, then per tuple in sorted order its
+//!   multiplicity (`i64le`, ≠ 0) and values.
 //!
 //! # Torn tails vs. corruption
 //!
@@ -49,10 +53,11 @@
 //! *corrupt* (or written by a future version) and recovery must fail
 //! loudly rather than silently drop committed work.
 
-use crate::codec::{self, Reader};
+use crate::codec::{self, DecodeError, DecodeResult, Reader};
 use crate::crc::crc32;
 use crate::error::{StoreError, StoreResult};
 use mera_core::prelude::*;
+use mera_txn::{DeltaMap, TupleDelta};
 
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"MERAWAL1";
@@ -65,18 +70,27 @@ const KIND_DECLARE: u8 = 2;
 const KIND_DECLARE_VIEW: u8 = 3;
 const KIND_DECLARE_INDEX: u8 = 4;
 const KIND_DECLARE_KEY: u8 = 5;
+const KIND_DELTA: u8 = 6;
 
 /// One durable redo record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A committed transaction: the logical commit time and the program
-    /// that produced it, serialized as XRA source text.
+    /// A committed transaction as earlier builds logged it: the logical
+    /// commit time and the program as XRA source text. Never written.
     Commit {
         /// Logical time at which the transaction committed.
         time: u64,
         /// The committed program, as XRA text (empty for the empty
         /// program).
         text: String,
+    },
+    /// A committed transaction: the logical commit time and the net
+    /// signed delta per written relation that the commit published.
+    Delta {
+        /// Logical time at which the transaction committed.
+        time: u64,
+        /// The committed delta `D_{time} − D_{time−1}`.
+        deltas: DeltaMap,
     },
     /// A relation declared into the schema.
     Declare {
@@ -131,18 +145,17 @@ impl WalRecord {
             WalRecord::DeclareIndex { relation, keys } => {
                 out.push(KIND_DECLARE_INDEX);
                 codec::put_str(&mut out, relation);
-                out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-                for &k in keys {
-                    out.extend_from_slice(&(k as u32).to_le_bytes());
-                }
+                codec::put_attrs(&mut out, keys);
             }
             WalRecord::DeclareKey { relation, attrs } => {
                 out.push(KIND_DECLARE_KEY);
                 codec::put_str(&mut out, relation);
-                out.extend_from_slice(&(attrs.len() as u32).to_le_bytes());
-                for &a in attrs {
-                    out.extend_from_slice(&(a as u32).to_le_bytes());
-                }
+                codec::put_attrs(&mut out, attrs);
+            }
+            WalRecord::Delta { time, deltas } => {
+                out.push(KIND_DELTA);
+                out.extend_from_slice(&time.to_le_bytes());
+                put_deltas(&mut out, deltas);
             }
         }
         out
@@ -175,24 +188,18 @@ impl WalRecord {
                 name: r.str().map_err(bad)?,
                 text: r.str().map_err(bad)?,
             },
-            KIND_DECLARE_INDEX => {
-                let relation = r.str().map_err(bad)?;
-                let n = r.u32().map_err(bad)?;
-                let mut keys = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    keys.push(r.u32().map_err(bad)? as usize);
-                }
-                WalRecord::DeclareIndex { relation, keys }
-            }
-            KIND_DECLARE_KEY => {
-                let relation = r.str().map_err(bad)?;
-                let n = r.u32().map_err(bad)?;
-                let mut attrs = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    attrs.push(r.u32().map_err(bad)? as usize);
-                }
-                WalRecord::DeclareKey { relation, attrs }
-            }
+            KIND_DECLARE_INDEX => WalRecord::DeclareIndex {
+                relation: r.str().map_err(bad)?,
+                keys: codec::read_attrs(&mut r).map_err(bad)?,
+            },
+            KIND_DECLARE_KEY => WalRecord::DeclareKey {
+                relation: r.str().map_err(bad)?,
+                attrs: codec::read_attrs(&mut r).map_err(bad)?,
+            },
+            KIND_DELTA => WalRecord::Delta {
+                time: r.u64().map_err(bad)?,
+                deltas: read_deltas(&mut r).map_err(bad)?,
+            },
             other => {
                 return Err(StoreError::CorruptWal(format!(
                     "unknown record kind {other}"
@@ -210,13 +217,69 @@ impl WalRecord {
 
     /// Encodes a full frame: length, CRC, payload.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(8 + payload.len());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        frame(&self.encode_payload())
     }
+}
+
+/// Frames a payload: length, CRC, payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Encodes the body of a [`WalRecord::Delta`], after its time.
+pub fn put_deltas(out: &mut Vec<u8>, deltas: &DeltaMap) {
+    for (name, delta) in deltas {
+        let mut pairs: Vec<(&Tuple, i64)> = delta.iter().collect();
+        pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let Some((first, _)) = pairs.first() else {
+            continue;
+        };
+        codec::put_str(out, name);
+        out.extend_from_slice(&(first.arity() as u16).to_le_bytes());
+        for v in first.values() {
+            out.push(codec::dtype_tag(v.data_type()));
+        }
+        out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        codec::put_counted(out, pairs.into_iter().map(|(t, m)| (t, m as u64)));
+    }
+}
+
+/// The frame of the [`WalRecord::Delta`] at `time` whose body
+/// [`put_deltas`] encoded before the commit time was known.
+pub fn delta_frame(time: LogicalTime, body: &[u8]) -> Vec<u8> {
+    let mut payload = vec![RECORD_VERSION, KIND_DELTA];
+    payload.extend_from_slice(&time.to_le_bytes());
+    payload.extend_from_slice(body);
+    frame(&payload)
+}
+
+/// Decodes a body written by [`put_deltas`], refusing relations out of
+/// name order and multiplicities a delta cannot hold.
+fn read_deltas(r: &mut Reader<'_>) -> DecodeResult<DeltaMap> {
+    let mut deltas = DeltaMap::new();
+    while !r.is_exhausted() {
+        let name = r.str()?;
+        if deltas.keys().next_back() >= Some(&name) {
+            return Err(DecodeError(format!("'{name}' is out of name order")));
+        }
+        let dtypes = (0..r.u16()?)
+            .map(|_| codec::dtype_of_tag(r.u8()?))
+            .collect::<DecodeResult<Vec<_>>>()?;
+        let (n, mut delta) = (r.u32()? as usize, TupleDelta::new());
+        for (tuple, m) in codec::read_counted(r, n, &dtypes)? {
+            let m = Some(m as i64).filter(|&m| m != 0 && m != i64::MIN);
+            let m = m.ok_or_else(|| DecodeError(format!("bad multiplicity in '{name}'")))?;
+            delta
+                .insert(tuple, m)
+                .map_err(|e| DecodeError(e.to_string()))?;
+        }
+        deltas.insert(name, delta);
+    }
+    Ok(deltas)
 }
 
 /// The bytes of a fresh, empty WAL (just the header).
@@ -273,12 +336,24 @@ pub fn scan(bytes: &[u8]) -> StoreResult<ScanResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mera_core::tuple;
 
     fn sample_records() -> Vec<WalRecord> {
+        let accounts: TupleDelta = [(tuple!["ann", 10_i64], 2), (tuple!["bob", 5_i64], -1)]
+            .into_iter()
+            .collect();
+        let flags: TupleDelta = [(tuple![true], 1)].into_iter().collect();
         vec![
             WalRecord::Declare {
                 name: "accounts".to_string(),
                 schema: Schema::named(&[("owner", DataType::Str), ("balance", DataType::Int)]),
+            },
+            WalRecord::Delta {
+                time: 1,
+                deltas: DeltaMap::from([
+                    ("accounts".to_string(), accounts),
+                    ("flags".to_string(), flags),
+                ]),
             },
             WalRecord::Commit {
                 time: 1,
@@ -370,6 +445,54 @@ mod tests {
     fn missing_magic_is_rejected() {
         assert!(matches!(scan(b"NOTAWAL1"), Err(StoreError::CorruptWal(_))));
         assert!(matches!(scan(b""), Err(StoreError::CorruptWal(_))));
+    }
+
+    /// A CRC-valid payload that decodes badly is corruption, whatever lie
+    /// its lengths tell.
+    fn corrupt(payload: &[u8]) -> String {
+        match WalRecord::decode_payload(payload) {
+            Err(StoreError::CorruptWal(msg)) => msg,
+            other => panic!("expected CorruptWal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn claimed_lengths_past_the_payload_are_corrupt_not_allocations() {
+        let mut payload = vec![RECORD_VERSION, KIND_DECLARE_INDEX];
+        codec::put_str(&mut payload, "r");
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        corrupt(&payload);
+        let mut payload = vec![RECORD_VERSION, KIND_DELTA];
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        codec::put_str(&mut payload, "r");
+        payload.extend_from_slice(&0u16.to_le_bytes());
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        corrupt(&payload);
+    }
+
+    #[test]
+    fn deltas_it_would_not_write_are_corrupt() {
+        let entry = |name: &str, m: i64| {
+            let mut out = Vec::new();
+            codec::put_str(&mut out, name);
+            out.extend_from_slice(&1u16.to_le_bytes());
+            out.push(codec::dtype_tag(DataType::Int));
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(&m.to_le_bytes());
+            out.extend_from_slice(&7i64.to_le_bytes());
+            out
+        };
+        let payload = |entries: &[Vec<u8>]| {
+            let mut out = vec![RECORD_VERSION, KIND_DELTA];
+            out.extend_from_slice(&1u64.to_le_bytes());
+            entries.iter().for_each(|e| out.extend_from_slice(e));
+            out
+        };
+        assert!(WalRecord::decode_payload(&payload(&[entry("a", -3), entry("b", 1)])).is_ok());
+        corrupt(&payload(&[entry("b", 1), entry("a", 1)]));
+        corrupt(&payload(&[entry("a", 1), entry("a", 1)]));
+        corrupt(&payload(&[entry("a", 0)]));
+        corrupt(&payload(&[entry("a", i64::MIN)]));
     }
 
     #[test]

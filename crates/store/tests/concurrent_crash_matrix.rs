@@ -5,29 +5,32 @@
 //! sessions committing through the MVCC front with `EveryN` group
 //! commit, so the log is a genuine interleaving of independent
 //! transactions — then the matrix truncates that log at **every byte
-//! offset** and asserts recovery reproduces exactly the committed
+//! offset** and asserts recovery reproduces exactly the acknowledged
 //! prefix: base relations, logical time, views, stats, key
 //! constraints and indexes.
 //!
-//! The oracle is independent of the recovery path: the surviving WAL
-//! bytes are scanned with [`mera_store::wal::scan`] and the intact
-//! `Commit` records are replayed through the *volatile* engine (an
-//! [`MvccManager`]: no `Storage`, no WAL) in log order. Because the group-commit
-//! frontier appends frames inside the MVCC commit section, log order is
-//! commit order, and the volatile replay of any intact prefix is the
-//! unique legal recovered state.
+//! The oracle is the *acknowledged* history, not a re-execution: every
+//! writer records the database of the version its commit published
+//! ([`ConcurrentDb::commit`] returns it). A WAL prefix whose last intact
+//! commit record carries time `t` must recover to exactly what was
+//! acknowledged at `t`. One session is a reader-writer — it copies rows
+//! the others are concurrently inserting — so a recovery that re-ran its
+//! program on the serial predecessor instead of logging what it wrote
+//! would diverge from the oracle.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use mera_core::prelude::*;
-use mera_lang::Lowerer;
 use mera_store::{
     is_conflict, snapshot, wal, ConcurrentDb, FsyncPolicy, MemStorage, StoreOptions, WalRecord,
     SNAPSHOT_FILE, WAL_FILE,
 };
-use mera_txn::{MvccManager, Outcome, Program, Version};
+use mera_txn::{Outcome, Program};
+
+/// The database each acknowledged commit published, by commit time.
+type Acked = Mutex<BTreeMap<LogicalTime, Database>>;
 
 const WRITERS: usize = 3;
 const PER_WRITER: usize = 5;
@@ -44,12 +47,17 @@ fn log_schema() -> Schema {
 }
 
 /// Builds the catalog and runs the racing writers; returns the storage
-/// image after a final sync.
-fn drive_concurrent(storage: MemStorage, with_checkpoint: bool) -> BTreeMap<String, Vec<u8>> {
+/// image after a final sync, and the acknowledged history.
+fn drive_concurrent(
+    storage: MemStorage,
+    with_checkpoint: bool,
+) -> (BTreeMap<String, Vec<u8>>, BTreeMap<LogicalTime, Database>) {
     let db = Arc::new(
         ConcurrentDb::open(storage.clone(), DatabaseSchema::new(), options()).expect("opens"),
     );
     db.add_relation(RelationSchema::new("log", log_schema()))
+        .expect("declares");
+    db.add_relation(RelationSchema::new("audit", log_schema()))
         .expect("declares");
     db.declare_key("log", &[1, 2]).expect("key declares");
     db.create_index("log", &[1]).expect("index builds");
@@ -58,25 +66,26 @@ fn drive_concurrent(storage: MemStorage, with_checkpoint: bool) -> BTreeMap<Stri
         mera_expr::RelExpr::scan("log").group_by(&[1], mera_expr::Aggregate::Cnt, 2),
     )
     .expect("view creates");
+    let acked = Arc::new(Acked::default());
 
     let race = |db: &Arc<ConcurrentDb<MemStorage>>, round: usize| {
-        let workers: Vec<_> = (0..WRITERS)
+        let mut workers: Vec<_> = (0..WRITERS)
             .map(|w| {
-                let db = Arc::clone(db);
+                let (db, acked) = (Arc::clone(db), Arc::clone(&acked));
                 thread::spawn(move || {
                     for n in 0..PER_WRITER {
                         let program = insert_program(w as i64, (round * PER_WRITER + n) as i64);
-                        loop {
-                            match db.try_execute(&program).expect("storage healthy") {
-                                Outcome::Committed(_) => break,
-                                o if is_conflict(&o) => continue,
-                                o => panic!("unexpected abort: {o:?}"),
-                            }
-                        }
+                        commit_acked(&db, &program, &acked);
                     }
                 })
             })
             .collect();
+        let (db, acked) = (Arc::clone(db), Arc::clone(&acked));
+        workers.push(thread::spawn(move || {
+            for _ in 0..PER_WRITER {
+                commit_acked(&db, &audit_program(), &acked);
+            }
+        }));
         for w in workers {
             w.join().expect("writer joins");
         }
@@ -88,7 +97,38 @@ fn drive_concurrent(storage: MemStorage, with_checkpoint: bool) -> BTreeMap<Stri
         race(&db, 1);
     }
     db.sync().expect("final sync");
-    storage.image()
+    let acked = acked.lock().expect("no writer panicked").clone();
+    (storage.image(), acked)
+}
+
+/// Commits `program` through the split front door, retrying conflicts,
+/// and records what the commit published.
+fn commit_acked(db: &ConcurrentDb<MemStorage>, program: &Program, acked: &Acked) {
+    loop {
+        let prepared = db.prepare(db.pin(), program).expect("prepares");
+        let writes = !prepared.is_read_only();
+        match db.commit(prepared).expect("storage healthy") {
+            (Outcome::Committed(_), published) => {
+                if writes {
+                    let mut acked = acked.lock().expect("no writer panicked");
+                    acked.insert(published.time(), published.database().clone());
+                }
+                return;
+            }
+            (o, _) if is_conflict(&o) => continue,
+            (o, _) => panic!("unexpected abort: {o:?}"),
+        }
+    }
+}
+
+/// The reader-writer: copies writer 0's rows, as of its snapshot, into
+/// `audit`.
+fn audit_program() -> Program {
+    Program::single(mera_txn::Statement::insert(
+        "audit",
+        mera_expr::RelExpr::scan("log")
+            .select(mera_expr::ScalarExpr::attr(1).eq(mera_expr::ScalarExpr::int(0))),
+    ))
 }
 
 fn insert_program(writer: i64, n: i64) -> Program {
@@ -100,52 +140,45 @@ fn insert_program(writer: i64, n: i64) -> Program {
     ))
 }
 
-/// Replays one intact WAL prefix through the volatile engine.
-fn shadow_of(records: &[WalRecord], base: Database) -> Database {
-    let config = mera_txn::ExecConfig {
-        analyze: false,
-        ..Default::default()
-    };
-    let shadow = MvccManager::from_version(Version::new(base).expect("analyzes"), config);
+/// The acknowledged state an intact WAL prefix must recover to: the
+/// database published by its last commit record past the snapshot, or —
+/// with none — the snapshot plus the declarations in the prefix.
+fn acknowledged(
+    records: &[WalRecord],
+    base: Database,
+    acked: &BTreeMap<u64, Database>,
+) -> Database {
+    let last = records.iter().rev().find_map(|r| match r {
+        WalRecord::Delta { time, .. } => Some(*time),
+        _ => None,
+    });
+    if let Some(time) = last.filter(|&t| t > base.time()) {
+        return acked[&time].clone();
+    }
+    let mut db = base;
     for record in records {
-        match record {
-            // declares are idempotent vs a snapshot that already has it
-            WalRecord::Declare { name, schema }
-                if shadow.pin().database().relation(name).is_err() =>
-            {
-                shadow
-                    .add_relation(RelationSchema::new(name.clone(), schema.clone()))
-                    .expect("shadow declare");
-            }
-            WalRecord::Commit { time, text } => {
-                let parsed = mera_lang::parse_program(text).expect("committed text parses");
-                let program = Lowerer::new(shadow.pin().database().schema())
-                    .lower_program(&parsed)
-                    .expect("committed text lowers");
-                let (outcome, next) = shadow.execute(&program);
-                assert!(
-                    matches!(outcome, Outcome::Committed(_)),
-                    "volatile replay of a logged commit must commit"
-                );
-                assert_eq!(next.time(), *time, "log order must be commit order");
-            }
-            // catalog records don't change base state
-            _ => {}
+        if let WalRecord::Declare { name, schema } = record {
+            db.add_relation(RelationSchema::new(name.clone(), schema.clone()))
+                .expect("declared once");
         }
     }
-    let state = shadow.pin();
-    state.database().clone()
+    db
 }
 
 /// Recovers a truncated image and checks every recovered structure
-/// against the volatile oracle.
-fn check_recovery(image: BTreeMap<String, Vec<u8>>, wal_prefix: &[u8], cut: usize) {
+/// against the acknowledged history.
+fn check_recovery(
+    image: BTreeMap<String, Vec<u8>>,
+    wal_prefix: &[u8],
+    cut: usize,
+    acked: &BTreeMap<u64, Database>,
+) {
     let base = match image.get(SNAPSHOT_FILE) {
         Some(bytes) => snapshot::decode(bytes).expect("snapshot decodes"),
         None => Database::new(DatabaseSchema::new()),
     };
     let scan = wal::scan(wal_prefix).expect("intact prefix scans");
-    let expected = shadow_of(&scan.records, base);
+    let expected = acknowledged(&scan.records, base, acked);
 
     let recovered = ConcurrentDb::open(
         MemStorage::from_image(image),
@@ -212,19 +245,33 @@ fn check_recovery(image: BTreeMap<String, Vec<u8>>, wal_prefix: &[u8], cut: usiz
     }
 }
 
+/// The logged commits of a fault-free image: one delta record per
+/// acknowledged commit, in commit order.
+fn commit_records(records: &[WalRecord], acked: &BTreeMap<u64, Database>) -> usize {
+    let times: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            WalRecord::Delta { time, .. } => Some(*time),
+            _ => None,
+        })
+        .collect();
+    assert!(times.windows(2).all(|w| w[1] == w[0] + 1), "{times:?}");
+    assert!(times.iter().all(|t| acked.contains_key(t)));
+    times.len()
+}
+
 #[test]
 fn interleaved_wal_recovers_committed_prefix_at_every_byte() {
-    let image = drive_concurrent(MemStorage::new(), false);
+    let (image, acked) = drive_concurrent(MemStorage::new(), false);
     let wal_bytes = image.get(WAL_FILE).expect("wal exists").clone();
 
     // sanity: the fault-free log holds every acked commit
     let full = wal::scan(&wal_bytes).expect("scans");
-    let commits = full
-        .records
-        .iter()
-        .filter(|r| matches!(r, WalRecord::Commit { .. }))
-        .count();
-    assert_eq!(commits, WRITERS * PER_WRITER);
+    assert_eq!(commit_records(&full.records, &acked), acked.len());
+    assert!(
+        acked.len() > WRITERS * PER_WRITER,
+        "the reader-writer wrote"
+    );
     assert_eq!(full.valid_len as usize, wal_bytes.len());
 
     // the full image recovers every structure, stats entry included
@@ -260,27 +307,28 @@ fn interleaved_wal_recovers_committed_prefix_at_every_byte() {
     for cut in wal::WAL_MAGIC.len()..=wal_bytes.len() {
         let mut truncated = image.clone();
         truncated.insert(WAL_FILE.to_owned(), wal_bytes[..cut].to_vec());
-        check_recovery(truncated, &wal_bytes[..cut], cut);
+        check_recovery(truncated, &wal_bytes[..cut], cut, &acked);
     }
 }
 
 #[test]
 fn checkpointed_interleaved_history_recovers_at_every_tail_byte() {
-    let image = drive_concurrent(MemStorage::new(), true);
+    let (image, acked) = drive_concurrent(MemStorage::new(), true);
     let wal_bytes = image.get(WAL_FILE).expect("wal exists").clone();
-    assert!(
-        image.contains_key(SNAPSHOT_FILE),
-        "checkpoint wrote a snapshot"
-    );
+    let snapshot_time = snapshot::decode(
+        image
+            .get(SNAPSHOT_FILE)
+            .expect("checkpoint wrote a snapshot"),
+    )
+    .expect("snapshot decodes")
+    .time();
 
     // the post-checkpoint WAL tail carries the second racing round
     let full = wal::scan(&wal_bytes).expect("scans");
-    let commits = full
-        .records
-        .iter()
-        .filter(|r| matches!(r, WalRecord::Commit { .. }))
-        .count();
-    assert_eq!(commits, WRITERS * PER_WRITER);
+    assert_eq!(
+        commit_records(&full.records, &acked),
+        acked.range(snapshot_time + 1..).count()
+    );
 
     // Checkpoint replaces the reseeded WAL head (DeclareView/Index/Key
     // records) with one replace_atomic, so no real crash can tear it;
@@ -288,7 +336,7 @@ fn checkpointed_interleaved_history_recovers_at_every_tail_byte() {
     let reseed_len = {
         let mut len = wal::empty_wal().len();
         for r in &full.records {
-            if matches!(r, WalRecord::Commit { .. }) {
+            if matches!(r, WalRecord::Delta { .. }) {
                 break;
             }
             len += r.encode_frame().len();
@@ -300,6 +348,6 @@ fn checkpointed_interleaved_history_recovers_at_every_tail_byte() {
     for cut in reseed_len..=wal_bytes.len() {
         let mut truncated = image.clone();
         truncated.insert(WAL_FILE.to_owned(), wal_bytes[..cut].to_vec());
-        check_recovery(truncated, &wal_bytes[..cut], cut);
+        check_recovery(truncated, &wal_bytes[..cut], cut, &acked);
     }
 }

@@ -3,12 +3,13 @@
 //! degenerate records.
 
 use mera_core::prelude::*;
+use mera_expr::RelExpr;
 use mera_lang::Lowerer;
 use mera_store::{
     ConcurrentDb, DirStorage, FsyncPolicy, MemStorage, Storage, StoreError, StoreOptions,
     WalRecord, SNAPSHOT_FILE, WAL_FILE,
 };
-use mera_txn::Program;
+use mera_txn::{Program, Statement};
 
 fn schema() -> DatabaseSchema {
     DatabaseSchema::new()
@@ -207,8 +208,9 @@ fn empty_program_commits_and_replays() {
     assert_eq!(storage.units_written(), units);
     drop(db);
 
-    // replay: a log written when every commit was a transition holds
-    // empty-text commit records, and they still recover to their times
+    // a log written by a build that logged program text holds text
+    // commit records; they are refused, naming the migration, rather
+    // than re-run
     for time in [1, 2] {
         let record = WalRecord::Commit {
             time,
@@ -218,19 +220,54 @@ fn empty_program_commits_and_replays() {
             .append(WAL_FILE, &record.encode_frame())
             .expect("raw append");
     }
+    let err = ConcurrentDb::open(
+        MemStorage::from_image(storage.image()),
+        DatabaseSchema::new(),
+        StoreOptions::default(),
+    )
+    .expect_err("text commits are not replayed");
+    assert_eq!(err, StoreError::TextCommitRecord { time: 1 });
+    assert!(err.to_string().contains("checkpoint"), "{err}");
+}
+
+#[test]
+fn date_time_and_money_constants_commit_and_reopen() {
+    // no XRA literal syntax exists for these domains, so a log of program
+    // text could not hold this commit; a log of deltas holds its values
+    let schema = DatabaseSchema::new()
+        .with(
+            "ledger",
+            Schema::named(&[
+                ("day", DataType::Date),
+                ("at", DataType::Time),
+                ("amount", DataType::Money),
+            ]),
+        )
+        .expect("fresh");
+    let row = relation_of(
+        Schema::anon(&[DataType::Date, DataType::Time, DataType::Money]),
+        vec![Tuple::new(vec![
+            Value::Date(Date::from_ymd(1994, 2, 14).expect("a date")),
+            Value::Time(Time::from_hms(9, 30, 0).expect("a time")),
+            Value::Money(Money(-1999)),
+        ])],
+    )
+    .expect("typed");
+    let storage = MemStorage::new();
+    let db = ConcurrentDb::open(storage.clone(), schema, StoreOptions::default()).expect("open");
+    let program = Program::single(Statement::insert("ledger", RelExpr::values(row)));
+    assert!(db.try_execute(&program).expect("io ok").is_committed());
+    let live = db.pin();
+    drop(db);
+
     let recovered = ConcurrentDb::open(
         MemStorage::from_image(storage.image()),
         DatabaseSchema::new(),
         StoreOptions::default(),
     )
-    .expect("recovers");
-    assert_eq!(recovered.pin().time(), 2);
-    assert!(recovered
-        .pin()
-        .database()
-        .relation("accounts")
-        .expect("declared")
-        .is_empty());
+    .expect("reopens");
+    assert_eq!(recovered.pin().database(), live.database());
+    assert_eq!(recovered.pin().time(), 1);
 }
 
 #[test]

@@ -1,40 +1,42 @@
-//! Property test for the WAL's program interchange format.
+//! Properties of the WAL's commit record and of its scanner.
 //!
-//! A committed program reaches the log as XRA text inside a
-//! [`WalRecord::Commit`]; recovery parses and lowers it back. This
-//! property drives arbitrary programs whose string literals are built
-//! from a hostile alphabet — quotes, newlines, tabs, non-ASCII — through
-//! the full pipeline:
+//! A committed transaction reaches the log as a [`WalRecord::Delta`]: its
+//! net ℤ-delta per written relation, each with the domain tags its values
+//! decode under. The first property drives arbitrary deltas — all seven
+//! domains, strings from a hostile alphabet, positive and negative
+//! multiplicities, several relations — through
 //!
 //! ```text
-//! Program → program_to_xra → WalRecord::encode_frame
-//!         → wal::scan → parse_program → lower_program → Program
+//! DeltaMap → encode_frame (= delta_frame over put_deltas) → wal::scan → DeltaMap
 //! ```
 //!
-//! and requires the result to equal the original, statement for
-//! statement.
+//! and requires the result to equal the original with its empty
+//! relations dropped. The others feed `wal::scan` bytes no writer
+//! produced: arbitrary tails, and intact frames whose payloads were
+//! mutated and re-checksummed, so only the decoder stands between them
+//! and the caller. Neither may panic, or allocate what a length field
+//! claims rather than what the bytes hold.
 
 use mera_core::prelude::*;
-use mera_expr::{RelExpr, ScalarExpr};
-use mera_lang::{program_to_xra, Lowerer};
 use mera_store::wal::{self, WalRecord};
-use mera_txn::{Program, Statement};
+use mera_txn::{DeltaMap, TupleDelta};
 use proptest::prelude::*;
 
-/// The hostile alphabet: XRA string syntax characters, whitespace the
-/// lexer must carry through, and multi-byte UTF-8.
+/// The hostile alphabet: XRA string syntax characters, whitespace, and
+/// multi-byte UTF-8 — none of which the binary codec may care about.
 const NASTY: &[char] = &[
     'a', 'b', '\'', '\n', '\t', ' ', '"', '\\', 'é', 'µ', '—', 'β', '0', ',', '(', '%',
 ];
 
-fn schema() -> DatabaseSchema {
-    DatabaseSchema::new()
-        .with(
-            "t",
-            Schema::named(&[("name", DataType::Str), ("n", DataType::Int)]),
-        )
-        .expect("fresh")
-}
+const DOMAINS: [DataType; 7] = [
+    DataType::Bool,
+    DataType::Int,
+    DataType::Real,
+    DataType::Str,
+    DataType::Date,
+    DataType::Time,
+    DataType::Money,
+];
 
 fn string_of(picks: &[u8]) -> String {
     picks
@@ -43,91 +45,121 @@ fn string_of(picks: &[u8]) -> String {
         .collect()
 }
 
-/// Builds one statement by shape selector; every shape embeds the
-/// generated strings somewhere the printer must quote them.
-fn statement(shape: u8, s1: String, s2: String, n: i64) -> Statement {
-    let values = |strings: Vec<String>| {
-        let sch = std::sync::Arc::new(Schema::anon(&[DataType::Str, DataType::Int]));
-        let tuples: Vec<Tuple> = strings
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| Tuple::new(vec![Value::str(s), Value::Int(n + i as i64)]))
-            .collect();
-        RelExpr::Values(std::sync::Arc::new(
-            Relation::from_tuples(sch, tuples).expect("well-typed"),
-        ))
-    };
-    match shape % 5 {
-        0 => Statement::insert("t", values(vec![s1, s2])),
-        1 => Statement::delete(
-            "t",
-            RelExpr::scan("t").select(ScalarExpr::attr(1).eq(ScalarExpr::str(s1))),
-        ),
-        2 => Statement::query(
-            RelExpr::scan("t")
-                .select(ScalarExpr::attr(1).eq(ScalarExpr::str(s1)))
-                .ext_project(vec![ScalarExpr::attr(1).concat_with(ScalarExpr::str(s2))]),
-        ),
-        3 => Statement::assign("tmp", values(vec![s1, s2])),
-        _ => Statement::insert("t", values(vec![s1])),
+/// A value of `dtype` drawn from raw material.
+fn value(dtype: DataType, raw: i64, picks: &[u8]) -> Value {
+    match dtype {
+        DataType::Bool => Value::Bool(raw & 1 == 1),
+        DataType::Int => Value::Int(raw),
+        DataType::Real => Value::Real(Real::new(raw as f64 / 8.0).expect("finite")),
+        DataType::Str => Value::str(string_of(picks)),
+        DataType::Date => Value::Date(Date(raw as i32)),
+        DataType::Time => Value::Time(Time(raw as u32)),
+        DataType::Money => Value::Money(Money(raw)),
     }
 }
 
-/// Deterministic regression case: a quote inside a `values` row literal.
-/// The printer once emitted it unescaped, producing a WAL record that
-/// recovery could not parse back — committed-but-unrecoverable history.
-#[test]
-fn quoted_values_literal_survives() {
-    let program = Program::single(statement(0, "it's\n'‚µ'".to_string(), String::new(), 7));
-    let text = program_to_xra(&program);
-    let parsed = mera_lang::parse_program(&text)
-        .unwrap_or_else(|e| panic!("unparseable WAL text {text:?}: {e}"));
-    let sch = schema();
-    let mut lowerer = Lowerer::new(&sch);
-    assert_eq!(lowerer.lower_program(&parsed).expect("lowers"), program);
+/// One relation's raw material: domain picks, and rows of (per-cell raw
+/// values, string picks, multiplicity).
+type RawRelation = (Vec<usize>, Vec<(Vec<i64>, Vec<u8>, i64)>);
+
+fn raw_relation() -> impl Strategy<Value = RawRelation> {
+    (
+        proptest::collection::vec(0usize..DOMAINS.len(), 1..5),
+        proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<i64>(), 4),
+                proptest::collection::vec(0u8..16, 0..8),
+                prop_oneof![-3i64..=3, Just(i64::MAX), Just(i64::MIN + 1)],
+            ),
+            0..6,
+        ),
+    )
+}
+
+/// Builds the delta map; a row whose multiplicity is zero, or whose
+/// repeats cancel, leaves nothing behind, and a relation can end empty.
+fn deltas_of(raw: &[RawRelation], names: &[u8]) -> DeltaMap {
+    let mut deltas = DeltaMap::new();
+    for (i, (domains, rows)) in raw.iter().enumerate() {
+        let name = format!("r{i}{}", string_of(&names[..names.len().min(i)]));
+        let mut delta = TupleDelta::new();
+        for (cells, picks, m) in rows {
+            let values = domains
+                .iter()
+                .zip(cells.iter().cycle())
+                .map(|(&d, &raw)| value(DOMAINS[d], raw, picks))
+                .collect();
+            // an overflowing sum is no delta a commit could publish
+            let _ = delta.insert(Tuple::new(values), *m);
+        }
+        deltas.insert(name, delta);
+    }
+    deltas
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
     #[test]
-    fn committed_text_survives_the_wal_byte_for_byte(
-        shapes in proptest::collection::vec(0u8..5, 1..4),
-        picks1 in proptest::collection::vec(0u8..16, 0..10),
-        picks2 in proptest::collection::vec(0u8..16, 0..10),
-        n in -3i64..100,
+    fn committed_deltas_survive_the_wal_byte_for_byte(
+        raw in proptest::collection::vec(raw_relation(), 1..5),
+        names in proptest::collection::vec(0u8..16, 0..5),
         time in 1u64..1_000_000,
     ) {
-        let s1 = string_of(&picks1);
-        let s2 = string_of(&picks2);
-        let program = Program {
-            statements: shapes
-                .iter()
-                .map(|&sh| statement(sh, s1.clone(), s2.clone(), n))
-                .collect(),
-        };
+        let deltas = deltas_of(&raw, &names);
+        let record = WalRecord::Delta { time, deltas: deltas.clone() };
+        // the live hook encodes the body before it knows the time
+        let mut body = Vec::new();
+        wal::put_deltas(&mut body, &deltas);
+        let frame = wal::delta_frame(time, &body);
+        prop_assert_eq!(&frame, &record.encode_frame());
 
-        // encode into a framed WAL image, scan it back
-        let record = WalRecord::Commit { time, text: program_to_xra(&program) };
         let mut image = wal::empty_wal();
-        image.extend_from_slice(&record.encode_frame());
+        image.extend_from_slice(&frame);
         let scanned = wal::scan(&image).expect("intact frame");
-        prop_assert_eq!(scanned.records.len(), 1);
-        let text = match &scanned.records[0] {
-            WalRecord::Commit { time: t, text } => {
-                prop_assert_eq!(*t, time);
-                text.clone()
-            }
-            other => panic!("wrong record kind: {other:?}"),
-        };
+        prop_assert_eq!(scanned.valid_len as usize, image.len());
+        let mut written = deltas;
+        written.retain(|_, d| !d.is_empty());
+        prop_assert_eq!(scanned.records, vec![WalRecord::Delta { time, deltas: written }]);
+    }
 
-        // parse + lower exactly as recovery does
-        let parsed = mera_lang::parse_program(&text).unwrap_or_else(|e| {
-            panic!("printer produced unparseable WAL text {text:?}: {e}")
-        });
-        let sch = schema();
-        let mut lowerer = Lowerer::new(&sch);
-        let lowered = lowerer.lower_program(&parsed).unwrap_or_else(|e| {
-            panic!("recovered text fails to lower {text:?}: {e}")
-        });
-        prop_assert_eq!(lowered, program);
+    #[test]
+    fn scan_never_panics_on_arbitrary_tails(tail in proptest::collection::vec(0u8..=255, 0..512)) {
+        let mut image = wal::empty_wal();
+        image.extend_from_slice(&tail);
+        let _ = wal::scan(&image);
+    }
+
+    #[test]
+    fn scan_never_panics_on_mutated_checksummed_payloads(
+        which in 0usize..6,
+        raw in proptest::collection::vec(raw_relation(), 1..3),
+        edits in proptest::collection::vec((0usize..=usize::MAX, 0u8..=255), 1..6),
+        cut in 0usize..64,
+    ) {
+        let records = [
+            WalRecord::Declare {
+                name: "t".to_owned(),
+                schema: Schema::named(&[("s", DataType::Str), ("d", DataType::Date)]),
+            },
+            WalRecord::Delta { time: 1, deltas: deltas_of(&raw, &[]) },
+            WalRecord::Commit { time: 2, text: "insert(t, t)".to_owned() },
+            WalRecord::DeclareView { name: "v".to_owned(), text: "t".to_owned() },
+            WalRecord::DeclareIndex { relation: "t".to_owned(), keys: vec![1, 2] },
+            WalRecord::DeclareKey { relation: "t".to_owned(), attrs: vec![1] },
+        ];
+        let mut payload = records[which].encode_payload();
+        for (at, byte) in edits {
+            let i = at % payload.len();
+            payload[i] = byte;
+        }
+        payload.truncate(payload.len() - cut % payload.len());
+        let mut image = wal::empty_wal();
+        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        image.extend_from_slice(&mera_store::crc::crc32(&payload).to_le_bytes());
+        image.extend_from_slice(&payload);
+        // intact framing: whatever the payload, the scanner decodes it or
+        // reports corruption
+        let _ = wal::scan(&image);
     }
 }

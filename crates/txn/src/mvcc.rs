@@ -31,6 +31,11 @@
 //!    deltas exactly like the serial path, and the result is published
 //!    as the next version.
 //!
+//! The isolation level is **snapshot isolation**, not serializability:
+//! a commit installs the delta computed on its snapshot, so a lost update
+//! aborts but write skew and a read of a concurrently changed relation
+//! are admitted (`tests/isolation.rs` pins all three).
+//!
 //! Read-only programs never enter the commit section at all: their
 //! outputs are complete once evaluated against the snapshot, so they
 //! neither tick logical time nor create versions — this is what lets
@@ -211,13 +216,10 @@ impl PreparedTxn {
         self.deltas.values().all(TupleDelta::is_empty)
     }
 
-    /// The relations this transaction wrote.
-    pub fn written_relations(&self) -> Vec<String> {
-        self.deltas
-            .iter()
-            .filter(|(_, d)| !d.is_empty())
-            .map(|(n, _)| n.clone())
-            .collect()
+    /// The net signed delta per relation this transaction wrote — what a
+    /// commit of it adds to whichever version it lands on.
+    pub fn deltas(&self) -> &DeltaMap {
+        &self.deltas
     }
 }
 
@@ -390,39 +392,23 @@ impl MvccManager {
         let _guard = self.commit.lock();
         let latest = self.pin();
         let writes = WriteSet::of(&deltas, latest.keys());
-        // When nothing intervened the candidate state *is* the next
-        // state; otherwise validate, and re-apply the deltas to the
-        // newest state — they commute with the disjoint intervening ones.
-        let next_db = if latest.seq == start.seq {
-            candidate
-        } else {
-            if let Some(conflict) = self.validate(&start, &latest, &writes) {
-                return Ok((Outcome::Aborted(conflict), latest));
-            }
-            let mut db = latest.database().clone();
-            let mut failed = Vec::new();
-            for (name, delta) in &deltas {
-                if !delta.is_empty() && apply_delta(&mut db, name, delta).is_err() {
-                    failed.push(name.clone());
-                }
-            }
-            if !failed.is_empty() {
-                // a retraction outran the merged base — only possible if
-                // granularity was degraded; surface as a conflict
-                let conflict = AbortReason::Conflict {
-                    relations: failed,
-                    committed_at: latest.time(),
-                };
-                return Ok((Outcome::Aborted(conflict), latest));
-            }
-            db
-        };
         // the fold runs on a clone — published versions are never
         // mutated, so a refused fold (a key point another commit took
         // since the snapshot, a view whose full recompute failed) is
         // just dropped
         let mut next = Version::clone(&latest);
-        if let Err(reason) = next.commit(next_db, deltas, self.config) {
+        // When nothing intervened the candidate state *is* the next
+        // state; otherwise validate, and add the deltas to the newest
+        // state — they commute with the disjoint intervening ones.
+        let folded = if latest.seq == start.seq {
+            next.commit(candidate, deltas, self.config)
+        } else {
+            if let Some(conflict) = self.validate(&start, &latest, &writes) {
+                return Ok((Outcome::Aborted(conflict), latest));
+            }
+            next.apply(deltas, self.config)
+        };
+        if let Err(reason) = folded {
             return Ok((Outcome::Aborted(reason), latest));
         }
         durability(next.time())?;
@@ -611,18 +597,6 @@ fn infallible<T>(result: Result<T, Infallible>) -> T {
         Ok(t) => t,
         Err(e) => match e {},
     }
-}
-
-/// Applies a signed delta to one relation of `db` in place. Fails with
-/// [`CoreError::NegativeMultiplicity`] when a retraction outruns the base
-/// — which first-committer-wins validation rules out for admitted
-/// commits.
-fn apply_delta(db: &mut Database, name: &str, delta: &TupleDelta) -> CoreResult<()> {
-    db.update_with(name, |rel| {
-        let mut next = rel.clone();
-        next.apply(delta)?;
-        Ok(next)
-    })
 }
 
 #[cfg(test)]

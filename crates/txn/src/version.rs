@@ -12,7 +12,8 @@
 //!   and hands back the candidate post-state with its signed deltas;
 //! * [`Version::commit`] folds those deltas into the whole catalog and
 //!   installs the next database (`D_t → D_{t+1}`: the one place the
-//!   transaction clock ticks);
+//!   transaction clock ticks); [`Version::apply`] does it from the deltas
+//!   alone, to rebase a commit or to replay one from the WAL;
 //! * [`Version::add_relation`], [`Version::create_view`],
 //!   [`Version::create_index`] and [`Version::declare_key`] admit DDL
 //!   (`E0301`/`E0303`/`E0401`–`E0403`).
@@ -215,15 +216,32 @@ impl Version {
     /// maintenance plans.
     ///
     /// On `Err` the version is partly folded and must be dropped — call
-    /// this on a clone, or where a failure is fatal anyway (recovery).
+    /// this on a clone, or where a failure is fatal anyway.
     pub fn commit(
         &mut self,
-        mut db: Database,
+        db: Database,
         deltas: DeltaMap,
         config: ExecConfig,
     ) -> Result<(), AbortReason> {
+        self.db = Arc::new(db);
+        self.fold(deltas, config)
+    }
+
+    /// [`Version::commit`] from the deltas alone, in place
+    /// (`D_{t+1} = D_t + Δ`); a delta that does not fit fails it. On a
+    /// uniquely owned version (recovery) nothing is copied.
+    pub fn apply(&mut self, deltas: DeltaMap, config: ExecConfig) -> Result<(), AbortReason> {
+        let db = Arc::make_mut(&mut self.db);
+        for (name, delta) in &deltas {
+            db.apply(name, delta).map_err(AbortReason::Error)?;
+        }
+        self.fold(deltas, config)
+    }
+
+    /// The catalog half of a commit, once `self.db` holds the post-state.
+    fn fold(&mut self, deltas: DeltaMap, config: ExecConfig) -> Result<(), AbortReason> {
         self.check_keys(&deltas)?;
-        let time = db.tick();
+        let time = Arc::make_mut(&mut self.db).tick();
         let stats = Arc::make_mut(&mut self.stats);
         let indexes = Arc::make_mut(&mut self.indexes);
         let keys = Arc::make_mut(&mut self.keys);
@@ -232,7 +250,7 @@ impl Version {
             if delta.is_empty() {
                 continue;
             }
-            if let Ok(post) = db.relation(name) {
+            if let Ok(post) = self.db.relation(name) {
                 stats.apply_commit(name, delta, post);
             }
             // the check above passed, so folding the deltas in cannot
@@ -244,20 +262,11 @@ impl Version {
         if !indexes_current {
             // incremental maintenance failed; the definitions still hold
             // and the base commit is fine — rebuild from the post-state
-            let _ = indexes.rebuild(&db);
+            let _ = indexes.rebuild(&self.db);
         }
-        self.db = Arc::new(db);
         self.views
             .refresh_after_commit(deltas, &self.db, config)
             .map_err(AbortReason::Error)
-    }
-
-    /// Moves the clock forward to `t` without a transaction — recovery
-    /// only: a replayed commit must land at exactly the logical time its
-    /// log record carries, and logs written before aborts stopped
-    /// ticking have gaps between consecutive commit times.
-    pub fn advance_time_to(&mut self, t: LogicalTime) -> CoreResult<()> {
-        Arc::make_mut(&mut self.db).advance_time_to(t)
     }
 
     /// Adds a fresh empty relation (the `relation r (…)` / `CREATE TABLE`

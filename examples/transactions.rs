@@ -96,22 +96,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("database unchanged after abort ✓ (T(D) = D, the atomicity property)");
 
     // ── durability: the write-ahead log is the redo log ───────────────
+    // each commit is logged as the net ℤ-delta it installed, D_t − D_{t−1}
     let image = disk.image();
-    let commits: Vec<String> = wal::scan(&image[WAL_FILE])?
-        .records
-        .into_iter()
-        .filter_map(|record| match record {
-            WalRecord::Commit { time, text } => Some(format!("{time}\t{text}")),
-            _ => None,
-        })
-        .collect();
+    let mut commits = 0;
+    let mut lines = Vec::new();
+    for record in wal::scan(&image[WAL_FILE])?.records {
+        if let WalRecord::Delta { time, deltas } = record {
+            commits += 1;
+            for (relation, delta) in deltas {
+                let mut rows: Vec<_> = delta.into_iter().collect();
+                rows.sort();
+                for (tuple, m) in rows {
+                    lines.push(format!("{time}\t{relation}\t{m:+}\t{tuple}"));
+                }
+            }
+        }
+    }
     println!(
-        "\nthe log holds {} committed transaction(s) — reads and aborts leave no record:",
-        commits.len()
+        "\nthe log holds {commits} committed transaction(s) — reads and aborts leave no record:"
     );
-    for line in &commits {
-        let shown: String = line.chars().take(100).collect();
-        println!("{shown}{}", if shown.len() < line.len() { "…" } else { "" });
+    for line in &lines {
+        println!("{line}");
     }
     // "power loss": reopen from the bytes that reached the disk
     let rebooted = MemStorage::from_image(image);

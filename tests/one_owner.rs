@@ -9,8 +9,12 @@
 //! serial owners used to tick logical time on an abort.
 
 use mera::core::prelude::*;
+use mera::core::tuple;
 use mera::lang::RunResult::{Aborted, Committed};
-use mera::store::{wal, ConcurrentDb, MemStorage, Storage, StoreOptions, WalRecord, WAL_FILE};
+use mera::store::{
+    wal, ConcurrentDb, MemStorage, Storage, StoreError, StoreOptions, WalRecord, WAL_FILE,
+};
+use mera::txn::DeltaMap;
 
 type Db = ConcurrentDb<MemStorage>;
 
@@ -141,36 +145,70 @@ fn the_clock_ticks_once_per_committed_writer_through_every_door() {
 }
 
 #[test]
-fn a_log_with_abort_gaps_recovers_to_its_recorded_times() {
-    // a WAL as the serial durable door wrote it: an aborted attempt
-    // between the two commits ticked the clock, so their records carry
-    // times 1 and 3
-    let mut storage = MemStorage::new();
-    let mut bytes = wal::empty_wal();
-    let insert = |id: i64| format!("insert(acct, values (int, str) {{({id}, 'x')}})");
-    for record in [
-        WalRecord::Declare {
-            name: "acct".to_owned(),
-            schema: Schema::named(&[("id", DataType::Int), ("owner", DataType::Str)]),
-        },
-        WalRecord::Commit {
-            time: 1,
-            text: insert(1),
-        },
-        WalRecord::Commit {
-            time: 3,
-            text: insert(2),
-        },
-    ] {
-        bytes.extend_from_slice(&record.encode_frame());
-    }
-    storage.replace_atomic(WAL_FILE, &bytes).expect("writes");
+fn a_text_log_is_refused_and_a_gap_in_delta_times_is_corrupt() {
+    // a WAL as the serial durable door wrote it: program text, and an
+    // aborted attempt between the two commits ticked the clock, so their
+    // records carry times 1 and 3
+    let declare = WalRecord::Declare {
+        name: "acct".to_owned(),
+        schema: Schema::named(&[("id", DataType::Int), ("owner", DataType::Str)]),
+    };
+    let image = |records: &[WalRecord]| {
+        let mut storage = MemStorage::new();
+        let mut bytes = wal::empty_wal();
+        for record in records {
+            bytes.extend_from_slice(&record.encode_frame());
+        }
+        storage.replace_atomic(WAL_FILE, &bytes).expect("writes");
+        storage
+    };
+    let reopened = |storage: &MemStorage| {
+        ConcurrentDb::open(
+            MemStorage::from_image(storage.image()),
+            DatabaseSchema::new(),
+            StoreOptions::default(),
+        )
+    };
+    let text = |time: u64, id: i64| WalRecord::Commit {
+        time,
+        text: format!("insert(acct, values (int, str) {{({id}, 'x')}})"),
+    };
+    let err = reopened(&image(&[declare.clone(), text(1, 1), text(3, 2)]))
+        .expect_err("text commits are not replayed");
+    assert_eq!(err, StoreError::TextCommitRecord { time: 1 });
 
-    let recovered = reopen(&storage).pin();
-    assert_eq!(recovered.time(), 3);
+    // the clock ticks once per committed writer, so consecutive delta
+    // records are one tick apart; a gap means a lost or foreign record
+    let delta = |time: u64, id: i64| WalRecord::Delta {
+        time,
+        deltas: DeltaMap::from([(
+            "acct".to_owned(),
+            [(tuple![id, "x"], 1)].into_iter().collect(),
+        )]),
+    };
+    let recovered = reopened(&image(&[declare.clone(), delta(1, 1), delta(2, 2)]))
+        .expect("consecutive deltas recover")
+        .pin();
+    assert_eq!(recovered.time(), 2);
     assert_eq!(
         recovered.database().relation("acct").expect("acct").len(),
         2
     );
     assert!(recovered.stats().is_current(recovered.database()));
+    let err = reopened(&image(&[declare.clone(), delta(1, 1), delta(3, 2)]))
+        .expect_err("a gap is not a history");
+    assert!(matches!(err, StoreError::CorruptWal(_)), "{err}");
+
+    // a delta must fit the catalog: its relation, and its domains
+    let foreign = |relation: &str, tuple: Tuple| WalRecord::Delta {
+        time: 1,
+        deltas: DeltaMap::from([(relation.to_owned(), [(tuple, 1)].into_iter().collect())]),
+    };
+    for record in [
+        foreign("nobody", tuple![1, "x"]),
+        foreign("acct", tuple!["x", 1]),
+    ] {
+        let err = reopened(&image(&[declare.clone(), record])).expect_err("not this catalog's");
+        assert!(matches!(err, StoreError::CorruptWal(_)), "{err}");
+    }
 }
