@@ -44,7 +44,7 @@
 //! the cost model hinted probes the right relation's index per probe row
 //! instead of building a hash table.
 //!
-//! All workers come from the process-wide reusable [`crate::pool`] — no
+//! All workers come from the process-wide reusable `crate::pool` — no
 //! per-operator thread spawns — and the calling thread is always one of
 //! the workers, so execution completes even when the pool is saturated;
 //! at one worker it is the only one, and no scheduling happens at all.

@@ -1,6 +1,6 @@
 //! Typed column vectors and the vectorized scalar evaluator.
 //!
-//! A [`CountedBatch`](super::CountedBatch) stores one [`Column`] per
+//! A [`CountedBatch`] stores one [`Column`] per
 //! attribute plus a dedicated multiplicity column, DuckDB/Velox style. The
 //! two common domains get unboxed storage — `int` as `Vec<i64>`, `str` as
 //! `Vec<Sym>` (interned, so a cell is one pointer-sized handle) — and the
@@ -18,7 +18,7 @@
 //! semantics, where `σ_{a ∧ b}` never evaluates `b` on a row `a` already
 //! rejected. Because a vectorized sub-expression surfaces *some* failing
 //! row's error rather than necessarily the first one in row order, the
-//! top-level entry points ([`eval_filter_mask`], [`eval_project`]) fall
+//! top-level entry points (`eval_filter_mask`, `eval_project`) fall
 //! back to row-at-a-time evaluation on error and report the exact error
 //! the row engine would have produced: the vectorized path errors if and
 //! only if the row path does (both evaluate the same deterministic

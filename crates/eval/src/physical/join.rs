@@ -341,7 +341,7 @@ impl JoinTable {
 }
 
 /// A radix-partitioned join build: one disjoint [`JoinTable`] per
-/// partition of the key-hash space ([`radix_of`] on the columnar key
+/// partition of the key-hash space (`radix_of` on the columnar key
 /// hash). The morsel engine's build phase fills each partition's table
 /// with exactly one worker — workers own disjoint key ranges, so there is
 /// no shared table, no locking and no merge step. Probing partitions each

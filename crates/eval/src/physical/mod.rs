@@ -10,7 +10,7 @@
 //! one million costs one row, not a million; the columnar layout on top
 //! turns the inner loops of selection, projection and hash probing into
 //! tight per-column loops over unboxed cells (`Vec<i64>`, interned
-//! `Vec<Sym>`) — see [`column`] for the layout and the vectorized
+//! `Vec<Sym>`) — see [`mod@column`] for the layout and the vectorized
 //! evaluator, and DESIGN.md §9 for the row-materialization boundary.
 //!
 //! A counted stream may emit the *same* tuple in several rows and batches
@@ -158,7 +158,7 @@ impl CountedBatch {
     }
 
     /// Per-row key hashes over the 0-based key column `offsets`, combined
-    /// with [`column`]'s internally-consistent columnar hash.
+    /// with [`mod@column`]'s internally-consistent columnar hash.
     pub fn key_hashes(&self, offsets: &[usize]) -> Vec<u64> {
         let mut hashes = vec![0_u64; self.len()];
         for &off in offsets {

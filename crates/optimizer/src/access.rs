@@ -5,7 +5,7 @@
 //! probing the maintained hash index per left row instead of building a
 //! fresh hash table over the right side. Whether that wins is a
 //! statistics question: a probe is random access
-//! ([`INDEX_PROBE_FACTOR`](crate::cost::INDEX_PROBE_FACTOR) × a streamed
+//! ([`INDEX_PROBE_FACTOR`] × a streamed
 //! row), but the build side is skipped entirely, so the index pays off
 //! exactly when the probe side is smaller than the indexed side.
 //!

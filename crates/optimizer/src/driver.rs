@@ -2,7 +2,7 @@
 //!
 //! Soundness is enforced in two layers on **every** rule application:
 //!
-//! 1. the rule's declared [`Precondition`](crate::rules::Precondition) is
+//! 1. the rule's declared [`Precondition`] is
 //!    discharged statically ([`mera_analyze::discharge`]) — schema
 //!    preservation plus whatever obligations the rule owes;
 //! 2. under [`VerifyMode::Differential`] (the default in debug builds)

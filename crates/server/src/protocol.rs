@@ -89,7 +89,7 @@ pub enum Response {
     Done {
         /// Transactions that committed.
         committed: u32,
-        /// Transactions that aborted (conflicts, constraint violations).
+        /// Transactions that aborted (conflicts, key violations).
         aborted: u32,
     },
     /// The request failed as a whole: parse error, unknown relation,
@@ -98,7 +98,7 @@ pub enum Response {
     /// Answer to [`Request::Ping`].
     Pong,
     /// Non-terminal diagnostic: a transaction inside the request
-    /// aborted (conflict, constraint violation) but the request itself
+    /// aborted (conflict, key violation) but the request itself
     /// carried on; the reason text is rendered for the client.
     Notice(String),
 }

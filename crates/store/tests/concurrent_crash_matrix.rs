@@ -82,6 +82,12 @@ fn drive_concurrent(
             .collect();
         let (db, acked) = (Arc::clone(db), Arc::clone(&acked));
         workers.push(thread::spawn(move || {
+            // the audit copies writer 0's rows: start once one is
+            // published, or a scheduler that runs this thread first
+            // leaves the race without a reader-writer commit
+            while !has_writer_zero_row(&db.pin()) {
+                thread::yield_now();
+            }
             for _ in 0..PER_WRITER {
                 commit_acked(&db, &audit_program(), &acked);
             }
@@ -119,6 +125,11 @@ fn commit_acked(db: &ConcurrentDb<MemStorage>, program: &Program, acked: &Acked)
             (o, _) => panic!("unexpected abort: {o:?}"),
         }
     }
+}
+
+fn has_writer_zero_row(version: &mera_txn::Version) -> bool {
+    let log = version.database().relation("log").expect("declared");
+    log.iter().any(|(t, _)| t.values()[0] == Value::Int(0))
 }
 
 /// The reader-writer: copies writer 0's rows, as of its snapshot, into

@@ -14,10 +14,12 @@
 //! relations dropped. The others feed `wal::scan` bytes no writer
 //! produced: arbitrary tails, and intact frames whose payloads were
 //! mutated and re-checksummed, so only the decoder stands between them
-//! and the caller. Neither may panic, or allocate what a length field
-//! claims rather than what the bytes hold.
+//! and the caller. The last does the same to a checkpoint snapshot's
+//! body for `snapshot::decode`. None may panic, or allocate what a length
+//! field claims rather than what the bytes hold.
 
 use mera_core::prelude::*;
+use mera_store::snapshot;
 use mera_store::wal::{self, WalRecord};
 use mera_txn::{DeltaMap, TupleDelta};
 use proptest::prelude::*;
@@ -97,6 +99,28 @@ fn deltas_of(raw: &[RawRelation], names: &[u8]) -> DeltaMap {
     deltas
 }
 
+/// A database holding each raw relation, every row at least once.
+fn database_of(raw: &[RawRelation]) -> Database {
+    let mut schema = DatabaseSchema::new();
+    let mut relations = Vec::new();
+    for (i, (domains, rows)) in raw.iter().enumerate() {
+        let dtypes: Vec<DataType> = domains.iter().map(|&d| DOMAINS[d]).collect();
+        let rs = RelationSchema::new(format!("r{i}"), Schema::anon(&dtypes));
+        let pairs = rows.iter().map(|(cells, picks, m)| {
+            let values = dtypes
+                .iter()
+                .zip(cells.iter().cycle())
+                .map(|(&d, &raw)| value(d, raw, picks))
+                .collect();
+            (Tuple::new(values), m.unsigned_abs().clamp(1, 3))
+        });
+        let relation = Relation::from_counted(rs.schema.clone(), pairs).expect("typed");
+        relations.push((rs.name.clone(), relation));
+        schema.add(rs).expect("fresh name");
+    }
+    Database::from_parts(schema, relations, 7).expect("declared")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -161,5 +185,31 @@ proptest! {
         // intact framing: whatever the payload, the scanner decodes it or
         // reports corruption
         let _ = wal::scan(&image);
+    }
+
+    #[test]
+    fn snapshot_decode_never_panics_on_mutated_checksummed_bodies(
+        raw in proptest::collection::vec(raw_relation(), 1..3),
+        edits in proptest::collection::vec((0usize..=usize::MAX, 0u8..=255), 1..6),
+        cut in 0usize..64,
+    ) {
+        let reframe = |body: &[u8]| {
+            let mut image = snapshot::SNAPSHOT_MAGIC.to_vec();
+            image.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            image.extend_from_slice(&mera_store::crc::crc32(body).to_le_bytes());
+            image.extend_from_slice(body);
+            image
+        };
+        let image = snapshot::encode(&database_of(&raw));
+        // magic, body length and CRC precede the body
+        let mut body = image[snapshot::SNAPSHOT_MAGIC.len() + 8..].to_vec();
+        prop_assert_eq!(&reframe(&body), &image);
+        for (at, byte) in edits {
+            let i = at % body.len();
+            body[i] = byte;
+        }
+        body.truncate(body.len() - cut % body.len());
+        // intact header and checksum: the decoder alone decides
+        let _ = snapshot::decode(&reframe(&body));
     }
 }

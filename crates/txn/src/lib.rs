@@ -25,7 +25,6 @@
 
 #![warn(missing_docs)]
 
-pub mod constraints;
 pub mod exec;
 pub mod explain;
 pub mod mvcc;
@@ -34,7 +33,6 @@ pub mod transaction;
 pub mod version;
 pub mod views;
 
-pub use constraints::{Constraint, ConstraintSet, Violation};
 pub use exec::{
     analyze_program_with_views, execute_program, execute_statement, ExecConfig, Outputs,
     WorkingState,

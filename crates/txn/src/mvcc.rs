@@ -56,7 +56,6 @@ use mera_expr::rel::RelExpr;
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashSet;
 
-use crate::constraints::ConstraintSet;
 use crate::exec::{ExecConfig, Outputs};
 use crate::statement::Program;
 use crate::transaction::{AbortReason, DeclareKeyError, Outcome};
@@ -253,7 +252,6 @@ pub struct MvccManager {
     /// Serializes the validate-fold-publish commit section (and DDL).
     commit: Mutex<()>,
     config: ExecConfig,
-    constraints: ConstraintSet,
     options: MvccOptions,
 }
 
@@ -282,15 +280,8 @@ impl MvccManager {
             }),
             commit: Mutex::new(()),
             config,
-            constraints: ConstraintSet::new(),
             options: MvccOptions::default(),
         }
-    }
-
-    /// Enforces an integrity constraint set at every commit point.
-    pub fn with_constraints(mut self, constraints: ConstraintSet) -> Self {
-        self.constraints = constraints;
-        self
     }
 
     /// Overrides the retention options.
@@ -302,11 +293,6 @@ impl MvccManager {
     /// The execution configuration transactions run with.
     pub fn config(&self) -> ExecConfig {
         self.config
-    }
-
-    /// The constraint set enforced at commit time.
-    pub fn constraints(&self) -> &ConstraintSet {
-        &self.constraints
     }
 
     /// Pins the newest published version. O(1); the returned version is
@@ -336,15 +322,16 @@ impl MvccManager {
     }
 
     /// Executes a program against a pinned snapshot without committing
-    /// ([`Version::run`]): static analysis, statement execution,
-    /// constraint check and an early key check all run against the
-    /// snapshot. No locks are taken and no shared state is touched.
+    /// ([`Version::run`]): static analysis, statement execution and an
+    /// early key check all run against the snapshot. No locks are taken
+    /// and no shared state is touched. The keys are checked again by
+    /// [`MvccManager::try_commit`] on the version the commit lands in.
     pub fn prepare(
         &self,
         start: Arc<Version>,
         program: &Program,
     ) -> Result<PreparedTxn, AbortReason> {
-        let (db, deltas, outputs) = start.run(program, self.config, &self.constraints)?;
+        let (db, deltas, outputs) = start.run(program, self.config)?;
         Ok(PreparedTxn {
             start,
             db,
@@ -1000,29 +987,6 @@ mod tests {
         let (outcome, _) = mgr.execute(&program);
         let out = &outcome.outputs().expect("committed").queries[0];
         assert_eq!(out.len(), 2, "query must see the uncommitted deposit");
-    }
-
-    #[test]
-    fn constraints_are_checked_at_the_commit_point() {
-        let positive = crate::constraints::Constraint::Check {
-            relation: "acct".to_owned(),
-            predicate: ScalarExpr::attr(2).cmp(mera_expr::CmpOp::Gt, ScalarExpr::int(0)),
-        };
-        let constraints = ConstraintSet::new()
-            .with("positive_amount", positive, &schema())
-            .expect("well-formed");
-        let mgr = MvccManager::new(schema()).with_constraints(constraints);
-        assert_eq!(mgr.constraints().len(), 1);
-        assert!(mgr.execute(&deposit("a", 1)).0.is_committed());
-        let (outcome, _) = mgr.execute(&deposit("b", -2));
-        assert!(
-            matches!(
-                outcome,
-                Outcome::Aborted(AbortReason::ConstraintViolation(_))
-            ),
-            "{outcome:?}"
-        );
-        assert_eq!(mgr.time(), 1);
     }
 
     #[test]

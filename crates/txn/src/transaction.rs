@@ -28,9 +28,6 @@ pub enum AbortReason {
     /// no statement was executed. Carries *every* diagnostic of the run
     /// (warnings included), in analysis order.
     StaticallyRejected(Vec<mera_analyze::Diagnostic>),
-    /// The commit-time integrity check found a violation (the enforcement
-    /// model of the paper's reference \[11\]).
-    ConstraintViolation(String),
     /// A declared key constraint would be violated by the transaction's
     /// net deltas — detected in O(|delta|) at the commit point, before
     /// anything is installed. Carries the `E0401` diagnostic.
@@ -57,7 +54,6 @@ impl fmt::Display for AbortReason {
                     .expect("a static rejection carries at least one error");
                 write!(f, "static analysis rejected the program: {first}")
             }
-            AbortReason::ConstraintViolation(v) => write!(f, "{v}"),
             AbortReason::KeyViolation(d) => write!(f, "{d}"),
             AbortReason::Conflict {
                 relations,

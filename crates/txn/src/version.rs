@@ -32,7 +32,6 @@ use mera_eval::{IndexSet, KeySet};
 use mera_expr::rel::RelExpr;
 use mera_opt::{CatalogStats, TableStats};
 
-use crate::constraints::ConstraintSet;
 use crate::exec::{
     analyze_program_with_views, eval_expr, execute_program, ExecConfig, Outputs, WorkingState,
 };
@@ -159,8 +158,11 @@ impl Version {
 
     /// Executes a program against this state without changing it (the
     /// statements of Definition 4.3's brackets): static analysis, the
-    /// statement loop over intermediate states, the commit-time integrity
-    /// check and an early key check. Returns the candidate post-state
+    /// statement loop over intermediate states and an early key check.
+    /// Declared keys are the only integrity check, and the authoritative
+    /// one runs in [`Version::commit`] on the version the commit folds
+    /// into — under snapshot isolation this state may be stale by then.
+    /// Returns the candidate post-state
     /// `D_t.n` (temporaries dropped, clock not yet ticked), the net
     /// signed deltas per written relation, and the query outputs — or
     /// the reason the transaction aborts.
@@ -168,7 +170,6 @@ impl Version {
         &self,
         program: &Program,
         config: ExecConfig,
-        constraints: &ConstraintSet,
     ) -> Result<(Database, DeltaMap, Outputs), AbortReason> {
         // static pre-check: a program with error-severity diagnostics
         // aborts before any statement runs (warnings pass through — they
@@ -181,14 +182,6 @@ impl Version {
         }
         let mut state = self.working_state();
         let outputs = execute_program(&mut state, program, config).map_err(AbortReason::Error)?;
-        // commit-time integrity check (the [11] enforcement point)
-        match constraints.validate(&state.db) {
-            Ok(Ok(())) => {}
-            Ok(Err(violation)) => {
-                return Err(AbortReason::ConstraintViolation(violation.to_string()));
-            }
-            Err(e) => return Err(AbortReason::Error(e)),
-        }
         // fail fast against this version's keys; `commit` re-checks
         // against the counts of the version it actually folds into
         self.check_keys(&state.deltas)?;

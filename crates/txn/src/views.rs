@@ -4,7 +4,7 @@
 //! across commits. Instead of re-evaluating the definition after every
 //! transaction, the commit path computes per-base-relation *deltas* as
 //! ℤ-relations ([`TupleDelta`], a `KBag<Tuple, i64>`) and pushes them
-//! through a delta-rewritten plan ([`MaintNode`]) whose rules run in ℤ on
+//! through a delta-rewritten plan (`MaintNode`) whose rules run in ℤ on
 //! the same bag type the database stores in ℕ:
 //!
 //! * σ, π and π̄ are **linear**: their multiplicity laws hold in every
@@ -23,7 +23,7 @@
 //!   bags (−/∩) and emits retraction/assertion pairs for the touched rows
 //!   only.
 //! * closure alone falls back to **recompute-and-diff**
-//!   ([`MaintNode::Recompute`]): the subtree is re-evaluated and diffed
+//!   (`MaintNode::Recompute`): the subtree is re-evaluated and diffed
 //!   against its previous result.
 //!
 //! The engine only evaluates: it seeds operator state when a plan is

@@ -1,19 +1,19 @@
 //! The §5 extensions in action: transitive closure (recursive queries)
-//! and commit-time integrity constraints.
+//! and commit-time integrity through a declared key.
 //!
 //! The paper's conclusion points at both: "the addition of a transitive
 //! closure operator allowing expressions with a recursive nature is
 //! discussed in [11]", and "integrity constraints … interested readers
-//! are referred to [11]".
+//! are referred to [11]". Of integrity, `mera` keeps keys only: they are
+//! what licenses dropping δ, and they can be checked on the version a
+//! commit lands in.
 //!
 //! Run with `cargo run --example recursive_queries`.
 
-use std::sync::Arc;
-
 use mera::core::prelude::*;
-use mera::expr::{Aggregate, RelExpr, ScalarExpr};
+use mera::expr::{Aggregate, RelExpr};
 use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
-use mera::txn::{Constraint, ConstraintSet, ExecConfig, MvccManager, Program, Statement};
+use mera::txn::{AbortReason, ExecConfig, Outcome};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ── recursive queries via closure(E) ───────────────────────────────
@@ -51,103 +51,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fanout = query("groupby[(%1), CNT, %2](closure(supplies))")?;
     println!("transitive fan-out per part:\n{fanout}");
 
-    // ── integrity constraints at commit time ──────────────────────────
-    let schema = DatabaseSchema::new()
-        .with(
-            "supplies",
-            Schema::named(&[("part", DataType::Str), ("component", DataType::Str)]),
-        )?
-        .with("part", Schema::named(&[("name", DataType::Str)]))?;
-    let constraints = ConstraintSet::new()
-        .with(
-            "supplies_pk",
-            Constraint::PrimaryKey {
-                relation: "supplies".into(),
-                attrs: vec![1, 2],
-            },
-            &schema,
-        )?
-        .with(
-            "component_fk",
-            Constraint::ForeignKey {
-                relation: "supplies".into(),
-                attrs: vec![2],
-                references: "part".into(),
-                ref_attrs: vec![1],
-            },
-            &schema,
-        )?
-        .with(
-            "no_self_supply",
-            Constraint::Check {
-                relation: "supplies".into(),
-                predicate: ScalarExpr::attr(1).cmp(mera::expr::CmpOp::Ne, ScalarExpr::attr(2)),
-            },
-            &schema,
-        )?;
-    let mgr = MvccManager::new(schema).with_constraints(constraints);
-
-    let part_rows = |names: &[&str]| -> Relation {
-        Relation::from_tuples(
-            Arc::new(Schema::named(&[("name", DataType::Str)])),
-            names.iter().map(|n| tuple![*n]),
-        )
-        .expect("typed")
+    // ── integrity: a declared key, checked at commit time ─────────────
+    // the same database declares (part, component) a key: each edge of
+    // the bill of materials appears once, and every commit checks its net
+    // delta against the key in O(|delta|)
+    db.run_script("key supplies (part, component);")?;
+    let before = db.pin();
+    let duplicate =
+        mera::lang::parse_program("insert(supplies, values (str, str) {('bike', 'frame')})")?;
+    let duplicate = mera::lang::Lowerer::new(&before.catalog_schema()).lower_program(&duplicate)?;
+    let outcome = db.try_execute(&duplicate)?;
+    let Outcome::Aborted(AbortReason::KeyViolation(diag)) = &outcome else {
+        panic!("a duplicate edge must abort on the key, got {outcome:?}");
     };
-    let edge = |a: &str, b: &str| -> Relation {
-        Relation::from_tuples(
-            Arc::new(Schema::named(&[
-                ("part", DataType::Str),
-                ("component", DataType::Str),
-            ])),
-            vec![tuple![a, b]],
-        )
-        .expect("typed")
-    };
+    println!("\nduplicate edge aborts: {diag}");
+    assert_eq!(diag.code.as_str(), "E0401");
+    assert_eq!(db.pin().seq(), before.seq(), "an abort publishes nothing");
 
-    // a valid load commits
-    let (outcome, _) = mgr.execute(
-        &Program::new()
-            .then(Statement::insert(
-                "part",
-                RelExpr::values(part_rows(&["bike", "frame", "wheel"])),
-            ))
-            .then(Statement::insert(
-                "supplies",
-                RelExpr::values(edge("bike", "frame")),
-            ))
-            .then(Statement::insert(
-                "supplies",
-                RelExpr::values(edge("bike", "wheel")),
-            )),
-    );
-    println!("\nvalid load: committed = {}", outcome.is_committed());
-
-    // a dangling component aborts atomically at commit time
-    let before = mgr.pin();
-    let (outcome, after) = mgr.execute(&Program::single(Statement::insert(
-        "supplies",
-        RelExpr::values(edge("wheel", "warpdrive")),
-    )));
-    println!("dangling component: {outcome:?}");
-    assert!(!outcome.is_committed());
-    assert_eq!(after.seq(), before.seq(), "an abort publishes nothing");
-
-    // a self-supply violates the check constraint
-    let (outcome, _) = mgr.execute(&Program::single(Statement::insert(
-        "supplies",
-        RelExpr::values(edge("wheel", "wheel")),
-    )));
-    println!("self-supply: {outcome:?}");
-    assert!(!outcome.is_committed());
-
-    // meanwhile closure still works on the committed state
+    // a new edge commits, and closure still works on the committed state
+    db.run_script("insert(supplies, values (str, str) {('spoke', 'nipple')});")?;
     let reachable = mera::eval::eval(
         &RelExpr::scan("supplies")
             .closure()
             .group_by(&[1], Aggregate::Cnt, 2),
-        mgr.pin().database(),
+        db.pin().database(),
     )?;
-    println!("\ntransitive fan-out in the constrained database:\n{reachable}");
+    println!("\ntransitive fan-out in the keyed database:\n{reachable}");
     Ok(())
 }

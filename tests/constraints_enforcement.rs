@@ -1,191 +1,105 @@
-//! Commit-time integrity enforcement (the paper's reference [11] model):
-//! a transaction whose final state violates a declared constraint aborts
-//! atomically; deferred checking allows transient violations *inside* the
-//! transaction.
+//! Commit-time integrity enforcement through the one door: a key declared
+//! with `key r (…);` is checked against each transaction's *net* delta,
+//! so a violating transaction aborts atomically with `E0401`, a violation
+//! that is undone inside the same transaction is no violation, and the
+//! declaration survives a reopen from the storage image.
 
-use std::sync::Arc;
-
+use mera::analyze::Code;
 use mera::core::prelude::*;
-use mera::expr::{CmpOp, RelExpr, ScalarExpr};
-use mera::txn::{AbortReason, Constraint, ConstraintSet, MvccManager, Outcome, Program, Statement};
+use mera::lang::{parse_program, Lowerer};
+use mera::store::{ConcurrentDb, MemStorage, StoreOptions};
+use mera::txn::{AbortReason, Outcome, Program};
 
-fn schema() -> DatabaseSchema {
-    DatabaseSchema::new()
-        .with(
-            "beer",
-            Schema::named(&[
-                ("name", DataType::Str),
-                ("brewery", DataType::Str),
-                ("alcperc", DataType::Real),
-            ]),
-        )
-        .expect("fresh")
-        .with(
-            "brewery",
-            Schema::named(&[("name", DataType::Str), ("country", DataType::Str)]),
-        )
-        .expect("fresh")
+type Db = ConcurrentDb<MemStorage>;
+
+const SCHEMA: &str = "relation beer (name: str, brewery: str, alcperc: real);\n\
+                      relation brewery (name: str, country: str);\n\
+                      key beer (name, brewery);";
+
+const LOAD: &str = "insert(brewery, values (str, str) {('X', 'NL')});\n\
+                    insert(beer, values (str, str, real) {('A', 'X', 5.0)})";
+
+fn open(storage: &MemStorage) -> Db {
+    ConcurrentDb::open(
+        storage.clone(),
+        DatabaseSchema::new(),
+        StoreOptions::default(),
+    )
+    .expect("opens")
 }
 
-fn constrained_manager() -> MvccManager {
-    let s = schema();
-    let constraints = ConstraintSet::new()
-        .with(
-            "beer_pk",
-            Constraint::PrimaryKey {
-                relation: "beer".into(),
-                attrs: vec![1, 2],
-            },
-            &s,
-        )
-        .expect("pk declares")
-        .with(
-            "beer_brewery_fk",
-            Constraint::ForeignKey {
-                relation: "beer".into(),
-                attrs: vec![2],
-                references: "brewery".into(),
-                ref_attrs: vec![1],
-            },
-            &s,
-        )
-        .expect("fk declares")
-        .with(
-            "alcperc_range",
-            Constraint::Check {
-                relation: "beer".into(),
-                predicate: ScalarExpr::attr(3)
-                    .cmp(CmpOp::Ge, ScalarExpr::real(0.0))
-                    .and(ScalarExpr::attr(3).cmp(CmpOp::Le, ScalarExpr::real(100.0))),
-            },
-            &s,
-        )
-        .expect("check declares");
-    MvccManager::new(s).with_constraints(constraints)
+/// A database with the beer schema and its key declared, loaded with one
+/// brewery and one beer.
+fn loaded(storage: &MemStorage) -> Db {
+    let db = open(storage);
+    db.run_script(SCHEMA).expect("declares");
+    assert!(db
+        .try_execute(&program(&db, LOAD))
+        .expect("runs")
+        .is_committed());
+    db
 }
 
-fn insert(rel: &str, rows: Vec<Tuple>, types: &[DataType]) -> Statement {
-    let r = Relation::from_tuples(Arc::new(Schema::anon(types)), rows).expect("typed");
-    Statement::insert(rel, RelExpr::values(r))
+fn program(db: &Db, src: &str) -> Program {
+    let parsed = parse_program(src).expect("parses");
+    Lowerer::new(&db.pin().catalog_schema())
+        .lower_program(&parsed)
+        .expect("lowers")
 }
 
-const BEER_T: [DataType; 3] = [DataType::Str, DataType::Str, DataType::Real];
-const BREWERY_T: [DataType; 2] = [DataType::Str, DataType::Str];
+const DUPLICATE: &str = "insert(beer, values (str, str, real) {('A', 'X', 5.0)})";
 
-#[test]
-fn valid_transactions_commit() {
-    let mgr = constrained_manager();
-    let p = Program::new()
-        .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
-        .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T));
-    let (outcome, _) = mgr.execute(&p);
-    assert!(outcome.is_committed(), "{outcome:?}");
-    assert_eq!(mgr.constraints().len(), 3);
-}
-
-#[test]
-fn duplicate_insert_aborts_on_pk() {
-    let mgr = constrained_manager();
-    mgr.execute(
-        &Program::new()
-            .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
-            .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T)),
-    );
-    // bag insert would happily create multiplicity 2 — the PK forbids it
-    let before = mgr.pin();
-    let (outcome, after) = mgr.execute(&Program::single(insert(
-        "beer",
-        vec![tuple!["A", "X", 5.0_f64]],
-        &BEER_T,
-    )));
-    let Outcome::Aborted(AbortReason::ConstraintViolation(v)) = outcome else {
-        panic!("expected constraint abort, got {outcome:?}");
+/// Runs the duplicate insert and asserts it aborts on the key, publishing
+/// nothing.
+fn assert_duplicate_aborts(db: &Db) {
+    // bag insert would happily create multiplicity 2 — the key forbids it
+    let before = db.pin();
+    let outcome = db.try_execute(&program(db, DUPLICATE)).expect("runs");
+    let Outcome::Aborted(AbortReason::KeyViolation(diag)) = outcome else {
+        panic!("expected key abort, got {outcome:?}");
     };
-    assert!(v.contains("beer_pk"), "{v}");
+    assert_eq!(diag.code, Code::KeyViolation);
+    let after = db.pin();
     assert_eq!(after.seq(), before.seq(), "an abort publishes nothing");
     assert_eq!(after.database().relation("beer").expect("present").len(), 1);
 }
 
 #[test]
-fn dangling_foreign_key_aborts() {
-    let mgr = constrained_manager();
-    let (outcome, _) = mgr.execute(&Program::single(insert(
-        "beer",
-        vec![tuple!["A", "Ghost", 5.0_f64]],
-        &BEER_T,
-    )));
-    assert!(matches!(
-        outcome,
-        Outcome::Aborted(AbortReason::ConstraintViolation(ref v)) if v.contains("fk")
-    ));
+fn valid_transactions_commit() {
+    let db = loaded(&MemStorage::new());
+    assert_eq!(db.pin().keys().definitions().len(), 1);
+    assert_eq!(db.pin().time(), 1);
 }
 
 #[test]
-fn check_constraint_guards_updates() {
-    let mgr = constrained_manager();
-    mgr.execute(
-        &Program::new()
-            .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
-            .then(insert("beer", vec![tuple!["A", "X", 60.0_f64]], &BEER_T)),
-    );
-    // the Guineken update at ×2 would push alcperc past 100
-    let update = Program::single(Statement::update(
-        "beer",
-        RelExpr::scan("beer"),
-        vec![
-            ScalarExpr::attr(1),
-            ScalarExpr::attr(2),
-            ScalarExpr::attr(3).mul(ScalarExpr::real(2.0)),
-        ],
-    ));
-    let (outcome, _) = mgr.execute(&update);
-    assert!(matches!(
-        outcome,
-        Outcome::Aborted(AbortReason::ConstraintViolation(ref v)) if v.contains("alcperc_range")
-    ));
-    // the original value survived
-    let beer = mgr.pin();
-    assert!(beer
-        .database()
-        .relation("beer")
-        .expect("present")
-        .contains(&tuple!["A", "X", 60.0_f64]));
+fn duplicate_insert_aborts_on_pk() {
+    assert_duplicate_aborts(&loaded(&MemStorage::new()));
 }
 
 #[test]
 fn checking_is_deferred_to_commit() {
-    // inside one transaction the FK may be transiently violated: insert
-    // the beer first, its brewery second — commit-time state is valid
-    let mgr = constrained_manager();
-    let p = Program::new()
-        .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T))
-        .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T));
-    let (outcome, _) = mgr.execute(&p);
+    // inside one transaction the key may be transiently violated: insert
+    // a duplicate, then delete one copy — the net delta is empty on beer
+    let db = loaded(&MemStorage::new());
+    let p = program(
+        &db,
+        "insert(beer, values (str, str, real) {('A', 'X', 5.0)});\n\
+         delete(beer, values (str, str, real) {('A', 'X', 5.0)})",
+    );
+    let outcome = db.try_execute(&p).expect("runs");
     assert!(outcome.is_committed(), "{outcome:?}");
+    assert_eq!(
+        db.pin().database().relation("beer").expect("present").len(),
+        1
+    );
 }
 
 #[test]
-fn delete_can_break_fk_and_aborts() {
-    let mgr = constrained_manager();
-    mgr.execute(
-        &Program::new()
-            .then(insert("brewery", vec![tuple!["X", "NL"]], &BREWERY_T))
-            .then(insert("beer", vec![tuple!["A", "X", 5.0_f64]], &BEER_T)),
-    );
-    // deleting the brewery leaves a dangling beer reference
-    let (outcome, _) = mgr.execute(&Program::single(Statement::delete(
-        "brewery",
-        RelExpr::scan("brewery"),
-    )));
-    assert!(matches!(
-        outcome,
-        Outcome::Aborted(AbortReason::ConstraintViolation(_))
-    ));
-    // cascading manually within one transaction works
-    let (outcome, _) = mgr.execute(
-        &Program::new()
-            .then(Statement::delete("beer", RelExpr::scan("beer")))
-            .then(Statement::delete("brewery", RelExpr::scan("brewery"))),
-    );
-    assert!(outcome.is_committed());
+fn duplicate_insert_aborts_after_reopen() {
+    let storage = MemStorage::new();
+    let live = loaded(&storage);
+    let rebooted = MemStorage::from_image(storage.image());
+    let db = open(&rebooted);
+    assert_eq!(db.pin().database(), live.pin().database());
+    assert_duplicate_aborts(&db);
 }

@@ -10,6 +10,8 @@
 //! sleeps, so the interleaving is the test's and not the scheduler's:
 //!
 //! * a lost update aborts;
+//! * two inserts at one key point abort the second, so SI cannot
+//!   publish a key violation;
 //! * write skew is admitted — that is SI;
 //! * a read dependency on a concurrent commit is admitted too, and a
 //!   reopen recovers exactly what was acknowledged.
@@ -132,5 +134,36 @@ fn write_skew_is_admitted() {
     let outcomes = on_one_pin(&db, &["insert(x, y)", "insert(y, x)"]);
     assert!(outcomes.iter().all(Outcome::is_committed), "{outcomes:?}");
     assert_eq!((len(&db, "x"), len(&db, "y")), (2, 2));
+    assert_eq!(reopen(&storage).pin().database(), db.pin().database());
+}
+
+#[test]
+fn inserts_at_one_key_point_abort_the_second() {
+    let storage = MemStorage::new();
+    let db = open(
+        &storage,
+        "relation acct (id: int, balance: int);\n\
+         key acct (id);\n\
+         insert(acct, values (int, int) {(1, 100)});",
+    );
+    // each insert alone fits the key on the pin; together they would
+    // put two tuples at id 2
+    let outcomes = on_one_pin(
+        &db,
+        &[
+            "insert(acct, values (int, int) {(2, 10)})",
+            "insert(acct, values (int, int) {(2, 20)})",
+        ],
+    );
+    assert!(outcomes[0].is_committed(), "{:?}", outcomes[0]);
+    assert!(is_conflict(&outcomes[1]), "{:?}", outcomes[1]);
+    let acct = db.pin().database().relation("acct").expect("acct").clone();
+    assert_eq!(
+        acct.sorted_pairs(),
+        vec![
+            (mera::core::tuple![1, 100], 1),
+            (mera::core::tuple![2, 10], 1)
+        ]
+    );
     assert_eq!(reopen(&storage).pin().database(), db.pin().database());
 }
