@@ -88,9 +88,11 @@ impl fmt::Display for DatabaseSchema {
 /// A database state `D_t`: one relation instance per declared schema, plus
 /// the logical time.
 ///
-/// Cloning a state is the snapshot primitive transactions use to implement
-/// abort; relation payloads are plain values so a clone is a deep copy of
-/// the counted maps (cheap relative to duplicate-expanded copies).
+/// Relation payloads are plain values, so a clone is a deep copy of the
+/// counted maps (cheap relative to duplicate-expanded copies). A
+/// transaction never clones one: it runs as a signed delta over a
+/// borrowed state, and a commit applies that delta
+/// ([`Database::apply`]) to a copy of the newest state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Database {
     schema: Arc<DatabaseSchema>,

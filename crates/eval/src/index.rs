@@ -184,7 +184,7 @@ impl HashIndex {
     /// the index cannot cover fails with
     /// [`CoreError::NegativeMultiplicity`] and an insertion past `u64`
     /// fails with an overflow; on failure the index is partly updated and
-    /// callers rebuild it.
+    /// callers drop it (a view recomputes, a commit aborts).
     pub fn apply_delta(&mut self, delta: &SignedBag<Tuple>) -> CoreResult<()> {
         let underflow = || CoreError::NegativeMultiplicity("delta application");
         for (t, m) in delta.iter() {
@@ -276,20 +276,10 @@ impl IndexSet {
         Ok(())
     }
 
-    /// Rebuilds every registered index from `db`: definitions are kept,
-    /// entries are reconstructed. The fallback/recovery path — after an
-    /// abort that had already folded deltas in, or after a restart where
-    /// only the definitions were durable.
-    pub fn rebuild(&mut self, db: &Database) -> CoreResult<()> {
-        for ((relation, keys), index) in self.indexes.iter_mut() {
-            *index = HashIndex::build(db.relation(relation)?, keys)?;
-        }
-        Ok(())
-    }
-
     /// Every registered index as `(relation, sorted key attrs)`, sorted —
     /// the durable catalog definition (what a CREATE INDEX log record
-    /// carries; the entries themselves are rebuilt or delta-maintained).
+    /// carries; the entries themselves are built by `create` and then
+    /// delta-maintained).
     pub fn definitions(&self) -> Vec<(String, Vec<usize>)> {
         let mut defs: Vec<(String, Vec<usize>)> = self.indexes.keys().cloned().collect();
         defs.sort();

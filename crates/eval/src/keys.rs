@@ -15,8 +15,8 @@
 //! relation's delta *before* anything is applied, so a violating
 //! transaction aborts without any undo; [`KeySet::apply_commit`] then
 //! folds the admitted deltas in. Only the declarations are durable (a WAL
-//! `DeclareKey` record); the counts are rebuilt from the database on
-//! recovery, exactly like index entries.
+//! `DeclareKey` record); [`KeySet::declare`] builds the counts when
+//! recovery replays `DeclareKey`, exactly like index entries.
 
 use mera_core::prelude::*;
 use rustc_hash::FxHashMap;
@@ -209,16 +209,6 @@ impl KeySet {
         Ok(())
     }
 
-    /// Rebuilds every count table from `db`: definitions are kept, counts
-    /// reconstructed — the recovery/re-anchor path (declarations are
-    /// durable, counts are not).
-    pub fn rebuild(&mut self, db: &Database) -> CoreResult<()> {
-        for ((relation, attrs), counts) in self.keys.iter_mut() {
-            *counts = KeyCounts::build(db.relation(relation)?, attrs)?;
-        }
-        Ok(())
-    }
-
     /// Every declared key as `(relation, sorted attrs)`, sorted — the
     /// durable catalog definition (what a `DeclareKey` WAL record
     /// carries), and the ground facts handed to the analyzer's `KeyEnv`.
@@ -318,19 +308,6 @@ mod tests {
         // id 3 is free again, id 4 is now taken
         assert!(ks.check("r", &delta(&[(3, "z", 1)])).is_ok());
         assert!(ks.check("r", &delta(&[(4, "z", 1)])).is_err());
-    }
-
-    #[test]
-    fn rebuild_reconstructs_counts_from_db() {
-        let mut ks = KeySet::new();
-        let db = db();
-        ks.declare(&db, "r", &[1]).expect("ok").expect("valid");
-        // drift the counts, then rebuild from the source of truth
-        ks.apply_commit("r", &delta(&[(1, "a", -1)]))
-            .expect("within counts");
-        assert!(ks.check("r", &delta(&[(1, "z", 1)])).is_ok());
-        ks.rebuild(&db).expect("relations exist");
-        assert!(ks.check("r", &delta(&[(1, "z", 1)])).is_err());
     }
 
     /// Two delta tuples at one key point, each at `i64::MAX`: the net

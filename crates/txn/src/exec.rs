@@ -3,20 +3,24 @@
 //! §4.3: during the execution of a transaction's statements the database
 //! passes through *intermediate states* `D_t.0 … D_t.n` which "are not
 //! normal database states as they may contain temporary relations defined
-//! by assignment statements". [`WorkingState`] is exactly that: the base
-//! relations plus a temporary namespace, usable as a relation provider for
-//! expression evaluation.
+//! by assignment statements". [`WorkingState`] is exactly that, held as
+//! a difference: the pinned committed state, borrowed, plus a temporary
+//! namespace and the ℤ-delta `D_t.i − D_t` the statements have written so
+//! far — usable as a relation provider for expression evaluation. The
+//! delta is the transaction: commit adds it to whichever version it lands
+//! on ([`Version::apply`](crate::Version::apply)).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_eval::provider::RelationProvider;
-use mera_eval::{Engine, EngineKind, ExecOptions, IndexSet, KeySet};
+use mera_eval::{Engine, EngineKind, ExecOptions};
 use mera_expr::rel::RelExpr;
-use mera_opt::{choose_access_paths, CatalogStats, Optimizer};
+use mera_opt::{choose_access_paths, Optimizer};
 
 use crate::statement::{Program, Statement};
+use crate::version::Version;
 use crate::views::{DeltaMap, TupleDelta, ViewSet};
 
 /// How statements evaluate their expressions.
@@ -58,37 +62,39 @@ impl ExecConfig {
     }
 }
 
-/// An intermediate state `D_t.i`: the database plus temporaries, plus
-/// read-only snapshots of the version's derived catalog and the signed
-/// deltas the transaction has accumulated so far. Built from a
-/// [`Version`](crate::Version), which is the only thing that owns one.
-#[derive(Debug, Clone)]
-pub struct WorkingState {
-    /// The (mutable copy of the) database state.
-    pub db: Database,
+/// An intermediate state `D_t.i`: the pinned [`Version`],
+/// borrowed, plus the temporaries and the signed deltas the transaction
+/// has accumulated so far. A base relation `R` reads as `R ⊎ Δ_R`: an
+/// unwritten relation is the version's own, and a written one is
+/// materialized once, when a later statement first scans it. The
+/// version's views, statistics, indexes and keys are read through the
+/// borrow.
+#[derive(Debug)]
+pub struct WorkingState<'v> {
+    pub(crate) version: &'v Version,
     /// Temporary relations bound by assignment statements.
-    pub temps: BTreeMap<String, Relation>,
-    /// Pre-transaction snapshots of materialized views, readable by
-    /// queries exactly like base relations (but never writable).
-    pub views: BTreeMap<String, Arc<Relation>>,
+    temps: BTreeMap<String, Relation>,
     /// Signed per-relation deltas of *every* DML statement executed so
-    /// far — the single input that drives view maintenance, statistics
-    /// maintenance and index maintenance at commit time.
-    pub deltas: DeltaMap,
-    /// Pre-transaction table statistics: every statement plans cost-based
-    /// (join reordering, cost-gated δ placement, access-path selection)
-    /// against these.
-    pub stats: Arc<CatalogStats>,
-    /// Pre-transaction secondary indexes: point selections and hinted
-    /// equi-joins execute through them.
-    pub indexes: Arc<IndexSet>,
-    /// Pre-transaction key constraints: the optimizer grounds its
-    /// property inference (duplicate-freeness, candidate keys, FDs) in
-    /// keys of relations the transaction has not yet dirtied.
-    pub keys: Arc<KeySet>,
+    /// far — the transaction itself, and the single input that drives
+    /// view, statistics, index and key maintenance at commit time.
+    pub(crate) deltas: DeltaMap,
+    /// `R ⊎ Δ_R` for each written relation a statement has read since;
+    /// every later write to `R` keeps it current.
+    written: BTreeMap<String, Relation>,
 }
 
-impl WorkingState {
+impl<'v> WorkingState<'v> {
+    /// The intermediate state `D_t.0` over `version`: no temporaries, no
+    /// deltas ([`Version::working_state`]).
+    pub(crate) fn new(version: &'v Version) -> Self {
+        WorkingState {
+            version,
+            temps: BTreeMap::new(),
+            deltas: DeltaMap::new(),
+            written: BTreeMap::new(),
+        }
+    }
+
     /// The declared keys as an analyzer [`mera_analyze::KeyEnv`],
     /// restricted to relations this transaction has not dirtied: a key
     /// describes the committed state `D_t`, and mid-transaction writes may
@@ -96,7 +102,7 @@ impl WorkingState {
     /// so dirtied relations contribute no facts.
     pub(crate) fn key_env(&self) -> mera_analyze::KeyEnv {
         let mut env = mera_analyze::KeyEnv::new();
-        for (relation, attrs) in self.keys.definitions() {
+        for (relation, attrs) in self.version.keys().definitions() {
             if !self.dirtied(&relation) {
                 env.declare(relation, attrs);
             }
@@ -104,42 +110,82 @@ impl WorkingState {
         env
     }
 
-    /// Reads a relation: temporaries first, then database relations, then
-    /// materialized views (a temporary may never collide with a database
-    /// or view name, enforced on assignment, so the order is immaterial —
-    /// it simply avoids extra lookups for temp-heavy programs).
+    /// Reads a relation: temporaries first, then database relations (as
+    /// `R ⊎ Δ_R` once written), then materialized views (a temporary may
+    /// never collide with a database or view name, enforced on
+    /// assignment, so the order is immaterial — it simply avoids extra
+    /// lookups for temp-heavy programs).
     pub fn relation(&self, name: &str) -> CoreResult<&Relation> {
-        if let Some(r) = self.temps.get(name) {
+        if let Some(r) = self.temps.get(name).or_else(|| self.written.get(name)) {
             return Ok(r);
         }
-        match self.db.relation(name) {
+        if self.dirtied(name) {
+            // statements materialize what they scan first: never read `R`
+            // for `R ⊎ Δ_R`
+            return Err(CoreError::TypeError(format!(
+                "`{name}` read before materialized"
+            )));
+        }
+        match self.version.database().relation(name) {
             Ok(r) => Ok(r),
-            Err(e) => match self.views.get(name) {
-                Some(v) => Ok(v),
+            Err(e) => match self.version.views().get(name) {
+                Some(v) => Ok(v.data()),
                 None => Err(e),
             },
         }
     }
 
-    /// Records `rel` into the delta of `relation` with the given sign.
-    /// Every mutated relation is captured — views, statistics and index
-    /// maintenance all consume the same signed deltas at commit, so the
-    /// capture is unconditional (and O(|delta|), never O(|relation|)).
-    fn capture(&mut self, relation: &str, rel: &Relation, positive: bool) -> CoreResult<()> {
-        let none = Bag::new();
-        let (old, new) = if positive {
-            (&none, rel.bag())
-        } else {
-            (rel.bag(), &none)
-        };
-        let captured = TupleDelta::from_diff(old, new)?;
-        match self.deltas.get_mut(relation) {
-            Some(delta) => delta.absorb(captured),
-            None => {
-                self.deltas.insert(relation.to_owned(), captured);
-                Ok(())
+    /// Evaluates `expr` against this state, after materializing `R ⊎ Δ_R`
+    /// for each written relation it scans.
+    fn eval(&mut self, expr: &RelExpr, config: ExecConfig) -> CoreResult<Relation> {
+        for name in expr.scanned_relations() {
+            if self.written.contains_key(name) || !self.dirtied(name) {
+                continue;
+            }
+            let mut rel = self.version.database().relation(name)?.clone();
+            rel.apply(&self.deltas[name])?;
+            self.written.insert(name.to_owned(), rel);
+        }
+        eval_expr(self, expr, config)
+    }
+
+    /// `R ∩ E` at this state: what `R − E` removes (Definition 3.2's
+    /// `min`), found by probing `R` and `Δ_R` once per distinct tuple of
+    /// `E` — O(|E|), never O(|R|).
+    fn removed(&self, relation: &str, value: &Relation) -> CoreResult<Relation> {
+        let base = self.version.database().relation(relation)?;
+        base.schema().check_same_types(value.schema())?;
+        let delta = self.deltas.get(relation);
+        let mut out = Relation::empty(Arc::clone(base.schema()));
+        for (t, m) in value.iter() {
+            let d = delta.map_or(0, |d| d.multiplicity(t));
+            let present = base
+                .multiplicity(t)
+                .checked_add_signed(d)
+                .ok_or(CoreError::NegativeMultiplicity("working state"))?;
+            let n = present.min(m);
+            if n > 0 {
+                out.insert(t.clone(), n)?;
             }
         }
+        Ok(out)
+    }
+
+    /// Adds `rel` to `Δ_relation` with the given sign, and to the
+    /// materialized `relation ⊎ Δ` if a statement already read it —
+    /// O(|rel|), never O(|relation|).
+    fn record(&mut self, relation: &str, rel: &Relation, positive: bool) -> CoreResult<()> {
+        let mut delta: TupleDelta = rel.bag().lift()?;
+        if !positive {
+            delta.negate();
+        }
+        if let Some(current) = self.written.get_mut(relation) {
+            current.apply(&delta)?;
+        }
+        self.deltas
+            .entry(relation.to_owned())
+            .or_default()
+            .absorb(delta)
     }
 
     /// True when this transaction has already changed `relation` — the
@@ -149,7 +195,7 @@ impl WorkingState {
     }
 }
 
-impl RelationProvider for WorkingState {
+impl RelationProvider for WorkingState<'_> {
     fn relation(&self, name: &str) -> CoreResult<&Relation> {
         WorkingState::relation(self, name)
     }
@@ -162,77 +208,65 @@ pub struct Outputs {
     pub queries: Vec<Relation>,
 }
 
-/// Executes one statement against a working state (Definition 4.1).
+/// Executes one statement against a working state. Definition 4.1 states
+/// each write as a whole-relation replacement; the state records it as
+/// the ℤ-delta that replacement makes, in O(|E|):
+///
+/// * `R ← R ⊎ E` adds `E` to `Δ_R`;
+/// * `R ← R − E` subtracts `R ∩ E`;
+/// * `R ← (R − E) ⊎ π̄ₐ(R ∩ E)` subtracts `R ∩ E` and adds its image.
 pub fn execute_statement(
-    state: &mut WorkingState,
+    state: &mut WorkingState<'_>,
     stmt: &Statement,
     config: ExecConfig,
     outputs: &mut Outputs,
 ) -> CoreResult<()> {
     match stmt {
         Statement::Insert { relation, expr } => {
-            let value = eval_expr(state, expr, config)?;
-            let current = state.db.relation(relation)?;
-            let next = current.union(&value)?;
-            state.capture(relation, &value, true)?;
-            state.db.replace(relation, next)
+            let value = state.eval(expr, config)?;
+            let current = state.version.database().relation(relation)?;
+            current.schema().check_same_types(value.schema())?;
+            state.record(relation, &value, true)
         }
         Statement::Delete { relation, expr } => {
-            let value = eval_expr(state, expr, config)?;
-            let current = state.db.relation(relation)?;
-            // what `−` actually removes is min(current, value) per tuple
-            // (Definition 3.2), i.e. the bag intersection — capture that,
-            // not the requested amount
-            let removed = current.intersection(&value)?;
-            let next = current.difference(&value)?;
-            state.capture(relation, &removed, false)?;
-            state.db.replace(relation, next)
+            let value = state.eval(expr, config)?;
+            let removed = state.removed(relation, &value)?;
+            state.record(relation, &removed, false)
         }
         Statement::Update {
             relation,
             expr,
             exprs,
         } => {
-            let value = eval_expr(state, expr, config)?;
-            let current = state.db.relation(relation)?.clone();
+            let value = state.eval(expr, config)?;
             // schema-preservation check on the expression list (the
             // definition's note: π̄ₐ "results a multi-set of the same
             // schema as its operand")
-            let target_schema = Arc::clone(current.schema());
-            let updated_schema = {
-                let mut attrs = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    attrs.push(Attribute::anon(e.infer_type(&target_schema)?));
-                }
-                Schema::new(attrs)
-            };
-            if !updated_schema.same_types(&target_schema) {
-                return Err(CoreError::SchemaMismatch {
-                    expected: target_schema.to_string(),
-                    found: updated_schema.to_string(),
-                });
-            }
-            // R ← (R − E) ⊎ π̄ₐ(R ∩ E)
-            let touched = current.intersection(&value)?;
-            let kept = current.difference(&value)?;
+            let target_schema = Arc::clone(state.version.database().relation(relation)?.schema());
+            let attrs: CoreResult<Vec<Attribute>> = exprs
+                .iter()
+                .map(|e| Ok(Attribute::anon(e.infer_type(&target_schema)?)))
+                .collect();
+            target_schema.check_same_types(&Schema::new(attrs?))?;
+            let touched = state.removed(relation, &value)?;
             let rewritten = touched.map_tuples(target_schema, |t| {
                 let vals: CoreResult<Vec<Value>> = exprs.iter().map(|e| e.eval(t)).collect();
                 Ok(Tuple::new(vals?))
             })?;
-            state.capture(relation, &touched, false)?;
-            state.capture(relation, &rewritten, true)?;
-            state.db.replace(relation, kept.union(&rewritten)?)
+            state.record(relation, &touched, false)?;
+            state.record(relation, &rewritten, true)
         }
         Statement::Assign { name, expr } => {
-            if state.db.schema().contains(name) || state.views.contains_key(name) {
+            let version = state.version;
+            if version.database().schema().contains(name) || version.views().contains(name) {
                 return Err(CoreError::DuplicateRelation(name.clone()));
             }
-            let value = eval_expr(state, expr, config)?;
+            let value = state.eval(expr, config)?;
             state.temps.insert(name.clone(), value);
             Ok(())
         }
         Statement::Query { expr } => {
-            let value = eval_expr(state, expr, config)?;
+            let value = state.eval(expr, config)?;
             outputs.queries.push(value);
             Ok(())
         }
@@ -341,11 +375,15 @@ pub fn execute_program(
 /// *pre-transaction* state, so once the transaction has written an
 /// indexed relation the engine falls back to scan-based plans for the
 /// rest of the program: slower, never wrong.
-pub fn eval_expr(state: &WorkingState, expr: &RelExpr, config: ExecConfig) -> CoreResult<Relation> {
+pub fn eval_expr(
+    state: &WorkingState<'_>,
+    expr: &RelExpr,
+    config: ExecConfig,
+) -> CoreResult<Relation> {
     let provider = WorkingSchemas(state);
     let expr_storage;
     let expr = if config.optimize {
-        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(&state.stats));
+        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(state.version.stats()));
         let keys = state.key_env();
         if !keys.is_empty() {
             optimizer = optimizer.with_keys(keys);
@@ -364,21 +402,22 @@ pub fn eval_expr(state: &WorkingState, expr: &RelExpr, config: ExecConfig) -> Co
 /// relation: an index describes the *pre-transaction* state.
 pub(crate) fn with_access_paths(
     engine: Engine,
-    state: &WorkingState,
+    state: &WorkingState<'_>,
     expr: &RelExpr,
 ) -> CoreResult<Engine> {
-    let defs = state.indexes.definitions();
+    let version = state.version;
+    let defs = version.indexes().definitions();
     if defs.is_empty() || defs.iter().any(|(r, _)| state.dirtied(r)) {
         return Ok(engine);
     }
-    let hints = choose_access_paths(expr, &state.stats, &defs, &WorkingSchemas(state))?;
+    let hints = choose_access_paths(expr, version.stats(), &defs, &WorkingSchemas(state))?;
     Ok(engine
-        .with_shared_indexes(Arc::clone(&state.indexes))
+        .with_shared_indexes(Arc::clone(version.indexes()))
         .with_index_hints(hints))
 }
 
 /// Schema-provider view of a working state (temporaries included).
-pub struct WorkingSchemas<'a>(pub &'a WorkingState);
+pub struct WorkingSchemas<'a>(pub &'a WorkingState<'a>);
 
 impl mera_expr::SchemaProvider for WorkingSchemas<'_> {
     fn relation_schema(&self, name: &str) -> CoreResult<SchemaRef> {
@@ -421,33 +460,38 @@ mod tests {
         db
     }
 
-    fn state_of(db: Database) -> WorkingState {
-        crate::Version::new(db).expect("analyzes").working_state()
+    fn beer_schema() -> SchemaRef {
+        Arc::clone(beer_db().schema().get("beer").expect("declared"))
     }
 
-    fn run(db: Database, program: Program) -> (WorkingState, Outputs) {
-        let mut state = state_of(db);
-        let out =
-            execute_program(&mut state, &program, ExecConfig::default()).expect("program executes");
-        (state, out)
+    /// `m` copies of a row already in `beer` once.
+    fn grolsch(m: u64) -> Relation {
+        Relation::from_counted(beer_schema(), [(tuple!["Grolsch", "Grolsche", 5.0_f64], m)])
+            .expect("typed")
+    }
+
+    /// Runs `program` the way a commit does — [`crate::Version::run`],
+    /// then [`crate::Version::apply`] of its deltas unless it wrote
+    /// nothing — and returns the post-state with the query outputs.
+    fn run_with(db: Database, program: Program, config: ExecConfig) -> (Database, Outputs) {
+        let mut version = crate::Version::new(db).expect("analyzes");
+        let (deltas, out) = version.run(&program, config).expect("program executes");
+        if deltas.values().any(|d| !d.is_empty()) {
+            version.apply(deltas, config).expect("deltas apply");
+        }
+        (version.database().clone(), out)
+    }
+
+    fn run(db: Database, program: Program) -> (Database, Outputs) {
+        run_with(db, program, ExecConfig::default())
     }
 
     #[test]
     fn insert_is_bag_union() {
-        let db = beer_db();
-        let new_row = relation_of(
-            Schema::named(&[
-                ("name", DataType::Str),
-                ("brewery", DataType::Str),
-                ("alcperc", DataType::Real),
-            ]),
-            vec![tuple!["Grolsch", "Grolsche", 5.0_f64]], // already present!
-        )
-        .expect("typed");
-        let p = Program::single(Statement::insert("beer", RelExpr::values(new_row)));
-        let (state, _) = run(db, p);
+        let p = Program::single(Statement::insert("beer", RelExpr::values(grolsch(1))));
+        let (db, _) = run(beer_db(), p);
         // bag insert: the duplicate is *kept* (multiplicity 2)
-        let beer = state.db.relation("beer").expect("present");
+        let beer = db.relation("beer").expect("present");
         assert_eq!(
             beer.multiplicity(&tuple!["Grolsch", "Grolsche", 5.0_f64]),
             2
@@ -457,20 +501,47 @@ mod tests {
 
     #[test]
     fn delete_is_bag_difference() {
-        let db = beer_db();
         let p = Program::single(Statement::delete(
             "beer",
             RelExpr::scan("beer").select(ScalarExpr::attr(2).eq(ScalarExpr::str("Guineken"))),
         ));
-        let (state, _) = run(db, p);
-        assert_eq!(state.db.relation("beer").expect("present").len(), 1);
+        let (db, _) = run(beer_db(), p);
+        assert_eq!(db.relation("beer").expect("present").len(), 1);
+    }
+
+    /// Read-after-write: a query scanning a relation the program already
+    /// wrote reads `R ⊎ Δ_R`.
+    #[test]
+    fn insert_then_query_reads_the_inserted_copy() {
+        let p = Program::new()
+            .then(Statement::insert("beer", RelExpr::values(grolsch(1))))
+            .then(Statement::query(
+                RelExpr::scan("beer").select(ScalarExpr::attr(1).eq(ScalarExpr::str("Grolsch"))),
+            ));
+        let (_, out) = run(beer_db(), p);
+        assert_eq!(out.queries[0], grolsch(2));
+    }
+
+    /// Definition 3.2's `min`: deleting 3 copies of a tuple present twice
+    /// (once committed, once inserted by the same program) removes 2.
+    #[test]
+    fn delete_removes_no_more_copies_than_present() {
+        let p = Program::new()
+            .then(Statement::insert("beer", RelExpr::values(grolsch(1))))
+            .then(Statement::delete("beer", RelExpr::values(grolsch(3))));
+        let (db, _) = run(beer_db(), p);
+        let beer = db.relation("beer").expect("present");
+        assert_eq!(
+            beer.multiplicity(&tuple!["Grolsch", "Grolsche", 5.0_f64]),
+            0
+        );
+        assert_eq!(beer.len(), 2);
     }
 
     /// Example 4.1: Guineken raises the alcohol percentage of its beers by
     /// 10%.
     #[test]
     fn example_4_1_guineken_update() {
-        let db = beer_db();
         let p = Program::single(Statement::update(
             "beer",
             RelExpr::scan("beer").select(ScalarExpr::attr(2).eq(ScalarExpr::str("Guineken"))),
@@ -480,8 +551,8 @@ mod tests {
                 ScalarExpr::attr(3).mul(ScalarExpr::real(1.1)),
             ],
         ));
-        let (state, _) = run(db, p);
-        let beer = state.db.relation("beer").expect("present");
+        let (db, _) = run(beer_db(), p);
+        let beer = db.relation("beer").expect("present");
         assert_eq!(
             beer.multiplicity(&tuple!["GuinekenPils", "Guineken", 5.0 * 1.1]),
             1
@@ -500,20 +571,20 @@ mod tests {
 
     #[test]
     fn update_rejects_schema_changing_expression_list() {
-        let db = beer_db();
+        let version = crate::Version::new(beer_db()).expect("analyzes");
         let p = Program::single(Statement::update(
             "beer",
             RelExpr::scan("beer"),
             vec![ScalarExpr::attr(1)], // drops two attributes
         ));
-        let mut state = state_of(db);
+        let mut state = version.working_state();
         let err = execute_program(&mut state, &p, ExecConfig::default()).unwrap_err();
         assert!(matches!(err, CoreError::SchemaMismatch { .. }));
     }
 
     #[test]
     fn assignment_binds_temporary() {
-        let db = beer_db();
+        let version = crate::Version::new(beer_db()).expect("analyzes");
         let p = Program::new()
             .then(Statement::assign(
                 "strong",
@@ -521,19 +592,21 @@ mod tests {
                     .select(ScalarExpr::attr(3).cmp(mera_expr::CmpOp::Gt, ScalarExpr::real(5.5))),
             ))
             .then(Statement::query(RelExpr::scan("strong").project(&[1])));
-        let (state, out) = run(db, p);
+        let mut state = version.working_state();
+        let out = execute_program(&mut state, &p, ExecConfig::default()).expect("executes");
         assert_eq!(out.queries.len(), 1);
         assert_eq!(out.queries[0].multiplicity(&tuple!["GuinekenBock"]), 1);
         assert!(state.temps.contains_key("strong"));
         // the database itself is untouched
-        assert_eq!(state.db.relation("beer").expect("present").len(), 3);
+        assert!(state.deltas.is_empty());
+        assert_eq!(state.relation("beer").expect("present").len(), 3);
     }
 
     #[test]
     fn assignment_cannot_shadow_database_relation() {
-        let db = beer_db();
+        let version = crate::Version::new(beer_db()).expect("analyzes");
         let p = Program::single(Statement::assign("beer", RelExpr::scan("beer")));
-        let mut state = state_of(db);
+        let mut state = version.working_state();
         let err = execute_program(&mut state, &p, ExecConfig::default()).unwrap_err();
         assert_eq!(err, CoreError::DuplicateRelation("beer".into()));
     }
@@ -543,8 +616,8 @@ mod tests {
         let db = beer_db();
         let before = db.clone();
         let p = Program::single(Statement::query(RelExpr::scan("beer")));
-        let (state, out) = run(db, p);
-        assert_eq!(state.db, before);
+        let (db, out) = run(db, p);
+        assert_eq!(db, before);
         assert_eq!(out.queries[0].len(), 3);
     }
 
@@ -588,11 +661,7 @@ mod tests {
         ];
         let results: Vec<(Database, Outputs)> = configs
             .iter()
-            .map(|&c| {
-                let mut state = state_of(beer_db());
-                let out = execute_program(&mut state, &program, c).expect("executes");
-                (state.db, out)
-            })
+            .map(|&c| run_with(beer_db(), program.clone(), c))
             .collect();
         for (db, out) in &results[1..] {
             assert_eq!(db, &results[0].0);

@@ -33,14 +33,14 @@ use crate::exec::{with_access_paths, ExecConfig, WorkingSchemas, WorkingState};
 /// order, access paths, and estimated-vs-actual cardinality per operator
 /// (see the module docs for the format).
 pub fn explain_expr(
-    state: &WorkingState,
+    state: &WorkingState<'_>,
     expr: &RelExpr,
     config: ExecConfig,
 ) -> CoreResult<String> {
     let provider = WorkingSchemas(state);
     let expr_storage;
     let expr = if config.optimize {
-        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(&state.stats));
+        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(state.version.stats()));
         // the same dirtied-gated key environment `eval_expr` plans under,
         // so EXPLAIN shows the plan the live engine would actually run
         let keys = state.key_env();
@@ -53,7 +53,7 @@ pub fn explain_expr(
         expr
     };
 
-    let stats: &CatalogStats = &state.stats;
+    let stats: &CatalogStats = state.version.stats();
 
     let mut out = String::new();
     let _ = match stats.as_of() {

@@ -17,19 +17,19 @@
 //! Writers run **optimistically** (OCC, snapshot isolation):
 //!
 //! 1. [`MvccManager::prepare`] executes the program against a pinned
-//!    snapshot, accumulating the same signed ℤ-multiplicity deltas
-//!    ([`SignedBag`]) that drive view/statistics/index maintenance. No
-//!    shared state is touched.
-//! 2. [`MvccManager::try_commit`] takes the (short) commit lock and
-//!    validates **first-committer-wins**: if any transaction committed
-//!    since the snapshot wrote an overlapping relation — or, on keyed
-//!    relations, an overlapping *key point* — the writer aborts with the
-//!    typed [`AbortReason::Conflict`] and can simply retry. A validated
-//!    writer's deltas are folded into the newest version (the algebraic
-//!    footing: a transaction *is* its signed delta, and disjoint deltas
-//!    commute in the ℤ-semiring), the catalog objects fold the same
-//!    deltas exactly like the serial path, and the result is published
-//!    as the next version.
+//!    snapshot, borrowed, building only the signed ℤ-multiplicity deltas
+//!    ([`SignedBag`]) that drive view/statistics/index maintenance — no
+//!    copy of the database. No shared state is touched.
+//! 2. [`MvccManager::try_commit`] takes the (short) commit lock and, if
+//!    anything committed since the snapshot, validates
+//!    **first-committer-wins**: if such a transaction wrote an
+//!    overlapping relation — or, on keyed relations, an overlapping *key
+//!    point* — the writer aborts with the typed [`AbortReason::Conflict`]
+//!    and can simply retry. A validated writer's deltas are folded into
+//!    the newest version by [`Version::apply`], the one fold path (the
+//!    algebraic footing: a transaction *is* its signed delta, and
+//!    disjoint deltas commute in the ℤ-semiring), and the result is
+//!    published as the next version.
 //!
 //! The isolation level is **snapshot isolation**, not serializability:
 //! a commit installs the delta computed on its snapshot, so a lost update
@@ -193,22 +193,16 @@ struct Chain {
 }
 
 /// An executed-but-uncommitted transaction: the snapshot it ran against,
-/// the candidate post-state, its signed deltas and its query outputs.
+/// its signed deltas and its query outputs.
 /// Produced by [`MvccManager::prepare`], consumed by
 /// [`MvccManager::try_commit`].
 pub struct PreparedTxn {
     start: Arc<Version>,
-    db: Database,
     deltas: DeltaMap,
     outputs: Outputs,
 }
 
 impl PreparedTxn {
-    /// The snapshot this transaction executed against.
-    pub fn start(&self) -> &Arc<Version> {
-        &self.start
-    }
-
     /// True when the program wrote nothing: its outputs are complete and
     /// no commit section is needed.
     pub fn is_read_only(&self) -> bool {
@@ -331,10 +325,9 @@ impl MvccManager {
         start: Arc<Version>,
         program: &Program,
     ) -> Result<PreparedTxn, AbortReason> {
-        let (db, deltas, outputs) = start.run(program, self.config)?;
+        let (deltas, outputs) = start.run(program, self.config)?;
         Ok(PreparedTxn {
             start,
-            db,
             deltas,
             outputs,
         })
@@ -372,30 +365,25 @@ impl MvccManager {
         }
         let PreparedTxn {
             start,
-            db: candidate,
             deltas,
             outputs,
         } = prepared;
         let _guard = self.commit.lock();
         let latest = self.pin();
         let writes = WriteSet::of(&deltas, latest.keys());
+        // When something committed since the snapshot, validate: the
+        // deltas then commute with the disjoint intervening ones.
+        if latest.seq != start.seq {
+            if let Some(conflict) = self.validate(&start, &latest, &writes) {
+                return Ok((Outcome::Aborted(conflict), latest));
+            }
+        }
         // the fold runs on a clone — published versions are never
         // mutated, so a refused fold (a key point another commit took
         // since the snapshot, a view whose full recompute failed) is
         // just dropped
         let mut next = Version::clone(&latest);
-        // When nothing intervened the candidate state *is* the next
-        // state; otherwise validate, and add the deltas to the newest
-        // state — they commute with the disjoint intervening ones.
-        let folded = if latest.seq == start.seq {
-            next.commit(candidate, deltas, self.config)
-        } else {
-            if let Some(conflict) = self.validate(&start, &latest, &writes) {
-                return Ok((Outcome::Aborted(conflict), latest));
-            }
-            next.apply(deltas, self.config)
-        };
-        if let Err(reason) = folded {
+        if let Err(reason) = next.apply(deltas, self.config) {
             return Ok((Outcome::Aborted(reason), latest));
         }
         durability(next.time())?;

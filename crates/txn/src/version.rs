@@ -9,11 +9,11 @@
 //! sequence forward:
 //!
 //! * [`Version::run`] executes a program's statements against the state
-//!   and hands back the candidate post-state with its signed deltas;
-//! * [`Version::commit`] folds those deltas into the whole catalog and
-//!   installs the next database (`D_t → D_{t+1}`: the one place the
-//!   transaction clock ticks); [`Version::apply`] does it from the deltas
-//!   alone, to rebase a commit or to replay one from the WAL;
+//!   and hands back their net signed deltas — the transaction itself;
+//! * [`Version::apply`] adds those deltas to the database and folds them
+//!   into the whole catalog (`D_{t+1} = D_t + Δ`: the one place the
+//!   transaction clock ticks) — for a live commit, a rebased one and a
+//!   WAL replay alike;
 //! * [`Version::add_relation`], [`Version::create_view`],
 //!   [`Version::create_index`] and [`Version::declare_key`] admit DDL
 //!   (`E0301`/`E0303`/`E0401`–`E0403`).
@@ -121,19 +121,11 @@ impl Version {
         schema
     }
 
-    /// The intermediate state `D_t.0`: a private copy of the database,
-    /// this version's view contents readable by name, and its statistics,
-    /// indexes and keys for planning.
-    pub fn working_state(&self) -> WorkingState {
-        WorkingState {
-            db: self.db.as_ref().clone(),
-            temps: Default::default(),
-            views: self.views.snapshots(),
-            deltas: DeltaMap::new(),
-            stats: Arc::clone(&self.stats),
-            indexes: Arc::clone(&self.indexes),
-            keys: Arc::clone(&self.keys),
-        }
+    /// The intermediate state `D_t.0`: this version, borrowed — its
+    /// relations and view contents readable by name, its statistics,
+    /// indexes and keys for planning — with no writes yet.
+    pub fn working_state(&self) -> WorkingState<'_> {
+        WorkingState::new(self)
     }
 
     /// Runs the static-analysis passes over a program against this state
@@ -160,17 +152,16 @@ impl Version {
     /// statements of Definition 4.3's brackets): static analysis, the
     /// statement loop over intermediate states and an early key check.
     /// Declared keys are the only integrity check, and the authoritative
-    /// one runs in [`Version::commit`] on the version the commit folds
+    /// one runs in [`Version::apply`] on the version the commit folds
     /// into — under snapshot isolation this state may be stale by then.
-    /// Returns the candidate post-state
-    /// `D_t.n` (temporaries dropped, clock not yet ticked), the net
-    /// signed deltas per written relation, and the query outputs — or
+    /// Returns the net signed deltas per written relation
+    /// (`D_t.n − D_t`, temporaries dropped) and the query outputs — or
     /// the reason the transaction aborts.
     pub fn run(
         &self,
         program: &Program,
         config: ExecConfig,
-    ) -> Result<(Database, DeltaMap, Outputs), AbortReason> {
+    ) -> Result<(DeltaMap, Outputs), AbortReason> {
         // static pre-check: a program with error-severity diagnostics
         // aborts before any statement runs (warnings pass through — they
         // describe plans that *may* fail, and execution is the arbiter)
@@ -182,12 +173,11 @@ impl Version {
         }
         let mut state = self.working_state();
         let outputs = execute_program(&mut state, program, config).map_err(AbortReason::Error)?;
-        // fail fast against this version's keys; `commit` re-checks
+        // fail fast against this version's keys; `apply` re-checks
         // against the counts of the version it actually folds into
         self.check_keys(&state.deltas)?;
-        // temporaries and the catalog snapshots vanish with the state
-        let WorkingState { db, deltas, .. } = state;
-        Ok((db, deltas, outputs))
+        // temporaries and materialized reads vanish with the state
+        Ok((state.deltas, outputs))
     }
 
     /// Every declared key verified against the *net* deltas — O(|delta|)
@@ -201,44 +191,25 @@ impl Version {
         Ok(())
     }
 
-    /// Commits a transaction into this version (`D_t → D_{t+1}`): `db` is
-    /// the post-state its `deltas` lead to from this version's database,
-    /// not yet ticked. The keys are checked against the net deltas; then
-    /// the clock ticks once, statistics, indexes and key counts fold the
-    /// deltas in O(|delta|), and the views refresh through their
-    /// maintenance plans.
+    /// Commits a transaction into this version from its deltas alone, in
+    /// place (`D_{t+1} = D_t + Δ`). The keys are checked against the net
+    /// deltas and a delta that does not fit fails it; then the clock
+    /// ticks once, statistics, indexes and key counts fold the deltas in
+    /// O(|delta|), and the views refresh through their maintenance plans.
+    /// On a uniquely owned version (recovery) nothing is copied.
     ///
     /// On `Err` the version is partly folded and must be dropped — call
     /// this on a clone, or where a failure is fatal anyway.
-    pub fn commit(
-        &mut self,
-        db: Database,
-        deltas: DeltaMap,
-        config: ExecConfig,
-    ) -> Result<(), AbortReason> {
-        self.db = Arc::new(db);
-        self.fold(deltas, config)
-    }
-
-    /// [`Version::commit`] from the deltas alone, in place
-    /// (`D_{t+1} = D_t + Δ`); a delta that does not fit fails it. On a
-    /// uniquely owned version (recovery) nothing is copied.
     pub fn apply(&mut self, deltas: DeltaMap, config: ExecConfig) -> Result<(), AbortReason> {
+        self.check_keys(&deltas)?;
         let db = Arc::make_mut(&mut self.db);
         for (name, delta) in &deltas {
             db.apply(name, delta).map_err(AbortReason::Error)?;
         }
-        self.fold(deltas, config)
-    }
-
-    /// The catalog half of a commit, once `self.db` holds the post-state.
-    fn fold(&mut self, deltas: DeltaMap, config: ExecConfig) -> Result<(), AbortReason> {
-        self.check_keys(&deltas)?;
-        let time = Arc::make_mut(&mut self.db).tick();
+        let time = db.tick();
         let stats = Arc::make_mut(&mut self.stats);
         let indexes = Arc::make_mut(&mut self.indexes);
         let keys = Arc::make_mut(&mut self.keys);
-        let mut indexes_current = true;
         for (name, delta) in &deltas {
             if delta.is_empty() {
                 continue;
@@ -247,16 +218,14 @@ impl Version {
                 stats.apply_commit(name, delta, post);
             }
             // the check above passed, so folding the deltas in cannot
-            // violate a key
+            // violate a key; an index mirrors its relation, which took
+            // the same delta above, so neither fold can fail either
             keys.apply_commit(name, delta).map_err(AbortReason::Error)?;
-            indexes_current &= indexes.apply_commit(name, delta).is_ok();
+            indexes
+                .apply_commit(name, delta)
+                .map_err(AbortReason::Error)?;
         }
         stats.set_as_of(time);
-        if !indexes_current {
-            // incremental maintenance failed; the definitions still hold
-            // and the base commit is fine — rebuild from the post-state
-            let _ = indexes.rebuild(&self.db);
-        }
         self.views
             .refresh_after_commit(deltas, &self.db, config)
             .map_err(AbortReason::Error)
@@ -276,7 +245,7 @@ impl Version {
     /// Creates a materialized view over this state: the definition is
     /// validated (`E0301`/`E0303` and ordinary schema errors reject it),
     /// evaluated once, and incrementally maintained by every subsequent
-    /// [`Version::commit`].
+    /// [`Version::apply`].
     pub fn create_view(
         &mut self,
         name: &str,

@@ -173,23 +173,6 @@ impl ViewSet {
         self.get(name).is_some()
     }
 
-    /// Cheap per-transaction snapshots of every view's contents.
-    pub fn snapshots(&self) -> BTreeMap<String, Arc<Relation>> {
-        self.views
-            .iter()
-            .map(|v| (v.name.clone(), Arc::clone(&v.data)))
-            .collect()
-    }
-
-    /// The union of every view's dependency set — the base relations
-    /// whose deltas commits must capture.
-    pub fn tracked_relations(&self) -> std::collections::BTreeSet<String> {
-        self.views
-            .iter()
-            .flat_map(|v| v.deps.iter().cloned())
-            .collect()
-    }
-
     /// Creates a view over `expr` against the current database state:
     /// validates the definition (self-reference, schema inference,
     /// totality — see `mera_analyze::analyze_view_def`), evaluates it
@@ -285,21 +268,6 @@ impl ViewSet {
         view.plan = MaintNode::build(&view.expr, provider, config)?;
         view.data = Arc::new(fresh);
         Ok(delta)
-    }
-
-    /// Drops every view's data and plan and rebuilds them from `db` —
-    /// the recovery path: view *definitions* are durable, view *state*
-    /// is reconstructed (maintenance guarantees the incremental contents
-    /// equal a fresh evaluation, so rebuild and replay agree).
-    pub fn rebuild(&mut self, db: &Database, config: ExecConfig) -> CoreResult<()> {
-        for i in 0..self.views.len() {
-            let (done, rest) = self.views.split_at_mut(i);
-            let view = &mut rest[0];
-            let provider = ViewCatalog { views: done, db };
-            view.plan = MaintNode::build(&view.expr, &provider, config)?;
-            view.data = Arc::new(eval(&view.expr, &provider, config)?);
-        }
-        Ok(())
     }
 }
 
