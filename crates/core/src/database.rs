@@ -88,11 +88,11 @@ impl fmt::Display for DatabaseSchema {
 /// A database state `D_t`: one relation instance per declared schema, plus
 /// the logical time.
 ///
-/// Relation payloads are plain values, so a clone is a deep copy of the
-/// counted maps (cheap relative to duplicate-expanded copies). A
-/// transaction never clones one: it runs as a signed delta over a
-/// borrowed state, and a commit applies that delta
-/// ([`Database::apply`]) to a copy of the newest state.
+/// Relations are persistent tries ([`crate::pmap::PMap`]), so a clone
+/// shares them and costs O(#relations); a write copies only the trie
+/// nodes it touches. A transaction never clones one: it runs as a signed
+/// delta over a borrowed state, and a commit applies that delta
+/// ([`Database::apply`]) to a clone of the newest state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Database {
     schema: Arc<DatabaseSchema>,

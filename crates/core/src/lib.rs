@@ -10,7 +10,8 @@
 //! * [`schema`] — relation schemas (Definition 2.2),
 //! * [`multiset`] — the counted bag over a multiplicity semiring (ℕ, ℤ
 //!   for signed deltas, 𝔹 for set semantics) with the multiplicity laws
-//!   of Definitions 3.1–3.2,
+//!   of Definitions 3.1–3.2, stored in
+//! * [`pmap`] — a persistent hash trie: O(1) clones, path-copying writes,
 //! * [`relation`] — schema-checked K-relations and operator kernels,
 //! * [`database`] — database schemas, states and transitions
 //!   (Definitions 2.5–2.6).
@@ -38,6 +39,7 @@ pub mod database;
 pub mod error;
 pub mod intern;
 pub mod multiset;
+pub mod pmap;
 pub mod relation;
 pub mod schema;
 pub mod sketch;

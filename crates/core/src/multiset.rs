@@ -28,14 +28,18 @@
 //! | `E₁ ∩ E₂` | [`KBag::intersection`] | `min(m₁, m₂)` |
 //! | `E₁ ⊑ E₂` | [`KBag::is_submultiset`] | `∀x: m₁(x) ≤ m₂(x)` |
 //! | `δE` | [`KBag::distinct`] | `min(1, m)` |
+//!
+//! The support is stored in a [`PMap`], a persistent hash trie: a clone
+//! shares every node, so copying a relation, a delta or a view's state
+//! costs O(1), and a write copies only the O(log n) nodes on its path
+//! that another copy still shares. A committed version is therefore a
+//! clone of its predecessor plus one path per changed element.
 
-use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::Hash;
 
-use rustc_hash::FxHashMap;
-
 use crate::error::{CoreError, CoreResult};
+use crate::pmap::{self, PMap};
 
 /// A commutative semiring of multiplicities. Partial operations report
 /// overflow instead of wrapping.
@@ -65,11 +69,7 @@ pub trait Semiring: Copy + Eq + fmt::Debug + fmt::Display + Send + Sync + 'stati
 
     /// Lifts an ℕ bag into S pointwise (`from_nat` of every multiplicity).
     fn lift<T: Eq + Hash + Clone>(bag: &Bag<T>) -> CoreResult<KBag<T, Self>> {
-        let mut out = KBag::with_capacity(bag.distinct_len());
-        for (x, m) in bag.iter() {
-            out.insert(x.clone(), Self::from_nat(m)?)?;
-        }
-        Ok(out)
+        KBag::try_from_pairs(bag.iter().map(|(x, m)| Ok((x.clone(), Self::from_nat(m)?))))
     }
 }
 
@@ -201,7 +201,7 @@ impl NaturallyOrdered for bool {
 /// `element → non-zero multiplicity`.
 #[derive(Debug, Clone)]
 pub struct KBag<T: Eq + Hash, S: Semiring> {
-    counts: FxHashMap<T, S>,
+    counts: PMap<T, S>,
     total: S::Total,
 }
 
@@ -215,7 +215,7 @@ pub type SignedBag<T> = KBag<T, i64>;
 impl<T: Eq + Hash, S: Semiring> Default for KBag<T, S> {
     fn default() -> Self {
         KBag {
-            counts: FxHashMap::default(),
+            counts: PMap::new(),
             total: S::Total::default(),
         }
     }
@@ -227,12 +227,20 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
         Self::default()
     }
 
-    /// An empty bag pre-sized for `n` distinct elements.
-    pub fn with_capacity(n: usize) -> Self {
-        KBag {
-            counts: FxHashMap::with_capacity_and_hasher(n, Default::default()),
-            total: S::Total::default(),
+    /// Builds a bag from `(element, multiplicity)` pairs in one pass
+    /// ([`PMap::try_from_pairs`]), summing (and in ℤ cancelling) the
+    /// multiplicities of repeated elements; stops at the first `Err`.
+    pub fn try_from_pairs(pairs: impl IntoIterator<Item = CoreResult<(T, S)>>) -> CoreResult<Self> {
+        let add = |m: &mut S, n: &mut S| {
+            *m = m.plus(*n)?;
+            Ok(())
+        };
+        let counts = PMap::try_from_pairs(pairs, add, |&m| m != S::ZERO)?;
+        let mut total = S::Total::default();
+        for &m in counts.values() {
+            total = S::retotal(total, S::ZERO, m)?;
         }
+        Ok(KBag { counts, total })
     }
 
     /// True when every multiplicity is zero.
@@ -261,36 +269,19 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
         if m == S::ZERO {
             return Ok(());
         }
-        match self.counts.entry(x) {
-            Entry::Occupied(mut e) => {
-                let old = *e.get();
-                let next = old.plus(m)?;
-                self.total = S::retotal(self.total, old, next)?;
-                if next == S::ZERO {
-                    e.remove();
-                } else {
-                    *e.get_mut() = next;
-                }
-            }
-            Entry::Vacant(e) => {
-                self.total = S::retotal(self.total, S::ZERO, m)?;
-                e.insert(m);
-            }
-        }
+        let total = &mut self.total;
+        self.counts.alter(x, |old| {
+            let old = old.copied().unwrap_or(S::ZERO);
+            let next = old.plus(m)?;
+            *total = S::retotal(*total, old, next)?;
+            Ok((next != S::ZERO).then_some(next))
+        })?;
         Ok(())
-    }
-
-    /// Stores `m` for an element known to be absent, into a total known
-    /// to hold it — the fast path of operators whose output is bounded by
-    /// an input bag.
-    fn push_new(&mut self, x: T, m: S) {
-        self.total = S::retotal(self.total, S::ZERO, m).expect("bounded by an input bag");
-        self.counts.insert(x, m);
     }
 
     /// Iterates over `(element, multiplicity)` pairs — the paper's
     /// "set of pairs `(r, R(r))` without duplicates" notation.
-    pub fn iter(&self) -> impl Iterator<Item = (&T, S)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&T, S)> {
         self.counts.iter().map(|(x, &m)| (x, m))
     }
 
@@ -302,19 +293,26 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
     /// Multi-set union `B₁ ⊎ B₂`: multiplicities add.
     pub fn union(&self, other: &Self) -> CoreResult<Self> {
         let mut out = self.clone();
-        for (x, m) in other.iter() {
-            out.insert(x.clone(), m)?;
-        }
+        out.absorb(other.clone())?;
         Ok(out)
     }
 
     /// In-place union absorbing `other` without cloning its elements —
-    /// merging per-worker bags, or folding one delta into another.
+    /// merging per-worker bags, or folding one delta into another. The
+    /// elements go in as one batch ([`PMap::alter_all`]).
     pub fn absorb(&mut self, other: Self) -> CoreResult<()> {
-        for (x, m) in other {
-            self.insert(x, m)?;
+        if self.is_empty() {
+            *self = other;
+            return Ok(());
         }
-        Ok(())
+        let total = &mut self.total;
+        self.counts.alter_all(other, |count, m| {
+            let old = count.unwrap_or(S::ZERO);
+            let next = old.plus(m)?;
+            *total = S::retotal(*total, old, next)?;
+            *count = (next != S::ZERO).then_some(next);
+            Ok(())
+        })
     }
 
     /// Maps every element through `f`, summing multiplicities of collapsing
@@ -325,11 +323,7 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
         U: Eq + Hash + Clone,
         F: FnMut(&T) -> CoreResult<U>,
     {
-        let mut out = KBag::with_capacity(self.distinct_len());
-        for (x, m) in self.iter() {
-            out.insert(f(x)?, m)?;
-        }
-        Ok(out)
+        KBag::try_from_pairs(self.iter().map(|(x, m)| Ok((f(x)?, m))))
     }
 
     /// Keeps elements satisfying `p`, multiplicities unchanged — the
@@ -338,13 +332,13 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
     where
         F: FnMut(&T) -> CoreResult<bool>,
     {
-        let mut out = Self::with_capacity(self.distinct_len());
+        let mut kept = Vec::new();
         for (x, m) in self.iter() {
             if p(x)? {
-                out.push_new(x.clone(), m);
+                kept.push((x.clone(), m));
             }
         }
-        Ok(out)
+        Self::try_from_pairs(kept.into_iter().map(Ok))
     }
 
     /// Cartesian product with combiner: multiplicities multiply
@@ -355,13 +349,13 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
         V: Eq + Hash + Clone,
         F: FnMut(&T, &U) -> V,
     {
-        let mut out = KBag::with_capacity(self.distinct_len() * other.distinct_len());
+        let mut pairs = Vec::with_capacity(self.distinct_len() * other.distinct_len());
         for (x, m1) in self.iter() {
             for (y, m2) in other.iter() {
-                out.insert(f(x, y), m1.times(m2)?)?;
+                pairs.push((f(x, y), m1.times(m2)?));
             }
         }
-        Ok(out)
+        KBag::try_from_pairs(pairs.into_iter().map(Ok))
     }
 }
 
@@ -383,15 +377,14 @@ impl<T: Eq + Hash + Clone, S: NaturallyOrdered> KBag<T, S> {
     /// Removes up to `m` occurrences of `x`, returning how many were
     /// actually removed (`min(m, B(x))` — the pointwise difference law).
     pub fn remove(&mut self, x: &T, m: S) -> S {
-        let Some(cur) = self.counts.get_mut(x) else {
-            return S::ZERO;
-        };
-        let (old, removed) = (*cur, m.min(*cur));
-        *cur = old.monus(removed);
-        self.total = S::retotal(self.total, old, *cur).expect("removal shrinks the total");
-        if *cur == S::ZERO {
-            self.counts.remove(x);
-        }
+        let mut removed = S::ZERO;
+        let total = &mut self.total;
+        self.counts.update(x, |&cur| {
+            removed = m.min(cur);
+            let next = cur.monus(removed);
+            *total = S::retotal(*total, cur, next).expect("removal shrinks the total");
+            (next != S::ZERO).then_some(next)
+        });
         removed
     }
 
@@ -405,14 +398,10 @@ impl<T: Eq + Hash + Clone, S: NaturallyOrdered> KBag<T, S> {
 
     /// Multi-set difference `B₁ − B₂`: `m₁ ∸ m₂` pointwise.
     pub fn difference(&self, other: &Self) -> Self {
-        let mut out = Self::with_capacity(self.distinct_len());
-        for (x, m1) in self.iter() {
-            let m = m1.monus(other.multiplicity(x));
-            if m != S::ZERO {
-                out.push_new(x.clone(), m);
-            }
-        }
-        out
+        let pairs = self
+            .iter()
+            .map(|(x, m)| Ok((x.clone(), m.monus(other.multiplicity(x)))));
+        Self::try_from_pairs(pairs).expect("bounded by the left bag")
     }
 
     /// Multi-set intersection `B₁ ∩ B₂`: `min(m₁, m₂)` pointwise.
@@ -423,24 +412,17 @@ impl<T: Eq + Hash + Clone, S: NaturallyOrdered> KBag<T, S> {
         } else {
             (other, self)
         };
-        let mut out = Self::with_capacity(small.distinct_len());
-        for (x, m1) in small.iter() {
-            let m = m1.min(big.multiplicity(x));
-            if m != S::ZERO {
-                out.push_new(x.clone(), m);
-            }
-        }
-        out
+        let pairs = small
+            .iter()
+            .map(|(x, m)| Ok((x.clone(), m.min(big.multiplicity(x)))));
+        Self::try_from_pairs(pairs).expect("bounded by the smaller bag")
     }
 
     /// Duplicate elimination `δB`: every present element at multiplicity
     /// one.
     pub fn distinct(&self) -> Self {
-        let mut out = Self::with_capacity(self.distinct_len());
-        for x in self.support() {
-            out.push_new(x.clone(), S::ONE);
-        }
-        out
+        let pairs = self.support().map(|x| Ok((x.clone(), S::ONE)));
+        Self::try_from_pairs(pairs).expect("bounded by the bag")
     }
 
     /// Multi-subset test `B₁ ⊑ B₂` (Definition 2.3).
@@ -453,10 +435,8 @@ impl<T: Eq + Hash + Clone> SignedBag<T> {
     /// Negates every multiplicity in place — turns an insertion delta into
     /// the retraction that undoes it.
     pub fn negate(&mut self) {
-        for m in self.counts.values_mut() {
-            // multiplicities are never i64::MIN, see `signed`
-            *m = -*m;
-        }
+        // multiplicities are never i64::MIN, see `signed`
+        self.counts.for_each_value_mut(|m| *m = -*m);
     }
 
     /// The delta that transforms `old` into `new`:
@@ -469,21 +449,27 @@ impl<T: Eq + Hash + Clone> SignedBag<T> {
         Ok(delta)
     }
 
-    /// Applies the delta to an ℕ bag in place, failing with
+    /// Applies the delta to an ℕ bag in place, as one batch
+    /// ([`PMap::alter_all`]), failing with
     /// [`CoreError::NegativeMultiplicity`] if any element would end up
     /// below zero — a retraction outrunning the base state, which a
     /// correctly maintained delta never produces. On failure `base` is
     /// partly updated; callers apply to a copy or rebuild.
     pub fn apply_to(&self, base: &mut Bag<T>) -> CoreResult<()> {
-        for (x, m) in self.iter() {
-            let n = m.unsigned_abs();
-            if m > 0 {
-                base.insert(x.clone(), n)?;
-            } else if base.remove(x, n) != n {
-                return Err(CoreError::NegativeMultiplicity("delta application"));
-            }
-        }
-        Ok(())
+        let total = &mut base.total;
+        let changes = self.iter().map(|(x, m)| (x.clone(), m));
+        base.counts.alter_all(changes, |count, m| {
+            let cur = count.unwrap_or(0);
+            let next = if m > 0 {
+                cur.plus(m.unsigned_abs())?
+            } else {
+                cur.checked_sub(m.unsigned_abs())
+                    .ok_or(CoreError::NegativeMultiplicity("delta application"))?
+            };
+            *total = u64::retotal(*total, cur, next)?;
+            *count = (next != 0).then_some(next);
+            Ok(())
+        })
     }
 }
 
@@ -509,17 +495,13 @@ impl<T: Eq + Hash + Clone, S: Semiring> FromIterator<(T, S)> for KBag<T, S> {
     /// cancelling) as it goes. Panics only on overflow, which
     /// `FromIterator` cannot report.
     fn from_iter<I: IntoIterator<Item = (T, S)>>(iter: I) -> Self {
-        let mut bag = KBag::new();
-        for (x, m) in iter {
-            bag.insert(x, m).expect("bag cardinality overflow");
-        }
-        bag
+        KBag::try_from_pairs(iter.into_iter().map(Ok)).expect("bag cardinality overflow")
     }
 }
 
-impl<T: Eq + Hash, S: Semiring> IntoIterator for KBag<T, S> {
+impl<T: Eq + Hash + Clone, S: Semiring> IntoIterator for KBag<T, S> {
     type Item = (T, S);
-    type IntoIter = std::collections::hash_map::IntoIter<T, S>;
+    type IntoIter = pmap::IntoIter<T, S>;
 
     /// Consumes the bag, yielding owned `(element, multiplicity)` pairs.
     fn into_iter(self) -> Self::IntoIter {

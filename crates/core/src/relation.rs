@@ -43,23 +43,21 @@ impl<S: Semiring> KRelation<S> {
     where
         I: IntoIterator<Item = Tuple>,
     {
-        let mut rel = Self::empty(schema);
-        for t in tuples {
-            rel.insert(t, S::ONE)?;
-        }
-        Ok(rel)
+        Self::from_counted(schema, tuples.into_iter().map(|t| (t, S::ONE)))
     }
 
-    /// Builds a relation from `(tuple, multiplicity)` pairs.
+    /// Builds a relation from `(tuple, multiplicity)` pairs, validating
+    /// each tuple, in one pass ([`KBag::try_from_pairs`]).
     pub fn from_counted<I>(schema: SchemaRef, pairs: I) -> CoreResult<Self>
     where
         I: IntoIterator<Item = (Tuple, S)>,
     {
-        let mut rel = Self::empty(schema);
-        for (t, m) in pairs {
-            rel.insert(t, m)?;
-        }
-        Ok(rel)
+        let checked = pairs.into_iter().map(|(t, m)| {
+            schema.check_tuple(&t)?;
+            Ok((t, m))
+        });
+        let tuples = KBag::try_from_pairs(checked)?;
+        Ok(Self::from_bag(schema, tuples))
     }
 
     /// Rebuilds a relation from an already-validated bag (crate-internal

@@ -8,12 +8,19 @@
 //! and an [`Engine`](crate::Engine) carrying an `IndexSet` answers
 //! point-selections over base relations (`σ_{%i = const ∧ …}(R)`) with
 //! index lookups and hinted equi-joins with index-nested-loop probes.
+//!
+//! An index lives in a committed version beside its relation, so it is
+//! stored the same way: its key → bucket map is a [`PMap`], and each
+//! bucket an immutable shared slice that a write replaces. Cloning an
+//! index (every commit clones the newest version) is O(1), and a commit
+//! that touches `k` keys copies `k` trie paths and rebuilds `k` buckets.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use mera_core::pmap::PMap;
 use mera_core::prelude::*;
 use mera_expr::scalar::{CmpOp, ScalarExpr};
-use rustc_hash::FxHashMap;
 
 use crate::physical::column::eval_filter_mask;
 use crate::physical::{Column, CountedBatch};
@@ -28,9 +35,14 @@ use crate::physical::{Column, CountedBatch};
 pub struct HashIndex {
     keys: Vec<usize>,
     schema: SchemaRef,
-    map: FxHashMap<Tuple, Vec<(Tuple, u64)>>,
+    map: PMap<Tuple, Bucket>,
     entries: u64,
 }
+
+/// The counted tuples filed under one key: shared between the versions
+/// that hold it, so a clone never copies it, and copied on write only by
+/// a version that shares it.
+type Bucket = Arc<Vec<(Tuple, u64)>>;
 
 impl HashIndex {
     /// Builds an index on the 1-based key attributes of a relation (no
@@ -42,17 +54,11 @@ impl HashIndex {
         let mut index = HashIndex {
             keys: keys.to_vec(),
             schema: Arc::clone(rel.schema()),
-            map: FxHashMap::default(),
-            entries: 0,
+            map: PMap::new(),
+            entries: rel.len(),
         };
-        for (t, m) in rel.iter() {
-            index
-                .map
-                .entry(index.key_of(t))
-                .or_default()
-                .push((t.clone(), m));
-            index.entries += m;
-        }
+        let rows = rel.iter().map(|(t, m)| (index.key_of(t), (t.clone(), m)));
+        index.map = PMap::from_groups(rows, Arc::new);
         Ok(index)
     }
 
@@ -98,7 +104,7 @@ impl HashIndex {
     /// Point lookup without materialisation: the counted tuples carrying
     /// `key`, as a borrowed slice (empty when the key is absent).
     pub fn matches(&self, key: &Tuple) -> &[(Tuple, u64)] {
-        self.map.get(key).map(Vec::as_slice).unwrap_or(&[])
+        self.map.get(key).map_or(&[], |b| b.as_slice())
     }
 
     /// The schema of the indexed relation.
@@ -180,44 +186,47 @@ impl HashIndex {
     /// Folds one commit's signed delta into the index — O(|delta|), the
     /// same incremental-maintenance contract as materialized views: after
     /// the call the index equals a fresh [`HashIndex::build`] over the
-    /// post-commit relation. Like [`SignedBag::apply_to`], a retraction
-    /// the index cannot cover fails with
-    /// [`CoreError::NegativeMultiplicity`] and an insertion past `u64`
-    /// fails with an overflow; on failure the index is partly updated and
-    /// callers drop it (a view recomputes, a commit aborts).
+    /// post-commit relation. A touched bucket is copied only by a version
+    /// that still shares it, once; in place otherwise. Like
+    /// [`SignedBag::apply_to`], a retraction the index cannot cover fails
+    /// with [`CoreError::NegativeMultiplicity`] and an insertion past
+    /// `u64` fails with an overflow; on failure the index is partly
+    /// updated and callers drop it (a view recomputes, a commit aborts).
     pub fn apply_delta(&mut self, delta: &SignedBag<Tuple>) -> CoreResult<()> {
         let underflow = || CoreError::NegativeMultiplicity("delta application");
-        for (t, m) in delta.iter() {
-            let key = self.key_of(t);
+        let keyed: Vec<(Tuple, (&Tuple, i64))> = delta
+            .iter()
+            .map(|(t, m)| (self.key_of(t), (t, m)))
+            .collect();
+        let entries = &mut self.entries;
+        self.map.alter_all(keyed, |bucket, (t, m)| {
+            // copied first if another version shares it
+            let b = Arc::make_mut(bucket.get_or_insert_with(Default::default));
             let n = m.unsigned_abs();
+            let pos = b.iter().position(|(bt, _)| bt == t);
             if m > 0 {
-                let bucket = self.map.entry(key).or_default();
-                match bucket.iter_mut().find(|(bt, _)| bt == t) {
-                    Some((_, bm)) => *bm = bm.plus(n)?,
-                    None => bucket.push((t.clone(), n)),
+                match pos {
+                    Some(p) => b[p].1 = b[p].1.plus(n)?,
+                    None => b.push((t.clone(), n)),
                 }
-                self.entries = self.entries.plus(n)?;
+                *entries = entries.plus(n)?;
             } else {
-                let bucket = self.map.get_mut(&key).ok_or_else(underflow)?;
-                let pos = bucket
-                    .iter()
-                    .position(|(bt, _)| bt == t)
-                    .ok_or_else(underflow)?;
-                let cur = bucket[pos].1;
+                let p = pos.ok_or_else(underflow)?;
+                let cur = b[p].1;
                 if n > cur {
                     return Err(underflow());
                 } else if n < cur {
-                    bucket[pos].1 = cur - n;
+                    b[p].1 = cur - n;
                 } else {
-                    bucket.swap_remove(pos);
-                    if bucket.is_empty() {
-                        self.map.remove(&key);
-                    }
+                    b.swap_remove(p);
                 }
-                self.entries -= n;
+                *entries -= n;
             }
-        }
-        Ok(())
+            if b.is_empty() {
+                *bucket = None;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -225,7 +234,7 @@ impl HashIndex {
 #[derive(Debug, Clone, Default)]
 pub struct IndexSet {
     // (relation name, sorted key attrs) → index
-    indexes: FxHashMap<(String, Vec<usize>), HashIndex>,
+    indexes: BTreeMap<(String, Vec<usize>), HashIndex>,
 }
 
 impl IndexSet {
@@ -281,9 +290,7 @@ impl IndexSet {
     /// carries; the entries themselves are built by `create` and then
     /// delta-maintained).
     pub fn definitions(&self) -> Vec<(String, Vec<usize>)> {
-        let mut defs: Vec<(String, Vec<usize>)> = self.indexes.keys().cloned().collect();
-        defs.sort();
-        defs
+        self.indexes.keys().cloned().collect()
     }
 }
 

@@ -18,8 +18,9 @@
 //! `DeclareKey` record); [`KeySet::declare`] builds the counts when
 //! recovery replays `DeclareKey`, exactly like index entries.
 
+use std::collections::BTreeMap;
+
 use mera_core::prelude::*;
-use rustc_hash::FxHashMap;
 
 /// A commit (or declaration) that would leave some key point with a
 /// summed multiplicity above one.
@@ -113,7 +114,7 @@ impl KeyCounts {
 #[derive(Debug, Clone, Default)]
 pub struct KeySet {
     // (relation name, sorted key attrs) → counts
-    keys: FxHashMap<(String, Vec<usize>), KeyCounts>,
+    keys: BTreeMap<(String, Vec<usize>), KeyCounts>,
 }
 
 impl KeySet {
@@ -174,12 +175,7 @@ impl KeySet {
         if delta.is_empty() {
             return Ok(());
         }
-        let mut declared: Vec<_> = self
-            .keys
-            .iter()
-            .filter(|((r, _), _)| r == relation)
-            .collect();
-        declared.sort_by(|a, b| a.0.cmp(b.0));
+        let declared = self.keys.iter().filter(|((r, _), _)| r == relation);
         for ((r, attrs), counts) in declared {
             if let Err((key, multiplicity)) = counts.check(delta) {
                 return Err(KeyViolation {
@@ -213,9 +209,7 @@ impl KeySet {
     /// durable catalog definition (what a `DeclareKey` WAL record
     /// carries), and the ground facts handed to the analyzer's `KeyEnv`.
     pub fn definitions(&self) -> Vec<(String, Vec<usize>)> {
-        let mut defs: Vec<(String, Vec<usize>)> = self.keys.keys().cloned().collect();
-        defs.sort();
-        defs
+        self.keys.keys().cloned().collect()
     }
 }
 

@@ -106,16 +106,9 @@ pub(crate) fn run(
             Source::Rows(rows) => Relation::from_counted(plan.schema, rows.iter().cloned()),
         };
     }
-    let schema = &plan.schema;
-    let mut parts =
-        run_pipeline(&plan.legs, opts, || Relation::empty(Arc::clone(schema)))?.into_iter();
-    let mut out = parts.next().expect("every run has a worker");
-    for part in parts {
-        for (t, m) in part.iter() {
-            out.insert(t.clone(), m)?;
-        }
-    }
-    Ok(out)
+    // every worker's rows, merged into the result in one pass
+    let parts = run_pipeline(&plan.legs, opts, RowsSink::default)?;
+    Relation::from_counted(plan.schema, parts.into_iter().flat_map(|part| part.0))
 }
 
 // ----------------------------------------------------------------------
@@ -659,38 +652,14 @@ trait Sink: Send {
 }
 
 /// Plain concatenation (unmerged counted rows) — inner sides of loop
-/// joins, where duplicate rows are fine.
+/// joins, where duplicate rows are fine, and the final collections, which
+/// merge them into a bag in one pass at the end.
 #[derive(Default)]
 struct RowsSink(Vec<Counted>);
 
 impl Sink for RowsSink {
     fn consume(&mut self, batch: CountedBatch) -> CoreResult<()> {
         self.0.extend(batch.into_rows());
-        Ok(())
-    }
-}
-
-/// The result relation: the per-worker parts of the final collection,
-/// filled straight from the last pipeline's batches.
-impl Sink for Relation {
-    fn consume(&mut self, batch: CountedBatch) -> CoreResult<()> {
-        for (t, m) in batch {
-            self.insert(t, m)?;
-        }
-        Ok(())
-    }
-}
-
-/// Merged counted bag — the difference/intersection and closure
-/// breakers, whose laws need total multiplicities.
-#[derive(Default)]
-struct BagSink(Bag<Tuple>);
-
-impl Sink for BagSink {
-    fn consume(&mut self, batch: CountedBatch) -> CoreResult<()> {
-        for (t, m) in batch {
-            self.0.insert(t, m)?;
-        }
         Ok(())
     }
 }
@@ -794,28 +763,13 @@ fn run_rows(mut p: Pipeline<'_>, opts: &ExecOptions) -> CoreResult<Vec<Counted>>
 /// Runs a pipeline into one merged bag.
 fn run_bag(mut p: Pipeline<'_>, opts: &ExecOptions) -> CoreResult<Bag<Tuple>> {
     if is_passthrough(&p) {
-        let mut out = Bag::default();
-        match p.legs.pop().expect("single leg").source {
-            Source::Rel(rel) => {
-                for (t, m) in rel.iter() {
-                    out.insert(t.clone(), m)?;
-                }
-            }
-            Source::Rows(rows) => {
-                for (t, m) in rows.iter() {
-                    out.insert(t.clone(), *m)?;
-                }
-            }
-        }
-        return Ok(out);
+        return match p.legs.pop().expect("single leg").source {
+            Source::Rel(rel) => Ok(rel.bag().clone()),
+            Source::Rows(rows) => KBag::try_from_pairs(rows.iter().cloned().map(Ok)),
+        };
     }
-    let sinks = run_pipeline(&p.legs, opts, BagSink::default)?;
-    let mut iter = sinks.into_iter();
-    let mut out = iter.next().map(|s| s.0).unwrap_or_default();
-    for s in iter {
-        out.absorb(s.0)?;
-    }
-    Ok(out)
+    let sinks = run_pipeline(&p.legs, opts, RowsSink::default)?;
+    KBag::try_from_pairs(sinks.into_iter().flat_map(|s| s.0).map(Ok))
 }
 
 /// Regroups per-worker radix buffers by partition: partition `pi` gets

@@ -138,10 +138,10 @@ impl Aggregate {
     {
         match self {
             Aggregate::Cnt => {
-                let mut n: u64 = 0;
-                for (_, m) in values {
-                    n = n.checked_add(m).ok_or(CoreError::Overflow("CNT"))?;
-                }
+                let n = values
+                    .into_iter()
+                    .fold(Some(0_u64), |n, (_, m)| n?.checked_add(m));
+                let n = n.ok_or(CoreError::Overflow("CNT"))?;
                 let n = i64::try_from(n).map_err(|_| CoreError::Overflow("CNT"))?;
                 Ok(Value::Int(n))
             }
@@ -184,24 +184,20 @@ impl Aggregate {
                 if count == 0 {
                     return Err(CoreError::AggregateOnEmpty("STDDEV"));
                 }
-                let mean = pairs.iter().map(|&(v, m)| v * m as f64).sum::<f64>() / count as f64;
-                let var = pairs
-                    .iter()
-                    .map(|&(v, m)| (v - mean).powi(2) * m as f64)
-                    .sum::<f64>()
-                    / count as f64;
+                let mean = exact_sum(pairs.iter().copied()) / count as f64;
+                let var =
+                    exact_sum(pairs.iter().map(|&(v, m)| ((v - mean).powi(2), m))) / count as f64;
                 Ok(Value::Real(
                     Real::new(var.sqrt())
                         .map_err(|_| CoreError::Overflow("STDDEV produced NaN"))?,
                 ))
             }
             Aggregate::Median => {
-                let mut pairs: Vec<(f64, u64)> = collect_numeric(values)?;
+                let pairs: Vec<(f64, u64)> = collect_numeric(values)?;
                 let count: u64 = pairs.iter().map(|&(_, m)| m).sum();
                 if count == 0 {
                     return Err(CoreError::AggregateOnEmpty("MEDIAN"));
                 }
-                pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
                 // positions are 0-based into the multiplicity-expanded
                 // sequence; even counts average the two middle elements
                 let lo_pos = (count - 1) / 2;
@@ -225,22 +221,84 @@ impl Aggregate {
     }
 }
 
-/// Collects numeric `(value, multiplicity)` pairs as `f64`, rejecting
-/// non-numeric domains.
+/// Collects numeric `(value, multiplicity)` pairs as `f64`, sorted by
+/// value, rejecting non-numeric domains.
 fn collect_numeric<'a, I>(values: I) -> CoreResult<Vec<(f64, u64)>>
 where
     I: IntoIterator<Item = (&'a Value, u64)>,
 {
-    values
+    let mut pairs = values
         .into_iter()
         .filter(|&(_, m)| m > 0)
         .map(|(v, m)| Ok((v.as_f64()?, m)))
-        .collect()
+        .collect::<CoreResult<Vec<(f64, u64)>>>()?;
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    Ok(pairs)
+}
+
+/// `Σ v·m` over `(v, m)` terms, rounded once: each product is split
+/// exactly into `v·m` and its rounding error, and the parts are added
+/// without loss (Shewchuk's partials, as Python's `math.fsum`). So the
+/// sum of a bag does not depend on the order its pairs arrive in, nor on
+/// whether equal values come merged (`(5.0, 2)`) or apart (`(5.0, 1)`
+/// twice). A sum that overflows falls back to plain addition.
+fn exact_sum(terms: impl IntoIterator<Item = (f64, u64)>) -> f64 {
+    let mut partials: Vec<f64> = Vec::new();
+    let mut plain = 0.0;
+    for (v, m) in terms {
+        let w = m as f64;
+        let product = v * w;
+        plain += product;
+        for mut x in [product, v.mul_add(w, -product)] {
+            let mut kept = 0;
+            for i in 0..partials.len() {
+                let mut y = partials[i];
+                if x.abs() < y.abs() {
+                    std::mem::swap(&mut x, &mut y);
+                }
+                let hi = x + y;
+                let lo = y - (hi - x);
+                if lo != 0.0 {
+                    partials[kept] = lo;
+                    kept += 1;
+                }
+                x = hi;
+            }
+            partials.truncate(kept);
+            partials.push(x);
+        }
+    }
+    if !plain.is_finite() || partials.iter().any(|p| !p.is_finite()) {
+        return plain;
+    }
+    // round the exact sum of the partials once, largest first
+    let mut hi = partials.pop().unwrap_or(0.0);
+    let mut lo = 0.0;
+    while let Some(y) = partials.pop() {
+        let x = hi;
+        hi = x + y;
+        lo = y - (hi - x);
+        if lo != 0.0 {
+            break;
+        }
+    }
+    if partials
+        .last()
+        .is_some_and(|&p| (lo < 0.0 && p < 0.0) || (lo > 0.0 && p > 0.0))
+    {
+        let y = lo * 2.0;
+        let x = hi + y;
+        if y == x - hi {
+            hi = x;
+        }
+    }
+    hi
 }
 
 /// Multiplicity-weighted sum plus total count. Int sums stay exact in
-/// `i128` then narrow; real sums accumulate in `f64`; money sums stay in
-/// minor units. The empty sum is the typed zero of `input_type`.
+/// `i128` then narrow; money sums stay in minor units; real sums are
+/// rounded once ([`exact_sum`]), so they are a function of the bag alone.
+/// The empty sum is the typed zero of `input_type`.
 fn compute_sum<'a, I>(input_type: DataType, values: I) -> CoreResult<(Value, u64)>
 where
     I: IntoIterator<Item = (&'a Value, u64)>,
@@ -248,28 +306,28 @@ where
     enum Acc {
         Empty,
         Int(i128),
-        Real(f64),
+        Real(Vec<(f64, u64)>),
         Money(i128),
     }
     let mut acc = Acc::Empty;
     let mut count: u64 = 0;
-    for (v, m) in values {
+    let mut add = |(v, m): (&Value, u64)| -> CoreResult<()> {
         if m == 0 {
-            continue;
+            return Ok(());
         }
         count = count
             .checked_add(m)
             .ok_or(CoreError::Overflow("SUM count"))?;
         match (&mut acc, v) {
             (Acc::Empty, Value::Int(i)) => acc = Acc::Int(i128::from(*i) * i128::from(m)),
-            (Acc::Empty, Value::Real(r)) => acc = Acc::Real(r.get() * m as f64),
+            (Acc::Empty, Value::Real(r)) => acc = Acc::Real(vec![(r.get(), m)]),
             (Acc::Empty, Value::Money(mo)) => acc = Acc::Money(i128::from(mo.0) * i128::from(m)),
             (Acc::Int(s), Value::Int(i)) => {
                 *s = s
                     .checked_add(i128::from(*i) * i128::from(m))
                     .ok_or(CoreError::Overflow("SUM"))?;
             }
-            (Acc::Real(s), Value::Real(r)) => *s += r.get() * m as f64,
+            (Acc::Real(terms), Value::Real(r)) => terms.push((r.get(), m)),
             (Acc::Money(s), Value::Money(mo)) => {
                 *s = s
                     .checked_add(i128::from(mo.0) * i128::from(m))
@@ -282,7 +340,12 @@ where
                 )))
             }
         }
-    }
+        Ok(())
+    };
+    // a fold, which a map's entries run without per-item bookkeeping
+    values
+        .into_iter()
+        .fold(Ok(()), |done, item| done.and_then(|()| add(item)))?;
     let sum = match acc {
         // SUM of the empty bag is the typed zero of the attribute's domain
         Acc::Empty => match input_type {
@@ -296,7 +359,8 @@ where
             }
         },
         Acc::Int(s) => Value::Int(i64::try_from(s).map_err(|_| CoreError::Overflow("SUM"))?),
-        Acc::Real(s) => {
+        Acc::Real(terms) => {
+            let s = exact_sum(terms);
             Value::Real(Real::new(s).map_err(|_| CoreError::Overflow("SUM produced NaN"))?)
         }
         Acc::Money(s) => Value::Money(Money(
@@ -361,6 +425,49 @@ mod tests {
         assert_eq!(run(Aggregate::Sum, &v).unwrap(), Value::real(5.0).unwrap());
         let v = vec![(Value::Money(Money(150)), 3)];
         assert_eq!(run(Aggregate::Sum, &v).unwrap(), Value::Money(Money(450)));
+    }
+
+    /// Real sums round the same whatever order a bag yields its pairs
+    /// in: 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 differ in the last bit.
+    #[test]
+    fn real_sums_do_not_depend_on_pair_order() {
+        let v: Vec<(Value, u64)> = [0.1, 0.2, 0.3, 1e16, -1e16]
+            .iter()
+            .map(|&r| (Value::real(r).unwrap(), 1))
+            .collect();
+        let mut rev = v.clone();
+        rev.reverse();
+        for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::StdDev] {
+            assert_eq!(run(agg, &v).unwrap(), run(agg, &rev).unwrap(), "{agg:?}");
+        }
+        // nor on whether equal values come merged or one by one
+        let real = |r: f64, m: u64| (Value::real(r).unwrap(), m);
+        let merged = vec![
+            real(5.0, 2),
+            real(5.1, 1),
+            real(6.5, 1),
+            real(6.3, 1),
+            real(4.2, 1),
+        ];
+        let apart = vec![
+            real(4.2, 1),
+            real(5.0, 1),
+            real(6.3, 1),
+            real(5.0, 1),
+            real(6.5, 1),
+            real(5.1, 1),
+        ];
+        for agg in [Aggregate::Sum, Aggregate::Avg, Aggregate::StdDev] {
+            assert_eq!(
+                run(agg, &merged).unwrap(),
+                run(agg, &apart).unwrap(),
+                "{agg:?}"
+            );
+        }
+        assert_eq!(
+            run(Aggregate::Sum, &apart).unwrap(),
+            Value::real(32.1).unwrap()
+        );
     }
 
     #[test]

@@ -121,9 +121,9 @@ impl<S: Storage> ConcurrentDb<S> {
         })
     }
 
-    /// The MVCC manager — for version-level access (retained versions,
-    /// options). A commit through it bypasses the WAL; durable commits go
-    /// through [`ConcurrentDb::commit`].
+    /// The MVCC manager — for version-level access (pins, the execution
+    /// configuration, volatile DDL). A commit through it bypasses the WAL;
+    /// durable commits go through [`ConcurrentDb::commit`].
     pub fn mvcc(&self) -> &MvccManager {
         &self.mvcc
     }

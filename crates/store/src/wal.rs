@@ -269,14 +269,15 @@ fn read_deltas(r: &mut Reader<'_>) -> DecodeResult<DeltaMap> {
         let dtypes = (0..r.u16()?)
             .map(|_| codec::dtype_of_tag(r.u8()?))
             .collect::<DecodeResult<Vec<_>>>()?;
-        let (n, mut delta) = (r.u32()? as usize, TupleDelta::new());
+        let n = r.u32()? as usize;
+        let mut counted = Vec::new();
         for (tuple, m) in codec::read_counted(r, n, &dtypes)? {
             let m = Some(m as i64).filter(|&m| m != 0 && m != i64::MIN);
             let m = m.ok_or_else(|| DecodeError(format!("bad multiplicity in '{name}'")))?;
-            delta
-                .insert(tuple, m)
-                .map_err(|e| DecodeError(e.to_string()))?;
+            counted.push((tuple, m));
         }
+        let delta = TupleDelta::try_from_pairs(counted.into_iter().map(Ok))
+            .map_err(|e| DecodeError(e.to_string()))?;
         deltas.insert(name, delta);
     }
     Ok(deltas)

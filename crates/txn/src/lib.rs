@@ -40,7 +40,7 @@ pub use exec::{
 pub use explain::explain_expr;
 pub use mera_eval::{EngineKind, ExecOptions, HashIndex, IndexSet, KeySet, KeyViolation};
 pub use mera_opt::{CatalogStats, TableStats};
-pub use mvcc::{MvccManager, MvccOptions, PreparedTxn, Version};
+pub use mvcc::{MvccManager, PreparedTxn, Version};
 pub use statement::{Program, Statement};
 pub use transaction::{AbortReason, DeclareKeyError, Outcome};
 pub use views::{CreateViewError, DeltaMap, TupleDelta, View, ViewSet};

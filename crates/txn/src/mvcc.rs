@@ -12,7 +12,11 @@
 //! first-committer-wins validation, the durability hook, publication.
 //! *How* it moves (running statements, folding a commit into the
 //! catalog, admitting DDL) is [`Version`]'s, and the manager calls those
-//! steps on a clone of the newest version.
+//! steps on a clone of the newest version. That clone shares every trie
+//! node with its original, so a commit copies what its delta touches. The
+//! chain holds the newest version only: a superseded one lives as long as
+//! some reader or writer pins it, and is released outside the chain's
+//! lock.
 //!
 //! Writers run **optimistically** (OCC, snapshot isolation):
 //!
@@ -183,10 +187,15 @@ struct CommitSummary {
     ddl: bool,
 }
 
+/// Commit summaries kept for validation. A writer whose snapshot
+/// predates the oldest one aborts with a conservative conflict (snapshot
+/// too old).
+const RETAINED_SUMMARIES: usize = 4096;
+
 struct Chain {
+    /// The newest version: the only one the chain holds. A superseded
+    /// version lives on only while a reader or writer still pins it.
     latest: Arc<Version>,
-    /// Recently superseded versions, newest last — `as_of` reads.
-    history: VecDeque<Arc<Version>>,
     /// Write footprints of recent publications, oldest first.
     summaries: VecDeque<CommitSummary>,
     next_seq: u64,
@@ -216,28 +225,6 @@ impl PreparedTxn {
     }
 }
 
-/// How many superseded versions and commit summaries the chain retains.
-#[derive(Debug, Clone, Copy)]
-pub struct MvccOptions {
-    /// Superseded full versions kept for [`MvccManager::version_at`]
-    /// (`as_of` reads). Pinned readers keep their own versions alive
-    /// regardless.
-    pub retained_versions: usize,
-    /// Commit summaries kept for validation. A writer whose snapshot
-    /// predates the oldest retained summary aborts with a conservative
-    /// conflict (snapshot too old).
-    pub retained_summaries: usize,
-}
-
-impl Default for MvccOptions {
-    fn default() -> Self {
-        MvccOptions {
-            retained_versions: 16,
-            retained_summaries: 4096,
-        }
-    }
-}
-
 /// The multi-version transaction manager: a chain of immutable versions,
 /// lock-free pinned readers, optimistic writers validated
 /// first-committer-wins at a short commit section.
@@ -246,7 +233,6 @@ pub struct MvccManager {
     /// Serializes the validate-fold-publish commit section (and DDL).
     commit: Mutex<()>,
     config: ExecConfig,
-    options: MvccOptions,
 }
 
 impl MvccManager {
@@ -268,20 +254,12 @@ impl MvccManager {
         MvccManager {
             chain: RwLock::new(Chain {
                 latest: Arc::new(version),
-                history: VecDeque::new(),
                 summaries: VecDeque::new(),
                 next_seq: 1,
             }),
             commit: Mutex::new(()),
             config,
-            options: MvccOptions::default(),
         }
-    }
-
-    /// Overrides the retention options.
-    pub fn with_options(mut self, options: MvccOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// The execution configuration transactions run with.
@@ -293,21 +271,6 @@ impl MvccManager {
     /// immutable and stays valid for as long as the `Arc` is held.
     pub fn pin(&self) -> Arc<Version> {
         Arc::clone(&self.chain.read().latest)
-    }
-
-    /// Pins the newest version with `time() <= time`, if still retained —
-    /// the `as_of` read path.
-    pub fn version_at(&self, time: LogicalTime) -> Option<Arc<Version>> {
-        let chain = self.chain.read();
-        if chain.latest.time() <= time {
-            return Some(Arc::clone(&chain.latest));
-        }
-        chain
-            .history
-            .iter()
-            .rev()
-            .find(|v| v.time() <= time)
-            .map(Arc::clone)
     }
 
     /// Current logical time (of the newest version).
@@ -441,7 +404,9 @@ impl MvccManager {
 
     /// Installs `version` as the newest (commit lock must be held),
     /// stamping it with the next sequence number and remembering its
-    /// write footprint for the validation of in-flight snapshots.
+    /// write footprint for the validation of in-flight snapshots. The
+    /// version it replaces is released after the chain's lock, so no
+    /// reader's `pin` waits on a version being freed.
     fn publish(&self, mut version: Version, writes: WriteSet, ddl: bool) -> Arc<Version> {
         let mut chain = self.chain.write();
         version.seq = chain.next_seq;
@@ -452,15 +417,13 @@ impl MvccManager {
             writes,
             ddl,
         });
-        while chain.summaries.len() > self.options.retained_summaries {
+        if chain.summaries.len() > RETAINED_SUMMARIES {
             chain.summaries.pop_front();
         }
         let version = Arc::new(version);
-        let old = std::mem::replace(&mut chain.latest, Arc::clone(&version));
-        chain.history.push_back(old);
-        while chain.history.len() > self.options.retained_versions {
-            chain.history.pop_front();
-        }
+        let replaced = std::mem::replace(&mut chain.latest, Arc::clone(&version));
+        drop(chain);
+        drop(replaced);
         version
     }
 
@@ -741,20 +704,6 @@ mod tests {
         // the manager remains usable
         let (o, _) = mgr.execute(&deposit("ann", 10));
         assert!(o.is_committed());
-    }
-
-    #[test]
-    fn version_at_serves_as_of_reads() {
-        let mgr = MvccManager::new(schema());
-        mgr.execute(&deposit("ann", 10));
-        mgr.execute(&deposit("bob", 20));
-        mgr.execute(&deposit("cho", 30));
-        let v1 = mgr.version_at(1).expect("retained");
-        assert_eq!(v1.time(), 1);
-        assert_eq!(v1.database().relation("acct").expect("rel").len(), 1);
-        let v2 = mgr.version_at(2).expect("retained");
-        assert_eq!(v2.database().relation("acct").expect("rel").len(), 2);
-        assert!(mgr.version_at(99).expect("latest").time() <= 99);
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //! mutated); WAL recovery owns a single version by value and calls them
 //! in place, where every `Arc` is unique and `Arc::make_mut` copies
 //! nothing.
+//!
+//! Every map under a version is a persistent trie
+//! ([`mera_core::pmap::PMap`]): relations, index buckets, key counts and
+//! view state. A clone of a version copies only the headers of its
+//! catalog objects, and [`Version::apply`] copies the trie nodes its
+//! delta touches — O(|Δ| log n), not the database.
 
 use std::sync::Arc;
 
@@ -196,7 +202,8 @@ impl Version {
     /// deltas and a delta that does not fit fails it; then the clock
     /// ticks once, statistics, indexes and key counts fold the deltas in
     /// O(|delta|), and the views refresh through their maintenance plans.
-    /// On a uniquely owned version (recovery) nothing is copied.
+    /// On a clone of a published version, only the trie nodes the deltas
+    /// touch are copied; on a uniquely owned one (recovery) nothing is.
     ///
     /// On `Err` the version is partly folded and must be dropped — call
     /// this on a clone, or where a failure is fatal anyway.

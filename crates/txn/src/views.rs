@@ -41,6 +41,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use mera_core::pmap::PMap;
 use mera_core::prelude::*;
 use mera_eval::physical::join::extract_equi_condition;
 use mera_eval::provider::{RelationProvider, Schemas};
@@ -357,7 +358,7 @@ enum MaintNode {
         agg: Aggregate,
         attr: usize,
         in_type: DataType,
-        groups: FxHashMap<Vec<Value>, Bag<Value>>,
+        groups: PMap<Vec<Value>, Bag<Value>>,
     },
     /// Closure, which has no incremental rule: re-evaluate and diff.
     Recompute { expr: RelExpr, last: Relation },
@@ -432,12 +433,11 @@ impl MaintNode {
                 let in_schema = input.schema(&Schemas(provider))?;
                 let in_type = in_schema.dtype(*attr)?;
                 let rel = eval(input, provider, config)?;
-                let mut groups: FxHashMap<Vec<Value>, Bag<Value>> = FxHashMap::default();
+                let mut groups: PMap<Vec<Value>, Bag<Value>> = PMap::new();
                 for (t, m) in rel.iter() {
                     let key = group_key(t, keys)?;
                     groups
-                        .entry(key)
-                        .or_default()
+                        .get_or_insert_with(key, Bag::new)
                         .insert(t.attr(*attr)?.clone(), m)?;
                 }
                 MaintNode::GroupBy {
@@ -493,7 +493,7 @@ impl MaintNode {
             } => {
                 let dl = left.refresh(deltas, provider, config)?;
                 let dr = right.refresh(deltas, provider, config)?;
-                let mut out = TupleDelta::new();
+                let mut out = Vec::new();
                 // ΔL ⋈ R_old: a left tuple's key (taken at the left key
                 // attributes) probes the right index, because the key
                 // lists are parallel
@@ -510,7 +510,7 @@ impl MaintNode {
                     }
                 }
                 right_state.apply_delta(&dr)?;
-                Ok(out)
+                TupleDelta::try_from_pairs(out.into_iter().map(Ok))
             }
             MaintNode::Distinct { child, seen } => {
                 let d = child.refresh(deltas, provider, config)?;
@@ -537,7 +537,7 @@ impl MaintNode {
                 let touched: FxHashSet<&Tuple> = dl.support().chain(dr.support()).collect();
                 // the output restricted to the touched tuples
                 let output = |l: &Bag<Tuple>, r: &Bag<Tuple>| -> CoreResult<Bag<Tuple>> {
-                    let mut out = Bag::with_capacity(touched.len());
+                    let mut out = Bag::new();
                     for &t in &touched {
                         let (ml, mr) = (l.multiplicity(t), r.multiplicity(t));
                         out.insert(t.clone(), if minus { ml.monus(mr) } else { ml.min(mr) })?;
@@ -568,23 +568,23 @@ impl MaintNode {
                 }
                 // the empty-key group has a row even over an empty bag
                 let always = keys.is_empty();
-                let mut out = TupleDelta::new();
+                let mut out = Vec::with_capacity(2 * by_key.len());
                 for (key, values) in by_key {
-                    let bag = groups.entry(key.clone()).or_default();
+                    let bag = groups.get_or_insert_with(key.clone(), Bag::new);
                     if always || !bag.is_empty() {
                         let old = agg.compute(*in_type, bag.iter())?;
-                        out.insert(agg_row(&key, old), -1)?;
+                        out.push((agg_row(&key, old), -1));
                     }
                     values.apply_to(bag)?;
                     if always || !bag.is_empty() {
                         let new = agg.compute(*in_type, bag.iter())?;
-                        out.insert(agg_row(&key, new), 1)?;
+                        out.push((agg_row(&key, new), 1));
                     }
                     if bag.is_empty() {
                         groups.remove(&key);
                     }
                 }
-                Ok(out)
+                TupleDelta::try_from_pairs(out.into_iter().map(Ok))
             }
             MaintNode::Recompute { expr, last } => {
                 let fresh = eval(expr, provider, config)?;
@@ -629,14 +629,14 @@ fn join_keys(predicate: &ScalarExpr, la: usize, ra: usize) -> (Vec<usize>, Vec<u
 /// Adds a joined row `Δ-side multiplicity m × state multiplicity n` to a
 /// join's output delta when it satisfies the full predicate.
 fn emit_joined(
-    out: &mut TupleDelta,
+    out: &mut Vec<(Tuple, i64)>,
     joined: Tuple,
     m: i64,
     n: u64,
     predicate: &ScalarExpr,
 ) -> CoreResult<()> {
     if predicate.eval_predicate(&joined)? {
-        out.insert(joined, m.times(i64::from_nat(n)?)?)?;
+        out.push((joined, m.times(i64::from_nat(n)?)?));
     }
     Ok(())
 }
