@@ -205,6 +205,10 @@ pub struct KBag<T: Eq + Hash, S: Semiring> {
     total: S::Total,
 }
 
+/// Deltas up to this many elements apply element by element: a descent
+/// each costs less than sorting and batching them.
+const SMALL_DELTA: usize = 4;
+
 /// A bag in the paper's sense: ℕ multiplicities.
 pub type Bag<T> = KBag<T, u64>;
 
@@ -449,13 +453,24 @@ impl<T: Eq + Hash + Clone> SignedBag<T> {
         Ok(delta)
     }
 
-    /// Applies the delta to an ℕ bag in place, as one batch
-    /// ([`PMap::alter_all`]), failing with
+    /// Applies the delta to an ℕ bag in place — a few elements one by
+    /// one, more as one batch ([`PMap::alter_all`]) — failing with
     /// [`CoreError::NegativeMultiplicity`] if any element would end up
     /// below zero — a retraction outrunning the base state, which a
     /// correctly maintained delta never produces. On failure `base` is
     /// partly updated; callers apply to a copy or rebuild.
     pub fn apply_to(&self, base: &mut Bag<T>) -> CoreResult<()> {
+        if self.distinct_len() <= SMALL_DELTA {
+            for (x, m) in self.iter() {
+                let n = m.unsigned_abs();
+                if m > 0 {
+                    base.insert(x.clone(), n)?;
+                } else if base.remove(x, n) != n {
+                    return Err(CoreError::NegativeMultiplicity("delta application"));
+                }
+            }
+            return Ok(());
+        }
         let total = &mut base.total;
         let changes = self.iter().map(|(x, m)| (x.clone(), m));
         base.counts.alter_all(changes, |count, m| {

@@ -193,41 +193,62 @@ impl HashIndex {
     /// `u64` fails with an overflow; on failure the index is partly
     /// updated and callers drop it (a view recomputes, a commit aborts).
     pub fn apply_delta(&mut self, delta: &SignedBag<Tuple>) -> CoreResult<()> {
-        let underflow = || CoreError::NegativeMultiplicity("delta application");
         let keyed: Vec<(Tuple, (&Tuple, i64))> = delta
             .iter()
             .map(|(t, m)| (self.key_of(t), (t, m)))
             .collect();
         let entries = &mut self.entries;
-        self.map.alter_all(keyed, |bucket, (t, m)| {
-            // copied first if another version shares it
-            let b = Arc::make_mut(bucket.get_or_insert_with(Default::default));
-            let n = m.unsigned_abs();
-            let pos = b.iter().position(|(bt, _)| bt == t);
-            if m > 0 {
-                match pos {
-                    Some(p) => b[p].1 = b[p].1.plus(n)?,
-                    None => b.push((t.clone(), n)),
+        if keyed.len() <= SMALL_DELTA {
+            // a few rows: a descent each costs less than sorting them
+            for (key, (t, m)) in keyed {
+                // copied first if another version shares it
+                let b = Arc::make_mut(self.map.get_or_insert_with(key.clone(), Default::default));
+                let edited = edit_bucket(b, t, m, entries);
+                if b.is_empty() {
+                    self.map.remove(&key);
                 }
-                *entries = entries.plus(n)?;
-            } else {
-                let p = pos.ok_or_else(underflow)?;
-                let cur = b[p].1;
-                if n > cur {
-                    return Err(underflow());
-                } else if n < cur {
-                    b[p].1 = cur - n;
-                } else {
-                    b.swap_remove(p);
-                }
-                *entries -= n;
+                edited?;
             }
+            return Ok(());
+        }
+        self.map.alter_all(keyed, |bucket, (t, m)| {
+            let b = Arc::make_mut(bucket.get_or_insert_with(Default::default));
+            let edited = edit_bucket(b, t, m, entries);
             if b.is_empty() {
                 *bucket = None;
             }
-            Ok(())
+            edited
         })
     }
+}
+
+/// Deltas up to this many rows apply row by row rather than as a batch.
+const SMALL_DELTA: usize = 4;
+
+/// Adds one delta row to its bucket, keeping the index's entry count.
+fn edit_bucket(b: &mut Vec<(Tuple, u64)>, t: &Tuple, m: i64, entries: &mut u64) -> CoreResult<()> {
+    let underflow = || CoreError::NegativeMultiplicity("delta application");
+    let n = m.unsigned_abs();
+    let pos = b.iter().position(|(bt, _)| bt == t);
+    if m > 0 {
+        match pos {
+            Some(p) => b[p].1 = b[p].1.plus(n)?,
+            None => b.push((t.clone(), n)),
+        }
+        *entries = entries.plus(n)?;
+    } else {
+        let p = pos.ok_or_else(underflow)?;
+        let cur = b[p].1;
+        if n > cur {
+            return Err(underflow());
+        } else if n < cur {
+            b[p].1 = cur - n;
+        } else {
+            b.swap_remove(p);
+        }
+        *entries -= n;
+    }
+    Ok(())
 }
 
 /// A set of indexes over a database's relations.

@@ -138,10 +138,10 @@ impl Aggregate {
     {
         match self {
             Aggregate::Cnt => {
-                let n = values
-                    .into_iter()
-                    .fold(Some(0_u64), |n, (_, m)| n?.checked_add(m));
-                let n = n.ok_or(CoreError::Overflow("CNT"))?;
+                let mut n: u64 = 0;
+                for (_, m) in values {
+                    n = n.checked_add(m).ok_or(CoreError::Overflow("CNT"))?;
+                }
                 let n = i64::try_from(n).map_err(|_| CoreError::Overflow("CNT"))?;
                 Ok(Value::Int(n))
             }
@@ -311,9 +311,9 @@ where
     }
     let mut acc = Acc::Empty;
     let mut count: u64 = 0;
-    let mut add = |(v, m): (&Value, u64)| -> CoreResult<()> {
+    for (v, m) in values {
         if m == 0 {
-            return Ok(());
+            continue;
         }
         count = count
             .checked_add(m)
@@ -340,12 +340,7 @@ where
                 )))
             }
         }
-        Ok(())
-    };
-    // a fold, which a map's entries run without per-item bookkeeping
-    values
-        .into_iter()
-        .fold(Ok(()), |done, item| done.and_then(|()| add(item)))?;
+    }
     let sum = match acc {
         // SUM of the empty bag is the typed zero of the attribute's domain
         Acc::Empty => match input_type {
