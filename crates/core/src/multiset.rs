@@ -205,10 +205,6 @@ pub struct KBag<T: Eq + Hash, S: Semiring> {
     total: S::Total,
 }
 
-/// Deltas up to this many elements apply element by element: a descent
-/// each costs less than sorting and batching them.
-const SMALL_DELTA: usize = 4;
-
 /// A bag in the paper's sense: ℕ multiplicities.
 pub type Bag<T> = KBag<T, u64>;
 
@@ -274,13 +270,13 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
             return Ok(());
         }
         let total = &mut self.total;
-        self.counts.alter(x, |old| {
-            let old = old.copied().unwrap_or(S::ZERO);
+        self.counts.alter(x, |count| {
+            let old = count.unwrap_or(S::ZERO);
             let next = old.plus(m)?;
             *total = S::retotal(*total, old, next)?;
-            Ok((next != S::ZERO).then_some(next))
-        })?;
-        Ok(())
+            *count = (next != S::ZERO).then_some(next);
+            Ok(())
+        })
     }
 
     /// Iterates over `(element, multiplicity)` pairs — the paper's
@@ -302,8 +298,8 @@ impl<T: Eq + Hash + Clone, S: Semiring> KBag<T, S> {
     }
 
     /// In-place union absorbing `other` without cloning its elements —
-    /// merging per-worker bags, or folding one delta into another. The
-    /// elements go in as one batch ([`PMap::alter_all`]).
+    /// merging per-worker bags, or folding one delta into another
+    /// ([`PMap::alter_all`]).
     pub fn absorb(&mut self, other: Self) -> CoreResult<()> {
         if self.is_empty() {
             *self = other;
@@ -453,27 +449,22 @@ impl<T: Eq + Hash + Clone> SignedBag<T> {
         Ok(delta)
     }
 
-    /// Applies the delta to an ℕ bag in place — a few elements one by
-    /// one, more as one batch ([`PMap::alter_all`]) — failing with
-    /// [`CoreError::NegativeMultiplicity`] if any element would end up
-    /// below zero — a retraction outrunning the base state, which a
-    /// correctly maintained delta never produces. On failure `base` is
-    /// partly updated; callers apply to a copy or rebuild.
+    /// Applies the delta to an ℕ bag in place ([`Bag::apply_signed`]).
     pub fn apply_to(&self, base: &mut Bag<T>) -> CoreResult<()> {
-        if self.distinct_len() <= SMALL_DELTA {
-            for (x, m) in self.iter() {
-                let n = m.unsigned_abs();
-                if m > 0 {
-                    base.insert(x.clone(), n)?;
-                } else if base.remove(x, n) != n {
-                    return Err(CoreError::NegativeMultiplicity("delta application"));
-                }
-            }
-            return Ok(());
-        }
-        let total = &mut base.total;
-        let changes = self.iter().map(|(x, m)| (x.clone(), m));
-        base.counts.alter_all(changes, |count, m| {
+        base.apply_signed(self.iter().map(|(x, m)| (x.clone(), m)))
+    }
+}
+
+impl<T: Eq + Hash + Clone> Bag<T> {
+    /// Adds signed multiplicities in place, one element at a time
+    /// ([`PMap::alter_all`]), failing with
+    /// [`CoreError::NegativeMultiplicity`] if an element would end up
+    /// below zero — a retraction outrunning the base state, which a
+    /// correctly maintained delta never produces. On failure the bag is
+    /// partly updated; callers apply to a copy or rebuild.
+    pub fn apply_signed(&mut self, changes: impl IntoIterator<Item = (T, i64)>) -> CoreResult<()> {
+        let total = &mut self.total;
+        self.counts.alter_all(changes, |count, m| {
             let cur = count.unwrap_or(0);
             let next = if m > 0 {
                 cur.plus(m.unsigned_abs())?

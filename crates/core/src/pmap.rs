@@ -3,7 +3,7 @@
 //!
 //! [`PMap`] is a fixed-fanout hash trie in the style of Bagwell's *Ideal
 //! Hash Trees* (2001). A key's FxHash is read from its top bits down,
-//! three bits (eight children) per level, and a subtree holds exactly the
+//! four bits (sixteen children) per level, and a subtree holds exactly the
 //! keys whose hashes start with its path. Every node sits behind an `Arc`:
 //!
 //! * `clone` is O(1): one reference-count bump of the root;
@@ -16,20 +16,21 @@
 //!   never one per entry. Spare slots at its end make in-place inserts
 //!   amortized O(1); a copied leaf is exact-size.
 //!
-//! Whole deltas go in as one batch ([`PMap::alter_all`]): sorted by hash,
-//! they descend each node once and copy each touched leaf once. Bulk
-//! builds ([`PMap::try_from_pairs`], [`PMap::from_groups`]) sort once and
-//! allocate every node once; they pay no path copy per insert.
+//! A delta goes in through [`PMap::alter_all`]: into a map that owns its
+//! root, one in-place descent per edit; into one that shares it, in hash
+//! order, each touched leaf merged with its edits into one copy. Either
+//! way a node is copied at most once per delta. Bulk builds
+//! ([`PMap::try_from_pairs`], [`PMap::from_groups`]) bucket the entries by
+//! hash and allocate every node once; they pay no path copy per insert.
 //!
 //! A leaf splits into a branch once it would hold more than 64 entries,
 //! except at the last level, where all its entries share one full hash.
 //! Iteration walks branches in digit order and leaves in hash order, so it
 //! visits entries sorted by hash: the order follows the contents (and,
-//! among keys of one full hash, insertion order), never the trie's shape.
-//! Equality compares contents.
+//! among keys of one full hash, the order of their writes), never the
+//! trie's shape. Equality compares contents.
 
 use std::cmp::Ordering;
-use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -37,14 +38,14 @@ use std::sync::Arc;
 use rustc_hash::FxHasher;
 
 /// Hash bits consumed per level.
-const BITS: u32 = 3;
+const BITS: u32 = 4;
 /// Children per branch.
 const FANOUT: usize = 1 << BITS;
 /// Branch levels a 64-bit hash can address; a leaf below the last one
 /// never splits.
 const LEVELS: usize = (u64::BITS / BITS) as usize;
 /// Most entries a leaf above the last level holds before it splits into
-/// eight; a bulk build fills leaves at most half, so the inserts after it
+/// sixteen; a bulk build fills leaves at most half, so the inserts after it
 /// grow them before any split.
 const LEAF_MAX: usize = 64;
 
@@ -128,19 +129,71 @@ fn leaf_of<K, V>(e: Entry<K, V>) -> Leaf<K, V> {
 }
 
 /// `items` in a stable order of `hash`: as they are when already so
-/// (another map's iteration order), else through an unstable sort of
-/// `(hash, position)` pairs, which moves each item once.
+/// (another map's iteration order), else bucketed by the hash's top bits
+/// — one counting pass and one move per item, about two items per
+/// bucket — and each bucket sorted.
 fn sorted_by_hash<T>(items: Vec<T>, hash: impl Fn(&T) -> u64) -> Vec<T> {
     if items.is_sorted_by_key(&hash) {
         return items;
     }
-    let mut order: Vec<(u64, usize)> = items.iter().map(&hash).zip(0..).collect();
-    order.sort_unstable();
-    let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    order
-        .iter()
-        .map(|&(_, i)| items[i].take().expect("each position once"))
-        .collect()
+    let n = items.len();
+    let bits = (usize::BITS - (n / 2).leading_zeros()).clamp(1, 16);
+    let bucket = |t: &T| (hash(t) >> (u64::BITS - bits)) as usize;
+    // `starts[b]` is where bucket `b` begins
+    let mut starts = vec![0; (1 << bits) + 1];
+    for t in &items {
+        starts[bucket(t) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut next = starts.clone();
+    let mut placed: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    for t in items {
+        let b = bucket(&t);
+        placed[next[b]] = Some(t);
+        next[b] += 1;
+    }
+    let mut sorted: Vec<T> = placed
+        .into_iter()
+        .map(|t| t.expect("every position is filled once"))
+        .collect();
+    for w in starts.windows(2) {
+        if w[1] - w[0] > 1 {
+            sorted[w[0]..w[1]].sort_by_key(&hash);
+        }
+    }
+    sorted
+}
+
+/// The entries of a leaf about to be replaced, in order: moved out of
+/// a leaf this map owns alone, cloned out of a shared one.
+enum Drain<'a, K, V> {
+    Owned(std::slice::IterMut<'a, Slot<K, V>>),
+    Shared(std::slice::Iter<'a, Slot<K, V>>),
+}
+
+impl<'a, K, V> Drain<'a, K, V> {
+    fn of(leaf: Option<&'a mut Leaf<K, V>>) -> Self {
+        match leaf {
+            Some(slots) => match Arc::get_mut(slots).is_some() {
+                true => Drain::Owned(Arc::get_mut(slots).expect("unique").iter_mut()),
+                false => Drain::Shared(slots.iter()),
+            },
+            None => Drain::Shared([].iter()),
+        }
+    }
+}
+
+impl<K: Clone, V: Clone> Iterator for Drain<'_, K, V> {
+    type Item = Entry<K, V>;
+
+    fn next(&mut self) -> Option<Entry<K, V>> {
+        match self {
+            Drain::Owned(slots) => slots.next()?.take(),
+            Drain::Shared(slots) => slots.next()?.clone(),
+        }
+    }
 }
 
 /// How many slots of a leaf are occupied.
@@ -161,7 +214,11 @@ fn entry<K, V>(slot: &Slot<K, V>) -> &Entry<K, V> {
 /// The slot holding `key`, or the slot it would be inserted at to keep
 /// the leaf sorted by hash (after any keys of the same hash).
 fn find<K: Eq, V>(slots: &[Slot<K, V>], hash: u64, key: &K) -> Result<usize, usize> {
-    let mut i = slots.partition_point(|s| matches!(s, Some(e) if e.hash < hash));
+    // leaves are short: a scan beats a binary search's mispredictions
+    let mut i = slots
+        .iter()
+        .position(|s| !matches!(s, Some(e) if e.hash < hash))
+        .unwrap_or(slots.len());
     while let Some(Some(e)) = slots.get(i) {
         if e.hash != hash {
             break;
@@ -200,13 +257,6 @@ impl<K: Clone> KeyArg<'_, K> {
             KeyArg::Owned(k) => k,
             KeyArg::Borrowed(k) | KeyArg::Present(k) => k.clone(),
         }
-    }
-}
-
-fn infallible<T>(result: Result<T, Infallible>) -> T {
-    match result {
-        Ok(t) => t,
-        Err(e) => match e {},
     }
 }
 
@@ -294,42 +344,154 @@ impl<K: Eq + Hash, V> PMap<K, V> {
 impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
     /// Stores `value` under `key`, returning the value it replaced.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        infallible(self.edit(KeyArg::Owned(key), |_| Ok(Some(value))))
+        self.write(KeyArg::Owned(key), |slot| slot.replace(value))
     }
 
     /// Removes the entry of `key`, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.update(key, |_| None)
-    }
-
-    /// Rewrites the entry of `key` in one descent: `f` sees the current
-    /// value (`None` when absent) and returns the new one (`None`
-    /// removes). On `Err` the contents are unchanged. Returns the value
-    /// the edit replaced.
-    pub fn alter<E>(
-        &mut self,
-        key: K,
-        f: impl FnOnce(Option<&V>) -> Result<Option<V>, E>,
-    ) -> Result<Option<V>, E> {
-        self.edit(KeyArg::Owned(key), f)
+        self.write(KeyArg::Borrowed(key), Option::take)
     }
 
     /// Rewrites the value of an existing entry (`None` removes it); an
     /// absent key stays absent and copies nothing. Returns the value the
     /// edit replaced.
     pub fn update(&mut self, key: &K, f: impl FnOnce(&V) -> Option<V>) -> Option<V> {
-        infallible(self.edit(KeyArg::Borrowed(key), |old| Ok(old.and_then(f))))
+        self.write(KeyArg::Borrowed(key), |slot| {
+            let old = slot.take()?;
+            *slot = f(&old);
+            Some(old)
+        })
     }
 
-    /// The value of `key`, mutable, after inserting `default()` when the
-    /// key is absent; the nodes on its path another map shares are
-    /// copied first.
-    pub fn get_or_insert_with(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
-        let hash = hash_of(&key);
-        let root = self.root.get_or_insert_with(|| Node::Leaf(Arc::new([])));
-        let (value, grew) = Self::entry_node(root, 0, hash, key, default);
-        self.len += usize::from(grew);
-        value
+    /// Edits the entry of `key` in one descent: `f` gets it — `None` when
+    /// absent — to change in place: set it to insert, take it to remove.
+    /// What `f` leaves is stored, also when its result is an error; the
+    /// result is returned.
+    pub fn alter<R>(&mut self, key: K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
+        self.write(KeyArg::Owned(key), f)
+    }
+
+    /// Applies a batch of edits as [`PMap::alter`] would one by one; the
+    /// edits of one key apply in the order given. Stops at the first
+    /// `Err` with the map partly updated (the failing edit's entry as `f`
+    /// left it). A map that owns its root edits
+    /// in place, one descent per edit. One that shares it with another
+    /// map — a version's state right after its predecessor was cloned —
+    /// would copy every node it touches anyway: there the edits are put in
+    /// hash order and each touched node is copied once, a leaf merged with
+    /// its edits into one new leaf, so a batch of `k` edits copies
+    /// O(k log n) nodes however many land in one leaf.
+    pub fn alter_all<U, E>(
+        &mut self,
+        edits: impl IntoIterator<Item = (K, U)>,
+        mut f: impl FnMut(&mut Option<V>, U) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let owned = match &mut self.root {
+            Some(Node::Leaf(slots)) => Arc::get_mut(slots).is_some(),
+            Some(Node::Branch(children)) => Arc::get_mut(children).is_some(),
+            None => false,
+        };
+        if owned {
+            for (key, change) in edits {
+                self.alter(key, |entry| f(entry, change))?;
+            }
+            return Ok(());
+        }
+        let edits: Vec<Edit<K, U>> = edits
+            .into_iter()
+            .map(|(key, change)| Edit {
+                hash: hash_of(&key),
+                key,
+                change,
+            })
+            .collect();
+        let edits = sorted_by_hash(edits, |e| e.hash);
+        let n = edits.len();
+        let mut edits = edits.into_iter();
+        Self::alter_below(&mut self.root, 0, &mut edits, n, &mut f, &mut self.len)
+    }
+
+    /// Applies the next `n` edits of a batch to the subtree in `slot` at
+    /// `depth`, keeping `len` in step with every entry it adds or removes.
+    fn alter_below<U, E>(
+        slot: &mut Option<Node<K, V>>,
+        depth: usize,
+        edits: &mut std::vec::IntoIter<Edit<K, U>>,
+        n: usize,
+        f: &mut impl FnMut(&mut Option<V>, U) -> Result<(), E>,
+        len: &mut usize,
+    ) -> Result<(), E> {
+        if let Some(Node::Branch(children)) = slot {
+            let children = Arc::make_mut(children);
+            let mut left = n;
+            let mut result = Ok(());
+            while let Some(first) = edits.as_slice().first().filter(|_| left > 0) {
+                let d = digit(first.hash, depth);
+                let run = edits.as_slice()[..left].partition_point(|e| digit(e.hash, depth) == d);
+                left -= run;
+                result = Self::alter_below(&mut children[d], depth + 1, edits, run, f, len);
+                if result.is_err() {
+                    break;
+                }
+            }
+            if children.iter().all(Option::is_none) {
+                *slot = None;
+            }
+            return result;
+        }
+        // a leaf, or none: its entries and the edits merge, both in hash
+        // order, into a new leaf — or a new subtree, when they outgrow one
+        let mut old = match slot.take() {
+            Some(Node::Leaf(slots)) => Some(slots),
+            _ => None,
+        };
+        let old_len = old.as_deref().map_or(0, occupied);
+        *len -= old_len;
+        let mut entries: Vec<Entry<K, V>> = Vec::with_capacity(old_len + n);
+        let mut old = Drain::of(old.as_mut()).peekable();
+        let mut result = Ok(());
+        for edit in edits.take(n) {
+            while let Some(e) = old.next_if(|e| e.hash <= edit.hash) {
+                entries.push(e);
+            }
+            // the key, if there, is in the run of its hash at the end
+            let run = entries.len()
+                - entries
+                    .iter()
+                    .rev()
+                    .take_while(|e| e.hash == edit.hash)
+                    .count();
+            let (key, mut value) = match entries[run..].iter().position(|e| e.key == edit.key) {
+                Some(i) => {
+                    let e = entries.remove(run + i);
+                    (e.key, Some(e.value))
+                }
+                None => (edit.key, None),
+            };
+            let outcome = f(&mut value, edit.change);
+            if let Some(value) = value {
+                entries.push(Entry {
+                    hash: edit.hash,
+                    key,
+                    value,
+                });
+            }
+            if let Err(e) = outcome {
+                result = Err(e);
+                break;
+            }
+        }
+        entries.extend(old);
+        *len += entries.len();
+        let size = entries.len();
+        *slot = match size {
+            0 => None,
+            _ if size <= LEAF_MAX || depth == LEVELS => {
+                Some(Node::Leaf(entries.into_iter().map(Some).collect()))
+            }
+            _ => Some(Self::build(&mut entries.into_iter(), size, depth)),
+        };
+        result
     }
 
     /// Applies `f` to every value in place (copying every shared node).
@@ -353,23 +515,14 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
         }
     }
 
-    fn edit<E>(
-        &mut self,
-        key: KeyArg<'_, K>,
-        f: impl FnOnce(Option<&V>) -> Result<Option<V>, E>,
-    ) -> Result<Option<V>, E> {
+    /// The write path of one edit: `f` edits the entry of `key` where it lies,
+    /// after the nodes above it that another map shares are copied. A
+    /// borrowed key never inserts, and copies nothing when absent.
+    fn write<R>(&mut self, key: KeyArg<'_, K>, f: impl FnOnce(&mut Option<V>) -> R) -> R {
         let hash = hash_of(key.get());
-        let (old, change) = match &mut self.root {
-            Some(root) => Self::edit_node(root, 0, hash, key, f)?,
-            None if !key.may_insert() => (None, Change::Same),
-            None => match f(None)? {
-                Some(value) => {
-                    let key = key.into_owned();
-                    self.root = Some(Node::Leaf(leaf_of(Entry { hash, key, value })));
-                    (None, Change::Grew)
-                }
-                None => (None, Change::Same),
-            },
+        let (r, change) = match &mut self.root {
+            Some(root) => Self::write_node(root, 0, hash, key, f),
+            vacant => Self::write_vacant(vacant, hash, key, f),
         };
         match change {
             Change::Same => {}
@@ -381,22 +534,43 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
                 }
             }
         }
-        Ok(old)
+        r
     }
 
-    fn edit_node<E>(
+    /// [`PMap::write`] where the path of `hash` ends at the empty `slot`:
+    /// a one-entry leaf if `f` inserts.
+    fn write_vacant<R>(
+        slot: &mut Option<Node<K, V>>,
+        hash: u64,
+        key: KeyArg<'_, K>,
+        f: impl FnOnce(&mut Option<V>) -> R,
+    ) -> (R, Change) {
+        let mut value = None;
+        let r = f(&mut value);
+        match value {
+            Some(value) if key.may_insert() => {
+                let key = key.into_owned();
+                *slot = Some(Node::Leaf(leaf_of(Entry { hash, key, value })));
+                (r, Change::Grew)
+            }
+            _ => (r, Change::Same),
+        }
+    }
+
+    /// [`PMap::write`] in the subtree `node` at `depth`.
+    fn write_node<R>(
         node: &mut Node<K, V>,
         depth: usize,
         hash: u64,
         mut key: KeyArg<'_, K>,
-        f: impl FnOnce(Option<&V>) -> Result<Option<V>, E>,
-    ) -> Result<(Option<V>, Change), E> {
+        f: impl FnOnce(&mut Option<V>) -> R,
+    ) -> (R, Change) {
         if let (KeyArg::Borrowed(k), Node::Branch(children)) = (&key, &*node) {
             // below a shared branch every node is copied on the way
             // down: make sure the key is there before copying any
             if Arc::strong_count(children) > 1 {
                 if Self::lookup(node, depth, hash, k).is_none() {
-                    return Ok((None, Change::Same));
+                    return (f(&mut None), Change::Same);
                 }
                 key = KeyArg::Present(k);
             }
@@ -405,39 +579,25 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
             Node::Branch(children) => {
                 let children = Arc::make_mut(children);
                 let d = digit(hash, depth);
-                return match &mut children[d] {
-                    Some(child) => {
-                        let edited = Self::edit_node(child, depth + 1, hash, key, f)?;
-                        if edited.1 == Change::Shrank && child.is_empty() {
-                            children[d] = None;
-                        }
-                        Ok(edited)
-                    }
-                    vacant @ None => match key.may_insert() {
-                        true => match f(None)? {
-                            Some(value) => {
-                                let key = key.into_owned();
-                                *vacant = Some(Node::Leaf(leaf_of(Entry { hash, key, value })));
-                                Ok((None, Change::Grew))
-                            }
-                            None => Ok((None, Change::Same)),
-                        },
-                        false => Ok((None, Change::Same)),
-                    },
+                let edited = match &mut children[d] {
+                    Some(child) => Self::write_node(child, depth + 1, hash, key, f),
+                    vacant => Self::write_vacant(vacant, hash, key, f),
                 };
+                if edited.1 == Change::Shrank && children[d].as_ref().is_some_and(Node::is_empty) {
+                    children[d] = None;
+                }
+                return edited;
             }
             Node::Leaf(slots) => slots,
         };
         let i = match find(slots, hash, key.get()) {
-            Ok(i) => {
-                let next = f(Some(&entry(&slots[i]).value))?;
-                return Ok(Self::rewrite(slots, i, next));
-            }
-            Err(_) if !key.may_insert() => return Ok((None, Change::Same)),
+            Ok(i) => return Self::write_found(slots, i, f),
             Err(i) => i,
         };
-        let Some(value) = f(None)? else {
-            return Ok((None, Change::Same));
+        let mut value = None;
+        let r = f(&mut value);
+        let Some(value) = value.filter(|_| key.may_insert()) else {
+            return (r, Change::Same);
         };
         let e = Entry {
             hash,
@@ -448,127 +608,62 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
         if len < LEAF_MAX || depth == LEVELS {
             Self::insert_at(slots, len, i, e);
         } else {
-            Self::insert_new(node, depth, e);
+            Self::split_insert(node, depth, e);
         }
-        Ok((None, Change::Grew))
+        (r, Change::Grew)
     }
 
-    /// The value of `key` below `node`, inserted from `default()` when
-    /// absent, with the path to it made unique; and whether it was
-    /// inserted.
-    fn entry_node(
-        node: &mut Node<K, V>,
-        depth: usize,
-        hash: u64,
-        key: K,
-        default: impl FnOnce() -> V,
-    ) -> (&mut V, bool) {
-        let found = match &*node {
-            Node::Leaf(slots) => find(slots, hash, &key).ok(),
-            Node::Branch(_) => None,
-        };
-        match (node, found) {
-            (Node::Branch(children), _) => {
-                let child = &mut Arc::make_mut(children)[digit(hash, depth)];
-                match child {
-                    Some(child) => Self::entry_node(child, depth + 1, hash, key, default),
-                    None => {
-                        let entry = Entry {
-                            hash,
-                            key,
-                            value: default(),
-                        };
-                        let leaf = child.insert(Node::Leaf(leaf_of(entry)));
-                        (Self::value_at(leaf, 0), true)
-                    }
-                }
-            }
-            (node, Some(i)) => (Self::value_at(node, i), false),
-            (node, None) => {
-                let entry = Entry {
-                    hash,
-                    key,
-                    value: default(),
-                };
-                (Self::insert_new(node, depth, entry), true)
-            }
-        }
-    }
-
-    /// Places an entry whose key is absent below `node` (splitting a
-    /// full leaf on the way) and returns its value.
-    fn insert_new(node: &mut Node<K, V>, depth: usize, e: Entry<K, V>) -> &mut V {
-        if let Node::Leaf(slots) = node {
-            let len = occupied(slots);
-            if len >= LEAF_MAX && depth < LEVELS {
-                let branch = Self::split(slots, len, depth);
-                *node = branch;
-            }
-        }
-        match node {
-            Node::Branch(children) => {
-                let child = &mut Arc::make_mut(children)[digit(e.hash, depth)];
-                match child {
-                    Some(child) => Self::insert_new(child, depth + 1, e),
-                    None => Self::value_at(child.insert(Node::Leaf(leaf_of(e))), 0),
-                }
-            }
-            Node::Leaf(slots) => {
-                let len = occupied(slots);
-                let i = find(slots, e.hash, &e.key).expect_err("the key is absent");
-                Self::insert_at(slots, len, i, e);
-                Self::value_at(node, i)
-            }
-        }
-    }
-
-    /// The value in slot `i` of a leaf, copying the leaf if it is shared.
-    fn value_at(node: &mut Node<K, V>, i: usize) -> &mut V {
-        match node {
-            Node::Leaf(slots) => &mut Arc::make_mut(slots)[i].as_mut().expect("occupied").value,
-            Node::Branch(_) => unreachable!("values live in leaves"),
-        }
-    }
-
-    /// Replaces (`Some`) or removes (`None`) the value in slot `i`.
-    fn rewrite(slots: &mut Leaf<K, V>, i: usize, next: Option<V>) -> (Option<V>, Change) {
+    /// `f` on the entry in slot `i` of a leaf: changed where it lies in a
+    /// leaf this map owns alone, in an exact-size copy of a shared one.
+    fn write_found<R>(
+        slots: &mut Leaf<K, V>,
+        i: usize,
+        f: impl FnOnce(&mut Option<V>) -> R,
+    ) -> (R, Change) {
         let len = occupied_from(slots, i);
         if let Some(unique) = Arc::get_mut(slots) {
-            return match next {
+            let Entry { hash, key, value } = unique[i].take().expect("found");
+            let mut value = Some(value);
+            let r = f(&mut value);
+            return match value {
                 Some(value) => {
-                    let e = unique[i].as_mut().expect("found above");
-                    (Some(std::mem::replace(&mut e.value, value)), Change::Same)
+                    unique[i] = Some(Entry { hash, key, value });
+                    (r, Change::Same)
                 }
                 None => {
                     unique[i..len].rotate_left(1);
-                    let e = unique[len - 1].take().expect("found above");
-                    (Some(e.value), Change::Shrank)
+                    (r, Change::Shrank)
                 }
             };
         }
-        let old = entry(&slots[i]).value.clone();
+        let mut value = Some(entry(&slots[i]).value.clone());
+        let r = f(&mut value);
         let shared = &slots[..len];
-        match next {
+        let (copy, change) = match value {
             Some(value) => {
                 let mut value = Some(value);
-                *slots = (0..len)
-                    .map(|j| {
-                        let mut e = entry(&shared[j]).clone();
-                        if j == i {
-                            e.value = value.take().expect("one slot is rewritten");
-                        }
-                        Some(e)
-                    })
-                    .collect();
-                (Some(old), Change::Same)
+                let copy = (0..len).map(|j| match j == i {
+                    true => {
+                        let e = entry(&shared[i]);
+                        let value = value.take().expect("one slot is rewritten");
+                        let key = e.key.clone();
+                        Some(Entry {
+                            hash: e.hash,
+                            key,
+                            value,
+                        })
+                    }
+                    false => shared[j].clone(),
+                });
+                (copy.collect(), Change::Same)
             }
             None => {
-                *slots = (0..len - 1)
-                    .map(|j| shared[j + usize::from(j >= i)].clone())
-                    .collect();
-                (Some(old), Change::Shrank)
+                let copy = (0..len - 1).map(|j| shared[j + usize::from(j >= i)].clone());
+                (copy.collect(), Change::Shrank)
             }
-        }
+        };
+        *slots = copy;
+        (r, change)
     }
 
     /// Inserts `e` at slot `i` of a leaf with `len` entries: in place
@@ -609,237 +704,27 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
         }
     }
 
-    /// Applies a batch of edits leaf by leaf. For each edit `f` gets the
-    /// entry of its key — `None` when absent — to change in place: set it
-    /// to insert, take it to remove. The edits are sorted by hash, so each
-    /// node on their paths is copied (if shared) and descended once per
-    /// batch, not once per edit; a value in a leaf this map owns alone is
-    /// changed where it lies, one in a shared leaf is cloned first. Edits
-    /// of one key apply in the order given. Stops at the first `Err`,
-    /// leaving the edits before it applied and the failing one as `f`
-    /// left it.
-    pub fn alter_all<U, E>(
-        &mut self,
-        edits: impl IntoIterator<Item = (K, U)>,
-        mut f: impl FnMut(&mut Option<V>, U) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let edits: Vec<Edit<K, U>> = edits
-            .into_iter()
-            .map(|(key, change)| Edit {
-                hash: hash_of(&key),
-                key,
-                change,
-            })
-            .collect();
-        let edits = sorted_by_hash(edits, |e| e.hash);
-        let n = edits.len();
-        Self::alter_below(
-            &mut self.root,
-            0,
-            &mut edits.into_iter(),
-            n,
-            &mut f,
-            &mut self.len,
-        )
-    }
-
-    /// Applies the next `n` edits to the subtree in `slot` at `depth`,
-    /// keeping `len` in step with every entry it adds or removes.
-    fn alter_below<U, E>(
-        slot: &mut Option<Node<K, V>>,
-        depth: usize,
-        edits: &mut std::vec::IntoIter<Edit<K, U>>,
-        n: usize,
-        f: &mut impl FnMut(&mut Option<V>, U) -> Result<(), E>,
-        len: &mut usize,
-    ) -> Result<(), E> {
-        let owned = match slot {
-            Some(Node::Branch(children)) => {
-                let children = Arc::make_mut(children);
-                let mut left = n;
-                let mut result = Ok(());
-                while let Some(first) = edits.as_slice().first().filter(|_| left > 0) {
-                    let d = digit(first.hash, depth);
-                    let run =
-                        edits.as_slice()[..left].partition_point(|e| digit(e.hash, depth) == d);
-                    left -= run;
-                    result = Self::alter_below(&mut children[d], depth + 1, edits, run, f, len);
-                    if result.is_err() {
-                        break;
-                    }
-                }
-                if children.iter().all(Option::is_none) {
-                    *slot = None;
-                }
-                return result;
-            }
-            Some(Node::Leaf(slots)) => Arc::get_mut(slots).is_some(),
-            None => false,
+    /// Inserts an entry whose key is absent into the full leaf `node`
+    /// above the last level: the leaf becomes the subtree a bulk build
+    /// makes of its entries and the new one.
+    fn split_insert(node: &mut Node<K, V>, depth: usize, e: Entry<K, V>) {
+        let Node::Leaf(slots) = node else {
+            unreachable!("only a leaf splits")
         };
-        if owned {
-            Self::alter_owned_leaf(slot, depth, edits, n, f, len)
-        } else {
-            Self::alter_copied_leaf(slot, depth, edits, n, f, len)
-        }
-    }
-
-    /// [`PMap::alter_below`] on a leaf this map owns alone: entries change
-    /// and shift within its slots, a full leaf moves to a larger
-    /// allocation or splits, and the edits left after a split go to the
-    /// branch that replaces it.
-    fn alter_owned_leaf<U, E>(
-        slot: &mut Option<Node<K, V>>,
-        depth: usize,
-        edits: &mut std::vec::IntoIter<Edit<K, U>>,
-        mut n: usize,
-        f: &mut impl FnMut(&mut Option<V>, U) -> Result<(), E>,
-        len: &mut usize,
-    ) -> Result<(), E> {
-        let mut result = Ok(());
-        'leaf: while n > 0 {
-            let Some(Node::Leaf(slots)) = slot else {
-                unreachable!("called on a leaf")
-            };
-            let unique = Arc::get_mut(slots).expect("an owned leaf stays owned");
-            let mut occupied = occupied(unique);
-            while n > 0 {
-                let edit = edits.next().expect("counted edits");
-                n -= 1;
-                let (hash, at) = (edit.hash, find(unique, edit.hash, &edit.key));
-                let (key, mut value) = match at {
-                    Ok(i) => {
-                        let e = unique[i].take().expect("found");
-                        (e.key, Some(e.value))
-                    }
-                    Err(_) => (edit.key, None),
-                };
-                let outcome = f(&mut value, edit.change);
-                let i = match (at, value) {
-                    (Ok(i), Some(value)) => {
-                        unique[i] = Some(Entry { hash, key, value });
-                        None
-                    }
-                    (Ok(i), None) => {
-                        unique[i..occupied].rotate_left(1);
-                        occupied -= 1;
-                        *len -= 1;
-                        None
-                    }
-                    (Err(_), None) => None,
-                    (Err(i), Some(value)) => {
-                        *len += 1;
-                        let e = Entry { hash, key, value };
-                        if occupied < unique.len() {
-                            unique[occupied] = Some(e);
-                            unique[i..=occupied].rotate_right(1);
-                            occupied += 1;
-                            None
-                        } else {
-                            Some((i, e))
-                        }
-                    }
-                };
-                if let Err(e) = outcome {
-                    result = Err(e);
-                    if let Some((i, e)) = i {
-                        Self::insert_at(slots, occupied, i, e);
-                    }
-                    break 'leaf;
-                }
-                let Some((i, e)) = i else {
-                    continue;
-                };
-                // full: grow, or split above the last level
-                if occupied < LEAF_MAX || depth == LEVELS {
-                    Self::insert_at(slots, occupied, i, e);
-                    continue 'leaf;
-                }
-                let branch = Self::split(slots, occupied, depth);
-                let node = slot.insert(branch);
-                Self::insert_new(node, depth, e);
-                return Self::alter_below(slot, depth, edits, n, f, len);
-            }
-        }
-        if slot.as_ref().is_some_and(Node::is_empty) {
-            *slot = None;
-        }
-        result
-    }
-
-    /// [`PMap::alter_below`] on a shared leaf, or none yet: its entries
-    /// and the edits merge, both in hash order, into a new leaf — or a new
-    /// subtree, when they outgrow one.
-    fn alter_copied_leaf<U, E>(
-        slot: &mut Option<Node<K, V>>,
-        depth: usize,
-        edits: &mut std::vec::IntoIter<Edit<K, U>>,
-        n: usize,
-        f: &mut impl FnMut(&mut Option<V>, U) -> Result<(), E>,
-        len: &mut usize,
-    ) -> Result<(), E> {
-        let shared = slot.take();
-        let old: &[Slot<K, V>] = match &shared {
-            Some(Node::Leaf(slots)) => &slots[..occupied(slots)],
-            _ => &[],
-        };
-        *len -= old.len();
-        let mut entries: Vec<Entry<K, V>> = Vec::with_capacity(old.len() + n);
-        let mut old = old.iter().map(entry).peekable();
-        let mut result = Ok(());
-        for edit in edits.take(n) {
-            while let Some(e) = old.next_if(|e| e.hash <= edit.hash) {
-                entries.push(e.clone());
-            }
-            // the key, if there, is in the run of its hash at the end
-            let run = entries.len()
-                - entries
-                    .iter()
-                    .rev()
-                    .take_while(|e| e.hash == edit.hash)
-                    .count();
-            let at = entries[run..].iter().position(|e| e.key == edit.key);
-            let (key, mut value) = match at {
-                Some(i) => {
-                    let e = entries.remove(run + i);
-                    (e.key, Some(e.value))
-                }
-                None => (edit.key, None),
-            };
-            let outcome = f(&mut value, edit.change);
-            if let Some(value) = value {
-                // back where it was: the end of its hash's run
-                entries.push(Entry {
-                    hash: edit.hash,
-                    key,
-                    value,
-                });
-            }
-            if let Err(e) = outcome {
-                result = Err(e);
-                break;
-            }
-        }
-        entries.extend(old.cloned());
-        drop(shared);
-        *len += entries.len();
-        let size = entries.len();
-        *slot = match size {
-            0 => None,
-            _ if size <= LEAF_MAX || depth == LEVELS => {
-                Some(Node::Leaf(entries.into_iter().map(Some).collect()))
-            }
-            _ => Some(Self::build(&mut entries.into_iter(), size, depth)),
-        };
-        result
+        let len = occupied(slots);
+        let mut entries: Vec<Entry<K, V>> = Vec::with_capacity(len + 1);
+        entries.extend(Drain::of(Some(slots)));
+        let at = entries.partition_point(|x| x.hash <= e.hash);
+        entries.insert(at, e);
+        *node = Self::build(&mut entries.into_iter(), len + 1, depth);
     }
 
     /// Builds a map from `pairs` in one pass, stopping at the first `Err`.
     /// A key may repeat: `merge` folds each later value of a key into
     /// the earlier one (taking what it needs of the later), and a key
-    /// whose folded value fails `keep` is left out. The pairs are sorted
-    /// by hash — a linear pass over pairs that come in hash order, as
-    /// another map's do — and every node is allocated once, at its final
-    /// size.
+    /// whose folded value fails `keep` is left out. The pairs are put in
+    /// hash order (bucketed by their hash's top bits, each bucket sorted)
+    /// and every node is allocated once, at its final size.
     pub fn try_from_pairs<E>(
         pairs: impl IntoIterator<Item = Result<(K, V), E>>,
         mut merge: impl FnMut(&mut V, &mut V) -> Result<(), E>,
@@ -882,12 +767,12 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
     }
 
     /// Builds a map from `(key, item)` pairs whose keys repeat: the items
-    /// of each key, in the order given, are gathered into its value, and
-    /// every node is allocated once.
-    pub fn from_groups<X>(
+    /// of each key, in the order given, are gathered into its value
+    /// (stopping at the first `Err`), and every node is allocated once.
+    pub fn from_groups<X, E>(
         items: impl IntoIterator<Item = (K, X)>,
-        mut gather: impl FnMut(Vec<X>) -> V,
-    ) -> Self {
+        mut gather: impl FnMut(&K, Vec<X>) -> Result<V, E>,
+    ) -> Result<Self, E> {
         let items: Vec<(u64, K, X)> = items
             .into_iter()
             .map(|(key, x)| (hash_of(&key), key, x))
@@ -907,16 +792,16 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
                     others.push((k, vec![x]));
                 }
             }
-            let value = gather(xs);
+            let value = gather(&key, xs)?;
             entries.push(Entry { hash, key, value });
             for (key, xs) in others {
-                let value = gather(xs);
+                let value = gather(&key, xs)?;
                 entries.push(Entry { hash, key, value });
             }
         }
         let len = entries.len();
         let root = (len > 0).then(|| Self::build(&mut entries.into_iter(), len, 0));
-        PMap { root, len }
+        Ok(PMap { root, len })
     }
 
     /// The subtree at `depth` over the next `n` entries of `sorted`. A map
@@ -935,22 +820,6 @@ impl<K: Eq + Hash + Clone, V: Clone> PMap<K, V> {
             let run = sorted.as_slice()[..left].partition_point(|e| digit(e.hash, depth) == d);
             children[d] = Some(Self::build(sorted, run, depth + 1));
             left -= run;
-        }
-        Node::Branch(Arc::new(children))
-    }
-
-    /// The branch replacing a full leaf at `depth`: its entries are
-    /// sorted by hash, so each child's share is one run of them.
-    fn split(slots: &mut Leaf<K, V>, len: usize, depth: usize) -> Node<K, V> {
-        let mut entries: Vec<Entry<K, V>> = match Arc::get_mut(slots) {
-            Some(unique) => unique[..len].iter_mut().filter_map(Option::take).collect(),
-            None => slots[..len].iter().map(|s| entry(s).clone()).collect(),
-        };
-        let mut children: Children<K, V> = Default::default();
-        while let Some(first) = entries.first() {
-            let d = digit(first.hash, depth);
-            let run = entries.partition_point(|e| digit(e.hash, depth) == d);
-            children[d] = Some(Node::Leaf(entries.drain(..run).map(Some).collect()));
         }
         Node::Branch(Arc::new(children))
     }
@@ -1118,19 +987,6 @@ impl<K: Clone, V: Clone> IntoIterator for PMap<K, V> {
     }
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
-    /// Builds a map in one pass ([`PMap::try_from_pairs`]); a later pair
-    /// for a key replaces an earlier one.
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let pairs = iter.into_iter().map(Ok);
-        let replace = |old: &mut V, new: &mut V| {
-            std::mem::swap(old, new);
-            Ok(())
-        };
-        infallible(PMap::try_from_pairs(pairs, replace, |_| true))
-    }
-}
-
 /// Equal contents, whatever either trie's shape or history.
 impl<K: Eq + Hash, V: PartialEq> PartialEq for PMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
@@ -1173,6 +1029,20 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
     use std::collections::HashMap;
+    use std::convert::Infallible;
+
+    /// A map of `pairs` built in one pass; a later pair for a key
+    /// replaces an earlier one.
+    fn map_of<K: Eq + Hash + Clone, V: Clone>(
+        pairs: impl IntoIterator<Item = (K, V)>,
+    ) -> PMap<K, V> {
+        let replace = |old: &mut V, new: &mut V| {
+            std::mem::swap(old, new);
+            Ok::<_, Infallible>(())
+        };
+        let Ok(map) = PMap::try_from_pairs(pairs.into_iter().map(Ok), replace, |_| true);
+        map
+    }
 
     /// A key whose hash writes two bits: every key shares one of four
     /// full hashes, so paths reach the last level and leaves collide.
@@ -1193,8 +1063,9 @@ mod tests {
         /// Clone the map, mutate the clone, check the original is intact.
         Fork(u16, u32),
         /// One `alter_all` batch: per key, add to the value (`Some`) or
-        /// remove it (`None`).
-        Batch(Vec<(u16, Option<u32>)>),
+        /// remove it (`None`); with `true`, while a clone shares the map
+        /// (the leaf-merging path), and the clone must not change.
+        Batch(Vec<(u16, Option<u32>)>, bool),
     }
 
     fn ops(keys: u16) -> impl Strategy<Value = Vec<Op>> {
@@ -1204,11 +1075,14 @@ mod tests {
             (0..keys).prop_map(Op::Remove),
             (0..keys).prop_map(Op::Get),
             (0..keys, 0u32..u32::MAX).prop_map(|(k, v)| Op::Fork(k, v)),
-            proptest::collection::vec(
-                (0..keys, prop_oneof![(0u32..9).prop_map(Some), Just(None)]),
-                0..150,
+            (
+                proptest::collection::vec(
+                    (0..keys, prop_oneof![(0u32..9).prop_map(Some), Just(None)]),
+                    0..150,
+                ),
+                any::<bool>(),
             )
-            .prop_map(Op::Batch),
+                .prop_map(|(edits, shared)| Op::Batch(edits, shared)),
         ];
         let len = if cfg!(miri) { 60 } else { 600 };
         proptest::collection::vec(op, 0..len)
@@ -1243,9 +1117,9 @@ mod tests {
                     let batch = (0..20).map(|i| (key(k.wrapping_add(i)), ()));
                     let zero = |value: &mut Option<u32>, ()| {
                         *value = Some(0);
-                        Ok(())
+                        Ok::<_, Infallible>(())
                     };
-                    infallible(fork.alter_all(batch, zero));
+                    let Ok(()) = fork.alter_all(batch, zero);
                     let after: Vec<(K, u32)> = map.iter().map(|(k, v)| (k.clone(), *v)).collect();
                     prop_assert_eq!(before, after, "a write to the clone reached the original");
                     // and a write to the original never reaches the clone
@@ -1255,13 +1129,24 @@ mod tests {
                     prop_assert_eq!(forked, still, "a write to the original reached the clone");
                     model.insert(k, v.wrapping_add(7));
                 }
-                Op::Batch(edits) => {
+                Op::Batch(edits, shared) => {
                     let add = |value: &mut Option<u32>, edit: Option<u32>| {
                         *value = edit.map(|n| value.map_or(n, |o| o.wrapping_add(n)));
                         Ok::<_, Infallible>(())
                     };
                     let keyed = edits.iter().map(|&(k, e)| (key(k), e));
-                    infallible(map.alter_all(keyed, add));
+                    let before = shared.then(|| map.clone());
+                    let Ok(()) = map.alter_all(keyed, add);
+                    if let Some(before) = before {
+                        prop_assert_eq!(before.len(), model.len());
+                        for (k, v) in &model {
+                            prop_assert_eq!(
+                                before.get(&key(*k)),
+                                Some(v),
+                                "a batch reached the clone"
+                            );
+                        }
+                    }
                     for &(k, e) in &edits {
                         match e {
                             Some(n) => {
@@ -1323,7 +1208,7 @@ mod tests {
             keys in proptest::collection::vec(0u16..500, 0..300),
             extra in proptest::collection::vec(0u16..500, 0..300),
         ) {
-            let forward: PMap<u16, u16> = keys.iter().map(|&k| (k, k / 3)).collect();
+            let forward = map_of(keys.iter().map(|&k| (k, k / 3)));
             let mut backward: PMap<u16, u16> = PMap::new();
             for &k in extra.iter().chain(keys.iter().rev()) {
                 backward.insert(k, k / 3);
@@ -1334,7 +1219,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(&forward, &backward);
-            let clashing: PMap<Clash, u16> = keys.iter().map(|&k| (Clash(k), k)).collect();
+            let clashing = map_of(keys.iter().map(|&k| (Clash(k), k)));
             let mut reversed: PMap<Clash, u16> = PMap::new();
             for &k in extra.iter().chain(keys.iter().rev()) {
                 reversed.insert(Clash(k), k);
@@ -1359,7 +1244,7 @@ mod tests {
     #[test]
     fn pmap_groups_items_by_key() {
         let items = (0..600u16).map(|i| (Clash(i % 50), i));
-        let groups: PMap<Clash, Vec<u16>> = PMap::from_groups(items, |xs| xs);
+        let Ok(groups) = PMap::from_groups(items, |_, xs| Ok::<_, Infallible>(xs));
         assert_eq!(groups.len(), 50);
         for k in 0..50u16 {
             let want: Vec<u16> = (0..600).filter(|i| i % 50 == k).collect();
@@ -1369,7 +1254,7 @@ mod tests {
 
     #[test]
     fn pmap_iterates_in_hash_order() {
-        let map: PMap<u32, u32> = (0..5_000).map(|k| (k, k)).collect();
+        let map = map_of((0..5_000u32).map(|k| (k, k)));
         let hashes: Vec<u64> = map.keys().map(hash_of).collect();
         assert!(hashes.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(map.iter().len(), 5_000);
@@ -1377,7 +1262,7 @@ mod tests {
 
     #[test]
     fn pmap_clone_shares_until_written() {
-        let a: PMap<u32, u32> = (0..5_000).map(|k| (k, k)).collect();
+        let a = map_of((0..5_000u32).map(|k| (k, k)));
         let mut b = a.clone();
         b.insert(7, 70);
         assert_eq!(a.get(&7), Some(&7));
@@ -1399,7 +1284,7 @@ mod tests {
 
     #[test]
     fn pmap_removing_everything_frees_the_trie() {
-        let mut map: PMap<u32, u32> = (0..1_000).map(|k| (k, k)).collect();
+        let mut map = map_of((0..1_000u32).map(|k| (k, k)));
         let keep = map.clone();
         for k in 0..1_000 {
             assert_eq!(map.remove(&k), Some(k));

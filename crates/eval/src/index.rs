@@ -58,17 +58,14 @@ impl HashIndex {
             entries: rel.len(),
         };
         let rows = rel.iter().map(|(t, m)| (index.key_of(t), (t.clone(), m)));
-        index.map = PMap::from_groups(rows, Arc::new);
+        index.map = PMap::from_groups(rows, |_, rows| Ok::<_, CoreError>(Arc::new(rows)))?;
         Ok(index)
     }
 
     /// The key `t` is filed under: its values at the key attributes, in
     /// key order.
     pub fn key_of(&self, t: &Tuple) -> Tuple {
-        self.keys
-            .iter()
-            .map(|&k| t.values()[k - 1].clone())
-            .collect()
+        key_at(&self.keys, t)
     }
 
     /// The indexed key attributes (1-based).
@@ -193,25 +190,12 @@ impl HashIndex {
     /// `u64` fails with an overflow; on failure the index is partly
     /// updated and callers drop it (a view recomputes, a commit aborts).
     pub fn apply_delta(&mut self, delta: &SignedBag<Tuple>) -> CoreResult<()> {
-        let keyed: Vec<(Tuple, (&Tuple, i64))> = delta
-            .iter()
-            .map(|(t, m)| (self.key_of(t), (t, m)))
-            .collect();
-        let entries = &mut self.entries;
-        if keyed.len() <= SMALL_DELTA {
-            // a few rows: a descent each costs less than sorting them
-            for (key, (t, m)) in keyed {
-                // copied first if another version shares it
-                let b = Arc::make_mut(self.map.get_or_insert_with(key.clone(), Default::default));
-                let edited = edit_bucket(b, t, m, entries);
-                if b.is_empty() {
-                    self.map.remove(&key);
-                }
-                edited?;
-            }
-            return Ok(());
-        }
-        self.map.alter_all(keyed, |bucket, (t, m)| {
+        let HashIndex {
+            keys, map, entries, ..
+        } = self;
+        let keyed = delta.iter().map(|(t, m)| (key_at(keys, t), (t, m)));
+        map.alter_all(keyed, |bucket, (t, m)| {
+            // copied first if another version shares it
             let b = Arc::make_mut(bucket.get_or_insert_with(Default::default));
             let edited = edit_bucket(b, t, m, entries);
             if b.is_empty() {
@@ -222,8 +206,10 @@ impl HashIndex {
     }
 }
 
-/// Deltas up to this many rows apply row by row rather than as a batch.
-const SMALL_DELTA: usize = 4;
+/// The values of `t` at the 1-based `keys`, in key order.
+fn key_at(keys: &[usize], t: &Tuple) -> Tuple {
+    keys.iter().map(|&k| t.values()[k - 1].clone()).collect()
+}
 
 /// Adds one delta row to its bucket, keeping the index's entry count.
 fn edit_bucket(b: &mut Vec<(Tuple, u64)>, t: &Tuple, m: i64, entries: &mut u64) -> CoreResult<()> {

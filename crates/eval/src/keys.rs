@@ -8,8 +8,8 @@
 //! their runtime side: a [`KeySet`] keeps, per declared key, the count of
 //! tuples at each key point, so a commit is admitted or rejected by
 //! folding only its signed delta — O(|Δ|), never O(|r|): the counts are
-//! a [`Bag`] of key points and the delta's net is the [`SignedBag`]
-//! mapped through the key projection.
+//! a [`Bag`] of key points, and the delta's rows, mapped through the key
+//! projection, fold into it one by one.
 //!
 //! Enforcement is two-phase: [`KeySet::check`] is pure and runs for every
 //! relation's delta *before* anything is applied, so a violating
@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 
 use mera_core::prelude::*;
+use rustc_hash::FxHashMap;
 
 /// A commit (or declaration) that would leave some key point with a
 /// summed multiplicity above one.
@@ -77,23 +78,24 @@ impl KeyCounts {
     }
 
     /// The signed per-key-point net of a delta: the delta mapped through
-    /// the key projection, with checked sums. `Err` is the key point
-    /// whose net overflowed ℤ.
-    fn net(&self, delta: &SignedBag<Tuple>) -> Result<SignedBag<Tuple>, Tuple> {
-        let mut last = None;
-        let net = delta.map(|t| {
+    /// the key projection, with checked sums — a scratch table, read once
+    /// by [`KeyCounts::check`]. `Err` is the key point whose net
+    /// overflowed ℤ.
+    fn net(&self, delta: &SignedBag<Tuple>) -> Result<FxHashMap<Tuple, i64>, Tuple> {
+        let mut net: FxHashMap<Tuple, i64> = FxHashMap::default();
+        for (t, m) in delta.iter() {
             let key = self.resolved.project(t);
-            last = Some(key.clone());
-            Ok(key)
-        });
-        net.map_err(|_| last.expect("an overflow has a key point"))
+            let n = net.entry(key.clone()).or_insert(0);
+            *n = n.checked_add(m).ok_or(key)?;
+        }
+        Ok(net)
     }
 
     fn check(&self, delta: &SignedBag<Tuple>) -> Result<(), (Tuple, u64)> {
         // a net beyond ℤ's range is beyond one: a violation, saturated
         let net = self.net(delta).map_err(|key| (key, u64::MAX))?;
         let mut worst: Option<(Tuple, u64)> = None;
-        for (key, n) in net.iter() {
+        for (key, &n) in &net {
             if n <= 0 {
                 continue;
             }
@@ -196,10 +198,9 @@ impl KeySet {
     pub fn apply_commit(&mut self, relation: &str, delta: &SignedBag<Tuple>) -> CoreResult<()> {
         for ((r, _), counts) in self.keys.iter_mut() {
             if r == relation {
-                let net = counts
-                    .net(delta)
-                    .map_err(|_| CoreError::Overflow("key point count"))?;
-                net.apply_to(&mut counts.counts)?;
+                let resolved = &counts.resolved;
+                let points = delta.iter().map(|(t, m)| (resolved.project(t), m));
+                counts.counts.apply_signed(points)?;
             }
         }
         Ok(())

@@ -193,11 +193,12 @@ impl Aggregate {
                 ))
             }
             Aggregate::Median => {
-                let pairs: Vec<(f64, u64)> = collect_numeric(values)?;
+                let mut pairs: Vec<(f64, u64)> = collect_numeric(values)?;
                 let count: u64 = pairs.iter().map(|&(_, m)| m).sum();
                 if count == 0 {
                     return Err(CoreError::AggregateOnEmpty("MEDIAN"));
                 }
+                pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
                 // positions are 0-based into the multiplicity-expanded
                 // sequence; even counts average the two middle elements
                 let lo_pos = (count - 1) / 2;
@@ -221,19 +222,17 @@ impl Aggregate {
     }
 }
 
-/// Collects numeric `(value, multiplicity)` pairs as `f64`, sorted by
-/// value, rejecting non-numeric domains.
+/// Collects numeric `(value, multiplicity)` pairs as `f64`, rejecting
+/// non-numeric domains.
 fn collect_numeric<'a, I>(values: I) -> CoreResult<Vec<(f64, u64)>>
 where
     I: IntoIterator<Item = (&'a Value, u64)>,
 {
-    let mut pairs = values
+    values
         .into_iter()
         .filter(|&(_, m)| m > 0)
         .map(|(v, m)| Ok((v.as_f64()?, m)))
-        .collect::<CoreResult<Vec<(f64, u64)>>>()?;
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    Ok(pairs)
+        .collect()
 }
 
 /// `Σ v·m` over `(v, m)` terms, rounded once: each product is split

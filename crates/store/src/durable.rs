@@ -19,8 +19,11 @@
 //!   before the snapshot time.
 //! * **Recovery** ([`recover`]) — load the snapshot (if any), scan the
 //!   WAL, truncate the torn tail, then fold declarations and deltas in
-//!   order into a single owned [`Version`], each delta through
-//!   [`Version::apply`] (the live rebase step): no program is re-run.
+//!   order into a single owned [`Version`] through [`Version::apply`]
+//!   (the live rebase step): no program is re-run. A run of consecutive
+//!   commit deltas is summed first and applied once — ℤ-deltas add, so
+//!   `D + Δ₁ + … + Δₖ = D + (Δ₁ + … + Δₖ)`, and indexes, keys and views
+//!   are refreshed once per run instead of once per commit.
 
 use crate::error::{StoreError, StoreResult};
 use crate::snapshot;
@@ -28,7 +31,7 @@ use crate::storage::Storage;
 use crate::wal::{self, WalRecord};
 use mera_core::prelude::*;
 use mera_txn::mvcc::Version;
-use mera_txn::{DeclareKeyError, ExecConfig};
+use mera_txn::{DeclareKeyError, DeltaMap, ExecConfig};
 
 /// Name of the write-ahead log file inside a [`Storage`] root.
 pub const WAL_FILE: &str = "mera.wal";
@@ -147,21 +150,33 @@ pub fn recover<S: Storage>(
                 storage.truncate(WAL_FILE, scanned.valid_len)?;
                 storage.sync(WAL_FILE)?;
             }
+            let mut run = None;
             for record in scanned.records {
-                replay(&mut version, record, snapshot_time, exec)?;
+                replay(&mut version, &mut run, record, snapshot_time, exec)?;
             }
+            apply_run(&mut run, &mut version, exec)?;
         }
     }
     Ok((storage, version))
 }
 
-/// Applies one recovered WAL record to the rebuilding version, in place.
+/// Applies one recovered WAL record to the rebuilding version, in place;
+/// a commit delta joins the current run instead.
 fn replay(
     version: &mut Version,
+    run: &mut DeltaRun,
     record: WalRecord,
     snapshot_time: u64,
     config: ExecConfig,
 ) -> StoreResult<()> {
+    let record = match record {
+        WalRecord::Delta { time, deltas } if time > snapshot_time => {
+            return fold_delta(run, version, time, deltas);
+        }
+        other => other,
+    };
+    // any other record applies after the commits logged before it
+    apply_run(run, version, config)?;
     match record {
         WalRecord::Declare { name, schema } => {
             // Declarations covered by the snapshot re-appear in the
@@ -204,21 +219,60 @@ fn replay(
                 DeclareKeyError::Error(c) => StoreError::Core(c),
             })
         }
-        // already folded into the snapshot
-        WalRecord::Commit { time, .. } | WalRecord::Delta { time, .. } if time <= snapshot_time => {
-            Ok(())
-        }
+        // already folded into the snapshot (a later delta joined the run)
+        WalRecord::Commit { time, .. } if time <= snapshot_time => Ok(()),
+        WalRecord::Delta { .. } => Ok(()),
         WalRecord::Commit { time, .. } => Err(StoreError::TextCommitRecord { time }),
-        WalRecord::Delta { time, deltas } => {
-            if time != version.time() + 1 {
-                return Err(StoreError::CorruptWal(format!(
-                    "delta record at t={time} does not follow t={}",
-                    version.time()
-                )));
+    }
+}
+
+/// A run of consecutive commit deltas not yet applied: the times of its
+/// first and last commit and their sum.
+type DeltaRun = Option<(u64, u64, DeltaMap)>;
+
+/// Adds the delta committed at `time` to the run, after checking that it
+/// follows the run's last commit (or the version, when the run is empty).
+fn fold_delta(
+    run: &mut DeltaRun,
+    version: &Version,
+    time: u64,
+    deltas: DeltaMap,
+) -> StoreResult<()> {
+    let after = run.as_ref().map_or(version.time(), |&(_, last, _)| last);
+    if time != after + 1 {
+        return Err(StoreError::CorruptWal(format!(
+            "delta record at t={time} does not follow t={after}"
+        )));
+    }
+    let Some((_, last, sum)) = run else {
+        *run = Some((time, time, deltas));
+        return Ok(());
+    };
+    *last = time;
+    for (name, delta) in deltas {
+        match sum.get_mut(&name) {
+            Some(total) => total.absorb(delta)?,
+            None => {
+                sum.insert(name, delta);
             }
-            version.apply(deltas, config).map_err(|reason| {
-                StoreError::CorruptWal(format!("delta record at t={time} does not apply: {reason}"))
-            })
         }
     }
+    Ok(())
+}
+
+/// Applies the run's sum at the time of its last commit; the commits
+/// before it tick the clock with nothing to apply.
+fn apply_run(run: &mut DeltaRun, version: &mut Version, config: ExecConfig) -> StoreResult<()> {
+    let Some((first, last, sum)) = run.take() else {
+        return Ok(());
+    };
+    let corrupt = |reason| {
+        StoreError::CorruptWal(format!(
+            "delta records at t={first}..={last} do not apply: {reason}"
+        ))
+    };
+    for _ in first..last {
+        version.apply(DeltaMap::new(), config).map_err(corrupt)?;
+    }
+    version.apply(sum, config).map_err(corrupt)
 }

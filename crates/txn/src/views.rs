@@ -358,10 +358,19 @@ enum MaintNode {
         agg: Aggregate,
         attr: usize,
         in_type: DataType,
-        groups: PMap<Vec<Value>, Bag<Value>>,
+        groups: PMap<Vec<Value>, Group>,
     },
     /// Closure, which has no incremental rule: re-evaluate and diff.
     Recompute { expr: RelExpr, last: Relation },
+}
+
+/// One group of a γ node: the bag of its aggregated values, and the
+/// output row they gave at the last refresh — the row a change retracts,
+/// so the old aggregate is never recomputed.
+#[derive(Debug, Clone)]
+struct Group {
+    values: Bag<Value>,
+    row: Tuple,
 }
 
 impl MaintNode {
@@ -433,13 +442,17 @@ impl MaintNode {
                 let in_schema = input.schema(&Schemas(provider))?;
                 let in_type = in_schema.dtype(*attr)?;
                 let rel = eval(input, provider, config)?;
-                let mut groups: PMap<Vec<Value>, Bag<Value>> = PMap::new();
-                for (t, m) in rel.iter() {
-                    let key = group_key(t, keys)?;
-                    groups
-                        .get_or_insert_with(key, Bag::new)
-                        .insert(t.attr(*attr)?.clone(), m)?;
-                }
+                let rows = rel
+                    .iter()
+                    .map(|(t, m)| Ok((group_key(t, keys)?, (t.attr(*attr)?.clone(), m))))
+                    .collect::<CoreResult<Vec<_>>>()?;
+                let groups = PMap::from_groups(rows, |key, values| {
+                    let values = Bag::try_from_pairs(values.into_iter().map(Ok))?;
+                    Ok::<_, CoreError>(Group {
+                        row: agg_row(key, agg.compute(in_type, values.iter())?),
+                        values,
+                    })
+                })?;
                 MaintNode::GroupBy {
                     child: Box::new(Self::build(input, provider, config)?),
                     keys: keys.clone(),
@@ -558,31 +571,44 @@ impl MaintNode {
                 groups,
             } => {
                 let d = child.refresh(deltas, provider, config)?;
-                // the delta of each touched group's aggregated values
-                let mut by_key: FxHashMap<Vec<Value>, SignedBag<Value>> = FxHashMap::default();
+                // each touched group's aggregated values, signed; they
+                // fold into the group's bag one by one, and a value's
+                // retractions never outrun its count there
+                let mut by_key: FxHashMap<Vec<Value>, Vec<(Value, i64)>> = FxHashMap::default();
                 for (t, m) in d.iter() {
                     by_key
                         .entry(group_key(t, keys)?)
                         .or_default()
-                        .insert(t.attr(*attr)?.clone(), m)?;
+                        .push((t.attr(*attr)?.clone(), m));
                 }
                 // the empty-key group has a row even over an empty bag
                 let always = keys.is_empty();
                 let mut out = Vec::with_capacity(2 * by_key.len());
                 for (key, values) in by_key {
-                    let bag = groups.get_or_insert_with(key.clone(), Bag::new);
-                    if always || !bag.is_empty() {
-                        let old = agg.compute(*in_type, bag.iter())?;
-                        out.push((agg_row(&key, old), -1));
-                    }
-                    values.apply_to(bag)?;
-                    if always || !bag.is_empty() {
-                        let new = agg.compute(*in_type, bag.iter())?;
-                        out.push((agg_row(&key, new), 1));
-                    }
-                    if bag.is_empty() {
-                        groups.remove(&key);
-                    }
+                    groups.alter(key.clone(), |group| -> CoreResult<()> {
+                        match group {
+                            Some(g) => out.push((g.row.clone(), -1)),
+                            // a new group: only the empty-key one had a row
+                            None if always => {
+                                let old = agg.compute(*in_type, std::iter::empty())?;
+                                out.push((agg_row(&key, old), -1));
+                            }
+                            None => {}
+                        }
+                        let mut bag = group.take().map(|g| g.values).unwrap_or_default();
+                        bag.apply_signed(values)?;
+                        if always || !bag.is_empty() {
+                            let new = agg_row(&key, agg.compute(*in_type, bag.iter())?);
+                            out.push((new.clone(), 1));
+                            if !bag.is_empty() {
+                                *group = Some(Group {
+                                    values: bag,
+                                    row: new,
+                                });
+                            }
+                        }
+                        Ok(())
+                    })?;
                 }
                 TupleDelta::try_from_pairs(out.into_iter().map(Ok))
             }
