@@ -34,7 +34,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod card;
 pub mod diag;
 pub mod differential;
 pub mod plan;
@@ -43,7 +42,6 @@ pub mod props;
 pub mod rewrite;
 pub mod views;
 
-pub use card::{range_env_of_database, range_of_plan, CardRange, RangeEnv};
 pub use diag::{first_error, has_errors, render, Code, Diagnostic, Severity, Span};
 pub use differential::{verify_rewrite, verify_rewrite_with};
 pub use plan::{analyze_plan, Card, CardEnv, PlanAnalysis};

@@ -8,10 +8,7 @@
 //! * concatenation `r₁ ⊕ r₂`.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, LazyLock};
-
-use rustc_hash::FxHasher;
 
 use crate::error::{CoreError, CoreResult};
 use crate::value::Value;
@@ -242,29 +239,6 @@ impl ResolvedAttrs {
     /// Materialises the projection `α_a(t)` as a new tuple.
     pub fn project(&self, t: &Tuple) -> Tuple {
         self.values(t).cloned().collect()
-    }
-
-    /// Hashes the projected columns of `t` in place (no key tuple is
-    /// built). The hash matches any other [`ResolvedAttrs`] of the same
-    /// length over value-equal columns.
-    pub fn hash_key(&self, t: &Tuple) -> u64 {
-        let mut h = FxHasher::default();
-        for v in self.values(t) {
-            v.hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// True when the projected columns of `t` equal the (already
-    /// materialised) key tuple `key`, compared in place.
-    pub fn key_eq(&self, t: &Tuple, key: &Tuple) -> bool {
-        self.0.len() == key.arity() && self.values(t).eq(key.values().iter())
-    }
-
-    /// True when the projections of two rows under two resolved lists are
-    /// value-equal (probe-side row vs build-side row of a join).
-    pub fn pair_eq(&self, t: &Tuple, other: &ResolvedAttrs, u: &Tuple) -> bool {
-        self.0.len() == other.0.len() && self.values(t).eq(other.values(u))
     }
 }
 

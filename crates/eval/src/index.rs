@@ -8,6 +8,9 @@
 //! and an [`Engine`](crate::Engine) carrying an `IndexSet` answers
 //! point-selections over base relations (`σ_{%i = const ∧ …}(R)`) with
 //! index lookups and hinted equi-joins with index-nested-loop probes.
+//! An index on `K` holds the bag projection `π_K(r)` — one bucket per key
+//! point — so it is also what enforces a declared key on `K`
+//! ([`KeySet`](crate::KeySet)): the key is a unique index.
 //!
 //! An index lives in a committed version beside its relation, so it is
 //! stored the same way: its key → bucket map is a [`PMap`], and each
@@ -15,6 +18,7 @@
 //! index (every commit clones the newest version) is O(1), and a commit
 //! that touches `k` keys copies `k` trie paths and rebuilds `k` buckets.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -195,8 +199,9 @@ impl HashIndex {
         } = self;
         let keyed = delta.iter().map(|(t, m)| (key_at(keys, t), (t, m)));
         map.alter_all(keyed, |bucket, (t, m)| {
-            // copied first if another version shares it
-            let b = Arc::make_mut(bucket.get_or_insert_with(Default::default));
+            // copied first if another version shares it; a new bucket is
+            // sized for one tuple, all a unique (key) index ever holds
+            let b = Arc::make_mut(bucket.get_or_insert_with(|| Arc::new(Vec::with_capacity(1))));
             let edited = edit_bucket(b, t, m, entries);
             if b.is_empty() {
                 *bucket = None;
@@ -207,7 +212,7 @@ impl HashIndex {
 }
 
 /// The values of `t` at the 1-based `keys`, in key order.
-fn key_at(keys: &[usize], t: &Tuple) -> Tuple {
+pub(crate) fn key_at(keys: &[usize], t: &Tuple) -> Tuple {
     keys.iter().map(|&k| t.values()[k - 1].clone()).collect()
 }
 
@@ -251,14 +256,16 @@ impl IndexSet {
     }
 
     /// Builds and registers an index on `relation(keys)`; a declared index
-    /// needs at least one key attribute.
+    /// needs at least one key attribute. An index already registered on
+    /// the same attribute set is kept, not rebuilt: its content is the
+    /// same.
     pub fn create(&mut self, db: &Database, relation: &str, keys: &[usize]) -> CoreResult<()> {
         AttrList::new(keys.to_vec())?;
-        let rel = db.relation(relation)?;
-        let index = HashIndex::build(rel, keys)?;
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        self.indexes.insert((relation.to_owned(), sorted), index);
+        if let Entry::Vacant(slot) = self.indexes.entry((relation.to_owned(), sorted)) {
+            slot.insert(HashIndex::build(db.relation(relation)?, keys)?);
+        }
         Ok(())
     }
 

@@ -1,27 +1,31 @@
-//! Declared key constraints and their O(|Δ|) enforcement.
+//! Declared key constraints, enforced through unique indexes.
 //!
 //! A **key** over the bag model is stronger than over sets: `K` is a key
-//! of `r` iff every point of the `K`-projection carries a summed
-//! multiplicity of at most one — so a keyed relation is necessarily
+//! of `r` iff the bag projection `π_K(r)` carries every point with
+//! multiplicity at most one — so a keyed relation is necessarily
 //! duplicate-free. Declarations are the ground facts of the analyzer's
 //! plan-property inference (`mera-analyze`'s `KeyEnv`); this module owns
-//! their runtime side: a [`KeySet`] keeps, per declared key, the count of
-//! tuples at each key point, so a commit is admitted or rejected by
-//! folding only its signed delta — O(|Δ|), never O(|r|): the counts are
-//! a [`Bag`] of key points, and the delta's rows, mapped through the key
-//! projection, fold into it one by one.
+//! their runtime side. A [`HashIndex`](crate::HashIndex) on `K` already
+//! holds `π_K(r)`: one bucket per key point, with the tuples at that
+//! point. So a declared key is a unique index — [`KeySet::declare`] makes
+//! sure the index exists, and [`KeySet::check`] admits or rejects a commit
+//! by mapping only its signed delta through the key projection and
+//! reading the buckets it touches: O(|Δ|), never O(|r|).
 //!
 //! Enforcement is two-phase: [`KeySet::check`] is pure and runs for every
 //! relation's delta *before* anything is applied, so a violating
-//! transaction aborts without any undo; [`KeySet::apply_commit`] then
-//! folds the admitted deltas in. Only the declarations are durable (a WAL
-//! `DeclareKey` record); [`KeySet::declare`] builds the counts when
-//! recovery replays `DeclareKey`, exactly like index entries.
+//! transaction aborts without any undo; the commit then folds the
+//! admitted deltas into the indexes like every other. Only the
+//! declarations are durable (a WAL `DeclareKey` record); when recovery
+//! replays one, [`KeySet::declare`] re-validates the recovered relation
+//! and finds or rebuilds its index, exactly like index entries.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use mera_core::prelude::*;
 use rustc_hash::FxHashMap;
+
+use crate::index::{key_at, IndexSet};
 
 /// A commit (or declaration) that would leave some key point with a
 /// summed multiplicity above one.
@@ -31,7 +35,7 @@ pub struct KeyViolation {
     pub relation: String,
     /// The declared key attributes (1-based, sorted).
     pub attrs: Vec<usize>,
-    /// The violating key-projection point.
+    /// The violating key-projection point, in sorted-attribute order.
     pub key: Tuple,
     /// The summed multiplicity that point would carry.
     pub multiplicity: u64,
@@ -51,72 +55,66 @@ impl std::fmt::Display for KeyViolation {
     }
 }
 
-/// The per-key count state: the bag of key points, each counted with the
-/// summed multiplicity of its tuples. The key holds iff every count is 1.
-#[derive(Debug, Clone)]
-struct KeyCounts {
-    resolved: ResolvedAttrs,
-    counts: Bag<Tuple>,
+/// The signed per-key-point net of some rows: the rows mapped through the
+/// projection on `attrs`, with checked sums — a scratch table, read once
+/// by [`violation`]. `Err` is the key point whose net overflowed ℤ.
+fn net<'a>(
+    attrs: &[usize],
+    rows: impl Iterator<Item = (&'a Tuple, i64)>,
+) -> Result<FxHashMap<Tuple, i64>, Tuple> {
+    let mut net: FxHashMap<Tuple, i64> = FxHashMap::default();
+    for (t, m) in rows {
+        let key = key_at(attrs, t);
+        let n = net.entry(key.clone()).or_insert(0);
+        *n = n.checked_add(m).ok_or(key)?;
+    }
+    Ok(net)
 }
 
-impl KeyCounts {
-    fn build(rel: &Relation, attrs: &[usize]) -> CoreResult<Self> {
-        let list = AttrList::new_unique(attrs.to_vec())?;
-        list.check_arity(rel.schema().arity())?;
-        let resolved = ResolvedAttrs::from_attr_list(&list, rel.schema().arity())?;
-        let counts = rel.bag().map(|t| Ok(resolved.project(t)))?;
-        Ok(KeyCounts { resolved, counts })
-    }
-
-    /// The smallest key point with a count above one, if any — smallest
-    /// so that validation failures are deterministic.
-    fn worst(&self) -> Option<(&Tuple, u64)> {
-        self.counts
-            .iter()
-            .filter(|&(_, m)| m > 1)
-            .min_by_key(|&(k, _)| k)
-    }
-
-    /// The signed per-key-point net of a delta: the delta mapped through
-    /// the key projection, with checked sums — a scratch table, read once
-    /// by [`KeyCounts::check`]. `Err` is the key point whose net
-    /// overflowed ℤ.
-    fn net(&self, delta: &SignedBag<Tuple>) -> Result<FxHashMap<Tuple, i64>, Tuple> {
-        let mut net: FxHashMap<Tuple, i64> = FxHashMap::default();
-        for (t, m) in delta.iter() {
-            let key = self.resolved.project(t);
-            let n = net.entry(key.clone()).or_insert(0);
-            *n = n.checked_add(m).ok_or(key)?;
+/// The smallest key point at which `rows`, added to the `prior` count of
+/// each point, would carry a summed multiplicity above one, with that
+/// multiplicity. Points are projected on `attrs` in the given order (the
+/// order `prior` is keyed in) and reported in sorted-attribute order —
+/// smallest there, so that validation failures are deterministic.
+fn violation<'a>(
+    attrs: &[usize],
+    rows: impl Iterator<Item = (&'a Tuple, i64)>,
+    prior: impl Fn(&Tuple) -> u64,
+) -> Option<(Tuple, u64)> {
+    // a net beyond ℤ's range is beyond one: a violation, saturated
+    let net = match net(attrs, rows) {
+        Ok(net) => net,
+        Err(key) => return Some((sorted_point(attrs, &key), u64::MAX)),
+    };
+    let mut worst: Option<(Tuple, u64)> = None;
+    for (key, n) in net {
+        if n <= 0 {
+            continue;
         }
-        Ok(net)
-    }
-
-    fn check(&self, delta: &SignedBag<Tuple>) -> Result<(), (Tuple, u64)> {
-        // a net beyond ℤ's range is beyond one: a violation, saturated
-        let net = self.net(delta).map_err(|key| (key, u64::MAX))?;
-        let mut worst: Option<(Tuple, u64)> = None;
-        for (key, &n) in &net {
-            if n <= 0 {
-                continue;
-            }
-            let total = self
-                .counts
-                .multiplicity(key)
-                .saturating_add(n.unsigned_abs());
-            // deterministic report: the smallest violating key point
-            if total > 1 && worst.as_ref().is_none_or(|w| *key < w.0) {
-                worst = Some((key.clone(), total));
+        let total = prior(&key).saturating_add(n.unsigned_abs());
+        if total > 1 {
+            let key = sorted_point(attrs, &key);
+            if worst.as_ref().is_none_or(|w| key < w.0) {
+                worst = Some((key, total));
             }
         }
-        worst.map_or(Ok(()), Err)
     }
+    worst
 }
 
-/// All declared keys, with their live enforcement counts.
+/// A key point projected on `attrs`, reordered by ascending attribute.
+fn sorted_point(attrs: &[usize], key: &Tuple) -> Tuple {
+    let mut at: Vec<(usize, &Value)> = attrs.iter().copied().zip(key.values()).collect();
+    at.sort_unstable_by_key(|&(a, _)| a);
+    at.into_iter().map(|(_, v)| v.clone()).collect()
+}
+
+/// All declared keys. Each is enforced through the index on its
+/// attributes in the [`IndexSet`] it was declared with.
 #[derive(Debug, Clone, Default)]
 pub struct KeySet {
-    // (relation name, sorted key attrs) → counts
-    keys: BTreeMap<(String, Vec<usize>), KeyCounts>,
+    // (relation name, sorted key attrs)
+    keys: BTreeSet<(String, Vec<usize>)>,
 }
 
 impl KeySet {
@@ -139,47 +137,75 @@ impl KeySet {
     pub fn is_declared(&self, relation: &str, attrs: &[usize]) -> bool {
         let mut sorted = attrs.to_vec();
         sorted.sort_unstable();
-        self.keys.contains_key(&(relation.to_owned(), sorted))
+        self.keys.contains(&(relation.to_owned(), sorted))
     }
 
     /// Declares `relation(attrs)` as a key, validating the *existing*
-    /// data: `Ok(Err(violation))` when the current relation already has a
-    /// key point with multiplicity above one (the declaration is refused
-    /// and not registered), `Err` on structural problems (unknown
-    /// relation, out-of-range or duplicate attributes).
+    /// data with the check a commit uses — the whole relation as a delta,
+    /// against no prior counts — and creating the index on `attrs` in
+    /// `indexes` unless one is there. `Ok(Err(violation))` when the
+    /// current relation already has a key point with multiplicity above
+    /// one (the declaration is refused, and neither key nor index is
+    /// registered), `Err` on structural problems (unknown relation,
+    /// out-of-range or duplicate attributes).
     pub fn declare(
         &mut self,
         db: &Database,
+        indexes: &mut IndexSet,
         relation: &str,
         attrs: &[usize],
     ) -> CoreResult<Result<(), KeyViolation>> {
         let rel = db.relation(relation)?;
-        let counts = KeyCounts::build(rel, attrs)?;
+        AttrList::new_unique(attrs.to_vec())?.check_arity(rel.schema().arity())?;
         let mut sorted = attrs.to_vec();
         sorted.sort_unstable();
-        if let Some((key, multiplicity)) = counts.worst() {
+        // a multiplicity beyond ℤ's range is beyond one
+        let rows = rel
+            .iter()
+            .map(|(t, m)| (t, i64::try_from(m).unwrap_or(i64::MAX)));
+        if let Some((key, multiplicity)) = violation(&sorted, rows, |_| 0) {
             return Ok(Err(KeyViolation {
                 relation: relation.to_owned(),
                 attrs: sorted,
-                key: key.clone(),
+                key,
                 multiplicity,
             }));
         }
-        self.keys.insert((relation.to_owned(), sorted), counts);
+        indexes.create(db, relation, &sorted)?;
+        self.keys.insert((relation.to_owned(), sorted));
         Ok(Ok(()))
     }
 
     /// Pure admission check of one relation's signed commit delta against
-    /// every key declared on it. Call for **all** deltas of a transaction
-    /// before applying any ([`Self::apply_commit`]): a violating commit
-    /// then aborts with nothing to undo.
-    pub fn check(&self, relation: &str, delta: &SignedBag<Tuple>) -> Result<(), KeyViolation> {
+    /// every key declared on it, reading each touched key point's count
+    /// from the key's index in `indexes`. Call for **all** deltas of a
+    /// transaction before applying any: a violating commit then aborts
+    /// with nothing to undo.
+    ///
+    /// # Panics
+    ///
+    /// When `indexes` lacks the index of a declared key — it is not the
+    /// set the keys were declared with.
+    pub fn check(
+        &self,
+        indexes: &IndexSet,
+        relation: &str,
+        delta: &SignedBag<Tuple>,
+    ) -> Result<(), KeyViolation> {
         if delta.is_empty() {
             return Ok(());
         }
-        let declared = self.keys.iter().filter(|((r, _), _)| r == relation);
-        for ((r, attrs), counts) in declared {
-            if let Err((key, multiplicity)) = counts.check(delta) {
+        for (r, attrs) in self.keys.iter().filter(|(r, _)| r == relation) {
+            let index = indexes
+                .find(r, attrs)
+                .expect("a declared key keeps the index it was declared with");
+            let prior = |key: &Tuple| {
+                index
+                    .matches(key)
+                    .iter()
+                    .fold(0_u64, |n, (_, m)| n.saturating_add(*m))
+            };
+            if let Some((key, multiplicity)) = violation(index.key_attrs(), delta.iter(), prior) {
                 return Err(KeyViolation {
                     relation: r.clone(),
                     attrs: attrs.clone(),
@@ -191,26 +217,11 @@ impl KeySet {
         Ok(())
     }
 
-    /// Folds one admitted commit delta for `relation` into the counts of
-    /// every key declared on it — O(|Δ|). Fails only if a retraction
-    /// outruns the counts, which an admitted delta of the same relation
-    /// cannot do.
-    pub fn apply_commit(&mut self, relation: &str, delta: &SignedBag<Tuple>) -> CoreResult<()> {
-        for ((r, _), counts) in self.keys.iter_mut() {
-            if r == relation {
-                let resolved = &counts.resolved;
-                let points = delta.iter().map(|(t, m)| (resolved.project(t), m));
-                counts.counts.apply_signed(points)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Every declared key as `(relation, sorted attrs)`, sorted — the
     /// durable catalog definition (what a `DeclareKey` WAL record
     /// carries), and the ground facts handed to the analyzer's `KeyEnv`.
     pub fn definitions(&self) -> Vec<(String, Vec<usize>)> {
-        self.keys.keys().cloned().collect()
+        self.keys.iter().cloned().collect()
     }
 }
 
@@ -238,13 +249,27 @@ mod tests {
         d
     }
 
+    /// `key r (%1)` over [`db`], with the index it brings.
+    fn keyed() -> (KeySet, IndexSet) {
+        let (mut ks, mut ix) = (KeySet::new(), IndexSet::new());
+        ks.declare(&db(), &mut ix, "r", &[1])
+            .expect("ok")
+            .expect("valid");
+        (ks, ix)
+    }
+
     #[test]
     fn declare_validates_existing_data() {
-        let mut ks = KeySet::new();
+        let (mut ks, mut ix) = (KeySet::new(), IndexSet::new());
         let db = db();
-        assert!(ks.declare(&db, "r", &[1]).expect("structurally ok").is_ok());
+        assert!(ks
+            .declare(&db, &mut ix, "r", &[1])
+            .expect("structurally ok")
+            .is_ok());
         assert!(ks.is_declared("r", &[1]));
         assert_eq!(ks.definitions(), vec![("r".to_owned(), vec![1])]);
+        // the key brought its index
+        assert_eq!(ix.definitions(), vec![("r".to_owned(), vec![1])]);
 
         // the str column holds distinct values too, but a dup breaks it
         let mut db2 = db.clone();
@@ -252,57 +277,85 @@ mod tests {
         grown.insert(tuple![4_i64, "a"], 1).expect("typed");
         db2.replace("r", grown).expect("declared");
         let violation = ks
-            .declare(&db2, "r", &[2])
+            .declare(&db2, &mut ix, "r", &[2])
             .expect("structurally ok")
             .expect_err("duplicate key point");
+        assert_eq!(violation.key, tuple!["a"]);
         assert_eq!(violation.multiplicity, 2);
         assert!(!ks.is_declared("r", &[2]));
+        // a refused key brings no index
+        assert!(ix.find("r", &[2]).is_none());
     }
 
     #[test]
     fn declare_rejects_bad_attrs() {
-        let mut ks = KeySet::new();
+        let (mut ks, mut ix) = (KeySet::new(), IndexSet::new());
         let db = db();
-        assert!(ks.declare(&db, "r", &[3]).is_err(), "out of range");
-        assert!(ks.declare(&db, "r", &[1, 1]).is_err(), "duplicate attr");
-        assert!(ks.declare(&db, "nosuch", &[1]).is_err(), "unknown relation");
+        assert!(ks.declare(&db, &mut ix, "r", &[3]).is_err(), "out of range");
+        assert!(
+            ks.declare(&db, &mut ix, "r", &[1, 1]).is_err(),
+            "duplicate attr"
+        );
+        assert!(
+            ks.declare(&db, &mut ix, "nosuch", &[1]).is_err(),
+            "unknown relation"
+        );
+        assert!(ks.is_empty() && ix.is_empty());
     }
 
     #[test]
     fn check_admits_and_rejects_deltas() {
-        let mut ks = KeySet::new();
-        let db = db();
-        ks.declare(&db, "r", &[1]).expect("ok").expect("valid");
+        let (ks, ix) = keyed();
 
         // fresh key point: fine
-        assert!(ks.check("r", &delta(&[(4, "d", 1)])).is_ok());
+        assert!(ks.check(&ix, "r", &delta(&[(4, "d", 1)])).is_ok());
         // existing key point: violation, with the point in the report
-        let v = ks.check("r", &delta(&[(2, "x", 1)])).expect_err("dup id");
+        let v = ks
+            .check(&ix, "r", &delta(&[(2, "x", 1)]))
+            .expect_err("dup id");
         assert_eq!(v.multiplicity, 2);
         assert_eq!(v.attrs, vec![1]);
         // delete+insert of the same key point in one delta: fine
-        assert!(ks.check("r", &delta(&[(2, "b", -1), (2, "x", 1)])).is_ok());
+        assert!(ks
+            .check(&ix, "r", &delta(&[(2, "b", -1), (2, "x", 1)]))
+            .is_ok());
         // two inserts of one fresh key point in one delta: violation
         let v = ks
-            .check("r", &delta(&[(9, "x", 1), (9, "y", 1)]))
+            .check(&ix, "r", &delta(&[(9, "x", 1), (9, "y", 1)]))
             .expect_err("internal dup");
         assert_eq!(v.multiplicity, 2);
         // unconstrained relation: nothing to check
-        assert!(ks.check("s", &delta(&[(2, "x", 1)])).is_ok());
+        assert!(ks.check(&ix, "s", &delta(&[(2, "x", 1)])).is_ok());
     }
 
     #[test]
     fn apply_commit_tracks_counts_incrementally() {
-        let mut ks = KeySet::new();
-        let db = db();
-        ks.declare(&db, "r", &[1]).expect("ok").expect("valid");
+        let (ks, mut ix) = keyed();
 
         let d = delta(&[(3, "c", -1), (4, "d", 1)]);
-        assert!(ks.check("r", &d).is_ok());
-        ks.apply_commit("r", &d).expect("admitted");
+        assert!(ks.check(&ix, "r", &d).is_ok());
+        ix.apply_commit("r", &d).expect("admitted");
         // id 3 is free again, id 4 is now taken
-        assert!(ks.check("r", &delta(&[(3, "z", 1)])).is_ok());
-        assert!(ks.check("r", &delta(&[(4, "z", 1)])).is_err());
+        assert!(ks.check(&ix, "r", &delta(&[(3, "z", 1)])).is_ok());
+        assert!(ks.check(&ix, "r", &delta(&[(4, "z", 1)])).is_err());
+    }
+
+    /// A key over an index built in another attribute order reads that
+    /// index, and reports its key point in sorted-attribute order.
+    #[test]
+    fn a_reordered_index_reports_sorted_points() {
+        let db = db();
+        let (mut ks, mut ix) = (KeySet::new(), IndexSet::new());
+        ix.create(&db, "r", &[2, 1]).expect("indexes");
+        ks.declare(&db, &mut ix, "r", &[1, 2])
+            .expect("ok")
+            .expect("valid");
+        assert_eq!(ix.len(), 1);
+        let v = ks
+            .check(&ix, "r", &delta(&[(2, "b", 1)]))
+            .expect_err("dup point");
+        assert_eq!(v.key, tuple![2_i64, "b"]);
+        assert_eq!(v.multiplicity, 2);
     }
 
     /// Two delta tuples at one key point, each at `i64::MAX`: the net
@@ -310,21 +363,17 @@ mod tests {
     /// to an admissible count.
     #[test]
     fn overflowing_net_is_a_violation() {
-        let mut ks = KeySet::new();
-        let db = db();
-        ks.declare(&db, "r", &[1]).expect("ok").expect("valid");
+        let (ks, ix) = keyed();
         let d = delta(&[(9, "x", i64::MAX), (9, "y", i64::MAX)]);
-        let v = ks.check("r", &d).expect_err("overflowing net");
+        let v = ks.check(&ix, "r", &d).expect_err("overflowing net");
         assert_eq!(v.key, tuple![9_i64]);
         assert_eq!(v.multiplicity, u64::MAX);
     }
 
     #[test]
     fn violation_renders_for_diagnostics() {
-        let mut ks = KeySet::new();
-        let db = db();
-        ks.declare(&db, "r", &[1]).expect("ok").expect("valid");
-        let v = ks.check("r", &delta(&[(2, "x", 1)])).expect_err("dup");
+        let (ks, ix) = keyed();
+        let v = ks.check(&ix, "r", &delta(&[(2, "x", 1)])).expect_err("dup");
         let msg = v.to_string();
         assert!(msg.contains("key r(%1) violated"), "{msg}");
         assert!(msg.contains("multiplicity 2"), "{msg}");

@@ -30,8 +30,8 @@
 //! precomputed content hash, boxed values via `FxHasher`) folded across
 //! the key columns. These hashes are internally consistent between any two
 //! columns of the same domain — which is all hash-then-verify needs — but
-//! are *not* the row-tuple hashes of [`ResolvedAttrs::hash_key`]; the two
-//! schemes never mix.
+//! are *not* the row-tuple hashes that key a [`PMap`](mera_core::pmap::PMap);
+//! the two schemes never mix.
 
 use mera_core::prelude::*;
 use mera_expr::scalar::{eval_arith, ArithOp, CmpOp, ScalarExpr};

@@ -3,14 +3,13 @@
 //! Standard System-R-style selectivities over the bag algebra, refined by
 //! the incrementally-maintained [`CatalogStats`]: equality selections use
 //! per-column distinct counts (KMV sketch estimates), range comparisons
-//! interpolate against per-column min/max bounds, and heuristic point
-//! estimates can be clamped into the *sound* cardinality interval computed
-//! by `mera-analyze`'s range lattice ([`estimate_rows_bounded`]).
+//! interpolate against per-column min/max bounds, and declared keys
+//! bound distinct counts ([`estimate_distinct_rows_keyed`]).
 //! Estimates are heuristics — their only job is to rank alternative plans
 //! (join orders, access paths, rule ablations), not to be accurate in
 //! absolute terms.
 
-use mera_analyze::{infer_props, range_of_plan, CardRange, KeyEnv, RangeEnv};
+use mera_analyze::{infer_props, KeyEnv};
 use mera_core::prelude::*;
 use mera_expr::{CmpOp, RelExpr, ScalarExpr, SchemaProvider};
 
@@ -84,26 +83,6 @@ pub fn estimate_rows(expr: &RelExpr, stats: &CatalogStats) -> f64 {
             }
         }
     }
-}
-
-/// Sound cardinality interval for a plan, derived from the stats catalog:
-/// relation row counts are exact as of the catalog's logical time, so the
-/// lattice's abstract transformers yield an interval the true output size
-/// must fall in.
-pub fn range_env_from_stats(stats: &CatalogStats) -> RangeEnv {
-    let mut env = RangeEnv::new();
-    for (name, t) in stats.tables() {
-        env.insert(name.clone(), CardRange::exactly(t.rows));
-    }
-    env
-}
-
-/// [`estimate_rows`] clamped into the sound interval of `mera-analyze`'s
-/// cardinality-range lattice — the heuristic point estimate can never
-/// leave the provably-possible range (e.g. a selection under-estimate can
-/// never go below a lower bound proved by a literal `values` operand).
-pub fn estimate_rows_bounded(expr: &RelExpr, stats: &CatalogStats, env: &RangeEnv) -> f64 {
-    range_of_plan(expr, env).clamp_estimate(estimate_rows(expr, stats))
 }
 
 /// [`estimate_distinct_rows`] strengthened by declared keys: when the

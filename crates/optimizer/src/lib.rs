@@ -21,8 +21,7 @@
 //!   with cost-based join reordering through the same admission gate,
 //! * [`stats`] / [`cost`] — incrementally-maintained table statistics
 //!   (row counts, KMV distinct sketches, column bounds) and a
-//!   System-R-style cost model clamped by `mera-analyze`'s sound
-//!   cardinality intervals,
+//!   System-R-style cost model,
 //! * [`join_order`] — cost-based join re-ordering justified by
 //!   Theorem 3.3, with schema-restoring projections,
 //! * [`access`] — index-versus-hash access-path selection, emitting the
@@ -44,7 +43,7 @@ pub mod stats;
 pub use access::choose_access_paths;
 pub use cost::{
     estimate_cost, estimate_distinct_rows, estimate_distinct_rows_keyed, estimate_rows,
-    estimate_rows_bounded, HASH_BUILD_FACTOR,
+    HASH_BUILD_FACTOR,
 };
 pub use driver::{Optimized, Optimizer, VerifyMode};
 pub use join_order::reorder_joins;

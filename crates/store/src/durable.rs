@@ -203,11 +203,11 @@ fn replay(
         WalRecord::DeclareIndex { relation, keys } => Ok(version.create_index(&relation, &keys)?),
         WalRecord::DeclareKey { relation, attrs } => {
             // likewise only the definition of a key is durable: the
-            // multiplicity counts rebuild from the recovered relation
-            // (re-logged declarations are no-ops). The record was logged
-            // after a successful declaration, and every commit after it
-            // was enforced, so a refusal here means the log belongs to a
-            // different history.
+            // recovered relation is re-validated and the key's index found
+            // or rebuilt (re-logged declarations are no-ops). The record
+            // was logged after a successful declaration, and every commit
+            // after it was enforced, so a refusal here means the log
+            // belongs to a different history.
             if version.keys().is_declared(&relation, &attrs) {
                 return Ok(());
             }

@@ -4,9 +4,9 @@
 //! `D_0 → D_1 → …` on one logical-time axis. A [`Version`] is one element
 //! of that sequence — the base relations plus everything derived from
 //! them that a transaction reads or a commit must keep consistent
-//! (materialized views, table statistics, secondary indexes, key counts) —
-//! and this module holds the *only* copy of every step that moves the
-//! sequence forward:
+//! (materialized views, table statistics, indexes) and the declared keys
+//! those indexes enforce — and this module holds the *only* copy of every
+//! step that moves the sequence forward:
 //!
 //! * [`Version::run`] executes a program's statements against the state
 //!   and hands back their net signed deltas — the transaction itself;
@@ -26,10 +26,12 @@
 //! nothing.
 //!
 //! Every map under a version is a persistent trie
-//! ([`mera_core::pmap::PMap`]): relations, index buckets, key counts and
-//! view state. A clone of a version copies only the headers of its
-//! catalog objects, and [`Version::apply`] copies the trie nodes its
-//! delta touches — O(|Δ| log n), not the database.
+//! ([`mera_core::pmap::PMap`]): relations, index buckets and view state.
+//! A declared key keeps no state of its own: it is enforced through the
+//! index on its attributes, whose buckets are its key points. A clone of a
+//! version copies only the headers of its catalog objects, and
+//! [`Version::apply`] copies the trie nodes its delta touches —
+//! O(|Δ| log n), not the database.
 
 use std::sync::Arc;
 
@@ -180,17 +182,17 @@ impl Version {
         let mut state = self.working_state();
         let outputs = execute_program(&mut state, program, config).map_err(AbortReason::Error)?;
         // fail fast against this version's keys; `apply` re-checks
-        // against the counts of the version it actually folds into
+        // against the indexes of the version it actually folds into
         self.check_keys(&state.deltas)?;
         // temporaries and materialized reads vanish with the state
         Ok((state.deltas, outputs))
     }
 
-    /// Every declared key verified against the *net* deltas — O(|delta|)
-    /// per key, all-or-nothing.
+    /// Every declared key verified against the *net* deltas and the
+    /// buckets of its index — O(|delta|) per key, all-or-nothing.
     fn check_keys(&self, deltas: &DeltaMap) -> Result<(), AbortReason> {
         for (name, delta) in deltas {
-            if let Err(v) = self.keys.check(name, delta) {
+            if let Err(v) = self.keys.check(&self.indexes, name, delta) {
                 return Err(AbortReason::KeyViolation(key_violation_diagnostic(&v)));
             }
         }
@@ -200,8 +202,8 @@ impl Version {
     /// Commits a transaction into this version from its deltas alone, in
     /// place (`D_{t+1} = D_t + Δ`). The keys are checked against the net
     /// deltas and a delta that does not fit fails it; then the clock
-    /// ticks once, statistics, indexes and key counts fold the deltas in
-    /// O(|delta|), and the views refresh through their maintenance plans.
+    /// ticks once, statistics and indexes fold the deltas in O(|delta|),
+    /// and the views refresh through their maintenance plans.
     /// On a clone of a published version, only the trie nodes the deltas
     /// touch are copied; on a uniquely owned one (recovery) nothing is.
     ///
@@ -216,7 +218,6 @@ impl Version {
         let time = db.tick();
         let stats = Arc::make_mut(&mut self.stats);
         let indexes = Arc::make_mut(&mut self.indexes);
-        let keys = Arc::make_mut(&mut self.keys);
         for (name, delta) in &deltas {
             if delta.is_empty() {
                 continue;
@@ -224,10 +225,8 @@ impl Version {
             if let Ok(post) = self.db.relation(name) {
                 stats.apply_commit(name, delta, post);
             }
-            // the check above passed, so folding the deltas in cannot
-            // violate a key; an index mirrors its relation, which took
-            // the same delta above, so neither fold can fail either
-            keys.apply_commit(name, delta).map_err(AbortReason::Error)?;
+            // an index mirrors its relation, which took the same delta
+            // above, so this fold cannot fail
             indexes
                 .apply_commit(name, delta)
                 .map_err(AbortReason::Error)?;
@@ -275,9 +274,11 @@ impl Version {
     /// this state. Rejections carry a diagnostic: existing data violating
     /// the key (`E0401`), a key on a view (`E0402` — views are derived,
     /// their multiplicities follow from the definition), or a duplicate
-    /// declaration (`E0403`). From then on every commit checks the key
-    /// against its net deltas in O(|delta|) and aborts violators, and the
-    /// optimizer grounds property inference in it.
+    /// declaration (`E0403`). An accepted key brings the index on `attrs`
+    /// unless one exists, as `PRIMARY KEY` does: from then on every commit
+    /// checks its net deltas against that index's buckets in O(|delta|)
+    /// and aborts violators, and the optimizer grounds property inference
+    /// in the key.
     pub fn declare_key(&mut self, relation: &str, attrs: &[usize]) -> Result<(), DeclareKeyError> {
         if self.views.contains(relation) {
             return Err(DeclareKeyError::Rejected(
@@ -300,7 +301,8 @@ impl Version {
                 format!("key {relation}({}) is already declared", attrs.join(",")),
             )));
         }
-        match Arc::make_mut(&mut self.keys).declare(&self.db, relation, attrs)? {
+        let indexes = Arc::make_mut(&mut self.indexes);
+        match Arc::make_mut(&mut self.keys).declare(&self.db, indexes, relation, attrs)? {
             Ok(()) => Ok(()),
             Err(v) => Err(DeclareKeyError::Rejected(key_violation_diagnostic(&v))),
         }

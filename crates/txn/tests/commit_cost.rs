@@ -2,11 +2,12 @@
 //!
 //! A commit integrates its ℤ-delta into the newest version,
 //! `D_{t+1} = D_t + Δ` (`Version::apply`), on a clone of that version.
-//! Every map under a version — relations, index buckets, key counts,
-//! view state — is a persistent hash trie, so the clone shares all of it
-//! and the fold copies one trie path per changed element. A one-row
-//! commit therefore costs about the same on a 200-row table as on a
-//! 10 000-row one; a whole-database copy would cost 50× more.
+//! Every map under a version — relations, index buckets (which also
+//! enforce the key), view state — is a persistent hash trie, so the clone
+//! shares all of it and the fold copies one trie path per changed
+//! element. A one-row commit therefore costs about the same on a 200-row
+//! table as on a 10 000-row one; a whole-database copy would cost 50×
+//! more.
 //!
 //! The workload is `oltp_commit`'s: `account(id, branch, balance)` with a
 //! key and an index on `id`, loaded in 2 000-row commits, and one
@@ -130,7 +131,7 @@ fn one_row_commit_cost_is_flat_in_table_size() {
 }
 
 /// (b) Sharing costs no memory at rest: one loaded 10 000-row version
-/// (relation, index, key counts, statistics), with no other version
+/// (relation, index, statistics), with no other version
 /// alive, holds at most 1.10× what it held as plain hash maps —
 /// 3 738 822 bytes, measured with this test before the change.
 #[test]

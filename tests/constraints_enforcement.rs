@@ -2,7 +2,9 @@
 //! with `key r (…);` is checked against each transaction's *net* delta,
 //! so a violating transaction aborts atomically with `E0401`, a violation
 //! that is undone inside the same transaction is no violation, and the
-//! declaration survives a reopen from the storage image.
+//! declaration survives a reopen from the storage image. A key is a
+//! unique index: declaring it brings the index on its attributes unless
+//! one is there, and a refused declaration brings none.
 
 use mera::analyze::Code;
 use mera::core::prelude::*;
@@ -102,4 +104,77 @@ fn duplicate_insert_aborts_after_reopen() {
     let db = open(&rebooted);
     assert_eq!(db.pin().database(), live.pin().database());
     assert_duplicate_aborts(&db);
+}
+
+/// A fresh database holding `relation r (a: int, b: str)` with the rows
+/// `(1, 'x')` and `(2, 'x')` — a key on `a` holds, one on `b` does not.
+fn two_rows() -> Db {
+    let db = open(&MemStorage::new());
+    db.run_script(
+        "relation r (a: int, b: str);\n\
+         begin insert(r, values (int, str) {(1, 'x'), (2, 'x')}); end;",
+    )
+    .expect("loads");
+    db
+}
+
+/// Inserts `(a, b)` into `r` and returns the key abort's message.
+fn key_abort(db: &Db, a: i64, b: &str) -> String {
+    let src = format!("insert(r, values (int, str) {{({a}, '{b}')}})");
+    let outcome = db.try_execute(&program(db, &src)).expect("runs");
+    let Outcome::Aborted(AbortReason::KeyViolation(diag)) = outcome else {
+        panic!("expected key abort, got {outcome:?}");
+    };
+    assert_eq!(diag.code, Code::KeyViolation);
+    diag.message
+}
+
+#[test]
+fn a_key_brings_its_index() {
+    let db = two_rows();
+    assert!(db.pin().indexes().is_empty());
+    db.declare_key("r", &[1]).expect("declares");
+    assert!(db.pin().indexes().find("r", &[1]).is_some());
+}
+
+#[test]
+fn a_key_reuses_an_index_on_its_attributes() {
+    let db = two_rows();
+    db.create_index("r", &[1]).expect("indexes");
+    db.declare_key("r", &[1]).expect("declares");
+    assert_eq!(db.pin().indexes().len(), 1);
+}
+
+#[test]
+fn a_key_over_a_reordered_index_reports_sorted_points() {
+    let db = two_rows();
+    db.create_index("r", &[2, 1]).expect("indexes");
+    db.declare_key("r", &[1, 2]).expect("declares");
+    assert_eq!(db.pin().indexes().len(), 1);
+    let msg = key_abort(&db, 2, "x");
+    assert!(
+        msg.contains("key r(%1,%2) violated: <2, 'x'> would occur with multiplicity 2"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn an_index_created_after_the_key_keeps_enforcement() {
+    let db = two_rows();
+    db.declare_key("r", &[1]).expect("declares");
+    db.create_index("r", &[1]).expect("indexes");
+    assert_eq!(db.pin().indexes().len(), 1);
+    let msg = key_abort(&db, 1, "y");
+    assert!(msg.contains("<1> would occur with multiplicity 2"), "{msg}");
+}
+
+#[test]
+fn a_refused_key_leaves_the_indexes_alone() {
+    let db = two_rows();
+    db.create_index("r", &[1]).expect("indexes");
+    let before = db.pin().indexes().definitions();
+    let err = db.declare_key("r", &[2]).expect_err("'x' occurs twice");
+    assert!(err.to_string().contains("E0401"), "{err}");
+    assert!(!db.pin().keys().is_declared("r", &[2]));
+    assert_eq!(db.pin().indexes().definitions(), before);
 }
