@@ -42,7 +42,6 @@ pub mod multiset;
 pub mod pmap;
 pub mod relation;
 pub mod schema;
-pub mod sketch;
 pub mod tuple;
 pub mod types;
 pub mod value;
@@ -58,7 +57,6 @@ pub mod prelude {
     pub use crate::multiset::{Bag, KBag, NaturallyOrdered, Semiring, SignedBag};
     pub use crate::relation::{relation_of, KRelation, Relation};
     pub use crate::schema::{Attribute, RelationSchema, Schema, SchemaRef};
-    pub use crate::sketch::{stable_hash, KmvSketch};
     pub use crate::tuple;
     pub use crate::tuple::{AttrList, IntoValue, ResolvedAttrs, Tuple};
     pub use crate::types::DataType;

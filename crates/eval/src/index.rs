@@ -258,15 +258,18 @@ impl IndexSet {
     /// Builds and registers an index on `relation(keys)`; a declared index
     /// needs at least one key attribute. An index already registered on
     /// the same attribute set is kept, not rebuilt: its content is the
-    /// same.
-    pub fn create(&mut self, db: &Database, relation: &str, keys: &[usize]) -> CoreResult<()> {
+    /// same. True when an index was added.
+    pub fn create(&mut self, db: &Database, relation: &str, keys: &[usize]) -> CoreResult<bool> {
         AttrList::new(keys.to_vec())?;
         let mut sorted = keys.to_vec();
         sorted.sort_unstable();
-        if let Entry::Vacant(slot) = self.indexes.entry((relation.to_owned(), sorted)) {
-            slot.insert(HashIndex::build(db.relation(relation)?, keys)?);
+        match self.indexes.entry((relation.to_owned(), sorted)) {
+            Entry::Vacant(slot) => {
+                slot.insert(HashIndex::build(db.relation(relation)?, keys)?);
+                Ok(true)
+            }
+            Entry::Occupied(_) => Ok(false),
         }
-        Ok(())
     }
 
     /// Number of registered indexes.
@@ -277,6 +280,13 @@ impl IndexSet {
     /// True when no index is registered.
     pub fn is_empty(&self) -> bool {
         self.indexes.is_empty()
+    }
+
+    /// Every registered index with the relation it is on.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &HashIndex)> {
+        self.indexes
+            .iter()
+            .map(|((r, _), index)| (r.as_str(), index))
     }
 
     /// Finds an index on `relation` whose key set is exactly `keys`

@@ -1,10 +1,11 @@
 //! Cardinality estimation and a simple cost model.
 //!
 //! Standard System-R-style selectivities over the bag algebra, refined by
-//! the incrementally-maintained [`CatalogStats`]: equality selections use
-//! per-column distinct counts (KMV sketch estimates), range comparisons
-//! interpolate against per-column min/max bounds, and declared keys
-//! bound distinct counts ([`estimate_distinct_rows_keyed`]).
+//! a version's [`CatalogStats`]: equality selections use per-column
+//! distinct counts (exact from an index or a whole-support sample,
+//! estimated from a sample otherwise), range comparisons interpolate
+//! against per-column min/max bounds, and declared keys bound distinct
+//! counts ([`estimate_distinct_rows_keyed`]).
 //! Estimates are heuristics — their only job is to rank alternative plans
 //! (join orders, access paths, rule ablations), not to be accurate in
 //! absolute terms.
@@ -88,7 +89,7 @@ pub fn estimate_rows(expr: &RelExpr, stats: &CatalogStats) -> f64 {
 /// [`estimate_distinct_rows`] strengthened by declared keys: when the
 /// property inference proves the output duplicate-free (`key ⇒ distinct =
 /// rowcount`), the distinct estimate *is* the row estimate — exact instead
-/// of the sketch-based heuristic. Falls back to the plain estimator
+/// of the column-statistics heuristic. Falls back to the plain estimator
 /// otherwise.
 pub fn estimate_distinct_rows_keyed<P: SchemaProvider>(
     expr: &RelExpr,
@@ -181,7 +182,7 @@ fn column_distinct(expr: &RelExpr, attr: usize, stats: &CatalogStats) -> f64 {
 /// Best-effort arity without a schema provider (estimation never fails).
 fn arity_guess(expr: &RelExpr, stats: &CatalogStats) -> usize {
     match expr {
-        RelExpr::Scan(name) => stats.get(name).map(|t| t.columns.len()).unwrap_or(1),
+        RelExpr::Scan(name) => stats.get(name).map(|t| t.arity()).unwrap_or(1),
         RelExpr::Values(rel) => rel.schema().arity(),
         RelExpr::Select { input, .. } | RelExpr::Distinct(input) => arity_guess(input, stats),
         RelExpr::Project { attrs, .. } => attrs.len(),
@@ -253,7 +254,7 @@ fn mirror(op: CmpOp) -> CmpOp {
 }
 
 /// Numeric min/max bounds of a column of an expression's output, when the
-/// underlying scan's maintained statistics know them.
+/// underlying scan's statistics know them.
 fn column_bounds_f64(expr: &RelExpr, attr: usize, stats: &CatalogStats) -> Option<(f64, f64)> {
     let as_f64 = |v: &Value| match v {
         Value::Int(i) => Some(*i as f64),
@@ -277,7 +278,7 @@ fn column_bounds_f64(expr: &RelExpr, attr: usize, stats: &CatalogStats) -> Optio
 }
 
 /// Selectivity of `%attr op lit` — linear interpolation against the
-/// column's maintained min/max when known, [`RANGE_SELECTIVITY`] otherwise.
+/// column's min/max when known, [`RANGE_SELECTIVITY`] otherwise.
 fn range_selectivity(
     input: &RelExpr,
     attr: usize,
@@ -476,7 +477,7 @@ mod tests {
 
     #[test]
     fn keyed_distinct_estimate_is_exact() {
-        // `big` carries heavy duplication in the sketch (rows ≫ distinct),
+        // `big` carries heavy duplication in its statistics (rows ≫ distinct),
         // but a declared key proves distinct = rowcount exactly
         let mut cs = CatalogStats::new();
         cs.insert("big", TableStats::synthetic(10_000, 5_000, &[100, 50]));

@@ -139,14 +139,14 @@ impl Optimizer {
         self
     }
 
-    /// Attaches maintained statistics, turning the optimizer cost-based:
+    /// Attaches table statistics, turning the optimizer cost-based:
     /// cost-gated rules (δ placement) see the statistics through their
     /// context, and every optimization run finishes with cost-based join
     /// reordering — admitted through the same precondition-discharge and
     /// differential-verification gate as every rule application.
-    /// Accepts owned statistics or an [`Arc`] shared with the maintaining
-    /// catalog (the transaction manager re-plans every statement without
-    /// cloning sketches).
+    /// Accepts owned statistics or an [`Arc`] shared with the version
+    /// that computed them (the transaction manager re-plans every
+    /// statement against one version's statistics).
     pub fn with_stats(mut self, stats: impl Into<Arc<CatalogStats>>) -> Self {
         self.stats = Some(stats.into());
         self

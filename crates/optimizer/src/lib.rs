@@ -19,9 +19,9 @@
 //! * [`driver`] — bottom-up fixpoint application with ablation support;
 //!   with statistics attached ([`Optimizer::with_stats`]) each run ends
 //!   with cost-based join reordering through the same admission gate,
-//! * [`stats`] / [`cost`] — incrementally-maintained table statistics
-//!   (row counts, KMV distinct sketches, column bounds) and a
-//!   System-R-style cost model,
+//! * [`stats`] / [`cost`] — table statistics read from a version's
+//!   content (exact row counts, index-exact or sampled column distincts,
+//!   column bounds) and a System-R-style cost model,
 //! * [`join_order`] — cost-based join re-ordering justified by
 //!   Theorem 3.3, with schema-restoring projections,
 //! * [`access`] — index-versus-hash access-path selection, emitting the

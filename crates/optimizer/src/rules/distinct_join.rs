@@ -11,7 +11,7 @@
 //! trades one dedup of the (large) join output for two dedups of the
 //! inputs plus a smaller join. That wins exactly when the inputs carry
 //! real duplication, so the rule is **cost-gated** — it only fires when
-//! the maintained statistics ([`CatalogStats`](crate::stats::CatalogStats)
+//! the version's statistics ([`CatalogStats`](crate::stats::CatalogStats)
 //! via [`RuleContext::stats`]) estimate the duplication factor high enough
 //! to pay for the extra operators. Without statistics the rule declines:
 //! a cost-based rewrite without a cost model is a coin flip.
@@ -67,7 +67,7 @@ impl Rule for PushDistinctIntoJoin {
             return Ok(None);
         }
         // with key constraints attached, a provably-duplicate-free side has
-        // duplication factor exactly 1 — the sketch estimate is overruled
+        // duplication factor exactly 1 — the statistics estimate is overruled
         let dup = |e: &RelExpr| {
             let distinct = match ctx.keys() {
                 Some(keys) => estimate_distinct_rows_keyed(e, stats, &ctx.as_provider(), keys),

@@ -35,7 +35,7 @@ use crate::stats::CatalogStats;
 pub use mera_analyze::{Condition, Precondition};
 
 /// Context handed to rules: schema access for arity-sensitive rewrites,
-/// plus (optionally) the maintained statistics for cost-gated rules and
+/// plus (optionally) the table statistics for cost-gated rules and
 /// the declared key constraints for property-licensed rules.
 pub struct RuleContext<'a> {
     provider: &'a dyn DynSchemaProvider,
@@ -65,7 +65,7 @@ impl<'a> RuleContext<'a> {
         }
     }
 
-    /// Builds a context with maintained statistics, enabling cost-gated
+    /// Builds a context with table statistics, enabling cost-gated
     /// rules.
     pub fn with_stats<P: SchemaProvider>(provider: &'a P, stats: &'a CatalogStats) -> Self {
         RuleContext {
@@ -83,7 +83,7 @@ impl<'a> RuleContext<'a> {
         self
     }
 
-    /// The maintained statistics, when the caller supplied them.
+    /// The table statistics, when the caller supplied them.
     pub fn stats(&self) -> Option<&CatalogStats> {
         self.stats
     }

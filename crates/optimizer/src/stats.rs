@@ -1,200 +1,52 @@
-//! Table statistics for cardinality estimation — live-maintained.
+//! Table statistics for cardinality estimation — a function of content.
 //!
 //! Under multiset semantics cardinality is *two* numbers: total
 //! multiplicity (`rows`) and distinct support (`distinct_rows`). Both are
-//! O(1) counters on [`Relation`], so after a commit they are read off the
-//! post-state exactly; only the per-column statistics (min/max bounds and
-//! KMV distinct sketches) need updating, and those are updated from the
-//! same signed deltas that drive view maintenance — O(|delta|), not
-//! O(|relation|).
+//! O(1) counters on [`Relation`], read off whatever version is planned
+//! against. The per-column statistics (distinct counts and min/max
+//! bounds) are read from the same content, never folded from deltas:
 //!
-//! KMV sketches cannot process deletions, and a deleted boundary value
-//! cannot shrink a min/max interval. Both effects are counted as *drift*;
-//! once drift crosses [`TableStats::DRIFT_LIMIT`] relative to the table
-//! size the statistics fall back to a full [`TableStats::analyze`] — the
-//! same `Recompute` escape hatch the view-maintenance plans use. Until
-//! then the sketch over-estimates distincts and the bounds over-cover,
-//! which is the conservative direction for selectivity estimation.
+//! * a column with a single-attribute index takes its exact distinct
+//!   count from that index's bucket count — every declared key has one;
+//! * every other column statistic comes from the relation's first
+//!   [`SAMPLE`] distinct tuples in hash order (a relation iterates its
+//!   hash trie sorted by tuple hash), a bottom-m sample that is the same
+//!   whichever history or recovery built the content. With at most
+//!   [`SAMPLE`] distinct tuples the sample is the whole support and the
+//!   statistics are exact; above it a column's distinct count is
+//!   estimated from the sample's value frequencies after Haas, Naughton,
+//!   Seshadri & Stokes (VLDB 1995) — Duj1 for uniform frequencies,
+//!   Shlosser's estimator for skewed ones — and its bounds are the
+//!   sample's, inside the true range.
+//!
+//! The sample is taken lazily — at most once per [`TableStats`], on the
+//! first question only it can answer — and only its O(arity) summary is
+//! kept. So a commit does no statistics work at all, and two versions
+//! with equal content, index set included, have equal statistics.
+
+use std::sync::OnceLock;
 
 use mera_core::prelude::*;
-use mera_core::sketch::KmvSketch;
-use rustc_hash::{FxHashMap, FxHashSet};
+use mera_eval::IndexSet;
+use rustc_hash::FxHashMap;
 
-/// Sketch resolution for per-column distinct counts (RSE ≈ 6.4%).
-const SKETCH_K: usize = 256;
+/// Distinct tuples a relation's column statistics are read from.
+pub const SAMPLE: usize = 16_384;
 
 /// Statistics for one column.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnStats {
-    /// Estimated distinct values in the column (exact after a full
-    /// analyze while below the sketch resolution).
+    /// Distinct values in the column: exact from a single-attribute index
+    /// or a sample of the whole support, estimated otherwise.
     pub distinct: u64,
-    /// Smallest value observed (None for an empty column).
+    /// Smallest value sampled (None for an empty column).
     pub min: Option<Value>,
-    /// Largest value observed (None for an empty column).
+    /// Largest value sampled (None for an empty column).
     pub max: Option<Value>,
-    /// The distinct-count sketch backing `distinct`.
-    sketch: KmvSketch,
 }
 
 impl ColumnStats {
-    /// Synthetic column statistics with a given distinct count and no
-    /// value bounds (tests and hand-built catalogs).
-    pub fn with_distinct(distinct: u64) -> ColumnStats {
-        ColumnStats {
-            distinct,
-            min: None,
-            max: None,
-            sketch: KmvSketch::new(SKETCH_K),
-        }
-    }
-
-    /// Folds one inserted value into the column statistics. `distinct`
-    /// only grows here — the sketch tracks everything ever inserted, so
-    /// its estimate can lag a `distinct` that was seeded exactly.
-    fn observe(&mut self, v: &Value) {
-        self.sketch.insert(v);
-        self.distinct = self.distinct.max(self.sketch.estimate());
-        self.observe_bounds(v);
-    }
-
-    /// Whether `v` sits on the min/max boundary (deleting it invalidates
-    /// the bound, which counts extra drift).
-    fn on_boundary(&self, v: &Value) -> bool {
-        self.min.as_ref() == Some(v) || self.max.as_ref() == Some(v)
-    }
-}
-
-/// Statistics for one relation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableStats {
-    /// Total tuples, counted with multiplicity.
-    pub rows: u64,
-    /// Distinct tuples.
-    pub distinct_rows: u64,
-    /// Per-column statistics, in attribute order.
-    pub columns: Vec<ColumnStats>,
-    /// Distinct tuples deleted (or boundary-touching) since the last full
-    /// analyze — the sketch/bounds error budget.
-    pub drift: u64,
-    /// Distinct delta tuples folded in since construction (the O(delta)
-    /// witness: this, not `rows`, bounds incremental maintenance work).
-    pub touched_rows: u64,
-    /// Full `analyze` passes taken (1 at construction + drift fallbacks).
-    pub full_scans: u64,
-}
-
-impl TableStats {
-    /// Drift fallback: re-analyze once drifted tuples exceed
-    /// `max(64, distinct_rows / 4)`.
-    pub const DRIFT_LIMIT: u64 = 64;
-
-    /// Computes exact statistics by scanning a relation once.
-    pub fn analyze(rel: &Relation) -> TableStats {
-        let arity = rel.schema().arity();
-        let mut seen: Vec<FxHashSet<&Value>> = (0..arity).map(|_| FxHashSet::default()).collect();
-        let mut columns: Vec<ColumnStats> =
-            (0..arity).map(|_| ColumnStats::with_distinct(0)).collect();
-        for t in rel.support() {
-            for (i, v) in t.values().iter().enumerate() {
-                if seen[i].insert(v) {
-                    columns[i].sketch.insert(v);
-                }
-                columns[i].observe_bounds(v);
-            }
-        }
-        for (c, s) in columns.iter_mut().zip(&seen) {
-            // exact when the sketch is unsaturated; estimator otherwise
-            c.distinct = if c.sketch.is_exact() {
-                s.len() as u64
-            } else {
-                c.sketch.estimate()
-            };
-        }
-        TableStats {
-            rows: rel.len(),
-            distinct_rows: rel.distinct_len() as u64,
-            columns,
-            drift: 0,
-            touched_rows: 0,
-            full_scans: 1,
-        }
-    }
-
-    /// Synthetic statistics from per-column distinct counts (tests and
-    /// hand-built catalogs).
-    pub fn synthetic(rows: u64, distinct_rows: u64, column_distincts: &[u64]) -> TableStats {
-        TableStats {
-            rows,
-            distinct_rows,
-            columns: column_distincts
-                .iter()
-                .map(|&d| ColumnStats::with_distinct(d))
-                .collect(),
-            drift: 0,
-            touched_rows: 0,
-            full_scans: 0,
-        }
-    }
-
-    /// Folds one commit's signed delta for this relation into the
-    /// statistics. `post` is the relation *after* the commit; only its
-    /// O(1) row/distinct counters are read unless drift forces a full
-    /// re-analyze.
-    pub fn apply_delta(&mut self, delta: &SignedBag<Tuple>, post: &Relation) {
-        self.rows = post.len();
-        self.distinct_rows = post.distinct_len() as u64;
-        for (t, m) in delta.iter() {
-            self.touched_rows += 1;
-            if m > 0 {
-                for (i, v) in t.values().iter().enumerate() {
-                    if let Some(c) = self.columns.get_mut(i) {
-                        c.observe(v);
-                    }
-                }
-            } else {
-                // deletions: the sketch cannot forget, bounds cannot
-                // shrink — count drift (double when a bound is hit).
-                let mut d = 1;
-                for (i, v) in t.values().iter().enumerate() {
-                    if self.columns.get(i).is_some_and(|c| c.on_boundary(v)) {
-                        d = 2;
-                        break;
-                    }
-                }
-                self.drift += d;
-            }
-        }
-        if self.drift > Self::DRIFT_LIMIT.max(self.distinct_rows / 4) {
-            let touched = self.touched_rows;
-            let scans = self.full_scans;
-            *self = TableStats::analyze(post);
-            self.touched_rows = touched;
-            self.full_scans = scans + 1;
-        }
-    }
-
-    /// Distinct count of a 1-based column, defaulting to the distinct row
-    /// count when out of range (conservative). Clamped to
-    /// `[1, distinct_rows]` — a column can never exceed the table's own
-    /// distinct support.
-    pub fn column_distinct(&self, attr: usize) -> u64 {
-        self.columns
-            .get(attr.wrapping_sub(1))
-            .map(|c| c.distinct.clamp(1, self.distinct_rows.max(1)))
-            .unwrap_or_else(|| self.distinct_rows.max(1))
-    }
-
-    /// The `[min, max]` bounds of a 1-based column, when known.
-    pub fn column_bounds(&self, attr: usize) -> Option<(&Value, &Value)> {
-        let c = self.columns.get(attr.wrapping_sub(1))?;
-        Some((c.min.as_ref()?, c.max.as_ref()?))
-    }
-}
-
-impl ColumnStats {
-    /// Widens min/max only (used by `analyze`, which feeds the sketch
-    /// from the deduplicated value set separately).
+    /// Widens min/max to cover `v`.
     fn observe_bounds(&mut self, v: &Value) {
         match &self.min {
             Some(m) if v >= m => {}
@@ -207,13 +59,158 @@ impl ColumnStats {
     }
 }
 
-/// Statistics for every relation in a database, stamped with the logical
-/// time they describe.
-#[derive(Debug, Clone, Default)]
+/// Statistics for one relation.
+#[derive(Debug, Clone)]
+pub struct TableStats {
+    /// Total tuples, counted with multiplicity.
+    pub rows: u64,
+    /// Distinct tuples.
+    pub distinct_rows: u64,
+    /// Exact per-column distinct counts known without a sample (from
+    /// single-attribute indexes); one slot per attribute.
+    exact: Vec<Option<u64>>,
+    /// The relation the sampled statistics are read from (none for
+    /// synthetic statistics).
+    relation: Option<Relation>,
+    /// The per-column statistics, sampled on first use.
+    columns: OnceLock<Vec<ColumnStats>>,
+}
+
+impl TableStats {
+    /// The statistics of a relation with no index: counters now, columns
+    /// sampled on first use.
+    pub fn of(rel: &Relation) -> TableStats {
+        TableStats {
+            rows: rel.len(),
+            distinct_rows: rel.distinct_len() as u64,
+            exact: vec![None; rel.schema().arity()],
+            relation: Some(rel.clone()),
+            columns: OnceLock::new(),
+        }
+    }
+
+    /// Synthetic statistics from per-column distinct counts (tests and
+    /// hand-built catalogs).
+    pub fn synthetic(rows: u64, distinct_rows: u64, column_distincts: &[u64]) -> TableStats {
+        TableStats {
+            rows,
+            distinct_rows,
+            exact: column_distincts.iter().copied().map(Some).collect(),
+            relation: None,
+            columns: OnceLock::new(),
+        }
+    }
+
+    /// Number of attributes.
+    pub(crate) fn arity(&self) -> usize {
+        self.exact.len()
+    }
+
+    /// Every column's statistics, in attribute order. Takes the sample
+    /// on the first call.
+    pub fn columns(&self) -> &[ColumnStats] {
+        self.columns
+            .get_or_init(|| sample(self.relation.as_ref(), &self.exact))
+    }
+
+    /// Distinct count of a 1-based column, defaulting to the distinct row
+    /// count when out of range (conservative). Clamped to
+    /// `[1, distinct_rows]` — a column can never exceed the table's own
+    /// distinct support. An indexed column never samples.
+    pub fn column_distinct(&self, attr: usize) -> u64 {
+        let distinct = match self.exact.get(attr.wrapping_sub(1)) {
+            None => self.distinct_rows,
+            Some(Some(d)) => *d,
+            Some(None) => self.columns()[attr - 1].distinct,
+        };
+        distinct.clamp(1, self.distinct_rows.max(1))
+    }
+
+    /// The `[min, max]` bounds of a 1-based column, when known.
+    pub fn column_bounds(&self, attr: usize) -> Option<(&Value, &Value)> {
+        if attr == 0 || attr > self.arity() {
+            return None;
+        }
+        let c = &self.columns()[attr - 1];
+        Some((c.min.as_ref()?, c.max.as_ref()?))
+    }
+}
+
+/// Equal counters and equal column statistics (sampling both sides).
+impl PartialEq for TableStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.distinct_rows == other.distinct_rows
+            && self.columns() == other.columns()
+    }
+}
+
+/// Column statistics from the first [`SAMPLE`] distinct tuples of `rel`
+/// in hash order; a column with an `exact` count keeps it, and takes
+/// only its bounds from the sample.
+fn sample(rel: Option<&Relation>, exact: &[Option<u64>]) -> Vec<ColumnStats> {
+    let mut columns = vec![ColumnStats::default(); exact.len()];
+    let mut freq: Vec<FxHashMap<&Value, u32>> = vec![FxHashMap::default(); exact.len()];
+    let mut n = 0;
+    for t in rel.into_iter().flat_map(|r| r.support().take(SAMPLE)) {
+        n += 1;
+        for (((c, f), e), v) in columns.iter_mut().zip(&mut freq).zip(exact).zip(t.values()) {
+            c.observe_bounds(v);
+            if e.is_none() {
+                *f.entry(v).or_default() += 1;
+            }
+        }
+    }
+    let population = rel.map_or(0, Relation::distinct_len);
+    for ((c, f), e) in columns.iter_mut().zip(&freq).zip(exact) {
+        c.distinct = e.unwrap_or_else(|| estimate_distinct(f.values(), n, population));
+    }
+    columns
+}
+
+/// A column's distinct count from the frequencies of the values a
+/// sample of `n` of `population` tuples holds. Exact when the sample is
+/// the population. Otherwise Haas, Naughton, Seshadri & Stokes' choice by
+/// skew: when a χ² test finds the frequencies uniform, Duj1,
+/// `n·d / (n − f₁ + f₁·q)`; when it finds them skewed, Shlosser's
+/// `d + f₁·Σ(1−q)^k / Σ k·q·(1−q)^(k−1)` over the sampled values' counts
+/// `k`, since Duj1 misses a long tail of rare values (by ~30 % on Zipf
+/// values at `q = n/N = ½`). `d` is the values sampled, `f₁` those
+/// sampled once.
+fn estimate_distinct<'a>(
+    counts: impl Iterator<Item = &'a u32> + Clone,
+    n: usize,
+    population: usize,
+) -> u64 {
+    let d = counts.clone().count();
+    if n >= population {
+        return d as u64;
+    }
+    let (n, d, q) = (n as f64, d as f64, n as f64 / population as f64);
+    let f1 = counts.clone().filter(|&&k| k == 1).count() as f64;
+    let mean = n / d;
+    let chi2: f64 = counts
+        .clone()
+        .map(|&k| (k as f64 - mean).powi(2) / mean)
+        .sum();
+    // uniform unless χ² exceeds its 97.5 % point with d − 1 degrees of
+    // freedom, in the normal approximation
+    let estimate = if chi2 <= d - 1.0 + 1.96 * (2.0 * (d - 1.0)).sqrt() {
+        n * d / (n - f1 + f1 * q)
+    } else {
+        let (unseen, seen) = counts.fold((0.0, 0.0), |(u, s), &k| {
+            let k = k as f64;
+            (u + (1.0 - q).powf(k), s + k * q * (1.0 - q).powf(k - 1.0))
+        });
+        d + f1 * unseen / seen
+    };
+    estimate.round().clamp(d, population as f64) as u64
+}
+
+/// Statistics for every relation of one database state.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogStats {
     tables: FxHashMap<String, TableStats>,
-    /// Logical time of the database state these statistics describe.
-    as_of: Option<LogicalTime>,
 }
 
 impl CatalogStats {
@@ -222,57 +219,25 @@ impl CatalogStats {
         Self::default()
     }
 
-    /// Analyzes every relation of a database (one full scan each).
-    pub fn from_database(db: &Database) -> CoreResult<CatalogStats> {
-        let mut tables = FxHashMap::default();
-        for name in db.relation_names() {
-            tables.insert(name.to_owned(), TableStats::analyze(db.relation(name)?));
-        }
-        Ok(CatalogStats {
-            tables,
-            as_of: Some(db.time()),
-        })
-    }
-
-    /// The logical time these statistics describe, if stamped.
-    pub fn as_of(&self) -> Option<LogicalTime> {
-        self.as_of
-    }
-
-    /// Whether the statistics already describe `db`'s current state — the
-    /// logical-time cache key that lets repeated plan calls within one
-    /// transaction skip rescanning.
-    pub fn is_current(&self, db: &Database) -> bool {
-        self.as_of == Some(db.time())
-    }
-
-    /// Brings the statistics up to date with `db`, re-analyzing only when
-    /// the logical time moved (cache hit = no scan at all).
-    pub fn refresh_from(&mut self, db: &Database) -> CoreResult<()> {
-        if self.is_current(db) {
-            return Ok(());
-        }
-        *self = CatalogStats::from_database(db)?;
-        Ok(())
-    }
-
-    /// Folds one committed relation delta into the catalog. `post` is the
-    /// relation after the commit; relations never analyzed before get a
-    /// one-time full scan.
-    pub fn apply_commit(&mut self, name: &str, delta: &SignedBag<Tuple>, post: &Relation) {
-        match self.tables.get_mut(name) {
-            Some(t) => t.apply_delta(delta, post),
-            None => {
-                self.tables
-                    .insert(name.to_owned(), TableStats::analyze(post));
+    /// The statistics of every relation of `db`, with exact distinct
+    /// counts for the columns `indexes` holds a single-attribute index on.
+    /// O(relations + indexes): every column sample is deferred.
+    pub fn of(db: &Database, indexes: &IndexSet) -> CatalogStats {
+        let mut tables: FxHashMap<String, TableStats> = db
+            .relation_names()
+            .filter_map(|name| Some((name.to_owned(), TableStats::of(db.relation(name).ok()?))))
+            .collect();
+        for (name, index) in indexes.iter() {
+            if let ([attr], Some(t)) = (index.key_attrs(), tables.get_mut(name)) {
+                t.exact[attr - 1] = Some(index.distinct_keys() as u64);
             }
         }
+        CatalogStats { tables }
     }
 
-    /// Stamps the catalog as describing the state at logical time `t`
-    /// (call once per commit, after all deltas are applied).
-    pub fn set_as_of(&mut self, t: LogicalTime) {
-        self.as_of = Some(t);
+    /// [`CatalogStats::of`] a database with no index.
+    pub fn from_database(db: &Database) -> CoreResult<CatalogStats> {
+        Ok(CatalogStats::of(db, &IndexSet::new()))
     }
 
     /// Registers statistics for a named relation.
@@ -289,25 +254,22 @@ impl CatalogStats {
     pub fn tables(&self) -> impl Iterator<Item = (&String, &TableStats)> {
         self.tables.iter()
     }
-
-    /// Total delta tuples folded in across all relations (the O(delta)
-    /// maintenance-work witness).
-    pub fn touched_rows(&self) -> u64 {
-        self.tables.values().map(|t| t.touched_rows).sum()
-    }
-
-    /// Total full-analyze passes across all relations (1 per relation at
-    /// construction; more only on drift fallbacks).
-    pub fn full_scans(&self) -> u64 {
-        self.tables.values().map(|t| t.full_scans).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mera_core::tuple;
+    use mera_expr::{RelExpr, ScalarExpr};
     use std::sync::Arc;
+
+    fn int_pairs(rows: impl IntoIterator<Item = (i64, i64)>) -> Relation {
+        Relation::from_counted(
+            Arc::new(Schema::anon(&[DataType::Int, DataType::Int])),
+            rows.into_iter().map(|(a, b)| (tuple![a, b], 1)),
+        )
+        .expect("well-typed")
+    }
 
     #[test]
     fn analyze_counts_rows_and_distincts() {
@@ -320,11 +282,11 @@ mod tests {
             ],
         )
         .expect("well-typed");
-        let s = TableStats::analyze(&rel);
+        let s = TableStats::of(&rel);
         assert_eq!(s.rows, 6);
         assert_eq!(s.distinct_rows, 3);
-        assert_eq!(s.columns[0].distinct, 2);
-        assert_eq!(s.columns[1].distinct, 2);
+        assert_eq!(s.columns()[0].distinct, 2);
+        assert_eq!(s.columns()[1].distinct, 2);
         assert_eq!(s.column_distinct(1), 2);
         // out-of-range column falls back to distinct rows
         assert_eq!(s.column_distinct(9), 3);
@@ -337,7 +299,7 @@ mod tests {
     #[test]
     fn empty_relation_stats() {
         let rel = Relation::empty(Arc::new(Schema::anon(&[DataType::Int])));
-        let s = TableStats::analyze(&rel);
+        let s = TableStats::of(&rel);
         assert_eq!(s.rows, 0);
         assert_eq!(s.column_distinct(1), 1); // clamped to ≥ 1
         assert!(s.column_bounds(1).is_none());
@@ -358,104 +320,50 @@ mod tests {
         let cs = CatalogStats::from_database(&db).expect("analyze");
         assert_eq!(cs.get("r").expect("present").rows, 4);
         assert!(cs.get("zzz").is_none());
-        assert!(cs.is_current(&db));
     }
 
     #[test]
-    fn apply_delta_tracks_inserts_incrementally() {
-        let schema = Arc::new(Schema::anon(&[DataType::Int]));
-        let mut rel = Relation::empty(Arc::clone(&schema));
-        for i in 0..10_i64 {
-            rel.insert(tuple![i], 1).expect("typed");
-        }
-        let mut s = TableStats::analyze(&rel);
-        assert_eq!(s.column_distinct(1), 10);
-
-        // commit: insert 5 new values
-        let mut delta = SignedBag::new();
-        let mut post = rel.clone();
-        for i in 10..15_i64 {
-            delta.insert(tuple![i], 1).expect("delta");
-            post.insert(tuple![i], 1).expect("typed");
-        }
-        s.apply_delta(&delta, &post);
-        assert_eq!(s.rows, 15);
-        assert_eq!(s.distinct_rows, 15);
-        assert_eq!(s.column_distinct(1), 15);
-        assert_eq!(s.touched_rows, 5);
-        assert_eq!(s.full_scans, 1); // no drift fallback
-        let (lo, hi) = s.column_bounds(1).expect("bounds");
-        assert_eq!(lo, &Value::Int(0));
-        assert_eq!(hi, &Value::Int(14));
-    }
-
-    #[test]
-    fn deletions_drift_and_trigger_recompute() {
-        let schema = Arc::new(Schema::anon(&[DataType::Int]));
-        let mut rel = Relation::empty(Arc::clone(&schema));
-        for i in 0..400_i64 {
-            rel.insert(tuple![i], 1).expect("typed");
-        }
-        let mut s = TableStats::analyze(&rel);
-
-        // delete 300 of the 400 values in one commit: drift blows past
-        // max(64, 100/4) and forces a full re-analyze of the post state
-        let mut delta = SignedBag::new();
-        let mut post = rel.clone();
-        for i in 100..400_i64 {
-            delta.insert(tuple![i], -1).expect("delta");
-            post.remove(&tuple![i], 1);
-        }
-        s.apply_delta(&delta, &post);
-        assert_eq!(s.rows, 100);
-        assert_eq!(s.full_scans, 2, "drift fallback re-analyzed");
-        assert_eq!(s.drift, 0, "fallback resets drift");
-        assert_eq!(s.column_distinct(1), 100, "post-fallback stats exact");
-        let (_, hi) = s.column_bounds(1).expect("bounds");
-        assert_eq!(hi, &Value::Int(99), "bound shrank after re-analyze");
-    }
-
-    #[test]
-    fn small_deletions_stay_incremental() {
-        let schema = Arc::new(Schema::anon(&[DataType::Int]));
-        let mut rel = Relation::empty(Arc::clone(&schema));
-        for i in 0..1000_i64 {
-            rel.insert(tuple![i], 1).expect("typed");
-        }
-        let mut s = TableStats::analyze(&rel);
-        let mut delta = SignedBag::new();
-        let mut post = rel.clone();
-        delta.insert(tuple![5_i64], -1).expect("delta");
-        post.remove(&tuple![5_i64], 1);
-        s.apply_delta(&delta, &post);
-        assert_eq!(s.full_scans, 1, "one deletion must not rescan");
-        assert_eq!(s.rows, 999);
-        // distinct stays within the sketch's error envelope (≈6% RSE)
-        let d = s.column_distinct(1) as f64;
-        assert!((d - 999.0).abs() / 999.0 < 0.25, "distinct {d}");
-    }
-
-    #[test]
-    fn catalog_cache_keyed_by_logical_time() {
+    fn indexed_columns_never_sample() {
+        // more distinct tuples than the sample, an index on %1, and a
+        // point selection planned on it: the estimate reads the index's
+        // bucket count and the column cell stays empty
         let schema = DatabaseSchema::new()
-            .with("r", Schema::anon(&[DataType::Int]))
+            .with("r", Schema::anon(&[DataType::Int, DataType::Int]))
             .expect("fresh");
         let mut db = Database::new(schema);
-        db.update_with("r", |r| {
-            let mut r = r.clone();
-            r.insert(tuple![1_i64], 1)?;
-            Ok(r)
-        })
-        .expect("update");
-        let mut cs = CatalogStats::from_database(&db).expect("analyze");
-        let scans = cs.full_scans();
-        // same logical time: refresh is a no-op
-        cs.refresh_from(&db).expect("refresh");
-        assert_eq!(cs.full_scans(), scans, "cache hit must not rescan");
-        // time moves: refresh rescans
-        db.tick();
-        assert!(!cs.is_current(&db));
-        cs.refresh_from(&db).expect("refresh");
-        assert!(cs.is_current(&db));
+        let rows = SAMPLE as i64 + 100;
+        db.update_with("r", |_| Ok(int_pairs((0..rows).map(|i| (i, i % 3)))))
+            .expect("load");
+        let mut indexes = IndexSet::new();
+        indexes.create(&db, "r", &[1]).expect("indexes");
+        let stats = Arc::new(CatalogStats::of(&db, &indexes));
+        let expr = RelExpr::scan("r").select(ScalarExpr::attr(1).eq(ScalarExpr::int(5)));
+        let plan = crate::Optimizer::standard()
+            .with_stats(Arc::clone(&stats))
+            .optimize(&expr, db.schema())
+            .expect("plans")
+            .expr;
+        let defs = indexes.definitions();
+        crate::choose_access_paths(&plan, &stats, &defs, db.schema()).expect("access paths");
+        assert_eq!(crate::estimate_rows(&plan, &stats), 1.0);
+        let t = stats.get("r").expect("stats");
+        assert_eq!(t.column_distinct(1), rows as u64);
+        assert!(t.columns.get().is_none(), "an indexed column sampled");
+    }
+
+    #[test]
+    fn estimates_are_exact_on_whole_populations_and_scale_singletons() {
+        let est = |counts: &[u32], population| {
+            estimate_distinct(
+                counts.iter(),
+                counts.iter().sum::<u32>() as usize,
+                population,
+            )
+        };
+        assert_eq!(est(&[1, 1, 3, 5], 10), 4);
+        // every sampled value seen once: the column looks like a key
+        assert_eq!(est(&[1; 100], 1000), 1000);
+        // sixteen evenly repeated values, none seen once: nothing unseen
+        assert_eq!(est(&[64; 16], 2048), 16);
     }
 }

@@ -34,6 +34,12 @@
 //! * **[`FsyncPolicy::Never`]** appends in the hook without syncing —
 //!   the OS flushes when it pleases.
 //!
+//! The log is bounded: once the frames committed since the last
+//! checkpoint outgrow both 4 MiB and the last snapshot, the commit that
+//! crossed the line checkpoints once it is durable. Recovery then replays
+//! at most about a snapshot's worth of log, and each checkpoint's write
+//! is paid for by at least as many bytes of log.
+//!
 //! A storage failure while flushing staged frames is fail-stop: versions
 //! for those frames are already published to readers, so the front
 //! *poisons* — every later commit and flush fails with the original
@@ -55,6 +61,10 @@ use mera_txn::mvcc::{MvccManager, PreparedTxn, Version};
 use mera_txn::{AbortReason, DeclareKeyError, Outcome, Outputs, Program};
 use parking_lot::{Condvar, Mutex};
 
+/// Commit-frame bytes past which the log is checkpointed, unless the
+/// last snapshot is larger still.
+const CHECKPOINT_WAL_BYTES: usize = 4 << 20;
+
 /// Group-commit bookkeeping: frames staged but not yet written, and the
 /// durable horizon acks wait on. Tickets are per-frame sequence numbers
 /// issued in commit order.
@@ -70,6 +80,10 @@ struct Group {
     /// First storage error seen while flushing published commits; once
     /// set, the front is fail-stop.
     poisoned: Option<StoreError>,
+    /// Commit-frame bytes logged since the last checkpoint (or open).
+    logged: usize,
+    /// `logged` past which a commit checkpoints.
+    checkpoint_at: usize,
 }
 
 /// A concurrent durable database: MVCC snapshots over the version chain,
@@ -115,6 +129,8 @@ impl<S: Storage> ConcurrentDb<S> {
                 durable: 0,
                 flushing: false,
                 poisoned: None,
+                logged: 0,
+                checkpoint_at: CHECKPOINT_WAL_BYTES,
             }),
             group_cv: Condvar::new(),
             options,
@@ -170,6 +186,7 @@ impl<S: Storage> ConcurrentDb<S> {
 
     /// Logs the delta a prepared transaction computed on its snapshot,
     /// then publishes it; returns what [`MvccManager::try_commit`] does.
+    /// A commit that takes the log past its bound then checkpoints.
     pub fn commit(&self, prepared: PreparedTxn) -> StoreResult<(Outcome, Arc<Version>)> {
         let mut body = Vec::new();
         wal::put_deltas(&mut body, prepared.deltas());
@@ -186,7 +203,24 @@ impl<S: Storage> ConcurrentDb<S> {
         if let Some(ticket) = ticket {
             self.await_durable(ticket)?;
         }
+        if self.checkpoint_due() {
+            // the commit is durable whether or not this succeeds, and a
+            // failed checkpoint leaves the old snapshot and log intact; a
+            // storage failure shows again on the next write
+            let _ = self.checkpoint();
+        }
         Ok(committed)
+    }
+
+    /// Whether the log has outgrown its bound; true for one caller only,
+    /// which must checkpoint.
+    fn checkpoint_due(&self) -> bool {
+        let mut group = self.group.lock();
+        let due = group.logged > group.checkpoint_at;
+        if due {
+            group.logged = 0;
+        }
+        due
     }
 
     /// Runs one transaction with durable commit; aborts (including
@@ -215,6 +249,7 @@ impl<S: Storage> ConcurrentDb<S> {
             storage.sync(WAL_FILE)?;
         }
         drop(storage);
+        group.logged += frame.len();
         group.appended += 1;
         group.durable = group.appended;
         Ok(())
@@ -229,6 +264,7 @@ impl<S: Storage> ConcurrentDb<S> {
             return Err(e.clone());
         }
         group.staged.extend_from_slice(frame);
+        group.logged += frame.len();
         group.appended += 1;
         let ticket = group.appended;
         drop(group);
@@ -360,7 +396,8 @@ impl<S: Storage> ConcurrentDb<S> {
             .map_err(StoreError::from)
     }
 
-    /// Creates a secondary index, durably.
+    /// Creates a secondary index, durably. An index already on
+    /// `relation(keys)` — a repeat, or a key's own — writes nothing.
     pub fn create_index(&self, relation: &str, keys: &[usize]) -> StoreResult<()> {
         let record = WalRecord::DeclareIndex {
             relation: relation.to_owned(),
@@ -380,9 +417,7 @@ impl<S: Storage> ConcurrentDb<S> {
         self.mvcc
             .declare_key_with(relation, attrs, || self.drain_and_append(Some(&record)))?
             .map_err(|e| match e {
-                DeclareKeyError::Rejected(d) => {
-                    StoreError::Core(CoreError::TypeError(d.to_string()))
-                }
+                DeclareKeyError::Rejected(d) => StoreError::KeyRefused(d),
                 DeclareKeyError::Error(c) => StoreError::Core(c),
             })
     }
@@ -394,6 +429,10 @@ impl<S: Storage> ConcurrentDb<S> {
         self.mvcc.quiesce(|version| {
             self.drain_and_append(None)?;
             let bytes = snapshot::encode(version.database());
+            let mut group = self.group.lock();
+            group.logged = 0;
+            group.checkpoint_at = CHECKPOINT_WAL_BYTES.max(bytes.len());
+            drop(group);
             let mut storage = self.storage.lock();
             storage.replace_atomic(SNAPSHOT_FILE, &bytes)?;
             let mut wal_bytes = wal::empty_wal();
@@ -515,6 +554,41 @@ mod tests {
         let catalog = db.pin().catalog_schema();
         let mut lowerer = Lowerer::new(&catalog);
         lowerer.lower_program(&parsed).expect("lowers")
+    }
+
+    #[test]
+    fn the_log_is_checkpointed_once_it_outgrows_its_bound() {
+        for fsync in [FsyncPolicy::Always, FsyncPolicy::EveryN(4)] {
+            let storage = MemStorage::new();
+            let db = open(storage.clone(), fsync);
+            let owner = "x".repeat(1000);
+            // about 100 KB of log per commit, 6 MB in all
+            for c in 0..60 {
+                let rows = (0..100)
+                    .map(|i| mera_core::tuple![format!("{owner}{c}-{i}").as_str(), i])
+                    .collect();
+                let rel = relation_of(
+                    schema().get("accounts").expect("declared").as_ref().clone(),
+                    rows,
+                )
+                .expect("typed");
+                let insert = mera_txn::Statement::insert("accounts", RelExpr::values(rel));
+                db.execute(&Program::single(insert)).expect("commits");
+            }
+            let image = storage.image();
+            assert!(image[WAL_FILE].len() < CHECKPOINT_WAL_BYTES, "{fsync:?}");
+            assert!(image.contains_key(SNAPSHOT_FILE), "{fsync:?}");
+            let reopened = open(MemStorage::from_image(image), fsync);
+            let relation = |db: &ConcurrentDb<MemStorage>| {
+                db.pin()
+                    .database()
+                    .relation("accounts")
+                    .expect("declared")
+                    .clone()
+            };
+            assert_eq!(relation(&reopened), relation(&db), "{fsync:?}");
+            assert_eq!(relation(&reopened).len(), 6000);
+        }
     }
 
     #[test]

@@ -199,8 +199,12 @@ fn replay(
         }
         // only the definition of an index is durable: entries are rebuilt
         // from the recovered relation, then delta-maintained by the
-        // commits replayed after this record
-        WalRecord::DeclareIndex { relation, keys } => Ok(version.create_index(&relation, &keys)?),
+        // commits replayed after this record (a repeated definition, as
+        // older builds logged one, adds nothing)
+        WalRecord::DeclareIndex { relation, keys } => {
+            version.create_index(&relation, &keys)?;
+            Ok(())
+        }
         WalRecord::DeclareKey { relation, attrs } => {
             // likewise only the definition of a key is durable: the
             // recovered relation is re-validated and the key's index found

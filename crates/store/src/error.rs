@@ -3,6 +3,7 @@
 use std::fmt;
 
 use mera_core::prelude::CoreError;
+use mera_txn::Diagnostic;
 
 /// Errors raised by the durability layer.
 ///
@@ -37,6 +38,9 @@ pub enum StoreError {
     /// A transaction submitted through the durable API aborted (the
     /// database is unchanged; nothing was written).
     TransactionAborted(String),
+    /// A key declaration was refused (`E0401`–`E0403`): the diagnostic
+    /// says why, and nothing was written.
+    KeyRefused(Diagnostic),
     /// An error from the core data model (schema mismatches, etc.).
     Core(CoreError),
     /// A parse or lowering error from the textual front-ends.
@@ -58,6 +62,7 @@ impl fmt::Display for StoreError {
             StoreError::TransactionAborted(reason) => {
                 write!(f, "transaction aborted: {reason}")
             }
+            StoreError::KeyRefused(d) => write!(f, "{d}"),
             StoreError::Core(e) => write!(f, "{e}"),
             StoreError::Lang(msg) => write!(f, "{msg}"),
         }

@@ -56,10 +56,11 @@ pub fn explain_expr(
     let stats: &CatalogStats = state.version.stats();
 
     let mut out = String::new();
-    let _ = match stats.as_of() {
-        Some(t) => writeln!(out, "plan (cost-based, statistics as of t={t}):"),
-        None => writeln!(out, "plan (cost-based, unstamped statistics):"),
-    };
+    let _ = writeln!(
+        out,
+        "plan (cost-based, statistics as of t={}):",
+        state.version.time()
+    );
     // annotate each node with its inferred structural properties (keys,
     // duplicate-freeness, constants) under the same dirtied-gated key
     // environment the optimizer saw — a `[key: …, set]` tag explains *why*

@@ -38,6 +38,7 @@ pub use exec::{
     WorkingState,
 };
 pub use explain::explain_expr;
+pub use mera_analyze::Diagnostic;
 pub use mera_eval::{EngineKind, ExecOptions, HashIndex, IndexSet, KeySet, KeyViolation};
 pub use mera_opt::{CatalogStats, TableStats};
 pub use mvcc::{MvccManager, PreparedTxn, Version};

@@ -449,21 +449,25 @@ impl MvccManager {
 
     /// One DDL step: under the commit lock, `admit` the change on a clone
     /// of the newest version, run the durability hook, publish. A refused
-    /// admission or a failed hook publishes nothing. DDL versions conflict
-    /// with every in-flight writer — coarse, and rare.
+    /// admission or a failed hook publishes nothing, and an admission that
+    /// reports it changed nothing (`false` beside its result) neither
+    /// writes nor publishes. DDL versions conflict with every in-flight
+    /// writer — coarse, and rare.
     fn ddl<T, R, E>(
         &self,
-        admit: impl FnOnce(&mut Version) -> Result<T, R>,
+        admit: impl FnOnce(&mut Version) -> Result<(T, bool), R>,
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<Result<T, R>, E> {
         let _guard = self.commit.lock();
         let mut next = Version::clone(&self.pin());
-        let admitted = match admit(&mut next) {
-            Ok(t) => t,
+        let (admitted, changed) = match admit(&mut next) {
+            Ok(step) => step,
             Err(refused) => return Ok(Err(refused)),
         };
-        durability()?;
-        self.publish(next, WriteSet::default(), true);
+        if changed {
+            durability()?;
+            self.publish(next, WriteSet::default(), true);
+        }
         Ok(Ok(admitted))
     }
 
@@ -479,7 +483,7 @@ impl MvccManager {
         rs: RelationSchema,
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<CoreResult<()>, E> {
-        self.ddl(|v| v.add_relation(rs), durability)
+        self.ddl(|v| v.add_relation(rs).map(|()| ((), true)), durability)
     }
 
     /// Creates a materialized view, publishing a DDL version.
@@ -494,7 +498,10 @@ impl MvccManager {
         expr: RelExpr,
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<Result<SchemaRef, CreateViewError>, E> {
-        self.ddl(|v| v.create_view(name, expr, self.config), durability)
+        self.ddl(
+            |v| v.create_view(name, expr, self.config).map(|s| (s, true)),
+            durability,
+        )
     }
 
     /// Creates a secondary index, publishing a DDL version.
@@ -502,14 +509,18 @@ impl MvccManager {
         infallible(self.create_index_with(relation, keys, || Ok(())))
     }
 
-    /// [`MvccManager::create_index`] with a durability hook.
+    /// [`MvccManager::create_index`] with a durability hook. An index
+    /// already on `relation(keys)` runs no hook and publishes nothing.
     pub fn create_index_with<E>(
         &self,
         relation: &str,
         keys: &[usize],
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<CoreResult<()>, E> {
-        self.ddl(|v| v.create_index(relation, keys), durability)
+        self.ddl(
+            |v| v.create_index(relation, keys).map(|new| ((), new)),
+            durability,
+        )
     }
 
     /// Declares a key constraint, publishing a DDL version. Rejections
@@ -525,7 +536,10 @@ impl MvccManager {
         attrs: &[usize],
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<Result<(), DeclareKeyError>, E> {
-        self.ddl(|v| v.declare_key(relation, attrs), durability)
+        self.ddl(
+            |v| v.declare_key(relation, attrs).map(|()| ((), true)),
+            durability,
+        )
     }
 }
 
@@ -849,24 +863,78 @@ mod tests {
         assert_eq!(outputs.queries[0].multiplicity(&tuple!["a", 200_i64]), 1);
     }
 
+    /// `acct` rows `("o{i}", 300 + 5i)` for each `i`, as one relation.
+    fn accounts(ids: impl IntoIterator<Item = i64>) -> RelExpr {
+        let rows = ids
+            .into_iter()
+            .map(|i| tuple![format!("o{i}").as_str(), 300 + 5 * i])
+            .collect();
+        let schema = Schema::named(&[("owner", DataType::Str), ("amount", DataType::Int)]);
+        RelExpr::values(relation_of(schema, rows).expect("typed"))
+    }
+
     #[test]
-    fn commits_maintain_stats_incrementally() {
-        let mgr = MvccManager::new(schema());
-        let initial_scans = mgr.pin().stats().full_scans();
-        for i in 0..5 {
-            assert!(mgr.execute(&deposit("a", i)).0.is_committed());
+    fn stats_depend_only_on_content() {
+        // the same 1 000 rows: loaded at once, and reached through 300
+        // commits that each delete one row and insert another — deleting
+        // the rows that held the column minimum on the way
+        let loaded = MvccManager::new(schema());
+        let program = Program::single(Statement::insert("acct", accounts(0..1000)));
+        assert!(loaded.execute(&program).0.is_committed());
+        loaded.create_index("acct", &[1]).expect("indexes");
+
+        let churned = MvccManager::new(schema());
+        churned.create_index("acct", &[1]).expect("indexes");
+        let program = Program::single(Statement::insert("acct", accounts(-300..700)));
+        assert!(churned.execute(&program).0.is_committed());
+        for i in 0..300 {
+            let swap = Program::new()
+                .then(Statement::delete("acct", accounts([i - 300])))
+                .then(Statement::insert("acct", accounts([700 + i])));
+            assert!(churned.execute(&swap).0.is_committed());
         }
-        let v = mgr.pin();
-        let acct = v.stats().get("acct").expect("analyzed");
-        assert_eq!(acct.rows, 5);
-        assert_eq!(acct.column_distinct(2), 5, "amounts all distinct");
-        assert_eq!(v.stats().as_of(), Some(mgr.time()), "stamped current");
+
+        let (a, b) = (loaded.pin(), churned.pin());
+        assert_eq!(a.database().relation("acct"), b.database().relation("acct"));
+        assert_eq!(**a.stats(), **b.stats());
+        let acct = b.stats().get("acct").expect("stats");
+        assert_eq!(acct.column_distinct(2), 1000);
+        let (min, max) = acct.column_bounds(2).expect("bounds");
+        assert_eq!((min, max), (&Value::Int(300), &Value::Int(5295)));
+    }
+
+    #[test]
+    fn a_commit_that_moves_a_min_shows_in_the_next_stats() {
+        let mgr = MvccManager::new(schema());
+        mgr.execute(&deposit("ann", 10));
+        mgr.execute(&deposit("bob", 20));
+        let min = |v: &Version| {
+            let acct = v.stats().get("acct").expect("stats");
+            acct.column_bounds(2).map(|(lo, _)| lo.clone())
+        };
+        // the column statistics of `before` are computed here
+        let before = mgr.pin();
+        assert_eq!(min(&before), Some(Value::Int(10)));
+        let retract = relation_of(
+            Schema::named(&[("owner", DataType::Str), ("amount", DataType::Int)]),
+            vec![tuple!["ann", 10_i64]],
+        )
+        .expect("typed");
+        let delete = Program::single(Statement::delete("acct", RelExpr::values(retract)));
+        let (outcome, after) = mgr.execute(&delete);
+        assert!(outcome.is_committed());
         assert_eq!(
-            v.stats().full_scans(),
-            initial_scans,
-            "five commits folded deltas without a single rescan"
+            min(&after),
+            Some(Value::Int(20)),
+            "a deleted minimum is gone"
         );
-        assert_eq!(v.stats().touched_rows(), 5, "O(delta) work witness");
+        let (_, lower) = mgr.execute(&deposit("cho", 5));
+        assert_eq!(min(&lower), Some(Value::Int(5)));
+        assert_eq!(
+            min(&before),
+            Some(Value::Int(10)),
+            "a pinned version keeps its own"
+        );
     }
 
     #[test]
@@ -880,7 +948,6 @@ mod tests {
         assert!(!mgr.execute(&bad).0.is_committed());
         let v = mgr.pin();
         assert_eq!(v.stats().get("acct").expect("present").rows, 1);
-        assert!(v.stats().is_current(v.database()), "still a cache hit");
         let idx = v.indexes().find("acct", &[1]).expect("registered");
         assert_eq!(idx.len(), 1, "aborted insert never reached the index");
     }

@@ -4,14 +4,15 @@
 //! `D_0 → D_1 → …` on one logical-time axis. A [`Version`] is one element
 //! of that sequence — the base relations plus everything derived from
 //! them that a transaction reads or a commit must keep consistent
-//! (materialized views, table statistics, indexes) and the declared keys
-//! those indexes enforce — and this module holds the *only* copy of every
-//! step that moves the sequence forward:
+//! (materialized views, indexes) and the declared keys those indexes
+//! enforce, plus the table statistics the planner reads off that content
+//! — and this module holds the *only* copy of every step that moves the
+//! sequence forward:
 //!
 //! * [`Version::run`] executes a program's statements against the state
 //!   and hands back their net signed deltas — the transaction itself;
 //! * [`Version::apply`] adds those deltas to the database and folds them
-//!   into the whole catalog (`D_{t+1} = D_t + Δ`: the one place the
+//!   into the indexes and views (`D_{t+1} = D_t + Δ`: the one place the
 //!   transaction clock ticks) — for a live commit, a rebased one and a
 //!   WAL replay alike;
 //! * [`Version::add_relation`], [`Version::create_view`],
@@ -28,17 +29,20 @@
 //! Every map under a version is a persistent trie
 //! ([`mera_core::pmap::PMap`]): relations, index buckets and view state.
 //! A declared key keeps no state of its own: it is enforced through the
-//! index on its attributes, whose buckets are its key points. A clone of a
-//! version copies only the headers of its catalog objects, and
+//! index on its attributes, whose buckets are its key points. Statistics
+//! keep no state of their own either: [`Version::stats`] computes them
+//! from the relations and indexes on first use and caches them in the
+//! version, and every step that changes either drops the cache. A clone
+//! of a version copies only the headers of its catalog objects, and
 //! [`Version::apply`] copies the trie nodes its delta touches —
 //! O(|Δ| log n), not the database.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mera_core::prelude::*;
 use mera_eval::{IndexSet, KeySet};
 use mera_expr::rel::RelExpr;
-use mera_opt::{CatalogStats, TableStats};
+use mera_opt::CatalogStats;
 
 use crate::exec::{
     analyze_program_with_views, eval_expr, execute_program, ExecConfig, Outputs, WorkingState,
@@ -60,21 +64,21 @@ pub struct Version {
     pub(crate) seq: u64,
     db: Arc<Database>,
     views: ViewSet,
-    stats: Arc<CatalogStats>,
+    /// The statistics of `db` and `indexes`, computed on first use.
+    stats: OnceLock<Arc<CatalogStats>>,
     indexes: Arc<IndexSet>,
     keys: Arc<KeySet>,
 }
 
 impl Version {
     /// The version describing `db` with an empty derived catalog: no
-    /// views, indexes or keys, statistics from one full analyze.
+    /// views, indexes or keys.
     pub fn new(db: Database) -> CoreResult<Self> {
-        let stats = CatalogStats::from_database(&db)?;
         Ok(Version {
             seq: 0,
             db: Arc::new(db),
             views: ViewSet::new(),
-            stats: Arc::new(stats),
+            stats: OnceLock::new(),
             indexes: Arc::new(IndexSet::new()),
             keys: Arc::new(KeySet::new()),
         })
@@ -101,9 +105,12 @@ impl Version {
         &self.views
     }
 
-    /// The table statistics as of this version.
+    /// The table statistics of this version's relations and indexes —
+    /// computed on the first call, O(relations + indexes), with each
+    /// column sample deferred until the planner asks for it.
     pub fn stats(&self) -> &Arc<CatalogStats> {
-        &self.stats
+        self.stats
+            .get_or_init(|| Arc::new(CatalogStats::of(&self.db, &self.indexes)))
     }
 
     /// The secondary indexes as of this version.
@@ -202,8 +209,9 @@ impl Version {
     /// Commits a transaction into this version from its deltas alone, in
     /// place (`D_{t+1} = D_t + Δ`). The keys are checked against the net
     /// deltas and a delta that does not fit fails it; then the clock
-    /// ticks once, statistics and indexes fold the deltas in O(|delta|),
-    /// and the views refresh through their maintenance plans.
+    /// ticks once, the indexes fold the deltas in O(|delta|), and the
+    /// views refresh through their maintenance plans. The statistics of
+    /// the old content are dropped, not folded.
     /// On a clone of a published version, only the trie nodes the deltas
     /// touch are copied; on a uniquely owned one (recovery) nothing is.
     ///
@@ -211,19 +219,17 @@ impl Version {
     /// this on a clone, or where a failure is fatal anyway.
     pub fn apply(&mut self, deltas: DeltaMap, config: ExecConfig) -> Result<(), AbortReason> {
         self.check_keys(&deltas)?;
+        // first, so the relations' tries are not shared with the cache
+        self.stats.take();
         let db = Arc::make_mut(&mut self.db);
         for (name, delta) in &deltas {
             db.apply(name, delta).map_err(AbortReason::Error)?;
         }
-        let time = db.tick();
-        let stats = Arc::make_mut(&mut self.stats);
+        db.tick();
         let indexes = Arc::make_mut(&mut self.indexes);
         for (name, delta) in &deltas {
             if delta.is_empty() {
                 continue;
-            }
-            if let Ok(post) = self.db.relation(name) {
-                stats.apply_commit(name, delta, post);
             }
             // an index mirrors its relation, which took the same delta
             // above, so this fold cannot fail
@@ -231,7 +237,6 @@ impl Version {
                 .apply_commit(name, delta)
                 .map_err(AbortReason::Error)?;
         }
-        stats.set_as_of(time);
         self.views
             .refresh_after_commit(deltas, &self.db, config)
             .map_err(AbortReason::Error)
@@ -240,12 +245,8 @@ impl Version {
     /// Adds a fresh empty relation (the `relation r (…)` / `CREATE TABLE`
     /// path). Fails if the name is taken.
     pub fn add_relation(&mut self, rs: RelationSchema) -> CoreResult<()> {
-        let name = rs.name.clone();
-        Arc::make_mut(&mut self.db).add_relation(rs)?;
-        // re-anchor the statistics so they describe the new relation too
-        let stats = TableStats::analyze(self.db.relation(&name)?);
-        Arc::make_mut(&mut self.stats).insert(name, stats);
-        Ok(())
+        self.stats.take();
+        Arc::make_mut(&mut self.db).add_relation(rs)
     }
 
     /// Creates a materialized view over this state: the definition is
@@ -265,8 +266,10 @@ impl Version {
     /// this state. The index is a catalog object from then on: every
     /// commit folds its signed deltas in (O(|delta|)), the cost model
     /// weighs it as an access path, and the physical engine executes
-    /// point lookups and hinted equi-joins through it.
-    pub fn create_index(&mut self, relation: &str, keys: &[usize]) -> CoreResult<()> {
+    /// point lookups and hinted equi-joins through it. True when the
+    /// index is new; an index on the same attribute set is kept.
+    pub fn create_index(&mut self, relation: &str, keys: &[usize]) -> CoreResult<bool> {
+        self.stats.take();
         Arc::make_mut(&mut self.indexes).create(&self.db, relation, keys)
     }
 
@@ -301,6 +304,7 @@ impl Version {
                 format!("key {relation}({}) is already declared", attrs.join(",")),
             )));
         }
+        self.stats.take();
         let indexes = Arc::make_mut(&mut self.indexes);
         match Arc::make_mut(&mut self.keys).declare(&self.db, indexes, relation, attrs)? {
             Ok(()) => Ok(()),
