@@ -1,14 +1,14 @@
 //! The `mera-server` binary: serve a database directory over TCP.
 //!
 //! ```text
-//! mera-server [--addr HOST:PORT] [--data DIR] [--fsync always|never|N]
+//! mera-server [--addr HOST:PORT] [--data DIR] [--fsync always|never|group]
 //!             [--workers N]
 //! ```
 //!
 //! Without `--data` the server runs on in-memory storage (state lost at
-//! exit) — useful for demos and benchmarks. `--fsync N` enables group
-//! commit: WAL appends from concurrent sessions are batched into one
-//! fsync per up-to-N commits.
+//! exit) — useful for demos and benchmarks. `--fsync group` enables
+//! group commit: the WAL appends of concurrent sessions that arrive
+//! while one fsync is in flight share the next one.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -47,15 +47,14 @@ fn parse_args() -> Result<Args, String> {
                 args.fsync = match v.as_str() {
                     "always" => FsyncPolicy::Always,
                     "never" => FsyncPolicy::Never,
-                    n => FsyncPolicy::EveryN(
-                        n.parse().map_err(|_| format!("--fsync: bad value {n:?}"))?,
-                    ),
+                    "group" => FsyncPolicy::Group,
+                    other => return Err(format!("--fsync: bad value {other:?}")),
                 };
             }
             "--help" | "-h" => {
                 println!(
                     "usage: mera-server [--addr HOST:PORT] [--data DIR] \
-                     [--fsync always|never|N] [--workers N]"
+                     [--fsync always|never|group] [--workers N]"
                 );
                 std::process::exit(0);
             }

@@ -103,7 +103,7 @@ fn eight_concurrent_clients_commit_through_group_commit() {
     const PER_CLIENT: usize = 25;
 
     let storage = MemStorage::new();
-    let (db, server) = start(storage.clone(), FsyncPolicy::EveryN(8));
+    let (db, server) = start(storage.clone(), FsyncPolicy::Group);
     let addr = server.local_addr();
     {
         let mut admin = Client::connect(addr).expect("connects");
@@ -166,7 +166,7 @@ fn eight_concurrent_clients_commit_through_group_commit() {
 fn readers_scale_against_a_writer_without_blocking() {
     const READERS: usize = 4;
 
-    let (_db, server) = start(MemStorage::new(), FsyncPolicy::EveryN(4));
+    let (_db, server) = start(MemStorage::new(), FsyncPolicy::Group);
     let addr = server.local_addr();
     {
         let mut admin = Client::connect(addr).expect("connects");

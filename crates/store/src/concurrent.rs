@@ -18,7 +18,7 @@
 //! * **[`FsyncPolicy::Always`]** appends and fsyncs the frame right in
 //!   the hook — one fsync per commit, fully serialized. This is the
 //!   latency-honest baseline.
-//! * **[`FsyncPolicy::EveryN`]** is *group commit with
+//! * **[`FsyncPolicy::Group`]** is *group commit with
 //!   ack-after-durability*: the hook only stages the frame into an
 //!   in-memory buffer (so the commit section never waits on the disk),
 //!   and the committer then waits on the group. Batching is *natural*:
@@ -28,11 +28,15 @@
 //!   arrive while a flush is in flight pile up behind it and ride the
 //!   next batch, so group size adapts to concurrency — a lone committer
 //!   pays exactly one fsync (no worse than `Always`), while under load
-//!   one fsync amortizes across many commits. The `n` is a batching
-//!   hint: every ack is durable and `n` does not gate the flush — no
-//!   transaction is acknowledged until its frame is durable.
+//!   one fsync amortizes across many commits. No transaction is
+//!   acknowledged until its frame is durable.
 //! * **[`FsyncPolicy::Never`]** appends in the hook without syncing —
 //!   the OS flushes when it pleases.
+//!
+//! A schema change takes the same path through [`ConcurrentDb::ddl`]:
+//! [`MvccManager::ddl`] admits the [`Ddl`] under the commit lock, and its
+//! hook writes the change's declaration record behind any staged frames
+//! with one fsync, before the DDL version is published.
 //!
 //! The log is bounded: once the frames committed since the last
 //! checkpoint outgrow both 4 MiB and the last snapshot, the commit that
@@ -49,16 +53,15 @@
 
 use std::sync::Arc;
 
-use crate::durable::{recover, FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
+use crate::durable::{ddl_record, recover, FsyncPolicy, StoreOptions, SNAPSHOT_FILE, WAL_FILE};
 use crate::error::{StoreError, StoreResult};
 use crate::snapshot;
 use crate::storage::Storage;
 use crate::wal::{self, WalRecord};
 use mera_core::prelude::*;
-use mera_expr::RelExpr;
-use mera_lang::{lower_script, parse_script, rel_to_xra, RunResult};
+use mera_lang::{lower_script, parse_script, RunResult};
 use mera_txn::mvcc::{MvccManager, PreparedTxn, Version};
-use mera_txn::{AbortReason, DeclareKeyError, Outcome, Outputs, Program};
+use mera_txn::{AbortReason, Ddl, Outcome, Outputs, Program};
 use parking_lot::{Condvar, Mutex};
 
 /// Commit-frame bytes past which the log is checkpointed, unless the
@@ -149,19 +152,6 @@ impl<S: Storage> ConcurrentDb<S> {
         self.mvcc.pin()
     }
 
-    /// The store options this database was opened with.
-    pub fn options(&self) -> &StoreOptions {
-        &self.options
-    }
-
-    /// Runs a read-only program against a pinned version without
-    /// touching the commit path or the WAL.
-    pub fn read(&self, version: &Arc<Version>, program: &Program) -> StoreResult<Outputs> {
-        self.mvcc
-            .read(version, program)
-            .map_err(|r| StoreError::TransactionAborted(r.to_string()))
-    }
-
     /// Runs one transaction to its typed outcome: committed outputs, or
     /// an abort reason ([`AbortReason::Conflict`] tells a caller the
     /// retry is worthwhile). Storage failures are errors; an
@@ -195,7 +185,7 @@ impl<S: Storage> ConcurrentDb<S> {
             let frame = wal::delta_frame(time, &body);
             match self.options.fsync {
                 // group commit stages the frame; the committer waits below
-                FsyncPolicy::EveryN(_) => ticket = Some(self.stage(&frame)?),
+                FsyncPolicy::Group => ticket = Some(self.stage(&frame)?),
                 policy => self.append_direct(&frame, policy == FsyncPolicy::Always)?,
             }
             Ok::<(), StoreError>(())
@@ -373,53 +363,22 @@ impl<S: Storage> ConcurrentDb<S> {
         self.drain_and_append(None)
     }
 
-    /// Declares a new relation, durably: validated against the newest
-    /// version, logged and fsynced, then published as a DDL version.
-    pub fn add_relation(&self, rs: RelationSchema) -> StoreResult<()> {
-        let record = WalRecord::Declare {
-            name: rs.name.clone(),
-            schema: rs.schema.as_ref().clone(),
-        };
-        self.mvcc
-            .add_relation_with(rs, || self.drain_and_append(Some(&record)))?
-            .map_err(StoreError::from)
+    /// Admits one schema change durably ([`MvccManager::ddl`]): checked
+    /// against the newest version, logged and fsynced behind any staged
+    /// commit frames, then published as a DDL version. A refusal
+    /// ([`StoreError::Refused`], [`StoreError::Core`]) writes nothing, and
+    /// so does a change that changes nothing (`Ok(false)`: an index
+    /// already on those attributes, a repeat or a key's own).
+    pub fn ddl(&self, ddl: Ddl) -> StoreResult<bool> {
+        let record = ddl_record(&ddl);
+        self.mvcc.ddl(&ddl, || self.drain_and_append(Some(&record)))
     }
 
-    /// Creates a materialized view, durably.
-    pub fn create_view(&self, name: &str, expr: RelExpr) -> StoreResult<SchemaRef> {
-        let record = WalRecord::DeclareView {
-            name: name.to_owned(),
-            text: rel_to_xra(&expr),
-        };
-        self.mvcc
-            .create_view_with(name, expr, || self.drain_and_append(Some(&record)))?
-            .map_err(StoreError::from)
-    }
-
-    /// Creates a secondary index, durably. An index already on
-    /// `relation(keys)` — a repeat, or a key's own — writes nothing.
-    pub fn create_index(&self, relation: &str, keys: &[usize]) -> StoreResult<()> {
-        let record = WalRecord::DeclareIndex {
-            relation: relation.to_owned(),
-            keys: keys.to_vec(),
-        };
-        self.mvcc
-            .create_index_with(relation, keys, || self.drain_and_append(Some(&record)))?
-            .map_err(StoreError::from)
-    }
-
-    /// Declares a key constraint, durably.
-    pub fn declare_key(&self, relation: &str, attrs: &[usize]) -> StoreResult<()> {
-        let record = WalRecord::DeclareKey {
-            relation: relation.to_owned(),
-            attrs: attrs.to_vec(),
-        };
-        self.mvcc
-            .declare_key_with(relation, attrs, || self.drain_and_append(Some(&record)))?
-            .map_err(|e| match e {
-                DeclareKeyError::Rejected(d) => StoreError::KeyRefused(d),
-                DeclareKeyError::Error(c) => StoreError::Core(c),
-            })
+    /// Creates a secondary index, durably: [`ConcurrentDb::ddl`] of a
+    /// [`Ddl::Index`].
+    pub fn create_index(&self, relation: &str, keys: &[usize]) -> StoreResult<bool> {
+        let (relation, attrs) = (relation.to_owned(), keys.to_vec());
+        self.ddl(Ddl::Index { relation, attrs })
     }
 
     /// Writes a checkpoint under quiescence: no commit can publish (or
@@ -436,20 +395,8 @@ impl<S: Storage> ConcurrentDb<S> {
             let mut storage = self.storage.lock();
             storage.replace_atomic(SNAPSHOT_FILE, &bytes)?;
             let mut wal_bytes = wal::empty_wal();
-            for v in version.views().iter() {
-                let record = WalRecord::DeclareView {
-                    name: v.name().to_owned(),
-                    text: rel_to_xra(v.expr()),
-                };
-                wal_bytes.extend_from_slice(&record.encode_frame());
-            }
-            for (relation, keys) in version.indexes().definitions() {
-                let record = WalRecord::DeclareIndex { relation, keys };
-                wal_bytes.extend_from_slice(&record.encode_frame());
-            }
-            for (relation, attrs) in version.keys().definitions() {
-                let record = WalRecord::DeclareKey { relation, attrs };
-                wal_bytes.extend_from_slice(&record.encode_frame());
+            for ddl in version.definitions() {
+                wal_bytes.extend_from_slice(&ddl_record(&ddl).encode_frame());
             }
             storage.replace_atomic(WAL_FILE, &wal_bytes)?;
             Ok(())
@@ -467,13 +414,15 @@ impl<S: Storage> ConcurrentDb<S> {
         let lowered =
             lower_script(&script, &self.pin().catalog_schema()).map_err(StoreError::from)?;
         for decl in lowered.declarations {
-            self.add_relation(decl)?;
+            self.ddl(Ddl::Relation(decl))?;
         }
         for view in lowered.views {
-            self.create_view(&view.name, view.expr)?;
+            let (name, expr) = (view.name, view.expr);
+            self.ddl(Ddl::View { name, expr })?;
         }
         for key in lowered.keys {
-            self.declare_key(&key.relation, &key.attrs)?;
+            let (relation, attrs) = (key.relation, key.attrs);
+            self.ddl(Ddl::Key { relation, attrs })?;
         }
         let mut results = Vec::with_capacity(lowered.transactions.len());
         for program in &lowered.transactions {
@@ -494,14 +443,15 @@ impl<S: Storage> ConcurrentDb<S> {
         let translated = mera_sql::translate(&stmt, &catalog).map_err(StoreError::from)?;
         match translated {
             mera_sql::Translated::CreateView { name, expr } => {
-                self.create_view(&name, expr)?;
+                self.ddl(Ddl::View { name, expr })?;
                 Ok(None)
             }
             mera_sql::Translated::CreateTable { schema, keys } => {
-                let name = schema.name.clone();
-                self.add_relation(schema)?;
+                let relation = schema.name.clone();
+                self.ddl(Ddl::Relation(schema))?;
                 for attrs in keys {
-                    self.declare_key(&name, &attrs)?;
+                    let relation = relation.clone();
+                    self.ddl(Ddl::Key { relation, attrs })?;
                 }
                 Ok(None)
             }
@@ -529,6 +479,7 @@ pub fn is_conflict(outcome: &Outcome) -> bool {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use mera_expr::RelExpr;
     use mera_lang::{parse_program, Lowerer};
 
     fn schema() -> DatabaseSchema {
@@ -558,7 +509,7 @@ mod tests {
 
     #[test]
     fn the_log_is_checkpointed_once_it_outgrows_its_bound() {
-        for fsync in [FsyncPolicy::Always, FsyncPolicy::EveryN(4)] {
+        for fsync in [FsyncPolicy::Always, FsyncPolicy::Group] {
             let storage = MemStorage::new();
             let db = open(storage.clone(), fsync);
             let owner = "x".repeat(1000);
@@ -609,7 +560,7 @@ mod tests {
     #[test]
     fn group_commit_is_durable_when_acknowledged() {
         let storage = MemStorage::new();
-        let db = open(storage.clone(), FsyncPolicy::EveryN(8));
+        let db = open(storage.clone(), FsyncPolicy::Group);
         // single-threaded: each commit waits out the group window and
         // leads its own flush — slower, but every ack means durable
         db.execute(&insert_program(&db, "ann", 10))
@@ -647,7 +598,7 @@ mod tests {
     #[test]
     fn group_commit_batches_fsyncs_across_threads() {
         let storage = MemStorage::new();
-        let db = Arc::new(open(SlowSync(storage.clone()), FsyncPolicy::EveryN(4)));
+        let db = Arc::new(open(SlowSync(storage.clone()), FsyncPolicy::Group));
         let syncs_before = storage.sync_count();
         let threads: Vec<_> = (0..8)
             .map(|i| {
@@ -722,10 +673,11 @@ mod tests {
     #[test]
     fn ddl_and_checkpoint_survive_reopen() {
         let storage = MemStorage::new();
-        let db = open(storage.clone(), FsyncPolicy::EveryN(4));
+        let db = open(storage.clone(), FsyncPolicy::Group);
         db.execute(&insert_program(&db, "ann", 10))
             .expect("commits");
-        db.declare_key("accounts", &[1]).expect("declares");
+        let (relation, attrs) = ("accounts".to_owned(), vec![1]);
+        db.ddl(Ddl::Key { relation, attrs }).expect("declares");
         db.create_index("accounts", &[1]).expect("indexes");
         db.run_sql(
             "CREATE MATERIALIZED VIEW totals AS \
@@ -776,7 +728,7 @@ mod tests {
     #[test]
     fn poisoned_front_fails_stop_after_flush_failure() {
         let storage = MemStorage::new();
-        let db = open(storage.clone(), FsyncPolicy::EveryN(2));
+        let db = open(storage.clone(), FsyncPolicy::Group);
         db.execute(&insert_program(&db, "ann", 10))
             .expect("commits");
         storage.set_budget(0);

@@ -13,25 +13,31 @@
 //!   unacknowledged transaction.
 //! * **Abort** — nothing is written, nothing is published, the clock does
 //!   not move.
+//! * **Schema change** — one declaration record per admitted [`Ddl`],
+//!   appended before the DDL version is published; a refused or no-op
+//!   change writes nothing. `ddl_record` and `logged_ddl` here are the
+//!   only code that maps a [`Ddl`] to its [`WalRecord`] and back.
 //! * **Checkpoint** — atomically replace the snapshot with the full
 //!   current state, then reset the WAL to an empty header. Crashing
 //!   between the two steps is safe: recovery skips WAL commits at or
 //!   before the snapshot time.
 //! * **Recovery** ([`recover`]) — load the snapshot (if any), scan the
 //!   WAL, truncate the torn tail, then fold declarations and deltas in
-//!   order into a single owned [`Version`] through [`Version::apply`]
-//!   (the live rebase step): no program is re-run. A run of consecutive
-//!   commit deltas is summed first and applied once — ℤ-deltas add, so
-//!   `D + Δ₁ + … + Δₖ = D + (Δ₁ + … + Δₖ)`, and indexes, keys and views
-//!   are refreshed once per run instead of once per commit.
+//!   order into a single owned [`Version`], through [`Version::admit`]
+//!   and [`Version::apply`] (the live steps): no program is re-run. A
+//!   run of consecutive commit deltas is summed first and applied once —
+//!   ℤ-deltas add, so `D + Δ₁ + … + Δₖ = D + (Δ₁ + … + Δₖ)`, and
+//!   indexes, keys and views are refreshed once per run instead of once
+//!   per commit.
 
 use crate::error::{StoreError, StoreResult};
 use crate::snapshot;
 use crate::storage::Storage;
 use crate::wal::{self, WalRecord};
 use mera_core::prelude::*;
+use mera_lang::rel_to_xra;
 use mera_txn::mvcc::Version;
-use mera_txn::{DeclareKeyError, DeltaMap, ExecConfig};
+use mera_txn::{Ddl, DdlError, DeltaMap, ExecConfig};
 
 /// Name of the write-ahead log file inside a [`Storage`] root.
 pub const WAL_FILE: &str = "mera.wal";
@@ -52,9 +58,8 @@ pub enum FsyncPolicy {
     Always,
     /// Group commit: commits stage their frames and one fsync covers
     /// every frame staged while the previous one was in flight. No
-    /// transaction is acknowledged before its frame is durable; the `n`
-    /// is a batching hint and does not gate the flush.
-    EveryN(u32),
+    /// transaction is acknowledged before its frame is durable.
+    Group,
     /// Never fsync the WAL from the commit path (the OS flushes when it
     /// pleases). Fastest; a crash may lose any commit since the last
     /// checkpoint.
@@ -115,11 +120,8 @@ pub fn recover<S: Storage>(
         let mut names: Vec<&str> = db.relation_names().collect();
         names.sort_unstable();
         for name in names {
-            let record = WalRecord::Declare {
-                name: name.to_string(),
-                schema: db.relation(name)?.schema().as_ref().clone(),
-            };
-            bytes.extend_from_slice(&record.encode_frame());
+            let rs = RelationSchema::new(name, Schema::clone(db.relation(name)?.schema()));
+            bytes.extend_from_slice(&ddl_record(&Ddl::Relation(rs)).encode_frame());
         }
         storage.replace_atomic(WAL_FILE, &bytes)?;
         return Ok((storage, Version::new(db)?));
@@ -173,61 +175,92 @@ fn replay(
         WalRecord::Delta { time, deltas } if time > snapshot_time => {
             return fold_delta(run, version, time, deltas);
         }
+        WalRecord::Commit { time, .. } if time > snapshot_time => {
+            return Err(StoreError::TextCommitRecord { time });
+        }
         other => other,
     };
     // any other record applies after the commits logged before it
     apply_run(run, version, config)?;
-    match record {
-        WalRecord::Declare { name, schema } => {
-            // Declarations covered by the snapshot re-appear in the
-            // WAL; identical re-declarations are no-ops, conflicting
-            // ones mean the log belongs to a different database.
-            if let Ok(schema_ref) = version.database().schema().get(&name) {
-                if schema_ref.as_ref() == &schema {
+    let Some(ddl) = logged_ddl(record, version)? else {
+        // a commit already folded into the snapshot
+        return Ok(());
+    };
+    match &ddl {
+        // Declarations covered by the snapshot re-appear in the WAL;
+        // identical re-declarations are no-ops, conflicting ones mean the
+        // log belongs to a different database.
+        Ddl::Relation(rs) => {
+            if let Ok(schema) = version.database().schema().get(&rs.name) {
+                if schema == &rs.schema {
                     return Ok(());
                 }
                 return Err(StoreError::CorruptWal(format!(
-                    "declaration of '{name}' conflicts with the recovered schema"
+                    "declaration of '{}' conflicts with the recovered schema",
+                    rs.name
                 )));
             }
-            Ok(version.add_relation(RelationSchema::new(name, schema))?)
         }
+        // a key re-logged (by a checkpoint, or an older build) is a no-op
+        Ddl::Key { relation, attrs } if version.keys().is_declared(relation, attrs) => {
+            return Ok(());
+        }
+        _ => {}
+    }
+    // Only definitions are durable: a view's contents, an index's entries
+    // and a key's check are rebuilt from the recovered relations, then
+    // maintained by the commits replayed after this record. The record
+    // was logged after a successful admission, and every commit after it
+    // was checked, so a refusal means the log belongs to another history.
+    match version.admit(&ddl, config) {
+        Ok(_) => Ok(()),
+        Err(DdlError::Rejected(diags)) => Err(StoreError::CorruptWal(format!(
+            "the recovered state refuses a logged schema change: {}",
+            StoreError::Refused(diags)
+        ))),
+        Err(DdlError::Error(e)) => Err(StoreError::Core(e)),
+    }
+}
+
+/// The WAL record that logs `ddl`. With [`logged_ddl`], the only code
+/// that knows how a schema change is logged.
+pub(crate) fn ddl_record(ddl: &Ddl) -> WalRecord {
+    match ddl {
+        Ddl::Relation(rs) => WalRecord::Declare {
+            name: rs.name.clone(),
+            schema: rs.schema.as_ref().clone(),
+        },
+        Ddl::View { name, expr } => WalRecord::DeclareView {
+            name: name.clone(),
+            text: rel_to_xra(expr),
+        },
+        Ddl::Index { relation, attrs } => WalRecord::DeclareIndex {
+            relation: relation.clone(),
+            keys: attrs.clone(),
+        },
+        Ddl::Key { relation, attrs } => WalRecord::DeclareKey {
+            relation: relation.clone(),
+            attrs: attrs.clone(),
+        },
+    }
+}
+
+/// The schema change a declaration record logs, a view's text resolved
+/// against `version`'s catalog; `None` for a commit record.
+fn logged_ddl(record: WalRecord, version: &Version) -> StoreResult<Option<Ddl>> {
+    Ok(Some(match record {
+        WalRecord::Declare { name, schema } => Ddl::Relation(RelationSchema::new(name, schema)),
         WalRecord::DeclareView { name, text } => {
             let expr = mera_lang::lower_rel(&version.catalog_schema(), &text)?;
-            version.create_view(&name, expr, config)?;
-            Ok(())
+            Ddl::View { name, expr }
         }
-        // only the definition of an index is durable: entries are rebuilt
-        // from the recovered relation, then delta-maintained by the
-        // commits replayed after this record (a repeated definition, as
-        // older builds logged one, adds nothing)
-        WalRecord::DeclareIndex { relation, keys } => {
-            version.create_index(&relation, &keys)?;
-            Ok(())
-        }
-        WalRecord::DeclareKey { relation, attrs } => {
-            // likewise only the definition of a key is durable: the
-            // recovered relation is re-validated and the key's index found
-            // or rebuilt (re-logged declarations are no-ops). The record
-            // was logged after a successful declaration, and every commit
-            // after it was enforced, so a refusal here means the log
-            // belongs to a different history.
-            if version.keys().is_declared(&relation, &attrs) {
-                return Ok(());
-            }
-            version.declare_key(&relation, &attrs).map_err(|e| match e {
-                DeclareKeyError::Rejected(d) => StoreError::CorruptWal(format!(
-                    "recovered data violates the logged key declaration: {}",
-                    d.message
-                )),
-                DeclareKeyError::Error(c) => StoreError::Core(c),
-            })
-        }
-        // already folded into the snapshot (a later delta joined the run)
-        WalRecord::Commit { time, .. } if time <= snapshot_time => Ok(()),
-        WalRecord::Delta { .. } => Ok(()),
-        WalRecord::Commit { time, .. } => Err(StoreError::TextCommitRecord { time }),
-    }
+        WalRecord::DeclareIndex { relation, keys } => Ddl::Index {
+            relation,
+            attrs: keys,
+        },
+        WalRecord::DeclareKey { relation, attrs } => Ddl::Key { relation, attrs },
+        WalRecord::Commit { .. } | WalRecord::Delta { .. } => return Ok(None),
+    }))
 }
 
 /// A run of consecutive commit deltas not yet applied: the times of its

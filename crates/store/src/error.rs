@@ -3,7 +3,8 @@
 use std::fmt;
 
 use mera_core::prelude::CoreError;
-use mera_txn::Diagnostic;
+use mera_lang::LangError;
+use mera_txn::{DdlError, Diagnostic};
 
 /// Errors raised by the durability layer.
 ///
@@ -38,13 +39,13 @@ pub enum StoreError {
     /// A transaction submitted through the durable API aborted (the
     /// database is unchanged; nothing was written).
     TransactionAborted(String),
-    /// A key declaration was refused (`E0401`–`E0403`): the diagnostic
-    /// says why, and nothing was written.
-    KeyRefused(Diagnostic),
+    /// A schema change was refused with diagnostics (a view definition's
+    /// `E0301`/`E0303`, a key's `E0401`–`E0403`), and nothing was written.
+    Refused(Vec<Diagnostic>),
     /// An error from the core data model (schema mismatches, etc.).
     Core(CoreError),
     /// A parse or lowering error from the textual front-ends.
-    Lang(String),
+    Lang(LangError),
 }
 
 impl fmt::Display for StoreError {
@@ -62,9 +63,12 @@ impl fmt::Display for StoreError {
             StoreError::TransactionAborted(reason) => {
                 write!(f, "transaction aborted: {reason}")
             }
-            StoreError::KeyRefused(d) => write!(f, "{d}"),
+            StoreError::Refused(diags) => match diags.iter().find(|d| d.is_error()) {
+                Some(d) => write!(f, "{d}"),
+                None => write!(f, "schema change refused"),
+            },
             StoreError::Core(e) => write!(f, "{e}"),
-            StoreError::Lang(msg) => write!(f, "{msg}"),
+            StoreError::Lang(e) => write!(f, "{e}"),
         }
     }
 }
@@ -83,15 +87,18 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-impl From<mera_lang::LangError> for StoreError {
-    fn from(e: mera_lang::LangError) -> Self {
-        StoreError::Lang(e.to_string())
+impl From<LangError> for StoreError {
+    fn from(e: LangError) -> Self {
+        StoreError::Lang(e)
     }
 }
 
-impl From<mera_txn::CreateViewError> for StoreError {
-    fn from(e: mera_txn::CreateViewError) -> Self {
-        StoreError::Core(CoreError::TypeError(e.to_string()))
+impl From<DdlError> for StoreError {
+    fn from(e: DdlError) -> Self {
+        match e {
+            DdlError::Rejected(diags) => StoreError::Refused(diags),
+            DdlError::Error(e) => StoreError::Core(e),
+        }
     }
 }
 

@@ -10,8 +10,8 @@
 //! * [`wal`] — a write-ahead log of length-prefixed, CRC-32-checked,
 //!   versioned records: one `Delta` per committed transaction (logical
 //!   time + the net ℤ-delta `D_{t+1} − D_t` it published) and one
-//!   `Declare` per relation added to the schema. Recovery truncates torn
-//!   tails; CRC-valid garbage is a hard error.
+//!   declaration per schema change (relation, view, index, key).
+//!   Recovery truncates torn tails; CRC-valid garbage is a hard error.
 //! * [`snapshot`] — checkpoint images of a full [`Database`] at one
 //!   logical time, swapped in atomically so a crash never exposes a
 //!   half-written snapshot.

@@ -2,9 +2,9 @@
 //!
 //! The serial crash matrix (`crash_matrix.rs`) drives a scripted
 //! single-threaded workload. Here the WAL is produced by racing
-//! sessions committing through the MVCC front with `EveryN` group
-//! commit, so the log is a genuine interleaving of independent
-//! transactions — then the matrix truncates that log at **every byte
+//! sessions committing through the MVCC front with group commit
+//! (`FsyncPolicy::Group`), so the log is a genuine interleaving of
+//! independent transactions — then the matrix truncates that log at **every byte
 //! offset** and asserts recovery reproduces exactly the acknowledged
 //! prefix: base relations, logical time, views, stats, key
 //! constraints and indexes.
@@ -27,7 +27,7 @@ use mera_store::{
     is_conflict, snapshot, wal, ConcurrentDb, FsyncPolicy, MemStorage, StoreOptions, WalRecord,
     SNAPSHOT_FILE, WAL_FILE,
 };
-use mera_txn::{Outcome, Program};
+use mera_txn::{Ddl, Outcome, Program};
 
 /// The database each acknowledged commit published, by commit time.
 type Acked = Mutex<BTreeMap<LogicalTime, Database>>;
@@ -37,7 +37,7 @@ const PER_WRITER: usize = 5;
 
 fn options() -> StoreOptions {
     StoreOptions {
-        fsync: FsyncPolicy::EveryN(3),
+        fsync: FsyncPolicy::Group,
         ..StoreOptions::default()
     }
 }
@@ -55,17 +55,16 @@ fn drive_concurrent(
     let db = Arc::new(
         ConcurrentDb::open(storage.clone(), DatabaseSchema::new(), options()).expect("opens"),
     );
-    db.add_relation(RelationSchema::new("log", log_schema()))
-        .expect("declares");
-    db.add_relation(RelationSchema::new("audit", log_schema()))
-        .expect("declares");
-    db.declare_key("log", &[1, 2]).expect("key declares");
+    for name in ["log", "audit"] {
+        let ddl = Ddl::Relation(RelationSchema::new(name, log_schema()));
+        db.ddl(ddl).expect("declares");
+    }
+    let (relation, attrs) = ("log".to_owned(), vec![1, 2]);
+    db.ddl(Ddl::Key { relation, attrs }).expect("key declares");
     db.create_index("log", &[1]).expect("index builds");
-    db.create_view(
-        "per_writer",
-        mera_expr::RelExpr::scan("log").group_by(&[1], mera_expr::Aggregate::Cnt, 2),
-    )
-    .expect("view creates");
+    let name = "per_writer".to_owned();
+    let expr = mera_expr::RelExpr::scan("log").group_by(&[1], mera_expr::Aggregate::Cnt, 2);
+    db.ddl(Ddl::View { name, expr }).expect("view creates");
     let acked = Arc::new(Acked::default());
 
     let race = |db: &Arc<ConcurrentDb<MemStorage>>, round: usize| {

@@ -19,7 +19,7 @@
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
 use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{MvccManager, Outcome, Program};
+use mera_txn::{Ddl, DdlError, MvccManager, Outcome, Program};
 
 /// One step of the workload.
 enum Op {
@@ -109,13 +109,14 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database)> {
 
     for op in workload() {
         let result: Result<(), StoreError> = match op {
-            Op::Declare(name, schema) => durable
-                .add_relation(RelationSchema::new(name, schema()))
-                .map(|()| {
+            Op::Declare(name, schema) => {
+                let ddl = Ddl::Relation(RelationSchema::new(name, schema()));
+                durable.ddl(ddl.clone()).map(|_| {
                     shadow
-                        .add_relation(RelationSchema::new(name, schema()))
+                        .ddl(&ddl, || Ok::<(), DdlError>(()))
                         .expect("shadow declare");
-                }),
+                })
+            }
             Op::Commit(text) => {
                 let program = parse(durable.pin().database(), text);
                 durable.execute(&program).map(|_| {
@@ -226,9 +227,10 @@ fn oracle_and_live_engine_agree_on_the_full_run() {
     let live = MvccManager::new(DatabaseSchema::new());
     for op in workload() {
         match op {
-            Op::Declare(name, schema) => live
-                .add_relation(RelationSchema::new(name, schema()))
-                .expect("declare"),
+            Op::Declare(name, schema) => {
+                let ddl = Ddl::Relation(RelationSchema::new(name, schema()));
+                live.ddl(&ddl, || Ok::<(), DdlError>(())).expect("declare");
+            }
             Op::Commit(text) | Op::Abort(text) => {
                 let program = parse(live.pin().database(), text);
                 live.execute(&program);

@@ -11,7 +11,7 @@ use mera_lang::RunResult;
 use mera_store::{
     wal, ConcurrentDb, MemStorage, StoreError, StoreOptions, SNAPSHOT_FILE, WAL_FILE,
 };
-use mera_txn::HashIndex;
+use mera_txn::{Ddl, HashIndex};
 
 type Db = ConcurrentDb<MemStorage>;
 
@@ -55,6 +55,12 @@ fn view(db: &Db, name: &str) -> Relation {
     view.data().as_ref().clone()
 }
 
+/// `key accounts (owner)`.
+fn key_on_owner() -> Ddl {
+    let (relation, attrs) = ("accounts".to_owned(), vec![1]);
+    Ddl::Key { relation, attrs }
+}
+
 fn create_totals(db: &Db) {
     db.run_script("view totals = groupby[(%1), SUM, %2](accounts);")
         .expect("creates view");
@@ -89,10 +95,10 @@ fn duplicate_declaration_fails_before_logging() {
     let db = open(&storage);
     let before_units = storage.units_written();
     let err = db
-        .add_relation(RelationSchema::new(
+        .ddl(Ddl::Relation(RelationSchema::new(
             "accounts",
             Schema::anon(&[DataType::Int]),
-        ))
+        )))
         .expect_err("duplicate relation");
     assert!(matches!(err, StoreError::Core(_)));
     assert_eq!(storage.units_written(), before_units);
@@ -125,10 +131,10 @@ fn declares_after_checkpoint_survive() {
     let storage = MemStorage::new();
     let db = open(&storage);
     db.checkpoint().expect("checkpoint");
-    db.add_relation(RelationSchema::new(
+    db.ddl(Ddl::Relation(RelationSchema::new(
         "audit",
         Schema::named(&[("note", DataType::Str)]),
-    ))
+    )))
     .expect("declare");
     db.run_script("insert(audit, values (str) {('hello')});")
         .expect("commits");
@@ -204,7 +210,7 @@ fn keys_survive_reopen_and_keep_enforcing() {
     let storage = MemStorage::new();
     let db = open(&storage);
     deposit(&db, "ann", 10).expect("commits");
-    db.declare_key("accounts", &[1]).expect("declares");
+    db.ddl(key_on_owner()).expect("declares");
     drop(db);
 
     let recovered = reopen(&storage);
@@ -225,7 +231,7 @@ fn a_no_op_create_index_writes_and_publishes_nothing() {
     let db = open(&storage);
     deposit(&db, "ann", 10).expect("commits");
     db.create_index("accounts", &[2]).expect("indexes");
-    db.declare_key("accounts", &[1]).expect("declares");
+    db.ddl(key_on_owner()).expect("declares");
     let still = |db: &Db| (storage.units_written(), db.pin().seq(), db.pin().time());
     let before = still(&db);
     // a repeat of an index, and the index a key brought with it

@@ -22,13 +22,12 @@ use std::sync::Arc;
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
 use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{MvccManager, Outcome, Program, Version};
+use mera_txn::{Ddl, DdlError, MvccManager, Outcome, Program, Version};
 
 /// One step of the workload.
 enum Op {
-    Declare(&'static str, fn() -> Schema),
-    /// A durable key-constraint declaration.
-    DeclareKey(&'static str, &'static [usize]),
+    /// A durable schema change: a relation or a key.
+    Ddl(Ddl),
     /// XRA program text expected to commit.
     Commit(&'static str),
     /// XRA program text expected to abort on a key violation.
@@ -44,23 +43,32 @@ fn towns_schema() -> Schema {
     Schema::named(&[("town", DataType::Str), ("country", DataType::Str)])
 }
 
+fn declare(name: &str, schema: Schema) -> Op {
+    Op::Ddl(Ddl::Relation(RelationSchema::new(name, schema)))
+}
+
+fn key(relation: &str, attrs: &[usize]) -> Op {
+    let (relation, attrs) = (relation.to_owned(), attrs.to_vec());
+    Op::Ddl(Ddl::Key { relation, attrs })
+}
+
 /// Key declarations between commits, a violating commit (aborts, leaves no
 /// durable trace), a key declared over *existing* data, and a checkpoint
 /// followed by more churn — so recovery exercises snapshot + re-seeded
 /// `DeclareKey` records + a live log tail together.
 fn workload() -> Vec<Op> {
     vec![
-        Op::Declare("member", members_schema),
-        Op::Declare("towns", towns_schema),
+        declare("member", members_schema()),
+        declare("towns", towns_schema()),
         // key on an empty relation, enforced from the first insert
-        Op::DeclareKey("member", &[1]),
+        key("member", &[1]),
         Op::Commit(
             "insert(member, values (str, str) {('dick', 'enschede'), ('peter', 'hengelo')})",
         ),
         Op::ViolatingCommit("insert(member, values (str, str) {('dick', 'losser')})"),
         Op::Commit("insert(towns, values (str, str) {('enschede', 'NL'), ('hengelo', 'NL')})"),
         // key declared over existing (conforming) data
-        Op::DeclareKey("towns", &[1]),
+        key("towns", &[1]),
         // delete + insert at the same key point in one transaction: the
         // net delta conforms, so this commits under the key
         Op::Commit(
@@ -124,16 +132,9 @@ fn drive(storage: MemStorage) -> Vec<(u64, Arc<Version>)> {
     for op in workload() {
         let is_violation = matches!(op, Op::ViolatingCommit(_));
         let result: Result<(), StoreError> = match op {
-            Op::Declare(name, schema) => durable
-                .add_relation(RelationSchema::new(name, schema()))
-                .map(|()| {
-                    shadow
-                        .add_relation(RelationSchema::new(name, schema()))
-                        .expect("shadow declare");
-                }),
-            Op::DeclareKey(relation, attrs) => durable.declare_key(relation, attrs).map(|()| {
+            Op::Ddl(ddl) => durable.ddl(ddl.clone()).map(|_| {
                 shadow
-                    .declare_key(relation, attrs)
+                    .ddl(&ddl, || Ok::<(), DdlError>(()))
                     .expect("workload keys hold on declaration");
             }),
             Op::Commit(text) => {

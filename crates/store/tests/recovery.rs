@@ -158,13 +158,13 @@ fn checkpoint_compacts_the_log_on_disk() {
 
 #[test]
 fn fsync_policies_flush_at_the_promised_cadence() {
-    // `EveryN` is group commit with ack-after-durability: a lone
+    // `Group` is group commit with ack-after-durability: a lone
     // committer finds no flush in flight and leads its own, so from one
     // thread it syncs as often as `Always` (batching needs concurrency —
     // see `group_commit_batches_fsyncs_across_threads`).
     let cases: [(FsyncPolicy, u64); 3] = [
         (FsyncPolicy::Always, 4),
-        (FsyncPolicy::EveryN(2), 4),
+        (FsyncPolicy::Group, 4),
         (FsyncPolicy::Never, 0),
     ];
     for (policy, expected_syncs) in cases {
@@ -312,4 +312,36 @@ fn conflicting_redeclaration_in_the_log_is_corruption() {
     let err = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
         .expect_err("schema conflict must fail recovery");
     assert!(matches!(err, StoreError::CorruptWal(_)), "got {err:?}");
+}
+
+#[test]
+fn a_logged_schema_change_the_recovered_state_refuses_is_corruption() {
+    // every declaration record was logged after its change was admitted,
+    // so one the recovered state refuses belongs to another history
+    let key = WalRecord::DeclareKey {
+        relation: "accounts".to_string(),
+        attrs: vec![1],
+    };
+    let partial_view = WalRecord::DeclareView {
+        name: "avg".to_string(),
+        text: "groupby[(), AVG, %2](accounts)".to_string(),
+    };
+    for record in [key, partial_view] {
+        let mut storage = MemStorage::new();
+        let db =
+            ConcurrentDb::open(storage.clone(), schema(), StoreOptions::default()).expect("open");
+        // two rows at the key point `ann`
+        for balance in [10, 20] {
+            let p = parse(db.pin().database(), &insert("ann", balance));
+            db.execute(&p).expect("commits");
+        }
+        drop(db);
+        storage
+            .append(WAL_FILE, &record.encode_frame())
+            .expect("raw append");
+
+        let err = ConcurrentDb::open(storage, DatabaseSchema::new(), StoreOptions::default())
+            .expect_err("a refused declaration must fail recovery");
+        assert!(matches!(err, StoreError::CorruptWal(_)), "got {err:?}");
+    }
 }

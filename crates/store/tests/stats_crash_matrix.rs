@@ -25,13 +25,12 @@ use std::sync::Arc;
 use mera_core::prelude::*;
 use mera_lang::Lowerer;
 use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{HashIndex, MvccManager, Outcome, Program, Version};
+use mera_txn::{Ddl, DdlError, HashIndex, MvccManager, Outcome, Program, Version};
 
 /// One step of the workload.
 enum Op {
-    Declare(&'static str, fn() -> Schema),
-    /// A durable secondary-index definition.
-    CreateIndex(&'static str, &'static [usize]),
+    /// A durable schema change: a relation or a secondary index.
+    Ddl(Ddl),
     /// XRA program text expected to commit.
     Commit(&'static str),
     /// XRA program text expected to abort (division by zero).
@@ -47,6 +46,15 @@ fn customers_schema() -> Schema {
     Schema::named(&[("id", DataType::Int), ("region", DataType::Str)])
 }
 
+fn declare(name: &str, schema: Schema) -> Op {
+    Op::Ddl(Ddl::Relation(RelationSchema::new(name, schema)))
+}
+
+fn index(relation: &str, attrs: &[usize]) -> Op {
+    let (relation, attrs) = (relation.to_owned(), attrs.to_vec());
+    Op::Ddl(Ddl::Index { relation, attrs })
+}
+
 /// Churn against two indexed base relations: index creation *between*
 /// commits, deletes that hit index keys and min/max boundaries, an abort
 /// (ticks time, writes nothing), and a checkpoint followed by more churn —
@@ -54,12 +62,12 @@ fn customers_schema() -> Schema {
 /// live log tail together.
 fn workload() -> Vec<Op> {
     vec![
-        Op::Declare("orders", orders_schema),
-        Op::Declare("customers", customers_schema),
+        declare("orders", orders_schema()),
+        declare("customers", customers_schema()),
         Op::Commit("insert(customers, values (int, str) {(1, 'north'), (2, 'south')})"),
         Op::Commit("insert(orders, values (int, int) {(1, 10), (1, 5), (2, 7)})"),
-        Op::CreateIndex("orders", &[1]),
-        Op::CreateIndex("customers", &[1]),
+        index("orders", &[1]),
+        index("customers", &[1]),
         Op::Commit("insert(orders, values (int, int) {(2, 9), (1, 1), (3, 40)})"),
         Op::Abort("?project[(%2 / 0)](orders)"),
         // deletes the current max (40) — bounds drift, index key dies
@@ -122,17 +130,10 @@ fn drive(storage: MemStorage) -> Vec<(u64, Arc<Version>)> {
     for op in workload() {
         let is_abort = matches!(op, Op::Abort(_));
         let result: Result<(), StoreError> = match op {
-            Op::Declare(name, schema) => durable
-                .add_relation(RelationSchema::new(name, schema()))
-                .map(|()| {
-                    shadow
-                        .add_relation(RelationSchema::new(name, schema()))
-                        .expect("shadow declare");
-                }),
-            Op::CreateIndex(relation, keys) => durable.create_index(relation, keys).map(|()| {
+            Op::Ddl(ddl) => durable.ddl(ddl.clone()).map(|_| {
                 shadow
-                    .create_index(relation, keys)
-                    .expect("shadow index creation");
+                    .ddl(&ddl, || Ok::<(), DdlError>(()))
+                    .expect("shadow admits what the store admitted");
             }),
             Op::Commit(text) => {
                 let program = parse(durable.pin().database(), text);

@@ -18,16 +18,14 @@
 use std::collections::BTreeMap;
 
 use mera_core::prelude::*;
-use mera_expr::RelExpr;
 use mera_lang::Lowerer;
 use mera_store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
-use mera_txn::{MvccManager, Outcome, Program, ViewSet};
+use mera_txn::{Ddl, DdlError, MvccManager, Outcome, Program, ViewSet};
 
 /// One step of the workload.
 enum Op {
-    Declare(&'static str, fn() -> Schema),
-    /// `view name = text` — a durable view definition.
-    CreateView(&'static str, &'static str),
+    /// A durable schema change: a relation or a view definition.
+    Ddl(Ddl),
     /// XRA program text expected to commit.
     Commit(&'static str),
     /// XRA program text expected to abort (division by zero).
@@ -43,6 +41,21 @@ fn customers_schema() -> Schema {
     Schema::named(&[("id", DataType::Int), ("region", DataType::Str)])
 }
 
+fn declare(name: &str, schema: Schema) -> Op {
+    Op::Ddl(Ddl::Relation(RelationSchema::new(name, schema)))
+}
+
+/// `view name = text`, the text over the two base relations.
+fn view(name: &str, text: &str) -> Op {
+    let catalog = DatabaseSchema::new()
+        .with("orders", orders_schema())
+        .and_then(|s| s.with("customers", customers_schema()))
+        .expect("fresh");
+    let expr = mera_lang::lower_rel(&catalog, text).expect("view text lowers");
+    let name = name.to_owned();
+    Op::Ddl(Ddl::View { name, expr })
+}
+
 /// Churn against two base relations feeding a join + group-by view and a
 /// selection view, with view creation *between* commits, deletes that
 /// retract view rows (group deaths included), and a checkpoint followed
@@ -50,15 +63,15 @@ fn customers_schema() -> Schema {
 /// `DeclareView` records + a live log tail together.
 fn workload() -> Vec<Op> {
     vec![
-        Op::Declare("orders", orders_schema),
-        Op::Declare("customers", customers_schema),
+        declare("orders", orders_schema()),
+        declare("customers", customers_schema()),
         Op::Commit("insert(customers, values (int, str) {(1, 'north'), (2, 'south')})"),
         Op::Commit("insert(orders, values (int, int) {(1, 10), (1, 5), (2, 7)})"),
-        Op::CreateView(
+        view(
             "region_totals",
             "groupby[(%4), SUM, %2](join[(%1 = %3)](orders, customers))",
         ),
-        Op::CreateView("big_orders", "select[(%2 > 6)](orders)"),
+        view("big_orders", "select[(%2 > 6)](orders)"),
         Op::Commit("insert(orders, values (int, int) {(2, 9), (1, 1)})"),
         Op::Abort("?project[(%2 / 0)](orders)"),
         Op::Commit("delete(orders, select[(%1 = 2)](orders))"),
@@ -75,12 +88,6 @@ fn parse(db: &Database, text: &str) -> Program {
     lowerer
         .lower_program(&parsed)
         .expect("workload text lowers")
-}
-
-fn parse_rel(db: &Database, text: &str) -> RelExpr {
-    let parsed = mera_lang::parse_rel(text).expect("view text parses");
-    let lowerer = Lowerer::new(db.schema());
-    lowerer.lower_rel(&parsed).expect("view text lowers")
 }
 
 /// The expected contents of every view at one durable event boundary.
@@ -141,21 +148,11 @@ fn drive(storage: MemStorage) -> Vec<(u64, Database, ViewImage)> {
     for op in workload() {
         let is_abort = matches!(op, Op::Abort(_));
         let result: Result<(), StoreError> = match op {
-            Op::Declare(name, schema) => durable
-                .add_relation(RelationSchema::new(name, schema()))
-                .map(|()| {
-                    shadow
-                        .add_relation(RelationSchema::new(name, schema()))
-                        .expect("shadow declare");
-                }),
-            Op::CreateView(name, text) => {
-                let expr = parse_rel(durable.pin().database(), text);
-                durable.create_view(name, expr.clone()).map(|_| {
-                    shadow
-                        .create_view(name, expr)
-                        .expect("shadow view creation");
-                })
-            }
+            Op::Ddl(ddl) => durable.ddl(ddl.clone()).map(|_| {
+                shadow
+                    .ddl(&ddl, || Ok::<(), DdlError>(()))
+                    .expect("shadow admits what the store admitted");
+            }),
             Op::Commit(text) => {
                 let program = parse(durable.pin().database(), text);
                 durable.execute(&program).map(|_| {

@@ -10,7 +10,7 @@
 //! * [`version`] — [`Version`], the one owner of a database state and its
 //!   derived catalog (views, statistics, indexes, keys), and the only
 //!   copy of each step that moves it: run a program, fold a commit
-//!   (Definition 4.3: `D_t → D_{t+1}`), admit DDL,
+//!   (Definition 4.3: `D_t → D_{t+1}`), admit a schema change ([`Ddl`]),
 //! * [`transaction`] — what a transaction reports: [`Outcome`] and the
 //!   typed [`AbortReason`],
 //! * [`views`] — materialized views maintained incrementally at commit
@@ -43,5 +43,6 @@ pub use mera_eval::{EngineKind, ExecOptions, HashIndex, IndexSet, KeySet, KeyVio
 pub use mera_opt::{CatalogStats, TableStats};
 pub use mvcc::{MvccManager, PreparedTxn, Version};
 pub use statement::{Program, Statement};
-pub use transaction::{AbortReason, DeclareKeyError, Outcome};
-pub use views::{CreateViewError, DeltaMap, TupleDelta, View, ViewSet};
+pub use transaction::{AbortReason, DdlError, Outcome};
+pub use version::Ddl;
+pub use views::{DeltaMap, TupleDelta, View, ViewSet};

@@ -11,8 +11,10 @@
 //! The manager owns *when* the state moves — the chain, the commit lock,
 //! first-committer-wins validation, the durability hook, publication.
 //! *How* it moves (running statements, folding a commit into the
-//! catalog, admitting DDL) is [`Version`]'s, and the manager calls those
-//! steps on a clone of the newest version. That clone shares every trie
+//! catalog, admitting a schema change) is [`Version`]'s, and the manager
+//! calls those steps on a clone of the newest version: a commit through
+//! [`MvccManager::try_commit`], a schema change through
+//! [`MvccManager::ddl`]. That clone shares every trie
 //! node with its original, so a commit copies what its delta touches. The
 //! chain holds the newest version only: a superseded one lives as long as
 //! some reader or writer pins it, and is released outside the chain's
@@ -56,15 +58,15 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_eval::KeySet;
-use mera_expr::rel::RelExpr;
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::FxHashSet;
 
 use crate::exec::{ExecConfig, Outputs};
 use crate::statement::Program;
-use crate::transaction::{AbortReason, DeclareKeyError, Outcome};
+use crate::transaction::{AbortReason, DdlError, Outcome};
+use crate::version::Ddl;
 pub use crate::version::Version;
-use crate::views::{CreateViewError, DeltaMap, TupleDelta};
+use crate::views::{DeltaMap, TupleDelta};
 
 /// What one commit wrote, at the granularity conflict detection uses:
 /// whole relations for unkeyed targets, per-key-point sets (the key
@@ -447,99 +449,26 @@ impl MvccManager {
         f(&latest)
     }
 
-    /// One DDL step: under the commit lock, `admit` the change on a clone
-    /// of the newest version, run the durability hook, publish. A refused
-    /// admission or a failed hook publishes nothing, and an admission that
-    /// reports it changed nothing (`false` beside its result) neither
-    /// writes nor publishes. DDL versions conflict with every in-flight
-    /// writer — coarse, and rare.
-    fn ddl<T, R, E>(
+    /// Admits one schema change ([`Version::admit`]) on a clone of the
+    /// newest version under the commit lock, runs the durability hook,
+    /// and publishes the result as a DDL version. A refused change or a
+    /// failed hook publishes nothing. A change that changes nothing (an
+    /// index already on those attributes) runs no hook, publishes
+    /// nothing, and returns `false`. DDL versions conflict with every
+    /// in-flight writer — coarse, and rare.
+    pub fn ddl<E: From<DdlError>>(
         &self,
-        admit: impl FnOnce(&mut Version) -> Result<(T, bool), R>,
+        ddl: &Ddl,
         durability: impl FnOnce() -> Result<(), E>,
-    ) -> Result<Result<T, R>, E> {
+    ) -> Result<bool, E> {
         let _guard = self.commit.lock();
         let mut next = Version::clone(&self.pin());
-        let (admitted, changed) = match admit(&mut next) {
-            Ok(step) => step,
-            Err(refused) => return Ok(Err(refused)),
-        };
+        let changed = next.admit(ddl, self.config)?;
         if changed {
             durability()?;
             self.publish(next, WriteSet::default(), true);
         }
-        Ok(Ok(admitted))
-    }
-
-    /// Adds a fresh empty relation, publishing a DDL version.
-    pub fn add_relation(&self, rs: RelationSchema) -> CoreResult<()> {
-        infallible(self.add_relation_with(rs, || Ok(())))
-    }
-
-    /// [`MvccManager::add_relation`] with a durability hook that runs
-    /// after validation, before publication.
-    pub fn add_relation_with<E>(
-        &self,
-        rs: RelationSchema,
-        durability: impl FnOnce() -> Result<(), E>,
-    ) -> Result<CoreResult<()>, E> {
-        self.ddl(|v| v.add_relation(rs).map(|()| ((), true)), durability)
-    }
-
-    /// Creates a materialized view, publishing a DDL version.
-    pub fn create_view(&self, name: &str, expr: RelExpr) -> Result<SchemaRef, CreateViewError> {
-        infallible(self.create_view_with(name, expr, || Ok(())))
-    }
-
-    /// [`MvccManager::create_view`] with a durability hook.
-    pub fn create_view_with<E>(
-        &self,
-        name: &str,
-        expr: RelExpr,
-        durability: impl FnOnce() -> Result<(), E>,
-    ) -> Result<Result<SchemaRef, CreateViewError>, E> {
-        self.ddl(
-            |v| v.create_view(name, expr, self.config).map(|s| (s, true)),
-            durability,
-        )
-    }
-
-    /// Creates a secondary index, publishing a DDL version.
-    pub fn create_index(&self, relation: &str, keys: &[usize]) -> CoreResult<()> {
-        infallible(self.create_index_with(relation, keys, || Ok(())))
-    }
-
-    /// [`MvccManager::create_index`] with a durability hook. An index
-    /// already on `relation(keys)` runs no hook and publishes nothing.
-    pub fn create_index_with<E>(
-        &self,
-        relation: &str,
-        keys: &[usize],
-        durability: impl FnOnce() -> Result<(), E>,
-    ) -> Result<CoreResult<()>, E> {
-        self.ddl(
-            |v| v.create_index(relation, keys).map(|new| ((), new)),
-            durability,
-        )
-    }
-
-    /// Declares a key constraint, publishing a DDL version. Rejections
-    /// are [`Version::declare_key`]'s (`E0401`–`E0403`).
-    pub fn declare_key(&self, relation: &str, attrs: &[usize]) -> Result<(), DeclareKeyError> {
-        infallible(self.declare_key_with(relation, attrs, || Ok(())))
-    }
-
-    /// [`MvccManager::declare_key`] with a durability hook.
-    pub fn declare_key_with<E>(
-        &self,
-        relation: &str,
-        attrs: &[usize],
-        durability: impl FnOnce() -> Result<(), E>,
-    ) -> Result<Result<(), DeclareKeyError>, E> {
-        self.ddl(
-            |v| v.declare_key(relation, attrs).map(|()| ((), true)),
-            durability,
-        )
+        Ok(changed)
     }
 }
 
@@ -556,7 +485,26 @@ mod tests {
     use super::*;
     use crate::statement::Statement;
     use mera_core::tuple;
-    use mera_expr::ScalarExpr;
+    use mera_expr::{RelExpr, ScalarExpr};
+
+    /// Admits `ddl` with no durability hook.
+    fn admit(mgr: &MvccManager, ddl: Ddl) -> Result<bool, DdlError> {
+        mgr.ddl(&ddl, || Ok(()))
+    }
+
+    fn key(relation: &str, attrs: &[usize]) -> Ddl {
+        Ddl::Key {
+            relation: relation.to_owned(),
+            attrs: attrs.to_vec(),
+        }
+    }
+
+    fn index(relation: &str, attrs: &[usize]) -> Ddl {
+        Ddl::Index {
+            relation: relation.to_owned(),
+            attrs: attrs.to_vec(),
+        }
+    }
 
     fn schema() -> DatabaseSchema {
         DatabaseSchema::new()
@@ -635,7 +583,7 @@ mod tests {
     #[test]
     fn keyed_relations_conflict_at_key_point_granularity() {
         let mgr = MvccManager::new(schema());
-        mgr.declare_key("acct", &[1]).expect("declares");
+        admit(&mgr, key("acct", &[1])).expect("declares");
         let pin = mgr.pin();
         let p1 = mgr.prepare(Arc::clone(&pin), &deposit("ann", 10)).unwrap();
         let p2 = mgr.prepare(Arc::clone(&pin), &deposit("bob", 20)).unwrap();
@@ -662,13 +610,13 @@ mod tests {
     #[test]
     fn merged_commits_keep_catalog_consistent() {
         let mgr = MvccManager::new(schema());
-        mgr.declare_key("acct", &[1]).expect("declares");
-        mgr.create_index("acct", &[1]).expect("indexes");
-        mgr.create_view(
-            "totals",
-            RelExpr::scan("acct").group_by(&[1], mera_expr::Aggregate::Sum, 2),
-        )
-        .expect("view");
+        admit(&mgr, key("acct", &[1])).expect("declares");
+        admit(&mgr, index("acct", &[1])).expect("indexes");
+        let totals = Ddl::View {
+            name: "totals".to_owned(),
+            expr: RelExpr::scan("acct").group_by(&[1], mera_expr::Aggregate::Sum, 2),
+        };
+        admit(&mgr, totals).expect("view");
         let pin = mgr.pin();
         let p1 = mgr.prepare(Arc::clone(&pin), &deposit("ann", 10)).unwrap();
         let p2 = mgr.prepare(pin, &deposit("bob", 20)).unwrap();
@@ -695,7 +643,7 @@ mod tests {
         let mgr = MvccManager::new(schema());
         let pin = mgr.pin();
         let p = mgr.prepare(pin, &deposit("ann", 10)).unwrap();
-        mgr.create_index("acct", &[1]).expect("indexes");
+        admit(&mgr, index("acct", &[1])).expect("indexes");
         let (o, _) = mgr.try_commit::<Infallible>(p, |_| Ok(())).unwrap();
         assert!(
             matches!(o, Outcome::Aborted(AbortReason::Conflict { .. })),
@@ -724,7 +672,7 @@ mod tests {
     fn update_conflicts_with_update_of_same_key_point() {
         let mgr = MvccManager::new(schema());
         mgr.execute(&deposit("ann", 10));
-        mgr.declare_key("acct", &[1]).expect("declares");
+        admit(&mgr, key("acct", &[1])).expect("declares");
         let bump = |who: &str| {
             Program::single(Statement::update(
                 "acct",
@@ -881,10 +829,10 @@ mod tests {
         let loaded = MvccManager::new(schema());
         let program = Program::single(Statement::insert("acct", accounts(0..1000)));
         assert!(loaded.execute(&program).0.is_committed());
-        loaded.create_index("acct", &[1]).expect("indexes");
+        admit(&loaded, index("acct", &[1])).expect("indexes");
 
         let churned = MvccManager::new(schema());
-        churned.create_index("acct", &[1]).expect("indexes");
+        admit(&churned, index("acct", &[1])).expect("indexes");
         let program = Program::single(Statement::insert("acct", accounts(-300..700)));
         assert!(churned.execute(&program).0.is_committed());
         for i in 0..300 {
@@ -941,7 +889,7 @@ mod tests {
     fn aborts_leave_stats_and_indexes_untouched() {
         let mgr = MvccManager::new(schema());
         mgr.execute(&deposit("a", 100));
-        mgr.create_index("acct", &[1]).expect("indexes");
+        admit(&mgr, index("acct", &[1])).expect("indexes");
         let bad = Program::new()
             .then(deposit_stmt("b", 1))
             .then(Statement::query(RelExpr::scan("nosuch")));
@@ -956,7 +904,7 @@ mod tests {
     fn commits_maintain_indexes_as_catalog_objects() {
         let mgr = MvccManager::new(schema());
         mgr.execute(&deposit("a", 100));
-        mgr.create_index("acct", &[1]).expect("indexes");
+        admit(&mgr, index("acct", &[1])).expect("indexes");
         // commits after creation keep the index consistent
         mgr.execute(&deposit("a", 50));
         mgr.execute(&deposit("b", 7));
@@ -982,7 +930,7 @@ mod tests {
         // relation, reads must come from the live state, not the index
         let mgr = MvccManager::new(schema());
         mgr.execute(&deposit("a", 100));
-        mgr.create_index("acct", &[1]).expect("indexes");
+        admit(&mgr, index("acct", &[1])).expect("indexes");
         let program = Program::new()
             .then(deposit_stmt("a", 50))
             .then(Statement::query(

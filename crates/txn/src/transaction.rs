@@ -9,7 +9,8 @@
 //! The steps themselves live on [`Version`](crate::Version) (run the
 //! statements, fold the commit) and [`MvccManager`](crate::MvccManager)
 //! (validate, publish); this module holds what they report: the
-//! [`Outcome`] of a transaction and the typed [`AbortReason`].
+//! [`Outcome`] of a transaction and the typed [`AbortReason`], and the
+//! [`DdlError`] of a refused schema change.
 
 use std::fmt;
 
@@ -105,31 +106,36 @@ impl Outcome {
     }
 }
 
-/// Why [`Version::declare_key`](crate::Version::declare_key) refused a declaration.
+/// Why [`Version::admit`](crate::Version::admit) refused a schema change.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DeclareKeyError {
-    /// The declaration was rejected with a diagnostic: existing data
-    /// violates the key (`E0401`), the target is a view (`E0402`), or the
-    /// key is already declared (`E0403`).
-    Rejected(mera_analyze::Diagnostic),
-    /// The declaration is structurally invalid (unknown relation,
-    /// out-of-range or duplicate attributes).
+pub enum DdlError {
+    /// The change was rejected with diagnostics: a view definition that
+    /// refers to itself or may be undefined (`E0301`/`E0303`), or a key
+    /// that existing data violates (`E0401`), that targets a view
+    /// (`E0402`) or that is already declared (`E0403`).
+    Rejected(Vec<mera_analyze::Diagnostic>),
+    /// The change is structurally invalid (a taken name, an unknown
+    /// relation, out-of-range or duplicate attributes), or a view's first
+    /// evaluation failed.
     Error(CoreError),
 }
 
-impl fmt::Display for DeclareKeyError {
+impl fmt::Display for DdlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DeclareKeyError::Rejected(d) => write!(f, "key declaration rejected: {d}"),
-            DeclareKeyError::Error(e) => write!(f, "key declaration failed: {e}"),
+            DdlError::Rejected(diags) => match mera_analyze::first_error(diags) {
+                Some(d) => write!(f, "{d}"),
+                None => write!(f, "schema change rejected"),
+            },
+            DdlError::Error(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl std::error::Error for DeclareKeyError {}
+impl std::error::Error for DdlError {}
 
-impl From<CoreError> for DeclareKeyError {
+impl From<CoreError> for DdlError {
     fn from(e: CoreError) -> Self {
-        DeclareKeyError::Error(e)
+        DdlError::Error(e)
     }
 }

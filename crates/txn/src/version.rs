@@ -15,9 +15,10 @@
 //!   into the indexes and views (`D_{t+1} = D_t + Δ`: the one place the
 //!   transaction clock ticks) — for a live commit, a rebased one and a
 //!   WAL replay alike;
-//! * [`Version::add_relation`], [`Version::create_view`],
-//!   [`Version::create_index`] and [`Version::declare_key`] admit DDL
-//!   (`E0301`/`E0303`/`E0401`–`E0403`).
+//! * [`Version::admit`] admits a schema change, a [`Ddl`] value: a
+//!   relation, a view, an index or a key
+//!   (`E0301`/`E0303`/`E0401`–`E0403`), and [`Version::definitions`]
+//!   lists the ones that rebuild the derived catalog.
 //!
 //! The mutating steps take `&mut self` on an **owned** value. The MVCC
 //! manager calls them on a clone of the newest published version (a
@@ -48,8 +49,38 @@ use crate::exec::{
     analyze_program_with_views, eval_expr, execute_program, ExecConfig, Outputs, WorkingState,
 };
 use crate::statement::Program;
-use crate::transaction::{key_violation_diagnostic, AbortReason, DeclareKeyError};
-use crate::views::{CreateViewError, DeltaMap, ViewSet};
+use crate::transaction::{key_violation_diagnostic, AbortReason, DdlError};
+use crate::views::{DeltaMap, ViewSet};
+
+/// One schema change: the paper's database schema moves with the instance
+/// along the same logical-time axis, and [`Version::admit`] is the only
+/// step that moves it. Attribute lists are 1-based.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Ddl {
+    /// A fresh empty relation (`relation r (…)`, `CREATE TABLE`).
+    Relation(RelationSchema),
+    /// A materialized view of `expr`, maintained at every commit.
+    View {
+        /// The view's name.
+        name: String,
+        /// Its definition over the relations and earlier views.
+        expr: RelExpr,
+    },
+    /// A secondary index on `attrs` of `relation`.
+    Index {
+        /// The indexed relation.
+        relation: String,
+        /// The indexed attributes.
+        attrs: Vec<usize>,
+    },
+    /// A candidate key `attrs` of `relation`, enforced at every commit.
+    Key {
+        /// The keyed relation.
+        relation: String,
+        /// The key's attributes.
+        attrs: Vec<usize>,
+    },
+}
 
 /// One committed state: the paper's `D_t` plus the derived catalog
 /// objects that describe it. Readers pin a published version with an
@@ -242,49 +273,61 @@ impl Version {
             .map_err(AbortReason::Error)
     }
 
-    /// Adds a fresh empty relation (the `relation r (…)` / `CREATE TABLE`
-    /// path). Fails if the name is taken.
-    pub fn add_relation(&mut self, rs: RelationSchema) -> CoreResult<()> {
-        self.stats.take();
-        Arc::make_mut(&mut self.db).add_relation(rs)
+    /// Admits one schema change into this state, in place — the only way
+    /// a schema changes. Each kind has its own checks, and a refusal
+    /// carries its diagnostics:
+    ///
+    /// * [`Ddl::Relation`] adds a fresh empty relation; a name taken by a
+    ///   relation or a view fails.
+    /// * [`Ddl::View`] validates the definition (`E0301`/`E0303` and
+    ///   ordinary schema errors reject it), evaluates it once, and from
+    ///   then on every [`Version::apply`] maintains it incrementally.
+    /// * [`Ddl::Index`] builds a secondary index on the 1-based attributes.
+    ///   Every commit folds its deltas in (O(|delta|)), the cost model
+    ///   weighs it as an access path, and the physical engine runs point
+    ///   lookups and hinted equi-joins through it. An index on the same
+    ///   attribute set is kept, and the result is `false`.
+    /// * [`Ddl::Key`] declares the attributes a candidate key. It is
+    ///   refused when existing data violates it (`E0401`), when the
+    ///   target is a view (`E0402` — a view's multiplicities follow from
+    ///   its definition), or when it is already declared (`E0403`). An
+    ///   accepted key brings the index on its attributes unless one
+    ///   exists, as `PRIMARY KEY` does. From then on every commit checks
+    ///   its net deltas against that index's buckets and aborts violators,
+    ///   and the optimizer grounds property inference in the key.
+    ///
+    /// `Ok(true)` means the state changed. On `Err` the version may be
+    /// partly changed and must be dropped, as after [`Version::apply`].
+    pub fn admit(&mut self, ddl: &Ddl, config: ExecConfig) -> Result<bool, DdlError> {
+        match ddl {
+            Ddl::Relation(rs) => {
+                // a view's name is taken too, as a view checks a relation's
+                if self.views.contains(&rs.name) {
+                    return Err(CoreError::DuplicateRelation(rs.name.clone()).into());
+                }
+                self.stats.take();
+                Arc::make_mut(&mut self.db).add_relation(rs.clone())?;
+                Ok(true)
+            }
+            Ddl::View { name, expr } => {
+                self.views.create(name, expr.clone(), &self.db, config)?;
+                Ok(true)
+            }
+            Ddl::Index { relation, attrs } => {
+                self.stats.take();
+                Ok(Arc::make_mut(&mut self.indexes).create(&self.db, relation, attrs)?)
+            }
+            Ddl::Key { relation, attrs } => {
+                self.declare_key(relation, attrs)?;
+                Ok(true)
+            }
+        }
     }
 
-    /// Creates a materialized view over this state: the definition is
-    /// validated (`E0301`/`E0303` and ordinary schema errors reject it),
-    /// evaluated once, and incrementally maintained by every subsequent
-    /// [`Version::apply`].
-    pub fn create_view(
-        &mut self,
-        name: &str,
-        expr: RelExpr,
-        config: ExecConfig,
-    ) -> Result<SchemaRef, CreateViewError> {
-        self.views.create(name, expr, &self.db, config)
-    }
-
-    /// Creates a secondary index on the 1-based `keys` of `relation` over
-    /// this state. The index is a catalog object from then on: every
-    /// commit folds its signed deltas in (O(|delta|)), the cost model
-    /// weighs it as an access path, and the physical engine executes
-    /// point lookups and hinted equi-joins through it. True when the
-    /// index is new; an index on the same attribute set is kept.
-    pub fn create_index(&mut self, relation: &str, keys: &[usize]) -> CoreResult<bool> {
-        self.stats.take();
-        Arc::make_mut(&mut self.indexes).create(&self.db, relation, keys)
-    }
-
-    /// Declares the 1-based `attrs` as a candidate key of `relation` over
-    /// this state. Rejections carry a diagnostic: existing data violating
-    /// the key (`E0401`), a key on a view (`E0402` — views are derived,
-    /// their multiplicities follow from the definition), or a duplicate
-    /// declaration (`E0403`). An accepted key brings the index on `attrs`
-    /// unless one exists, as `PRIMARY KEY` does: from then on every commit
-    /// checks its net deltas against that index's buckets in O(|delta|)
-    /// and aborts violators, and the optimizer grounds property inference
-    /// in the key.
-    pub fn declare_key(&mut self, relation: &str, attrs: &[usize]) -> Result<(), DeclareKeyError> {
+    fn declare_key(&mut self, relation: &str, attrs: &[usize]) -> Result<(), DdlError> {
+        let refused = |d| Err(DdlError::Rejected(vec![d]));
         if self.views.contains(relation) {
-            return Err(DeclareKeyError::Rejected(
+            return refused(
                 mera_analyze::Diagnostic::new(
                     mera_analyze::Code::KeyOnView,
                     mera_analyze::Span::root("key"),
@@ -294,22 +337,37 @@ impl Version {
                     "a view's multiplicities are determined by its definition; \
                      declare the key on the base relations instead",
                 ),
-            ));
+            );
         }
         if self.keys.is_declared(relation, attrs) {
             let attrs: Vec<String> = attrs.iter().map(|a| format!("%{a}")).collect();
-            return Err(DeclareKeyError::Rejected(mera_analyze::Diagnostic::new(
+            return refused(mera_analyze::Diagnostic::new(
                 mera_analyze::Code::DuplicateKeyDeclaration,
                 mera_analyze::Span::root("key"),
                 format!("key {relation}({}) is already declared", attrs.join(",")),
-            )));
+            ));
         }
         self.stats.take();
         let indexes = Arc::make_mut(&mut self.indexes);
         match Arc::make_mut(&mut self.keys).declare(&self.db, indexes, relation, attrs)? {
             Ok(()) => Ok(()),
-            Err(v) => Err(DeclareKeyError::Rejected(key_violation_diagnostic(&v))),
+            Err(v) => refused(key_violation_diagnostic(&v)),
         }
+    }
+
+    /// The schema changes that rebuild this version's views, indexes and
+    /// keys over its relations, in an order [`Version::admit`] accepts:
+    /// views in creation order, then indexes, then keys.
+    pub fn definitions(&self) -> Vec<Ddl> {
+        let views = self.views.iter().map(|v| Ddl::View {
+            name: v.name().to_owned(),
+            expr: v.expr().clone(),
+        });
+        let indexes = (self.indexes.definitions().into_iter())
+            .map(|(relation, attrs)| Ddl::Index { relation, attrs });
+        let keys = (self.keys.definitions().into_iter())
+            .map(|(relation, attrs)| Ddl::Key { relation, attrs });
+        views.chain(indexes).chain(keys).collect()
     }
 }
 

@@ -51,43 +51,13 @@ use mera_expr::{Aggregate, ScalarExpr};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::exec::ExecConfig;
+use crate::transaction::DdlError;
 
 /// A signed delta over tuples — the unit of view maintenance.
 pub type TupleDelta = SignedBag<Tuple>;
 
 /// Per-relation deltas of one commit, keyed by relation (or view) name.
 pub type DeltaMap = BTreeMap<String, TupleDelta>;
-
-/// Why a `CREATE MATERIALIZED VIEW` was refused.
-#[derive(Debug, Clone)]
-pub enum CreateViewError {
-    /// Static validation failed (self-reference, schema errors, partial
-    /// definition); carries every diagnostic.
-    Rejected(Vec<mera_analyze::Diagnostic>),
-    /// The initial evaluation of the definition failed.
-    Error(CoreError),
-}
-
-impl std::fmt::Display for CreateViewError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CreateViewError::Rejected(diags) => {
-                let first = mera_analyze::first_error(diags)
-                    .expect("a rejection carries at least one error");
-                write!(f, "view definition rejected: {first}")
-            }
-            CreateViewError::Error(e) => write!(f, "view creation failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CreateViewError {}
-
-impl From<CoreError> for CreateViewError {
-    fn from(e: CoreError) -> Self {
-        CreateViewError::Error(e)
-    }
-}
 
 /// One materialized view: definition, maintenance plan and current data.
 #[derive(Debug, Clone)]
@@ -184,9 +154,9 @@ impl ViewSet {
         expr: RelExpr,
         db: &Database,
         config: ExecConfig,
-    ) -> Result<SchemaRef, CreateViewError> {
+    ) -> Result<(), DdlError> {
         if self.contains(name) || db.schema().contains(name) {
-            return Err(CreateViewError::Error(CoreError::DuplicateRelation(
+            return Err(DdlError::Error(CoreError::DuplicateRelation(
                 name.to_owned(),
             )));
         }
@@ -196,7 +166,7 @@ impl ViewSet {
         };
         let analysis = mera_analyze::analyze_view_def(name, &expr, &Schemas(&provider));
         if !analysis.is_accepted() {
-            return Err(CreateViewError::Rejected(analysis.diagnostics));
+            return Err(DdlError::Rejected(analysis.diagnostics));
         }
         let schema = analysis
             .schema
@@ -206,14 +176,14 @@ impl ViewSet {
         self.views.push(View {
             name: name.to_owned(),
             expr,
-            schema: Arc::clone(&schema),
+            schema,
             deps: analysis.deps,
             plan,
             data: Arc::new(data),
             refreshes: 0,
             fallbacks: 0,
         });
-        Ok(schema)
+        Ok(())
     }
 
     /// Refreshes every view after a commit. `deltas` holds the signed
@@ -673,6 +643,7 @@ mod tests {
     use crate::mvcc::MvccManager;
     use crate::statement::Program;
     use crate::statement::Statement;
+    use crate::version::Ddl;
     use mera_core::tuple;
 
     fn schema() -> DatabaseSchema {
@@ -721,7 +692,12 @@ mod tests {
     }
 
     fn create(mgr: &MvccManager, name: &str, expr: RelExpr) {
-        mgr.create_view(name, expr).expect("view accepted");
+        try_create(mgr, name, expr).expect("view accepted");
+    }
+
+    fn try_create(mgr: &MvccManager, name: &str, expr: RelExpr) -> Result<bool, DdlError> {
+        let name = name.to_owned();
+        mgr.ddl(&Ddl::View { name, expr }, || Ok(()))
     }
 
     fn commit(mgr: &MvccManager, program: Program) {
@@ -944,14 +920,13 @@ mod tests {
         let mgr = MvccManager::new(schema());
         // duplicate of a base relation name
         assert!(matches!(
-            mgr.create_view("r", RelExpr::scan("s")),
-            Err(CreateViewError::Error(CoreError::DuplicateRelation(_)))
+            try_create(&mgr, "r", RelExpr::scan("s")),
+            Err(DdlError::Error(CoreError::DuplicateRelation(_)))
         ));
         // partial aggregate over possibly-empty input: E0303
-        let err = mgr
-            .create_view("avg", RelExpr::scan("r").group_by(&[], Aggregate::Avg, 2))
-            .unwrap_err();
-        let CreateViewError::Rejected(diags) = err else {
+        let avg = RelExpr::scan("r").group_by(&[], Aggregate::Avg, 2);
+        let err = try_create(&mgr, "avg", avg).unwrap_err();
+        let DdlError::Rejected(diags) = err else {
             panic!("expected rejection");
         };
         assert!(diags

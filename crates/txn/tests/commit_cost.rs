@@ -24,7 +24,7 @@ use std::sync::{Mutex, OnceLock};
 use mera_core::counting_alloc::{allocation_count, live_bytes, CountingAlloc};
 use mera_core::prelude::*;
 use mera_expr::{RelExpr, ScalarExpr};
-use mera_txn::{MvccManager, Program, Statement};
+use mera_txn::{Ddl, DdlError, MvccManager, Program, Statement};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -52,14 +52,18 @@ fn loaded(rows: i64) -> MvccManager {
             .with("account", account())
             .expect("fresh"),
     );
-    mgr.declare_key("account", &[1]).expect("declares");
+    let (relation, attrs) = ("account".to_owned(), vec![1]);
+    let key = Ddl::Key { relation, attrs };
+    mgr.ddl(&key, || Ok::<(), DdlError>(())).expect("declares");
     for start in (0..rows).step_by(2_000) {
         let batch = (start..rows.min(start + 2_000)).map(|id| tuple![id, id % 10, 100_i64]);
         let rel = relation_of(account(), batch.collect()).expect("typed");
         let load = Program::single(Statement::insert("account", RelExpr::values(rel)));
         assert!(mgr.execute(&load).0.is_committed());
     }
-    mgr.create_index("account", &[1]).expect("indexes");
+    let (relation, attrs) = ("account".to_owned(), vec![1]);
+    let index = Ddl::Index { relation, attrs };
+    mgr.ddl(&index, || Ok::<(), DdlError>(())).expect("indexes");
     mgr
 }
 

@@ -26,7 +26,7 @@ use mera_eval::provider::RelationProvider;
 use mera_eval::{Engine, EngineKind, IndexSet};
 use mera_expr::rel::ext_project_schema;
 use mera_expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
-use mera_txn::{ExecConfig, Program, Statement, Version};
+use mera_txn::{Ddl, ExecConfig, Program, Statement, Version};
 use proptest::prelude::*;
 
 fn base_schema() -> DatabaseSchema {
@@ -238,7 +238,11 @@ fn initial(r: &[(i64, i64, u64)], s: &[(i64, i64, u64)]) -> Version {
         db.replace(relation, rel).expect("declared relation");
     }
     let mut version = Version::new(db).expect("analyzes");
-    version.create_index("r", &[1]).expect("indexes r");
+    let (relation, attrs) = ("r".to_owned(), vec![1]);
+    let index = Ddl::Index { relation, attrs };
+    version
+        .admit(&index, ExecConfig::default())
+        .expect("indexes r");
     version
 }
 

@@ -22,7 +22,7 @@ use mera_core::prelude::*;
 use mera_core::relation::relation_of;
 use mera_core::tuple;
 use mera_expr::{Aggregate, RelExpr, ScalarExpr};
-use mera_txn::{AbortReason, MvccManager, Outcome, Program, Statement};
+use mera_txn::{AbortReason, Ddl, DdlError, MvccManager, Outcome, Program, Statement};
 
 const ACCOUNTS: i64 = 12;
 const SEED: i64 = 100;
@@ -79,7 +79,10 @@ fn concurrent_transfers_conserve_money_under_snapshot_reads() {
         .with("acct", acct_schema())
         .expect("fresh");
     let mgr = Arc::new(MvccManager::new(schema));
-    mgr.declare_key("acct", &[1]).expect("key declares");
+    let (relation, attrs) = ("acct".to_owned(), vec![1]);
+    let key = Ddl::Key { relation, attrs };
+    mgr.ddl(&key, || Ok::<(), DdlError>(()))
+        .expect("key declares");
     let rows: Vec<Tuple> = (0..ACCOUNTS).map(|id| tuple![id, SEED]).collect();
     let seed = relation_of(acct_schema(), rows).expect("typed");
     let (outcome, _) = mgr.execute(&Program::single(Statement::insert(

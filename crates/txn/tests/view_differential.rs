@@ -17,7 +17,9 @@ use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
-use mera_txn::{EngineKind, ExecConfig, ExecOptions, MvccManager, Outcome, Program, Statement};
+use mera_txn::{
+    Ddl, DdlError, EngineKind, ExecConfig, ExecOptions, MvccManager, Outcome, Program, Statement,
+};
 use proptest::prelude::*;
 
 fn base_schema() -> DatabaseSchema {
@@ -183,7 +185,8 @@ proptest! {
                     ..Default::default()
                 };
                 let mgr = MvccManager::with_config(base_schema(), config);
-                mgr.create_view("v", expr.clone())
+                let view = Ddl::View { name: "v".to_owned(), expr: expr.clone() };
+                mgr.ddl(&view, || Ok::<(), DdlError>(()))
                     .unwrap_or_else(|e| panic!("generated views are total: {e}\nplan: {expr}"));
                 for op in &ops {
                     apply(&mgr, op);

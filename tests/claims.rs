@@ -30,7 +30,7 @@ use mera::expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
 use mera::opt::cost::estimate_cost;
 use mera::opt::{choose_access_paths, estimate_rows, CatalogStats, Optimizer};
 use mera::store::{ConcurrentDb, FsyncPolicy, MemStorage, Storage, StoreOptions, StoreResult};
-use mera::txn::{ExecConfig, MvccManager, Program, Statement};
+use mera::txn::{Ddl, DdlError, ExecConfig, MvccManager, Program, Statement};
 use mera_server::{serve, Client, ServerOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -580,7 +580,8 @@ fn view_refresh_equals_recompute_without_fallbacks() {
             ))
             .then(Statement::insert("orders", orders_of(&live))),
     );
-    mgr.create_view("region_totals", view.clone())
+    let (name, expr) = ("region_totals".to_owned(), view.clone());
+    mgr.ddl(&Ddl::View { name, expr }, || Ok::<(), DdlError>(()))
         .expect("view accepted");
 
     let mut r = rng(43);
@@ -875,15 +876,13 @@ fn group_commit_batches_syncs_and_loses_nothing() {
     let db = ConcurrentDb::open(
         SlowSync(storage.clone()),
         DatabaseSchema::new(),
-        options(FsyncPolicy::EveryN(4)),
+        options(FsyncPolicy::Group),
     );
     let db = Arc::new(db.expect("opens"));
-    db.add_relation(RelationSchema::new(
-        "hits",
-        Schema::named(&[("client", Int), ("n", Int)]),
-    ))
-    .expect("declares");
-    db.declare_key("hits", &[1, 2]).expect("key declares");
+    let hits = RelationSchema::new("hits", Schema::named(&[("client", Int), ("n", Int)]));
+    db.ddl(Ddl::Relation(hits)).expect("declares");
+    let (relation, attrs) = ("hits".to_owned(), vec![1, 2]);
+    db.ddl(Ddl::Key { relation, attrs }).expect("key declares");
     let server = serve(Arc::clone(&db), "127.0.0.1:0", ServerOptions::default()).expect("binds");
     let addr = server.local_addr();
     let syncs_before = storage.sync_count();

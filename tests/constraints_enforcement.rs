@@ -10,7 +10,7 @@ use mera::analyze::Code;
 use mera::core::prelude::*;
 use mera::lang::{parse_program, Lowerer};
 use mera::store::{ConcurrentDb, MemStorage, StoreError, StoreOptions};
-use mera::txn::{AbortReason, Outcome, Program};
+use mera::txn::{AbortReason, Ddl, Outcome, Program};
 
 type Db = ConcurrentDb<MemStorage>;
 
@@ -129,11 +129,17 @@ fn key_abort(db: &Db, a: i64, b: &str) -> String {
     diag.message
 }
 
+/// Declares `key r (attrs)`.
+fn declare_key(db: &Db, attrs: &[usize]) -> Result<bool, StoreError> {
+    let (relation, attrs) = ("r".to_owned(), attrs.to_vec());
+    db.ddl(Ddl::Key { relation, attrs })
+}
+
 #[test]
 fn a_key_brings_its_index() {
     let db = two_rows();
     assert!(db.pin().indexes().is_empty());
-    db.declare_key("r", &[1]).expect("declares");
+    declare_key(&db, &[1]).expect("declares");
     assert!(db.pin().indexes().find("r", &[1]).is_some());
 }
 
@@ -141,7 +147,7 @@ fn a_key_brings_its_index() {
 fn a_key_reuses_an_index_on_its_attributes() {
     let db = two_rows();
     db.create_index("r", &[1]).expect("indexes");
-    db.declare_key("r", &[1]).expect("declares");
+    declare_key(&db, &[1]).expect("declares");
     assert_eq!(db.pin().indexes().len(), 1);
 }
 
@@ -149,7 +155,7 @@ fn a_key_reuses_an_index_on_its_attributes() {
 fn a_key_over_a_reordered_index_reports_sorted_points() {
     let db = two_rows();
     db.create_index("r", &[2, 1]).expect("indexes");
-    db.declare_key("r", &[1, 2]).expect("declares");
+    declare_key(&db, &[1, 2]).expect("declares");
     assert_eq!(db.pin().indexes().len(), 1);
     let msg = key_abort(&db, 2, "x");
     assert!(
@@ -161,7 +167,7 @@ fn a_key_over_a_reordered_index_reports_sorted_points() {
 #[test]
 fn an_index_created_after_the_key_keeps_enforcement() {
     let db = two_rows();
-    db.declare_key("r", &[1]).expect("declares");
+    declare_key(&db, &[1]).expect("declares");
     db.create_index("r", &[1]).expect("indexes");
     assert_eq!(db.pin().indexes().len(), 1);
     let msg = key_abort(&db, 1, "y");
@@ -173,9 +179,9 @@ fn a_refused_key_leaves_the_indexes_alone() {
     let db = two_rows();
     db.create_index("r", &[1]).expect("indexes");
     let before = db.pin().indexes().definitions();
-    let err = db.declare_key("r", &[2]).expect_err("'x' occurs twice");
+    let err = declare_key(&db, &[2]).expect_err("'x' occurs twice");
     assert!(
-        matches!(&err, StoreError::KeyRefused(d) if d.code == Code::KeyViolation),
+        matches!(&err, StoreError::Refused(d) if d[0].code == Code::KeyViolation),
         "{err}"
     );
     assert!(!db.pin().keys().is_declared("r", &[2]));

@@ -12,7 +12,7 @@
 use mera::analyze::render;
 use mera::core::prelude::*;
 use mera::expr::{Aggregate, RelExpr, ScalarExpr};
-use mera::txn::{Program, Statement};
+use mera::txn::{Ddl, DdlError, MvccManager, Program, Statement};
 
 fn beer_db() -> Database {
     Database::new(mera::beer_schema())
@@ -50,8 +50,19 @@ fn check_rendered(name: &str, golden: &str, actual: &str) {
     );
 }
 
+/// Admits `ddl` with no durability hook.
+fn admit(mgr: &MvccManager, ddl: Ddl) -> Result<bool, DdlError> {
+    mgr.ddl(&ddl, || Ok(()))
+}
+
+/// `key relation(%1)`.
+fn key(relation: &str) -> Ddl {
+    let (relation, attrs) = (relation.to_owned(), vec![1]);
+    Ddl::Key { relation, attrs }
+}
+
 /// A manager over the beer schema with `key beer(name)` declared.
-fn keyed_beer_manager() -> mera::txn::MvccManager {
+fn keyed_beer_manager() -> MvccManager {
     let mgr = mera::txn::MvccManager::new(mera::beer_schema());
     let p = Program::single(Statement::insert(
         "beer",
@@ -69,7 +80,7 @@ fn keyed_beer_manager() -> mera::txn::MvccManager {
     ));
     let (outcome, _) = mgr.execute(&p);
     assert!(outcome.is_committed());
-    mgr.declare_key("beer", &[1]).expect("key declares");
+    admit(&mgr, key("beer")).expect("key declares");
     mgr
 }
 
@@ -108,21 +119,19 @@ fn key_on_view_is_rejected() {
     // keys constrain base relations; a materialized view's contents are
     // derived, so declaring a key on one is refused with E0402
     let mgr = keyed_beer_manager();
-    mgr.create_view(
-        "strong",
-        RelExpr::scan("beer").select(ScalarExpr::bool(true)),
-    )
-    .expect("view defines");
-    let err = mgr
-        .declare_key("strong", &[1])
-        .expect_err("key on a view must be rejected");
-    let mera::txn::DeclareKeyError::Rejected(diag) = err else {
+    let strong = Ddl::View {
+        name: "strong".to_owned(),
+        expr: RelExpr::scan("beer").select(ScalarExpr::bool(true)),
+    };
+    admit(&mgr, strong).expect("view defines");
+    let err = admit(&mgr, key("strong")).expect_err("key on a view must be rejected");
+    let DdlError::Rejected(diags) = err else {
         panic!("expected a diagnostic rejection, got {err:?}");
     };
     check_rendered(
         "key_on_view",
         include_str!("golden/key_on_view.txt"),
-        &render(&[diag]),
+        &render(&diags),
     );
 }
 
@@ -130,16 +139,14 @@ fn key_on_view_is_rejected() {
 fn duplicate_key_declaration_is_rejected() {
     // the same attribute set declared twice: E0403 names the extant key
     let mgr = keyed_beer_manager();
-    let err = mgr
-        .declare_key("beer", &[1])
-        .expect_err("re-declaration must be rejected");
-    let mera::txn::DeclareKeyError::Rejected(diag) = err else {
+    let err = admit(&mgr, key("beer")).expect_err("re-declaration must be rejected");
+    let DdlError::Rejected(diags) = err else {
         panic!("expected a diagnostic rejection, got {err:?}");
     };
     check_rendered(
         "duplicate_key_declaration",
         include_str!("golden/duplicate_key_declaration.txt"),
-        &render(&[diag]),
+        &render(&diags),
     );
 }
 

@@ -8,13 +8,15 @@
 //! durable door used to admit duplicate keys and keys on views, and the
 //! serial owners used to tick logical time on an abort.
 
+use mera::analyze::Code;
 use mera::core::prelude::*;
 use mera::core::tuple;
+use mera::expr::{Aggregate, RelExpr};
 use mera::lang::RunResult::{Aborted, Committed};
 use mera::store::{
     wal, ConcurrentDb, MemStorage, Storage, StoreError, StoreOptions, WalRecord, WAL_FILE,
 };
-use mera::txn::DeltaMap;
+use mera::txn::{Ddl, DeltaMap};
 
 type Db = ConcurrentDb<MemStorage>;
 
@@ -45,34 +47,114 @@ const SETUP_SQL: [&str; 4] = [
     "CREATE MATERIALIZED VIEW v AS SELECT DISTINCT a, b FROM r",
 ];
 
-/// The three refusals: what is declared, and the code that refuses it.
-const REFUSALS: [(&str, &str); 3] = [("r", "E0403"), ("v", "E0402"), ("dup", "E0401")];
+/// One refused schema change of each kind, as a [`Ddl`] value and as the
+/// XRA and SQL text that spell it where the language has a spelling.
+struct Refusal {
+    ddl: Ddl,
+    xra: Option<&'static str>,
+    sql: Option<&'static str>,
+    /// Whether an error is the typed refusal this change must get.
+    refused: fn(&StoreError) -> bool,
+}
+
+fn diagnosed(err: &StoreError, code: Code) -> bool {
+    matches!(err, StoreError::Refused(diags) if diags.iter().any(|d| d.code == code))
+}
+
+fn refusals() -> Vec<Refusal> {
+    let two_ints = Schema::named(&[("a", DataType::Int), ("b", DataType::Int)]);
+    let key = |relation: &str| Ddl::Key {
+        relation: relation.to_owned(),
+        attrs: vec![1],
+    };
+    vec![
+        Refusal {
+            ddl: Ddl::Relation(RelationSchema::new("r", two_ints)),
+            xra: Some("relation r (a: int, b: int);"),
+            sql: Some("CREATE TABLE r (a INT, b INT)"),
+            refused: |e| matches!(e, StoreError::Core(CoreError::DuplicateRelation(r)) if r == "r"),
+        },
+        Refusal {
+            ddl: Ddl::Relation(RelationSchema::new("v", Schema::anon(&[DataType::Int]))),
+            xra: Some("relation v (a: int);"),
+            sql: Some("CREATE TABLE v (a INT)"),
+            refused: |e| matches!(e, StoreError::Core(CoreError::DuplicateRelation(v)) if v == "v"),
+        },
+        Refusal {
+            ddl: Ddl::View {
+                name: "avg".to_owned(),
+                expr: RelExpr::scan("r").group_by(&[], Aggregate::Avg, 2),
+            },
+            xra: Some("view avg = groupby[(), AVG, %2](r);"),
+            sql: Some("CREATE MATERIALIZED VIEW avg AS SELECT AVG(b) FROM r"),
+            refused: |e| diagnosed(e, Code::PartialView),
+        },
+        Refusal {
+            ddl: Ddl::Index {
+                relation: "r".to_owned(),
+                attrs: vec![9],
+            },
+            xra: None,
+            sql: None,
+            refused: |e| matches!(e, StoreError::Core(CoreError::AttrIndexOutOfRange { .. })),
+        },
+        Refusal {
+            ddl: key("r"),
+            xra: Some("key r (%1);"),
+            sql: None,
+            refused: |e| diagnosed(e, Code::DuplicateKeyDeclaration),
+        },
+        Refusal {
+            ddl: key("v"),
+            xra: Some("key v (%1);"),
+            sql: None,
+            refused: |e| diagnosed(e, Code::KeyOnView),
+        },
+        Refusal {
+            ddl: key("dup"),
+            xra: Some("key dup (%1);"),
+            sql: None,
+            refused: |e| diagnosed(e, Code::KeyViolation),
+        },
+    ]
+}
 
 #[test]
-fn key_admission_is_the_same_through_every_door() {
+fn a_refused_schema_change_leaves_no_trace_through_every_door() {
     let storage = MemStorage::new();
     let db = open(&storage);
     for sql in SETUP_SQL {
         db.run_sql(sql).expect("setup");
     }
 
-    // a refusal changes nothing, so the API and XRA entries can take
-    // turns on the same state
-    for (relation, rendered) in REFUSALS {
-        let before = db.pin();
-        let units = storage.units_written();
-        let err = db.declare_key(relation, &[1]).expect_err("API refuses");
-        assert!(err.to_string().contains(rendered), "API: {err}");
-        let err = db
-            .run_script(&format!("key {relation} (%1);"))
-            .expect_err("XRA refuses");
-        assert!(err.to_string().contains(rendered), "XRA: {err}");
-        assert_eq!(db.pin().seq(), before.seq(), "a refusal publishes nothing");
-        assert_eq!(
-            storage.units_written(),
-            units,
-            "a refused `key {relation}` leaves no durable trace"
-        );
+    // a refusal changes nothing, so the doors can take turns on the
+    // same state
+    for Refusal {
+        ddl,
+        xra,
+        sql,
+        refused,
+    } in refusals()
+    {
+        let check = |door: &str, attempt: &dyn Fn() -> Result<(), StoreError>| {
+            let before = db.pin();
+            let units = storage.units_written();
+            let err = attempt().expect_err("refused");
+            assert!(refused(&err), "{door}, {ddl:?}: {err:?}");
+            assert_eq!(db.pin().seq(), before.seq(), "a refusal publishes nothing");
+            assert_eq!(
+                storage.units_written(),
+                units,
+                "{door}: a refused {ddl:?} leaves no durable trace"
+            );
+        };
+        check("API", &|| db.ddl(ddl.clone()).map(drop));
+        if let Some(text) = xra {
+            check("XRA", &|| db.run_script(text).map(drop));
+        }
+        if let Some(text) = sql {
+            check("SQL", &|| db.run_sql(text).map(drop));
+        }
     }
 
     // SQL declares keys only inside CREATE TABLE — on a fresh, empty base
@@ -80,7 +162,10 @@ fn key_admission_is_the_same_through_every_door() {
     // column set spelled twice in different orders reaches admission twice.
     let twice = "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b), UNIQUE (b, a))";
     let err = db.run_sql(twice).expect_err("SQL refuses");
-    assert!(err.to_string().contains("E0403"), "SQL: {err}");
+    assert!(
+        diagnosed(&err, Code::DuplicateKeyDeclaration),
+        "SQL: {err:?}"
+    );
     let keys_of_t = |definitions: Vec<(String, Vec<usize>)>| {
         let on_t = definitions.into_iter().filter(|(r, _)| r == "t");
         on_t.map(|(_, attrs)| attrs).collect::<Vec<_>>()
