@@ -12,6 +12,12 @@
 //! AVG, MIN and MAX are *partial* functions: applying them to an empty
 //! multi-set is an error ([`CoreError::AggregateOnEmpty`]), exactly as the
 //! paper notes. CNT and SUM of an empty bag are 0.
+//!
+//! [`Acc`] is an aggregate's running state over a *signed* stream of
+//! values: an exact count and sum where the aggregate is invertible over
+//! ℤ (CNT, and SUM/AVG over Int and Money), the value bag otherwise. A
+//! maintained γ group keeps one, and [`Aggregate::compute`] folds through
+//! the same exact path.
 
 use std::fmt;
 
@@ -132,29 +138,29 @@ impl Aggregate {
     /// the aggregated attribute; it types SUM's neutral element so that
     /// `SUM` of an empty bag is the *zero of the attribute's domain*
     /// (`0`, `0.0` or `0.00`), keeping results schema-correct.
+    ///
+    /// CNT, and SUM/AVG over Int and Money, fold the pairs into an
+    /// [`Acc`] and finish it, so a one-shot aggregate and a maintained
+    /// one share a single exact summing path.
     pub fn compute<'a, I>(self, input_type: DataType, values: I) -> CoreResult<Value>
     where
         I: IntoIterator<Item = (&'a Value, u64)>,
     {
         match self {
-            Aggregate::Cnt => {
-                let mut n: u64 = 0;
-                for (_, m) in values {
-                    n = n.checked_add(m).ok_or(CoreError::Overflow("CNT"))?;
+            Aggregate::Cnt | Aggregate::Sum | Aggregate::Avg => {
+                match Acc::new(self, input_type).0 {
+                    State::Exact(mut exact) => {
+                        for (v, m) in values {
+                            exact.fold(v, i128::from(m))?;
+                        }
+                        exact.finish(self)
+                    }
+                    // SUM/AVG over Real (or a non-numeric domain, an error)
+                    State::Values(_) => {
+                        let (sum, count) = real_sum(input_type, values)?;
+                        sum_or_avg(self, sum, i128::from(count))
+                    }
                 }
-                let n = i64::try_from(n).map_err(|_| CoreError::Overflow("CNT"))?;
-                Ok(Value::Int(n))
-            }
-            Aggregate::Sum => compute_sum(input_type, values).map(|(sum, _)| sum),
-            Aggregate::Avg => {
-                let (sum, count) = compute_sum(input_type, values)?;
-                if count == 0 {
-                    return Err(CoreError::AggregateOnEmpty("AVG"));
-                }
-                let avg = sum.as_f64()? / count as f64;
-                Ok(Value::Real(
-                    Real::new(avg).map_err(|_| CoreError::Overflow("AVG produced NaN"))?,
-                ))
             }
             Aggregate::Min | Aggregate::Max => {
                 let mut best: Option<&Value> = None;
@@ -220,6 +226,151 @@ impl Aggregate {
             }
         }
     }
+}
+
+/// The running state of one aggregate over a signed stream of
+/// `(value, m)` pairs, keyed by `(Aggregate, input type)` at
+/// [`Acc::new`]. It is what a maintained γ group keeps between commits.
+///
+/// Over ℤ, CNT, and SUM/AVG over Int and Money, are invertible: a signed
+/// delta changes them by its own terms, so their state is an exact count
+/// and an exact `i128` sum, and an update is O(1). Every other case keeps
+/// the group's signed value bag and recomputes from it at
+/// [`Acc::finish`]: MIN/MAX (not invertible under deletion), STDDEV,
+/// MEDIAN, and SUM/AVG over Real (rounded once from all terms).
+#[derive(Debug, Clone)]
+pub struct Acc(State);
+
+#[derive(Debug, Clone)]
+enum State {
+    Exact(Exact),
+    Values(SignedBag<Value>),
+}
+
+/// `Σ m` and, for SUM/AVG, the exact `Σ v·m` in the domain's units.
+#[derive(Debug, Clone, Copy)]
+struct Exact {
+    unit: Unit,
+    count: i128,
+    sum: i128,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Unit {
+    /// CNT: the values are not read.
+    Count,
+    Int,
+    /// Minor units.
+    Money,
+}
+
+impl Acc {
+    /// The state of `agg` over the empty bag of `input_type` values.
+    pub fn new(agg: Aggregate, input_type: DataType) -> Acc {
+        let unit = match (agg, input_type) {
+            (Aggregate::Cnt, _) => Unit::Count,
+            (Aggregate::Sum | Aggregate::Avg, DataType::Int) => Unit::Int,
+            (Aggregate::Sum | Aggregate::Avg, DataType::Money) => Unit::Money,
+            _ => return Acc(State::Values(SignedBag::new())),
+        };
+        Acc(State::Exact(Exact {
+            unit,
+            count: 0,
+            sum: 0,
+        }))
+    }
+
+    /// Adds `m` copies of `v` (a retraction when `m < 0`). A value count
+    /// may go below zero here; [`Acc::finish`] refuses such a state.
+    pub fn update(&mut self, v: &Value, m: i64) -> CoreResult<()> {
+        match &mut self.0 {
+            State::Exact(exact) => exact.fold(v, i128::from(m)),
+            State::Values(bag) => bag.insert(v.clone(), m),
+        }
+    }
+
+    /// True when the bag the state stands for is empty (count 0).
+    pub fn is_empty(&self) -> bool {
+        match &self.0 {
+            State::Exact(exact) => exact.count == 0,
+            State::Values(bag) => bag.is_empty(),
+        }
+    }
+
+    /// The aggregate's value, `agg` and `input_type` being the ones the
+    /// state was made with. Equal to [`Aggregate::compute`] over the bag
+    /// the updates add up to; a negative count is
+    /// [`CoreError::NegativeMultiplicity`].
+    pub fn finish(&self, agg: Aggregate, input_type: DataType) -> CoreResult<Value> {
+        match &self.0 {
+            State::Exact(exact) => exact.finish(agg),
+            State::Values(bag) => {
+                if bag.iter().any(|(_, m)| m < 0) {
+                    return Err(CoreError::NegativeMultiplicity("aggregate state"));
+                }
+                agg.compute(input_type, bag.iter().map(|(v, m)| (v, m.unsigned_abs())))
+            }
+        }
+    }
+}
+
+impl Exact {
+    /// Adds `m` copies of `v`, with checked `i128` arithmetic.
+    fn fold(&mut self, v: &Value, m: i128) -> CoreResult<()> {
+        if m == 0 {
+            return Ok(());
+        }
+        let term = match (self.unit, v) {
+            (Unit::Count, _) => 0,
+            (Unit::Int, Value::Int(i)) => i128::from(*i),
+            (Unit::Money, Value::Money(mo)) => i128::from(mo.0),
+            (_, other) => return Err(mixed_domain(other)),
+        };
+        self.count = self
+            .count
+            .checked_add(m)
+            .ok_or(CoreError::Overflow("CNT"))?;
+        self.sum = term
+            .checked_mul(m)
+            .and_then(|t| self.sum.checked_add(t))
+            .ok_or(CoreError::Overflow("SUM"))?;
+        Ok(())
+    }
+
+    /// The count (CNT), or the sum narrowed to its domain (SUM, AVG).
+    fn finish(self, agg: Aggregate) -> CoreResult<Value> {
+        if self.count < 0 {
+            return Err(CoreError::NegativeMultiplicity("aggregate state"));
+        }
+        let narrow = |n: i128, what| i64::try_from(n).map_err(|_| CoreError::Overflow(what));
+        let sum = match self.unit {
+            Unit::Count => return Ok(Value::Int(narrow(self.count, "CNT")?)),
+            Unit::Int => Value::Int(narrow(self.sum, "SUM")?),
+            Unit::Money => Value::Money(Money(narrow(self.sum, "SUM")?)),
+        };
+        sum_or_avg(agg, sum, self.count)
+    }
+}
+
+/// SUM's result, or AVG's: the sum over the count, partial on empty input.
+fn sum_or_avg(agg: Aggregate, sum: Value, count: i128) -> CoreResult<Value> {
+    if agg != Aggregate::Avg {
+        return Ok(sum);
+    }
+    if count == 0 {
+        return Err(CoreError::AggregateOnEmpty("AVG"));
+    }
+    let avg = sum.as_f64()? / count as f64;
+    Ok(Value::Real(
+        Real::new(avg).map_err(|_| CoreError::Overflow("AVG produced NaN"))?,
+    ))
+}
+
+fn mixed_domain(v: &Value) -> CoreError {
+    CoreError::TypeError(format!(
+        "SUM over mixed or non-numeric domain ({})",
+        v.data_type()
+    ))
 }
 
 /// Collects numeric `(value, multiplicity)` pairs as `f64`, rejecting
@@ -294,21 +445,14 @@ fn exact_sum(terms: impl IntoIterator<Item = (f64, u64)>) -> f64 {
     hi
 }
 
-/// Multiplicity-weighted sum plus total count. Int sums stay exact in
-/// `i128` then narrow; money sums stay in minor units; real sums are
-/// rounded once ([`exact_sum`]), so they are a function of the bag alone.
-/// The empty sum is the typed zero of `input_type`.
-fn compute_sum<'a, I>(input_type: DataType, values: I) -> CoreResult<(Value, u64)>
+/// The multiplicity-weighted sum of Real values plus their count, rounded
+/// once ([`exact_sum`]), so it is a function of the bag alone. The empty
+/// sum is `0.0`; any other domain is a type error.
+fn real_sum<'a, I>(input_type: DataType, values: I) -> CoreResult<(Value, u64)>
 where
     I: IntoIterator<Item = (&'a Value, u64)>,
 {
-    enum Acc {
-        Empty,
-        Int(i128),
-        Real(Vec<(f64, u64)>),
-        Money(i128),
-    }
-    let mut acc = Acc::Empty;
+    let mut terms = Vec::new();
     let mut count: u64 = 0;
     for (v, m) in values {
         if m == 0 {
@@ -317,51 +461,19 @@ where
         count = count
             .checked_add(m)
             .ok_or(CoreError::Overflow("SUM count"))?;
-        match (&mut acc, v) {
-            (Acc::Empty, Value::Int(i)) => acc = Acc::Int(i128::from(*i) * i128::from(m)),
-            (Acc::Empty, Value::Real(r)) => acc = Acc::Real(vec![(r.get(), m)]),
-            (Acc::Empty, Value::Money(mo)) => acc = Acc::Money(i128::from(mo.0) * i128::from(m)),
-            (Acc::Int(s), Value::Int(i)) => {
-                *s = s
-                    .checked_add(i128::from(*i) * i128::from(m))
-                    .ok_or(CoreError::Overflow("SUM"))?;
-            }
-            (Acc::Real(terms), Value::Real(r)) => terms.push((r.get(), m)),
-            (Acc::Money(s), Value::Money(mo)) => {
-                *s = s
-                    .checked_add(i128::from(mo.0) * i128::from(m))
-                    .ok_or(CoreError::Overflow("SUM"))?;
-            }
-            (_, other) => {
-                return Err(CoreError::TypeError(format!(
-                    "SUM over mixed or non-numeric domain ({})",
-                    other.data_type()
-                )))
-            }
+        match v {
+            Value::Real(r) if input_type == DataType::Real => terms.push((r.get(), m)),
+            other => return Err(mixed_domain(other)),
         }
     }
-    let sum = match acc {
-        // SUM of the empty bag is the typed zero of the attribute's domain
-        Acc::Empty => match input_type {
-            DataType::Int => Value::Int(0),
-            DataType::Real => Value::Real(Real::new(0.0).expect("zero is not NaN")),
-            DataType::Money => Value::Money(Money(0)),
-            other => {
-                return Err(CoreError::TypeError(format!(
-                    "SUM over non-numeric {other}"
-                )))
-            }
-        },
-        Acc::Int(s) => Value::Int(i64::try_from(s).map_err(|_| CoreError::Overflow("SUM"))?),
-        Acc::Real(terms) => {
-            let s = exact_sum(terms);
-            Value::Real(Real::new(s).map_err(|_| CoreError::Overflow("SUM produced NaN"))?)
-        }
-        Acc::Money(s) => Value::Money(Money(
-            i64::try_from(s).map_err(|_| CoreError::Overflow("SUM"))?,
-        )),
-    };
-    Ok((sum, count))
+    if input_type != DataType::Real {
+        return Err(CoreError::TypeError(format!(
+            "SUM over non-numeric {input_type}"
+        )));
+    }
+    let sum = exact_sum(terms);
+    let sum = Real::new(sum).map_err(|_| CoreError::Overflow("SUM produced NaN"))?;
+    Ok((Value::Real(sum), count))
 }
 
 impl fmt::Display for Aggregate {
@@ -615,5 +727,114 @@ mod tests {
             run(Aggregate::Cnt, &v),
             Err(CoreError::Overflow(_))
         ));
+    }
+
+    /// `acc` finished, and `compute` over the bag the same updates add up to.
+    fn both(agg: Aggregate, t: DataType, updates: &[(Value, i64)]) -> [CoreResult<Value>; 2] {
+        let mut acc = Acc::new(agg, t);
+        let mut bag: SignedBag<Value> = SignedBag::new();
+        for (v, m) in updates {
+            acc.update(v, *m).expect("updates");
+            bag.insert(v.clone(), *m).expect("no overflow");
+        }
+        let pairs = bag
+            .iter()
+            .map(|(v, m)| (v, u64::try_from(m).expect("counts stay ≥ 0")));
+        [acc.finish(agg, t), agg.compute(t, pairs)]
+    }
+
+    /// A running sum may leave the `i64` range and come back: only the
+    /// final sum is narrowed.
+    #[test]
+    fn running_sum_may_leave_i64_and_come_back() {
+        let ups = [
+            (Value::Int(i64::MAX), 1),
+            (Value::Int(1), 1),
+            (Value::Int(1), -1),
+        ];
+        for agg in [Aggregate::Sum, Aggregate::Avg] {
+            let [acc, compute] = both(agg, DataType::Int, &ups);
+            assert_eq!(acc, compute, "{agg:?}");
+            assert!(acc.is_ok(), "{agg:?}");
+        }
+        let [acc, _] = both(Aggregate::Sum, DataType::Int, &ups);
+        assert_eq!(acc.unwrap(), Value::Int(i64::MAX));
+    }
+
+    /// A final sum outside `i64` is `Overflow("SUM")` from both paths.
+    #[test]
+    fn final_sum_outside_i64_overflows_both_ways() {
+        for (t, v) in [
+            (DataType::Int, Value::Int(i64::MAX)),
+            (DataType::Money, Value::Money(Money(i64::MIN))),
+        ] {
+            for agg in [Aggregate::Sum, Aggregate::Avg] {
+                let ups = [(v.clone(), 3), (v.clone(), -1)];
+                for got in both(agg, t, &ups) {
+                    assert_eq!(got, Err(CoreError::Overflow("SUM")), "{agg:?} {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_count_is_refused() {
+        for agg in [Aggregate::Cnt, Aggregate::Sum, Aggregate::Max] {
+            let mut acc = Acc::new(agg, DataType::Int);
+            acc.update(&Value::Int(3), -1).expect("folds");
+            assert!(!acc.is_empty());
+            assert!(matches!(
+                acc.finish(agg, DataType::Int),
+                Err(CoreError::NegativeMultiplicity(_))
+            ));
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Signed updates over a small value pool whose retractions never
+        /// take a value's count below zero.
+        fn updates(money: bool) -> impl Strategy<Value = Vec<(Value, i64)>> {
+            let value = prop_oneof![-50_i64..50, any::<i64>()];
+            let pool = proptest::collection::vec(value, 1..6);
+            (
+                pool,
+                proptest::collection::vec((0..6_usize, -4_i64..=4), 0..40),
+            )
+                .prop_map(move |(pool, steps)| {
+                    let mut counts = vec![0_i64; pool.len()];
+                    let mut out = Vec::new();
+                    for (i, m) in steps {
+                        let i = i % pool.len();
+                        let m = m.max(-counts[i]);
+                        counts[i] += m;
+                        let v = if money {
+                            Value::Money(Money(pool[i]))
+                        } else {
+                            Value::Int(pool[i])
+                        };
+                        out.push((v, m));
+                    }
+                    out
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn acc_equals_compute_over_the_resulting_bag(
+                case in any::<bool>().prop_flat_map(|money| (Just(money), updates(money))),
+            ) {
+                let (money, ups) = case;
+                let t = if money { DataType::Money } else { DataType::Int };
+                for agg in [Aggregate::Cnt, Aggregate::Sum, Aggregate::Avg] {
+                    let [acc, compute] = both(agg, t, &ups);
+                    prop_assert_eq!(acc, compute, "{:?} over {}", agg, t);
+                }
+            }
+        }
     }
 }

@@ -19,6 +19,6 @@ pub mod aggregate;
 pub mod rel;
 pub mod scalar;
 
-pub use aggregate::Aggregate;
+pub use aggregate::{Acc, Aggregate};
 pub use rel::{ext_project_schema, EmptyProvider, RelExpr, SchemaProvider};
 pub use scalar::{arith_result_type, eval_arith, ArithOp, CmpOp, ScalarExpr};

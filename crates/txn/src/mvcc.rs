@@ -225,6 +225,12 @@ impl PreparedTxn {
     pub fn deltas(&self) -> &DeltaMap {
         &self.deltas
     }
+
+    /// The program's query outputs, against the pinned version it ran on.
+    /// For a read-only program they are final without a commit.
+    pub fn outputs(&self) -> &Outputs {
+        &self.outputs
+    }
 }
 
 /// The multi-version transaction manager: a chain of immutable versions,
@@ -296,18 +302,6 @@ impl MvccManager {
             deltas,
             outputs,
         })
-    }
-
-    /// Runs a read-only program against a pinned version. Errors if the
-    /// program writes anything — use [`MvccManager::execute`] for that.
-    pub fn read(&self, version: &Arc<Version>, program: &Program) -> Result<Outputs, AbortReason> {
-        let prepared = self.prepare(Arc::clone(version), program)?;
-        if !prepared.is_read_only() {
-            return Err(AbortReason::Error(CoreError::TypeError(
-                "read path refuses a writing program; commit it as a transaction".to_string(),
-            )));
-        }
-        Ok(prepared.outputs)
     }
 
     /// Validates and publishes a prepared transaction,
@@ -528,6 +522,13 @@ mod tests {
         Program::single(Statement::query(RelExpr::scan("acct")))
     }
 
+    /// A read-only program's outputs against a pinned version.
+    fn read(mgr: &MvccManager, version: &Arc<Version>, program: &Program) -> Outputs {
+        let prepared = mgr.prepare(Arc::clone(version), program).expect("runs");
+        assert!(prepared.is_read_only(), "the program writes");
+        prepared.outputs
+    }
+
     #[test]
     fn commit_publishes_next_version() {
         let mgr = MvccManager::new(schema());
@@ -545,10 +546,10 @@ mod tests {
         let pin = mgr.pin();
         mgr.execute(&deposit("bob", 20));
         // the pinned version still shows exactly one row
-        let outputs = mgr.read(&pin, &scan_all()).expect("reads");
+        let outputs = read(&mgr, &pin, &scan_all());
         assert_eq!(outputs.queries[0].len(), 1);
         // a fresh pin shows both
-        let outputs = mgr.read(&mgr.pin(), &scan_all()).expect("reads");
+        let outputs = read(&mgr, &mgr.pin(), &scan_all());
         assert_eq!(outputs.queries[0].len(), 2);
     }
 
@@ -920,7 +921,7 @@ mod tests {
         let q = Program::single(Statement::query(
             RelExpr::scan("acct").select(ScalarExpr::attr(1).eq(ScalarExpr::str("a"))),
         ));
-        let outputs = mgr.read(&v, &q).expect("queries");
+        let outputs = read(&mgr, &v, &q);
         assert_eq!(outputs.queries[0].len(), 2);
     }
 

@@ -19,9 +19,12 @@
 //! * δ, γ, − and ∩ are **stateful**: their multiplicity laws
 //!   (`min(1, m)`, per-group aggregation, `max(0, m₁−m₂)`, `min(m₁, m₂)`,
 //!   Definitions 3.1–3.4) are not linear, so the plan keeps support
-//!   counts (δ), per-group value bags (γ, at every key list) or both input
-//!   bags (−/∩) and emits retraction/assertion pairs for the touched rows
-//!   only.
+//!   counts (δ), a per-group [`Acc`] (γ, at every key list) or both
+//!   input bags (−/∩) and emits retraction/assertion pairs for the touched
+//!   rows only. A γ group's `Acc` is an exact count and sum for CNT, and
+//!   for SUM/AVG over Int and Money, so a commit folds its delta in
+//!   `O(|Δ|)`; MIN/MAX, STDDEV, MEDIAN and real sums keep the group's
+//!   value bag and recompute from it.
 //! * closure alone falls back to **recompute-and-diff**
 //!   (`MaintNode::Recompute`): the subtree is re-evaluated and diffed
 //!   against its previous result.
@@ -47,7 +50,7 @@ use mera_eval::physical::join::extract_equi_condition;
 use mera_eval::provider::{RelationProvider, Schemas};
 use mera_eval::{reference, Engine, HashIndex};
 use mera_expr::rel::RelExpr;
-use mera_expr::{Aggregate, ScalarExpr};
+use mera_expr::{Acc, Aggregate, ScalarExpr};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::exec::ExecConfig;
@@ -318,10 +321,10 @@ enum MaintNode {
         lstate: Bag<Tuple>,
         rstate: Bag<Tuple>,
     },
-    /// γ: per-group bags of the aggregated attribute's values; touched
-    /// groups emit a retraction of the old aggregate row and an assertion
-    /// of the new one. With no keys the one group always has a row, so
-    /// both are emitted even over an empty bag.
+    /// γ: one aggregate state per group; touched groups emit a
+    /// retraction of the old aggregate row and an assertion of the new
+    /// one. With no keys the one group always has a row, so both are
+    /// emitted even over an empty group.
     GroupBy {
         child: Box<MaintNode>,
         keys: Vec<usize>,
@@ -334,12 +337,12 @@ enum MaintNode {
     Recompute { expr: RelExpr, last: Relation },
 }
 
-/// One group of a γ node: the bag of its aggregated values, and the
-/// output row they gave at the last refresh — the row a change retracts,
-/// so the old aggregate is never recomputed.
+/// One group of a γ node: the aggregate state of its values, never
+/// empty, and the output row it gave at the last refresh — the row a
+/// change retracts, so the old aggregate is never recomputed.
 #[derive(Debug, Clone)]
 struct Group {
-    values: Bag<Value>,
+    acc: Acc,
     row: Tuple,
 }
 
@@ -414,13 +417,16 @@ impl MaintNode {
                 let rel = eval(input, provider, config)?;
                 let rows = rel
                     .iter()
-                    .map(|(t, m)| Ok((group_key(t, keys)?, (t.attr(*attr)?.clone(), m))))
+                    .map(|(t, m)| Ok((group_key(t, keys)?, (t.attr(*attr)?, i64::from_nat(m)?))))
                     .collect::<CoreResult<Vec<_>>>()?;
                 let groups = PMap::from_groups(rows, |key, values| {
-                    let values = Bag::try_from_pairs(values.into_iter().map(Ok))?;
+                    let mut acc = Acc::new(*agg, in_type);
+                    for (v, m) in values {
+                        acc.update(v, m)?;
+                    }
                     Ok::<_, CoreError>(Group {
-                        row: agg_row(key, agg.compute(in_type, values.iter())?),
-                        values,
+                        row: agg_row(key, acc.finish(*agg, in_type)?),
+                        acc,
                     })
                 })?;
                 MaintNode::GroupBy {
@@ -542,16 +548,18 @@ impl MaintNode {
             } => {
                 let d = child.refresh(deltas, provider, config)?;
                 // each touched group's aggregated values, signed; they
-                // fold into the group's bag one by one, and a value's
-                // retractions never outrun its count there
-                let mut by_key: FxHashMap<Vec<Value>, Vec<(Value, i64)>> = FxHashMap::default();
+                // fold into the group's state one by one. Base and join
+                // deltas were validated before any view refreshes, so only
+                // the group's total is checked: `finish` refuses a
+                // negative count
+                let mut by_key: FxHashMap<Vec<Value>, Vec<(&Value, i64)>> = FxHashMap::default();
                 for (t, m) in d.iter() {
                     by_key
                         .entry(group_key(t, keys)?)
                         .or_default()
-                        .push((t.attr(*attr)?.clone(), m));
+                        .push((t.attr(*attr)?, m));
                 }
-                // the empty-key group has a row even over an empty bag
+                // the empty-key group has a row even when it is empty
                 let always = keys.is_empty();
                 let mut out = Vec::with_capacity(2 * by_key.len());
                 for (key, values) in by_key {
@@ -560,21 +568,22 @@ impl MaintNode {
                             Some(g) => out.push((g.row.clone(), -1)),
                             // a new group: only the empty-key one had a row
                             None if always => {
-                                let old = agg.compute(*in_type, std::iter::empty())?;
+                                let old = Acc::new(*agg, *in_type).finish(*agg, *in_type)?;
                                 out.push((agg_row(&key, old), -1));
                             }
                             None => {}
                         }
-                        let mut bag = group.take().map(|g| g.values).unwrap_or_default();
-                        bag.apply_signed(values)?;
-                        if always || !bag.is_empty() {
-                            let new = agg_row(&key, agg.compute(*in_type, bag.iter())?);
+                        let mut acc = group
+                            .take()
+                            .map_or_else(|| Acc::new(*agg, *in_type), |g| g.acc);
+                        for (v, m) in values {
+                            acc.update(v, m)?;
+                        }
+                        if always || !acc.is_empty() {
+                            let new = agg_row(&key, acc.finish(*agg, *in_type)?);
                             out.push((new.clone(), 1));
-                            if !bag.is_empty() {
-                                *group = Some(Group {
-                                    values: bag,
-                                    row: new,
-                                });
+                            if !acc.is_empty() {
+                                *group = Some(Group { acc, row: new });
                             }
                         }
                         Ok(())
@@ -796,7 +805,7 @@ mod tests {
             commit(&mgr, Program::single(stmt));
             assert_consistent(&mgr, "totals");
         }
-        // MIN/MAX are maintainable too (full value bags are kept)
+        // MIN/MAX are maintainable too (the groups keep value bags)
         create(
             &mgr,
             "maxes",

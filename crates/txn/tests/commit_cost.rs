@@ -14,6 +14,9 @@
 //! `UPDATE … SET balance = balance + 1 WHERE id = k` per commit, driven
 //! through `MvccManager` directly.
 //!
+//! (c) holds a maintained γ to the same rule: a view's share of a
+//! commit does not grow with the groups the commit touches.
+//!
 //! The counters are the process-global [`CountingAlloc`], so the
 //! measuring sections are serialised behind a mutex (the test harness
 //! runs tests on concurrent threads).
@@ -23,7 +26,7 @@ use std::sync::{Mutex, OnceLock};
 
 use mera_core::counting_alloc::{allocation_count, live_bytes, CountingAlloc};
 use mera_core::prelude::*;
-use mera_expr::{RelExpr, ScalarExpr};
+use mera_expr::{Aggregate, RelExpr, ScalarExpr};
 use mera_txn::{Ddl, DdlError, MvccManager, Program, Statement};
 
 #[global_allocator]
@@ -155,5 +158,88 @@ fn a_loaded_version_holds_no_more_than_hash_maps_did() {
     assert!(
         held * 10 <= HASH_MAP_VERSION_BYTES * 11,
         "a loaded version holds {held} B, over 1.10 × {HASH_MAP_VERSION_BYTES} B"
+    );
+}
+
+fn orders() -> Schema {
+    Schema::named(&[
+        ("region", DataType::Int),
+        ("amount", DataType::Int),
+        ("id", DataType::Int),
+    ])
+}
+
+/// 20 000 orders in two regions, each region holding `distinct` distinct
+/// amounts, with or without the view `γ[(1), SUM, 2](orders)`.
+fn churn_db(distinct: i64, view: bool) -> MvccManager {
+    let mgr = MvccManager::new(
+        DatabaseSchema::new()
+            .with("orders", orders())
+            .expect("fresh"),
+    );
+    if view {
+        let expr = RelExpr::scan("orders").group_by(&[1], Aggregate::Sum, 2);
+        let ddl = Ddl::View {
+            name: "totals".to_owned(),
+            expr,
+        };
+        mgr.ddl(&ddl, || Ok::<(), DdlError>(())).expect("creates");
+    }
+    let rows = (0..20_000_i64).map(|id| tuple![id % 2, (id / 2) % distinct, id]);
+    let rel = relation_of(orders(), rows.collect()).expect("typed");
+    let load = Program::single(Statement::insert("orders", RelExpr::values(rel)));
+    assert!(mgr.execute(&load).0.is_committed());
+    mgr
+}
+
+/// The allocations of one 2-row churn commit: order `id` retracted and
+/// re-asserted with a new amount.
+fn churn_cost(mgr: &MvccManager, id: i64) -> u64 {
+    let program = Program::single(Statement::update(
+        "orders",
+        RelExpr::scan("orders").select(ScalarExpr::attr(3).eq(ScalarExpr::int(id))),
+        vec![
+            ScalarExpr::attr(1),
+            ScalarExpr::attr(2).add(ScalarExpr::int(1)),
+            ScalarExpr::attr(3),
+        ],
+    ));
+    let predecessor = mgr.pin();
+    let allocs = allocation_count();
+    let prepared = mgr.prepare(mgr.pin(), &program).expect("runs");
+    let (outcome, _) = mgr
+        .try_commit::<Infallible>(prepared, |_| Ok(()))
+        .expect("no durability hook");
+    let cost = allocation_count() - allocs;
+    assert!(outcome.is_committed(), "{outcome:?}");
+    drop(predecessor);
+    cost
+}
+
+/// The view's share of each of a few churn commits: the same commits'
+/// allocations with the view, minus those without it, on the same base
+/// data (whose own cost depends on its contents).
+fn view_churn_costs(distinct: i64) -> Vec<u64> {
+    let (with, without) = (churn_db(distinct, true), churn_db(distinct, false));
+    let ids = [4_001, 4_003, 9_002, 15_004];
+    ids.iter()
+        .map(|&id| churn_cost(&with, id) - churn_cost(&without, id))
+        .collect()
+}
+
+/// (c) A γ group folds a commit's delta into an exact count and sum, so
+/// refreshing `γ[(1), SUM, 2]` after a 2-row commit allocates the same
+/// whether each group holds 100 or 10 000 distinct amounts. A group that
+/// kept its value bag copied one trie path per touched value, and the path
+/// deepens with the group.
+#[test]
+fn view_refresh_cost_is_flat_in_group_size() {
+    let _guard = lock();
+    let small = view_churn_costs(100);
+    let big = view_churn_costs(10_000);
+    eprintln!("view share of a 2-row churn commit: 100 values/group {small:?}, 10 000 {big:?}");
+    assert_eq!(
+        small, big,
+        "view refresh allocations grew with the group: {small:?} at 100 values, {big:?} at 10 000"
     );
 }

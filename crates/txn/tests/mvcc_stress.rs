@@ -146,8 +146,11 @@ fn concurrent_transfers_conserve_money_under_snapshot_reads() {
                         version.time()
                     );
                     last_time = version.time();
-                    let outputs = mgr.read(&version, &query).expect("read-only query runs");
-                    let sum = &outputs.queries[0];
+                    let prepared = mgr
+                        .prepare(Arc::clone(&version), &query)
+                        .expect("query runs");
+                    assert!(prepared.is_read_only(), "the query writes");
+                    let sum = &prepared.outputs().queries[0];
                     assert_eq!(
                         sum.multiplicity(&tuple![ACCOUNTS * SEED]),
                         1,
@@ -171,10 +174,12 @@ fn concurrent_transfers_conserve_money_under_snapshot_reads() {
     // the final state conserves money and its clock counts exactly the
     // committed transactions (seed + transfers; reads never tick)
     let final_version = mgr.pin();
-    let outputs = mgr
-        .read(&final_version, &total_balance())
+    let prepared = mgr
+        .prepare(Arc::clone(&final_version), &total_balance())
         .expect("final read");
-    assert_eq!(outputs.queries[0].multiplicity(&tuple![ACCOUNTS * SEED]), 1);
+    assert!(prepared.is_read_only(), "the query writes");
+    let sum = &prepared.outputs().queries[0];
+    assert_eq!(sum.multiplicity(&tuple![ACCOUNTS * SEED]), 1);
     assert_eq!(
         final_version.time(),
         1 + committed.load(Ordering::Relaxed),
@@ -223,20 +228,15 @@ fn pinned_snapshot_is_immutable_while_writers_race() {
     }
 
     // the pre-race pin still reads its original state
-    let outputs = mgr
-        .read(
-            &pinned,
-            &Program::single(Statement::query(RelExpr::scan("acct"))),
-        )
-        .expect("stale read runs");
-    assert_eq!(outputs.queries[0].len(), 1);
+    let scan = Program::single(Statement::query(RelExpr::scan("acct")));
+    let prepared = mgr.prepare(pinned, &scan).expect("stale read runs");
+    assert!(prepared.is_read_only(), "the scan writes");
+    assert_eq!(prepared.outputs().queries[0].len(), 1);
     // and the latest version has everything
-    let latest = mgr.pin();
-    let outputs = mgr
-        .read(
-            &latest,
-            &Program::single(Statement::query(RelExpr::scan("acct"))),
-        )
-        .expect("fresh read runs");
-    assert_eq!(outputs.queries[0].len(), 1 + (WRITERS as u64) * 20);
+    let prepared = mgr.prepare(mgr.pin(), &scan).expect("fresh read runs");
+    assert!(prepared.is_read_only(), "the scan writes");
+    assert_eq!(
+        prepared.outputs().queries[0].len(),
+        1 + (WRITERS as u64) * 20
+    );
 }
