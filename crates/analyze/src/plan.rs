@@ -1,23 +1,23 @@
-//! Plan analysis: schema/type inference and the emptiness lattice, in one
+//! Plan analysis: the typing rules and the emptiness lattice, in one
 //! bottom-up walk that keeps going after the first problem.
 //!
 //! Two facts are computed per node:
 //!
-//! * its **schema**, with every attribute reference and arithmetic
-//!   expression resolved (pass 1) — `None` when a child already failed, so
-//!   one root cause does not cascade into spurious follow-on errors;
+//! * its **schema**, by the node check of `mera-expr`
+//!   ([`RelExpr::check_node`], the one statement of Definitions 3.1–3.4's
+//!   typing rules), every problem it reports turned into a diagnostic
+//!   with this node's span — `None` when a child already failed, so one
+//!   root cause does not cascade into spurious follow-on errors;
 //! * its **cardinality abstraction** in the three-point lattice
-//!   [`Card`] = {`Empty`, `NonEmpty`, `Unknown`} (pass 2), which feeds the
+//!   [`Card`] = {`Empty`, `NonEmpty`, `Unknown`}, which feeds the
 //!   partiality lint: Definition 3.4 makes `AVG`/`MIN`/`MAX` *partial* —
 //!   undefined on the empty multi-set — so a whole-relation `γ` over a
 //!   possibly-empty input is a [`Code::PartialAggregateMayBeUndefined`]
 //!   warning and over a provably-empty input a
 //!   [`Code::PartialAggregateOnEmpty`] error.
 
-use std::sync::Arc;
-
 use mera_core::prelude::*;
-use mera_expr::{arith_result_type, ext_project_schema, RelExpr, ScalarExpr, SchemaProvider};
+use mera_expr::{Aggregate, RelExpr, ScalarExpr, SchemaProvider};
 
 use crate::diag::{Code, Diagnostic, Span};
 
@@ -128,441 +128,188 @@ fn walk<P: SchemaProvider>(
     diags: &mut Vec<Diagnostic>,
 ) -> (Option<SchemaRef>, Card) {
     // analyze children first (left to right), so diagnostics surface in
-    // walk order and parent checks can rely on child schemas
+    // walk order and the node check sees its children's schemas
     let children = expr.children();
-    let mut kids: Vec<(Option<SchemaRef>, Card)> = Vec::with_capacity(children.len());
+    let mut inputs = Some(Vec::with_capacity(children.len()));
+    let mut kid_cards = [Card::Unknown; 2]; // a node has at most two children
     for (i, child) in children.iter().enumerate() {
         let child_span = span.child(i, child.op_name());
-        kids.push(walk(child, provider, cards, &child_span, diags));
-    }
-
-    match expr {
-        RelExpr::Scan(name) => match provider.relation_schema(name) {
-            Ok(s) => (
-                Some(s),
-                cards.get(name.as_str()).copied().unwrap_or(Card::Unknown),
-            ),
-            Err(_) => {
-                diags.push(Diagnostic::new(
-                    Code::UnknownRelation,
-                    span.clone(),
-                    format!("unknown relation `{name}`"),
-                ));
-                (None, Card::Unknown)
+        let (schema, card) = walk(child, provider, cards, &child_span, diags);
+        kid_cards[i] = card;
+        // a child without a schema has reported why; checking this node
+        // as well would only repeat that cause
+        inputs = match (inputs, schema) {
+            (Some(mut inputs), Some(schema)) => {
+                inputs.push(schema);
+                Some(inputs)
             }
+            _ => None,
+        };
+    }
+    let schema = inputs.as_deref().and_then(|inputs| {
+        expr.check_node(inputs, provider, &mut |err| {
+            diags.push(node_diagnostic(expr, err, inputs, span));
+        })
+    });
+
+    let [ic, rc] = kid_cards;
+    let card = match expr {
+        RelExpr::Scan(name) if schema.is_some() => {
+            cards.get(name.as_str()).copied().unwrap_or_default()
+        }
+        RelExpr::Scan(_) => Card::Unknown,
+        RelExpr::Values(rel) => Card::of_relation(rel),
+        RelExpr::Union(..) => match (ic, rc) {
+            (Card::Empty, Card::Empty) => Card::Empty,
+            (Card::NonEmpty, _) | (_, Card::NonEmpty) => Card::NonEmpty,
+            _ => Card::Unknown,
         },
-        RelExpr::Values(rel) => (Some(Arc::clone(rel.schema())), Card::of_relation(rel)),
-        RelExpr::Union(..) | RelExpr::Difference(..) | RelExpr::Intersect(..) => {
-            let (ls, lc) = kids[0].clone();
-            let (rs, rc) = kids[1].clone();
-            let schema = match (ls, rs) {
-                (Some(l), Some(r)) => {
-                    if l.same_types(&r) {
-                        Some(l)
-                    } else {
-                        diags.push(
-                            Diagnostic::new(
-                                Code::IncompatibleOperands,
-                                span.clone(),
-                                format!("operands of {} have incompatible schemas", expr.op_name()),
-                            )
-                            .with_note(format!("left operand has schema {l}"))
-                            .with_note(format!("right operand has schema {r}")),
-                        );
-                        None
-                    }
-                }
-                _ => None,
-            };
-            let card = match expr {
-                RelExpr::Union(..) => match (lc, rc) {
-                    (Card::Empty, Card::Empty) => Card::Empty,
-                    (Card::NonEmpty, _) | (_, Card::NonEmpty) => Card::NonEmpty,
-                    _ => Card::Unknown,
-                },
-                RelExpr::Difference(..) => match (lc, rc) {
-                    (Card::Empty, _) => Card::Empty,
-                    // subtracting nothing keeps the left abstraction
-                    (l, Card::Empty) => l,
-                    _ => Card::Unknown,
-                },
-                // intersection below either operand
-                _ => match (lc, rc) {
-                    (Card::Empty, _) | (_, Card::Empty) => Card::Empty,
-                    _ => Card::Unknown,
-                },
-            };
-            (schema, card)
-        }
-        RelExpr::Product(..) => {
-            let (ls, lc) = kids[0].clone();
-            let (rs, rc) = kids[1].clone();
-            let schema = match (ls, rs) {
-                (Some(l), Some(r)) => Some(Arc::new(l.concat(&r))),
-                _ => None,
-            };
-            (schema, product_card(lc, rc))
-        }
-        RelExpr::Join { predicate, .. } => {
-            let (ls, lc) = kids[0].clone();
-            let (rs, rc) = kids[1].clone();
-            let schema = match (ls, rs) {
-                (Some(l), Some(r)) => {
-                    let joined = Arc::new(l.concat(&r));
-                    check_predicate(predicate, &joined, span, diags);
-                    Some(joined)
-                }
-                _ => None,
-            };
-            // a join can filter everything: only emptiness propagates
-            let card = match (lc, rc) {
-                (Card::Empty, _) | (_, Card::Empty) => Card::Empty,
+        RelExpr::Difference(..) => match (ic, rc) {
+            (Card::Empty, _) => Card::Empty,
+            // subtracting nothing keeps the left abstraction
+            (l, Card::Empty) => l,
+            _ => Card::Unknown,
+        },
+        // intersection below either operand; a join can filter
+        // everything, so only emptiness propagates
+        RelExpr::Intersect(..) | RelExpr::Join { .. } => match (ic, rc) {
+            (Card::Empty, _) | (_, Card::Empty) => Card::Empty,
+            _ => Card::Unknown,
+        },
+        RelExpr::Product(..) => match (ic, rc) {
+            (Card::Empty, _) | (_, Card::Empty) => Card::Empty,
+            (Card::NonEmpty, Card::NonEmpty) => Card::NonEmpty,
+            _ => Card::Unknown,
+        },
+        RelExpr::Select { predicate, .. } => match predicate {
+            // constant predicates decide the selection statically
+            ScalarExpr::Literal(Value::Bool(true)) => ic,
+            ScalarExpr::Literal(Value::Bool(false)) => Card::Empty,
+            _ => match ic {
+                Card::Empty => Card::Empty,
                 _ => Card::Unknown,
-            };
-            (schema, card)
-        }
-        RelExpr::Select { predicate, .. } => {
-            let (is, ic) = kids[0].clone();
-            if let Some(s) = &is {
-                check_predicate(predicate, s, span, diags);
-            }
-            let card = match predicate {
-                // constant predicates decide the selection statically
-                ScalarExpr::Literal(Value::Bool(true)) => ic,
-                ScalarExpr::Literal(Value::Bool(false)) => Card::Empty,
-                _ => match ic {
-                    Card::Empty => Card::Empty,
-                    _ => Card::Unknown,
-                },
-            };
-            (is, card)
-        }
-        RelExpr::Project { attrs, .. } => {
-            let (is, ic) = kids[0].clone();
-            let schema = is.and_then(|s| match s.project(attrs) {
-                Ok(p) => Some(Arc::new(p)),
-                Err(_) => {
-                    for &i in attrs.indexes() {
-                        if i == 0 || i > s.arity() {
-                            diags.push(unresolved_attr(i, &s, span));
-                        }
-                    }
-                    None
-                }
-            });
-            // π preserves the total multiplicity of its input exactly
-            (schema, ic)
-        }
-        RelExpr::ExtProject { exprs, .. } => {
-            let (is, ic) = kids[0].clone();
-            if exprs.is_empty() {
-                diags.push(Diagnostic::new(
-                    Code::MalformedOperator,
-                    span.clone(),
-                    "extended projection needs at least one expression",
-                ));
-                return (None, ic);
-            }
-            let schema = is.and_then(|s| {
-                // every expression is checked, so every error is reported
-                let mut ok = true;
-                for e in exprs {
-                    ok &= check_scalar(e, &s, span, diags).is_some();
-                }
-                ok.then(|| ext_project_schema(&s, exprs).ok()).flatten()
-            });
-            (schema, ic)
-        }
-        RelExpr::Distinct(_) => kids[0].clone(), // δ preserves emptiness
-        RelExpr::Closure(_) => {
-            let (is, ic) = kids[0].clone();
-            let schema = is.and_then(|s| {
-                if s.arity() != 2 {
-                    diags.push(Diagnostic::new(
-                        Code::MalformedOperator,
-                        span.clone(),
-                        format!(
-                            "transitive closure needs a binary relation, found arity {}",
-                            s.arity()
-                        ),
-                    ));
-                    return None;
-                }
-                let (d1, d2) = (s.dtype(1).ok()?, s.dtype(2).ok()?);
-                if d1 != d2 {
-                    diags.push(Diagnostic::new(
-                        Code::MalformedOperator,
-                        span.clone(),
-                        format!(
-                            "transitive closure needs matching attribute domains, \
-                             found {d1} and {d2}"
-                        ),
-                    ));
-                    return None;
-                }
-                Some(s)
-            });
-            // one edge already yields the pair it connects
-            (schema, ic)
-        }
-        RelExpr::GroupBy {
-            keys, agg, attr, ..
-        } => {
-            let (is, ic) = kids[0].clone();
-            let Some(s) = is else {
-                return (None, Card::Unknown);
-            };
-            let mut ok = true;
-            let mut seen = std::collections::HashSet::new();
-            for &k in keys {
-                if k == 0 || k > s.arity() {
-                    diags.push(unresolved_attr(k, &s, span));
-                    ok = false;
-                } else if !seen.insert(k) {
-                    diags.push(Diagnostic::new(
-                        Code::MalformedOperator,
-                        span.clone(),
-                        format!("attribute %{k} repeated in the grouping list"),
-                    ));
-                    ok = false;
-                }
-            }
-            if *attr == 0 || *attr > s.arity() {
-                diags.push(unresolved_attr(*attr, &s, span));
-                ok = false;
-            }
-            let out_type = if ok {
-                match s.dtype(*attr).and_then(|t| agg.result_type(t)) {
-                    Ok(t) => Some(t),
-                    Err(e) => {
-                        diags.push(Diagnostic::new(
-                            Code::TypeMismatch,
-                            span.clone(),
-                            e.to_string(),
-                        ));
-                        None
-                    }
-                }
-            } else {
-                None
-            };
-            // the partiality lint (Definition 3.4): a whole-relation γ
-            // hands the aggregate the entire input bag, which may be empty;
-            // a keyed γ only ever aggregates nonempty groups
-            let card = if keys.is_empty() {
-                if agg.is_partial() {
-                    match ic {
-                        Card::Empty => diags.push(
-                            Diagnostic::new(
-                                Code::PartialAggregateOnEmpty,
-                                span.clone(),
-                                format!(
-                                    "{} is undefined on an empty multi-set, and its \
-                                     input here is provably empty",
-                                    agg.name()
-                                ),
-                            )
-                            .with_note(
-                                "AVG, MIN and MAX are partial functions (Definition 3.4); \
-                                 evaluating this plan always aborts",
-                            ),
-                        ),
-                        Card::Unknown => diags.push(
-                            Diagnostic::new(
-                                Code::PartialAggregateMayBeUndefined,
-                                span.clone(),
-                                format!("{} over a whole relation that may be empty", agg.name()),
-                            )
-                            .with_note(
-                                "AVG, MIN and MAX are partial functions (Definition 3.4): \
-                                 undefined on the empty multi-set",
-                            )
-                            .with_note(
-                                "guard the input so it is provably nonempty, or expect a \
-                                 runtime abort on empty input",
-                            ),
-                        ),
-                        Card::NonEmpty => {} // proved safe
-                    }
-                }
-                // a defined whole-relation γ yields exactly one tuple
-                match (agg.is_partial(), ic) {
-                    (true, Card::Empty) => Card::Empty, // undefined anyway
-                    _ => Card::NonEmpty,
-                }
-            } else {
-                ic // one output tuple per nonempty group
-            };
-            let schema = out_type.map(|t| {
-                let key_schema = if keys.is_empty() {
-                    Schema::new(vec![])
-                } else {
-                    // indexes validated above, so the projection succeeds
-                    let list = AttrList::new_unique(keys.clone()).expect("validated keys");
-                    s.project(&list).expect("validated keys")
-                };
-                Arc::new(key_schema.with_attr(Attribute::anon(t)))
-            });
-            (schema, card)
-        }
-    }
-}
-
-/// Cartesian-product cardinality: multiplicities multiply.
-fn product_card(l: Card, r: Card) -> Card {
-    match (l, r) {
-        (Card::Empty, _) | (_, Card::Empty) => Card::Empty,
-        (Card::NonEmpty, Card::NonEmpty) => Card::NonEmpty,
-        _ => Card::Unknown,
-    }
-}
-
-fn unresolved_attr(index: usize, schema: &Schema, span: &Span) -> Diagnostic {
-    Diagnostic::new(
-        Code::UnresolvedAttr,
-        span.clone(),
-        format!(
-            "attribute %{index} does not resolve (input arity {})",
-            schema.arity()
-        ),
-    )
-    .with_note(format!("the input schema is {schema}"))
-}
-
-/// Type-checks a selection/join condition: every problem inside the
-/// predicate is reported, then the result type must be boolean.
-fn check_predicate(
-    predicate: &ScalarExpr,
-    schema: &Schema,
-    span: &Span,
-    diags: &mut Vec<Diagnostic>,
-) {
-    if let Some(t) = check_scalar(predicate, schema, span, diags) {
-        if t != DataType::Bool {
-            diags.push(Diagnostic::new(
-                Code::TypeMismatch,
-                span.clone(),
-                format!("condition has type {t}, expected bool"),
-            ));
-        }
-    }
-}
-
-/// Resolves and types one scalar expression, reporting *all* unresolved
-/// attributes and type clashes it contains (unlike
-/// [`ScalarExpr::infer_type`], which stops at the first). Returns the
-/// output domain when the tree typed.
-pub(crate) fn check_scalar(
-    e: &ScalarExpr,
-    schema: &Schema,
-    span: &Span,
-    diags: &mut Vec<Diagnostic>,
-) -> Option<DataType> {
-    match e {
-        ScalarExpr::Attr(i) => match schema.dtype(*i) {
-            Ok(t) => Some(t),
-            Err(_) => {
-                diags.push(unresolved_attr(*i, schema, span));
-                None
-            }
+            },
         },
-        ScalarExpr::Literal(v) => Some(v.data_type()),
-        ScalarExpr::Arith(op, l, r) => {
-            let lt = check_scalar(l, schema, span, diags);
-            let rt = check_scalar(r, schema, span, diags);
-            let (lt, rt) = (lt?, rt?);
-            match arith_result_type(*op, lt, rt) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    diags.push(Diagnostic::new(
-                        Code::TypeMismatch,
-                        span.clone(),
-                        e.to_string(),
-                    ));
-                    None
-                }
-            }
+        // π preserves the total multiplicity of its input exactly, δ
+        // preserves emptiness, and one edge already yields the pair it
+        // connects
+        RelExpr::Project { .. }
+        | RelExpr::ExtProject { .. }
+        | RelExpr::Distinct(_)
+        | RelExpr::Closure(_) => ic,
+        RelExpr::GroupBy { keys, agg, .. } if inputs.is_some() => {
+            group_by_card(keys, *agg, ic, span, diags)
         }
-        ScalarExpr::Neg(inner) => {
-            let t = check_scalar(inner, schema, span, diags)?;
-            if t.is_numeric() {
-                Some(t)
-            } else {
-                diags.push(Diagnostic::new(
-                    Code::TypeMismatch,
+        RelExpr::GroupBy { .. } => Card::Unknown,
+    };
+    (schema, card)
+}
+
+/// The emptiness of `γ_{keys, agg, …}` over an input of emptiness `ic`,
+/// and the partiality lint (Definition 3.4): a whole-relation γ hands the
+/// aggregate the entire input bag, which may be empty; a keyed γ only
+/// ever aggregates nonempty groups.
+fn group_by_card(
+    keys: &[usize],
+    agg: Aggregate,
+    ic: Card,
+    span: &Span,
+    diags: &mut Vec<Diagnostic>,
+) -> Card {
+    if !keys.is_empty() {
+        return ic; // one output tuple per nonempty group
+    }
+    if agg.is_partial() {
+        match ic {
+            Card::Empty => diags.push(
+                Diagnostic::new(
+                    Code::PartialAggregateOnEmpty,
                     span.clone(),
-                    format!("cannot negate {t}"),
-                ));
-                None
-            }
-        }
-        ScalarExpr::Cmp(op, l, r) => {
-            let lt = check_scalar(l, schema, span, diags);
-            let rt = check_scalar(r, schema, span, diags);
-            let (lt, rt) = (lt?, rt?);
-            if lt != rt {
-                diags.push(Diagnostic::new(
-                    Code::TypeMismatch,
+                    format!(
+                        "{} is undefined on an empty multi-set, and its \
+                         input here is provably empty",
+                        agg.name()
+                    ),
+                )
+                .with_note(
+                    "AVG, MIN and MAX are partial functions (Definition 3.4); \
+                     evaluating this plan always aborts",
+                ),
+            ),
+            Card::Unknown => diags.push(
+                Diagnostic::new(
+                    Code::PartialAggregateMayBeUndefined,
                     span.clone(),
-                    format!("cannot compare {lt} with {rt}"),
-                ));
-                return None;
-            }
-            if op.needs_order() && !lt.is_ordered() {
-                diags.push(Diagnostic::new(
-                    Code::TypeMismatch,
-                    span.clone(),
-                    format!("domain {lt} has no order for {op}"),
-                ));
-                return None;
-            }
-            Some(DataType::Bool)
+                    format!("{} over a whole relation that may be empty", agg.name()),
+                )
+                .with_note(
+                    "AVG, MIN and MAX are partial functions (Definition 3.4): \
+                     undefined on the empty multi-set",
+                )
+                .with_note(
+                    "guard the input so it is provably nonempty, or expect a \
+                     runtime abort on empty input",
+                ),
+            ),
+            Card::NonEmpty => {} // proved safe
         }
-        ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => {
-            let mut ok = true;
-            for side in [l, r] {
-                if let Some(t) = check_scalar(side, schema, span, diags) {
-                    if t != DataType::Bool {
-                        diags.push(Diagnostic::new(
-                            Code::TypeMismatch,
-                            span.clone(),
-                            format!("boolean connective applied to {t}"),
-                        ));
-                        ok = false;
-                    }
-                } else {
-                    ok = false;
-                }
-            }
-            ok.then_some(DataType::Bool)
+    }
+    // a defined whole-relation γ yields exactly one tuple
+    match (agg.is_partial(), ic) {
+        (true, Card::Empty) => Card::Empty, // undefined anyway
+        _ => Card::NonEmpty,
+    }
+}
+
+/// The diagnostic for a problem `expr`'s node check reported, its inputs'
+/// schemas being `inputs`.
+fn node_diagnostic(
+    expr: &RelExpr,
+    err: CoreError,
+    inputs: &[SchemaRef],
+    span: &Span,
+) -> Diagnostic {
+    let code = match (&err, expr) {
+        (CoreError::UnknownRelation(name), _) => {
+            let message = format!("unknown relation `{name}`");
+            return Diagnostic::new(Code::UnknownRelation, span.clone(), message);
         }
-        ScalarExpr::Not(inner) => {
-            let t = check_scalar(inner, schema, span, diags)?;
-            if t != DataType::Bool {
-                diags.push(Diagnostic::new(
-                    Code::TypeMismatch,
-                    span.clone(),
-                    format!("NOT applied to {t}"),
-                ));
-                return None;
-            }
-            Some(DataType::Bool)
+        (CoreError::SchemaMismatch { expected, found }, _) => {
+            let message = format!("operands of {} have incompatible schemas", expr.op_name());
+            return Diagnostic::new(Code::IncompatibleOperands, span.clone(), message)
+                .with_note(format!("left operand has schema {expected}"))
+                .with_note(format!("right operand has schema {found}"));
         }
-        ScalarExpr::Concat(l, r) => {
-            let lt = check_scalar(l, schema, span, diags);
-            let rt = check_scalar(r, schema, span, diags);
-            let (lt, rt) = (lt?, rt?);
-            if lt == DataType::Str && rt == DataType::Str {
-                Some(DataType::Str)
-            } else {
-                diags.push(Diagnostic::new(
-                    Code::TypeMismatch,
-                    span.clone(),
-                    format!("cannot concatenate {lt} with {rt}"),
-                ));
-                None
-            }
+        (CoreError::DuplicateAttrInList(_), _) | (CoreError::TypeError(_), RelExpr::Closure(_)) => {
+            Code::MalformedOperator
         }
+        (CoreError::TypeError(_), RelExpr::ExtProject { exprs, .. }) if exprs.is_empty() => {
+            Code::MalformedOperator
+        }
+        _ => return diagnostic(err, inputs, span),
+    };
+    Diagnostic::new(code, span.clone(), err.to_string())
+}
+
+/// The diagnostic for a problem typing scalar expressions over the
+/// concatenated attributes of `inputs`: an attribute that does not
+/// resolve is `E0001` with the input schema as a note, anything else
+/// `E0003`.
+pub(crate) fn diagnostic(err: CoreError, inputs: &[SchemaRef], span: &Span) -> Diagnostic {
+    match err {
+        CoreError::AttrIndexOutOfRange { index, arity } => {
+            let attrs: Vec<String> = (inputs.iter())
+                .flat_map(|s| s.attributes())
+                .map(ToString::to_string)
+                .collect();
+            Diagnostic::new(
+                Code::UnresolvedAttr,
+                span.clone(),
+                format!("attribute %{index} does not resolve (input arity {arity})"),
+            )
+            .with_note(format!("the input schema is ({})", attrs.join(", ")))
+        }
+        err => Diagnostic::new(Code::TypeMismatch, span.clone(), err.to_string()),
     }
 }
 

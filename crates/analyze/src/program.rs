@@ -30,7 +30,7 @@ use mera_core::prelude::*;
 use mera_expr::{RelExpr, ScalarExpr, SchemaProvider};
 
 use crate::diag::{Code, Diagnostic, Span};
-use crate::plan::{analyze_plan_in_stmt, check_scalar, Card, CardEnv};
+use crate::plan::{analyze_plan_in_stmt, diagnostic, Card, CardEnv};
 
 /// A borrowed view of one statement, mirroring Definition 4.1. Embedders
 /// (`mera-txn`, `mera-sql`) map their own statement types onto this.
@@ -183,8 +183,10 @@ where
                     let span = Span::root(expr.op_name()).in_stmt(i);
                     let mut attrs = Vec::with_capacity(exprs.len());
                     let mut typed = true;
+                    let inputs = std::slice::from_ref(&target);
                     for e in exprs {
-                        match check_scalar(e, &target, &span, &mut diags) {
+                        let mut report = |err| diags.push(diagnostic(err, inputs, &span));
+                        match e.check(&target, &mut report) {
                             Some(t) => attrs.push(Attribute::anon(t)),
                             None => typed = false,
                         }

@@ -32,6 +32,7 @@ use mera_core::prelude::*;
 
 use crate::aggregate::Aggregate;
 use crate::scalar::ScalarExpr;
+use crate::type_error;
 
 /// Supplies schemas for named database relations during schema inference.
 pub trait SchemaProvider {
@@ -137,23 +138,48 @@ pub enum RelExpr {
 /// Output schema of an extended projection `π_(e₁,…,eₙ)` over `input`:
 /// one attribute per expression, typed by inference; bare attribute
 /// references keep their name. The one rule every evaluator derives this
-/// schema by.
+/// schema by; the first problem [`RelExpr::check_node`] reports for it.
 pub fn ext_project_schema(input: &Schema, exprs: &[ScalarExpr]) -> CoreResult<SchemaRef> {
+    crate::first_problem(|report| check_ext_project(input, exprs, report))
+}
+
+fn check_ext_project(
+    input: &Schema,
+    exprs: &[ScalarExpr],
+    report: &mut dyn FnMut(CoreError),
+) -> Option<SchemaRef> {
     if exprs.is_empty() {
-        return Err(CoreError::TypeError(
+        return type_error(
+            report,
             "extended projection needs at least one expression".into(),
-        ));
+        );
     }
     let mut attrs = Vec::with_capacity(exprs.len());
     for e in exprs {
-        let dtype = e.infer_type(input)?;
-        let name = match e {
-            ScalarExpr::Attr(i) => input.attr(*i)?.name.clone(),
-            _ => None,
-        };
-        attrs.push(Attribute { name, dtype });
+        if let Some(dtype) = e.check(input, report) {
+            let name = match e {
+                ScalarExpr::Attr(i) => input.attr(*i).ok().and_then(|a| a.name.clone()),
+                _ => None,
+            };
+            attrs.push(Attribute { name, dtype });
+        }
     }
-    Ok(Arc::new(Schema::new(attrs)))
+    (attrs.len() == exprs.len()).then(|| Arc::new(Schema::new(attrs)))
+}
+
+/// Checks a selection or join condition: it types, and to `bool`.
+fn check_condition(
+    predicate: &ScalarExpr,
+    input: &Schema,
+    what: &str,
+    report: &mut dyn FnMut(CoreError),
+) {
+    match predicate.check(input, report) {
+        Some(DataType::Bool) | None => {}
+        Some(t) => report(CoreError::TypeError(format!(
+            "{what} condition has type {t}, expected bool"
+        ))),
+    }
 }
 
 impl RelExpr {
@@ -255,92 +281,131 @@ impl RelExpr {
     /// Infers the output schema against a catalog, validating the whole
     /// tree: operand compatibility for ⊎/−/∩, predicate typing for σ/⋈,
     /// attribute ranges for π/γ, duplicate-freeness of grouping lists, and
-    /// aggregate/domain compatibility.
+    /// aggregate/domain compatibility. The error is the first problem
+    /// [`RelExpr::check_node`] reports, children before parents.
     pub fn schema<P: SchemaProvider>(&self, provider: &P) -> CoreResult<SchemaRef> {
+        let check = |inputs: &[SchemaRef]| {
+            crate::first_problem(|report| self.check_node(inputs, provider, report))
+        };
         match self {
-            RelExpr::Scan(name) => provider.relation_schema(name),
-            RelExpr::Values(rel) => Ok(Arc::clone(rel.schema())),
-            RelExpr::Union(l, r) | RelExpr::Difference(l, r) | RelExpr::Intersect(l, r) => {
-                let ls = l.schema(provider)?;
-                let rs = r.schema(provider)?;
-                ls.check_same_types(&rs)?;
-                Ok(ls)
+            RelExpr::Scan(_) | RelExpr::Values(_) => check(&[]),
+            RelExpr::Select { input, .. }
+            | RelExpr::Project { input, .. }
+            | RelExpr::ExtProject { input, .. }
+            | RelExpr::Distinct(input)
+            | RelExpr::Closure(input)
+            | RelExpr::GroupBy { input, .. } => check(&[input.schema(provider)?]),
+            RelExpr::Union(l, r)
+            | RelExpr::Difference(l, r)
+            | RelExpr::Product(l, r)
+            | RelExpr::Intersect(l, r)
+            | RelExpr::Join {
+                left: l, right: r, ..
+            } => check(&[l.schema(provider)?, r.schema(provider)?]),
+        }
+    }
+
+    /// Checks this node alone, given its children's schemas in
+    /// [`RelExpr::children`] order (and the catalog, for a scan): reports
+    /// *every* problem of the node to `report` and returns its schema when
+    /// the problems leave one. Only σ and ⋈ have a schema despite a
+    /// problem: their condition does not shape it, so the nodes above them
+    /// can still be checked. These are the typing rules of Definitions
+    /// 3.1–3.4, stated once; [`RelExpr::schema`] and the static analyzer
+    /// both apply them.
+    ///
+    /// # Panics
+    /// Panics when `inputs` does not hold one schema per child.
+    pub fn check_node<P: SchemaProvider>(
+        &self,
+        inputs: &[SchemaRef],
+        provider: &P,
+        report: &mut dyn FnMut(CoreError),
+    ) -> Option<SchemaRef> {
+        let one = || match inputs {
+            [input] => input,
+            _ => panic!("{} takes one input schema", self.op_name()),
+        };
+        let two = || match inputs {
+            [l, r] => (l, r),
+            _ => panic!("{} takes two input schemas", self.op_name()),
+        };
+        match self {
+            RelExpr::Scan(name) => provider.relation_schema(name).map_err(report).ok(),
+            RelExpr::Values(rel) => Some(Arc::clone(rel.schema())),
+            RelExpr::Union(..) | RelExpr::Difference(..) | RelExpr::Intersect(..) => {
+                let (l, r) = two();
+                l.check_same_types(r).map_err(report).ok()?;
+                Some(Arc::clone(l))
             }
-            RelExpr::Product(l, r) => {
-                let ls = l.schema(provider)?;
-                let rs = r.schema(provider)?;
-                Ok(Arc::new(ls.concat(&rs)))
+            RelExpr::Product(..) => {
+                let (l, r) = two();
+                Some(Arc::new(l.concat(r)))
             }
-            RelExpr::Select { input, predicate } => {
-                let s = input.schema(provider)?;
-                let t = predicate.infer_type(&s)?;
-                if t != DataType::Bool {
-                    return Err(CoreError::TypeError(format!(
-                        "selection condition has type {t}, expected bool"
-                    )));
+            RelExpr::Select { predicate, .. } => {
+                let input = one();
+                check_condition(predicate, input, "selection", report);
+                Some(Arc::clone(input))
+            }
+            RelExpr::Project { attrs, .. } => {
+                let input = one();
+                let mut out = Vec::with_capacity(attrs.len());
+                for &i in attrs.indexes() {
+                    if let Ok(a) = input.attr(i).map_err(&mut *report) {
+                        out.push(a.clone());
+                    }
                 }
-                Ok(s)
+                (out.len() == attrs.len()).then(|| Arc::new(Schema::new(out)))
             }
-            RelExpr::Project { input, attrs } => {
-                let s = input.schema(provider)?;
-                Ok(Arc::new(s.project(attrs)?))
+            RelExpr::Join { predicate, .. } => {
+                let (l, r) = two();
+                let joined = l.concat(r);
+                check_condition(predicate, &joined, "join", report);
+                Some(Arc::new(joined))
             }
-            RelExpr::Join {
-                left,
-                right,
-                predicate,
-            } => {
-                let ls = left.schema(provider)?;
-                let rs = right.schema(provider)?;
-                let joined = ls.concat(&rs);
-                let t = predicate.infer_type(&joined)?;
-                if t != DataType::Bool {
-                    return Err(CoreError::TypeError(format!(
-                        "join condition has type {t}, expected bool"
-                    )));
-                }
-                Ok(Arc::new(joined))
-            }
-            RelExpr::ExtProject { input, exprs } => {
-                let s = input.schema(provider)?;
-                ext_project_schema(&s, exprs)
-            }
-            RelExpr::Distinct(input) => input.schema(provider),
+            RelExpr::ExtProject { exprs, .. } => check_ext_project(one(), exprs, report),
+            RelExpr::Distinct(_) => Some(Arc::clone(one())),
             RelExpr::GroupBy {
-                input,
-                keys,
-                agg,
-                attr,
+                keys, agg, attr, ..
             } => {
-                let s = input.schema(provider)?;
-                let key_schema = if keys.is_empty() {
-                    Schema::new(vec![])
-                } else {
-                    let list = AttrList::new_unique(keys.clone())?;
-                    list.check_arity(s.arity())?;
-                    s.project(&list)?
-                };
-                let in_type = s.dtype(*attr)?;
-                let out_type = agg.result_type(in_type)?;
-                // result schema: grouping attributes ⊕ ran(f)
-                Ok(Arc::new(key_schema.with_attr(Attribute::anon(out_type))))
+                let input = one();
+                // result schema: grouping attributes ⊕ ran(f), the
+                // grouping list duplicate-free
+                let mut out = Vec::with_capacity(keys.len() + 1);
+                for (j, &k) in keys.iter().enumerate() {
+                    match input.attr(k) {
+                        Err(e) => report(e),
+                        Ok(_) if keys[..j].contains(&k) => {
+                            report(CoreError::DuplicateAttrInList(k))
+                        }
+                        Ok(a) => out.push(a.clone()),
+                    }
+                }
+                let in_type = input.dtype(*attr).map_err(&mut *report).ok();
+                let out_type = agg.result_type(in_type?).map_err(report).ok()?;
+                out.push(Attribute::anon(out_type));
+                (out.len() == keys.len() + 1).then(|| Arc::new(Schema::new(out)))
             }
-            RelExpr::Closure(input) => {
-                let s = input.schema(provider)?;
-                if s.arity() != 2 {
-                    return Err(CoreError::TypeError(format!(
-                        "transitive closure needs a binary relation, found arity {}",
-                        s.arity()
-                    )));
+            RelExpr::Closure(_) => {
+                let input = one();
+                match input.attributes() {
+                    [a, b] if a.dtype == b.dtype => Some(Arc::clone(input)),
+                    [a, b] => type_error(
+                        report,
+                        format!(
+                            "transitive closure needs matching attribute domains, \
+                             found {} and {}",
+                            a.dtype, b.dtype
+                        ),
+                    ),
+                    attrs => type_error(
+                        report,
+                        format!(
+                            "transitive closure needs a binary relation, found arity {}",
+                            attrs.len()
+                        ),
+                    ),
                 }
-                if s.dtype(1)? != s.dtype(2)? {
-                    return Err(CoreError::TypeError(format!(
-                        "transitive closure needs matching attribute domains, found {} and {}",
-                        s.dtype(1)?,
-                        s.dtype(2)?
-                    )));
-                }
-                Ok(s)
             }
         }
     }

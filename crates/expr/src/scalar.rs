@@ -10,14 +10,17 @@
 //! [`ScalarExpr`] covers both: attributes are referenced by prefixed index
 //! (`%i`, 1-based) exactly as in the paper, composed with literals,
 //! arithmetic, comparisons and boolean connectives. Expressions are typed:
-//! [`ScalarExpr::infer_type`] computes the output domain against an input
-//! schema and rejects ill-typed trees before any tuple is touched.
+//! [`ScalarExpr::check`] computes the output domain against an input
+//! schema and reports every problem of an ill-typed tree before any tuple
+//! is touched; [`ScalarExpr::infer_type`] reads its first problem.
 
 use std::fmt;
 use std::sync::Arc;
 
 use mera_core::prelude::*;
 use mera_core::value::{Money, Real};
+
+use crate::type_error;
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -290,64 +293,56 @@ impl ScalarExpr {
     }
 
     /// Infers the output domain against an input schema, rejecting ill-typed
-    /// trees.
+    /// trees: the first problem [`ScalarExpr::check`] reports.
     pub fn infer_type(&self, schema: &Schema) -> CoreResult<DataType> {
+        crate::first_problem(|report| self.check(schema, report))
+    }
+
+    /// Types the tree against an input schema, reporting *every* problem
+    /// it contains to `report`, children before parents: each attribute
+    /// that does not resolve, each operator applied to domains it is not
+    /// defined on. Returns the output domain when nothing was reported. A
+    /// node whose operand failed adds no report of its own, so one cause
+    /// is reported once.
+    pub fn check(&self, schema: &Schema, report: &mut dyn FnMut(CoreError)) -> Option<DataType> {
         match self {
-            ScalarExpr::Attr(i) => schema.dtype(*i),
-            ScalarExpr::Literal(v) => Ok(v.data_type()),
+            ScalarExpr::Attr(i) => schema.dtype(*i).map_err(report).ok(),
+            ScalarExpr::Literal(v) => Some(v.data_type()),
             ScalarExpr::Arith(op, l, r) => {
-                arith_result_type(*op, l.infer_type(schema)?, r.infer_type(schema)?)
+                let (lt, rt) = (l.check(schema, report), r.check(schema, report));
+                arith_result_type(*op, lt?, rt?).map_err(report).ok()
             }
-            ScalarExpr::Neg(e) => {
-                let t = e.infer_type(schema)?;
-                if t.is_numeric() {
-                    Ok(t)
-                } else {
-                    Err(CoreError::TypeError(format!("cannot negate {t}")))
-                }
-            }
+            ScalarExpr::Neg(e) => match e.check(schema, report)? {
+                t if t.is_numeric() => Some(t),
+                t => type_error(report, format!("cannot negate {t}")),
+            },
             ScalarExpr::Cmp(op, l, r) => {
-                let lt = l.infer_type(schema)?;
-                let rt = r.infer_type(schema)?;
+                let (lt, rt) = (l.check(schema, report), r.check(schema, report));
+                let (lt, rt) = (lt?, rt?);
                 if lt != rt {
-                    return Err(CoreError::TypeError(format!(
-                        "cannot compare {lt} with {rt}"
-                    )));
+                    type_error(report, format!("cannot compare {lt} with {rt}"))
+                } else if op.needs_order() && !lt.is_ordered() {
+                    type_error(report, format!("domain {lt} has no order for {op}"))
+                } else {
+                    Some(DataType::Bool)
                 }
-                if op.needs_order() && !lt.is_ordered() {
-                    return Err(CoreError::TypeError(format!(
-                        "domain {lt} has no order for {op}"
-                    )));
-                }
-                Ok(DataType::Bool)
             }
             ScalarExpr::And(l, r) | ScalarExpr::Or(l, r) => {
-                for side in [l, r] {
-                    let t = side.infer_type(schema)?;
-                    if t != DataType::Bool {
-                        return Err(CoreError::TypeError(format!(
-                            "boolean connective applied to {t}"
-                        )));
-                    }
-                }
-                Ok(DataType::Bool)
+                let sides = [l, r].map(|side| match side.check(schema, report)? {
+                    DataType::Bool => Some(()),
+                    t => type_error(report, format!("boolean connective applied to {t}")),
+                });
+                sides.iter().all(Option::is_some).then_some(DataType::Bool)
             }
-            ScalarExpr::Not(e) => {
-                let t = e.infer_type(schema)?;
-                if t != DataType::Bool {
-                    return Err(CoreError::TypeError(format!("NOT applied to {t}")));
-                }
-                Ok(DataType::Bool)
-            }
+            ScalarExpr::Not(e) => match e.check(schema, report)? {
+                DataType::Bool => Some(DataType::Bool),
+                t => type_error(report, format!("NOT applied to {t}")),
+            },
             ScalarExpr::Concat(l, r) => {
-                let lt = l.infer_type(schema)?;
-                let rt = r.infer_type(schema)?;
-                if lt == DataType::Str && rt == DataType::Str {
-                    Ok(DataType::Str)
-                } else {
-                    Err(CoreError::TypeError(format!(
-                        "cannot concatenate {lt} with {rt}"
-                    )))
+                let (lt, rt) = (l.check(schema, report), r.check(schema, report));
+                match (lt?, rt?) {
+                    (DataType::Str, DataType::Str) => Some(DataType::Str),
+                    (lt, rt) => type_error(report, format!("cannot concatenate {lt} with {rt}")),
                 }
             }
         }
@@ -459,9 +454,9 @@ impl ScalarExpr {
     }
 }
 
-/// Per-operator result typing for arithmetic (see crate docs for the
-/// coercion table).
-pub fn arith_result_type(op: ArithOp, l: DataType, r: DataType) -> CoreResult<DataType> {
+/// Per-operator result typing for arithmetic: the coercion table
+/// [`ScalarExpr::check`] applies.
+fn arith_result_type(op: ArithOp, l: DataType, r: DataType) -> CoreResult<DataType> {
     use DataType::*;
     let err = || {
         Err(CoreError::TypeError(format!(
@@ -496,9 +491,9 @@ pub fn arith_result_type(op: ArithOp, l: DataType, r: DataType) -> CoreResult<Da
     }
 }
 
-/// Evaluates one arithmetic operation on two values, following
-/// [`arith_result_type`]. Public so the columnar evaluator in `mera-eval`
-/// can reuse the exact scalar semantics element-wise.
+/// Evaluates one arithmetic operation on two values, following the typing
+/// of [`ScalarExpr::check`]. Public so the columnar evaluator in
+/// `mera-eval` can reuse the exact scalar semantics element-wise.
 pub fn eval_arith(op: ArithOp, l: &Value, r: &Value) -> CoreResult<Value> {
     use ArithOp::*;
     match (l, r) {

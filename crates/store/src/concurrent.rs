@@ -34,9 +34,9 @@
 //!   the OS flushes when it pleases.
 //!
 //! A schema change takes the same path through [`ConcurrentDb::ddl`]:
-//! [`MvccManager::ddl`] admits the [`Ddl`] under the commit lock, and its
-//! hook writes the change's declaration record behind any staged frames
-//! with one fsync, before the DDL version is published.
+//! [`MvccManager::ddl`] admits a list of [`Ddl`]s under the commit lock,
+//! and its hook writes their declaration records behind any staged frames
+//! in one append with one fsync, before the one DDL version is published.
 //!
 //! The log is bounded: once the frames committed since the last
 //! checkpoint outgrow both 4 MiB and the last snapshot, the commit that
@@ -57,7 +57,7 @@ use crate::durable::{ddl_record, recover, FsyncPolicy, StoreOptions, SNAPSHOT_FI
 use crate::error::{StoreError, StoreResult};
 use crate::snapshot;
 use crate::storage::Storage;
-use crate::wal::{self, WalRecord};
+use crate::wal;
 use mera_core::prelude::*;
 use mera_lang::{lower_script, parse_script, RunResult};
 use mera_txn::mvcc::{MvccManager, PreparedTxn, Version};
@@ -309,11 +309,11 @@ impl<S: Storage> ConcurrentDb<S> {
         }
     }
 
-    /// Flushes (and fsyncs) any staged frames, then optionally appends
-    /// `record` in the same durable step. Used by DDL hooks (which run
-    /// under the MVCC commit lock, so no new frames can be staged while
-    /// this runs) and by [`ConcurrentDb::sync`].
-    fn drain_and_append(&self, record: Option<&WalRecord>) -> StoreResult<()> {
+    /// Flushes (and fsyncs) any staged frames, then appends `frames` (one
+    /// append, when there are any) in the same durable step. Used by DDL
+    /// hooks (which run under the MVCC commit lock, so no new frames can
+    /// be staged while this runs) and by [`ConcurrentDb::sync`].
+    fn drain_and_append(&self, frames: &[u8]) -> StoreResult<()> {
         let mut group = self.group.lock();
         while group.flushing {
             self.group_cv.wait(&mut group);
@@ -328,8 +328,8 @@ impl<S: Storage> ConcurrentDb<S> {
             if !batch.is_empty() {
                 storage.append(WAL_FILE, &batch)?;
             }
-            if let Some(record) = record {
-                storage.append(WAL_FILE, &record.encode_frame())?;
+            if !frames.is_empty() {
+                storage.append(WAL_FILE, frames)?;
             }
             storage.sync(WAL_FILE)
         })();
@@ -343,8 +343,8 @@ impl<S: Storage> ConcurrentDb<S> {
             }
             Err(e) => {
                 if batch.is_empty() {
-                    // only the new record was at risk; the caller's DDL
-                    // simply fails before publication
+                    // only the new records were at risk; the caller's
+                    // DDL simply fails before publication
                     Err(e)
                 } else {
                     // staged frames belong to published commits
@@ -360,18 +360,26 @@ impl<S: Storage> ConcurrentDb<S> {
     /// Forces every staged frame to disk (an explicit group flush) —
     /// called on graceful shutdown and before checkpoints.
     pub fn sync(&self) -> StoreResult<()> {
-        self.drain_and_append(None)
+        self.drain_and_append(&[])
     }
 
-    /// Admits one schema change durably ([`MvccManager::ddl`]): checked
-    /// against the newest version, logged and fsynced behind any staged
-    /// commit frames, then published as a DDL version. A refusal
-    /// ([`StoreError::Refused`], [`StoreError::Core`]) writes nothing, and
-    /// so does a change that changes nothing (`Ok(false)`: an index
-    /// already on those attributes, a repeat or a key's own).
-    pub fn ddl(&self, ddl: Ddl) -> StoreResult<bool> {
-        let record = ddl_record(&ddl);
-        self.mvcc.ddl(&ddl, || self.drain_and_append(Some(&record)))
+    /// Admits a list of schema changes durably, as one step
+    /// ([`MvccManager::ddl`]): checked in order against the newest
+    /// version, their records logged in one append and fsynced behind any
+    /// staged commit frames, then published as one DDL version. A refusal
+    /// of any of them ([`StoreError::Refused`], [`StoreError::Core`])
+    /// writes and publishes nothing, and so does a list that changes
+    /// nothing (`Ok(false)`: an index already on those attributes, a
+    /// repeat or a key's own). A list that changes something logs all its
+    /// records; a no-op index among them replays as the same no-op. A
+    /// single [`Ddl`] is a list of one.
+    pub fn ddl(&self, ddls: impl AsRef<[Ddl]>) -> StoreResult<bool> {
+        let ddls = ddls.as_ref();
+        let frames: Vec<u8> = ddls
+            .iter()
+            .flat_map(|d| ddl_record(d).encode_frame())
+            .collect();
+        self.mvcc.ddl(ddls, || self.drain_and_append(&frames))
     }
 
     /// Creates a secondary index, durably: [`ConcurrentDb::ddl`] of a
@@ -386,7 +394,7 @@ impl<S: Storage> ConcurrentDb<S> {
     /// the reset WAL describe exactly one version.
     pub fn checkpoint(&self) -> StoreResult<()> {
         self.mvcc.quiesce(|version| {
-            self.drain_and_append(None)?;
+            self.drain_and_append(&[])?;
             let bytes = snapshot::encode(version.database());
             let mut group = self.group.lock();
             group.logged = 0;
@@ -403,26 +411,30 @@ impl<S: Storage> ConcurrentDb<S> {
         })
     }
 
-    /// Runs a whole XRA script durably: declarations, views and keys are
-    /// logged and applied in order, then each transaction commits through
-    /// the WAL. Aborts are reported in the results, not as errors — a
-    /// failing transaction aborts itself, not the script. Storage failures
-    /// *do* abort the script: whatever committed before the failure is
-    /// durable, the rest never ran.
+    /// Runs a whole XRA script durably: its declarations, views and keys
+    /// are admitted in that order as one schema change
+    /// ([`ConcurrentDb::ddl`]), so a refusal of any of them leaves none
+    /// behind; then each transaction commits through the WAL. Aborts are
+    /// reported in the results, not as errors — a failing transaction
+    /// aborts itself, not the script. Storage failures *do* abort the
+    /// script: whatever committed before the failure is durable, the rest
+    /// never ran.
     pub fn run_script(&self, src: &str) -> StoreResult<Vec<RunResult>> {
         let script = parse_script(src).map_err(StoreError::from)?;
         let lowered =
             lower_script(&script, &self.pin().catalog_schema()).map_err(StoreError::from)?;
-        for decl in lowered.declarations {
-            self.ddl(Ddl::Relation(decl))?;
-        }
-        for view in lowered.views {
-            let (name, expr) = (view.name, view.expr);
-            self.ddl(Ddl::View { name, expr })?;
-        }
-        for key in lowered.keys {
-            let (relation, attrs) = (key.relation, key.attrs);
-            self.ddl(Ddl::Key { relation, attrs })?;
+        let declarations = lowered.declarations.into_iter().map(Ddl::Relation);
+        let views = (lowered.views.into_iter()).map(|v| Ddl::View {
+            name: v.name,
+            expr: v.expr,
+        });
+        let keys = (lowered.keys.into_iter()).map(|k| Ddl::Key {
+            relation: k.relation,
+            attrs: k.attrs,
+        });
+        let ddls: Vec<Ddl> = declarations.chain(views).chain(keys).collect();
+        if !ddls.is_empty() {
+            self.ddl(ddls)?;
         }
         let mut results = Vec::with_capacity(lowered.transactions.len());
         for program in &lowered.transactions {
@@ -435,7 +447,8 @@ impl<S: Storage> ConcurrentDb<S> {
     }
 
     /// Parses, translates and durably runs one SQL statement: a committed
-    /// DML statement (or view definition) is in the WAL before this returns.
+    /// DML statement (or view definition) is in the WAL before this returns,
+    /// and a `CREATE TABLE`'s relation and keys are one schema change.
     /// Returns the result relation for queries, `None` otherwise.
     pub fn run_sql(&self, sql: &str) -> StoreResult<Option<Relation>> {
         let stmt = mera_sql::parse_sql(sql).map_err(StoreError::from)?;
@@ -448,11 +461,13 @@ impl<S: Storage> ConcurrentDb<S> {
             }
             mera_sql::Translated::CreateTable { schema, keys } => {
                 let relation = schema.name.clone();
-                self.ddl(Ddl::Relation(schema))?;
-                for attrs in keys {
-                    let relation = relation.clone();
-                    self.ddl(Ddl::Key { relation, attrs })?;
-                }
+                let mut ddls = Vec::with_capacity(keys.len() + 1);
+                ddls.push(Ddl::Relation(schema));
+                ddls.extend(keys.into_iter().map(|attrs| Ddl::Key {
+                    relation: relation.clone(),
+                    attrs,
+                }));
+                self.ddl(ddls)?;
                 Ok(None)
             }
             other => {

@@ -26,8 +26,6 @@ use crate::views::{DeltaMap, TupleDelta, ViewSet};
 /// How statements evaluate their expressions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Run the rule-based optimizer before evaluation.
-    pub optimize: bool,
     /// Run the static analyzer over the whole program before the first
     /// statement executes ([`Version::run`](crate::Version::run)):
     /// programs with error-severity diagnostics abort up front, before
@@ -44,7 +42,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            optimize: true,
             analyze: true,
             engine: EngineKind::default(),
             options: ExecOptions::default(),
@@ -380,21 +377,21 @@ pub fn eval_expr(
     expr: &RelExpr,
     config: ExecConfig,
 ) -> CoreResult<Relation> {
-    let provider = WorkingSchemas(state);
-    let expr_storage;
-    let expr = if config.optimize {
-        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(state.version.stats()));
-        let keys = state.key_env();
-        if !keys.is_empty() {
-            optimizer = optimizer.with_keys(keys);
-        }
-        expr_storage = optimizer.optimize(expr, &provider)?.expr;
-        &expr_storage
-    } else {
-        expr
-    };
+    let expr = &plan(state, expr)?;
     let engine = Engine::new(config.engine).with_options(config.options);
     with_access_paths(engine, state, expr)?.run(expr, state)
+}
+
+/// The plan `expr` gets in `state`: optimized cost-based against the
+/// version's statistics, under the state's dirtied-gated key environment.
+/// [`eval_expr`] runs it and EXPLAIN renders it.
+pub(crate) fn plan(state: &WorkingState<'_>, expr: &RelExpr) -> CoreResult<RelExpr> {
+    let mut optimizer = Optimizer::standard().with_stats(Arc::clone(state.version.stats()));
+    let keys = state.key_env();
+    if !keys.is_empty() {
+        optimizer = optimizer.with_keys(keys);
+    }
+    Ok(optimizer.optimize(expr, &WorkingSchemas(state))?.expr)
 }
 
 /// Attaches the state's indexes and the cost model's index-join hints for
@@ -636,25 +633,12 @@ mod tests {
             )));
         let configs = [
             ExecConfig::with_engine(EngineKind::Physical),
-            ExecConfig {
-                optimize: false,
-                ..ExecConfig::with_engine(EngineKind::Physical)
-            },
             ExecConfig::with_engine(EngineKind::Reference),
-            ExecConfig {
-                optimize: false,
-                ..ExecConfig::with_engine(EngineKind::Reference)
-            },
             ExecConfig {
                 options: ExecOptions::with_partitions(2),
                 ..ExecConfig::with_engine(EngineKind::Physical)
             },
             ExecConfig {
-                options: ExecOptions::with_partitions(3),
-                ..ExecConfig::with_engine(EngineKind::Physical)
-            },
-            ExecConfig {
-                optimize: false,
                 options: ExecOptions::with_partitions(3),
                 ..ExecConfig::with_engine(EngineKind::Physical)
             },

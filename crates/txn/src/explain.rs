@@ -19,15 +19,14 @@
 //! count and deterministic (golden-file testable).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use mera_analyze::{infer_props, KeyEnv};
 use mera_core::prelude::*;
 use mera_eval::{Engine, ExecStats};
 use mera_expr::rel::RelExpr;
-use mera_opt::{estimate_rows, CatalogStats, Optimizer};
+use mera_opt::{estimate_rows, CatalogStats};
 
-use crate::exec::{with_access_paths, ExecConfig, WorkingSchemas, WorkingState};
+use crate::exec::{plan, with_access_paths, ExecConfig, WorkingSchemas, WorkingState};
 
 /// Renders the chosen plan for `expr` against a working state: join
 /// order, access paths, and estimated-vs-actual cardinality per operator
@@ -37,21 +36,10 @@ pub fn explain_expr(
     expr: &RelExpr,
     config: ExecConfig,
 ) -> CoreResult<String> {
+    // the plan `eval_expr` runs, so EXPLAIN shows what the live engine
+    // would actually do
+    let expr = &plan(state, expr)?;
     let provider = WorkingSchemas(state);
-    let expr_storage;
-    let expr = if config.optimize {
-        let mut optimizer = Optimizer::standard().with_stats(Arc::clone(state.version.stats()));
-        // the same dirtied-gated key environment `eval_expr` plans under,
-        // so EXPLAIN shows the plan the live engine would actually run
-        let keys = state.key_env();
-        if !keys.is_empty() {
-            optimizer = optimizer.with_keys(keys);
-        }
-        expr_storage = optimizer.optimize(expr, &provider)?.expr;
-        &expr_storage
-    } else {
-        expr
-    };
 
     let stats: &CatalogStats = state.version.stats();
 

@@ -443,21 +443,25 @@ impl MvccManager {
         f(&latest)
     }
 
-    /// Admits one schema change ([`Version::admit`]) on a clone of the
-    /// newest version under the commit lock, runs the durability hook,
-    /// and publishes the result as a DDL version. A refused change or a
-    /// failed hook publishes nothing. A change that changes nothing (an
-    /// index already on those attributes) runs no hook, publishes
-    /// nothing, and returns `false`. DDL versions conflict with every
-    /// in-flight writer — coarse, and rare.
+    /// Admits a list of schema changes ([`Version::admit`], in order) on
+    /// one clone of the newest version under the commit lock, runs the
+    /// durability hook once, and publishes the result as one DDL version:
+    /// the list is one step. A refusal of any change, or a failed hook,
+    /// publishes nothing. A list that changes nothing (say, an index
+    /// already on those attributes) runs no hook, publishes nothing, and
+    /// returns `false`. DDL versions conflict with every in-flight writer
+    /// — coarse, and rare.
     pub fn ddl<E: From<DdlError>>(
         &self,
-        ddl: &Ddl,
+        ddls: impl AsRef<[Ddl]>,
         durability: impl FnOnce() -> Result<(), E>,
     ) -> Result<bool, E> {
         let _guard = self.commit.lock();
         let mut next = Version::clone(&self.pin());
-        let changed = next.admit(ddl, self.config)?;
+        let mut changed = false;
+        for ddl in ddls.as_ref() {
+            changed |= next.admit(ddl, self.config)?;
+        }
         if changed {
             durability()?;
             self.publish(next, WriteSet::default(), true);

@@ -82,6 +82,15 @@ pub enum Ddl {
     },
 }
 
+/// One change is the list of that one change, so every caller of a
+/// list-taking step ([`MvccManager::ddl`](crate::mvcc::MvccManager::ddl))
+/// can pass a single [`Ddl`], by value or by reference.
+impl AsRef<[Ddl]> for Ddl {
+    fn as_ref(&self) -> &[Ddl] {
+        std::slice::from_ref(self)
+    }
+}
+
 /// One committed state: the paper's `D_t` plus the derived catalog
 /// objects that describe it. Readers pin a published version with an
 /// `Arc` clone and evaluate against it for as long as they like —

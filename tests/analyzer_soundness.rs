@@ -6,10 +6,14 @@
 //! Runtime-only partial behaviour (`AVG` over an empty group, division by
 //! zero, overflow) is allowed: the analyzer warns about what *may* fail
 //! and rejects only what *must* fail.
+//!
+//! The converse holds too: the analyzer reports a typing error (`E00xx`)
+//! exactly when `RelExpr::schema` fails, and an accepted plan's analyzed
+//! schema is the one `schema` infers — both read the same typing rules.
 
 use std::sync::Arc;
 
-use mera::analyze::{analyze_plan, Card, CardEnv};
+use mera::analyze::{analyze_plan, Card, CardEnv, Severity};
 use mera::core::prelude::*;
 use mera::eval::{Engine, IndexSet};
 use mera::expr::{Aggregate, CmpOp, RelExpr, ScalarExpr};
@@ -149,6 +153,46 @@ proptest! {
                     err
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn typing_errors_are_exactly_schema_failures(
+        shape in 0u8..10,
+        attr in 1usize..5,
+        key in 1usize..5,
+        scan_sel in 0u8..10,
+        c in 0i64..5,
+        empty_r in any::<bool>(),
+    ) {
+        let db = build_db(if empty_r { vec![] } else { vec![(1, 2, 1)] });
+        let rel = if scan_sel < 8 { "s" } else { "nosuch" };
+        let e = build_expr(shape, attr, key, rel, c);
+        let cards: CardEnv = db
+            .relation_names()
+            .filter_map(|n| Some((n.to_owned(), Card::of_relation(db.relation(n).ok()?))))
+            .collect();
+        let analysis = analyze_plan(&e, db.schema(), &cards);
+        let typing_errors: Vec<_> = analysis
+            .diagnostics
+            .iter()
+            .filter(|d| d.severity == Severity::Error && d.code.as_str().starts_with("E00"))
+            .collect();
+        let inferred = e.schema(db.schema());
+        prop_assert_eq!(
+            typing_errors.is_empty(),
+            inferred.is_ok(),
+            "{}: analyzer {:?}, schema() {:?}",
+            e,
+            typing_errors,
+            inferred
+        );
+        if analysis.is_accepted() {
+            prop_assert_eq!(analysis.schema, Some(inferred.expect("accepted plans type")));
         }
     }
 }

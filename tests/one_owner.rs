@@ -160,25 +160,35 @@ fn a_refused_schema_change_leaves_no_trace_through_every_door() {
     // SQL declares keys only inside CREATE TABLE — on a fresh, empty base
     // table, where E0401 and E0402 cannot arise. E0403 can: the same
     // column set spelled twice in different orders reaches admission twice.
-    let twice = "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b), UNIQUE (b, a))";
-    let err = db.run_sql(twice).expect_err("SQL refuses");
-    assert!(
-        diagnosed(&err, Code::DuplicateKeyDeclaration),
-        "SQL: {err:?}"
-    );
-    let keys_of_t = |definitions: Vec<(String, Vec<usize>)>| {
-        let on_t = definitions.into_iter().filter(|(r, _)| r == "t");
-        on_t.map(|(_, attrs)| attrs).collect::<Vec<_>>()
-    };
-    assert_eq!(keys_of_t(db.pin().keys().definitions()), [vec![1, 2]]);
-    // the refused second declaration never reached the log either
-    let logged = wal::scan(&storage.image()[WAL_FILE]).expect("scans");
-    let declared_on_t = logged.records.iter().filter(
-        |record| matches!(record, WalRecord::DeclareKey { relation, .. } if relation == "t"),
-    );
-    assert_eq!(declared_on_t.count(), 1);
+    // A text call's schema changes are one step, so the refusal leaves
+    // neither `t` nor its first key behind, in memory or in the log; an
+    // XRA script's declarations and keys likewise.
+    let twice = [
+        (
+            "SQL",
+            "CREATE TABLE t (a INT, b INT, PRIMARY KEY (a, b), UNIQUE (b, a))",
+        ),
+        ("XRA", "relation t (a: int); key t (a); key t (a);"),
+    ];
+    for (door, text) in twice {
+        let units = storage.units_written();
+        let err = match door {
+            "SQL" => db.run_sql(text).map(drop),
+            _ => db.run_script(text).map(drop),
+        }
+        .expect_err("refused");
+        assert!(
+            diagnosed(&err, Code::DuplicateKeyDeclaration),
+            "{door}: {err:?}"
+        );
+        let version = db.pin();
+        assert!(version.database().schema().get("t").is_err(), "{door}");
+        let keys = version.keys().definitions();
+        assert!(keys.iter().all(|(r, _)| r != "t"), "{door}: {keys:?}");
+        assert_eq!(storage.units_written(), units, "{door}: nothing logged");
+    }
     let recovered = reopen(&storage).pin();
-    assert_eq!(keys_of_t(recovered.keys().definitions()), [vec![1, 2]]);
+    assert!(recovered.database().schema().get("t").is_err());
     assert_eq!(
         recovered.keys().definitions(),
         db.pin().keys().definitions()
