@@ -74,11 +74,6 @@ impl AttrList {
         &self.0
     }
 
-    /// True when every index fits a tuple/schema of arity `arity`.
-    pub fn fits_arity(&self, arity: usize) -> bool {
-        self.0.iter().all(|&i| i <= arity)
-    }
-
     /// Validates the list against an arity, producing the first offending
     /// index on failure.
     pub fn check_arity(&self, arity: usize) -> CoreResult<()> {
@@ -86,13 +81,6 @@ impl AttrList {
             None => Ok(()),
             Some(&bad) => Err(CoreError::AttrIndexOutOfRange { index: bad, arity }),
         }
-    }
-
-    /// True when there are no repeated indexes.
-    pub fn is_duplicate_free(&self) -> bool {
-        let mut sorted = self.0.clone();
-        sorted.sort_unstable();
-        sorted.windows(2).all(|w| w[0] != w[1])
     }
 }
 
@@ -368,8 +356,6 @@ mod tests {
         assert!(AttrList::new(vec![1, 1]).is_ok());
         assert!(AttrList::new_unique(vec![1, 1]).is_err());
         assert!(AttrList::new_unique(vec![1, 2]).is_ok());
-        assert!(AttrList::new(vec![1, 2]).unwrap().is_duplicate_free());
-        assert!(!AttrList::new(vec![2, 1, 2]).unwrap().is_duplicate_free());
     }
 
     #[test]
@@ -377,8 +363,6 @@ mod tests {
         let id = AttrList::identity(3).unwrap();
         assert_eq!(id.indexes(), &[1, 2, 3]);
         assert_eq!(id.to_string(), "(%1,%2,%3)");
-        assert!(id.fits_arity(3));
-        assert!(!id.fits_arity(2));
     }
 
     #[test]

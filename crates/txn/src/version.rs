@@ -27,8 +27,15 @@
 //! in place, where every `Arc` is unique and `Arc::make_mut` copies
 //! nothing.
 //!
-//! Every map under a version is a persistent trie
-//! ([`mera_core::pmap::PMap`]): relations, index buckets and view state.
+//! A view's maintenance plan is the one exception: it is writer state,
+//! not part of what a version publishes. The versions of one lineage
+//! share it, and [`Version::apply`] edits it in place on either path;
+//! a clone whose plan another clone already advanced recomputes its view
+//! instead (the staleness rule of [`crate::views`]).
+//!
+//! Every other map under a version is a persistent trie
+//! ([`mera_core::pmap::PMap`]): relations, index buckets and view
+//! contents.
 //! A declared key keeps no state of its own: it is enforced through the
 //! index on its attributes, whose buckets are its key points. Statistics
 //! keep no state of their own either: [`Version::stats`] computes them
@@ -254,6 +261,7 @@ impl Version {
     /// the old content are dropped, not folded.
     /// On a clone of a published version, only the trie nodes the deltas
     /// touch are copied; on a uniquely owned one (recovery) nothing is.
+    /// The view plans are edited in place either way.
     ///
     /// On `Err` the version is partly folded and must be dropped — call
     /// this on a clone, or where a failure is fatal anyway.

@@ -40,8 +40,22 @@
 //! negative multiplicity, or an aggregate failed), the view falls back to
 //! a full recompute and its plan state is rebuilt — correctness never
 //! depends on the incremental path.
+//!
+//! A plan is **writer state**, not part of what a version publishes. No
+//! reader ever reads it, so a view keeps one plan per lineage of
+//! versions, shared by that lineage's versions behind a lock, and a
+//! refresh edits it in place: the join indexes, γ groups and δ/−/∩ bags
+//! of a uniquely owned plan are never path-copied and no old copy is
+//! freed. [`View::data`] is what readers read, and it stays versioned.
+//! The staleness rule keeps this sound: a plan carries the stamp of the
+//! view state it reflects, and every refresh draws a fresh stamp (not
+//! the logical time — two forks of one version share a time). A view
+//! whose stamp differs from its plan's — a fork another clone already
+//! advanced, or the predecessor of a commit that failed after its
+//! refresh — takes the recompute fallback and gets a plan of its own.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mera_core::pmap::PMap;
@@ -51,6 +65,7 @@ use mera_eval::provider::{RelationProvider, Schemas};
 use mera_eval::{reference, Engine, HashIndex};
 use mera_expr::rel::RelExpr;
 use mera_expr::{Acc, Aggregate, ScalarExpr};
+use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::exec::ExecConfig;
@@ -69,7 +84,10 @@ pub struct View {
     expr: RelExpr,
     schema: SchemaRef,
     deps: Vec<String>,
-    plan: MaintNode,
+    /// The maintenance plan, shared by every version of this lineage.
+    plan: Arc<Mutex<Plan>>,
+    /// The stamp of the view state `data` holds.
+    stamp: u64,
     data: Arc<Relation>,
     refreshes: u64,
     fallbacks: u64,
@@ -106,6 +124,49 @@ impl View {
     pub fn refresh_stats(&self) -> (u64, u64) {
         (self.refreshes, self.fallbacks)
     }
+
+    /// Refreshes the view in place through its plan, stamping the new
+    /// state `stamp`. `None` when the plan does not reflect this view's
+    /// state or the refresh fails: the caller then recomputes.
+    fn refresh(
+        &mut self,
+        deltas: &DeltaMap,
+        provider: &ViewCatalog<'_>,
+        config: ExecConfig,
+        stamp: u64,
+    ) -> Option<TupleDelta> {
+        let mut plan = self.plan.lock();
+        if plan.stamp != self.stamp {
+            return None;
+        }
+        // claimed before the edit, so a failed (partial) edit leaves a
+        // plan that no view state matches
+        plan.stamp = stamp;
+        let delta = plan.root.refresh(deltas, provider, config).ok()?;
+        Arc::make_mut(&mut self.data).apply(&delta).ok()?;
+        self.stamp = stamp;
+        Some(delta)
+    }
+}
+
+/// A view's maintenance plan and the stamp of the view state it reflects.
+#[derive(Debug)]
+struct Plan {
+    stamp: u64,
+    root: MaintNode,
+}
+
+impl Plan {
+    /// A plan built for the view state stamped `stamp`.
+    fn shared(stamp: u64, root: MaintNode) -> Arc<Mutex<Plan>> {
+        Arc::new(Mutex::new(Plan { stamp, root }))
+    }
+}
+
+/// A stamp no view state or plan has carried before.
+fn fresh_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 /// The materialized views of one database, in creation order (which is a
@@ -174,14 +235,16 @@ impl ViewSet {
         let schema = analysis
             .schema
             .expect("an accepted view definition has a schema");
-        let plan = MaintNode::build(&expr, &provider, config)?;
+        let root = MaintNode::build(&expr, &provider, config)?;
         let data = eval(&expr, &provider, config)?;
+        let stamp = fresh_stamp();
         self.views.push(View {
             name: name.to_owned(),
             expr,
             schema,
             deps: analysis.deps,
-            plan,
+            plan: Plan::shared(stamp, root),
+            stamp,
             data: Arc::new(data),
             refreshes: 0,
             fallbacks: 0,
@@ -194,14 +257,17 @@ impl ViewSet {
     /// *post-commit* state. Views refresh in creation order, and each
     /// view's own delta joins the map so downstream views see it.
     ///
-    /// A view whose incremental refresh fails is recomputed from scratch
-    /// and its plan rebuilt — the error is absorbed, not surfaced.
+    /// A view's plan is edited in place when it reflects the view's
+    /// state; otherwise (a fork another clone advanced), or when the
+    /// incremental refresh fails, the view is recomputed from scratch and
+    /// gets a plan of its own — the error is absorbed, not surfaced.
     pub fn refresh_after_commit(
         &mut self,
         mut deltas: DeltaMap,
         db: &Database,
         config: ExecConfig,
     ) -> CoreResult<()> {
+        let stamp = fresh_stamp();
         for i in 0..self.views.len() {
             let (done, rest) = self.views.split_at_mut(i);
             let view = &mut rest[0];
@@ -214,12 +280,9 @@ impl ViewSet {
             }
             let provider = ViewCatalog { views: done, db };
             view.refreshes += 1;
-            let delta = match view.plan.refresh(&deltas, &provider, config) {
-                Ok(delta) => match Arc::make_mut(&mut view.data).apply(&delta) {
-                    Ok(()) => delta,
-                    Err(_) => Self::recompute_view(view, &provider, config)?,
-                },
-                Err(_) => Self::recompute_view(view, &provider, config)?,
+            let delta = match view.refresh(&deltas, &provider, config, stamp) {
+                Some(delta) => delta,
+                None => Self::recompute_view(view, &provider, config, stamp)?,
             };
             if !delta.is_empty() {
                 deltas.insert(view.name.clone(), delta);
@@ -230,16 +293,18 @@ impl ViewSet {
 
     /// Full-recompute fallback: re-evaluates the definition, diffs
     /// against the old contents (so downstream views still get a delta),
-    /// and rebuilds the maintenance state.
+    /// and builds a fresh plan for the new state `stamp`.
     fn recompute_view(
         view: &mut View,
         provider: &ViewCatalog<'_>,
         config: ExecConfig,
+        stamp: u64,
     ) -> CoreResult<TupleDelta> {
         view.fallbacks += 1;
         let fresh = eval(&view.expr, provider, config)?;
         let delta = TupleDelta::from_diff(view.data.bag(), fresh.bag())?;
-        view.plan = MaintNode::build(&view.expr, provider, config)?;
+        view.plan = Plan::shared(stamp, MaintNode::build(&view.expr, provider, config)?);
+        view.stamp = stamp;
         view.data = Arc::new(fresh);
         Ok(delta)
     }
@@ -279,7 +344,7 @@ fn eval(
 
 /// A node of the delta-rewritten plan. Mirrors the definition's
 /// expression tree, replacing each operator with its maintenance rule.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum MaintNode {
     /// A scanned name: the delta comes straight from the commit's map.
     Base { name: String },
@@ -855,11 +920,15 @@ mod tests {
             "cnt",
             RelExpr::scan("r").group_by(&[], Aggregate::Cnt, 1),
         );
-        let plan = mgr.pin().views().get("cnt").expect("exists").plan.clone();
-        assert!(
-            matches!(&plan, MaintNode::GroupBy { keys, .. } if keys.is_empty()),
-            "{plan:?}"
-        );
+        {
+            let version = mgr.pin();
+            let plan = version.views().get("cnt").expect("exists").plan.lock();
+            assert!(
+                matches!(&plan.root, MaintNode::GroupBy { keys, .. } if keys.is_empty()),
+                "{:?}",
+                plan.root
+            );
+        }
         // the input grows, then is deleted down to empty: the one row
         // moves 0 → 1 → 2 → 1 → 0 and never disappears
         for (stmt, count) in [

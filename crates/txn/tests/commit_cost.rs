@@ -3,11 +3,13 @@
 //! A commit integrates its ℤ-delta into the newest version,
 //! `D_{t+1} = D_t + Δ` (`Version::apply`), on a clone of that version.
 //! Every map under a version — relations, index buckets (which also
-//! enforce the key), view state — is a persistent hash trie, so the clone
-//! shares all of it and the fold copies one trie path per changed
+//! enforce the key), view contents — is a persistent hash trie, so the
+//! clone shares all of it and the fold copies one trie path per changed
 //! element. A one-row commit therefore costs about the same on a 200-row
 //! table as on a 10 000-row one; a whole-database copy would cost 50×
-//! more.
+//! more. A view's maintenance plan is writer state, shared by the
+//! versions of its lineage and edited in place: the fold copies none of
+//! it.
 //!
 //! The workload is `oltp_commit`'s: `account(id, branch, balance)` with a
 //! key and an index on `id`, loaded in 2 000-row commits, and one
@@ -15,7 +17,9 @@
 //! through `MvccManager` directly.
 //!
 //! (c) holds a maintained γ to the same rule: a view's share of a
-//! commit does not grow with the groups the commit touches.
+//! commit does not grow with the groups the commit touches. (d) holds a
+//! maintained join to a stricter one: its share does not grow with the
+//! joined relation at all, because its indexes are edited in place.
 //!
 //! The counters are the process-global [`CountingAlloc`], so the
 //! measuring sections are serialised behind a mutex (the test harness
@@ -241,5 +245,107 @@ fn view_refresh_cost_is_flat_in_group_size() {
     assert_eq!(
         small, big,
         "view refresh allocations grew with the group: {small:?} at 100 values, {big:?} at 10 000"
+    );
+}
+
+fn sales() -> Schema {
+    Schema::named(&[
+        ("id", DataType::Int),
+        ("cust", DataType::Int),
+        ("amount", DataType::Int),
+    ])
+}
+
+fn customers() -> Schema {
+    Schema::named(&[("cust", DataType::Int), ("region", DataType::Int)])
+}
+
+/// `rows` sales of amount 0, 20 per customer, over `rows / 20`
+/// customers in two regions, with or without `view_churn`'s view shape
+/// over them: `γ[(5), SUM, 3](sales ⋈[%2 = %4] customers)`. The sums
+/// start at 0 whatever the size, so the view holds the same rows at
+/// every size.
+fn sales_db(rows: i64, view: bool) -> MvccManager {
+    let mgr = MvccManager::new(
+        DatabaseSchema::new()
+            .with("sales", sales())
+            .expect("fresh")
+            .with("customers", customers())
+            .expect("fresh"),
+    );
+    if view {
+        let joined = RelExpr::scan("sales").join(
+            RelExpr::scan("customers"),
+            ScalarExpr::attr(2).eq(ScalarExpr::attr(4)),
+        );
+        let ddl = Ddl::View {
+            name: "revenue".to_owned(),
+            expr: joined.group_by(&[5], Aggregate::Sum, 3),
+        };
+        mgr.ddl(&ddl, || Ok::<(), DdlError>(())).expect("creates");
+    }
+    let custs = rows / 20;
+    let sold = (0..rows).map(|id| tuple![id, id % custs, 0_i64]);
+    let sold = relation_of(sales(), sold.collect()).expect("typed");
+    let custs = (0..custs).map(|c| tuple![c, c % 2]);
+    let custs = relation_of(customers(), custs.collect()).expect("typed");
+    let load = Program::new()
+        .then(Statement::insert("sales", RelExpr::values(sold)))
+        .then(Statement::insert("customers", RelExpr::values(custs)));
+    assert!(mgr.execute(&load).0.is_committed());
+    mgr
+}
+
+/// The allocations of one 2-row churn commit: sale `id` retracted and
+/// re-asserted with a larger amount, under the same customer.
+fn sales_churn_cost(mgr: &MvccManager, id: i64) -> u64 {
+    let program = Program::single(Statement::update(
+        "sales",
+        RelExpr::scan("sales").select(ScalarExpr::attr(1).eq(ScalarExpr::int(id))),
+        vec![
+            ScalarExpr::attr(1),
+            ScalarExpr::attr(2),
+            ScalarExpr::attr(3).add(ScalarExpr::int(1)),
+        ],
+    ));
+    let predecessor = mgr.pin();
+    let allocs = allocation_count();
+    let prepared = mgr.prepare(mgr.pin(), &program).expect("runs");
+    let (outcome, _) = mgr
+        .try_commit::<Infallible>(prepared, |_| Ok(()))
+        .expect("no durability hook");
+    let cost = allocation_count() - allocs;
+    assert!(outcome.is_committed(), "{outcome:?}");
+    drop(predecessor);
+    cost
+}
+
+/// The view's share of each of a few churn commits on `rows` sales, as
+/// in (c): with the view minus without it. The churned sales belong to
+/// the same customers at every size, so each commit changes the same
+/// base, join and γ rows.
+fn join_view_churn_costs(rows: i64) -> Vec<u64> {
+    let (with, without) = (sales_db(rows, true), sales_db(rows, false));
+    let ids = [1, 3, 17, 42];
+    ids.iter()
+        .map(|&id| sales_churn_cost(&with, id) - sales_churn_cost(&without, id))
+        .collect()
+}
+
+/// (d) A join's indexes are writer state, edited in place, so refreshing
+/// a γ over `sales ⋈ customers` after a 2-row commit allocates the same
+/// whether `sales` holds 1 000 or 50 000 rows (50 or 2 500 join keys).
+/// Indexes held in the published version copied one trie path per
+/// touched key, and the path deepens with the keys.
+#[test]
+fn join_view_refresh_cost_is_flat_in_joined_size() {
+    let _guard = lock();
+    let small = join_view_churn_costs(1_000);
+    let big = join_view_churn_costs(50_000);
+    eprintln!("join view share of a 2-row churn commit: 1 000 rows {small:?}, 50 000 {big:?}");
+    assert_eq!(
+        small, big,
+        "join view refresh allocations grew with the joined relation: \
+         {small:?} at 1 000 rows, {big:?} at 50 000"
     );
 }
